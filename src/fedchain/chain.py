@@ -367,6 +367,7 @@ def _simulate_formation(setup: RoundSetup, assignment: pools.PoolAssignment) -> 
     sim = Simulator(setup.latency)
     heads = set(assignment.heads())
     head_of = {m: pool.head for pool in assignment.pools for m in pool.members}
+    pool_by_head = {pool.head: pool for pool in assignment.pools}
     expected_joins = {pool.head: len(pool.members) - 1 for pool in assignment.pools}
     joins_seen = {h: 0 for h in heads}
     announcements = {node: 0 for node in range(n)}
@@ -391,7 +392,7 @@ def _simulate_formation(setup: RoundSetup, assignment: pools.PoolAssignment) -> 
             joins_seen[node] += 1
             if joins_seen[node] == expected_joins[node]:
                 start_times[node] = s.now
-                for member in assignment.pools[assignment.pool_of(node)].members:
+                for member in pool_by_head[node].members:
                     if member != node:
                         s.send(node, member, None, kind="pool-start")
         elif event.kind == "pool-start":
@@ -422,7 +423,8 @@ def _verification_exchange(
     task = setup.task
     rng = np.random.default_rng(_derive_seed(setup.seed, task.task_id, "committee", pool_id))
     # verifiers come from outside the pool when the network is big enough
-    candidates = [v for v in range(setup.n_nodes) if v != head and v not in set(members)]
+    member_set = set(members)
+    candidates = [v for v in range(setup.n_nodes) if v != head and v not in member_set]
     if not candidates:
         candidates = [v for v in range(setup.n_nodes) if v != head]
     committee = [int(v) for v in rng.choice(candidates, size=min(setup.n_verifiers, len(candidates)), replace=False)]
@@ -434,15 +436,23 @@ def _verification_exchange(
     votes: dict[int, tuple[bool, float]] = {}
     state = {"commit_time": sim.now, "proof_time": None, "accept_time": None}
     vote_times: dict[int, float] = {}
+    # The head proves each distinct challenge batch once, keyed by content.
+    proofs: dict[tuple, verify.PredictionProof] = {}
+    # Each verifier keeps the challenge it derived on commit for its check.
+    samples: dict[int, verify.VerificationSample] = {}
 
     def head_handler(s: Simulator, event) -> None:
         if event.kind == "challenge":
-            sample = event.payload
-            proof = verify.prove(model, sample.x, pp, blinding)
-            if tamper:
-                bad_y = proof.y.copy()
-                bad_y[0] = (bad_y[0] + 1) % task.example.n_classes
-                proof = replace(proof, y=bad_y)
+            x = event.payload.x
+            key = (x.shape, x.dtype.str, x.tobytes())
+            proof = proofs.get(key)
+            if proof is None:
+                proof = verify.prove(model, x, pp, blinding)
+                if tamper:
+                    bad_y = proof.y.copy()
+                    bad_y[0] = (bad_y[0] + 1) % task.example.n_classes
+                    proof = replace(proof, y=bad_y)
+                proofs[key] = proof
             if state["proof_time"] is None:
                 state["proof_time"] = s.now
             s.send(head, event.src, proof, size_units=int(setup.size_multiplier), kind="proof")
@@ -456,10 +466,11 @@ def _verification_exchange(
     def verifier_handler(s: Simulator, event) -> None:
         if event.kind == "commit":
             sample = verify.derive_challenge(task.held_out, event.payload, setup.challenge_size)
+            samples[event.dst] = sample
             s.send(event.dst, head, sample, kind="challenge")
         elif event.kind == "proof":
             proof = event.payload
-            sample = verify.derive_challenge(task.held_out, com, setup.challenge_size)
+            sample = samples[event.dst]
             result = verify.verify(com, sample, proof.y, proof, pp)
             ok = result.accepted and verify.accuracy_claim_check(
                 result.measured_accuracy, task.target, sample.count, k_min=1
@@ -510,6 +521,8 @@ def _train_pool_rounds(
     model = DenseClassifier(task.arch, seed=_derive_seed(setup.seed, task.task_id, "init"))
     barrier = max(start_times[m] for m in members)
     sim.now = barrier
+    # Each member's noise covers its own chunk of the ring split.
+    chunk_lens = [c.shape[0] for c in np.array_split(model.weights, k)]
     outcome = PoolOutcome(
         pool_id=pool_id,
         head=members[0],
@@ -537,10 +550,9 @@ def _train_pool_rounds(
         ]
         masks = None
         if masked:
-            splits = [sharedring.split(v, k) for v in vectors]
             masks = [
                 fixedpoint.generate_noise(
-                    splits[i][i].shape[0],
+                    chunk_lens[i],
                     _derive_seed(setup.seed, task.task_id, pool_id, round_idx, "noise", i),
                     setup.noise_bits,
                 )

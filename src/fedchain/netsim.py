@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
@@ -100,37 +100,95 @@ def chunk_size_units(chunk_len: int, model_len: int, multiplier: float = DEFAULT
 
 
 class LatencyHistory:
-    """Append-only per-pair record of observed link latencies."""
+    """Append-only per-pair record of observed link latencies.
 
-    def __init__(self) -> None:
-        self._series: dict[tuple[int, int], list[float]] = {}
+    Storage is dense: `layers[d]` is an (n, n) float64 array whose entry
+    (i, j) holds the d-th observation of the directed pair (i, j), and
+    `counts` is an (n, n) int64 array with the number of observations of
+    each pair. An entry of `layers[d]` is meaningful only where
+    `counts > d`; elsewhere it is 0.0. A history made without `n_nodes`
+    grows its arrays to fit the largest node id recorded.
+
+    The layout lets `pools.estimate_latency` average every pair at once
+    and stay bit-identical to `sum(series) / len(series)`: it adds the
+    layers one at a time in depth order, which is the left-to-right order
+    of Python's `sum`, and a pair with fewer observations adds exact 0.0
+    for its missing depths.
+    """
+
+    def __init__(self, n_nodes: int = 0) -> None:
+        self.counts = np.zeros((n_nodes, n_nodes), dtype=np.int64)
+        self.layers: list[np.ndarray] = []
+
+    @property
+    def n_nodes(self) -> int:
+        return self.counts.shape[0]
+
+    def _grow(self, n_nodes: int) -> None:
+        old = self.n_nodes
+        pad = ((0, n_nodes - old), (0, n_nodes - old))
+        self.counts = np.pad(self.counts, pad)
+        self.layers = [np.pad(layer, pad) for layer in self.layers]
+
+    def _layer(self, depth: int) -> np.ndarray:
+        while len(self.layers) <= depth:
+            self.layers.append(np.zeros_like(self.counts, dtype=np.float64))
+        return self.layers[depth]
 
     def record(self, i: int, j: int, observed: float) -> None:
         if i == j:
             raise InvalidObservationError(f"self-loop observation for node {i}")
         if observed <= 0:
             raise InvalidObservationError(f"latency must be positive, got {observed}")
-        self._series.setdefault((i, j), []).append(float(observed))
+        if max(i, j) >= self.n_nodes:
+            self._grow(max(i, j) + 1)
+        depth = int(self.counts[i, j])
+        self._layer(depth)[i, j] = float(observed)
+        self.counts[i, j] = depth + 1
+
+    def record_matrix(self, observed: np.ndarray) -> None:
+        """Record one observation for every off-diagonal pair of an (n, n) matrix.
+
+        Same result as `record(i, j, observed[i, j])` for each pair in
+        row-major order. If any entry is invalid, nothing is recorded and the
+        error names the first invalid entry in that order.
+        """
+        n = observed.shape[0]
+        off_diag = ~np.eye(n, dtype=bool)
+        bad = off_diag & (observed <= 0)
+        if bad.any():
+            i, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
+            raise InvalidObservationError(f"latency must be positive, got {observed[i, j]}")
+        if n > self.n_nodes:
+            self._grow(n)
+        counts = self.counts[:n, :n]
+        for depth in np.unique(counts[off_diag]):
+            at_depth = off_diag & (counts == depth)
+            self._layer(int(depth))[:n, :n][at_depth] = observed[at_depth]
+        counts[off_diag] += 1
 
     def series(self, i: int, j: int) -> list[float]:
-        return self._series.get((i, j), [])
+        if max(i, j) >= self.n_nodes:
+            return []
+        return [float(self.layers[d][i, j]) for d in range(self.counts[i, j])]
 
     def pairs(self) -> list[tuple[int, int]]:
-        return list(self._series)
+        """Observed pairs in row-major order."""
+        return [(int(i), int(j)) for i, j in zip(*np.nonzero(self.counts))]
 
     def __len__(self) -> int:
-        return len(self._series)
+        return int(np.count_nonzero(self.counts))
 
 
-@dataclass(order=True)
+@dataclass(slots=True)
 class Event:
     deliver_time: float
     seq: int
-    src: int = field(compare=False)
-    dst: int = field(compare=False)
-    kind: str = field(compare=False, default="msg")
-    payload: Any = field(compare=False, default=None)
-    size_units: int = field(compare=False, default=1)
+    src: int
+    dst: int
+    kind: str = "msg"
+    payload: Any = None
+    size_units: int = 1
 
 
 Handler = Callable[["Simulator", Event], None]
@@ -148,7 +206,7 @@ class Simulator:
         self.latency = latency
         self.n_nodes = latency.shape[0]
         self.now = 0.0
-        self._queue: list[Event] = []
+        self._queue: list[tuple[float, int, Event]] = []
         self._seq = itertools.count()
         self._handlers: dict[int, Handler] = {}
         self._sent = 0
@@ -171,7 +229,7 @@ class Simulator:
             raise TimeTravelError(
                 f"event scheduled at {event.deliver_time} before clock {self.now}"
             )
-        heapq.heappush(self._queue, event)
+        heapq.heappush(self._queue, (event.deliver_time, event.seq, event))
         self._sent += 1
         return event
 
@@ -191,8 +249,9 @@ class Simulator:
 
     def run_until_idle(self) -> float:
         """Process events in (deliver_time, seq) order until the queue drains."""
-        while self._queue:
-            event = heapq.heappop(self._queue)
+        queue, pop, handlers = self._queue, heapq.heappop, self._handlers
+        while queue:
+            event = pop(queue)[2]
             if event.deliver_time < self.now:
                 raise TimeTravelError("event queue went backwards")
             self.now = event.deliver_time
@@ -201,7 +260,7 @@ class Simulator:
                 self.trace.append(
                     (event.deliver_time, event.src, event.dst, event.kind, event.size_units)
                 )
-            handler = self._handlers.get(event.dst)
+            handler = handlers.get(event.dst)
             if handler is not None:
                 handler(self, event)
         return self.now

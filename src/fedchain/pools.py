@@ -61,11 +61,8 @@ def bootstrap_history(latency: np.ndarray, seed: int) -> LatencyHistory:
     n = latency.shape[0]
     rng = np.random.default_rng(seed)
     factors = rng.uniform(*BOOTSTRAP_NOISE, size=(n, n))
-    history = LatencyHistory()
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                history.record(i, j, float(latency[i, j]) * factors[i, j])
+    history = LatencyHistory(n)
+    history.record_matrix(np.asarray(latency, dtype=np.float64) * factors)
     return history
 
 
@@ -73,20 +70,24 @@ def estimate_latency(history: LatencyHistory, n_nodes: int, tau: int | None = No
     """Estimated latency matrix: per-pair arithmetic mean of the history.
 
     With `tau` given, only the first tau-1 observations of each pair are
-    averaged; otherwise the full series is used.
+    averaged (`series[:tau - 1]`); otherwise the full series is used. The
+    layers are summed in depth order, so every mean is bit-identical to
+    `sum(series) / len(series)` (see `LatencyHistory`).
     """
-    l_hat = np.zeros((n_nodes, n_nodes))
-    for i in range(n_nodes):
-        for j in range(n_nodes):
-            if i == j:
-                continue
-            series = history.series(i, j)
-            if tau is not None:
-                series = series[: tau - 1]
-            if not series:
-                raise InsufficientHistoryError(f"no observations for pair ({i}, {j})")
-            l_hat[i, j] = sum(series) / len(series)
-    return l_hat
+    size = min(n_nodes, history.n_nodes)
+    counts = np.zeros((n_nodes, n_nodes), dtype=np.int64)
+    counts[:size, :size] = history.counts[:size, :size]
+    if tau is not None:
+        stop = tau - 1
+        counts = np.minimum(counts, stop) if stop >= 0 else np.maximum(counts + stop, 0)
+    np.fill_diagonal(counts, 1)  # the diagonal divides an all-zero total
+    if not counts.all():
+        i, j = np.unravel_index(int(np.argmin(counts)), counts.shape)
+        raise InsufficientHistoryError(f"no observations for pair ({i}, {j})")
+    total = np.zeros((n_nodes, n_nodes))
+    for depth, layer in enumerate(history.layers[: counts.max(initial=0)]):
+        total[:size, :size] += np.where(counts[:size, :size] > depth, layer[:size, :size], 0.0)
+    return total / counts
 
 
 def announce_heads(
@@ -123,10 +124,15 @@ def announce_heads(
     iu = np.triu_indices(n_nodes, k=1)
     best = int(np.argmax(dist[iu]))
     heads = [int(iu[0][best]), int(iu[1][best])]
+    # Running min distance to the chosen heads; chosen heads are masked to
+    # -inf so argmax keeps the first (lowest-id) farthest candidate.
+    min_dist = np.minimum(dist[:, heads[0]], dist[:, heads[1]])
+    min_dist[heads] = -np.inf
     while len(heads) < pool_count:
-        candidates = [n for n in range(n_nodes) if n not in heads]
-        min_dists = [min(dist[c, h] for h in heads) for c in candidates]
-        heads.append(candidates[int(np.argmax(min_dists))])
+        head = int(np.argmax(min_dist))
+        heads.append(head)
+        np.minimum(min_dist, dist[:, head], out=min_dist)
+        min_dist[head] = -np.inf
     return heads
 
 
@@ -160,18 +166,20 @@ def assign_pools(
     Non-head nodes are processed in a seeded random order; each joins the
     pool minimizing `pool_cost` against that pool's membership at the moment
     of joining. Ties go to the pool with the lower head id.
+
+    `worst[node, c]` is the worst estimated link from `node` to the current
+    members of the pool in column c, so `np.maximum(t_p, worst[node])` is
+    `pool_cost` for every pool at once. Columns are ordered by head id, so
+    argmin's first-minimum rule breaks ties toward the lower head.
     """
     pools = [Pool(head=h, members=[h]) for h in heads]
+    by_head = np.argsort(np.asarray(heads), kind="stable")
+    t_p_sorted = np.asarray(t_p, dtype=np.float64)[by_head]
+    worst = np.asarray(l_hat, dtype=np.float64)[:, [heads[idx] for idx in by_head]]
     for node in join_order(n_nodes, heads, seed):
-        best_idx = None
-        best_key = None
-        for idx, pool in enumerate(pools):
-            cost = pool_cost(node, pool.members, t_p[idx], l_hat)
-            key = (cost, pool.head)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_idx = idx
-        pools[best_idx].members.append(node)
+        col = int(np.argmin(np.maximum(t_p_sorted, worst[node])))
+        pools[by_head[col]].members.append(node)
+        np.maximum(worst[:, col], l_hat[:, node], out=worst[:, col])
     return PoolAssignment(pools=pools)
 
 

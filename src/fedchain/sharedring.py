@@ -294,6 +294,7 @@ class RingSession:
         self.sim = sim
         self.members = list(members)
         self.k = len(self.members)
+        self.position = {node: pos for pos, node in enumerate(self.members)}
         self.kind = kind
         model_len = vectors[0].shape[0]
         self.raw_splits = [split(v, self.k) for v in vectors]
@@ -324,8 +325,10 @@ class RingSession:
 
     def _send(self, pos: int, phase: str, step: int, slot: int, payload: np.ndarray) -> None:
         nxt = (pos + 1) % self.k
+        # Handlers never mutate a payload in place, so the transcript can
+        # hold the sent array itself rather than a copy.
         self.transcript.append(
-            TranscriptEntry(phase, step, pos, nxt, slot, payload.copy(), self.masks is not None and phase == REDUCE)
+            TranscriptEntry(phase, step, pos, nxt, slot, payload, self.masks is not None and phase == REDUCE)
         )
         self.sim.send(
             self.members[pos],
@@ -356,7 +359,7 @@ class RingSession:
             self._send(pos, REDUCE, 0, pos, self.work[pos][pos])
             return
         phase, step, slot, _, data = payload
-        pos = self.members.index(event.dst)
+        pos = self.position[event.dst]
         if phase == REDUCE:
             if self.masks is not None and slot == pos:
                 # Completed noisy sum back at its owner: strip noise, start gather.

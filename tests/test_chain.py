@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fedchain import chain, netsim
+from fedchain import chain, fed, netsim, verify
 from fedchain.errors import InvalidTaskError, RoundFailedError
 from conftest import build_setup
 
@@ -126,6 +126,41 @@ class TestFedchainRound:
         assert [b.task_id for b in ledger.blocks[1:]] == [1, 2]
         assert [b.height for b in ledger.blocks] == [0, 1, 2]
         assert chain.validate_chain(ledger) == []
+
+
+class TestVerificationExchange:
+    def run_exchange(self, monkeypatch, tamper):
+        setup = build_setup(n_nodes=9, n_pools=2, seed=2, n_verifiers=4)
+        model = fed.DenseClassifier(setup.task.arch, seed=1)
+        proofs, checks = [], []
+        real_prove, real_verify = verify.prove, verify.verify
+
+        def counting_prove(*args):
+            proofs.append(args[1])
+            return real_prove(*args)
+
+        def counting_verify(com, sample, y, proof, pp):
+            result = real_verify(com, sample, y, proof, pp)
+            checks.append((sample, np.array(y), result.accepted))
+            return result
+
+        monkeypatch.setattr(verify, "prove", counting_prove)
+        monkeypatch.setattr(verify, "verify", counting_verify)
+        sim = netsim.Simulator(setup.latency)
+        chain._verification_exchange(sim, setup, 0, model, 0, tamper, members=[0, 1, 2])
+        return model, proofs, checks
+
+    @pytest.mark.parametrize("tamper", [False, True])
+    def test_one_proof_per_challenge_and_every_verifier_checks(self, monkeypatch, tamper):
+        model, proofs, checks = self.run_exchange(monkeypatch, tamper)
+        assert len(proofs) == 1
+        assert len(checks) == 4
+        honest = model.predict(proofs[0])
+        for sample, y, accepted in checks:
+            assert np.array_equal(sample.x, proofs[0])
+            assert accepted is not tamper
+            # a tampered head sends the corrupted labels to every verifier
+            assert np.array_equal(y, honest) is not tamper
 
 
 class TestBaselines:

@@ -74,6 +74,37 @@ class TestSend:
         sim.run_until_idle()
         assert order == ["first", "second"]
 
+    def test_many_equal_times_fire_in_send_order(self):
+        # Sends, timers and handler-issued sends that land on one instant
+        # must fire in the order they were issued.
+        sim = self.make_sim(50.0, n=4)
+        order = []
+
+        def handler(s, e):
+            order.append(e.payload)
+            if e.payload == "t0":
+                s.schedule(0.0, 3, "t0-child")
+
+        for node in range(4):
+            sim.register(node, handler)
+        sim.now = 0.0
+        expected = []
+        for idx in range(12):
+            src, dst = idx % 3, 3
+            sim.send(src, dst, f"m{idx}")
+            expected.append(f"m{idx}")
+        sim.schedule(50.0, 3, "t0")
+        sim.schedule(50.0, 3, "t1")
+        sim.run_until_idle()
+        assert order == expected + ["t0", "t1", "t0-child"]
+        assert sim.now == 50.0
+
+    def test_send_returns_the_event(self):
+        sim = self.make_sim(10.0)
+        ev = sim.send(0, 1, "x", size_units=3, kind="chunk")
+        assert (ev.kind, ev.size_units, ev.src, ev.dst, ev.payload) == ("chunk", 3, 0, 1, "x")
+        assert sim.pending == 1
+
     def test_unknown_node(self):
         sim = self.make_sim()
         with pytest.raises(NodeNotFoundError):
@@ -113,6 +144,59 @@ class TestLatencyHistory:
         assert len(hist.series(0, 1)) == 1
         hist.record(0, 1, 14)
         assert len(hist.series(0, 1)) == 2
+
+
+class TestDenseLatencyHistory:
+    def test_len_counts_observed_ordered_pairs(self):
+        hist = netsim.LatencyHistory()
+        hist.record(0, 1, 5)
+        hist.record(0, 1, 6)
+        hist.record(1, 0, 7)
+        hist.record(3, 2, 8)
+        assert len(hist) == 3
+        assert hist.pairs() == [(0, 1), (1, 0), (3, 2)]
+        assert hist.series(2, 3) == [] and hist.series(9, 0) == []
+
+    def test_grows_and_keeps_series(self):
+        hist = netsim.LatencyHistory(2)
+        hist.record(0, 1, 1.5)
+        hist.record(4, 0, 2.5)
+        hist.record(0, 1, 3.5)
+        assert hist.n_nodes == 5
+        assert hist.series(0, 1) == [1.5, 3.5]
+        assert hist.series(4, 0) == [2.5]
+        assert hist.counts[0, 1] == 2 and hist.layers[1][0, 1] == 3.5
+
+    def test_record_matrix_equals_row_major_records(self):
+        rng = np.random.default_rng(8)
+        n = 7
+        looped, matrixed = netsim.LatencyHistory(), netsim.LatencyHistory(n)
+        # earlier observations on some pairs, so the matrix lands at mixed depths
+        for _ in range(15):
+            i, j = (int(v) for v in rng.choice(n, size=2, replace=False))
+            value = float(rng.uniform(1, 9))
+            looped.record(i, j, value)
+            matrixed.record(i, j, value)
+        for _ in range(2):
+            observed = rng.uniform(1, 100, size=(n, n))
+            for i in range(n):
+                for j in range(n):
+                    if i != j:
+                        looped.record(i, j, observed[i, j])
+            matrixed.record_matrix(observed)
+        assert len(matrixed) == len(looped) == n * (n - 1)
+        for i in range(n):
+            for j in range(n):
+                assert matrixed.series(i, j) == looped.series(i, j)
+
+    def test_record_matrix_reports_first_invalid_in_row_major(self):
+        observed = np.full((3, 3), 5.0)
+        observed[1, 2] = -1.0
+        observed[2, 0] = 0.0
+        hist = netsim.LatencyHistory(3)
+        with pytest.raises(InvalidObservationError, match="got -1.0"):
+            hist.record_matrix(observed)
+        assert len(hist) == 0
 
 
 class TestRunUntilIdle:

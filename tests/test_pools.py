@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -242,3 +243,150 @@ def test_assignment_csv(tmp_path):
     assert lines[0] == "node_id,pool_id,is_head"
     assert len(lines) == 7
     assert sum(int(line.split(",")[2]) for line in lines[1:]) == 2
+
+
+# --- loop oracles for the array kernels -------------------------------------
+# Per-pair / per-candidate loop references. The array kernels must reproduce
+# them exactly (==), not within a tolerance.
+
+
+def oracle_estimate_latency(series, n_nodes, tau=None):
+    l_hat = np.zeros((n_nodes, n_nodes))
+    for i in range(n_nodes):
+        for j in range(n_nodes):
+            if i == j:
+                continue
+            values = series.get((i, j), [])
+            if tau is not None:
+                values = values[: tau - 1]
+            if not values:
+                raise InsufficientHistoryError(f"no observations for pair ({i}, {j})")
+            l_hat[i, j] = sum(values) / len(values)
+    return l_hat
+
+
+def oracle_announce_heads(n_nodes, pool_count, l_hat, policy, seed):
+    if policy == "random":
+        rng = np.random.default_rng(seed)
+        return [int(h) for h in rng.choice(n_nodes, size=pool_count, replace=False)]
+    dist = (l_hat + l_hat.T) / 2.0
+    if pool_count == 1:
+        return [int(np.argmin(dist.sum(axis=1)))]
+    iu = np.triu_indices(n_nodes, k=1)
+    best = int(np.argmax(dist[iu]))
+    heads = [int(iu[0][best]), int(iu[1][best])]
+    while len(heads) < pool_count:
+        candidates = [n for n in range(n_nodes) if n not in heads]
+        min_dists = [min(dist[c, h] for h in heads) for c in candidates]
+        heads.append(candidates[int(np.argmax(min_dists))])
+    return heads
+
+
+def oracle_assign_pools(n_nodes, heads, l_hat, t_p, seed):
+    members = [[h] for h in heads]
+    for node in pools.join_order(n_nodes, heads, seed):
+        best_idx, best_key = None, None
+        for idx, pool_members in enumerate(members):
+            key = (pools.pool_cost(node, pool_members, t_p[idx], l_hat), heads[idx])
+            if best_key is None or key < best_key:
+                best_idx, best_key = idx, key
+        members[best_idx].append(node)
+    return members
+
+
+def random_history(rng, n, max_len=6, missing=0.0):
+    """A history with series of different lengths, plus the same series as a dict.
+
+    Observations are recorded interleaved across pairs (each pair keeps its
+    own order), so the depths of different pairs fill in arbitrary order."""
+    series = {}
+    for i in range(n):
+        for j in range(n):
+            if i != j and rng.random() >= missing:
+                series[(i, j)] = rng.uniform(1, 500, size=int(rng.integers(1, max_len + 1))).tolist()
+    tokens = [pair for pair, values in series.items() for _ in values]
+    taken = dict.fromkeys(series, 0)
+    hist = LatencyHistory()
+    for idx in rng.permutation(len(tokens)):
+        pair = tokens[idx]
+        hist.record(*pair, series[pair][taken[pair]])
+        taken[pair] += 1
+    return hist, series
+
+
+class TestKernelOracles:
+    @pytest.mark.parametrize("n", [2, 3, 5, 9, 17])
+    @pytest.mark.parametrize("tau", [None, -1, 0, 1, 2, 3, 4, 8])
+    def test_estimate_latency_matches_loop(self, n, tau):
+        rng = np.random.default_rng(1000 * n + (tau if tau is not None else 99))
+        hist, series = random_history(rng, n)
+        try:
+            expected = oracle_estimate_latency(series, n, tau)
+        except InsufficientHistoryError as exc:
+            with pytest.raises(InsufficientHistoryError, match=re.escape(str(exc))):
+                pools.estimate_latency(hist, n, tau=tau)
+            return
+        assert np.array_equal(pools.estimate_latency(hist, n, tau=tau), expected)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_estimate_latency_missing_pair_reported_first_in_row_major(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 9))
+        hist, series = random_history(rng, n, missing=0.2)
+        with pytest.raises(InsufficientHistoryError) as want:
+            oracle_estimate_latency(series, n)
+        with pytest.raises(InsufficientHistoryError) as got:
+            pools.estimate_latency(hist, n)
+        assert str(got.value) == str(want.value)
+
+    def test_estimate_latency_on_bootstrap_matches_loop(self):
+        lat = netsim.build_topology(40, seed=3, model=netsim.UniformTopology())
+        hist = pools.bootstrap_history(lat, seed=4)
+        series = {pair: hist.series(*pair) for pair in hist.pairs()}
+        assert len(series) == 40 * 39
+        assert np.array_equal(pools.estimate_latency(hist, 40), oracle_estimate_latency(series, 40))
+
+    def test_estimate_latency_smaller_and_larger_than_history(self):
+        rng = np.random.default_rng(5)
+        hist, series = random_history(rng, 6)
+        sub = {pair: v for pair, v in series.items() if max(pair) < 4}
+        assert np.array_equal(pools.estimate_latency(hist, 4), oracle_estimate_latency(sub, 4))
+        with pytest.raises(InsufficientHistoryError, match=r"pair \(0, 6\)"):
+            pools.estimate_latency(hist, 7)
+
+    @pytest.mark.parametrize("policy", ["spread", "random"])
+    def test_announce_and_assign_match_loops(self, policy):
+        for n in range(2, 41):
+            rng = np.random.default_rng(n)
+            if n % 2:
+                l_hat = pools.estimate_latency(
+                    pools.bootstrap_history(
+                        netsim.build_topology(n, seed=n, model=netsim.UniformTopology()), seed=n
+                    ),
+                    n,
+                )
+            else:
+                # coarse integer latencies, zeros included: many tied distances and costs
+                l_hat = rng.integers(0, 4, size=(n, n)).astype(float)
+                np.fill_diagonal(l_hat, 0.0)
+            for p in range(1, n + 1):
+                heads = pools.announce_heads(n, p, l_hat=l_hat, policy=policy, seed=p)
+                assert heads == oracle_announce_heads(n, p, l_hat, policy, seed=p)
+                t_p = rng.integers(0, 4, size=p).astype(float).tolist()
+                assignment = pools.assign_pools(n, heads, l_hat, t_p, seed=n + p)
+                expected = oracle_assign_pools(n, heads, l_hat, t_p, seed=n + p)
+                assert [pool.members for pool in assignment.pools] == expected
+                assert assignment.heads() == heads
+
+    def test_assign_ties_go_to_lower_head_id_not_lower_pool_index(self):
+        n = 7
+        l_hat = np.full((n, n), 10.0)
+        np.fill_diagonal(l_hat, 0.0)
+        heads = [5, 1, 3]  # pool 0 has the highest head id
+        assignment = pools.assign_pools(n, heads, l_hat, t_p=[20.0, 20.0, 20.0], seed=0)
+        assert [pool.members for pool in assignment.pools] == oracle_assign_pools(
+            n, heads, l_hat, [20.0, 20.0, 20.0], seed=0
+        )
+        assert assignment.pools[0].members == [5]
+        assert assignment.pools[2].members == [3]
+        assert sorted(assignment.pools[1].members) == [0, 1, 2, 4, 6]

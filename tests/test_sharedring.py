@@ -254,6 +254,67 @@ class TestRingSession:
         assert sim.now == max(session.completion.values())
 
 
+class TestRingSessionAudit:
+    """The event-driven ring the chain runs, checked by the same audit as the
+    pure path. The transcript holds the sent arrays themselves, so these
+    checks also fail if a handler mutates a payload after sending it."""
+
+    def run_session(self, k, seed, zero_masks=False, m=37):
+        rng = np.random.default_rng(seed)
+        n = k + 3
+        lat = netsim.build_topology(n, seed=seed, model=netsim.UniformTopology(5, 60))
+        sim = netsim.Simulator(lat)
+        members = [int(v) for v in rng.permutation(n)[:k]]
+        vectors = [fixedpoint.encode(rng.normal(0, 2, size=m)) for _ in range(k)]
+        lengths = [c.shape[0] for c in sharedring.split(vectors[0], k)]
+        if zero_masks:
+            masks = [np.zeros(lengths[i], dtype=np.int64) for i in range(k)]
+        else:
+            masks = [fixedpoint.generate_noise(lengths[i], seed=seed * 10 + i) for i in range(k)]
+        session = sharedring.RingSession(sim, members, vectors, masks=masks)
+        session.start([float(t) for t in rng.uniform(0, 200, size=k)])
+        sim.run_until_idle()
+        assert session.done()
+        return session, vectors, masks
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 6])
+    def test_masked_session_passes_leakage_check(self, k):
+        session, vectors, _ = self.run_session(k, seed=k)
+        report = sharedring.transcript_leakage_check(
+            session.transcript, session.raw_splits, session.masks
+        )
+        assert report.passed, report.violations
+        expected = np.sum(np.stack(vectors), axis=0)
+        assert all(np.array_equal(r, expected) for r in session.results.values())
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 6])
+    def test_zero_mask_session_fails_leakage_check(self, k):
+        session, _, _ = self.run_session(k, seed=k, zero_masks=True)
+        report = sharedring.transcript_leakage_check(
+            session.transcript, session.raw_splits, session.masks
+        )
+        assert not report.passed
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_reduce_payloads_equal_pure_path(self, k):
+        session, vectors, masks = self.run_session(k, seed=40 + k)
+        splits = [sharedring.split(v, k) for v in vectors]
+        masked = [sharedring.mask_own_chunk(splits[i], i, masks[i]) for i in range(k)]
+        pure = []
+        sharedring.ring_reduce_scatter(masked, pure)
+        simulated = [e for e in session.transcript if e.phase == sharedring.REDUCE]
+        assert len(simulated) == len(pure) == k * k
+
+        def by_hop(entries):
+            return {(e.slot, e.step): e for e in entries}
+
+        want, got = by_hop(pure), by_hop(simulated)
+        assert want.keys() == got.keys()
+        for key, entry in want.items():
+            assert (got[key].src, got[key].dst, got[key].masked) == (entry.src, entry.dst, True)
+            assert np.array_equal(got[key].payload, entry.payload)
+
+
 class TestHardenedMode:
     def test_shares_cancel(self):
         shares = sharedring.pairwise_shares(4, 9, seed=3)
