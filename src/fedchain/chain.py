@@ -18,7 +18,7 @@ import numpy as np
 
 from . import fixedpoint, pools, sharedring, verify
 from .data import Dataset, smooth_histogram
-from .errors import InvalidTaskError, RoundFailedError
+from .errors import InvalidTaskError, LedgerIntegrityError, RoundFailedError
 from .fed import (
     DenseClassifier,
     RoundMetrics,
@@ -164,13 +164,18 @@ class Chain:
 
 
 def load_chain_jsonl(path: str) -> Chain:
-    """Rebuild a Chain from an export; used by the validate-chain CLI."""
+    """Rebuild a Chain from an export; used by the validate-chain CLI.
+
+    Raises LedgerIntegrityError, naming the lowest offending height, if a
+    block's recomputed hash differs from the hash stored with it."""
     chain = Chain()
     blocks: dict[int, Block] = {}
+    stored_hashes: dict[int, str | None] = {}
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             record = json.loads(line)
             if record["type"] == "block":
+                stored_hashes[record["height"]] = record.get("hash")
                 blocks[record["height"]] = Block(
                     height=record["height"],
                     prev_hash=record["prev_hash"],
@@ -190,6 +195,10 @@ def load_chain_jsonl(path: str) -> Chain:
                     )
                 )
     for height in sorted(blocks):
+        if blocks[height].hash() != stored_hashes[height]:
+            raise LedgerIntegrityError(
+                f"height {height}: stored block hash does not match the block's contents"
+            )
         if height == 0:
             continue
         chain.blocks.append(blocks[height])
@@ -361,51 +370,47 @@ def _member_weights(setup: RoundSetup, members: Sequence[int]) -> np.ndarray:
 
 
 def _simulate_formation(setup: RoundSetup, assignment: pools.PoolAssignment) -> dict[int, float]:
-    """Event-driven pool formation: task broadcast, head announcements,
-    joins, and pool-start messages. Returns each node's training start time."""
-    n = setup.n_nodes
-    sim = Simulator(setup.latency)
-    heads = set(assignment.heads())
-    head_of = {m: pool.head for pool in assignment.pools for m in pool.members}
-    pool_by_head = {pool.head: pool for pool in assignment.pools}
-    expected_joins = {pool.head: len(pool.members) - 1 for pool in assignment.pools}
-    joins_seen = {h: 0 for h in heads}
-    announcements = {node: 0 for node in range(n)}
-    start_times: dict[int, float] = {}
+    """Each node's training start time after pool formation, in closed form.
 
-    def handle(s: Simulator, event) -> None:
-        node = event.dst
-        if event.kind == "task":
-            if node in heads:
-                for other in range(n):
-                    if other != node:
-                        s.send(node, other, None, kind="head-announce")
-                if expected_joins[node] == 0:
-                    start_times[node] = s.now
-        elif event.kind == "head-announce":
-            if node in heads:
-                return
-            announcements[node] += 1
-            if announcements[node] == len(heads):
-                s.send(node, head_of[node], None, kind="join")
-        elif event.kind == "join":
-            joins_seen[node] += 1
-            if joins_seen[node] == expected_joins[node]:
-                start_times[node] = s.now
-                for member in pool_by_head[node].members:
-                    if member != node:
-                        s.send(node, member, None, kind="pool-start")
-        elif event.kind == "pool-start":
-            start_times[node] = s.now
+    The modelled message schedule, each message one size unit over the
+    latency matrix `L`:
+    - the publisher sends the task to every other node (n - 1 messages);
+    - on receiving the task, each of the p heads announces itself to every
+      other node (p(n - 1) messages); heads ignore announcements;
+    - a non-head node that has heard all p announcements sends a join to
+      its head (n - p messages);
+    - a head that has every join starts its pool and sends pool-start to
+      its members (n - p messages); a solo pool starts on the task.
 
-    for node in range(n):
-        sim.register(node, handle)
-    sim.schedule(0.0, setup.publisher, kind="task")
-    for node in range(n):
-        if node != setup.publisher:
-            sim.send(setup.publisher, node, None, kind="task")
-    sim.run_until_idle()
-    return start_times
+    Nothing in formation contends for a node or a link, so every start time
+    is a max of sums of link latencies:
+    - `task[v] = L[pub, v]`, and `task[pub] = 0.0`;
+    - `last_announce[v] = max over heads h of task[h] + L[h, v]`;
+    - `start[h] = max over non-head members m of last_announce[m] + L[m, h]`,
+      or `task[h]` for a solo pool;
+    - `start[m] = start[h] + L[h, m]`.
+
+    These are bit-identical to running the schedule on `Simulator`: each
+    delivery there is `now + float(L[src, dst]) * 1`, the closed form does
+    the same float additions, and `max` is exact. Not simulating the
+    schedule saves (n - 1) + p(n - 1) + 2(n - p) messages and one timer
+    event per round.
+    """
+    latency = np.asarray(setup.latency, dtype=np.float64)
+    task = latency[setup.publisher].copy()
+    task[setup.publisher] = 0.0
+    heads = np.asarray(assignment.heads())
+    last_announce = (task[heads, None] + latency[heads]).max(axis=0)
+    start = np.empty_like(task)
+    for pool in assignment.pools:
+        head = pool.head
+        others = np.asarray([m for m in pool.members if m != head], dtype=np.int64)
+        if others.size == 0:
+            start[head] = task[head]
+            continue
+        start[head] = (last_announce[others] + latency[others, head]).max()
+        start[others] = start[head] + latency[head, others]
+    return dict(enumerate(start.tolist()))
 
 
 def _verification_exchange(

@@ -12,6 +12,7 @@ import argparse
 import sys
 
 from . import chain, experiments
+from .errors import LedgerIntegrityError
 from .experiments import ExperimentConfig
 
 
@@ -85,7 +86,11 @@ def cmd_single_round(args: argparse.Namespace) -> int:
 
 
 def cmd_validate_chain(args: argparse.Namespace) -> int:
-    ledger = chain.load_chain_jsonl(args.ledger)
+    try:
+        ledger = chain.load_chain_jsonl(args.ledger)
+    except LedgerIntegrityError as err:
+        print(f"violation: {err}")
+        return 1
     violations = chain.validate_chain(ledger)
     if violations:
         for v in violations:

@@ -77,5 +77,9 @@ class RoundFailedError(FedChainError):
     """No pool reached the accuracy target before the task deadline."""
 
 
+class LedgerIntegrityError(FedChainError):
+    """A loaded ledger block's stored hash does not match its contents."""
+
+
 class EmptyReportError(FedChainError):
     """Report emission requested with no run records."""

@@ -15,6 +15,7 @@ standard 2(k-1)-step ring; the masked variant spends k-1 extra messages
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Any, Sequence
 
 import numpy as np
@@ -45,13 +46,16 @@ def concat(chunks: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def mask_own_chunk(chunks: Sequence[np.ndarray], position: int, noise: np.ndarray) -> list[np.ndarray]:
-    """Add the private noise to the owner's chunk, leaving the rest untouched."""
+    """Add the private noise to the owner's chunk, leaving the rest untouched.
+
+    Returns a new list that shares the untouched chunks with `chunks`; only
+    the owner's entry is a new array."""
     if noise.shape != chunks[position].shape:
         raise MaskShapeError(
             f"noise length {noise.shape[0]} != chunk length {chunks[position].shape[0]}"
         )
-    masked = [c.copy() for c in chunks]
-    masked[position] = masked[position] + noise
+    masked = list(chunks)
+    masked[position] = chunks[position] + noise
     return masked
 
 
@@ -297,17 +301,22 @@ class RingSession:
         self.position = {node: pos for pos, node in enumerate(self.members)}
         self.kind = kind
         model_len = vectors[0].shape[0]
-        self.raw_splits = [split(v, self.k) for v in vectors]
+        # One split gives the chunk bounds (and rejects a model shorter than
+        # the ring); every vector is sliced into views at those bounds.
+        bounds = [0, *accumulate(c.shape[0] for c in split(vectors[0], self.k))]
+        spans = list(zip(bounds, bounds[1:]))
+        self.raw_splits = [[v[a:b] for a, b in spans] for v in vectors]
         self.masks = list(masks) if masks is not None else None
+        # Handlers replace `work` entries and never write into an array, so
+        # the work lists can share the caller's chunks.
         if self.masks is not None:
             self.work = [
                 mask_own_chunk(self.raw_splits[i], i, self.masks[i]) for i in range(self.k)
             ]
         else:
-            self.work = [[c.copy() for c in s] for s in self.raw_splits]
+            self.work = [list(s) for s in self.raw_splits]
         self.chunk_units = [
-            chunk_size_units(self.work[0][s].shape[0], model_len, size_multiplier)
-            for s in range(self.k)
+            chunk_size_units(b - a, model_len, size_multiplier) for a, b in spans
         ]
         self.final: list[dict[int, np.ndarray]] = [dict() for _ in range(self.k)]
         self.completion: dict[int, float] = {}

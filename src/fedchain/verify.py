@@ -126,14 +126,24 @@ def commit(model: DenseClassifier, pp: PublicParams, blinding: bytes) -> ModelCo
     return ModelCommitment(digest=_digest(pp, blinding + serialize_model(model)))
 
 
-def _sample_digest(x_row: np.ndarray) -> bytes:
-    return hashlib.sha256(np.ascontiguousarray(x_row, dtype="<f8").tobytes()).digest()
-
-
 def _chain(com: ModelCommitment, x: np.ndarray, y: np.ndarray) -> bytes:
-    link = hashlib.sha256(DOMAIN_TAG + com.digest).digest()
-    for row, label in zip(x, y):
-        link = hashlib.sha256(link + _sample_digest(row) + struct.pack("<q", int(label))).digest()
+    """Hash chain over (row, label) pairs, truncated to the shorter input.
+
+    Each link hashes the previous link, the SHA-256 of the row as C-order
+    little-endian float64 bytes, and the label as a little-endian int64.
+    Both inputs are serialized once and sliced per row.
+    """
+    sha256 = hashlib.sha256
+    link = sha256(DOMAIN_TAG + com.digest).digest()
+    rows = min(len(x), len(y))
+    if rows == 0:
+        return link
+    x_bytes = memoryview(np.ascontiguousarray(x[:rows], dtype="<f8").tobytes())
+    width = len(x_bytes) // rows
+    labels = np.asarray(y[:rows]).astype("<i8").tobytes()
+    for i in range(rows):
+        row_digest = sha256(x_bytes[i * width:(i + 1) * width]).digest()
+        link = sha256(link + row_digest + labels[8 * i:8 * i + 8]).digest()
     return link
 
 

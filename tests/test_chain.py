@@ -1,8 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
-from fedchain import chain, fed, netsim, verify
-from fedchain.errors import InvalidTaskError, RoundFailedError
+from fedchain import chain, cli, fed, netsim, pools, verify
+from fedchain.errors import InvalidTaskError, LedgerIntegrityError, RoundFailedError
 from conftest import build_setup
 
 
@@ -36,6 +38,114 @@ class TestFormation:
         max_lat = small_setup.latency.max()
         # task broadcast + announce + join + start: four control hops bound
         assert all(0 <= t <= 4 * max_lat for t in start.values())
+
+
+def oracle_formation(setup, assignment):
+    """Pool formation replayed message by message on the event simulator."""
+    n = setup.n_nodes
+    sim = netsim.Simulator(setup.latency)
+    heads = set(assignment.heads())
+    head_of = {m: pool.head for pool in assignment.pools for m in pool.members}
+    pool_by_head = {pool.head: pool for pool in assignment.pools}
+    expected_joins = {pool.head: len(pool.members) - 1 for pool in assignment.pools}
+    joins_seen = {h: 0 for h in heads}
+    announcements = {node: 0 for node in range(n)}
+    start_times = {}
+
+    def handle(s, event):
+        node = event.dst
+        if event.kind == "task":
+            if node in heads:
+                for other in range(n):
+                    if other != node:
+                        s.send(node, other, None, kind="head-announce")
+                if expected_joins[node] == 0:
+                    start_times[node] = s.now
+        elif event.kind == "head-announce":
+            if node in heads:
+                return
+            announcements[node] += 1
+            if announcements[node] == len(heads):
+                s.send(node, head_of[node], None, kind="join")
+        elif event.kind == "join":
+            joins_seen[node] += 1
+            if joins_seen[node] == expected_joins[node]:
+                start_times[node] = s.now
+                for member in pool_by_head[node].members:
+                    if member != node:
+                        s.send(node, member, None, kind="pool-start")
+        elif event.kind == "pool-start":
+            start_times[node] = s.now
+
+    for node in range(n):
+        sim.register(node, handle)
+    sim.schedule(0.0, setup.publisher, kind="task")
+    for node in range(n):
+        if node != setup.publisher:
+            sim.send(setup.publisher, node, None, kind="task")
+    sim.run_until_idle()
+    assert sim.stats["delivered"] == 1 + (n - 1) + len(heads) * (n - 1) + 2 * (n - len(heads))
+    return start_times
+
+
+def formation_latency(topology, n):
+    if topology == "uniform":
+        return netsim.build_topology(n, seed=n, model=netsim.UniformTopology())
+    if topology == "clustered":
+        return netsim.build_topology(n, seed=n, model=netsim.ClusteredTopology(n_clusters=3))
+    # integer-valued and integer-typed: many arrivals land at equal times
+    latency = np.random.default_rng(n).integers(1, 4, size=(n, n))
+    np.fill_diagonal(latency, 0)
+    return latency
+
+
+def formation_case(latency, heads, publisher, join_seed):
+    l_hat = latency.astype(np.float64)
+    assignment = pools.assign_pools(len(latency), heads, l_hat, [0.0] * len(heads), seed=join_seed)
+    setup = chain.RoundSetup(
+        task=None, latency=latency, compute_times=None, miner_data=[], publisher=publisher
+    )
+    return setup, assignment
+
+
+class TestFormationOracle:
+    """The closed-form formation must equal the event-driven replay exactly."""
+
+    @pytest.mark.parametrize("policy", ["spread", "random"])
+    @pytest.mark.parametrize("topology", ["uniform", "clustered", "integer"])
+    def test_closed_form_matches_event_loop(self, topology, policy):
+        for n in range(2, 41):
+            latency = formation_latency(topology, n)
+            for p in range(1, n + 1):
+                heads = pools.announce_heads(
+                    n, p, l_hat=latency.astype(np.float64), policy=policy, seed=p
+                )
+                # odd p: the publisher is a head; even p: any node
+                publisher = heads[0] if p % 2 else (n + p) % n
+                setup, assignment = formation_case(latency, heads, publisher, n + p)
+                got = chain._simulate_formation(setup, assignment)
+                assert got == oracle_formation(setup, assignment)
+                assert all(type(t) is float for t in got.values())
+
+    def test_solo_pools_start_on_the_task(self):
+        latency = formation_latency("uniform", 9)
+        heads = [4, 0, 7]
+        setup, assignment = formation_case(latency, heads, publisher=4, join_seed=1)
+        # force two solo pools next to one pool with everyone else
+        assignment.pools[0].members = [4]
+        assignment.pools[1].members = [0]
+        assignment.pools[2].members = [7] + [v for v in range(9) if v not in heads]
+        got = chain._simulate_formation(setup, assignment)
+        assert got == oracle_formation(setup, assignment)
+        assert got[4] == 0.0
+        assert got[0] == float(latency[4, 0])
+
+    def test_every_node_a_head(self):
+        latency = formation_latency("integer", 6)
+        setup, assignment = formation_case(latency, [3, 1, 0, 5, 2, 4], publisher=2, join_seed=0)
+        got = chain._simulate_formation(setup, assignment)
+        assert got == oracle_formation(setup, assignment)
+        assert got == {v: (0.0 if v == 2 else float(latency[2, v])) for v in range(6)}
 
 
 class TestFedchainRound:
@@ -273,3 +383,54 @@ def test_ledger_export_roundtrip(tmp_path):
     loaded = chain.load_chain_jsonl(str(path))
     assert chain.validate_chain(loaded) == []
     assert loaded.blocks[1].hash() == ledger.blocks[1].hash()
+
+
+class TestLedgerIntegrity:
+    """Edits to an exported ledger that keep every hash link intact."""
+
+    def export(self, tmp_path):
+        ledger = chain.Chain()
+        chain.run_round_fedchain(ledger, build_setup(n_nodes=6, n_pools=2, seed=12))
+        path = tmp_path / "ledger.jsonl"
+        ledger.export_jsonl(str(path))
+        return path, [json.loads(line) for line in path.read_text().splitlines()]
+
+    def rewrite(self, path, records):
+        path.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
+
+    def tamper_proposer(self, records):
+        head = max(r["height"] for r in records)
+        for r in records:
+            if r["type"] == "block" and r["height"] == head:
+                r["proposer"] = 999
+        return head
+
+    def tamper_credit(self, records):
+        for r in records:
+            if r["type"] == "tx" and r["kind"] == "RewardSettle":
+                credits = r["payload"]["credits"]
+                node = sorted(credits)[0]
+                credits[node] += 10**6
+                return r["height"]
+        raise AssertionError("no RewardSettle transaction")
+
+    @pytest.mark.parametrize("mutation", ["tamper_proposer", "tamper_credit"])
+    def test_load_raises_naming_the_height(self, tmp_path, mutation):
+        path, records = self.export(tmp_path)
+        height = getattr(self, mutation)(records)
+        self.rewrite(path, records)
+        with pytest.raises(LedgerIntegrityError, match=f"^height {height}:"):
+            chain.load_chain_jsonl(str(path))
+
+    @pytest.mark.parametrize("mutation", ["tamper_proposer", "tamper_credit"])
+    def test_validate_chain_cli_reports_violation(self, tmp_path, capsys, mutation):
+        path, records = self.export(tmp_path)
+        height = getattr(self, mutation)(records)
+        self.rewrite(path, records)
+        assert cli.main(["validate-chain", str(path)]) == 1
+        assert f"violation: height {height}:" in capsys.readouterr().out
+
+    def test_untouched_rewrite_still_loads(self, tmp_path):
+        path, records = self.export(tmp_path)
+        self.rewrite(path, records)
+        assert chain.validate_chain(chain.load_chain_jsonl(str(path))) == []

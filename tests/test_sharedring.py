@@ -315,6 +315,49 @@ class TestRingSessionAudit:
             assert np.array_equal(got[key].payload, entry.payload)
 
 
+class TestRingSessionSharesInputs:
+    """`RingSession` slices the caller's vectors into views and shares the
+    untouched chunks, so no handler may write into an array in place."""
+
+    @pytest.mark.parametrize("masked", [True, False])
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_caller_vectors_unchanged(self, k, masked):
+        rng = np.random.default_rng(70 + k)
+        lat = netsim.build_topology(max(k, 2), seed=k, model=netsim.UniformTopology(5, 20))
+        sim = netsim.Simulator(lat)
+        vectors = [rng.integers(-40, 40, size=23).astype(np.int64) for _ in range(k)]
+        before = [v.copy() for v in vectors]
+        masks = None
+        if masked:
+            masks = [
+                fixedpoint.generate_noise(len(c), seed=i)
+                for i, c in enumerate(sharedring.split(vectors[0], k))
+            ]
+        session = sharedring.RingSession(sim, list(range(k)), vectors, masks=masks)
+        for v, raw in zip(vectors, session.raw_splits):
+            assert [c.tolist() for c in raw] == [c.tolist() for c in sharedring.split(v, k)]
+        session.start([5.0] * k)
+        sim.run_until_idle()
+        assert session.done()
+        assert all(np.array_equal(v, b) for v, b in zip(vectors, before))
+        expected = np.sum(np.stack(before), axis=0)
+        assert all(np.array_equal(r, expected) for r in session.results.values())
+
+    def test_too_many_members_still_rejected(self):
+        sim = netsim.Simulator(netsim.build_topology(4, seed=0, model=netsim.UniformTopology()))
+        with pytest.raises(ModelTooSmallError):
+            sharedring.RingSession(sim, [0, 1, 2, 3], [np.arange(3, dtype=np.int64)] * 4)
+
+    def test_mask_own_chunk_leaves_inputs_and_shares_the_rest(self):
+        chunks = sharedring.split(np.arange(10, dtype=np.int64), 3)
+        before = [c.copy() for c in chunks]
+        masked = sharedring.mask_own_chunk(chunks, 1, np.full(3, 7, dtype=np.int64))
+        assert all(np.array_equal(c, b) for c, b in zip(chunks, before))
+        assert masked is not chunks
+        assert masked[0] is chunks[0] and masked[2] is chunks[2]
+        assert masked[1].tolist() == [c + 7 for c in before[1].tolist()]
+
+
 class TestHardenedMode:
     def test_shares_cancel(self):
         shares = sharedring.pairwise_shares(4, 9, seed=3)

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -184,3 +186,47 @@ class TestAccuracyClaim:
     def test_too_few_samples(self):
         with pytest.raises(InsufficientSamplesError):
             verify.accuracy_claim_check(0.9, 0.9, 100)
+
+
+def oracle_chain(com, x, y):
+    """Per-row digest chain, serializing each row and label on its own."""
+    link = hashlib.sha256(verify.DOMAIN_TAG + com.digest).digest()
+    for row, label in zip(x, y):
+        row_digest = hashlib.sha256(np.ascontiguousarray(row, dtype="<f8").tobytes()).digest()
+        link = hashlib.sha256(link + row_digest + struct.pack("<q", int(label))).digest()
+    return link
+
+
+class TestDigestChain:
+    @pytest.fixture
+    def com(self):
+        return verify.ModelCommitment(digest=bytes(range(16)))
+
+    def inputs(self):
+        rng = np.random.default_rng(5)
+        base = rng.normal(size=(30, 7))
+        labels = rng.integers(0, 4, size=30)
+        return {
+            "c-order": (base, labels),
+            "strided": (base[::2, ::3], labels[::2]),
+            "fortran": (np.asfortranarray(base), labels),
+            "float32": (base.astype(np.float32), labels),
+            "big-endian": (base.astype(">f8"), labels),
+            "int32-labels": (base, labels.astype(np.int32)),
+            "list-labels": (base, labels.tolist()),
+            "one-dim-x": (base[:, 0], labels),
+            "three-dim-x": (base[:24].reshape(8, 3, 7), labels[:8]),
+            "more-rows": (base, labels[:11]),
+            "more-labels": (base[:9], labels),
+            "no-rows": (base[:0], labels),
+        }
+
+    def test_matches_per_row_oracle(self, com):
+        for name, (x, y) in self.inputs().items():
+            assert verify._chain(com, x, y) == oracle_chain(com, x, y), name
+
+    def test_proof_digest_unchanged(self, setup):
+        model, held_out, pp, blinding = setup
+        x = held_out.x[:50]
+        proof = verify.prove(model, x, pp, blinding)
+        assert proof.digest_chain == oracle_chain(verify.commit(model, pp, blinding), x, proof.y)
