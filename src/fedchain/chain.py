@@ -18,7 +18,12 @@ import numpy as np
 
 from . import fixedpoint, pools, sharedring, verify
 from .data import Dataset, smooth_histogram
-from .errors import InvalidTaskError, LedgerIntegrityError, RoundFailedError
+from .errors import (
+    DuplicateTaskBlockError,
+    InvalidTaskError,
+    LedgerIntegrityError,
+    RoundFailedError,
+)
 from .fed import (
     DenseClassifier,
     RoundMetrics,
@@ -117,9 +122,12 @@ class Chain:
         return self.blocks[-1]
 
     def append_block(self, block: Block) -> None:
+        """Append a block that extends the head; a task gets at most one block."""
         expected = self.head().hash()
         if block.prev_hash != expected or block.height != self.head().height + 1:
             raise ValueError("block does not extend the chain head")
+        if any(b.task_id == block.task_id for b in self.blocks[1:]):
+            raise DuplicateTaskBlockError(f"task {block.task_id} already has a block")
         self.blocks.append(block)
 
     def settle_reward(self, block: Block, credits: dict[int, int]) -> bool:
@@ -206,8 +214,11 @@ def load_chain_jsonl(path: str) -> Chain:
 
 
 def validate_chain(chain: Chain) -> list[str]:
-    """Structural audit: hash links, heights, per-task transaction ordering,
-    and commit-before-proof freshness. Returns a list of violations."""
+    """Audit of hash links, heights, per-task transaction ordering,
+    commit-before-proof freshness, and the block's own claims: the proposer
+    is the model committer, every vote accepts, the credits sum to the task
+    reward and go only to registered members of the committing pool.
+    Returns a list of violations."""
     violations: list[str] = []
     for idx, block in enumerate(chain.blocks):
         if idx == 0:
@@ -241,6 +252,26 @@ def validate_chain(chain: Chain) -> list[str]:
                     f"height {block.height}: pipeline started before task publication"
                 )
         commits = by_kind.get("ModelCommit", [])
+        if any(c.author != block.proposer for c in commits):
+            violations.append(f"height {block.height}: proposer is not the model committer")
+        for vote in by_kind.get("VerifyVote", []):
+            if vote.payload.get("accept") is not True:
+                violations.append(f"height {block.height}: vote by {vote.author} does not accept")
+        pools_by_id = {
+            r.payload.get("pool"): {str(m) for m in r.payload.get("members", [])}
+            for r in by_kind.get("PoolRegister", [])
+        }
+        for settle in by_kind.get("RewardSettle", []):
+            credits = settle.payload.get("credits", {})
+            if publishes and sum(credits.values()) != publishes[0].payload.get("reward"):
+                violations.append(f"height {block.height}: credits do not sum to the task reward")
+            if pools_by_id:
+                members = pools_by_id.get(commits[0].payload.get("pool") if commits else None, set())
+                outside = sorted(node for node in credits if node not in members)
+                if outside:
+                    violations.append(
+                        f"height {block.height}: credits to nodes {outside} outside the committing pool"
+                    )
         for proof in by_kind.get("ProofSubmit", []):
             matching = [c for c in commits if c.payload.get("com") == proof.payload.get("com")]
             if not matching:
@@ -416,16 +447,16 @@ def _simulate_formation(setup: RoundSetup, assignment: pools.PoolAssignment) -> 
 def _verification_exchange(
     sim: Simulator,
     setup: RoundSetup,
-    head: int,
+    outcome: PoolOutcome,
     model: DenseClassifier,
-    pool_id: int,
     tamper: bool,
-    members: Sequence[int] = (),
-) -> tuple[bool, float, float, str, float, float, dict[int, float]]:
-    """Commit/challenge/prove/vote ping-pong between the head and the
-    verifier committee, on the pool's clock. Returns acceptance, measured
-    accuracy, accept time, commitment hex, commit/proof times, vote times."""
+) -> None:
+    """Commit/challenge/prove/vote ping-pong between the outcome's head and
+    the verifier committee, on the pool's clock. Sets the outcome's
+    acceptance, measured accuracy, accept time, commitment hex,
+    commit/proof times and vote times."""
     task = setup.task
+    head, members, pool_id = outcome.head, outcome.members, outcome.pool_id
     rng = np.random.default_rng(_derive_seed(setup.seed, task.task_id, "committee", pool_id))
     # verifiers come from outside the pool when the network is big enough
     member_set = set(members)
@@ -492,17 +523,13 @@ def _verification_exchange(
     for v in committee:
         sim.unregister(v)
 
-    all_accept = bool(votes) and all(ok for ok, _ in votes.values())
-    measured = float(np.mean([m for _, m in votes.values()])) if votes else 0.0
-    return (
-        all_accept,
-        measured,
-        state["accept_time"],
-        com.hex,
-        state["commit_time"],
-        state["proof_time"],
-        vote_times,
-    )
+    outcome.accepted = bool(votes) and all(ok for ok, _ in votes.values())
+    outcome.measured_accuracy = float(np.mean([m for _, m in votes.values()])) if votes else 0.0
+    outcome.accept_time = state["accept_time"]
+    outcome.commitment = com.hex
+    outcome.commit_time = state["commit_time"]
+    outcome.proof_time = state["proof_time"]
+    outcome.vote_times = vote_times
 
 
 def _train_pool_rounds(
@@ -569,7 +596,6 @@ def _train_pool_rounds(
         ready = [barrier + float(setup.compute_times[m]) for m in members]
         session.start(ready)
         sim.run_until_idle()
-        session.detach()
         barrier = max(session.completion.values())
 
         summed = session.results[members[0]]
@@ -587,17 +613,7 @@ def _train_pool_rounds(
     if outcome.finish_time is None:
         return outcome
 
-    tamper = pool_id in setup.tamper_pools
-    accepted, measured, accept_time, com_hex, commit_t, proof_t, vote_times = (
-        _verification_exchange(sim, setup, members[0], model, pool_id, tamper, members)
-    )
-    outcome.accepted = accepted
-    outcome.measured_accuracy = measured
-    outcome.accept_time = accept_time
-    outcome.commitment = com_hex
-    outcome.commit_time = commit_t
-    outcome.proof_time = proof_t
-    outcome.vote_times = vote_times
+    _verification_exchange(sim, setup, outcome, model, pool_id in setup.tamper_pools)
     return outcome
 
 
@@ -808,7 +824,6 @@ def _run_gfl_ring(chain: Chain, setup: RoundSetup) -> RoundResult:
         )
         session.start([barrier + float(setup.compute_times[m]) for m in nodes])
         sim.run_until_idle()
-        session.detach()
         barrier = max(session.completion.values())
         model = model.clone(fixedpoint.decode(session.results[nodes[0]]) / k)
         accuracy = evaluate(model, task.example)
@@ -901,34 +916,31 @@ def _finish_baseline(
     if sim is None:
         sim = Simulator(setup.latency)
         sim.now = finish
-    accepted, measured, accept_time, com_hex, commit_t, proof_t, vote_times = (
-        _verification_exchange(sim, setup, committer, model, 0, tamper=False)
-    )
-    if not accepted:
-        raise RoundFailedError(f"task {setup.task.task_id}: baseline proof rejected")
+    # The pool is the whole network, so the committee is every node but
+    # the committer.
     outcome = PoolOutcome(
         pool_id=0,
         head=committer,
         members=members,
         finish_time=finish,
-        accept_time=accept_time,
-        accepted=True,
-        measured_accuracy=measured,
+        accept_time=None,
+        accepted=False,
+        measured_accuracy=0.0,
         weights=weights_vec,
-        commitment=com_hex,
-        commit_time=commit_t,
-        proof_time=proof_t,
-        vote_times=vote_times,
+        commitment=None,
         metrics=metrics,
     )
+    _verification_exchange(sim, setup, outcome, model, tamper=False)
+    if not outcome.accepted:
+        raise RoundFailedError(f"task {setup.task.task_id}: baseline proof rejected")
     block, credits = _build_block(chain, setup, outcome, None, {}, publish_tx)
     chain.append_block(block)
     chain.settle_reward(block, credits)
     return RoundResult(
         block=block,
-        latency_ms=accept_time,
+        latency_ms=outcome.accept_time,
         winner_pool=0,
-        accuracy=measured,
+        accuracy=outcome.measured_accuracy,
         outcomes=[outcome],
         assignment=None,
         start_times={},

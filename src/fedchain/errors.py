@@ -81,5 +81,9 @@ class LedgerIntegrityError(FedChainError):
     """A loaded ledger block's stored hash does not match its contents."""
 
 
+class DuplicateTaskBlockError(FedChainError):
+    """A block was appended for a task that already has one on the chain."""
+
+
 class EmptyReportError(FedChainError):
     """Report emission requested with no run records."""

@@ -244,8 +244,12 @@ class Simulator:
 
     def schedule(self, delay: float, node: int, payload: Any = None, kind: str = "timer") -> Event:
         """Enqueue a local (self-addressed) event `delay` ms from now."""
+        return self.schedule_at(self.now + delay, node, payload, kind)
+
+    def schedule_at(self, time: float, node: int, payload: Any = None, kind: str = "timer") -> Event:
+        """Enqueue a local (self-addressed) event at absolute time `time` ms."""
         self._check_node(node)
-        return self._push(Event(self.now + delay, next(self._seq), node, node, kind, payload, 0))
+        return self._push(Event(time, next(self._seq), node, node, kind, payload, 0))
 
     def run_until_idle(self) -> float:
         """Process events in (deliver_time, seq) order until the queue drains."""

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Any, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import fixedpoint
-from .errors import MaskShapeError, ModelTooSmallError
+from .errors import MaskShapeError, ModelTooSmallError, NodeNotFoundError, TimeTravelError
 from .netsim import Simulator, chunk_size_units
 
 REDUCE, GATHER = "reduce", "gather"
@@ -134,24 +134,78 @@ class AllReduceResult:
         return len(self.transcript)
 
 
+def chunk_spans(w: np.ndarray, parts: int) -> list[tuple[int, int]]:
+    """`(start, stop)` of each chunk `split(w, parts)` returns."""
+    bounds = [0, *accumulate(c.shape[0] for c in split(w, parts))]
+    return list(zip(bounds, bounds[1:]))
+
+
+def ring_payloads(
+    vectors: Sequence[np.ndarray],
+    spans: Sequence[tuple[int, int]],
+    masks: Sequence[np.ndarray] | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every reduce payload of one ring all-reduce, and the summed vector.
+
+    Returns `(hops, total)`. In slot s's elements, row j of the (k,
+    model_len) array `hops` is what stream s carries on reduce hop j: the
+    owner's (masked) chunk plus the chunks of the next j members. One cumsum
+    down the rows makes the members' additions in forwarding order, and
+    int64 addition wraps exactly, so every value is bit-identical to
+    forwarding hop by hop. `total` is the clean sum every member ends with.
+    """
+    k = len(vectors)
+    if masks is not None:
+        for (a, b), mask in zip(spans, masks, strict=True):
+            if mask.shape != (b - a,):
+                raise MaskShapeError(f"noise length {mask.shape[0]} != chunk length {b - a}")
+    slot = np.repeat(np.arange(k), [b - a for a, b in spans])
+    # Row j takes each element from the member j places after its slot's owner.
+    member = (slot + np.arange(k)[:, None]) % k
+    hops = np.stack(vectors)[member, np.arange(slot.size)]
+    noise = np.concatenate(masks) if masks is not None else 0
+    hops[0] += noise
+    np.cumsum(hops, axis=0, out=hops)
+    return hops, hops[-1] - noise
+
+
+def ring_transcript(
+    hops: np.ndarray,
+    total: np.ndarray,
+    spans: Sequence[tuple[int, int]],
+    masked: bool,
+) -> list[TranscriptEntry]:
+    """Every message of a ring all-reduce, built from `ring_payloads`' arrays.
+
+    Stream-major order: every stream's reduce hops (k when masked, back to
+    the mask owner; k - 1 when plain), then every stream's k - 1 gather
+    hops. Stream s's r-th hop overall goes from position s + r to s + r + 1.
+    """
+    k = len(spans)
+    if k == 1:
+        return []
+    r = k if masked else k - 1
+    return [
+        TranscriptEntry(REDUCE, j, (s + j) % k, (s + j + 1) % k, s, hops[j, a:b], masked)
+        for s, (a, b) in enumerate(spans) for j in range(r)
+    ] + [
+        TranscriptEntry(GATHER, j, (s + r + j) % k, (s + r + j + 1) % k, s, total[a:b], False)
+        for s, (a, b) in enumerate(spans) for j in range(k - 1)
+    ]
+
+
 def run_masked_all_reduce(
     vectors: Sequence[np.ndarray],
     noise_seed: int,
     noise_bits: int = fixedpoint.DEFAULT_NOISE_BITS,
 ) -> AllReduceResult:
     """Full masked all-reduce over fixed-point vectors, one per miner."""
-    k = len(vectors)
-    raw_splits = [split(v, k) for v in vectors]
+    spans = chunk_spans(vectors[0], len(vectors))
     masks = [
-        fixedpoint.generate_noise(raw_splits[i][i].shape[0], noise_seed + i, noise_bits)
-        for i in range(k)
+        fixedpoint.generate_noise(b - a, noise_seed + i, noise_bits)
+        for i, (a, b) in enumerate(spans)
     ]
-    masked = [mask_own_chunk(raw_splits[i], i, masks[i]) for i in range(k)]
-    transcript: list[TranscriptEntry] = []
-    accs = ring_reduce_scatter(masked, transcript)
-    clean = [unmask_own_sum(accs[i], masks[i]) for i in range(k)]
-    sums = ring_allgather(clean, transcript)
-    return AllReduceResult(sums=sums, raw_splits=raw_splits, masks=masks, transcript=transcript)
+    return _all_reduce(vectors, spans, masks)
 
 
 def pairwise_shares(
@@ -181,44 +235,29 @@ def run_hardened_all_reduce(
     shares vanish in the full sum, so no unmasking step is needed and the
     standard 2(k-1)-step ring applies."""
     k = len(vectors)
-    raw_splits = [split(v, k) for v in vectors]
-    if k == 1:
-        return AllReduceResult(sums=[vectors[0].copy()], raw_splits=raw_splits, masks=None)
     shares = pairwise_shares(k, vectors[0].shape[0], noise_seed, noise_bits)
-    blinded = [v + s for v, s in zip(vectors, shares)]
-    result = run_plain_all_reduce(blinded)
-    return AllReduceResult(
-        sums=result.sums, raw_splits=raw_splits, masks=None, transcript=result.transcript
-    )
+    result = run_plain_all_reduce([v + s for v, s in zip(vectors, shares)])
+    result.raw_splits = [split(v, k) for v in vectors]
+    return result
 
 
 def run_plain_all_reduce(vectors: Sequence[np.ndarray]) -> AllReduceResult:
     """Standard unmasked ring all-reduce (2(k-1) steps), used by the baseline."""
-    k = len(vectors)
-    raw_splits = [split(v, k) for v in vectors]
-    transcript: list[TranscriptEntry] = []
-    if k == 1:
-        return AllReduceResult(
-            sums=[vectors[0].copy()], raw_splits=raw_splits, masks=None, transcript=transcript
-        )
-    complete: dict[int, np.ndarray] = {}
-    for s in range(k):
-        partial = raw_splits[s][s].copy()
-        for hop in range(k - 1):
-            src, dst = (s + hop) % k, (s + hop + 1) % k
-            transcript.append(TranscriptEntry(REDUCE, hop, src, dst, s, partial.copy(), False))
-            partial = partial + raw_splits[dst][s]
-        complete[s] = partial  # finishes at miner (s - 1) % k
-    slots: list[dict[int, np.ndarray]] = [dict() for _ in range(k)]
-    for s in range(k):
-        slots[(s - 1) % k][s] = complete[s]
-        payload = complete[s]
-        for hop in range(k - 1):
-            src, dst = (s - 1 + hop) % k, (s + hop) % k
-            transcript.append(TranscriptEntry(GATHER, hop, src, dst, s, payload.copy(), False))
-            slots[dst][s] = payload
-    sums = [concat([slots[i][s] for s in range(k)]) for i in range(k)]
-    return AllReduceResult(sums=sums, raw_splits=raw_splits, masks=None, transcript=transcript)
+    return _all_reduce(vectors, chunk_spans(vectors[0], len(vectors)), None)
+
+
+def _all_reduce(
+    vectors: Sequence[np.ndarray],
+    spans: Sequence[tuple[int, int]],
+    masks: list[np.ndarray] | None,
+) -> AllReduceResult:
+    hops, total = ring_payloads(vectors, spans, masks)
+    return AllReduceResult(
+        sums=[total] * len(vectors),
+        raw_splits=[[v[a:b] for a, b in spans] for v in vectors],
+        masks=masks,
+        transcript=ring_transcript(hops, total, spans, masks is not None),
+    )
 
 
 @dataclass
@@ -279,11 +318,24 @@ def write_transcript(path: str, transcript: Sequence[TranscriptEntry]) -> None:
 
 
 class RingSession:
-    """One all-reduce round for a pool, driven by simulator events.
+    """One all-reduce round for a pool on the simulator's clock, in closed form.
 
-    Members are given in ring order; each begins its stream at its ready
-    time. Chunk messages cost latency proportional to their share of the
-    model. The arithmetic is identical to the pure-path functions above.
+    Members are in ring order. Stream s carries chunk slot s from member
+    s's ready time through 2k - 1 hops when masked (k reduce hops back to
+    the mask owner, then k - 1 gather hops) or 2k - 2 when plain. Hop h
+    costs `L[m_(s+h), m_(s+h+1)] * units[s]` ms, units being the chunk's
+    share of `size_multiplier`. Nothing in a ring contends for a node or a
+    link and members forward on arrival, so the streams are independent
+    chains: one cumsum from `now + (ready[s] - now)` over the hop costs
+    makes the float additions an event loop replaying every message makes,
+    in its order. Member p completes at the max over slots of the hop that
+    brings it that slot's final value. Payloads come from `ring_payloads`,
+    shared with the pure path, so times, sums and the lazily built audit
+    `transcript` are bit-identical to the replay.
+
+    `start` fills `completion` and `results` (one shared summed array) and
+    puts a single event on the simulator at the last completion time, in
+    place of k(2k - 1) chunk messages and k start timers (masked).
     """
 
     def __init__(
@@ -298,108 +350,55 @@ class RingSession:
         self.sim = sim
         self.members = list(members)
         self.k = len(self.members)
-        self.position = {node: pos for pos, node in enumerate(self.members)}
+        if len(set(self.members)) != self.k or not all(0 <= m < sim.n_nodes for m in self.members):
+            raise NodeNotFoundError(f"ring members {self.members} are not distinct nodes")
         self.kind = kind
-        model_len = vectors[0].shape[0]
-        # One split gives the chunk bounds (and rejects a model shorter than
-        # the ring); every vector is sliced into views at those bounds.
-        bounds = [0, *accumulate(c.shape[0] for c in split(vectors[0], self.k))]
-        spans = list(zip(bounds, bounds[1:]))
-        self.raw_splits = [[v[a:b] for a, b in spans] for v in vectors]
+        self.vectors = list(vectors)
+        model_len = self.vectors[0].shape[0]
+        self.spans = chunk_spans(self.vectors[0], self.k)
         self.masks = list(masks) if masks is not None else None
-        # Handlers replace `work` entries and never write into an array, so
-        # the work lists can share the caller's chunks.
-        if self.masks is not None:
-            self.work = [
-                mask_own_chunk(self.raw_splits[i], i, self.masks[i]) for i in range(self.k)
-            ]
-        else:
-            self.work = [list(s) for s in self.raw_splits]
-        self.chunk_units = [
-            chunk_size_units(b - a, model_len, size_multiplier) for a, b in spans
-        ]
-        self.final: list[dict[int, np.ndarray]] = [dict() for _ in range(self.k)]
+        self._hops, self._total = ring_payloads(self.vectors, self.spans, self.masks)
+        self.chunk_units = np.array(
+            [chunk_size_units(b - a, model_len, size_multiplier) for a, b in self.spans]
+        )
         self.completion: dict[int, float] = {}
         self.results: dict[int, np.ndarray] = {}
-        self.transcript: list[TranscriptEntry] = []
+
+    @property
+    def raw_splits(self) -> list[list[np.ndarray]]:
+        return [[v[a:b] for a, b in self.spans] for v in self.vectors]
+
+    @property
+    def transcript(self) -> list[TranscriptEntry]:
+        """The round's messages in the pure path's stream-major order."""
+        return ring_transcript(self._hops, self._total, self.spans, self.masks is not None)
 
     def start(self, ready_times: Sequence[float]) -> None:
-        if self.k == 1:
-            self.sim.schedule(ready_times[0] - self.sim.now, self.members[0], ("solo",), self.kind)
-            self.sim.register(self.members[0], self._handle)
-            return
-        for pos, node in enumerate(self.members):
-            self.sim.register(node, self._handle)
-            self.sim.schedule(ready_times[pos] - self.sim.now, node, ("start", pos), self.kind)
-
-    def _send(self, pos: int, phase: str, step: int, slot: int, payload: np.ndarray) -> None:
-        nxt = (pos + 1) % self.k
-        # Handlers never mutate a payload in place, so the transcript can
-        # hold the sent array itself rather than a copy.
-        self.transcript.append(
-            TranscriptEntry(phase, step, pos, nxt, slot, payload, self.masks is not None and phase == REDUCE)
-        )
-        self.sim.send(
-            self.members[pos],
-            self.members[nxt],
-            (phase, step, slot, pos, payload),
-            size_units=self.chunk_units[slot],
-            kind=f"{self.kind}-{phase}",
-        )
-
-    def _finish_member(self, pos: int) -> None:
-        self.completion[self.members[pos]] = self.sim.now
-        self.results[self.members[pos]] = concat(
-            [self.final[pos][s] for s in range(self.k)]
-        )
-
-    def _handle(self, sim: Simulator, event: Any) -> None:
-        payload = event.payload
-        if payload[0] == "solo":
-            chunk = self.work[0][0]
-            if self.masks is not None:
-                chunk = unmask_own_sum(chunk, self.masks[0])
-            self.final[0][0] = chunk
-            self._finish_member(0)
-            return
-        if payload[0] == "start":
-            # Each member's own chunk (noisy, in the masked schedule) opens its stream.
-            pos = payload[1]
-            self._send(pos, REDUCE, 0, pos, self.work[pos][pos])
-            return
-        phase, step, slot, _, data = payload
-        pos = self.position[event.dst]
-        if phase == REDUCE:
-            if self.masks is not None and slot == pos:
-                # Completed noisy sum back at its owner: strip noise, start gather.
-                clean = unmask_own_sum(data, self.masks[pos])
-                self.final[pos][slot] = clean
-                self._send(pos, GATHER, 0, slot, clean)
-                if len(self.final[pos]) == self.k:
-                    self._finish_member(pos)
-                return
-            accumulated = data + self.work[pos][slot]
-            self.work[pos][slot] = accumulated
-            if self.masks is not None:
-                self._send(pos, REDUCE, step + 1, slot, accumulated)
-            elif step + 1 <= self.k - 2:
-                self._send(pos, REDUCE, step + 1, slot, accumulated)
-            else:
-                # Plain schedule: slot complete here; start the gather pass.
-                self.final[pos][slot] = accumulated
-                self._send(pos, GATHER, 0, slot, accumulated)
-                if len(self.final[pos]) == self.k:
-                    self._finish_member(pos)
-        else:  # GATHER
-            self.final[pos][slot] = data
-            if step + 1 <= self.k - 2:
-                self._send(pos, GATHER, step + 1, slot, data)
-            if len(self.final[pos]) == self.k:
-                self._finish_member(pos)
+        sim, k = self.sim, self.k
+        now = sim.now
+        ready = now + (np.asarray(ready_times, dtype=np.float64) - now)
+        if (ready < now).any():
+            raise TimeTravelError(f"ring stream starts at {ready.min()} before clock {now}")
+        finish = ready
+        if k > 1:
+            reduce_hops = k if self.masks is not None else k - 1
+            n_hops = reduce_hops + k - 1
+            nodes = np.asarray(self.members)
+            links = sim.latency[nodes, np.roll(nodes, -1)].astype(np.float64, copy=False)
+            pos = np.arange(k)
+            times = np.empty((k, n_hops + 1))
+            times[:, 0] = ready
+            times[:, 1:] = links[(pos[:, None] + np.arange(n_hops)) % k] * self.chunk_units[:, None]
+            np.cumsum(times, axis=1, out=times)
+            # [p, s]: slot s is final at position s + reduce_hops after that
+            # many hops; each gather hop takes it one position further.
+            arrival = reduce_hops + (pos[:, None] - pos - reduce_hops) % k
+            finish = times[pos, arrival].max(axis=1)
+        completion = finish.tolist()
+        self.completion = dict(zip(self.members, completion))
+        self.results = dict.fromkeys(self.members, self._total)
+        last = max(completion)
+        sim.schedule_at(last, self.members[completion.index(last)], kind=self.kind)
 
     def done(self) -> bool:
         return len(self.completion) == self.k
-
-    def detach(self) -> None:
-        for node in self.members:
-            self.sim.unregister(node)

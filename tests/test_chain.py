@@ -3,8 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from fedchain import chain, cli, fed, netsim, pools, verify
-from fedchain.errors import InvalidTaskError, LedgerIntegrityError, RoundFailedError
+from fedchain import chain, cli, experiments, fed, netsim, pools, sharedring, verify
+from fedchain.errors import (
+    DuplicateTaskBlockError,
+    InvalidTaskError,
+    LedgerIntegrityError,
+    RoundFailedError,
+)
 from conftest import build_setup
 
 
@@ -257,7 +262,8 @@ class TestVerificationExchange:
         monkeypatch.setattr(verify, "prove", counting_prove)
         monkeypatch.setattr(verify, "verify", counting_verify)
         sim = netsim.Simulator(setup.latency)
-        chain._verification_exchange(sim, setup, 0, model, 0, tamper, members=[0, 1, 2])
+        outcome = chain.PoolOutcome(0, 0, [0, 1, 2], None, None, False, 0.0, None, None)
+        chain._verification_exchange(sim, setup, outcome, model, tamper)
         return model, proofs, checks
 
     @pytest.mark.parametrize("tamper", [False, True])
@@ -434,3 +440,98 @@ class TestLedgerIntegrity:
         path, records = self.export(tmp_path)
         self.rewrite(path, records)
         assert chain.validate_chain(chain.load_chain_jsonl(str(path))) == []
+
+
+class TestLedgerClaims:
+    """Edits to a ledger that is then re-exported, so every stored hash and
+    hash link is recomputed and only the block's own claims can betray it."""
+
+    def reexported(self, tmp_path, mode="fedchain", mutate=None):
+        ledger = chain.Chain()
+        setup = experiments.build_round_setup(experiments.ExperimentConfig(), 20, 2, 0)
+        chain.run_round(ledger, setup, mode)
+        if mutate is not None:
+            mutate(ledger.head())
+        path = tmp_path / "ledger.jsonl"
+        ledger.export_jsonl(str(path))
+        return chain.load_chain_jsonl(str(path))
+
+    @staticmethod
+    def txs(block, kind):
+        return [tx for tx in block.transactions if tx.kind == kind]
+
+    @pytest.mark.parametrize("mode", chain.MODES)
+    def test_clean_ledger_has_no_violations(self, tmp_path, mode):
+        assert chain.validate_chain(self.reexported(tmp_path, mode)) == []
+
+    def test_foreign_proposer_flagged(self, tmp_path):
+        def mutate(block):
+            block.proposer = 999
+
+        violations = chain.validate_chain(self.reexported(tmp_path, mutate=mutate))
+        assert violations == ["height 1: proposer is not the model committer"]
+
+    def test_inflated_credit_flagged(self, tmp_path):
+        def mutate(block):
+            credits = self.txs(block, "RewardSettle")[0].payload["credits"]
+            credits[sorted(credits)[0]] += 10**6
+
+        violations = chain.validate_chain(self.reexported(tmp_path, mutate=mutate))
+        assert violations == ["height 1: credits do not sum to the task reward"]
+
+    def test_credit_outside_committing_pool_flagged(self, tmp_path):
+        def mutate(block):
+            committed = self.txs(block, "ModelCommit")[0].payload["pool"]
+            register = next(
+                tx for tx in self.txs(block, "PoolRegister") if tx.payload["pool"] == committed
+            )
+            outsider = next(n for n in range(20) if n not in register.payload["members"])
+            credits = self.txs(block, "RewardSettle")[0].payload["credits"]
+            credits[str(outsider)] = credits.pop(sorted(credits)[0])
+
+        violations = chain.validate_chain(self.reexported(tmp_path, mutate=mutate))
+        assert len(violations) == 1
+        assert "outside the committing pool" in violations[0]
+
+    def test_rejecting_vote_flagged(self, tmp_path):
+        def mutate(block):
+            self.txs(block, "VerifyVote")[0].payload["accept"] = False
+
+        violations = chain.validate_chain(self.reexported(tmp_path, mutate=mutate))
+        assert len(violations) == 1
+        assert "does not accept" in violations[0]
+
+    def test_second_block_for_a_task_refused(self):
+        ledger = chain.Chain()
+        setup = build_setup(n_nodes=4, n_pools=1, seed=3)
+        chain.run_round_fedchain(ledger, setup)
+        with pytest.raises(DuplicateTaskBlockError, match="task 1"):
+            chain.run_round_fedchain(ledger, setup)
+        assert len(ledger.blocks) == 2
+
+
+class TestChainRingAudit:
+    """The ring sessions a fedchain round actually runs pass the leakage
+    audit and sum their inputs exactly."""
+
+    def test_every_session_of_a_round(self, monkeypatch):
+        captured = []
+
+        class RecordingSession(sharedring.RingSession):
+            def __init__(self, sim, members, vectors, *args, **kwargs):
+                super().__init__(sim, members, vectors, *args, **kwargs)
+                captured.append((self, [v.copy() for v in vectors]))
+
+        monkeypatch.setattr(sharedring, "RingSession", RecordingSession)
+        setup = experiments.build_round_setup(experiments.ExperimentConfig(), 20, 3, 0)
+        result = chain.run_round_fedchain(chain.Chain(), setup)
+        assert len(captured) == sum(len(o.metrics) for o in result.outcomes) > 0
+        for session, vectors in captured:
+            assert session.masks is not None
+            report = sharedring.transcript_leakage_check(
+                session.transcript, session.raw_splits, session.masks
+            )
+            assert report.passed, report.violations
+            expected = np.sum(np.stack(vectors), axis=0)
+            assert session.results.keys() == set(session.members)
+            assert all(np.array_equal(r, expected) for r in session.results.values())

@@ -4,7 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedchain import fixedpoint, netsim, sharedring
-from fedchain.errors import MaskShapeError, ModelTooSmallError
+from fedchain.errors import (
+    MaskShapeError,
+    ModelTooSmallError,
+    NodeNotFoundError,
+    TimeTravelError,
+)
 
 
 def column_sum_oracle(vectors, parts):
@@ -348,6 +353,18 @@ class TestRingSessionSharesInputs:
         with pytest.raises(ModelTooSmallError):
             sharedring.RingSession(sim, [0, 1, 2, 3], [np.arange(3, dtype=np.int64)] * 4)
 
+    @pytest.mark.parametrize("members", [[0, 2, 0], [0, 1, 4], [-1, 0, 1]])
+    def test_members_must_be_distinct_nodes(self, members):
+        sim = netsim.Simulator(netsim.build_topology(4, seed=0, model=netsim.UniformTopology()))
+        with pytest.raises(NodeNotFoundError):
+            sharedring.RingSession(sim, members, [np.arange(6, dtype=np.int64)] * 3)
+
+    def test_mask_of_wrong_length_rejected(self):
+        sim = netsim.Simulator(netsim.build_topology(4, seed=0, model=netsim.UniformTopology()))
+        masks = [np.zeros(n, dtype=np.int64) for n in (2, 3, 2)]
+        with pytest.raises(MaskShapeError):
+            sharedring.RingSession(sim, [0, 1, 2], [np.arange(6, dtype=np.int64)] * 3, masks=masks)
+
     def test_mask_own_chunk_leaves_inputs_and_shares_the_rest(self):
         chunks = sharedring.split(np.arange(10, dtype=np.int64), 3)
         before = [c.copy() for c in chunks]
@@ -356,6 +373,197 @@ class TestRingSessionSharesInputs:
         assert masked is not chunks
         assert masked[0] is chunks[0] and masked[2] is chunks[2]
         assert masked[1].tolist() == [c + 7 for c in before[1].tolist()]
+
+
+class OracleRingSession:
+    """The ring replayed message by message on the event simulator.
+
+    Every chunk message and every member's start timer is an event; each
+    member forwards an arriving stream at once. `RingSession` computes the
+    same schedule in closed form and must match this replay exactly.
+    """
+
+    def __init__(self, sim, members, vectors, masks=None, size_multiplier=10.0, kind="ring"):
+        self.sim = sim
+        self.members = list(members)
+        self.k = len(self.members)
+        self.position = {node: pos for pos, node in enumerate(self.members)}
+        self.kind = kind
+        model_len = vectors[0].shape[0]
+        chunks = [sharedring.split(v, self.k) for v in vectors]
+        self.masks = list(masks) if masks is not None else None
+        if self.masks is not None:
+            self.work = [
+                sharedring.mask_own_chunk(chunks[i], i, self.masks[i]) for i in range(self.k)
+            ]
+        else:
+            self.work = [list(c) for c in chunks]
+        self.chunk_units = [
+            netsim.chunk_size_units(c.shape[0], model_len, size_multiplier) for c in chunks[0]
+        ]
+        self.final = [dict() for _ in range(self.k)]
+        self.completion = {}
+        self.results = {}
+        self.transcript = []
+
+    def start(self, ready_times):
+        if self.k == 1:
+            self.sim.schedule(ready_times[0] - self.sim.now, self.members[0], ("solo",), self.kind)
+            self.sim.register(self.members[0], self._handle)
+            return
+        for pos, node in enumerate(self.members):
+            self.sim.register(node, self._handle)
+            self.sim.schedule(ready_times[pos] - self.sim.now, node, ("start", pos), self.kind)
+
+    def _send(self, pos, phase, step, slot, payload):
+        nxt = (pos + 1) % self.k
+        masked = self.masks is not None and phase == sharedring.REDUCE
+        self.transcript.append(
+            sharedring.TranscriptEntry(phase, step, pos, nxt, slot, payload, masked)
+        )
+        self.sim.send(
+            self.members[pos],
+            self.members[nxt],
+            (phase, step, slot, pos, payload),
+            size_units=self.chunk_units[slot],
+            kind=f"{self.kind}-{phase}",
+        )
+
+    def _finish_member(self, pos):
+        self.completion[self.members[pos]] = self.sim.now
+        self.results[self.members[pos]] = sharedring.concat(
+            [self.final[pos][s] for s in range(self.k)]
+        )
+
+    def _handle(self, sim, event):
+        payload = event.payload
+        if payload[0] == "solo":
+            chunk = self.work[0][0]
+            if self.masks is not None:
+                chunk = sharedring.unmask_own_sum(chunk, self.masks[0])
+            self.final[0][0] = chunk
+            self._finish_member(0)
+            return
+        if payload[0] == "start":
+            pos = payload[1]
+            self._send(pos, sharedring.REDUCE, 0, pos, self.work[pos][pos])
+            return
+        phase, step, slot, _, data = payload
+        pos = self.position[event.dst]
+        if phase == sharedring.REDUCE:
+            if self.masks is not None and slot == pos:
+                clean = sharedring.unmask_own_sum(data, self.masks[pos])
+                self.final[pos][slot] = clean
+                self._send(pos, sharedring.GATHER, 0, slot, clean)
+                if len(self.final[pos]) == self.k:
+                    self._finish_member(pos)
+                return
+            accumulated = data + self.work[pos][slot]
+            self.work[pos][slot] = accumulated
+            if self.masks is not None or step + 1 <= self.k - 2:
+                self._send(pos, sharedring.REDUCE, step + 1, slot, accumulated)
+            else:
+                self.final[pos][slot] = accumulated
+                self._send(pos, sharedring.GATHER, 0, slot, accumulated)
+                if len(self.final[pos]) == self.k:
+                    self._finish_member(pos)
+        else:
+            self.final[pos][slot] = data
+            if step + 1 <= self.k - 2:
+                self._send(pos, sharedring.GATHER, step + 1, slot, data)
+            if len(self.final[pos]) == self.k:
+                self._finish_member(pos)
+
+
+def oracle_case(k, masked, clock, integer, seed):
+    """Inputs for one ring: random member order, latencies and ready times.
+
+    Integer latencies and integer ready times make many arrivals land at
+    equal times."""
+    rng = np.random.default_rng(seed)
+    n = k + 3
+    if integer:
+        latency = rng.integers(1, 4, size=(n, n))
+        np.fill_diagonal(latency, 0)
+        ready = clock + rng.integers(0, 6, size=k).astype(np.float64)
+    else:
+        latency = netsim.build_topology(n, seed=seed, model=netsim.UniformTopology(5, 60))
+        ready = clock + rng.uniform(0, 200, size=k)
+    members = [int(v) for v in rng.permutation(n)[:k]]
+    m = int(rng.integers(k, 4 * k + 20))
+    vectors = [fixedpoint.encode(rng.normal(0, 2, size=m)) for _ in range(k)]
+    masks = None
+    if masked:
+        masks = [
+            fixedpoint.generate_noise(c.shape[0], seed=seed * 10 + i)
+            for i, c in enumerate(sharedring.split(vectors[0], k))
+        ]
+    size_multiplier = float(rng.choice([1.0, 10.0, 37.0]))
+    return latency, members, vectors, masks, ready.tolist(), size_multiplier
+
+
+class TestRingSessionOracle:
+    """The closed-form `RingSession` against the event-driven replay."""
+
+    @pytest.mark.parametrize("integer", [False, True])
+    @pytest.mark.parametrize("clock", [0.0, 1234.567])
+    @pytest.mark.parametrize("masked", [True, False])
+    @pytest.mark.parametrize("k", range(1, 10))
+    def test_matches_event_driven_replay(self, k, masked, clock, integer):
+        for seed in range(3):
+            latency, members, vectors, masks, ready, mult = oracle_case(
+                k, masked, clock, integer, seed=1000 * k + seed
+            )
+            runs = []
+            for cls in (sharedring.RingSession, OracleRingSession):
+                sim = netsim.Simulator(latency)
+                sim.now = clock
+                session = cls(sim, members, vectors, masks=masks, size_multiplier=mult)
+                session.start(ready)
+                sim.run_until_idle()
+                runs.append((session, sim.now))
+            (got, got_now), (want, want_now) = runs
+            assert got.completion == want.completion
+            assert got_now == want_now == max(want.completion.values())
+            assert got.results.keys() == want.results.keys()
+            for node, result in want.results.items():
+                assert np.array_equal(got.results[node], result)
+
+            def by_key(entries):
+                return {(e.phase, e.slot, e.step): e for e in entries}
+
+            got_t, want_t = by_key(got.transcript), by_key(want.transcript)
+            assert len(got_t) == len(got.transcript) == len(want.transcript)
+            assert got_t.keys() == want_t.keys()
+            for key, entry in want_t.items():
+                other = got_t[key]
+                assert (other.src, other.dst, other.masked) == (entry.src, entry.dst, entry.masked)
+                assert np.array_equal(other.payload, entry.payload)
+
+    @pytest.mark.parametrize("masked", [True, False])
+    def test_stream_starts_when_a_delay_timer_would_fire(self, masked):
+        # For this pair, clock + (ready - clock) is one ulp away from ready.
+        clock, ready = 0.5277764017096607, 3.4762437629867367
+        assert clock + (ready - clock) != ready
+        latency, members, vectors, masks, _, _ = oracle_case(1, masked, clock, False, seed=2)
+        sessions = []
+        for cls in (sharedring.RingSession, OracleRingSession):
+            sim = netsim.Simulator(latency)
+            sim.now = clock
+            sessions.append(cls(sim, members, vectors, masks=masks))
+            sessions[-1].start([ready])
+            sim.run_until_idle()
+        got, want = sessions
+        assert got.completion == want.completion == {members[0]: clock + (ready - clock)}
+
+    @pytest.mark.parametrize("cls", [sharedring.RingSession, OracleRingSession])
+    def test_ready_time_before_clock_rejected(self, cls):
+        latency, members, vectors, masks, ready, _ = oracle_case(3, True, 50.0, False, seed=1)
+        sim = netsim.Simulator(latency)
+        sim.now = 50.0
+        session = cls(sim, members, vectors, masks=masks)
+        with pytest.raises(TimeTravelError):
+            session.start([ready[0], 49.0, ready[2]])
 
 
 class TestHardenedMode:
