@@ -171,21 +171,50 @@ class Chain:
                     )
 
 
+_LEDGER_FIELDS = {
+    "block": ("height", "prev_hash", "hash", "timestamp", "proposer", "task_id",
+              "model_commitment"),
+    "tx": ("height", "kind", "author", "timestamp", "payload"),
+}
+
+
+def _ledger_record(line: bytes, lineno: int) -> dict:
+    """Parse one export line, checking its type, its fields and its height."""
+    try:
+        record = json.loads(line)
+    except ValueError as err:
+        raise LedgerIntegrityError(f"line {lineno}: not JSON") from err
+    if not isinstance(record, dict) or record.get("type") not in ("block", "tx"):
+        raise LedgerIntegrityError(f"line {lineno}: not a block or tx record")
+    missing = [f for f in _LEDGER_FIELDS[record["type"]] if f not in record]
+    if missing:
+        raise LedgerIntegrityError(f"line {lineno}: {record['type']} record lacks {missing}")
+    if type(record["height"]) is not int:
+        raise LedgerIntegrityError(f"line {lineno}: height {record['height']!r} is not an integer")
+    return record
+
+
 def load_chain_jsonl(path: str) -> Chain:
     """Rebuild a Chain from an export; used by the validate-chain CLI.
 
-    Raises LedgerIntegrityError, naming the lowest offending height, if a
-    block's recomputed hash differs from the hash stored with it."""
+    Raises LedgerIntegrityError naming the line for a line that is not JSON,
+    a record that is not a block or tx or lacks a field, a height that is
+    not an integer, a tx before its block record and a repeated block
+    height; and naming the lowest offending height if a block's recomputed
+    hash differs from the hash stored with it."""
     chain = Chain()
     blocks: dict[int, Block] = {}
-    stored_hashes: dict[int, str | None] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            record = json.loads(line)
+    stored_hashes: dict[int, object] = {}
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            record = _ledger_record(line, lineno)
+            height = record["height"]
             if record["type"] == "block":
-                stored_hashes[record["height"]] = record.get("hash")
-                blocks[record["height"]] = Block(
-                    height=record["height"],
+                if height in blocks:
+                    raise LedgerIntegrityError(f"line {lineno}: repeated block height {height}")
+                stored_hashes[height] = record["hash"]
+                blocks[height] = Block(
+                    height=height,
                     prev_hash=record["prev_hash"],
                     timestamp=record["timestamp"],
                     transactions=[],
@@ -193,8 +222,12 @@ def load_chain_jsonl(path: str) -> Chain:
                     task_id=record["task_id"],
                     model_commitment=record["model_commitment"],
                 )
+            elif height not in blocks:
+                raise LedgerIntegrityError(
+                    f"line {lineno}: tx for height {height} before its block record"
+                )
             else:
-                blocks[record["height"]].transactions.append(
+                blocks[height].transactions.append(
                     Transaction(
                         kind=record["kind"],
                         payload=record["payload"],

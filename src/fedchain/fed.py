@@ -76,26 +76,8 @@ class DenseClassifier:
         w = self.weights.copy() if weights is None else np.asarray(weights, dtype=np.float64)
         return DenseClassifier(self.arch, w)
 
-    def _unpack(self):
-        a = self.arch
-        if not a.hidden:
-            split = a.n_features * a.n_classes
-            w = self.weights[:split].reshape(a.n_features, a.n_classes)
-            b = self.weights[split:]
-            return (w, b)
-        h = a.hidden[0]
-        idx = 0
-        w1 = self.weights[idx : idx + a.n_features * h].reshape(a.n_features, h)
-        idx += a.n_features * h
-        b1 = self.weights[idx : idx + h]
-        idx += h
-        w2 = self.weights[idx : idx + h * a.n_classes].reshape(h, a.n_classes)
-        idx += h * a.n_classes
-        b2 = self.weights[idx:]
-        return (w1, b1, w2, b2)
-
     def _forward(self, x: np.ndarray):
-        params = self._unpack()
+        params = _unpack(self.arch, self.weights)
         if len(params) == 2:
             w, b = params
             return x @ w + b, None
@@ -122,23 +104,70 @@ class DenseClassifier:
 
     def loss_grad(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Gradient of the summed cross-entropy w.r.t. the flat weights."""
-        probs = self.predict_proba(x)
-        dlogits = probs.copy()
-        dlogits[np.arange(len(y)), y] -= 1.0
-        params = self._unpack()
-        if len(params) == 2:
-            gw = x.T @ dlogits
-            gb = dlogits.sum(axis=0)
-            return np.concatenate([gw.ravel(), gb])
-        w1, b1, w2, b2 = params
-        hidden = np.tanh(x @ w1 + b1)
-        gw2 = hidden.T @ dlogits
-        gb2 = dlogits.sum(axis=0)
-        dhidden = dlogits @ w2.T
-        dz = dhidden * (1.0 - hidden * hidden)
-        gw1 = x.T @ dz
-        gb1 = dz.sum(axis=0)
-        return np.concatenate([gw1.ravel(), gb1, gw2.ravel(), gb2])
+        out = np.empty(self.arch.n_weights)
+        _loss_grad_into(self.arch, self.weights, x, np.eye(self.arch.n_classes)[y], out)
+        return out
+
+
+def _unpack(arch: Architecture, flat: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Views of a flat weight-layout vector: (w, b) or (w1, b1, w2, b2)."""
+    if not arch.hidden:
+        split = arch.n_features * arch.n_classes
+        return (flat[:split].reshape(arch.n_features, arch.n_classes), flat[split:])
+    h = arch.hidden[0]
+    idx = 0
+    w1 = flat[idx : idx + arch.n_features * h].reshape(arch.n_features, h)
+    idx += arch.n_features * h
+    b1 = flat[idx : idx + h]
+    idx += h
+    w2 = flat[idx : idx + h * arch.n_classes].reshape(h, arch.n_classes)
+    idx += h * arch.n_classes
+    b2 = flat[idx:]
+    return (w1, b1, w2, b2)
+
+
+def _loss_grad_into(
+    arch: Architecture,
+    weights: np.ndarray,
+    x: np.ndarray,
+    onehot: np.ndarray,
+    out: np.ndarray,
+) -> None:
+    """Write the summed cross-entropy gradient w.r.t. `weights` into `out`.
+
+    `onehot` has one one-hot row per sample of `x`; `out` is a C-contiguous
+    float64 vector of `arch.n_weights` entries, laid out like the weights.
+    The forward pass, the stable softmax and the backward pass run in place
+    on one logits array, with the float operations of the textbook form in
+    the same order: matmul then bias add, minus the row max, exp, divide by
+    the row sum, `x.T @ d`, column sum. Subtracting a one-hot row equals
+    `d[arange, y] -= 1.0`, because `p - 0.0 == p`. The hidden layer's
+    `tanh` is computed once and reused by the backward pass.
+    """
+    params = _unpack(arch, weights)
+    grads = _unpack(arch, out)
+    w, b = params[-2:]
+    inputs = x
+    if arch.hidden:
+        w1, b1 = params[:2]
+        inputs = x @ w1
+        inputs += b1
+        np.tanh(inputs, out=inputs)
+    d = inputs @ w
+    d += b
+    d -= d.max(axis=1, keepdims=True)
+    np.exp(d, out=d)
+    d /= d.sum(axis=1, keepdims=True)
+    d -= onehot
+    np.matmul(inputs.T, d, out=grads[-2])
+    d.sum(axis=0, out=grads[-1])
+    if arch.hidden:
+        dz = d @ w.T
+        slope = inputs * inputs
+        np.subtract(1.0, slope, out=slope)
+        dz *= slope
+        np.matmul(x.T, dz, out=grads[0])
+        dz.sum(axis=0, out=grads[1])
 
 
 def local_loss(model: DenseClassifier, dataset: Dataset) -> float:
@@ -163,16 +192,27 @@ def local_train(
 
     Batch gradients are means, so the learning rate is batch-size stable.
     Deterministic for a given seed.
+
+    Each epoch gathers the shuffled rows and their one-hot targets once, so
+    a batch is a row slice of them, and each step writes its gradient with
+    `_loss_grad_into` into one reused buffer, divides it by the batch size
+    and applies `sgd_step`. The result is bit-identical to calling
+    `loss_grad(x[batch], y[batch]) / len(batch)` on a fresh model per batch:
+    the rows, the float operations and their order are the same, and only
+    temporaries, copies and a second `tanh` of the hidden layer are saved.
     """
     rng = np.random.default_rng(seed)
     weights = model.weights.copy()
+    grad = np.empty_like(weights)
+    eye = np.eye(model.arch.n_classes)
     n = len(dataset)
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
+        x, onehot = dataset.x[order], eye[dataset.y[order]]
         for start in range(0, n, cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
-            trained = model.clone(weights)
-            grad = trained.loss_grad(dataset.x[batch], dataset.y[batch]) / len(batch)
+            stop = min(start + cfg.batch_size, n)
+            _loss_grad_into(model.arch, weights, x[start:stop], onehot[start:stop], grad)
+            grad /= stop - start
             weights = sgd_step(weights, grad, cfg.lr)
         if not np.all(np.isfinite(weights)):
             raise TrainingDivergedError("weights became non-finite during training")

@@ -162,10 +162,9 @@ class LatencyHistory:
         if n > self.n_nodes:
             self._grow(n)
         counts = self.counts[:n, :n]
-        for depth in np.unique(counts[off_diag]):
-            at_depth = off_diag & (counts == depth)
-            self._layer(int(depth))[:n, :n][at_depth] = observed[at_depth]
-        counts[off_diag] += 1
+        for depth in np.flatnonzero(np.bincount(counts[off_diag])):
+            np.copyto(self._layer(int(depth))[:n, :n], observed, where=off_diag & (counts == depth))
+        counts += off_diag
 
     def series(self, i: int, j: int) -> list[float]:
         if max(i, j) >= self.n_nodes:

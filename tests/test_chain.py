@@ -1,7 +1,10 @@
+import copy
 import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fedchain import chain, cli, experiments, fed, netsim, pools, sharedring, verify
 from fedchain.errors import (
@@ -402,7 +405,10 @@ class TestLedgerIntegrity:
         return path, [json.loads(line) for line in path.read_text().splitlines()]
 
     def rewrite(self, path, records):
-        path.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
+        path.write_text(
+            "".join((r if isinstance(r, str) else json.dumps(r, sort_keys=True)) + "\n"
+                    for r in records)
+        )
 
     def tamper_proposer(self, records):
         head = max(r["height"] for r in records)
@@ -436,10 +442,155 @@ class TestLedgerIntegrity:
         assert cli.main(["validate-chain", str(path)]) == 1
         assert f"violation: height {height}:" in capsys.readouterr().out
 
+    @staticmethod
+    def line_of(records, kind, height):
+        return next(i for i, r in enumerate(records) if r["type"] == kind and r["height"] == height)
+
+    def tx_height_99(self, records):
+        i = self.line_of(records, "tx", 1)
+        records[i]["height"] = 99
+        return i, "tx for height 99 before its block record"
+
+    def block_height_99(self, records):
+        records[self.line_of(records, "block", 1)]["height"] = 99
+        return self.line_of(records, "tx", 1), "tx for height 1 before its block record"
+
+    def block_height_string(self, records):
+        i = self.line_of(records, "block", 1)
+        records[i]["height"] = "x"
+        return i, "height 'x' is not an integer"
+
+    def block_type_flipped(self, records):
+        i = self.line_of(records, "block", 1)
+        records[i]["type"] = "tx"
+        return i, "tx record lacks ['kind', 'author', 'payload']"
+
+    def tx_type_flipped(self, records):
+        i = self.line_of(records, "tx", 1)
+        records[i]["type"] = "block"
+        return i, "block record lacks ['prev_hash', 'hash', 'proposer', 'task_id', 'model_commitment']"
+
+    def unknown_type(self, records):
+        i = self.line_of(records, "tx", 1)
+        records[i]["type"] = "note"
+        return i, "not a block or tx record"
+
+    def missing_field(self, records):
+        i = self.line_of(records, "block", 1)
+        del records[i]["proposer"]
+        return i, "block record lacks ['proposer']"
+
+    def repeated_height(self, records):
+        i = self.line_of(records, "block", 1)
+        records[i]["height"] = 0
+        return i, "repeated block height 0"
+
+    def not_json(self, records):
+        i = self.line_of(records, "tx", 1)
+        records[i] = json.dumps(records[i])[:-1]
+        return i, "not JSON"
+
+    @pytest.mark.parametrize(
+        "mutation",
+        ["tx_height_99", "block_height_99", "block_height_string", "block_type_flipped",
+         "tx_type_flipped", "unknown_type", "missing_field", "repeated_height", "not_json"],
+    )
+    def test_malformed_line_named(self, tmp_path, capsys, mutation):
+        path, records = self.export(tmp_path)
+        index, message = getattr(self, mutation)(records)
+        self.rewrite(path, records)
+        with pytest.raises(LedgerIntegrityError) as err:
+            chain.load_chain_jsonl(str(path))
+        assert str(err.value) == f"line {index + 1}: {message}"
+        assert cli.main(["validate-chain", str(path)]) == 1
+        assert capsys.readouterr().out == f"violation: line {index + 1}: {message}\n"
+
     def test_untouched_rewrite_still_loads(self, tmp_path):
         path, records = self.export(tmp_path)
         self.rewrite(path, records)
         assert chain.validate_chain(chain.load_chain_jsonl(str(path))) == []
+
+
+def field_paths(value, prefix=()):
+    """Paths (dict keys and list indices) to every field below a JSON value."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return []
+    paths = []
+    for key, child in items:
+        paths.append(prefix + (key,))
+        paths.extend(field_paths(child, prefix + (key,)))
+    return paths
+
+
+def near_values(old):
+    """Replacements that differ from `old` only slightly or only in type."""
+    values = [str(old), [old], None]
+    if isinstance(old, (int, float)) and not isinstance(old, bool):
+        values += [old + 1, old - 1, float(old), -old]
+        if float(old).is_integer():
+            values.append(int(old))
+    if isinstance(old, str):
+        values += [old[:-1], old + "0", old.upper()]
+    return values
+
+
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+
+
+class TestLedgerMutationProperty:
+    """Any single-field edit of an exported fedchain ledger is caught: the
+    load raises LedgerIntegrityError or the validator reports a violation,
+    and nothing else is raised."""
+
+    @pytest.fixture(scope="class")
+    def exported(self, tmp_path_factory):
+        ledger = chain.Chain()
+        setup = experiments.build_round_setup(experiments.ExperimentConfig(), 20, 2, 0)
+        chain.run_round(ledger, setup, "fedchain")
+        directory = tmp_path_factory.mktemp("ledger")
+        ledger.export_jsonl(str(directory / "ledger.jsonl"))
+        records = [json.loads(line) for line in (directory / "ledger.jsonl").read_text().splitlines()]
+        return directory, records
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_single_field_mutation_is_caught(self, exported, data):
+        directory, records = exported
+        records = copy.deepcopy(records)
+        record = records[data.draw(st.integers(0, len(records) - 1), label="line")]
+        path = data.draw(st.sampled_from(field_paths(record)), label="field")
+        parent = record
+        for key in path[:-1]:
+            parent = parent[key]
+        old = parent[path[-1]]
+        if data.draw(st.booleans(), label="delete"):
+            del parent[path[-1]]
+        else:
+            new = data.draw(st.one_of(st.sampled_from(near_values(old)), JSON_VALUES), label="new")
+            assume(json.dumps(new, sort_keys=True) != json.dumps(old, sort_keys=True))
+            parent[path[-1]] = new
+        target = directory / "mutated.jsonl"
+        target.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
+        try:
+            loaded = chain.load_chain_jsonl(str(target))
+        except LedgerIntegrityError:
+            return
+        assert chain.validate_chain(loaded)
+
+    def test_unmutated_rewrite_is_clean(self, exported):
+        directory, records = exported
+        target = directory / "unmutated.jsonl"
+        target.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
+        assert target.read_text() == (directory / "ledger.jsonl").read_text()
+        assert chain.validate_chain(chain.load_chain_jsonl(str(target))) == []
 
 
 class TestLedgerClaims:

@@ -9,6 +9,7 @@ from fedchain import data, fed
 from fedchain.errors import (
     AggregationShapeError,
     NonFiniteLossError,
+    TrainingDivergedError,
     UndefinedDivergenceError,
 )
 
@@ -101,6 +102,103 @@ class TestLocalTrain:
         a = fed.local_train(model, small_set, cfg, seed=9)
         b = fed.local_train(model, small_set, cfg, seed=9)
         assert np.array_equal(a.weights, b.weights)
+
+
+def oracle_loss_grad(model, x, y):
+    """The textbook gradient: fresh probabilities, a copied dlogits, the
+    hidden layer recomputed, and the parts concatenated."""
+    probs = model.predict_proba(x)
+    dlogits = probs.copy()
+    dlogits[np.arange(len(y)), y] -= 1.0
+    params = fed._unpack(model.arch, model.weights)
+    if len(params) == 2:
+        gw = x.T @ dlogits
+        gb = dlogits.sum(axis=0)
+        return np.concatenate([gw.ravel(), gb])
+    w1, b1, w2, b2 = params
+    hidden = np.tanh(x @ w1 + b1)
+    gw2 = hidden.T @ dlogits
+    gb2 = dlogits.sum(axis=0)
+    dhidden = dlogits @ w2.T
+    dz = dhidden * (1.0 - hidden * hidden)
+    gw1 = x.T @ dz
+    gb1 = dz.sum(axis=0)
+    return np.concatenate([gw1.ravel(), gb1, gw2.ravel(), gb2])
+
+
+def oracle_local_train(model, dataset, cfg, seed=0):
+    """One fresh model, fancy-indexed batch and gradient per step."""
+    rng = np.random.default_rng(seed)
+    weights = model.weights.copy()
+    n = len(dataset)
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            batch = order[start : start + cfg.batch_size]
+            trained = model.clone(weights)
+            grad = oracle_loss_grad(trained, dataset.x[batch], dataset.y[batch]) / len(batch)
+            weights = fed.sgd_step(weights, grad, cfg.lr)
+        if not np.all(np.isfinite(weights)):
+            raise TrainingDivergedError("weights became non-finite during training")
+    return model.clone(weights)
+
+
+class TestTrainingOracle:
+    """`local_train` and `loss_grad` are bit-identical to the textbook loop."""
+
+    @staticmethod
+    def outcome(train, model, dataset, cfg, seed):
+        with np.errstate(all="ignore"):
+            try:
+                return train(model, dataset, cfg, seed).weights
+            except TrainingDivergedError:
+                return "diverged"
+
+    @pytest.mark.parametrize("hidden", [False, True])
+    @pytest.mark.parametrize("n", [0, 1, 5, 32, 40, 100, 129])
+    @pytest.mark.parametrize("batch_size", [1, 7, 32, 64])
+    def test_matches_oracle(self, hidden, n, batch_size):
+        rng = np.random.default_rng([n, batch_size, hidden])
+        for variant, (dtype, scale) in enumerate(
+            [(np.float64, 1.0), (np.float32, 1.0), (np.float64, 50.0)]
+        ):
+            n_features, n_classes = int(rng.integers(1, 16)), int(rng.integers(2, 12))
+            arch = fed.Architecture(
+                n_features, n_classes, (int(rng.integers(1, 9)),) if hidden else ()
+            )
+            model = fed.DenseClassifier(arch, rng.normal(0.0, 0.5, arch.n_weights))
+            x = (rng.normal(size=(n, n_features)) * scale).astype(dtype)
+            ds = data.Dataset(x, rng.integers(0, n_classes, n), n_classes)
+            with np.errstate(all="ignore"):
+                assert np.array_equal(
+                    model.loss_grad(ds.x, ds.y), oracle_loss_grad(model, ds.x, ds.y)
+                )
+            for i, lr in enumerate([0.0, 0.02, 0.5, 1.3]):
+                cfg = fed.TrainConfig(lr=lr, epochs=1 + (i + variant) % 2, batch_size=batch_size)
+                seed = int(rng.integers(1 << 30))
+                got = self.outcome(fed.local_train, model, ds, cfg, seed)
+                want = self.outcome(oracle_local_train, model, ds, cfg, seed)
+                assert np.array_equal(got, want), (variant, lr)
+
+    def test_divergence_raises(self):
+        arch = fed.Architecture(n_features=3, n_classes=2)
+        rng = np.random.default_rng(4)
+        ds = data.Dataset(rng.normal(size=(16, 3)) * 1e200, rng.integers(0, 2, 16), 2)
+        model = fed.DenseClassifier(arch, seed=4)
+        cfg = fed.TrainConfig(lr=1e200, epochs=1, batch_size=4)
+        with np.errstate(all="ignore"):
+            with pytest.raises(TrainingDivergedError):
+                oracle_local_train(model, ds, cfg, seed=1)
+            with pytest.raises(TrainingDivergedError):
+                fed.local_train(model, ds, cfg, seed=1)
+
+    def test_model_and_dataset_untouched(self, small_set):
+        model = fed.DenseClassifier(fed.Architecture(4, 3, (5,)), seed=6)
+        weights, x, y = model.weights.copy(), small_set.x.copy(), small_set.y.copy()
+        trained = fed.local_train(model, small_set, fed.TrainConfig(lr=0.3, epochs=2), seed=2)
+        assert trained.weights is not model.weights
+        assert np.array_equal(model.weights, weights)
+        assert np.array_equal(small_set.x, x) and np.array_equal(small_set.y, y)
 
 
 class TestGradientCheck:

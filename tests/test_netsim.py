@@ -189,6 +189,35 @@ class TestDenseLatencyHistory:
             for j in range(n):
                 assert matrixed.series(i, j) == looped.series(i, j)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_record_matrix_at_mixed_depths_equals_records(self, seed):
+        # interleaved single records and matrices of varying size leave the
+        # pairs of each matrix spread over several depths
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 9))
+        looped, matrixed = netsim.LatencyHistory(), netsim.LatencyHistory(int(rng.integers(0, n)))
+        for _ in range(12):
+            if rng.random() < 0.6:
+                i, j = (int(v) for v in rng.choice(n, size=2, replace=False))
+                value = float(rng.uniform(1, 9))
+                looped.record(i, j, value)
+                matrixed.record(i, j, value)
+                continue
+            m = int(rng.integers(1, n + 1))
+            observed = rng.uniform(1, 100, size=(m, m))
+            if rng.random() < 0.3:
+                observed = observed.astype(np.int64)
+            for i in range(m):
+                for j in range(m):
+                    if i != j:
+                        looped.record(i, j, observed[i, j])
+            matrixed.record_matrix(observed)
+        assert len(matrixed.layers) == len(looped.layers) > 1
+        assert np.array_equal(matrixed.counts[: looped.n_nodes, : looped.n_nodes], looped.counts)
+        for i in range(n):
+            for j in range(n):
+                assert matrixed.series(i, j) == looped.series(i, j)
+
     def test_record_matrix_reports_first_invalid_in_row_major(self):
         observed = np.full((3, 3), 5.0)
         observed[1, 2] = -1.0
