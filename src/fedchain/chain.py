@@ -10,7 +10,9 @@ clock and verification exchange so their latencies are comparable.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import json
+import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -29,10 +31,9 @@ from .fed import (
     RoundMetrics,
     TrainConfig,
     aggregate,
-    evaluate,
+    evaluate_and_loss,
     fedavg_weights,
     kl_weights,
-    local_loss,
     local_train,
 )
 from .netsim import Simulator
@@ -246,12 +247,37 @@ def load_chain_jsonl(path: str) -> Chain:
     return chain
 
 
+def _malformed_claim(tx: Transaction) -> str | None:
+    """Why a transaction cannot be audited as a claim, or None if it can."""
+    if not isinstance(tx.kind, str) or tx.kind not in TX_KINDS:
+        return f"unknown transaction kind {tx.kind!r}"
+    if not isinstance(tx.payload, dict):
+        return f"{tx.kind} payload is not a map"
+    if type(tx.timestamp) not in (int, float):
+        return f"{tx.kind} timestamp {tx.timestamp!r} is not a number"
+    if tx.kind in ("PoolRegister", "ModelCommit") and "pool" in tx.payload:
+        if type(tx.payload["pool"]) is not int:
+            return f"{tx.kind} pool {tx.payload['pool']!r} is not an integer"
+    if tx.kind == "PoolRegister" and not isinstance(tx.payload.get("members", []), list):
+        return "PoolRegister members are not a list"
+    if tx.kind == "RewardSettle":
+        credits = tx.payload.get("credits", {})
+        if not isinstance(credits, dict) or any(
+            type(node) is not str or type(amount) is not int for node, amount in credits.items()
+        ):
+            return "RewardSettle credits are not a map of node to integer amount"
+    return None
+
+
 def validate_chain(chain: Chain) -> list[str]:
     """Audit of hash links, heights, per-task transaction ordering,
     commit-before-proof freshness, and the block's own claims: the proposer
     is the model committer, every vote accepts, the credits sum to the task
     reward and go only to registered members of the committing pool.
-    Returns a list of violations."""
+    Returns a list of violations. A malformed claim (an unknown kind, a
+    payload or credits of the wrong shape, a timestamp or task id of the
+    wrong type) is itself a violation, and the claims of its block are not
+    audited further."""
     violations: list[str] = []
     for idx, block in enumerate(chain.blocks):
         if idx == 0:
@@ -261,6 +287,16 @@ def validate_chain(chain: Chain) -> list[str]:
             violations.append(f"height {block.height}: broken hash link")
         if block.height != prev.height + 1:
             violations.append(f"height {block.height}: non-monotone height")
+        if type(block.task_id) is not int:
+            violations.append(f"height {block.height}: task id {block.task_id!r} is not an integer")
+        malformed = [
+            f"height {block.height}: transaction {i}: {why}"
+            for i, tx in enumerate(block.transactions)
+            if (why := _malformed_claim(tx)) is not None
+        ]
+        if malformed:
+            violations.extend(malformed)
+            continue
         order = [TX_KINDS.index(tx.kind) for tx in block.transactions]
         if order != sorted(order):
             violations.append(f"height {block.height}: transaction kinds out of order")
@@ -330,7 +366,7 @@ def validate_chain(chain: Chain) -> list[str]:
                 violations.append(
                     f"height {block.height}: reward settled before the vote quorum"
                 )
-    task_ids = [b.task_id for b in chain.blocks[1:]]
+    task_ids = [b.task_id for b in chain.blocks[1:] if type(b.task_id) is int]
     if len(task_ids) != len(set(task_ids)):
         violations.append("duplicate block for a task")
     return violations
@@ -395,6 +431,14 @@ class RoundSetup:
 
 @dataclass
 class PoolOutcome:
+    """One pool's part in a round.
+
+    `abandoned_at` is set on a pool that the race cut short, because it
+    could no longer win: the start barrier of the first round it did not
+    run, or the finish time of a model it did not send to verification.
+    `None` means the pool ran to its natural end (target, deadline or
+    round budget) and, if it finished, was verified."""
+
     pool_id: int
     head: int
     members: list[int]
@@ -408,6 +452,7 @@ class PoolOutcome:
     proof_time: float | None = None
     vote_times: dict[int, float] = field(default_factory=dict)
     metrics: list[RoundMetrics] = field(default_factory=list)
+    abandoned_at: float | None = None
 
 
 @dataclass
@@ -565,45 +610,49 @@ def _verification_exchange(
     outcome.vote_times = vote_times
 
 
-def _train_pool_rounds(
-    setup: RoundSetup,
-    pool_id: int,
-    members: list[int],
-    start_times: dict[int, float],
-    masked: bool = True,
-) -> PoolOutcome:
-    """Barrier-synchronized training rounds for one pool on its own clock.
+class _PoolRun:
+    """One pool's barrier-synchronized training on its own clock, one round
+    per `step`.
 
     Each round: members train locally (simulated compute delay), the masked
     ring all-reduce combines the pre-scaled updates, everyone evaluates the
-    aggregate on the public example split, and the pool stops at the target,
-    the deadline, or the round budget.
+    aggregate on the public example split, and the pool is done at the
+    target, the deadline, or the round budget. A pool owns its `Simulator`
+    and derives every seed from its id, so runs can be interleaved freely.
     """
-    task = setup.task
-    sim = Simulator(setup.latency)
-    weights_vec = _member_weights(setup, members)
-    k = len(members)
-    model = DenseClassifier(task.arch, seed=_derive_seed(setup.seed, task.task_id, "init"))
-    barrier = max(start_times[m] for m in members)
-    sim.now = barrier
-    # Each member's noise covers its own chunk of the ring split.
-    chunk_lens = [c.shape[0] for c in np.array_split(model.weights, k)]
-    outcome = PoolOutcome(
-        pool_id=pool_id,
-        head=members[0],
-        members=members,
-        finish_time=None,
-        accept_time=None,
-        accepted=False,
-        measured_accuracy=0.0,
-        weights=weights_vec,
-        commitment=None,
-    )
 
-    for round_idx in range(setup.max_rounds):
+    def __init__(self, setup: RoundSetup, pool_id: int, members: list[int],
+                 start_times: dict[int, float]) -> None:
+        self.setup = setup
+        self.sim = Simulator(setup.latency)
+        self.model = DenseClassifier(
+            setup.task.arch, seed=_derive_seed(setup.seed, setup.task.task_id, "init")
+        )
+        self.barrier = max(start_times[m] for m in members)
+        self.sim.now = self.barrier
+        # Each member's noise covers its own chunk of the ring split.
+        self.chunk_lens = [c.shape[0] for c in np.array_split(self.model.weights, len(members))]
+        self.round_idx = 0
+        self.outcome = PoolOutcome(
+            pool_id=pool_id,
+            head=members[0],
+            members=members,
+            finish_time=None,
+            accept_time=None,
+            accepted=False,
+            measured_accuracy=0.0,
+            weights=_member_weights(setup, members),
+            commitment=None,
+        )
+
+    def step(self) -> bool:
+        """Run the next training round; return whether the pool is done."""
+        setup, task, outcome = self.setup, self.setup.task, self.outcome
+        members, weights_vec, pool_id = outcome.members, outcome.weights, outcome.pool_id
+        round_idx, k = self.round_idx, len(members)
         trained = [
             local_train(
-                model,
+                self.model,
                 setup.miner_data[m],
                 setup.train,
                 seed=_derive_seed(setup.seed, task.task_id, pool_id, round_idx, m),
@@ -613,41 +662,39 @@ def _train_pool_rounds(
         vectors = [
             fixedpoint.encode(t.weights * (w * k)) for t, w in zip(trained, weights_vec)
         ]
-        masks = None
-        if masked:
-            masks = [
-                fixedpoint.generate_noise(
-                    chunk_lens[i],
-                    _derive_seed(setup.seed, task.task_id, pool_id, round_idx, "noise", i),
-                    setup.noise_bits,
-                )
-                for i in range(k)
-            ]
+        masks = [
+            fixedpoint.generate_noise(
+                self.chunk_lens[i],
+                _derive_seed(setup.seed, task.task_id, pool_id, round_idx, "noise", i),
+                setup.noise_bits,
+            )
+            for i in range(k)
+        ]
         session = sharedring.RingSession(
-            sim, members, vectors, masks=masks, size_multiplier=setup.size_multiplier
+            self.sim, members, vectors, masks=masks, size_multiplier=setup.size_multiplier
         )
-        ready = [barrier + float(setup.compute_times[m]) for m in members]
-        session.start(ready)
-        sim.run_until_idle()
-        barrier = max(session.completion.values())
+        session.start([self.barrier + float(setup.compute_times[m]) for m in members])
+        self.sim.run_until_idle()
+        self.barrier = max(session.completion.values())
 
-        summed = session.results[members[0]]
-        model = model.clone(fixedpoint.decode(summed) / k)
-        accuracy = evaluate(model, task.example)
-        loss = local_loss(model, task.example)
-        outcome.metrics.append(
-            RoundMetrics(round_idx, pool_id, accuracy, loss, barrier)
+        self.model = self.model.clone(fixedpoint.decode(session.results[members[0]]) / k)
+        accuracy, loss = evaluate_and_loss(self.model, task.example)
+        outcome.metrics.append(RoundMetrics(round_idx, pool_id, accuracy, loss, self.barrier))
+        self.round_idx += 1
+        if self.barrier <= task.deadline and accuracy >= task.target:
+            outcome.finish_time = self.barrier
+        return (
+            self.barrier > task.deadline
+            or outcome.finish_time is not None
+            or self.round_idx >= setup.max_rounds
         )
-        if barrier > task.deadline:
-            return outcome
-        if accuracy >= task.target:
-            outcome.finish_time = barrier
-            break
-    if outcome.finish_time is None:
-        return outcome
 
-    _verification_exchange(sim, setup, outcome, model, pool_id in setup.tamper_pools)
-    return outcome
+    def verify(self) -> None:
+        """Run the verification exchange on the finished model."""
+        _verification_exchange(
+            self.sim, self.setup, self.outcome, self.model,
+            self.outcome.pool_id in self.setup.tamper_pools,
+        )
 
 
 def _build_block(
@@ -721,13 +768,9 @@ def _build_block(
     return block, credits
 
 
-def run_round_fedchain(chain: Chain, setup: RoundSetup) -> RoundResult:
-    """One full task round: pools form, train, and race; the first verified
-    finisher proposes the block. Raises RoundFailedError if nobody reaches
-    the target before the deadline."""
-    task = setup.task
-    publish_tx = publish_task(task, setup.publisher, now=0.0)
-
+def _form_pools(setup: RoundSetup) -> tuple[pools.PoolAssignment, dict[int, float]]:
+    """Latency estimation, head announcement and greedy assignment, then
+    each node's training start time."""
     history = pools.bootstrap_history(setup.latency, seed=_derive_seed(setup.seed, "ping"))
     l_hat = pools.estimate_latency(history, setup.n_nodes)
     heads = pools.announce_heads(
@@ -747,16 +790,69 @@ def run_round_fedchain(chain: Chain, setup: RoundSetup) -> RoundResult:
     assignment = pools.assign_pools(
         setup.n_nodes, heads, l_hat, t_p, seed=_derive_seed(setup.seed, "join")
     )
-    start_times = _simulate_formation(setup, assignment)
+    return assignment, _simulate_formation(setup, assignment)
 
-    outcomes = [
-        _train_pool_rounds(setup, idx, list(pool.members), start_times)
+
+def run_round_fedchain(chain: Chain, setup: RoundSetup) -> RoundResult:
+    """One full task round: pools form, train, and race; the first verified
+    finisher proposes the block. Raises RoundFailedError if nobody reaches
+    the target before the deadline.
+
+    The race runs on the simulated clock. A heap holds each unfinished
+    pool's next round start barrier as `(barrier, pool_id)`, and `best` is
+    the `(accept_time, pool_id)` of the best accepted pool so far, at first
+    `(inf, inf)`. The round at the top of the heap runs only while
+    `(barrier, pool_id) < best`; once it is not, every pool left is cut
+    short. A pool that finishes is verified only if
+    `(finish_time, pool_id) < best`. Cut pools get `abandoned_at`.
+
+    This is exact: a pool's accept time is never before its finish time,
+    which is never before the start barrier of any of its rounds, because
+    ring hops, compute times and link latencies are non-negative. So a pool
+    whose barrier or finish time, paired with its id, is not below `best`
+    cannot reach an `(accept_time, pool_id)` below it, and `best` only ever
+    falls. Comparing whole tuples keeps the lower-pool-id tie-break exact
+    even when verification takes no simulated time. Every pool owns its
+    `Simulator` and derives its seeds from its id, so running pools
+    interleaved changes none of their numbers: the block, `latency_ms`, the
+    winner's outcome and the credits equal those of training and verifying
+    every pool to its end, and only losing pools' outcomes differ.
+    """
+    task = setup.task
+    publish_tx = publish_task(task, setup.publisher, now=0.0)
+
+    assignment, start_times = _form_pools(setup)
+
+    runs = [
+        _PoolRun(setup, idx, list(pool.members), start_times)
         for idx, pool in enumerate(assignment.pools)
     ]
-    verified = [o for o in outcomes if o.accepted]
-    if not verified:
+    heap = [(run.barrier, idx) for idx, run in enumerate(runs)] if setup.max_rounds > 0 else []
+    heapq.heapify(heap)
+    best = (math.inf, math.inf)
+    while heap:
+        barrier, idx = heapq.heappop(heap)
+        if (barrier, idx) >= best:
+            for cut_barrier, cut_idx in [(barrier, idx), *heap]:
+                runs[cut_idx].outcome.abandoned_at = cut_barrier
+            break
+        run = runs[idx]
+        if not run.step():
+            heapq.heappush(heap, (run.barrier, idx))
+            continue
+        finish = run.outcome.finish_time
+        if finish is None:
+            continue
+        if (finish, idx) >= best:
+            run.outcome.abandoned_at = finish
+            continue
+        run.verify()
+        if run.outcome.accepted:
+            best = min(best, (run.outcome.accept_time, idx))
+    outcomes = [run.outcome for run in runs]
+    if best[1] == math.inf:
         raise RoundFailedError(f"task {task.task_id}: no pool verified before the deadline")
-    winner = min(verified, key=lambda o: (o.accept_time, o.pool_id))
+    winner = outcomes[best[1]]
 
     block, credits = _build_block(chain, setup, winner, assignment, start_times, publish_tx)
     chain.append_block(block)
@@ -811,8 +907,8 @@ def _run_fedavg_central(chain: Chain, setup: RoundSetup) -> RoundResult:
                 busy = max(busy, r) + float(setup.latency[m, coord]) * su
         now = busy
         model = model.clone(aggregate([t.weights for t in trained], weights_vec))
-        accuracy = evaluate(model, task.example)
-        metrics.append(RoundMetrics(round_idx, 0, accuracy, local_loss(model, task.example), now))
+        accuracy, loss = evaluate_and_loss(model, task.example)
+        metrics.append(RoundMetrics(round_idx, 0, accuracy, loss, now))
         if now > task.deadline:
             break
         if accuracy >= task.target:
@@ -859,10 +955,8 @@ def _run_gfl_ring(chain: Chain, setup: RoundSetup) -> RoundResult:
         sim.run_until_idle()
         barrier = max(session.completion.values())
         model = model.clone(fixedpoint.decode(session.results[nodes[0]]) / k)
-        accuracy = evaluate(model, task.example)
-        metrics.append(
-            RoundMetrics(round_idx, 0, accuracy, local_loss(model, task.example), barrier)
-        )
+        accuracy, loss = evaluate_and_loss(model, task.example)
+        metrics.append(RoundMetrics(round_idx, 0, accuracy, loss, barrier))
         if barrier > task.deadline:
             break
         if accuracy >= task.target:

@@ -98,15 +98,19 @@ class DenseClassifier:
     def loss(self, x: np.ndarray, y: np.ndarray) -> float:
         """Cross-entropy summed over the samples."""
         logits, _ = self._forward(x)
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-        return float(-log_probs[np.arange(len(y)), y].sum())
+        return _summed_cross_entropy(logits, y)
 
     def loss_grad(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Gradient of the summed cross-entropy w.r.t. the flat weights."""
         out = np.empty(self.arch.n_weights)
         _loss_grad_into(self.arch, self.weights, x, np.eye(self.arch.n_classes)[y], out)
         return out
+
+
+def _summed_cross_entropy(logits: np.ndarray, y: np.ndarray) -> float:
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    return float(-log_probs[np.arange(len(y)), y].sum())
 
 
 def _unpack(arch: Architecture, flat: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -170,14 +174,21 @@ def _loss_grad_into(
         dz.sum(axis=0, out=grads[1])
 
 
-def local_loss(model: DenseClassifier, dataset: Dataset) -> float:
-    """Summed cross-entropy of the model over a miner's dataset."""
+def _check_finite_weights(model: DenseClassifier) -> None:
     if not np.all(np.isfinite(model.weights)):
         raise NonFiniteLossError("model weights contain NaN or infinity")
-    value = model.loss(dataset.x, dataset.y)
+
+
+def _check_finite_loss(value: float) -> float:
     if not np.isfinite(value):
         raise NonFiniteLossError(f"loss evaluated to {value}")
     return value
+
+
+def local_loss(model: DenseClassifier, dataset: Dataset) -> float:
+    """Summed cross-entropy of the model over a miner's dataset."""
+    _check_finite_weights(model)
+    return _check_finite_loss(model.loss(dataset.x, dataset.y))
 
 
 def sgd_step(weights: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:
@@ -294,6 +305,17 @@ def aggregate(vectors: Sequence[np.ndarray], weights: np.ndarray) -> np.ndarray:
 def evaluate(model: DenseClassifier, dataset: Dataset) -> float:
     """Fraction of argmax-correct predictions."""
     return float(np.mean(model.predict(dataset.x) == dataset.y))
+
+
+def evaluate_and_loss(model: DenseClassifier, dataset: Dataset) -> tuple[float, float]:
+    """`(evaluate(model, dataset), local_loss(model, dataset))` from one
+    forward pass: both derive from the same logits, so the values are
+    bit-identical to the two calls, and NonFiniteLossError is raised under
+    the same conditions as `local_loss`."""
+    logits, _ = model._forward(dataset.x)
+    accuracy = float(np.mean(logits.argmax(axis=1) == dataset.y))
+    _check_finite_weights(model)
+    return accuracy, _check_finite_loss(_summed_cross_entropy(logits, dataset.y))
 
 
 @dataclass

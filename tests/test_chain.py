@@ -1,12 +1,13 @@
 import copy
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fedchain import chain, cli, experiments, fed, netsim, pools, sharedring, verify
+from fedchain import chain, cli, experiments, fed, fixedpoint, netsim, pools, sharedring, verify
 from fedchain.errors import (
     DuplicateTaskBlockError,
     InvalidTaskError,
@@ -244,6 +245,246 @@ class TestFedchainRound:
         assert [b.task_id for b in ledger.blocks[1:]] == [1, 2]
         assert [b.height for b in ledger.blocks] == [0, 1, 2]
         assert chain.validate_chain(ledger) == []
+
+
+def oracle_pool_rounds(setup, pool_id, members, start_times):
+    """One pool trained to its natural end and, if it finished, verified:
+    the all-pools loop the race replaced, with separate `evaluate` and
+    `local_loss` calls."""
+    task = setup.task
+    sim = netsim.Simulator(setup.latency)
+    weights_vec = chain._member_weights(setup, members)
+    k = len(members)
+    model = fed.DenseClassifier(task.arch, seed=chain._derive_seed(setup.seed, task.task_id, "init"))
+    barrier = max(start_times[m] for m in members)
+    sim.now = barrier
+    chunk_lens = [c.shape[0] for c in np.array_split(model.weights, k)]
+    outcome = chain.PoolOutcome(pool_id, members[0], members, None, None, False, 0.0,
+                                weights_vec, None)
+    for round_idx in range(setup.max_rounds):
+        trained = [
+            fed.local_train(model, setup.miner_data[m], setup.train,
+                            seed=chain._derive_seed(setup.seed, task.task_id, pool_id, round_idx, m))
+            for m in members
+        ]
+        vectors = [fixedpoint.encode(t.weights * (w * k)) for t, w in zip(trained, weights_vec)]
+        masks = [
+            fixedpoint.generate_noise(
+                chunk_lens[i],
+                chain._derive_seed(setup.seed, task.task_id, pool_id, round_idx, "noise", i),
+                setup.noise_bits,
+            )
+            for i in range(k)
+        ]
+        session = sharedring.RingSession(sim, members, vectors, masks=masks,
+                                         size_multiplier=setup.size_multiplier)
+        session.start([barrier + float(setup.compute_times[m]) for m in members])
+        sim.run_until_idle()
+        barrier = max(session.completion.values())
+        model = model.clone(fixedpoint.decode(session.results[members[0]]) / k)
+        accuracy = fed.evaluate(model, task.example)
+        loss = fed.local_loss(model, task.example)
+        outcome.metrics.append(fed.RoundMetrics(round_idx, pool_id, accuracy, loss, barrier))
+        if barrier > task.deadline:
+            return outcome
+        if accuracy >= task.target:
+            outcome.finish_time = barrier
+            break
+    if outcome.finish_time is not None:
+        chain._verification_exchange(sim, setup, outcome, model, pool_id in setup.tamper_pools)
+    return outcome
+
+
+def oracle_round_fedchain(ledger, setup):
+    """`run_round_fedchain` without the race: every pool trains to its end,
+    every finisher is verified, and the block goes to the minimum
+    `(accept_time, pool_id)`."""
+    task = setup.task
+    publish_tx = chain.publish_task(task, setup.publisher, now=0.0)
+    assignment, start_times = chain._form_pools(setup)
+    outcomes = [
+        oracle_pool_rounds(setup, idx, list(pool.members), start_times)
+        for idx, pool in enumerate(assignment.pools)
+    ]
+    verified = [o for o in outcomes if o.accepted]
+    if not verified:
+        raise RoundFailedError(f"task {task.task_id}: no pool verified before the deadline")
+    winner = min(verified, key=lambda o: (o.accept_time, o.pool_id))
+    block, credits = chain._build_block(ledger, setup, winner, assignment, start_times, publish_tx)
+    ledger.append_block(block)
+    ledger.settle_reward(block, credits)
+    return chain.RoundResult(block, winner.accept_time, winner.pool_id, winner.measured_accuracy,
+                             outcomes, assignment, start_times, credits)
+
+
+def race_and_oracle(setup):
+    """Both rounds on fresh ledgers; (None, None) when both raise
+    RoundFailedError."""
+    try:
+        oracle = oracle_round_fedchain(chain.Chain(), setup)
+    except RoundFailedError:
+        with pytest.raises(RoundFailedError):
+            chain.run_round_fedchain(chain.Chain(), setup)
+        return None, None
+    return chain.run_round_fedchain(chain.Chain(), setup), oracle
+
+
+def assert_same_block(raced, oracle):
+    winner = oracle.winner_pool
+    assert raced.block.hash() == oracle.block.hash()
+    assert raced.latency_ms == oracle.latency_ms
+    assert raced.winner_pool == winner
+    assert raced.accuracy == oracle.accuracy
+    assert raced.outcomes[winner].metrics == oracle.outcomes[winner].metrics
+    assert raced.credits == oracle.credits
+    assert raced.start_times == oracle.start_times
+
+
+def assert_race_cut(raced, oracle):
+    """Every pool-round whose `(start barrier, pool id)` is below the
+    block's `(latency_ms, winner)` ran, none other did (the winner runs all
+    of its rounds), and `abandoned_at` marks exactly the pools cut short."""
+    best = (oracle.latency_ms, oracle.winner_pool)
+    for got, full in zip(raced.outcomes, oracle.outcomes, strict=True):
+        pool = full.pool_id
+        ran = len(got.metrics)
+        first = max(oracle.start_times[m] for m in full.members)
+        starts = [first] + [m.sim_time_ms for m in full.metrics[:-1]]
+        assert got.metrics == full.metrics[:ran]
+        if pool == oracle.winner_pool:
+            assert ran == len(full.metrics)
+        else:
+            assert [i < ran for i in range(len(starts))] == [(t, pool) < best for t in starts]
+        if ran < len(full.metrics):
+            assert got.abandoned_at == starts[ran]
+            assert (got.finish_time, got.commitment, got.accepted) == (None, None, False)
+        elif full.finish_time is not None and got.commitment is None:
+            assert got.abandoned_at == full.finish_time == got.finish_time
+            assert (full.finish_time, pool) >= best
+        else:
+            assert got.abandoned_at is None
+            assert (got.finish_time, got.accept_time, got.accepted, got.measured_accuracy,
+                    got.commitment, got.commit_time, got.proof_time, got.vote_times) == (
+                full.finish_time, full.accept_time, full.accepted, full.measured_accuracy,
+                full.commitment, full.commit_time, full.proof_time, full.vote_times)
+    return sum(o.abandoned_at is not None for o in raced.outcomes)
+
+
+def grid_setup(n, p, seed, tamper=(), **overrides):
+    setup = experiments.build_round_setup(experiments.ExperimentConfig(), n, p, seed)
+    return replace(setup, tamper_pools=frozenset(tamper), **overrides)
+
+
+class TestRaceOracle:
+    """The raced round proposes the block of the all-pools oracle, bit for
+    bit, and cuts exactly the pool-rounds that cannot change it."""
+
+    @pytest.mark.parametrize("tamper", ["none", "some", "all_but_one"])
+    def test_matches_oracle_over_seeds(self, tamper):
+        cut = 0
+        for n, p, seed in [(40, 4, 0), (40, 4, 1), (60, 6, 2), (60, 6, 3), (50, 10, 4)]:
+            picked = {"none": (), "some": range(0, p, 3),
+                      "all_but_one": [q for q in range(p) if q != seed % p]}[tamper]
+            raced, oracle = race_and_oracle(grid_setup(n, p, seed, picked))
+            assert oracle is not None
+            assert_same_block(raced, oracle)
+            cut += assert_race_cut(raced, oracle)
+            assert oracle.winner_pool not in picked
+        assert cut > 0
+
+    def test_deadline_between_finishers(self):
+        setup = grid_setup(60, 6, 5, tamper=[1])
+        full = oracle_round_fedchain(chain.Chain(), setup)
+        finishes = sorted(o.finish_time for o in full.outcomes if o.finish_time is not None)
+        setup.task.deadline = full.outcomes[full.winner_pool].finish_time
+        raced, oracle = race_and_oracle(setup)
+        assert any(o.finish_time is None for o in oracle.outcomes)
+        assert len(finishes) > sum(o.finish_time is not None for o in oracle.outcomes)
+        assert_same_block(raced, oracle)
+        assert_race_cut(raced, oracle)
+
+    @pytest.mark.parametrize("deadline", [1.0, 50.0])
+    def test_tight_deadline_fails_in_both(self, deadline):
+        setup = grid_setup(40, 4, 6)
+        setup.task.deadline = deadline
+        assert race_and_oracle(setup) == (None, None)
+
+    @pytest.mark.parametrize("max_rounds", [0, 1])
+    def test_round_budget(self, max_rounds):
+        for seed in range(4):
+            raced, oracle = race_and_oracle(grid_setup(40, 4, seed, max_rounds=max_rounds))
+            if max_rounds == 0:
+                assert oracle is None
+            elif oracle is not None:
+                assert_same_block(raced, oracle)
+                assert_race_cut(raced, oracle)
+
+    def test_every_node_a_pool(self):
+        for seed in range(3):
+            raced, oracle = race_and_oracle(grid_setup(12, 12, seed, tamper=[seed]))
+            assert all(len(o.members) == 1 for o in oracle.outcomes)
+            assert_same_block(raced, oracle)
+            assert assert_race_cut(raced, oracle) > 0
+
+    @pytest.mark.parametrize("tamper", [(), (0,)])
+    @pytest.mark.parametrize("link_ms", [0.0, 10.0])
+    def test_tie_goes_to_lower_pool_id(self, monkeypatch, link_ms, tamper):
+        # Nine nodes form three pools of three over equal links; every
+        # member computes for 5 ms and the target is met on the first
+        # round, so every honest pool accepts at the same time and the
+        # lower pool id wins. Over 0-ms links verification takes no time:
+        # a later pool's finish time already ties the best accept time, so
+        # its verification is skipped.
+        setup = build_setup(n_nodes=9, n_pools=3, seed=1, target=1e-9,
+                            tamper_pools=frozenset(tamper))
+        setup.latency = np.full((9, 9), link_ms)
+        np.fill_diagonal(setup.latency, 0.0)
+        setup.compute_times = np.full(9, 5.0)
+        if link_ms == 0.0:  # latency probes must be positive: form pools as over 10-ms links
+            real_history = pools.bootstrap_history
+            monkeypatch.setattr(pools, "bootstrap_history",
+                                lambda latency, seed: real_history(latency + 10.0, seed=seed))
+        raced, oracle = race_and_oracle(setup)
+        accepted = [o for o in oracle.outcomes if o.accepted]
+        assert [len(o.members) for o in oracle.outcomes] == [3, 3, 3]
+        assert len(accepted) == 3 - len(tamper)
+        assert len({o.accept_time for o in accepted}) == 1
+        assert oracle.winner_pool == len(tamper)
+        assert_same_block(raced, oracle)
+        cut = assert_race_cut(raced, oracle)
+        if link_ms == 0.0:
+            assert oracle.latency_ms == 5.0
+            assert cut == 3 - len(tamper) - 1
+            assert all(o.abandoned_at == o.finish_time == 5.0
+                       for o in raced.outcomes[len(tamper) + 1:])
+        else:
+            assert cut == 0
+
+
+class TestRaceCounts:
+    """The benchmark counts `local_train` calls and ring sessions from the
+    outcomes; a raced round must make exactly those calls."""
+
+    def test_calls_match_outcomes(self, monkeypatch):
+        trained, sessions = [], []
+        real_train = chain.local_train
+
+        def counting_train(*args, **kwargs):
+            trained.append(1)
+            return real_train(*args, **kwargs)
+
+        class CountingSession(sharedring.RingSession):
+            def __init__(self, *args, **kwargs):
+                sessions.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(chain, "local_train", counting_train)
+        monkeypatch.setattr(sharedring, "RingSession", CountingSession)
+        result = chain.run_round_fedchain(chain.Chain(), grid_setup(60, 6, 0, tamper=[2]))
+        outcomes = result.outcomes
+        assert any(o.abandoned_at is not None for o in outcomes)
+        assert len(trained) == sum(len(o.metrics) * len(o.members) for o in outcomes)
+        assert len(sessions) == sum(len(o.metrics) for o in outcomes)
 
 
 class TestVerificationExchange:
@@ -593,6 +834,62 @@ class TestLedgerMutationProperty:
         assert chain.validate_chain(chain.load_chain_jsonl(str(target))) == []
 
 
+class TestReexportedMutationProperty:
+    """Any edit of one field of the head block or one of its transactions,
+    made in memory and then exported with fresh hashes, reaches the
+    validator. Loading it raises LedgerIntegrityError or gives a chain that
+    validate_chain audits; nothing else is raised."""
+
+    BLOCK_FIELDS = ("height", "prev_hash", "timestamp", "proposer", "task_id", "model_commitment")
+    TX_FIELDS = ("kind", "author", "timestamp", "payload")
+
+    @pytest.fixture(scope="class")
+    def ledger(self):
+        ledger = chain.Chain()
+        setup = experiments.build_round_setup(experiments.ExperimentConfig(), 20, 2, 0)
+        chain.run_round(ledger, setup, "fedchain")
+        return ledger
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_mutation_never_crashes_the_validator(self, ledger, tmp_path_factory, data):
+        ledger = copy.deepcopy(ledger)
+        block = ledger.head()
+        target = data.draw(st.sampled_from([block, *block.transactions]), label="record")
+        paths = [(f,) for f in (self.BLOCK_FIELDS if target is block else self.TX_FIELDS)]
+        if target is not block:
+            paths += [("payload", *p) for p in field_paths(target.payload)]
+        path = data.draw(st.sampled_from(paths), label="field")
+        if len(path) == 1:
+            parent, key, old = None, path[0], getattr(target, path[0])
+        else:
+            parent = target.payload
+            for key in path[1:-1]:
+                parent = parent[key]
+            key = path[-1]
+            old = parent[key]
+        if parent is not None and data.draw(st.booleans(), label="delete"):
+            del parent[key]
+        else:
+            new = data.draw(
+                st.one_of(st.sampled_from(near_values(old) + list(chain.TX_KINDS)), JSON_VALUES),
+                label="new",
+            )
+            assume(json.dumps(new, sort_keys=True) != json.dumps(old, sort_keys=True))
+            if parent is None:
+                setattr(target, key, new)
+            else:
+                parent[key] = new
+        path = tmp_path_factory.mktemp("reexport") / "ledger.jsonl"
+        ledger.export_jsonl(str(path))
+        try:
+            loaded = chain.load_chain_jsonl(str(path))
+        except LedgerIntegrityError:
+            return
+        violations = chain.validate_chain(loaded)
+        assert all(isinstance(v, str) for v in violations)
+
+
 class TestLedgerClaims:
     """Edits to a ledger that is then re-exported, so every stored hash and
     hash link is recomputed and only the block's own claims can betray it."""
@@ -651,6 +948,23 @@ class TestLedgerClaims:
         violations = chain.validate_chain(self.reexported(tmp_path, mutate=mutate))
         assert len(violations) == 1
         assert "does not accept" in violations[0]
+
+    def test_unknown_kind_reported(self, tmp_path):
+        def mutate(block):
+            self.txs(block, "VerifyVote")[0].kind = "Bogus"
+
+        violations = chain.validate_chain(self.reexported(tmp_path, mutate=mutate))
+        assert len(violations) == 1
+        assert violations[0].endswith("unknown transaction kind 'Bogus'")
+
+    def test_credits_list_reported(self, tmp_path):
+        def mutate(block):
+            settle = self.txs(block, "RewardSettle")[0]
+            settle.payload["credits"] = list(settle.payload["credits"].values())
+
+        violations = chain.validate_chain(self.reexported(tmp_path, mutate=mutate))
+        assert len(violations) == 1
+        assert violations[0].endswith("credits are not a map of node to integer amount")
 
     def test_second_block_for_a_task_refused(self):
         ledger = chain.Chain()

@@ -77,6 +77,43 @@ class TestLocalLoss:
             fed.local_loss(model, small_set)
 
 
+class TestEvaluateAndLoss:
+    """The fused call equals `evaluate` then `local_loss`, bit for bit, and
+    raises where `local_loss` raises."""
+
+    @pytest.mark.parametrize("hidden", [(), (8,)])
+    def test_bit_identical_to_the_two_calls(self, hidden):
+        arch = fed.Architecture(n_features=4, n_classes=3, hidden=hidden)
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            model = fed.DenseClassifier(arch, weights=rng.normal(0, 2.0, arch.n_weights))
+            n = int(rng.integers(1, 60))
+            ds = data.Dataset(rng.normal(size=(n, 4)), rng.integers(0, 3, n), 3)
+            accuracy, loss = fed.evaluate_and_loss(model, ds)
+            assert (accuracy, loss) == (fed.evaluate(model, ds), fed.local_loss(model, ds))
+            assert type(accuracy) is float and type(loss) is float
+
+    @pytest.mark.parametrize("case", ["nan_weight", "inf_weight", "overflowing_loss"])
+    def test_non_finite_raises_like_local_loss(self, arch, small_set, case):
+        weights = np.zeros(arch.n_weights)
+        if case == "nan_weight":
+            weights[0] = np.nan
+        elif case == "inf_weight":
+            weights[-1] = np.inf
+        else:  # finite weights whose logits overflow, so the loss is NaN
+            weights[:] = 1e308
+        model = fed.DenseClassifier(arch, weights=weights)
+        with np.errstate(all="ignore"):
+            with pytest.raises(NonFiniteLossError) as expected:
+                fed.local_loss(model, small_set)
+            with pytest.raises(NonFiniteLossError) as fused:
+                fed.evaluate_and_loss(model, small_set)
+        assert str(fused.value) == str(expected.value)
+        assert str(expected.value).startswith(
+            "loss evaluated" if case == "overflowing_loss" else "model weights"
+        )
+
+
 class TestLocalTrain:
     def test_zero_lr_no_change(self, arch, small_set):
         model = fed.DenseClassifier(arch, seed=2)
