@@ -2,9 +2,10 @@
 
 A task round runs pool formation and per-pool federated training over the
 event simulator, lets the first pool whose model verifies propose a block,
-and settles the reward among the winning pool's members. Baseline modes
-(centralized aggregation, whole-network ring, proof-of-work) reuse the same
-clock and verification exchange so their latencies are comparable.
+and settles the reward among the winning pool's members. The centralized
+aggregation and whole-network ring baselines are one-pool runs of the same
+training engine (`_PoolRun`), race (`_race`) and settlement (`_settle`), so
+their latencies are comparable; proof-of-work grinds nonces instead.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ import heapq
 import json
 import math
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from functools import partial
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -478,6 +480,14 @@ def _member_weights(setup: RoundSetup, members: Sequence[int]) -> np.ndarray:
     return kl_weights(hists, reference, sizes)
 
 
+def _task_arrivals(setup: RoundSetup) -> np.ndarray:
+    """When each node has the task: over one link from the publisher, which
+    has it at 0.0."""
+    task = np.asarray(setup.latency, dtype=np.float64)[setup.publisher].copy()
+    task[setup.publisher] = 0.0
+    return task
+
+
 def _simulate_formation(setup: RoundSetup, assignment: pools.PoolAssignment) -> dict[int, float]:
     """Each node's training start time after pool formation, in closed form.
 
@@ -506,8 +516,7 @@ def _simulate_formation(setup: RoundSetup, assignment: pools.PoolAssignment) -> 
     event per round.
     """
     latency = np.asarray(setup.latency, dtype=np.float64)
-    task = latency[setup.publisher].copy()
-    task[setup.publisher] = 0.0
+    task = _task_arrivals(setup)
     heads = np.asarray(assignment.heads())
     last_announce = (task[heads, None] + latency[heads]).max(axis=0)
     start = np.empty_like(task)
@@ -612,74 +621,64 @@ def _verification_exchange(
 
 class _PoolRun:
     """One pool's barrier-synchronized training on its own clock, one round
-    per `step`.
+    per `step`; the one training loop of every learning mode.
 
-    Each round: members train locally (simulated compute delay), the masked
-    ring all-reduce combines the pre-scaled updates, everyone evaluates the
-    aggregate on the public example split, and the pool is done at the
-    target, the deadline, or the round budget. A pool owns its `Simulator`
-    and derives every seed from its id, so runs can be interleaved freely.
+    Each round: members train locally from the current model, `combine`
+    aggregates their weighted updates into the next model and returns the
+    round's end barrier, everyone evaluates the aggregate on the public
+    example split, and the pool is done at the target, the deadline, or the
+    round budget. A fedchain pool combines over the masked ring
+    (`_ring_round`). The baselines are one pool of every node with FedAvg
+    weights, headed by the publisher and never tampered: `gfl_ring`
+    combines over the plain ring, `fedavg_central` over a coordinator star
+    (`_star_round`). A run owns its `Simulator` and derives every seed from
+    its pool id, so runs can be interleaved freely.
     """
 
-    def __init__(self, setup: RoundSetup, pool_id: int, members: list[int],
-                 start_times: dict[int, float]) -> None:
+    def __init__(self, setup: RoundSetup, pool_id: int, head: int, members: list[int],
+                 weights: np.ndarray, barrier: float,
+                 combine: Callable[[_PoolRun, list[DenseClassifier]], tuple[np.ndarray, float]],
+                 tamper: bool) -> None:
         self.setup = setup
         self.sim = Simulator(setup.latency)
         self.model = DenseClassifier(
             setup.task.arch, seed=_derive_seed(setup.seed, setup.task.task_id, "init")
         )
-        self.barrier = max(start_times[m] for m in members)
-        self.sim.now = self.barrier
-        # Each member's noise covers its own chunk of the ring split.
-        self.chunk_lens = [c.shape[0] for c in np.array_split(self.model.weights, len(members))]
+        self.barrier = barrier
+        self.sim.now = barrier
+        self.combine = combine
+        self.tamper = tamper
         self.round_idx = 0
         self.outcome = PoolOutcome(
             pool_id=pool_id,
-            head=members[0],
+            head=head,
             members=members,
             finish_time=None,
             accept_time=None,
             accepted=False,
             measured_accuracy=0.0,
-            weights=_member_weights(setup, members),
+            weights=weights,
             commitment=None,
         )
 
     def step(self) -> bool:
         """Run the next training round; return whether the pool is done."""
         setup, task, outcome = self.setup, self.setup.task, self.outcome
-        members, weights_vec, pool_id = outcome.members, outcome.weights, outcome.pool_id
-        round_idx, k = self.round_idx, len(members)
         trained = [
             local_train(
                 self.model,
                 setup.miner_data[m],
                 setup.train,
-                seed=_derive_seed(setup.seed, task.task_id, pool_id, round_idx, m),
+                seed=_derive_seed(setup.seed, task.task_id, outcome.pool_id, self.round_idx, m),
             )
-            for m in members
+            for m in outcome.members
         ]
-        vectors = [
-            fixedpoint.encode(t.weights * (w * k)) for t, w in zip(trained, weights_vec)
-        ]
-        masks = [
-            fixedpoint.generate_noise(
-                self.chunk_lens[i],
-                _derive_seed(setup.seed, task.task_id, pool_id, round_idx, "noise", i),
-                setup.noise_bits,
-            )
-            for i in range(k)
-        ]
-        session = sharedring.RingSession(
-            self.sim, members, vectors, masks=masks, size_multiplier=setup.size_multiplier
-        )
-        session.start([self.barrier + float(setup.compute_times[m]) for m in members])
-        self.sim.run_until_idle()
-        self.barrier = max(session.completion.values())
-
-        self.model = self.model.clone(fixedpoint.decode(session.results[members[0]]) / k)
+        flat, self.barrier = self.combine(self, trained)
+        self.model = self.model.clone(flat)
         accuracy, loss = evaluate_and_loss(self.model, task.example)
-        outcome.metrics.append(RoundMetrics(round_idx, pool_id, accuracy, loss, self.barrier))
+        outcome.metrics.append(
+            RoundMetrics(self.round_idx, outcome.pool_id, accuracy, loss, self.barrier)
+        )
         self.round_idx += 1
         if self.barrier <= task.deadline and accuracy >= task.target:
             outcome.finish_time = self.barrier
@@ -689,12 +688,58 @@ class _PoolRun:
             or self.round_idx >= setup.max_rounds
         )
 
-    def verify(self) -> None:
-        """Run the verification exchange on the finished model."""
-        _verification_exchange(
-            self.sim, self.setup, self.outcome, self.model,
-            self.outcome.pool_id in self.setup.tamper_pools,
-        )
+
+def _ring_round(run: _PoolRun, trained: list[DenseClassifier],
+                masked: bool = True) -> tuple[np.ndarray, float]:
+    """Ring all-reduce of the pre-scaled fixed-point updates on the run's
+    clock; masked for a fedchain pool, plain (2(k-1) steps) for `gfl_ring`.
+    Each member starts its streams after its compute delay."""
+    setup, outcome = run.setup, run.outcome
+    members, k = outcome.members, len(outcome.members)
+    vectors = [fixedpoint.encode(t.weights * (w * k)) for t, w in zip(trained, outcome.weights)]
+    masks = None
+    if masked:
+        # Each member's noise covers its own chunk of the ring split, whose
+        # first (length mod k) chunks carry one extra weight.
+        q, r = divmod(run.model.weights.shape[0], k)
+        masks = [
+            fixedpoint.generate_noise(
+                q + (i < r),
+                _derive_seed(setup.seed, setup.task.task_id, outcome.pool_id, run.round_idx,
+                             "noise", i),
+                setup.noise_bits,
+            )
+            for i in range(k)
+        ]
+    session = sharedring.RingSession(
+        run.sim, members, vectors, masks=masks, size_multiplier=setup.size_multiplier
+    )
+    session.start([run.barrier + float(setup.compute_times[m]) for m in members])
+    run.sim.run_until_idle()
+    return fixedpoint.decode(session.results[members[0]]) / k, max(session.completion.values())
+
+
+def _star_round(run: _PoolRun, trained: list[DenseClassifier]) -> tuple[np.ndarray, float]:
+    """Coordinator round of `fedavg_central`: the head sends the model to
+    every node, each trains and uploads, and the head's ingress takes one
+    upload transmission at a time, which is the scaling bottleneck. Weights
+    are averaged in float. Moves the run's clock to the round's end, where
+    verification starts if the pool is done."""
+    setup, coord, now = run.setup, run.outcome.head, run.barrier
+    su = int(setup.size_multiplier)
+    ready = [
+        (now if m == coord else now + float(setup.latency[coord, m]) * su)
+        + float(setup.compute_times[m])
+        for m in run.outcome.members
+    ]
+    busy = 0.0
+    for m, r in sorted(zip(run.outcome.members, ready), key=lambda kv: (kv[1], kv[0])):
+        if m == coord:
+            busy = max(busy, r)
+        else:
+            busy = max(busy, r) + float(setup.latency[m, coord]) * su
+    run.sim.now = busy
+    return aggregate([t.weights for t in trained], run.outcome.weights), busy
 
 
 def _build_block(
@@ -793,40 +838,30 @@ def _form_pools(setup: RoundSetup) -> tuple[pools.PoolAssignment, dict[int, floa
     return assignment, _simulate_formation(setup, assignment)
 
 
-def run_round_fedchain(chain: Chain, setup: RoundSetup) -> RoundResult:
-    """One full task round: pools form, train, and race; the first verified
-    finisher proposes the block. Raises RoundFailedError if nobody reaches
-    the target before the deadline.
+def _race(setup: RoundSetup, runs: list[_PoolRun]) -> PoolOutcome:
+    """Step the runs on the simulated clock; return the outcome of the first
+    verified finisher, lowest pool id on a tie. `runs[i]` is pool i. Raises
+    RoundFailedError if no run verifies before the deadline.
 
-    The race runs on the simulated clock. A heap holds each unfinished
-    pool's next round start barrier as `(barrier, pool_id)`, and `best` is
-    the `(accept_time, pool_id)` of the best accepted pool so far, at first
-    `(inf, inf)`. The round at the top of the heap runs only while
-    `(barrier, pool_id) < best`; once it is not, every pool left is cut
-    short. A pool that finishes is verified only if
-    `(finish_time, pool_id) < best`. Cut pools get `abandoned_at`.
+    A heap holds each unfinished run's next round start barrier as
+    `(barrier, pool_id)`, and `best` is the `(accept_time, pool_id)` of the
+    best accepted run so far, at first `(inf, inf)`. The round at the top of
+    the heap runs only while `(barrier, pool_id) < best`; once it is not,
+    every run left is cut short. A run that finishes is verified only if
+    `(finish_time, pool_id) < best`. Cut runs get `abandoned_at`.
 
-    This is exact: a pool's accept time is never before its finish time,
+    This is exact: a run's accept time is never before its finish time,
     which is never before the start barrier of any of its rounds, because
-    ring hops, compute times and link latencies are non-negative. So a pool
-    whose barrier or finish time, paired with its id, is not below `best`
-    cannot reach an `(accept_time, pool_id)` below it, and `best` only ever
-    falls. Comparing whole tuples keeps the lower-pool-id tie-break exact
-    even when verification takes no simulated time. Every pool owns its
-    `Simulator` and derives its seeds from its id, so running pools
-    interleaved changes none of their numbers: the block, `latency_ms`, the
-    winner's outcome and the credits equal those of training and verifying
-    every pool to its end, and only losing pools' outcomes differ.
+    ring hops, uploads, compute times and link latencies are non-negative.
+    So a run whose barrier or finish time, paired with its id, is not below
+    `best` cannot reach an `(accept_time, pool_id)` below it, and `best`
+    only ever falls. Comparing whole tuples keeps the lower-pool-id
+    tie-break exact even when verification takes no simulated time. Every
+    run owns its `Simulator` and derives its seeds from its id, so running
+    them interleaved changes none of their numbers: the winner's outcome
+    equals that of training and verifying every run to its end, and only
+    losing runs' outcomes differ.
     """
-    task = setup.task
-    publish_tx = publish_task(task, setup.publisher, now=0.0)
-
-    assignment, start_times = _form_pools(setup)
-
-    runs = [
-        _PoolRun(setup, idx, list(pool.members), start_times)
-        for idx, pool in enumerate(assignment.pools)
-    ]
     heap = [(run.barrier, idx) for idx, run in enumerate(runs)] if setup.max_rounds > 0 else []
     heapq.heapify(heap)
     best = (math.inf, math.inf)
@@ -846,14 +881,18 @@ def run_round_fedchain(chain: Chain, setup: RoundSetup) -> RoundResult:
         if (finish, idx) >= best:
             run.outcome.abandoned_at = finish
             continue
-        run.verify()
+        _verification_exchange(run.sim, setup, run.outcome, run.model, run.tamper)
         if run.outcome.accepted:
             best = min(best, (run.outcome.accept_time, idx))
-    outcomes = [run.outcome for run in runs]
     if best[1] == math.inf:
-        raise RoundFailedError(f"task {task.task_id}: no pool verified before the deadline")
-    winner = outcomes[best[1]]
+        raise RoundFailedError(f"task {setup.task.task_id}: no pool verified before the deadline")
+    return runs[best[1]].outcome
 
+
+def _settle(chain: Chain, setup: RoundSetup, publish_tx: Transaction, winner: PoolOutcome,
+            outcomes: list[PoolOutcome], assignment: pools.PoolAssignment | None,
+            start_times: dict[int, float]) -> RoundResult:
+    """Append the winner's block, credit its pool and report the round."""
     block, credits = _build_block(chain, setup, winner, assignment, start_times, publish_tx)
     chain.append_block(block)
     chain.settle_reward(block, credits)
@@ -869,103 +908,22 @@ def run_round_fedchain(chain: Chain, setup: RoundSetup) -> RoundResult:
     )
 
 
-def _run_fedavg_central(chain: Chain, setup: RoundSetup) -> RoundResult:
-    """Centralized aggregation baseline: one coordinator, serialized ingress.
-
-    Per round the coordinator broadcasts the model, every node trains and
-    uploads; the coordinator's ingress handles one upload transmission at a
-    time, which is the scaling bottleneck."""
-    task = setup.task
-    publish_tx = publish_task(task, setup.publisher, now=0.0)
-    coord = setup.publisher
-    nodes = list(range(setup.n_nodes))
-    weights_vec = fedavg_weights([len(setup.miner_data[m]) for m in nodes])
-    model = DenseClassifier(task.arch, seed=_derive_seed(setup.seed, task.task_id, "init"))
-    su = int(setup.size_multiplier)
-    now = 0.0
-    metrics: list[RoundMetrics] = []
-    finish = None
-    for round_idx in range(setup.max_rounds):
-        ready = []
-        for m in nodes:
-            receive = now if m == coord else now + float(setup.latency[coord, m]) * su
-            ready.append(receive + float(setup.compute_times[m]))
-        trained = [
-            local_train(
-                model,
-                setup.miner_data[m],
-                setup.train,
-                seed=_derive_seed(setup.seed, task.task_id, 0, round_idx, m),
-            )
-            for m in nodes
-        ]
-        busy = 0.0
-        for m, r in sorted(zip(nodes, ready), key=lambda kv: (kv[1], kv[0])):
-            if m == coord:
-                busy = max(busy, r)
-            else:
-                busy = max(busy, r) + float(setup.latency[m, coord]) * su
-        now = busy
-        model = model.clone(aggregate([t.weights for t in trained], weights_vec))
-        accuracy, loss = evaluate_and_loss(model, task.example)
-        metrics.append(RoundMetrics(round_idx, 0, accuracy, loss, now))
-        if now > task.deadline:
-            break
-        if accuracy >= task.target:
-            finish = now
-            break
-    return _finish_baseline(
-        chain, setup, publish_tx, model, finish, weights_vec, nodes, metrics, coord
-    )
-
-
-def _run_gfl_ring(chain: Chain, setup: RoundSetup) -> RoundResult:
-    """Whole-network unmasked ring all-reduce baseline (2(N-1) steps/round)."""
-    task = setup.task
-    publish_tx = publish_task(task, setup.publisher, now=0.0)
-    nodes = list(range(setup.n_nodes))
-    sim = Simulator(setup.latency)
-    weights_vec = fedavg_weights([len(setup.miner_data[m]) for m in nodes])
-    model = DenseClassifier(task.arch, seed=_derive_seed(setup.seed, task.task_id, "init"))
-    k = len(nodes)
-    barrier = max(
-        float(setup.latency[setup.publisher, m]) if m != setup.publisher else 0.0
-        for m in nodes
-    )
-    sim.now = barrier
-    metrics: list[RoundMetrics] = []
-    finish = None
-    for round_idx in range(setup.max_rounds):
-        trained = [
-            local_train(
-                model,
-                setup.miner_data[m],
-                setup.train,
-                seed=_derive_seed(setup.seed, task.task_id, 0, round_idx, m),
-            )
-            for m in nodes
-        ]
-        vectors = [
-            fixedpoint.encode(t.weights * (w * k)) for t, w in zip(trained, weights_vec)
-        ]
-        session = sharedring.RingSession(
-            sim, nodes, vectors, masks=None, size_multiplier=setup.size_multiplier
-        )
-        session.start([barrier + float(setup.compute_times[m]) for m in nodes])
-        sim.run_until_idle()
-        barrier = max(session.completion.values())
-        model = model.clone(fixedpoint.decode(session.results[nodes[0]]) / k)
-        accuracy, loss = evaluate_and_loss(model, task.example)
-        metrics.append(RoundMetrics(round_idx, 0, accuracy, loss, barrier))
-        if barrier > task.deadline:
-            break
-        if accuracy >= task.target:
-            finish = barrier
-            break
-    return _finish_baseline(
-        chain, setup, publish_tx, model, finish, weights_vec, nodes, metrics,
-        setup.publisher, sim=sim,
-    )
+def run_round_fedchain(chain: Chain, setup: RoundSetup) -> RoundResult:
+    """One full task round: pools form, train over masked rings, and race
+    (`_race`); the first verified finisher proposes the block. Raises
+    RoundFailedError if nobody reaches the target before the deadline."""
+    publish_tx = publish_task(setup.task, setup.publisher, now=0.0)
+    assignment, start_times = _form_pools(setup)
+    runs = []
+    for idx, pool in enumerate(assignment.pools):
+        members = list(pool.members)
+        runs.append(_PoolRun(
+            setup, idx, members[0], members, _member_weights(setup, members),
+            max(start_times[m] for m in members), _ring_round, idx in setup.tamper_pools,
+        ))
+    winner = _race(setup, runs)
+    return _settle(chain, setup, publish_tx, winner, [run.outcome for run in runs],
+                   assignment, start_times)
 
 
 def _run_pow(chain: Chain, setup: RoundSetup) -> RoundResult:
@@ -1024,71 +982,29 @@ def _run_pow(chain: Chain, setup: RoundSetup) -> RoundResult:
     )
 
 
-def _finish_baseline(
-    chain: Chain,
-    setup: RoundSetup,
-    publish_tx: Transaction,
-    model: DenseClassifier,
-    finish: float | None,
-    weights_vec: np.ndarray,
-    members: list[int],
-    metrics: list[RoundMetrics],
-    committer: int,
-    sim: Simulator | None = None,
-) -> RoundResult:
-    if finish is None:
-        raise RoundFailedError(
-            f"task {setup.task.task_id}: target not reached before the deadline"
-        )
-    if sim is None:
-        sim = Simulator(setup.latency)
-        sim.now = finish
-    # The pool is the whole network, so the committee is every node but
-    # the committer.
-    outcome = PoolOutcome(
-        pool_id=0,
-        head=committer,
-        members=members,
-        finish_time=finish,
-        accept_time=None,
-        accepted=False,
-        measured_accuracy=0.0,
-        weights=weights_vec,
-        commitment=None,
-        metrics=metrics,
-    )
-    _verification_exchange(sim, setup, outcome, model, tamper=False)
-    if not outcome.accepted:
-        raise RoundFailedError(f"task {setup.task.task_id}: baseline proof rejected")
-    block, credits = _build_block(chain, setup, outcome, None, {}, publish_tx)
-    chain.append_block(block)
-    chain.settle_reward(block, credits)
-    return RoundResult(
-        block=block,
-        latency_ms=outcome.accept_time,
-        winner_pool=0,
-        accuracy=outcome.measured_accuracy,
-        outcomes=[outcome],
-        assignment=None,
-        start_times={},
-        credits=credits,
-    )
-
-
-def run_round_baseline(chain: Chain, setup: RoundSetup, mode: str) -> RoundResult:
-    """Dispatch one round of a non-fedchain consensus mode."""
-    if mode == "fedavg_central":
-        return _run_fedavg_central(chain, setup)
-    if mode == "gfl_ring":
-        return _run_gfl_ring(chain, setup)
-    if mode == "pow":
-        return _run_pow(chain, setup)
-    raise ValueError(f"unknown baseline mode: {mode}")
-
-
 def run_round(chain: Chain, setup: RoundSetup, mode: str = "fedchain") -> RoundResult:
+    """One task round in `mode` (one of MODES).
+
+    `gfl_ring` and `fedavg_central` race a single pool of every node,
+    headed and committed by the publisher, with FedAvg weights and honest
+    proofs. `gfl_ring` combines over the plain ring and starts when the
+    last node has the task; `fedavg_central` combines over the
+    coordinator star and starts at 0, since the coordinator's model
+    broadcast is billed to each round. `pow` grinds nonces instead.
+    """
     if mode == "fedchain":
         return run_round_fedchain(chain, setup)
-    if mode in MODES:
-        return run_round_baseline(chain, setup, mode)
-    raise ValueError(f"unknown mode: {mode}")
+    if mode == "pow":
+        return _run_pow(chain, setup)
+    if mode not in MODES:
+        raise ValueError(f"unknown mode: {mode}")
+    publish_tx = publish_task(setup.task, setup.publisher, now=0.0)
+    nodes = list(range(setup.n_nodes))
+    if mode == "gfl_ring":
+        start, combine = float(_task_arrivals(setup).max()), partial(_ring_round, masked=False)
+    else:
+        start, combine = 0.0, _star_round
+    run = _PoolRun(setup, 0, setup.publisher, nodes,
+                   fedavg_weights([len(setup.miner_data[m]) for m in nodes]),
+                   start, combine, tamper=False)
+    return _settle(chain, setup, publish_tx, _race(setup, [run]), [run.outcome], None, {})

@@ -103,25 +103,6 @@ def ring_reduce_scatter(
     return accs
 
 
-def ring_allgather(
-    clean_chunks: Sequence[np.ndarray],
-    transcript: list[TranscriptEntry] | None = None,
-) -> list[np.ndarray]:
-    """Circulate each miner's completed chunk sum; every miner gets the full vector."""
-    k = len(clean_chunks)
-    if k == 1:
-        return [clean_chunks[0].copy()]
-    slots: list[dict[int, np.ndarray]] = [{i: clean_chunks[i]} for i in range(k)]
-    for s in range(k):
-        payload = clean_chunks[s]
-        for hop in range(k - 1):
-            src, dst = (s + hop) % k, (s + hop + 1) % k
-            if transcript is not None:
-                transcript.append(TranscriptEntry(GATHER, hop, src, dst, s, payload.copy(), False))
-            slots[dst][s] = payload
-    return [concat([slots[i][s] for s in range(k)]) for i in range(k)]
-
-
 @dataclass
 class AllReduceResult:
     sums: list[np.ndarray]  # per-miner full summed vector (identical)

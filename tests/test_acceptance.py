@@ -314,7 +314,7 @@ def test_criterion_10_chain_safety():
     for mode in ("fedavg_central", "gfl_ring", "pow"):
         mode_ledger = chain.Chain()
         setup = build_setup(n_nodes=5, n_pools=2, seed=6, pow_difficulty=6)
-        chain.run_round_baseline(mode_ledger, setup, mode)
+        chain.run_round(mode_ledger, setup, mode)
         all_valid &= chain.validate_chain(mode_ledger) == []
         conserved &= sum(mode_ledger.balances.values()) == setup.task.reward
 

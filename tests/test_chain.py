@@ -465,7 +465,8 @@ class TestRaceCounts:
     """The benchmark counts `local_train` calls and ring sessions from the
     outcomes; a raced round must make exactly those calls."""
 
-    def test_calls_match_outcomes(self, monkeypatch):
+    @pytest.fixture
+    def counts(self, monkeypatch):
         trained, sessions = [], []
         real_train = chain.local_train
 
@@ -480,11 +481,24 @@ class TestRaceCounts:
 
         monkeypatch.setattr(chain, "local_train", counting_train)
         monkeypatch.setattr(sharedring, "RingSession", CountingSession)
+        return trained, sessions
+
+    def test_calls_match_outcomes(self, counts):
+        trained, sessions = counts
         result = chain.run_round_fedchain(chain.Chain(), grid_setup(60, 6, 0, tamper=[2]))
         outcomes = result.outcomes
         assert any(o.abandoned_at is not None for o in outcomes)
         assert len(trained) == sum(len(o.metrics) * len(o.members) for o in outcomes)
         assert len(sessions) == sum(len(o.metrics) for o in outcomes)
+
+    @pytest.mark.parametrize("n, seed", [(5, 1), (20, 3), (50, 0)])
+    def test_gfl_ring_calls_match_outcome(self, counts, n, seed):
+        trained, sessions = counts
+        result = chain.run_round(chain.Chain(), grid_setup(n, 1, seed), "gfl_ring")
+        [outcome] = result.outcomes
+        assert len(outcome.members) == n
+        assert len(trained) == len(outcome.metrics) * n
+        assert len(sessions) == len(outcome.metrics)
 
 
 class TestVerificationExchange:
@@ -528,15 +542,15 @@ class TestBaselines:
     def test_baseline_produces_valid_block(self, mode):
         setup = build_setup(n_nodes=5, n_pools=1, seed=4)
         ledger = chain.Chain()
-        result = chain.run_round_baseline(ledger, setup, mode)
+        result = chain.run_round(ledger, setup, mode)
         assert result.block.height == 1
         assert result.latency_ms > 0
         assert chain.validate_chain(ledger) == []
 
     def test_pow_seeded_reproducible(self):
         setup = build_setup(n_nodes=5, n_pools=1, seed=5, pow_difficulty=8)
-        a = chain.run_round_baseline(chain.Chain(), setup, "pow")
-        b = chain.run_round_baseline(chain.Chain(), setup, "pow")
+        a = chain.run_round(chain.Chain(), setup, "pow")
+        b = chain.run_round(chain.Chain(), setup, "pow")
         assert a.latency_ms == b.latency_ms
         assert a.block.proposer == b.block.proposer
 
@@ -546,10 +560,183 @@ class TestBaselines:
         for seed in range(3):
             setup = build_setup(n_nodes=6, n_pools=1, seed=20 + seed, pow_difficulty=6,
                                 pow_trial_ms=1.0)
-            result = chain.run_round_baseline(chain.Chain(), setup, "pow")
+            result = chain.run_round(chain.Chain(), setup, "pow")
             trials.append(result.latency_ms)
         # winner is min over 6 nodes of Geometric(2^-6) trials; crude sanity band
         assert 1.0 <= np.mean(trials) < 6 * 64
+
+
+def oracle_fedavg_central(ledger, setup):
+    """The `fedavg_central` loop before the baselines ran on the pool engine."""
+    task = setup.task
+    publish_tx = chain.publish_task(task, setup.publisher, now=0.0)
+    coord = setup.publisher
+    nodes = list(range(setup.n_nodes))
+    weights_vec = fed.fedavg_weights([len(setup.miner_data[m]) for m in nodes])
+    model = fed.DenseClassifier(task.arch, seed=chain._derive_seed(setup.seed, task.task_id, "init"))
+    su = int(setup.size_multiplier)
+    now = 0.0
+    metrics = []
+    finish = None
+    for round_idx in range(setup.max_rounds):
+        ready = []
+        for m in nodes:
+            receive = now if m == coord else now + float(setup.latency[coord, m]) * su
+            ready.append(receive + float(setup.compute_times[m]))
+        trained = [
+            fed.local_train(model, setup.miner_data[m], setup.train,
+                            seed=chain._derive_seed(setup.seed, task.task_id, 0, round_idx, m))
+            for m in nodes
+        ]
+        busy = 0.0
+        for m, r in sorted(zip(nodes, ready), key=lambda kv: (kv[1], kv[0])):
+            if m == coord:
+                busy = max(busy, r)
+            else:
+                busy = max(busy, r) + float(setup.latency[m, coord]) * su
+        now = busy
+        model = model.clone(fed.aggregate([t.weights for t in trained], weights_vec))
+        accuracy, loss = fed.evaluate_and_loss(model, task.example)
+        metrics.append(fed.RoundMetrics(round_idx, 0, accuracy, loss, now))
+        if now > task.deadline:
+            break
+        if accuracy >= task.target:
+            finish = now
+            break
+    return oracle_finish_baseline(ledger, setup, publish_tx, model, finish, weights_vec, nodes,
+                                  metrics, coord)
+
+
+def oracle_gfl_ring(ledger, setup):
+    """The `gfl_ring` loop before the baselines ran on the pool engine."""
+    task = setup.task
+    publish_tx = chain.publish_task(task, setup.publisher, now=0.0)
+    nodes = list(range(setup.n_nodes))
+    sim = netsim.Simulator(setup.latency)
+    weights_vec = fed.fedavg_weights([len(setup.miner_data[m]) for m in nodes])
+    model = fed.DenseClassifier(task.arch, seed=chain._derive_seed(setup.seed, task.task_id, "init"))
+    k = len(nodes)
+    barrier = max(
+        float(setup.latency[setup.publisher, m]) if m != setup.publisher else 0.0 for m in nodes
+    )
+    sim.now = barrier
+    metrics = []
+    finish = None
+    for round_idx in range(setup.max_rounds):
+        trained = [
+            fed.local_train(model, setup.miner_data[m], setup.train,
+                            seed=chain._derive_seed(setup.seed, task.task_id, 0, round_idx, m))
+            for m in nodes
+        ]
+        vectors = [fixedpoint.encode(t.weights * (w * k)) for t, w in zip(trained, weights_vec)]
+        session = sharedring.RingSession(sim, nodes, vectors, masks=None,
+                                         size_multiplier=setup.size_multiplier)
+        session.start([barrier + float(setup.compute_times[m]) for m in nodes])
+        sim.run_until_idle()
+        barrier = max(session.completion.values())
+        model = model.clone(fixedpoint.decode(session.results[nodes[0]]) / k)
+        accuracy, loss = fed.evaluate_and_loss(model, task.example)
+        metrics.append(fed.RoundMetrics(round_idx, 0, accuracy, loss, barrier))
+        if barrier > task.deadline:
+            break
+        if accuracy >= task.target:
+            finish = barrier
+            break
+    return oracle_finish_baseline(ledger, setup, publish_tx, model, finish, weights_vec, nodes,
+                                  metrics, setup.publisher, sim=sim)
+
+
+def oracle_finish_baseline(ledger, setup, publish_tx, model, finish, weights_vec, members,
+                           metrics, committer, sim=None):
+    """Honest verification of the whole-network pool, then its block."""
+    if finish is None:
+        raise RoundFailedError(f"task {setup.task.task_id}: target not reached before the deadline")
+    if sim is None:
+        sim = netsim.Simulator(setup.latency)
+        sim.now = finish
+    outcome = chain.PoolOutcome(0, committer, members, finish, None, False, 0.0, weights_vec,
+                                None, metrics=metrics)
+    chain._verification_exchange(sim, setup, outcome, model, tamper=False)
+    if not outcome.accepted:
+        raise RoundFailedError(f"task {setup.task.task_id}: baseline proof rejected")
+    block, credits = chain._build_block(ledger, setup, outcome, None, {}, publish_tx)
+    ledger.append_block(block)
+    ledger.settle_reward(block, credits)
+    return chain.RoundResult(block, outcome.accept_time, 0, outcome.measured_accuracy, [outcome],
+                             None, {}, credits)
+
+
+BASELINE_ORACLES = {"gfl_ring": oracle_gfl_ring, "fedavg_central": oracle_fedavg_central}
+
+
+def baseline_and_oracle(setup, mode):
+    """The engine's and the oracle's round on fresh ledgers; (None, None)
+    when both raise RoundFailedError."""
+    try:
+        oracle = BASELINE_ORACLES[mode](chain.Chain(), setup)
+    except RoundFailedError:
+        with pytest.raises(RoundFailedError):
+            chain.run_round(chain.Chain(), setup, mode)
+        return None, None
+    return chain.run_round(chain.Chain(), setup, mode), oracle
+
+
+def assert_same_baseline(got, oracle):
+    assert got.block.hash() == oracle.block.hash()
+    assert got.latency_ms == oracle.latency_ms
+    assert got.credits == oracle.credits
+    assert (got.winner_pool, got.accuracy) == (oracle.winner_pool, oracle.accuracy)
+    assert (got.assignment, got.start_times) == (None, {})
+    [a], [b] = got.outcomes, oracle.outcomes
+    assert a.metrics == b.metrics
+    assert (a.head, a.members, a.finish_time, a.accept_time, a.accepted, a.measured_accuracy,
+            a.commitment, a.commit_time, a.proof_time, a.vote_times, a.abandoned_at) == (
+        b.head, b.members, b.finish_time, b.accept_time, b.accepted, b.measured_accuracy,
+        b.commitment, b.commit_time, b.proof_time, b.vote_times, b.abandoned_at)
+    assert np.array_equal(a.weights, b.weights)
+
+
+@pytest.mark.parametrize("mode", ["gfl_ring", "fedavg_central"])
+class TestBaselineOracle:
+    """`gfl_ring` and `fedavg_central`, run as one-pool races on the pool
+    engine, produce the round of their former standalone loops bit for
+    bit."""
+
+    @pytest.mark.parametrize("n", [5, 20, 50, 120])
+    def test_matches_oracle_over_seeds(self, mode, n):
+        blocks = 0
+        for seed in range(4):  # the publisher heads the pool and commits
+            got, oracle = baseline_and_oracle(
+                grid_setup(n, max(1, n // 10), seed, publisher=seed), mode)
+            if oracle is not None:
+                assert_same_baseline(got, oracle)
+                blocks += 1
+        assert blocks >= 3
+
+    def test_tampered_pool_zero_is_ignored(self, mode):
+        # baselines never tamper, so pool 0 (the whole network) still wins
+        for seed in range(2):
+            got, oracle = baseline_and_oracle(grid_setup(20, 2, seed, tamper=[0]), mode)
+            assert_same_baseline(got, oracle)
+            assert got.outcomes[0].accepted
+
+    def test_deadline_at_the_finish(self, mode):
+        setup = grid_setup(20, 2, 1)
+        finish = BASELINE_ORACLES[mode](chain.Chain(), setup).outcomes[0].finish_time
+        setup.task.deadline = finish
+        got, oracle = baseline_and_oracle(setup, mode)
+        assert_same_baseline(got, oracle)
+        setup.task.deadline = np.nextafter(finish, -np.inf)
+        assert baseline_and_oracle(setup, mode) == (None, None)
+
+    @pytest.mark.parametrize("deadline", [1.0, 150.0])
+    def test_tight_deadline_fails_in_both(self, mode, deadline):
+        setup = grid_setup(20, 2, 2)
+        setup.task.deadline = deadline
+        assert baseline_and_oracle(setup, mode) == (None, None)
+
+    def test_no_round_budget_fails_in_both(self, mode):
+        assert baseline_and_oracle(grid_setup(20, 2, 0, max_rounds=0), mode) == (None, None)
 
 
 class TestRewards:
