@@ -699,17 +699,15 @@ def _ring_round(run: _PoolRun, trained: list[DenseClassifier],
     vectors = [fixedpoint.encode(t.weights * (w * k)) for t, w in zip(trained, outcome.weights)]
     masks = None
     if masked:
-        # Each member's noise covers its own chunk of the ring split, whose
-        # first (length mod k) chunks carry one extra weight.
-        q, r = divmod(run.model.weights.shape[0], k)
+        # Each member's noise covers its own chunk of the ring split.
         masks = [
             fixedpoint.generate_noise(
-                q + (i < r),
+                b - a,
                 _derive_seed(setup.seed, setup.task.task_id, outcome.pool_id, run.round_idx,
                              "noise", i),
                 setup.noise_bits,
             )
-            for i in range(k)
+            for i, (a, b) in enumerate(sharedring.chunk_spans(run.model.weights.shape[0], k))
         ]
     session = sharedring.RingSession(
         run.sim, members, vectors, masks=masks, size_multiplier=setup.size_multiplier

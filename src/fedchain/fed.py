@@ -9,12 +9,12 @@ divergence against the publisher's reference histogram.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset, smooth_histogram
+from .data import Dataset
 from .errors import (
     AggregationShapeError,
     NonFiniteLossError,
@@ -46,7 +46,6 @@ class TrainConfig:
     lr: float = 0.5
     epochs: int = 1
     batch_size: int = 32
-    round_index: int = 0
     target: float = 0.90
 
     def __post_init__(self):
@@ -325,11 +324,3 @@ class RoundMetrics:
     accuracy: float
     loss: float
     sim_time_ms: float
-
-
-def write_metrics(path: str, rows: Sequence[RoundMetrics]) -> None:
-    """Append-style metrics CSV: round,pool,accuracy,loss,sim_time_ms."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("round,pool,accuracy,loss,sim_time_ms\n")
-        for r in rows:
-            fh.write(f"{r.round},{r.pool},{r.accuracy:.6f},{r.loss:.6f},{r.sim_time_ms:.3f}\n")

@@ -269,18 +269,5 @@ class Simulator:
         return self.now
 
     @property
-    def pending(self) -> int:
-        return len(self._queue)
-
-    @property
     def stats(self) -> dict[str, int]:
         return {"sent": self._sent, "delivered": self._delivered}
-
-    def dump_trace(self, path: str) -> None:
-        """Write the recorded trace as `time,src,dst,kind,size_units` lines."""
-        if self.trace is None:
-            raise ValueError("simulator was created with record_trace=False")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("time,src,dst,kind,size_units\n")
-            for time, src, dst, kind, size_units in self.trace:
-                fh.write(f"{time:.6f},{src},{dst},{kind},{size_units}\n")

@@ -35,22 +35,6 @@ class PoolAssignment:
     def heads(self) -> list[int]:
         return [p.head for p in self.pools]
 
-    def pool_of(self, node: int) -> int:
-        for idx, pool in enumerate(self.pools):
-            if node in pool.members:
-                return idx
-        raise KeyError(f"node {node} not assigned")
-
-    def all_members(self) -> list[int]:
-        return [m for pool in self.pools for m in pool.members]
-
-    def write_csv(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("node_id,pool_id,is_head\n")
-            for idx, pool in enumerate(self.pools):
-                for member in sorted(pool.members):
-                    fh.write(f"{member},{idx},{int(member == pool.head)}\n")
-
 
 def bootstrap_history(latency: np.ndarray, seed: int) -> LatencyHistory:
     """Seed one observation per directed pair from a noisy one-shot ping.

@@ -10,58 +10,43 @@ chunk sums so every miner ends with the identical summed vector.
 The plain (unmasked) variant used by the whole-network baseline is the
 standard 2(k-1)-step ring; the masked variant spends k-1 extra messages
 (one per stream) returning each completed chunk to its noise owner.
+
+`RingSession` runs one such round on the simulator's clock and is the only
+all-reduce here: the chain runs it, and `transcript_leakage_check` audits
+the transcript it builds from `ring_payloads` and `ring_transcript`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import accumulate
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from . import fixedpoint
 from .errors import MaskShapeError, ModelTooSmallError, NodeNotFoundError, TimeTravelError
 from .netsim import Simulator, chunk_size_units
 
 REDUCE, GATHER = "reduce", "gather"
 
 
-def split(w: np.ndarray, parts: int) -> list[np.ndarray]:
-    """Split a flat vector into `parts` balanced contiguous chunks.
-
-    The first (len(w) mod parts) chunks carry one extra element;
-    concatenating the chunks restores the original vector.
-    """
-    w = np.asarray(w)
+def chunk_spans(length: int, parts: int) -> list[tuple[int, int]]:
+    """`(start, stop)` of each of `parts` balanced contiguous chunks of a
+    `length`-element vector: the first (length mod parts) chunks carry one
+    extra element."""
     if parts < 1:
         raise ModelTooSmallError(f"parts must be >= 1, got {parts}")
-    if w.shape[0] < parts:
-        raise ModelTooSmallError(f"cannot split {w.shape[0]} weights into {parts} chunks")
-    return np.array_split(w, parts)
+    if length < parts:
+        raise ModelTooSmallError(f"cannot split {length} weights into {parts} chunks")
+    q, r = divmod(length, parts)
+    bounds = [i * q + min(i, r) for i in range(parts + 1)]
+    return list(zip(bounds, bounds[1:]))
 
 
-def concat(chunks: Sequence[np.ndarray]) -> np.ndarray:
-    return np.concatenate(chunks)
-
-
-def mask_own_chunk(chunks: Sequence[np.ndarray], position: int, noise: np.ndarray) -> list[np.ndarray]:
-    """Add the private noise to the owner's chunk, leaving the rest untouched.
-
-    Returns a new list that shares the untouched chunks with `chunks`; only
-    the owner's entry is a new array."""
-    if noise.shape != chunks[position].shape:
-        raise MaskShapeError(
-            f"noise length {noise.shape[0]} != chunk length {chunks[position].shape[0]}"
-        )
-    masked = list(chunks)
-    masked[position] = chunks[position] + noise
-    return masked
-
-
-def unmask_own_sum(acc: np.ndarray, noise: np.ndarray) -> np.ndarray:
-    """Strip the owner's noise from its accumulated chunk (exact in fixed point)."""
-    return acc - noise
+def split(w: np.ndarray, parts: int) -> list[np.ndarray]:
+    """Split a flat vector into the `chunk_spans` chunks, as views;
+    concatenating them restores the original vector."""
+    w = np.asarray(w)
+    return [w[a:b] for a, b in chunk_spans(w.shape[0], parts)]
 
 
 @dataclass
@@ -73,52 +58,6 @@ class TranscriptEntry:
     slot: int
     payload: np.ndarray
     masked: bool
-
-
-def ring_reduce_scatter(
-    masked_splits: Sequence[Sequence[np.ndarray]],
-    transcript: list[TranscriptEntry] | None = None,
-) -> list[np.ndarray]:
-    """Accumulate each chunk slot around the ring, returning to its owner.
-
-    Miner i's stream starts with its own noisy chunk; each of the other k-1
-    miners adds its matching chunk as the stream passes, and the completed
-    (still noisy) sum arrives back at miner i on the final hop. Returns, per
-    miner, the accumulated own chunk: noise_i + sum over miners of chunk i.
-    """
-    k = len(masked_splits)
-    if k == 1:
-        return [masked_splits[0][0].copy()]
-    accs: list[np.ndarray | None] = [None] * k
-    for s in range(k):
-        partial = masked_splits[s][s].copy()
-        for hop in range(k):
-            src, dst = (s + hop) % k, (s + hop + 1) % k
-            if transcript is not None:
-                transcript.append(TranscriptEntry(REDUCE, hop, src, dst, s, partial.copy(), True))
-            if dst == s:
-                accs[s] = partial.copy()
-            else:
-                partial = partial + masked_splits[dst][s]
-    return accs
-
-
-@dataclass
-class AllReduceResult:
-    sums: list[np.ndarray]  # per-miner full summed vector (identical)
-    raw_splits: list[list[np.ndarray]]
-    masks: list[np.ndarray] | None
-    transcript: list[TranscriptEntry] = field(repr=False, default_factory=list)
-
-    @property
-    def message_count(self) -> int:
-        return len(self.transcript)
-
-
-def chunk_spans(w: np.ndarray, parts: int) -> list[tuple[int, int]]:
-    """`(start, stop)` of each chunk `split(w, parts)` returns."""
-    bounds = [0, *accumulate(c.shape[0] for c in split(w, parts))]
-    return list(zip(bounds, bounds[1:]))
 
 
 def ring_payloads(
@@ -175,72 +114,6 @@ def ring_transcript(
     ]
 
 
-def run_masked_all_reduce(
-    vectors: Sequence[np.ndarray],
-    noise_seed: int,
-    noise_bits: int = fixedpoint.DEFAULT_NOISE_BITS,
-) -> AllReduceResult:
-    """Full masked all-reduce over fixed-point vectors, one per miner."""
-    spans = chunk_spans(vectors[0], len(vectors))
-    masks = [
-        fixedpoint.generate_noise(b - a, noise_seed + i, noise_bits)
-        for i, (a, b) in enumerate(spans)
-    ]
-    return _all_reduce(vectors, spans, masks)
-
-
-def pairwise_shares(
-    k: int, length: int, seed: int, width_bits: int = fixedpoint.DEFAULT_NOISE_BITS
-) -> list[np.ndarray]:
-    """Per-miner share vectors that sum to zero across the pool.
-
-    Every unordered miner pair draws one seeded noise vector; the lower
-    index adds it and the higher index subtracts it, so the pool-wide sum
-    cancels exactly while each individual vector stays blinded."""
-    shares = [np.zeros(length, dtype=np.int64) for _ in range(k)]
-    for i in range(k):
-        for j in range(i + 1, k):
-            pair = fixedpoint.generate_noise(length, seed * (k * k) + i * k + j, width_bits)
-            shares[i] = shares[i] + pair
-            shares[j] = shares[j] - pair
-    return shares
-
-
-def run_hardened_all_reduce(
-    vectors: Sequence[np.ndarray],
-    noise_seed: int,
-    noise_bits: int = fixedpoint.DEFAULT_NOISE_BITS,
-) -> AllReduceResult:
-    """Hardened (non-default) mode: every slot of every miner is blinded by
-    pairwise-cancelling shares, so even first-hop chunks are masked. The
-    shares vanish in the full sum, so no unmasking step is needed and the
-    standard 2(k-1)-step ring applies."""
-    k = len(vectors)
-    shares = pairwise_shares(k, vectors[0].shape[0], noise_seed, noise_bits)
-    result = run_plain_all_reduce([v + s for v, s in zip(vectors, shares)])
-    result.raw_splits = [split(v, k) for v in vectors]
-    return result
-
-
-def run_plain_all_reduce(vectors: Sequence[np.ndarray]) -> AllReduceResult:
-    """Standard unmasked ring all-reduce (2(k-1) steps), used by the baseline."""
-    return _all_reduce(vectors, chunk_spans(vectors[0], len(vectors)), None)
-
-
-def _all_reduce(
-    vectors: Sequence[np.ndarray],
-    spans: Sequence[tuple[int, int]],
-    masks: list[np.ndarray] | None,
-) -> AllReduceResult:
-    hops, total = ring_payloads(vectors, spans, masks)
-    return AllReduceResult(
-        sums=[total] * len(vectors),
-        raw_splits=[[v[a:b] for a, b in spans] for v in vectors],
-        masks=masks,
-        transcript=ring_transcript(hops, total, spans, masks is not None),
-    )
-
-
 @dataclass
 class LeakageReport:
     passed: bool
@@ -288,16 +161,6 @@ def transcript_leakage_check(
     return LeakageReport(passed=not violations, violations=violations)
 
 
-def write_transcript(path: str, transcript: Sequence[TranscriptEntry]) -> None:
-    """Dump a transcript as `hop,round,from,to,slot,masked` lines."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("hop,round,from,to,slot,masked\n")
-        for hop, entry in enumerate(transcript):
-            fh.write(
-                f"{hop},{entry.step},{entry.src},{entry.dst},{entry.slot},{entry.masked}\n"
-            )
-
-
 class RingSession:
     """One all-reduce round for a pool on the simulator's clock, in closed form.
 
@@ -310,9 +173,9 @@ class RingSession:
     chains: one cumsum from `now + (ready[s] - now)` over the hop costs
     makes the float additions an event loop replaying every message makes,
     in its order. Member p completes at the max over slots of the hop that
-    brings it that slot's final value. Payloads come from `ring_payloads`,
-    shared with the pure path, so times, sums and the lazily built audit
-    `transcript` are bit-identical to the replay.
+    brings it that slot's final value. Payloads come from `ring_payloads`
+    in one cumsum, so times, sums and the lazily built audit `transcript`
+    are bit-identical to the replay.
 
     `start` fills `completion` and `results` (one shared summed array) and
     puts a single event on the simulator at the last completion time, in
@@ -326,17 +189,15 @@ class RingSession:
         vectors: Sequence[np.ndarray],
         masks: Sequence[np.ndarray] | None = None,
         size_multiplier: float = 10.0,
-        kind: str = "ring",
     ) -> None:
         self.sim = sim
         self.members = list(members)
         self.k = len(self.members)
         if len(set(self.members)) != self.k or not all(0 <= m < sim.n_nodes for m in self.members):
             raise NodeNotFoundError(f"ring members {self.members} are not distinct nodes")
-        self.kind = kind
         self.vectors = list(vectors)
         model_len = self.vectors[0].shape[0]
-        self.spans = chunk_spans(self.vectors[0], self.k)
+        self.spans = chunk_spans(model_len, self.k)
         self.masks = list(masks) if masks is not None else None
         self._hops, self._total = ring_payloads(self.vectors, self.spans, self.masks)
         self.chunk_units = np.array(
@@ -351,7 +212,7 @@ class RingSession:
 
     @property
     def transcript(self) -> list[TranscriptEntry]:
-        """The round's messages in the pure path's stream-major order."""
+        """The round's messages in stream-major order (see `ring_transcript`)."""
         return ring_transcript(self._hops, self._total, self.spans, self.masks is not None)
 
     def start(self, ready_times: Sequence[float]) -> None:
@@ -379,7 +240,4 @@ class RingSession:
         self.completion = dict(zip(self.members, completion))
         self.results = dict.fromkeys(self.members, self._total)
         last = max(completion)
-        sim.schedule_at(last, self.members[completion.index(last)], kind=self.kind)
-
-    def done(self) -> bool:
-        return len(self.completion) == self.k
+        sim.schedule_at(last, self.members[completion.index(last)], kind="ring")

@@ -17,6 +17,24 @@ def report(criterion: str, ok: bool, detail: str) -> None:
     assert ok, f"{criterion}: {detail}"
 
 
+def run_ring_session(vectors, masks):
+    """Run the pool ring the chain runs, `sharedring.RingSession`, over nodes
+    0..k-1 of a small network on a `Simulator` until it is idle."""
+    k = len(vectors)
+    latency = netsim.build_topology(max(k, 2), seed=k, model=netsim.UniformTopology(5, 50))
+    sim = netsim.Simulator(latency)
+    session = sharedring.RingSession(sim, list(range(k)), vectors, masks=masks)
+    session.start([0.0] * k)
+    sim.run_until_idle()
+    return session
+
+
+def seeded_masks(vectors, noise_seed):
+    """Member i's noise over its own chunk, drawn from seed `noise_seed + i`."""
+    spans = sharedring.chunk_spans(vectors[0].shape[0], len(vectors))
+    return [fixedpoint.generate_noise(b - a, noise_seed + i) for i, (a, b) in enumerate(spans)]
+
+
 def test_criterion_1_ring_allreduce_oracle_equivalence():
     started = time.time()
     sizes = (1, 2, 3, 5, 8)
@@ -33,9 +51,10 @@ def test_criterion_1_ring_allreduce_oracle_equivalence():
             vectors = [
                 fixedpoint.encode(rng.normal(0, 2, size=m)) for _ in range(k)
             ]
-            result = sharedring.run_masked_all_reduce(vectors, noise_seed=seed)
+            session = run_ring_session(vectors, seeded_masks(vectors, seed))
             oracle = np.sum(np.stack(vectors), axis=0)
-            for s in result.sums:
+            assert len(session.results) == k
+            for s in session.results.values():
                 assert np.array_equal(s, oracle)
             checked += 1
     elapsed = time.time() - started
@@ -53,9 +72,11 @@ def test_criterion_2_mask_neutrality_and_leakage():
         rng = np.random.default_rng(seed)
         k = int(rng.integers(2, 6))
         vectors = [fixedpoint.encode(rng.normal(0, 1, size=40)) for _ in range(k)]
-        a = sharedring.run_masked_all_reduce(vectors, noise_seed=1000 + seed)
-        b = sharedring.run_masked_all_reduce(vectors, noise_seed=9000 + seed)
-        neutral &= all(np.array_equal(x, y) for x, y in zip(a.sums, b.sums))
+        a = run_ring_session(vectors, seeded_masks(vectors, 1000 + seed))
+        b = run_ring_session(vectors, seeded_masks(vectors, 9000 + seed))
+        neutral &= all(
+            np.array_equal(x, y) for x, y in zip(a.results.values(), b.results.values())
+        )
         rep = sharedring.transcript_leakage_check(a.transcript, a.raw_splits, a.masks)
         leak_free &= rep.passed
     # negative control: degenerate all-zero noise must be caught
@@ -63,11 +84,9 @@ def test_criterion_2_mask_neutrality_and_leakage():
     vectors = [fixedpoint.encode(rng.normal(0, 1, size=24)) for _ in range(3)]
     splits = [sharedring.split(v, 3) for v in vectors]
     zero_masks = [np.zeros_like(splits[i][i]) for i in range(3)]
-    masked = [sharedring.mask_own_chunk(splits[i], i, zero_masks[i]) for i in range(3)]
-    transcript = []
-    sharedring.ring_reduce_scatter(masked, transcript)
+    control = run_ring_session(vectors, zero_masks)
     control_fails = not sharedring.transcript_leakage_check(
-        transcript, splits, zero_masks
+        control.transcript, splits, zero_masks
     ).passed
     report(
         "criterion 2 (mask neutrality & leakage)",
@@ -124,8 +143,9 @@ def test_criterion_4_pool_assignment_recovers_clusters():
 
         # greedy local optimality, replayed against memberships at join time
         members = {idx: [pool.head] for idx, pool in enumerate(assignment.pools)}
+        pool_of = {m: idx for idx, pool in enumerate(assignment.pools) for m in pool.members}
         for node in pools.join_order(n_nodes, heads, seed + 2):
-            chosen = assignment.pool_of(node)
+            chosen = pool_of[node]
             costs = {
                 idx: pools.pool_cost(node, members[idx], t_p[idx], l_hat) for idx in members
             }

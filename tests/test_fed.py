@@ -413,12 +413,3 @@ def test_fedavg_equivalence_iid_equal_sizes():
     kl_w = fed.kl_weights(hists, ref, sizes)
     fa_w = fed.fedavg_weights(sizes)
     assert np.max(np.abs(kl_w - fa_w)) < 0.02
-
-
-def test_metrics_csv(tmp_path):
-    rows = [fed.RoundMetrics(0, 1, 0.5, 2.0, 120.0), fed.RoundMetrics(1, 1, 0.9, 0.4, 260.5)]
-    path = tmp_path / "metrics.csv"
-    fed.write_metrics(str(path), rows)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "round,pool,accuracy,loss,sim_time_ms"
-    assert lines[1].startswith("0,1,0.500000,")

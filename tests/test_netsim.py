@@ -103,7 +103,7 @@ class TestSend:
         sim = self.make_sim(10.0)
         ev = sim.send(0, 1, "x", size_units=3, kind="chunk")
         assert (ev.kind, ev.size_units, ev.src, ev.dst, ev.payload) == ("chunk", 3, 0, 1, "x")
-        assert sim.pending == 1
+        assert len(sim._queue) == 1
 
     def test_unknown_node(self):
         sim = self.make_sim()
@@ -302,18 +302,6 @@ class TestRunUntilIdle:
         t2, end2 = run()
         assert t1 == t2
         assert end1 == end2
-
-
-def test_trace_dump_format(tmp_path):
-    lat = np.array([[0.0, 10.0], [10.0, 0.0]])
-    sim = netsim.Simulator(lat, record_trace=True)
-    sim.send(0, 1, "a", size_units=2, kind="chunk")
-    sim.run_until_idle()
-    out = tmp_path / "trace.csv"
-    sim.dump_trace(str(out))
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "time,src,dst,kind,size_units"
-    assert lines[1] == "20.000000,0,1,chunk,2"
 
 
 class TestChunkSizeUnits:
