@@ -24,6 +24,7 @@ from . import fixedpoint, pools, sharedring, verify
 from .data import Dataset, smooth_histogram
 from .errors import (
     DuplicateTaskBlockError,
+    InsufficientSamplesError,
     InvalidTaskError,
     LedgerIntegrityError,
     RoundFailedError,
@@ -531,17 +532,45 @@ def _simulate_formation(setup: RoundSetup, assignment: pools.PoolAssignment) -> 
     return dict(enumerate(start.tolist()))
 
 
+def _check_claim_samples(setup: RoundSetup) -> None:
+    """Refuse a learning round whose challenges are too small for an
+    accuracy claim: each verifier checks the claim on
+    min(challenge_size, held-out rows) samples, which must reach
+    `verify.MIN_CLAIM_SAMPLES`. Runs before any training."""
+    k = min(setup.challenge_size, len(setup.task.held_out))
+    if k < verify.MIN_CLAIM_SAMPLES:
+        raise InsufficientSamplesError(
+            f"task {setup.task.task_id}: challenges of {k} samples < required minimum "
+            f"{verify.MIN_CLAIM_SAMPLES}"
+        )
+
+
+def _exchange_constants(setup: RoundSetup) -> tuple[verify.PublicParams, np.ndarray]:
+    """What every verification exchange of a race shares: the public
+    parameters, which depend only on the seed and the task, and the
+    verifiers' held-out digest table, `verify.row_digests(held_out.x)`.
+    `_race` builds them on its first exchange; they live no longer than
+    the race."""
+    pp = verify.keygen(128, seed=_derive_seed(setup.seed, setup.task.task_id, "pp"))
+    return pp, verify.row_digests(setup.task.held_out.x)
+
+
 def _verification_exchange(
     sim: Simulator,
     setup: RoundSetup,
     outcome: PoolOutcome,
     model: DenseClassifier,
     tamper: bool,
+    pp: verify.PublicParams,
+    held_out_digests: np.ndarray,
 ) -> None:
     """Commit/challenge/prove/vote ping-pong between the outcome's head and
-    the verifier committee, on the pool's clock. Sets the outcome's
-    acceptance, measured accuracy, accept time, commitment hex,
-    commit/proof times and vote times."""
+    the verifier committee, on the pool's clock. `pp` and
+    `held_out_digests` come from `_exchange_constants`. A challenge carries
+    only the challenge rows; each verifier keeps its labels and row digests
+    and links its own digest chain. Sets the outcome's acceptance, measured
+    accuracy, accept time, commitment hex, commit/proof times and vote
+    times."""
     task = setup.task
     head, members, pool_id = outcome.head, outcome.members, outcome.pool_id
     rng = np.random.default_rng(_derive_seed(setup.seed, task.task_id, "committee", pool_id))
@@ -552,7 +581,6 @@ def _verification_exchange(
         candidates = [v for v in range(setup.n_nodes) if v != head]
     committee = [int(v) for v in rng.choice(candidates, size=min(setup.n_verifiers, len(candidates)), replace=False)]
 
-    pp = verify.keygen(128, seed=_derive_seed(setup.seed, task.task_id, "pp"))
     blinding = verify.make_blinding(_derive_seed(setup.seed, task.task_id, "blind", pool_id))
     com = verify.commit(model, pp, blinding)
 
@@ -566,7 +594,7 @@ def _verification_exchange(
 
     def head_handler(s: Simulator, event) -> None:
         if event.kind == "challenge":
-            x = event.payload.x
+            x = event.payload
             key = (x.shape, x.dtype.str, x.tobytes())
             proof = proofs.get(key)
             if proof is None:
@@ -588,15 +616,17 @@ def _verification_exchange(
 
     def verifier_handler(s: Simulator, event) -> None:
         if event.kind == "commit":
-            sample = verify.derive_challenge(task.held_out, event.payload, setup.challenge_size)
+            sample = verify.derive_challenge(
+                task.held_out, held_out_digests, event.payload, setup.challenge_size
+            )
             samples[event.dst] = sample
-            s.send(event.dst, head, sample, kind="challenge")
+            s.send(event.dst, head, sample.x, kind="challenge")
         elif event.kind == "proof":
             proof = event.payload
             sample = samples[event.dst]
             result = verify.verify(com, sample, proof.y, proof, pp)
             ok = result.accepted and verify.accuracy_claim_check(
-                result.measured_accuracy, task.target, sample.count, k_min=1
+                result.measured_accuracy, task.target, sample.count
             )
             s.send(event.dst, head, (ok, result.measured_accuracy), kind="vote")
 
@@ -863,6 +893,7 @@ def _race(setup: RoundSetup, runs: list[_PoolRun]) -> PoolOutcome:
     heap = [(run.barrier, idx) for idx, run in enumerate(runs)] if setup.max_rounds > 0 else []
     heapq.heapify(heap)
     best = (math.inf, math.inf)
+    constants = None  # `_exchange_constants`, built on the first exchange
     while heap:
         barrier, idx = heapq.heappop(heap)
         if (barrier, idx) >= best:
@@ -879,7 +910,9 @@ def _race(setup: RoundSetup, runs: list[_PoolRun]) -> PoolOutcome:
         if (finish, idx) >= best:
             run.outcome.abandoned_at = finish
             continue
-        _verification_exchange(run.sim, setup, run.outcome, run.model, run.tamper)
+        if constants is None:
+            constants = _exchange_constants(setup)
+        _verification_exchange(run.sim, setup, run.outcome, run.model, run.tamper, *constants)
         if run.outcome.accepted:
             best = min(best, (run.outcome.accept_time, idx))
     if best[1] == math.inf:
@@ -909,7 +942,10 @@ def _settle(chain: Chain, setup: RoundSetup, publish_tx: Transaction, winner: Po
 def run_round_fedchain(chain: Chain, setup: RoundSetup) -> RoundResult:
     """One full task round: pools form, train over masked rings, and race
     (`_race`); the first verified finisher proposes the block. Raises
-    RoundFailedError if nobody reaches the target before the deadline."""
+    RoundFailedError if nobody reaches the target before the deadline, and
+    InsufficientSamplesError before any work if the challenges are too small
+    for an accuracy claim."""
+    _check_claim_samples(setup)
     publish_tx = publish_task(setup.task, setup.publisher, now=0.0)
     assignment, start_times = _form_pools(setup)
     runs = []
@@ -988,7 +1024,9 @@ def run_round(chain: Chain, setup: RoundSetup, mode: str = "fedchain") -> RoundR
     proofs. `gfl_ring` combines over the plain ring and starts when the
     last node has the task; `fedavg_central` combines over the
     coordinator star and starts at 0, since the coordinator's model
-    broadcast is billed to each round. `pow` grinds nonces instead.
+    broadcast is billed to each round. `pow` grinds nonces instead. The
+    learning modes raise InsufficientSamplesError before any training
+    when min(challenge_size, held-out rows) < `verify.MIN_CLAIM_SAMPLES`.
     """
     if mode == "fedchain":
         return run_round_fedchain(chain, setup)
@@ -996,6 +1034,7 @@ def run_round(chain: Chain, setup: RoundSetup, mode: str = "fedchain") -> RoundR
         return _run_pow(chain, setup)
     if mode not in MODES:
         raise ValueError(f"unknown mode: {mode}")
+    _check_claim_samples(setup)
     publish_tx = publish_task(setup.task, setup.publisher, now=0.0)
     nodes = list(range(setup.n_nodes))
     if mode == "gfl_ring":

@@ -131,24 +131,36 @@ def partition_noniid(
 
     c = dataset.n_classes
     rng = np.random.default_rng(seed)
-    pools = [list(rng.permutation(np.flatnonzero(dataset.y == cls))) for cls in range(c)]
+    # Each class pool is a permuted index array drawn from the front: the
+    # undrawn rest of pool `cls` is pools[cls][cursors[cls]:].
+    pools = [rng.permutation(np.flatnonzero(dataset.y == cls)) for cls in range(c)]
+    cursors = [0] * c
     sizes = np.full(n_parts, len(dataset) // n_parts)
     sizes[: len(dataset) % n_parts] += 1
+    # Target counts depend only on (alpha_j, j mod C, size_j).
+    target_counts: dict[tuple[float, int, int], list[int]] = {}
 
     parts = []
     for j in range(n_parts):
         a = alpha if alphas is None else float(alphas[j])
-        target = (1.0 - a) * np.full(c, 1.0 / c) + a * np.eye(c)[j % c]
-        counts = _target_counts(int(sizes[j]), target)
-        chosen: list[int] = []
+        key = (a, j % c, int(sizes[j]))
+        counts = target_counts.get(key)
+        if counts is None:
+            target = (1.0 - a) * np.full(c, 1.0 / c) + a * np.eye(c)[j % c]
+            counts = target_counts[key] = _target_counts(key[2], target).tolist()
+        drawn = []
         for cls in range(c):
-            take = min(int(counts[cls]), len(pools[cls]))
-            chosen.extend(pools[cls][:take])
-            del pools[cls][:take]
-        if not chosen:
-            richest = max(range(c), key=lambda cls: (len(pools[cls]), -cls))
-            if pools[richest]:
-                chosen.append(pools[richest].pop(0))
-        indices = np.array(chosen, dtype=np.int64)
+            start = cursors[cls]
+            stop = min(start + counts[cls], len(pools[cls]))
+            if stop > start:
+                drawn.append(pools[cls][start:stop])
+                cursors[cls] = stop
+        if not drawn:
+            left = [len(pool) - cur for pool, cur in zip(pools, cursors)]
+            richest = left.index(max(left))  # most left, lowest class on a tie
+            if left[richest]:
+                drawn.append(pools[richest][cursors[richest]:cursors[richest] + 1])
+                cursors[richest] += 1
+        indices = np.concatenate(drawn) if drawn else np.empty(0, dtype=np.int64)
         parts.append(dataset.subset(indices[rng.permutation(len(indices))]))
     return parts

@@ -42,13 +42,6 @@ def chunk_spans(length: int, parts: int) -> list[tuple[int, int]]:
     return list(zip(bounds, bounds[1:]))
 
 
-def split(w: np.ndarray, parts: int) -> list[np.ndarray]:
-    """Split a flat vector into the `chunk_spans` chunks, as views;
-    concatenating them restores the original vector."""
-    w = np.asarray(w)
-    return [w[a:b] for a, b in chunk_spans(w.shape[0], parts)]
-
-
 @dataclass
 class TranscriptEntry:
     phase: str  # REDUCE or GATHER

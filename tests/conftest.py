@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from fedchain import chain, data, fed, netsim
+from fedchain import chain, data, fed, netsim, sharedring
+
+
+def split(w, parts):
+    """Split a flat vector into the `sharedring.chunk_spans` chunks, as
+    views; concatenating them restores the original vector."""
+    w = np.asarray(w)
+    return [w[a:b] for a, b in sharedring.chunk_spans(w.shape[0], parts)]
 
 
 def build_setup(

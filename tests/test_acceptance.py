@@ -10,6 +10,7 @@ import pytest
 
 from fedchain import chain, data, experiments, fed, fixedpoint, netsim, pools, sharedring, verify
 from fedchain.experiments import ExperimentConfig
+from conftest import split
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -82,7 +83,7 @@ def test_criterion_2_mask_neutrality_and_leakage():
     # negative control: degenerate all-zero noise must be caught
     rng = np.random.default_rng(3)
     vectors = [fixedpoint.encode(rng.normal(0, 1, size=24)) for _ in range(3)]
-    splits = [sharedring.split(v, 3) for v in vectors]
+    splits = [split(v, 3) for v in vectors]
     zero_masks = [np.zeros_like(splits[i][i]) for i in range(3)]
     control = run_ring_session(vectors, zero_masks)
     control_fails = not sharedring.transcript_leakage_check(
@@ -270,6 +271,7 @@ def test_criterion_8_accuracy_trends():
 def test_criterion_9_verification_soundness():
     arch = fed.Architecture(n_features=6, n_classes=4)
     held_out = data.make_blobs(600, 6, 4, seed=1)
+    digests = verify.row_digests(held_out.x)
     pp = verify.keygen(128, seed=2)
 
     complete = True
@@ -277,14 +279,14 @@ def test_criterion_9_verification_soundness():
         model = fed.DenseClassifier(arch, seed=seed)
         blinding = verify.make_blinding(seed + 500)
         com = verify.commit(model, pp, blinding)
-        sample = verify.derive_challenge(held_out, com, 250)
+        sample = verify.derive_challenge(held_out, digests, com, 250)
         proof = verify.prove(model, sample.x, pp, blinding)
         complete &= verify.verify(com, sample, proof.y, proof, pp).accepted
 
     model = fed.DenseClassifier(arch, seed=9)
     blinding = verify.make_blinding(10)
     com = verify.commit(model, pp, blinding)
-    sample = verify.derive_challenge(held_out, com, 250)
+    sample = verify.derive_challenge(held_out, digests, com, 250)
     words = fixedpoint.encode(model.weights)
     rng = np.random.default_rng(11)
     acceptances = 0

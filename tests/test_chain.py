@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from fedchain import chain, cli, experiments, fed, fixedpoint, netsim, pools, sharedring, verify
 from fedchain.errors import (
     DuplicateTaskBlockError,
+    InsufficientSamplesError,
     InvalidTaskError,
     LedgerIntegrityError,
     RoundFailedError,
@@ -291,7 +292,8 @@ def oracle_pool_rounds(setup, pool_id, members, start_times):
             outcome.finish_time = barrier
             break
     if outcome.finish_time is not None:
-        chain._verification_exchange(sim, setup, outcome, model, pool_id in setup.tamper_pools)
+        chain._verification_exchange(sim, setup, outcome, model, pool_id in setup.tamper_pools,
+                                     *chain._exchange_constants(setup))
     return outcome
 
 
@@ -521,7 +523,8 @@ class TestVerificationExchange:
         monkeypatch.setattr(verify, "verify", counting_verify)
         sim = netsim.Simulator(setup.latency)
         outcome = chain.PoolOutcome(0, 0, [0, 1, 2], None, None, False, 0.0, None, None)
-        chain._verification_exchange(sim, setup, outcome, model, tamper)
+        chain._verification_exchange(sim, setup, outcome, model, tamper,
+                                     *chain._exchange_constants(setup))
         return model, proofs, checks
 
     @pytest.mark.parametrize("tamper", [False, True])
@@ -535,6 +538,116 @@ class TestVerificationExchange:
             assert accepted is not tamper
             # a tampered head sends the corrupted labels to every verifier
             assert np.array_equal(y, honest) is not tamper
+
+    def test_challenge_carries_only_the_rows(self, monkeypatch):
+        derived, challenges = [], []
+        real_derive = verify.derive_challenge
+
+        def recording_derive(*args):
+            derived.append(real_derive(*args))
+            return derived[-1]
+
+        monkeypatch.setattr(verify, "derive_challenge", recording_derive)
+        real_send = netsim.Simulator.send
+
+        def recording_send(sim, src, dst, payload, *args, **kwargs):
+            if kwargs.get("kind") == "challenge":
+                challenges.append(payload)
+            return real_send(sim, src, dst, payload, *args, **kwargs)
+
+        monkeypatch.setattr(netsim.Simulator, "send", recording_send)
+        self.run_exchange(monkeypatch, tamper=False)
+        assert len(challenges) == len(derived) == 4
+        for payload, sample in zip(challenges, derived):
+            assert isinstance(payload, np.ndarray)
+            assert np.array_equal(payload, sample.x)
+
+    def test_prover_and_every_verifier_link_their_own_chain(self, monkeypatch):
+        links, hashed = [], []
+        real_link, real_digests = verify._link_chain, verify.row_digests
+
+        def counting_link(*args):
+            links.append(1)
+            return real_link(*args)
+
+        def counting_digests(x):
+            hashed.append(len(x))
+            return real_digests(x)
+
+        monkeypatch.setattr(verify, "_link_chain", counting_link)
+        monkeypatch.setattr(verify, "row_digests", counting_digests)
+        _, proofs, checks = self.run_exchange(monkeypatch, tamper=False)
+        assert all(accepted for _, _, accepted in checks)
+        assert len(links) == len(proofs) + len(checks) == 1 + 4
+        # rows are hashed once for the held-out table and once by the prover
+        assert sorted(hashed) == [len(proofs[0]), 400]
+
+    def test_race_builds_its_constants_once(self, monkeypatch):
+        built, exchanges = [], []
+        real_constants, real_exchange = chain._exchange_constants, chain._verification_exchange
+
+        def counting_constants(setup):
+            built.append(1)
+            return real_constants(setup)
+
+        def counting_exchange(*args):
+            exchanges.append(1)
+            return real_exchange(*args)
+
+        monkeypatch.setattr(chain, "_exchange_constants", counting_constants)
+        monkeypatch.setattr(chain, "_verification_exchange", counting_exchange)
+        setup = grid_setup(60, 6, 0, tamper=[2])
+        for rounds in (1, 2):
+            chain.run_round_fedchain(chain.Chain(), setup)
+            # one build per round: nothing is reused from the round before
+            assert len(built) == rounds
+        assert len(exchanges) >= 4
+
+
+class TestClaimSamples:
+    """A learning round whose challenges are too small for an accuracy claim
+    fails before any training."""
+
+    @pytest.fixture
+    def trained(self, monkeypatch):
+        calls = []
+        real_train = chain.local_train
+
+        def counting_train(*args, **kwargs):
+            calls.append(1)
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(chain, "local_train", counting_train)
+        return calls
+
+    @pytest.mark.parametrize("mode", ["fedchain", "gfl_ring", "fedavg_central"])
+    def test_small_held_out_refused_before_training(self, trained, mode):
+        setup = build_setup(n_nodes=6, n_pools=2, seed=1)
+        setup.task = replace(setup.task, held_out=setup.task.held_out.subset(np.arange(150)))
+        with pytest.raises(InsufficientSamplesError):
+            chain.run_round(chain.Chain(), setup, mode)
+        assert trained == []
+
+    def test_small_challenge_refused_before_training(self, trained):
+        setup = build_setup(n_nodes=6, n_pools=2, seed=1,
+                            challenge_size=verify.MIN_CLAIM_SAMPLES - 1)
+        with pytest.raises(InsufficientSamplesError):
+            chain.run_round_fedchain(chain.Chain(), setup)
+        assert trained == []
+
+    def test_minimum_challenge_runs(self, trained):
+        setup = build_setup(n_nodes=6, n_pools=2, seed=1)
+        setup.task = replace(
+            setup.task, held_out=setup.task.held_out.subset(np.arange(verify.MIN_CLAIM_SAMPLES))
+        )
+        result = chain.run_round_fedchain(chain.Chain(), setup)
+        assert result.outcomes[result.winner_pool].accepted
+        assert trained
+
+    def test_pow_needs_no_held_out(self):
+        setup = build_setup(n_nodes=5, n_pools=1, seed=5, pow_difficulty=8)
+        setup.task = replace(setup.task, held_out=setup.task.held_out.subset(np.arange(150)))
+        assert chain.run_round(chain.Chain(), setup, "pow").block.height == 1
 
 
 class TestBaselines:
@@ -656,7 +769,8 @@ def oracle_finish_baseline(ledger, setup, publish_tx, model, finish, weights_vec
         sim.now = finish
     outcome = chain.PoolOutcome(0, committer, members, finish, None, False, 0.0, weights_vec,
                                 None, metrics=metrics)
-    chain._verification_exchange(sim, setup, outcome, model, tamper=False)
+    chain._verification_exchange(sim, setup, outcome, model, False,
+                                 *chain._exchange_constants(setup))
     if not outcome.accepted:
         raise RoundFailedError(f"task {setup.task.task_id}: baseline proof rejected")
     block, credits = chain._build_block(ledger, setup, outcome, None, {}, publish_tx)

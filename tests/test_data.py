@@ -6,6 +6,33 @@ from fedchain.errors import PartitionUnderflowError
 from fedchain.fed import kl_divergence
 
 
+def oracle_partition_noniid(dataset, n_parts, alpha, seed, alphas=None):
+    """The list-of-scalars loop `partition_noniid` replaced: pools trimmed
+    with `del`, target counts recomputed for every part."""
+    c = dataset.n_classes
+    rng = np.random.default_rng(seed)
+    pools = [list(rng.permutation(np.flatnonzero(dataset.y == cls))) for cls in range(c)]
+    sizes = np.full(n_parts, len(dataset) // n_parts)
+    sizes[: len(dataset) % n_parts] += 1
+    parts = []
+    for j in range(n_parts):
+        a = alpha if alphas is None else float(alphas[j])
+        target = (1.0 - a) * np.full(c, 1.0 / c) + a * np.eye(c)[j % c]
+        counts = data._target_counts(int(sizes[j]), target)
+        chosen = []
+        for cls in range(c):
+            take = min(int(counts[cls]), len(pools[cls]))
+            chosen.extend(pools[cls][:take])
+            del pools[cls][:take]
+        if not chosen:
+            richest = max(range(c), key=lambda cls: (len(pools[cls]), -cls))
+            if pools[richest]:
+                chosen.append(pools[richest].pop(0))
+        indices = np.array(chosen, dtype=np.int64)
+        parts.append(dataset.subset(indices[rng.permutation(len(indices))]))
+    return parts
+
+
 @pytest.fixture
 def balanced():
     return data.make_blobs(1000, n_features=8, n_classes=10, seed=3)
@@ -114,3 +141,44 @@ class TestPartitionNoniid:
     def test_bad_alpha(self, balanced):
         with pytest.raises(ValueError):
             data.partition_noniid(balanced, 2, alpha=1.5, seed=0)
+
+    def assert_matches_oracle(self, dataset, n_parts, alpha, seed, alphas=None):
+        got = data.partition_noniid(dataset, n_parts, alpha, seed, alphas=alphas)
+        want = oracle_partition_noniid(dataset, n_parts, alpha, seed, alphas=alphas)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.y.dtype == w.y.dtype and g.x.shape == w.x.shape
+            assert np.array_equal(g.x, w.x) and np.array_equal(g.y, w.y)
+        return got
+
+    @pytest.mark.parametrize("seed", [0, 1, 17])
+    @pytest.mark.parametrize("alpha", [0.0, 0.1, 0.37, 0.8, 1.0])
+    @pytest.mark.parametrize("n_parts", [1, 4, 7, 60])
+    def test_matches_list_oracle(self, balanced, n_parts, alpha, seed):
+        self.assert_matches_oracle(balanced, n_parts, alpha, seed)
+
+    @pytest.mark.parametrize("seed", [2, 3])
+    def test_matches_list_oracle_per_part_alphas(self, balanced, seed):
+        alphas = np.random.default_rng(seed).uniform(0.0, 1.0, size=25).tolist()
+        alphas[3] = alphas[13] = 1.0  # repeated schedule entries share target counts
+        self.assert_matches_oracle(balanced, 25, 0.5, seed, alphas=alphas)
+
+    def test_matches_list_oracle_drained_pools_and_top_up(self):
+        # Class 1 has 2 rows and class 2 has 3, so the parts that prefer
+        # them at alpha=1 drain those pools and later ones come out empty
+        # before the top-up from the richest pool.
+        y = np.array([0] * 40 + [1] * 2 + [2] * 3, dtype=np.int64)
+        x = np.arange(len(y) * 2, dtype=np.float64).reshape(len(y), 2)
+        skewed = data.Dataset(x, y, 3)
+        parts = self.assert_matches_oracle(skewed, 15, 1.0, 5)
+        assert min(len(p) for p in parts) == 1  # a topped-up part
+        self.assert_matches_oracle(skewed, 15, 0.6, 6)
+        self.assert_matches_oracle(skewed, 45, 1.0, 7)
+
+    def test_matches_list_oracle_top_up_tie(self):
+        # Class 0 drains on part 0; part 3 then tops up from classes 1 and
+        # 2, which tie on rows left, so the lower class must give the row.
+        y = np.array([0] + [1] * 10 + [2] * 10, dtype=np.int64)
+        x = np.arange(len(y), dtype=np.float64).reshape(len(y), 1)
+        parts = self.assert_matches_oracle(data.Dataset(x, y, 3), 21, 1.0, 3)
+        assert parts[3].y.tolist() == [1]

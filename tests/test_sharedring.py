@@ -14,12 +14,13 @@ from fedchain.errors import (
     NodeNotFoundError,
     TimeTravelError,
 )
+from conftest import split
 
 
 def column_sum_oracle(vectors, parts):
     """Direct-summation reference: sum the raw vectors, then split."""
     total = np.sum(np.stack(vectors), axis=0)
-    return sharedring.split(total, parts)
+    return split(total, parts)
 
 
 # --- hop-by-hop reference of the masked ring --------------------------------
@@ -103,20 +104,20 @@ def done(session):
 
 class TestSplit:
     def test_even(self):
-        lengths = [len(c) for c in sharedring.split(np.arange(6), 3)]
+        lengths = [len(c) for c in split(np.arange(6), 3)]
         assert lengths == [2, 2, 2]
 
     def test_remainder_to_first_chunks(self):
-        lengths = [len(c) for c in sharedring.split(np.arange(7), 3)]
+        lengths = [len(c) for c in split(np.arange(7), 3)]
         assert lengths == [3, 2, 2]
 
     def test_values(self):
-        chunks = sharedring.split(np.arange(1, 8), 3)
+        chunks = split(np.arange(1, 8), 3)
         assert [c.tolist() for c in chunks] == [[1, 2, 3], [4, 5], [6, 7]]
 
     def test_too_small(self):
         with pytest.raises(ModelTooSmallError):
-            sharedring.split(np.arange(2), 3)
+            split(np.arange(2), 3)
 
     @given(st.integers(1, 40), st.integers(1, 40))
     @settings(max_examples=60, deadline=None)
@@ -124,7 +125,7 @@ class TestSplit:
         if k > m:
             k = m
         w = np.arange(m, dtype=np.int64) * 3 - 7
-        assert np.array_equal(concat(sharedring.split(w, k)), w)
+        assert np.array_equal(concat(split(w, k)), w)
 
     def test_chunk_spans_match_array_split(self):
         for length in range(1, 61):
@@ -141,7 +142,7 @@ class TestSplit:
 
 class TestMask:
     def test_zero_noise_identity(self):
-        chunks = sharedring.split(np.arange(6, dtype=np.int64), 3)
+        chunks = split(np.arange(6, dtype=np.int64), 3)
         masked = mask_own_chunk(chunks, 1, np.zeros(2, dtype=np.int64))
         for a, b in zip(chunks, masked):
             assert np.array_equal(a, b)
@@ -153,13 +154,13 @@ class TestMask:
         assert masked[1].tolist() == [5, 6]
 
     def test_mask_unmask_roundtrip(self):
-        chunks = sharedring.split(np.arange(9, dtype=np.int64), 3)
+        chunks = split(np.arange(9, dtype=np.int64), 3)
         noise = fixedpoint.generate_noise(3, seed=5)
         masked = mask_own_chunk(chunks, 0, noise)
         assert np.array_equal(unmask_own_sum(masked[0], noise), chunks[0])
 
     def test_shape_error(self):
-        chunks = sharedring.split(np.arange(6, dtype=np.int64), 3)
+        chunks = split(np.arange(6, dtype=np.int64), 3)
         with pytest.raises(MaskShapeError):
             mask_own_chunk(chunks, 0, np.zeros(5, dtype=np.int64))
 
@@ -177,7 +178,7 @@ class TestReduceScatter:
     def test_two_miners_eq8(self):
         v0 = np.array([1, 2, 3, 4], dtype=np.int64)
         v1 = np.array([10, 20, 30, 40], dtype=np.int64)
-        splits = [sharedring.split(v, 2) for v in (v0, v1)]
+        splits = [split(v, 2) for v in (v0, v1)]
         masks = [fixedpoint.generate_noise(2, seed=s) for s in (1, 2)]
         masked = [mask_own_chunk(splits[i], i, masks[i]) for i in range(2)]
         accs = ring_reduce_scatter(masked)
@@ -188,7 +189,7 @@ class TestReduceScatter:
     def test_three_miners_against_oracle(self):
         rng = np.random.default_rng(3)
         vectors = [rng.integers(-50, 50, size=10).astype(np.int64) for _ in range(3)]
-        splits = [sharedring.split(v, 3) for v in vectors]
+        splits = [split(v, 3) for v in vectors]
         masks = [fixedpoint.generate_noise(len(splits[i][i]), seed=40 + i) for i in range(3)]
         masked = [mask_own_chunk(splits[i], i, masks[i]) for i in range(3)]
         accs = ring_reduce_scatter(masked)
@@ -287,7 +288,7 @@ class TestLeakage:
     def test_zero_noise_fails(self):
         rng = np.random.default_rng(7)
         vectors = [rng.integers(-50, 50, size=9).astype(np.int64) for _ in range(3)]
-        splits = [sharedring.split(v, 3) for v in vectors]
+        splits = [split(v, 3) for v in vectors]
         zero_masks = [np.zeros_like(splits[i][i]) for i in range(3)]
         masked = [mask_own_chunk(splits[i], i, zero_masks[i]) for i in range(3)]
         transcript = []
@@ -327,7 +328,7 @@ class TestRingSession:
         vectors = [rng.integers(-40, 40, size=m).astype(np.int64) for _ in range(k)]
         masks = None
         if masked:
-            splits = [sharedring.split(v, k) for v in vectors]
+            splits = [split(v, k) for v in vectors]
             masks = [
                 fixedpoint.generate_noise(len(splits[i][i]), seed=100 + i) for i in range(k)
             ]
@@ -367,7 +368,7 @@ class TestRingSessionAudit:
         sim = netsim.Simulator(lat)
         members = [int(v) for v in rng.permutation(n)[:k]]
         vectors = [fixedpoint.encode(rng.normal(0, 2, size=m)) for _ in range(k)]
-        lengths = [c.shape[0] for c in sharedring.split(vectors[0], k)]
+        lengths = [c.shape[0] for c in split(vectors[0], k)]
         if zero_masks:
             masks = [np.zeros(lengths[i], dtype=np.int64) for i in range(k)]
         else:
@@ -399,7 +400,7 @@ class TestRingSessionAudit:
     @pytest.mark.parametrize("k", [2, 3, 5])
     def test_reduce_payloads_equal_pure_path(self, k):
         session, vectors, masks = self.run_session(k, seed=40 + k)
-        splits = [sharedring.split(v, k) for v in vectors]
+        splits = [split(v, k) for v in vectors]
         masked = [mask_own_chunk(splits[i], i, masks[i]) for i in range(k)]
         pure = []
         ring_reduce_scatter(masked, pure)
@@ -432,11 +433,11 @@ class TestRingSessionSharesInputs:
         if masked:
             masks = [
                 fixedpoint.generate_noise(len(c), seed=i)
-                for i, c in enumerate(sharedring.split(vectors[0], k))
+                for i, c in enumerate(split(vectors[0], k))
             ]
         session = sharedring.RingSession(sim, list(range(k)), vectors, masks=masks)
         for v, raw in zip(vectors, session.raw_splits):
-            assert [c.tolist() for c in raw] == [c.tolist() for c in sharedring.split(v, k)]
+            assert [c.tolist() for c in raw] == [c.tolist() for c in split(v, k)]
         session.start([5.0] * k)
         sim.run_until_idle()
         assert done(session)
@@ -462,7 +463,7 @@ class TestRingSessionSharesInputs:
             sharedring.RingSession(sim, [0, 1, 2], [np.arange(6, dtype=np.int64)] * 3, masks=masks)
 
     def test_mask_own_chunk_leaves_inputs_and_shares_the_rest(self):
-        chunks = sharedring.split(np.arange(10, dtype=np.int64), 3)
+        chunks = split(np.arange(10, dtype=np.int64), 3)
         before = [c.copy() for c in chunks]
         masked = mask_own_chunk(chunks, 1, np.full(3, 7, dtype=np.int64))
         assert all(np.array_equal(c, b) for c, b in zip(chunks, before))
@@ -486,7 +487,7 @@ class OracleRingSession:
         self.position = {node: pos for pos, node in enumerate(self.members)}
         self.kind = kind
         model_len = vectors[0].shape[0]
-        chunks = [sharedring.split(v, self.k) for v in vectors]
+        chunks = [split(v, self.k) for v in vectors]
         self.masks = list(masks) if masks is not None else None
         if self.masks is not None:
             self.work = [
@@ -592,7 +593,7 @@ def oracle_case(k, masked, clock, integer, seed):
     if masked:
         masks = [
             fixedpoint.generate_noise(c.shape[0], seed=seed * 10 + i)
-            for i, c in enumerate(sharedring.split(vectors[0], k))
+            for i, c in enumerate(split(vectors[0], k))
         ]
     size_multiplier = float(rng.choice([1.0, 10.0, 37.0]))
     return latency, members, vectors, masks, ready.tolist(), size_multiplier

@@ -92,7 +92,7 @@ class TestProveVerify:
     def test_honest_roundtrip_accepts(self, setup):
         model, held_out, pp, blinding = setup
         com = verify.commit(model, pp, blinding)
-        sample = verify.derive_challenge(held_out, com, 250)
+        sample = verify.derive_challenge(held_out, verify.row_digests(held_out.x), com, 250)
         proof = verify.prove(model, sample.x, pp, blinding)
         result = verify.verify(com, sample, proof.y, proof, pp)
         assert result.accepted
@@ -100,7 +100,7 @@ class TestProveVerify:
     def test_measured_accuracy_equals_evaluate(self, setup):
         model, held_out, pp, blinding = setup
         com = verify.commit(model, pp, blinding)
-        sample = verify.derive_challenge(held_out, com, 300)
+        sample = verify.derive_challenge(held_out, verify.row_digests(held_out.x), com, 300)
         proof = verify.prove(model, sample.x, pp, blinding)
         result = verify.verify(com, sample, proof.y, proof, pp)
         subset = data.Dataset(sample.x, sample.labels, held_out.n_classes)
@@ -109,10 +109,11 @@ class TestProveVerify:
     def test_different_batch_rejected(self, setup):
         model, held_out, pp, blinding = setup
         com = verify.commit(model, pp, blinding)
-        sample = verify.derive_challenge(held_out, com, 200)
+        sample = verify.derive_challenge(held_out, verify.row_digests(held_out.x), com, 200)
         proof = verify.prove(model, sample.x, pp, blinding)
         other = verify.VerificationSample(
-            x=held_out.x[:200], labels=held_out.y[:200]
+            x=held_out.x[:200], labels=held_out.y[:200],
+            row_digests=verify.row_digests(held_out.x[:200]),
         )
         result = verify.verify(com, other, proof.y, proof, pp)
         assert not result.accepted
@@ -120,7 +121,7 @@ class TestProveVerify:
     def test_tampered_prediction_rejected(self, setup):
         model, held_out, pp, blinding = setup
         com = verify.commit(model, pp, blinding)
-        sample = verify.derive_challenge(held_out, com, 200)
+        sample = verify.derive_challenge(held_out, verify.row_digests(held_out.x), com, 200)
         proof = verify.prove(model, sample.x, pp, blinding)
         tampered = proof.y.copy()
         tampered[0] = (tampered[0] + 1) % 4
@@ -132,7 +133,7 @@ class TestProveVerify:
         com = verify.commit(model, pp, blinding)
         other_model = fed.DenseClassifier(model.arch, seed=77)
         other_blinding = verify.make_blinding(78)
-        sample = verify.derive_challenge(held_out, com, 200)
+        sample = verify.derive_challenge(held_out, verify.row_digests(held_out.x), com, 200)
         foreign = verify.prove(other_model, sample.x, pp, other_blinding)
         result = verify.verify(com, sample, foreign.y, foreign, pp)
         assert not result.accepted
@@ -141,7 +142,7 @@ class TestProveVerify:
     def test_mutated_model_never_verifies(self, setup):
         model, held_out, pp, blinding = setup
         com = verify.commit(model, pp, blinding)
-        sample = verify.derive_challenge(held_out, com, 200)
+        sample = verify.derive_challenge(held_out, verify.row_digests(held_out.x), com, 200)
         rng = np.random.default_rng(6)
         for _ in range(200):
             mutated = model.weights.copy()
@@ -155,16 +156,16 @@ class TestChallengeDerivation:
     def test_deterministic_per_commitment(self, setup):
         model, held_out, pp, blinding = setup
         com = verify.commit(model, pp, blinding)
-        a = verify.derive_challenge(held_out, com, 100)
-        b = verify.derive_challenge(held_out, com, 100)
+        a = verify.derive_challenge(held_out, verify.row_digests(held_out.x), com, 100)
+        b = verify.derive_challenge(held_out, verify.row_digests(held_out.x), com, 100)
         assert np.array_equal(a.x, b.x)
 
     def test_commitment_changes_challenge(self, setup):
         model, held_out, pp, blinding = setup
         com_a = verify.commit(model, pp, blinding)
         com_b = verify.commit(model, pp, verify.make_blinding(50))
-        a = verify.derive_challenge(held_out, com_a, 100)
-        b = verify.derive_challenge(held_out, com_b, 100)
+        a = verify.derive_challenge(held_out, verify.row_digests(held_out.x), com_a, 100)
+        b = verify.derive_challenge(held_out, verify.row_digests(held_out.x), com_b, 100)
         assert not np.array_equal(a.x, b.x)
 
 
@@ -230,3 +231,41 @@ class TestDigestChain:
         x = held_out.x[:50]
         proof = verify.prove(model, x, pp, blinding)
         assert proof.digest_chain == oracle_chain(verify.commit(model, pp, blinding), x, proof.y)
+
+
+class TestRowDigestTable:
+    """The chain's two stages: `row_digests` hashes each row once, and
+    `_link_chain` links a digest table with the labels."""
+
+    com = verify.ModelCommitment(digest=bytes(range(16)))
+
+    def test_link_chain_matches_oracle(self):
+        for name, (x, y) in TestDigestChain().inputs().items():
+            digests = verify.row_digests(x)
+            assert digests.shape == (len(x), 32) and digests.dtype == np.uint8, name
+            assert verify._link_chain(self.com, digests, y) == oracle_chain(self.com, x, y), name
+
+    def test_digest_ending_in_zero_byte(self):
+        rng = np.random.default_rng(8)
+        rows = rng.normal(size=(2000, 5))
+        full = [hashlib.sha256(row.astype("<f8").tobytes()).digest() for row in rows]
+        zero_end = next(i for i, d in enumerate(full) if d[-1] == 0)
+        # an S32 array would strip the trailing zero byte
+        assert len(np.array([full[zero_end]], dtype="S32")[0]) < 32
+        x = rows[zero_end - 2:zero_end + 3]
+        y = rng.integers(0, 4, size=len(x))
+        digests = verify.row_digests(x)
+        assert digests[2].tobytes() == full[zero_end]
+        assert verify._link_chain(self.com, digests, y) == oracle_chain(self.com, x, y)
+
+    def test_sample_carries_its_row_digests(self, setup):
+        model, held_out, pp, blinding = setup
+        com = verify.commit(model, pp, blinding)
+        sample = verify.derive_challenge(held_out, verify.row_digests(held_out.x), com, 250)
+        assert np.array_equal(sample.row_digests, verify.row_digests(sample.x))
+
+    def test_digest_table_must_cover_held_out(self, setup):
+        model, held_out, pp, blinding = setup
+        com = verify.commit(model, pp, blinding)
+        with pytest.raises(ValueError):
+            verify.derive_challenge(held_out, verify.row_digests(held_out.x[:-1]), com, 250)
