@@ -1,11 +1,13 @@
 """Blockchain state machine: task rounds, verification gating, rewards.
 
-A task round runs pool formation and per-pool federated training over the
-event simulator, lets the first pool whose model verifies propose a block,
-and settles the reward among the winning pool's members. The centralized
-aggregation and whole-network ring baselines are one-pool runs of the same
-training engine (`_PoolRun`), race (`_race`) and settlement (`_settle`), so
-their latencies are comparable; proof-of-work grinds nonces instead.
+A task round runs pool formation and per-pool federated training, lets the
+first pool whose model verifies propose a block, and settles the reward
+among the winning pool's members. Every simulated time is computed in
+closed form over the latency matrix, bit-identical to an event-driven
+replay kept in the tests. The centralized aggregation and whole-network
+ring baselines are one-pool runs of the same training engine (`_PoolRun`),
+race (`_race`) and settlement (`_settle`), so their latencies are
+comparable; proof-of-work grinds nonces instead.
 """
 
 from __future__ import annotations
@@ -21,10 +23,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import fixedpoint, pools, sharedring, verify
-from .data import Dataset, smooth_histogram
+from .data import Dataset
 from .errors import (
     DuplicateTaskBlockError,
     InsufficientSamplesError,
+    InvalidCommitteeError,
     InvalidTaskError,
     LedgerIntegrityError,
     RoundFailedError,
@@ -34,12 +37,11 @@ from .fed import (
     RoundMetrics,
     TrainConfig,
     aggregate,
+    aggregation_weights,
     evaluate_and_loss,
     fedavg_weights,
-    kl_weights,
     local_train,
 )
-from .netsim import Simulator
 
 TX_KINDS = (
     "TaskPublish",
@@ -470,17 +472,6 @@ class RoundResult:
     credits: dict[int, int]
 
 
-def _member_weights(setup: RoundSetup, members: Sequence[int]) -> np.ndarray:
-    sizes = [len(setup.miner_data[m]) for m in members]
-    if setup.aggregation == "fedavg":
-        return fedavg_weights(sizes)
-    if setup.aggregation != "kl":
-        raise ValueError(f"unknown aggregation scheme: {setup.aggregation}")
-    reference = smooth_histogram(setup.task.example.histogram())
-    hists = [smooth_histogram(setup.miner_data[m].histogram()) for m in members]
-    return kl_weights(hists, reference, sizes)
-
-
 def _task_arrivals(setup: RoundSetup) -> np.ndarray:
     """When each node has the task: over one link from the publisher, which
     has it at 0.0."""
@@ -510,7 +501,7 @@ def _simulate_formation(setup: RoundSetup, assignment: pools.PoolAssignment) -> 
       or `task[h]` for a solo pool;
     - `start[m] = start[h] + L[h, m]`.
 
-    These are bit-identical to running the schedule on `Simulator`: each
+    These are bit-identical to running the schedule on the event loop: each
     delivery there is `now + float(L[src, dst]) * 1`, the closed form does
     the same float additions, and `max` is exact. Not simulating the
     schedule saves (n - 1) + p(n - 1) + 2(n - p) messages and one timer
@@ -532,11 +523,18 @@ def _simulate_formation(setup: RoundSetup, assignment: pools.PoolAssignment) -> 
     return dict(enumerate(start.tolist()))
 
 
-def _check_claim_samples(setup: RoundSetup) -> None:
-    """Refuse a learning round whose challenges are too small for an
-    accuracy claim: each verifier checks the claim on
-    min(challenge_size, held-out rows) samples, which must reach
-    `verify.MIN_CLAIM_SAMPLES`. Runs before any training."""
+def _check_round(setup: RoundSetup, learning: bool = True) -> None:
+    """Refuse a round that cannot settle, before any work: in every mode
+    one without a verifier (`n_verifiers < 1`), and in a learning mode one
+    whose challenges are too small for an accuracy claim: each verifier
+    checks the claim on min(challenge_size, held-out rows) samples, which
+    must reach `verify.MIN_CLAIM_SAMPLES`."""
+    if setup.n_verifiers < 1:
+        raise InvalidCommitteeError(
+            f"task {setup.task.task_id}: n_verifiers must be at least 1, got {setup.n_verifiers}"
+        )
+    if not learning:
+        return
     k = min(setup.challenge_size, len(setup.task.held_out))
     if k < verify.MIN_CLAIM_SAMPLES:
         raise InsufficientSamplesError(
@@ -556,7 +554,6 @@ def _exchange_constants(setup: RoundSetup) -> tuple[verify.PublicParams, np.ndar
 
 
 def _verification_exchange(
-    sim: Simulator,
     setup: RoundSetup,
     outcome: PoolOutcome,
     model: DenseClassifier,
@@ -564,13 +561,20 @@ def _verification_exchange(
     pp: verify.PublicParams,
     held_out_digests: np.ndarray,
 ) -> None:
-    """Commit/challenge/prove/vote ping-pong between the outcome's head and
-    the verifier committee, on the pool's clock. `pp` and
-    `held_out_digests` come from `_exchange_constants`. A challenge carries
-    only the challenge rows; each verifier keeps its labels and row digests
-    and links its own digest chain. Sets the outcome's acceptance, measured
-    accuracy, accept time, commitment hex, commit/proof times and vote
-    times."""
+    """The commit/challenge/prove/vote exchange between the outcome's head
+    and its verifier committee, in closed form from `t0 = finish_time`.
+
+    Each verifier `v` derives its own challenge from the commitment, sends
+    back only the rows, checks the proof (the head proves each distinct
+    challenge once) and votes. Nothing contends, so with head `h` the
+    commit arrives at `t0 + L[h, v]`, the challenge `L[v, h]` later, the
+    proof `L[h, v] * int(size_multiplier)` later and the vote `L[v, h]`
+    later. The proof time is the first challenge arrival and the accept
+    time the last vote arrival. Votes count in
+    `(vote, proof, challenge, commit, committee index)` order, the
+    `(time, send order)` order an event loop delivers them in, so every
+    field set on the outcome is bit-identical to replaying the messages.
+    `pp` and `held_out_digests` come from `_exchange_constants`."""
     task = setup.task
     head, members, pool_id = outcome.head, outcome.members, outcome.pool_id
     rng = np.random.default_rng(_derive_seed(setup.seed, task.task_id, "committee", pool_id))
@@ -583,70 +587,40 @@ def _verification_exchange(
 
     blinding = verify.make_blinding(_derive_seed(setup.seed, task.task_id, "blind", pool_id))
     com = verify.commit(model, pp, blinding)
-
-    votes: dict[int, tuple[bool, float]] = {}
-    state = {"commit_time": sim.now, "proof_time": None, "accept_time": None}
-    vote_times: dict[int, float] = {}
+    t0, su = outcome.finish_time, int(setup.size_multiplier)
     # The head proves each distinct challenge batch once, keyed by content.
     proofs: dict[tuple, verify.PredictionProof] = {}
-    # Each verifier keeps the challenge it derived on commit for its check.
-    samples: dict[int, verify.VerificationSample] = {}
-
-    def head_handler(s: Simulator, event) -> None:
-        if event.kind == "challenge":
-            x = event.payload
-            key = (x.shape, x.dtype.str, x.tobytes())
-            proof = proofs.get(key)
-            if proof is None:
-                proof = verify.prove(model, x, pp, blinding)
-                if tamper:
-                    bad_y = proof.y.copy()
-                    bad_y[0] = (bad_y[0] + 1) % task.example.n_classes
-                    proof = replace(proof, y=bad_y)
-                proofs[key] = proof
-            if state["proof_time"] is None:
-                state["proof_time"] = s.now
-            s.send(head, event.src, proof, size_units=int(setup.size_multiplier), kind="proof")
-        elif event.kind == "vote":
-            accepted, measured = event.payload
-            votes[event.src] = (accepted, measured)
-            vote_times[event.src] = s.now
-            if len(votes) == len(committee):
-                state["accept_time"] = s.now
-
-    def verifier_handler(s: Simulator, event) -> None:
-        if event.kind == "commit":
-            sample = verify.derive_challenge(
-                task.held_out, held_out_digests, event.payload, setup.challenge_size
-            )
-            samples[event.dst] = sample
-            s.send(event.dst, head, sample.x, kind="challenge")
-        elif event.kind == "proof":
-            proof = event.payload
-            sample = samples[event.dst]
-            result = verify.verify(com, sample, proof.y, proof, pp)
-            ok = result.accepted and verify.accuracy_claim_check(
-                result.measured_accuracy, task.target, sample.count
-            )
-            s.send(event.dst, head, (ok, result.measured_accuracy), kind="vote")
-
-    sim.register(head, head_handler)
-    for v in committee:
-        sim.register(v, verifier_handler)
-    for v in committee:
-        sim.send(head, v, com, kind="commit")
-    sim.run_until_idle()
-    sim.unregister(head)
-    for v in committee:
-        sim.unregister(v)
-
-    outcome.accepted = bool(votes) and all(ok for ok, _ in votes.values())
-    outcome.measured_accuracy = float(np.mean([m for _, m in votes.values()])) if votes else 0.0
-    outcome.accept_time = state["accept_time"]
+    arrivals, ballots = [], []
+    for idx, v in enumerate(committee):
+        down, up = float(setup.latency[head, v]), float(setup.latency[v, head])
+        commit_at = t0 + down
+        challenge_at = commit_at + up
+        proof_at = challenge_at + down * su
+        arrivals.append((proof_at + up, proof_at, challenge_at, commit_at, idx))
+        sample = verify.derive_challenge(task.held_out, held_out_digests, com, setup.challenge_size)
+        x = sample.x
+        key = (x.shape, x.dtype.str, x.tobytes())
+        proof = proofs.get(key)
+        if proof is None:
+            proof = verify.prove(model, x, pp, blinding)
+            if tamper:
+                bad_y = proof.y.copy()
+                bad_y[0] = (bad_y[0] + 1) % task.example.n_classes
+                proof = replace(proof, y=bad_y)
+            proofs[key] = proof
+        result = verify.verify(com, sample, proof.y, proof, pp)
+        ok = result.accepted and verify.accuracy_claim_check(
+            result.measured_accuracy, task.target, sample.count
+        )
+        ballots.append((ok, result.measured_accuracy))
+    votes = sorted(arrivals)
+    outcome.accepted = bool(votes) and all(ok for ok, _ in ballots)
+    outcome.measured_accuracy = float(np.mean([ballots[i][1] for *_, i in votes])) if votes else 0.0
+    outcome.accept_time = votes[-1][0] if votes else None
     outcome.commitment = com.hex
-    outcome.commit_time = state["commit_time"]
-    outcome.proof_time = state["proof_time"]
-    outcome.vote_times = vote_times
+    outcome.commit_time = t0
+    outcome.proof_time = min((a[2] for a in arrivals), default=None)
+    outcome.vote_times = {committee[i]: t for t, *_, i in votes}
 
 
 class _PoolRun:
@@ -661,8 +635,8 @@ class _PoolRun:
     (`_ring_round`). The baselines are one pool of every node with FedAvg
     weights, headed by the publisher and never tampered: `gfl_ring`
     combines over the plain ring, `fedavg_central` over a coordinator star
-    (`_star_round`). A run owns its `Simulator` and derives every seed from
-    its pool id, so runs can be interleaved freely.
+    (`_star_round`). A run's clock is its `barrier`, and it derives every
+    seed from its pool id, so runs can be interleaved freely.
     """
 
     def __init__(self, setup: RoundSetup, pool_id: int, head: int, members: list[int],
@@ -670,12 +644,10 @@ class _PoolRun:
                  combine: Callable[[_PoolRun, list[DenseClassifier]], tuple[np.ndarray, float]],
                  tamper: bool) -> None:
         self.setup = setup
-        self.sim = Simulator(setup.latency)
         self.model = DenseClassifier(
             setup.task.arch, seed=_derive_seed(setup.seed, setup.task.task_id, "init")
         )
         self.barrier = barrier
-        self.sim.now = barrier
         self.combine = combine
         self.tamper = tamper
         self.round_idx = 0
@@ -721,8 +693,8 @@ class _PoolRun:
 
 def _ring_round(run: _PoolRun, trained: list[DenseClassifier],
                 masked: bool = True) -> tuple[np.ndarray, float]:
-    """Ring all-reduce of the pre-scaled fixed-point updates on the run's
-    clock; masked for a fedchain pool, plain (2(k-1) steps) for `gfl_ring`.
+    """Ring all-reduce of the pre-scaled fixed-point updates from the run's
+    barrier; masked for a fedchain pool, plain (2(k-1) steps) for `gfl_ring`.
     Each member starts its streams after its compute delay."""
     setup, outcome = run.setup, run.outcome
     members, k = outcome.members, len(outcome.members)
@@ -740,10 +712,9 @@ def _ring_round(run: _PoolRun, trained: list[DenseClassifier],
             for i, (a, b) in enumerate(sharedring.chunk_spans(run.model.weights.shape[0], k))
         ]
     session = sharedring.RingSession(
-        run.sim, members, vectors, masks=masks, size_multiplier=setup.size_multiplier
+        setup.latency, members, vectors, masks=masks, size_multiplier=setup.size_multiplier
     )
-    session.start([run.barrier + float(setup.compute_times[m]) for m in members])
-    run.sim.run_until_idle()
+    session.start(run.barrier, [run.barrier + float(setup.compute_times[m]) for m in members])
     return fixedpoint.decode(session.results[members[0]]) / k, max(session.completion.values())
 
 
@@ -751,8 +722,7 @@ def _star_round(run: _PoolRun, trained: list[DenseClassifier]) -> tuple[np.ndarr
     """Coordinator round of `fedavg_central`: the head sends the model to
     every node, each trains and uploads, and the head's ingress takes one
     upload transmission at a time, which is the scaling bottleneck. Weights
-    are averaged in float. Moves the run's clock to the round's end, where
-    verification starts if the pool is done."""
+    are averaged in float. Returns the round's end with the model."""
     setup, coord, now = run.setup, run.outcome.head, run.barrier
     su = int(setup.size_multiplier)
     ready = [
@@ -766,7 +736,6 @@ def _star_round(run: _PoolRun, trained: list[DenseClassifier]) -> tuple[np.ndarr
             busy = max(busy, r)
         else:
             busy = max(busy, r) + float(setup.latency[m, coord]) * su
-    run.sim.now = busy
     return aggregate([t.weights for t in trained], run.outcome.weights), busy
 
 
@@ -885,7 +854,7 @@ def _race(setup: RoundSetup, runs: list[_PoolRun]) -> PoolOutcome:
     `best` cannot reach an `(accept_time, pool_id)` below it, and `best`
     only ever falls. Comparing whole tuples keeps the lower-pool-id
     tie-break exact even when verification takes no simulated time. Every
-    run owns its `Simulator` and derives its seeds from its id, so running
+    run keeps its own clock and derives its seeds from its id, so running
     them interleaved changes none of their numbers: the winner's outcome
     equals that of training and verifying every run to its end, and only
     losing runs' outcomes differ.
@@ -912,7 +881,7 @@ def _race(setup: RoundSetup, runs: list[_PoolRun]) -> PoolOutcome:
             continue
         if constants is None:
             constants = _exchange_constants(setup)
-        _verification_exchange(run.sim, setup, run.outcome, run.model, run.tamper, *constants)
+        _verification_exchange(setup, run.outcome, run.model, run.tamper, *constants)
         if run.outcome.accepted:
             best = min(best, (run.outcome.accept_time, idx))
     if best[1] == math.inf:
@@ -943,16 +912,19 @@ def run_round_fedchain(chain: Chain, setup: RoundSetup) -> RoundResult:
     """One full task round: pools form, train over masked rings, and race
     (`_race`); the first verified finisher proposes the block. Raises
     RoundFailedError if nobody reaches the target before the deadline, and
-    InsufficientSamplesError before any work if the challenges are too small
-    for an accuracy claim."""
-    _check_claim_samples(setup)
+    before any work InvalidCommitteeError without a verifier and
+    InsufficientSamplesError if the challenges are too small for an
+    accuracy claim."""
+    _check_round(setup)
     publish_tx = publish_task(setup.task, setup.publisher, now=0.0)
     assignment, start_times = _form_pools(setup)
     runs = []
     for idx, pool in enumerate(assignment.pools):
         members = list(pool.members)
         runs.append(_PoolRun(
-            setup, idx, members[0], members, _member_weights(setup, members),
+            setup, idx, members[0], members,
+            aggregation_weights(setup.aggregation, [setup.miner_data[m] for m in members],
+                                setup.task.example),
             max(start_times[m] for m in members), _ring_round, idx in setup.tamper_pools,
         ))
     winner = _race(setup, runs)
@@ -963,6 +935,7 @@ def run_round_fedchain(chain: Chain, setup: RoundSetup) -> RoundResult:
 def _run_pow(chain: Chain, setup: RoundSetup) -> RoundResult:
     """Hash-puzzle baseline: every node grinds nonces at a fixed trial cost;
     the first preimage below the difficulty threshold proposes the block."""
+    _check_round(setup, learning=False)
     task = setup.task
     publish_tx = publish_task(task, setup.publisher, now=0.0)
     threshold = 1 << (256 - setup.pow_difficulty)
@@ -1024,9 +997,11 @@ def run_round(chain: Chain, setup: RoundSetup, mode: str = "fedchain") -> RoundR
     proofs. `gfl_ring` combines over the plain ring and starts when the
     last node has the task; `fedavg_central` combines over the
     coordinator star and starts at 0, since the coordinator's model
-    broadcast is billed to each round. `pow` grinds nonces instead. The
-    learning modes raise InsufficientSamplesError before any training
-    when min(challenge_size, held-out rows) < `verify.MIN_CLAIM_SAMPLES`.
+    broadcast is billed to each round. `pow` grinds nonces instead. Every
+    mode raises InvalidCommitteeError before any work when
+    `n_verifiers < 1`, and the learning modes raise
+    InsufficientSamplesError before any training when
+    min(challenge_size, held-out rows) < `verify.MIN_CLAIM_SAMPLES`.
     """
     if mode == "fedchain":
         return run_round_fedchain(chain, setup)
@@ -1034,7 +1009,7 @@ def run_round(chain: Chain, setup: RoundSetup, mode: str = "fedchain") -> RoundR
         return _run_pow(chain, setup)
     if mode not in MODES:
         raise ValueError(f"unknown mode: {mode}")
-    _check_claim_samples(setup)
+    _check_round(setup)
     publish_tx = publish_task(setup.task, setup.publisher, now=0.0)
     nodes = list(range(setup.n_nodes))
     if mode == "gfl_ring":

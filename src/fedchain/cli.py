@@ -20,10 +20,8 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     cfg = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
     if args.seed is not None:
         cfg.seeds = [args.seed + i for i in range(len(cfg.seeds))]
-    for attr in ("out_dir",):
-        value = getattr(args, attr.replace("_dir", ""), None)
-        if value:
-            cfg.out_dir = value
+    if args.out:
+        cfg.out_dir = args.out
     if getattr(args, "nodes", None):
         cfg.n_nodes = args.nodes
     if getattr(args, "pools", None):

@@ -73,6 +73,10 @@ class InvalidTaskError(FedChainError):
     """Task is malformed (bad target, deadline in the past, ...)."""
 
 
+class InvalidCommitteeError(FedChainError):
+    """A round asks for fewer than one verifier."""
+
+
 class RoundFailedError(FedChainError):
     """No pool reached the accuracy target before the task deadline."""
 

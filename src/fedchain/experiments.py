@@ -15,15 +15,14 @@ import numpy as np
 import yaml
 
 from . import chain, netsim
-from .data import Dataset, load_csv, make_blobs, partition_noniid, smooth_histogram
+from .data import Dataset, load_csv, make_blobs, partition_noniid
 from .errors import EmptyReportError
 from .fed import (
     DenseClassifier,
     TrainConfig,
     aggregate,
+    aggregation_weights,
     evaluate,
-    fedavg_weights,
-    kl_weights,
     local_train,
 )
 from .fed import Architecture
@@ -290,13 +289,7 @@ def run_sweep_cell(cfg: ExperimentConfig, scheme: str, alpha: float, seed: int) 
         fixture_cfg, m, seed=seed * 104729 + 7, alpha=alpha, alphas=grades, n_parts=m,
         slack_parts=m,
     )
-    sizes = [len(p) for p in parts]
-    if scheme == "fedavg":
-        weights = fedavg_weights(sizes)
-    else:
-        reference = smooth_histogram(task.example.histogram())
-        hists = [smooth_histogram(p.histogram()) for p in parts]
-        weights = kl_weights(hists, reference, sizes)
+    weights = aggregation_weights(scheme, parts, task.example)
 
     train_cfg = TrainConfig(
         lr=cfg.sweep_lr, epochs=cfg.epochs, batch_size=cfg.batch_size, target=cfg.target

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, smooth_histogram
 from .errors import (
     AggregationShapeError,
     NonFiniteLossError,
@@ -286,6 +286,21 @@ def kl_weights(
     if total == 0.0:
         return fedavg_weights(sizes)
     return raw / total
+
+
+def aggregation_weights(scheme: str, parts: Sequence[Dataset], example: Dataset) -> np.ndarray:
+    """The aggregation weights of the miners holding `parts` under `scheme`:
+    `"fedavg"` (sizes) or `"kl"` (divergence from the smoothed label
+    histogram of the publisher's `example` set). Raises ValueError on any
+    other scheme."""
+    sizes = [len(p) for p in parts]
+    if scheme == "fedavg":
+        return fedavg_weights(sizes)
+    if scheme != "kl":
+        raise ValueError(f"unknown aggregation scheme: {scheme}")
+    reference = smooth_histogram(example.histogram())
+    hists = [smooth_histogram(p.histogram()) for p in parts]
+    return kl_weights(hists, reference, sizes)
 
 
 def aggregate(vectors: Sequence[np.ndarray], weights: np.ndarray) -> np.ndarray:

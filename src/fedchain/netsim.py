@@ -1,8 +1,11 @@
-"""Deterministic discrete-event simulation of N nodes exchanging messages.
+"""Network model of N nodes: latency topologies, compute times, message
+sizes, latency history, and a discrete-event loop.
 
-All protocol latencies in the library are measured against this clock. The
-simulator is single-threaded: events are processed in (deliver_time, seq)
-order, so identical configuration and seed give a bit-identical trace.
+Rounds compute their latencies in closed form over the latency matrix and
+never run the event loop; the tests replay them on `Simulator` and require
+equal times. The loop is single-threaded and processes events in
+(deliver_time, seq) order, so identical configuration and seed give a
+bit-identical trace.
 """
 
 from __future__ import annotations
@@ -215,9 +218,6 @@ class Simulator:
     def register(self, node: int, handler: Handler) -> None:
         self._check_node(node)
         self._handlers[node] = handler
-
-    def unregister(self, node: int) -> None:
-        self._handlers.pop(node, None)
 
     def _check_node(self, node: int) -> None:
         if not 0 <= node < self.n_nodes:

@@ -11,9 +11,11 @@ The plain (unmasked) variant used by the whole-network baseline is the
 standard 2(k-1)-step ring; the masked variant spends k-1 extra messages
 (one per stream) returning each completed chunk to its noise owner.
 
-`RingSession` runs one such round on the simulator's clock and is the only
-all-reduce here: the chain runs it, and `transcript_leakage_check` audits
-the transcript it builds from `ring_payloads` and `ring_transcript`.
+`RingSession` computes one such round in closed form over the latency
+matrix and is the only all-reduce here: the chain runs it, and
+`transcript_leakage_check` audits the transcript it builds from
+`ring_payloads` and `ring_transcript`. No event loop runs it; the tests
+check it against a message-by-message replay on the event loop in `netsim`.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import MaskShapeError, ModelTooSmallError, NodeNotFoundError, TimeTravelError
-from .netsim import Simulator, chunk_size_units
+from .netsim import chunk_size_units
 
 REDUCE, GATHER = "reduce", "gather"
 
@@ -155,7 +157,7 @@ def transcript_leakage_check(
 
 
 class RingSession:
-    """One all-reduce round for a pool on the simulator's clock, in closed form.
+    """One all-reduce round for a pool over a latency matrix, in closed form.
 
     Members are in ring order. Stream s carries chunk slot s from member
     s's ready time through 2k - 1 hops when masked (k reduce hops back to
@@ -170,23 +172,23 @@ class RingSession:
     in one cumsum, so times, sums and the lazily built audit `transcript`
     are bit-identical to the replay.
 
-    `start` fills `completion` and `results` (one shared summed array) and
-    puts a single event on the simulator at the last completion time, in
-    place of k(2k - 1) chunk messages and k start timers (masked).
+    `start(now, ready_times)` fills `completion` and `results` (one shared
+    summed array); the round's end is `max(completion.values())`.
     """
 
     def __init__(
         self,
-        sim: Simulator,
+        latency: np.ndarray,
         members: Sequence[int],
         vectors: Sequence[np.ndarray],
         masks: Sequence[np.ndarray] | None = None,
         size_multiplier: float = 10.0,
     ) -> None:
-        self.sim = sim
+        self.latency = latency
         self.members = list(members)
         self.k = len(self.members)
-        if len(set(self.members)) != self.k or not all(0 <= m < sim.n_nodes for m in self.members):
+        n_nodes = latency.shape[0]
+        if len(set(self.members)) != self.k or not all(0 <= m < n_nodes for m in self.members):
             raise NodeNotFoundError(f"ring members {self.members} are not distinct nodes")
         self.vectors = list(vectors)
         model_len = self.vectors[0].shape[0]
@@ -208,9 +210,10 @@ class RingSession:
         """The round's messages in stream-major order (see `ring_transcript`)."""
         return ring_transcript(self._hops, self._total, self.spans, self.masks is not None)
 
-    def start(self, ready_times: Sequence[float]) -> None:
-        sim, k = self.sim, self.k
-        now = sim.now
+    def start(self, now: float, ready_times: Sequence[float]) -> None:
+        """Run the round from clock `now`; member i's stream leaves at
+        `ready_times[i]`, which must not be before `now`."""
+        k = self.k
         ready = now + (np.asarray(ready_times, dtype=np.float64) - now)
         if (ready < now).any():
             raise TimeTravelError(f"ring stream starts at {ready.min()} before clock {now}")
@@ -219,7 +222,7 @@ class RingSession:
             reduce_hops = k if self.masks is not None else k - 1
             n_hops = reduce_hops + k - 1
             nodes = np.asarray(self.members)
-            links = sim.latency[nodes, np.roll(nodes, -1)].astype(np.float64, copy=False)
+            links = self.latency[nodes, np.roll(nodes, -1)].astype(np.float64, copy=False)
             pos = np.arange(k)
             times = np.empty((k, n_hops + 1))
             times[:, 0] = ready
@@ -229,8 +232,5 @@ class RingSession:
             # many hops; each gather hop takes it one position further.
             arrival = reduce_hops + (pos[:, None] - pos - reduce_hops) % k
             finish = times[pos, arrival].max(axis=1)
-        completion = finish.tolist()
-        self.completion = dict(zip(self.members, completion))
+        self.completion = dict(zip(self.members, finish.tolist()))
         self.results = dict.fromkeys(self.members, self._total)
-        last = max(completion)
-        sim.schedule_at(last, self.members[completion.index(last)], kind="ring")

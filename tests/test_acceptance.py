@@ -20,13 +20,11 @@ def report(criterion: str, ok: bool, detail: str) -> None:
 
 def run_ring_session(vectors, masks):
     """Run the pool ring the chain runs, `sharedring.RingSession`, over nodes
-    0..k-1 of a small network on a `Simulator` until it is idle."""
+    0..k-1 of a small network from clock 0."""
     k = len(vectors)
     latency = netsim.build_topology(max(k, 2), seed=k, model=netsim.UniformTopology(5, 50))
-    sim = netsim.Simulator(latency)
-    session = sharedring.RingSession(sim, list(range(k)), vectors, masks=masks)
-    session.start([0.0] * k)
-    sim.run_until_idle()
+    session = sharedring.RingSession(latency, list(range(k)), vectors, masks=masks)
+    session.start(0.0, [0.0] * k)
     return session
 
 

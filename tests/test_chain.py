@@ -11,6 +11,7 @@ from fedchain import chain, cli, experiments, fed, fixedpoint, netsim, pools, sh
 from fedchain.errors import (
     DuplicateTaskBlockError,
     InsufficientSamplesError,
+    InvalidCommitteeError,
     InvalidTaskError,
     LedgerIntegrityError,
     RoundFailedError,
@@ -248,17 +249,96 @@ class TestFedchainRound:
         assert chain.validate_chain(ledger) == []
 
 
+def oracle_verification_exchange(sim, setup, outcome, model, tamper, pp, held_out_digests):
+    """The commit/challenge/prove/vote exchange replayed message by message
+    on the event simulator from `sim.now`: the handler-based exchange that
+    `chain._verification_exchange` computes in closed form."""
+    task = setup.task
+    head, members, pool_id = outcome.head, outcome.members, outcome.pool_id
+    rng = np.random.default_rng(chain._derive_seed(setup.seed, task.task_id, "committee", pool_id))
+    member_set = set(members)
+    candidates = [v for v in range(setup.n_nodes) if v != head and v not in member_set]
+    if not candidates:
+        candidates = [v for v in range(setup.n_nodes) if v != head]
+    committee = [int(v) for v in rng.choice(candidates, size=min(setup.n_verifiers, len(candidates)),
+                                            replace=False)]
+    blinding = verify.make_blinding(chain._derive_seed(setup.seed, task.task_id, "blind", pool_id))
+    com = verify.commit(model, pp, blinding)
+    votes = {}
+    state = {"commit_time": sim.now, "proof_time": None, "accept_time": None}
+    vote_times = {}
+    proofs = {}
+    samples = {}
+
+    def head_handler(s, event):
+        if event.kind == "challenge":
+            x = event.payload
+            key = (x.shape, x.dtype.str, x.tobytes())
+            proof = proofs.get(key)
+            if proof is None:
+                proof = verify.prove(model, x, pp, blinding)
+                if tamper:
+                    bad_y = proof.y.copy()
+                    bad_y[0] = (bad_y[0] + 1) % task.example.n_classes
+                    proof = replace(proof, y=bad_y)
+                proofs[key] = proof
+            if state["proof_time"] is None:
+                state["proof_time"] = s.now
+            s.send(head, event.src, proof, size_units=int(setup.size_multiplier), kind="proof")
+        elif event.kind == "vote":
+            votes[event.src] = event.payload
+            vote_times[event.src] = s.now
+            if len(votes) == len(committee):
+                state["accept_time"] = s.now
+
+    def verifier_handler(s, event):
+        if event.kind == "commit":
+            sample = verify.derive_challenge(task.held_out, held_out_digests, event.payload,
+                                             setup.challenge_size)
+            samples[event.dst] = sample
+            s.send(event.dst, head, sample.x, kind="challenge")
+        elif event.kind == "proof":
+            proof = event.payload
+            sample = samples[event.dst]
+            result = verify.verify(com, sample, proof.y, proof, pp)
+            ok = result.accepted and verify.accuracy_claim_check(
+                result.measured_accuracy, task.target, sample.count
+            )
+            s.send(event.dst, head, (ok, result.measured_accuracy), kind="vote")
+
+    sim.register(head, head_handler)
+    for v in committee:
+        sim.register(v, verifier_handler)
+    for v in committee:
+        sim.send(head, v, com, kind="commit")
+    sim.run_until_idle()
+    outcome.accepted = bool(votes) and all(ok for ok, _ in votes.values())
+    outcome.measured_accuracy = float(np.mean([m for _, m in votes.values()])) if votes else 0.0
+    outcome.accept_time = state["accept_time"]
+    outcome.commitment = com.hex
+    outcome.commit_time = state["commit_time"]
+    outcome.proof_time = state["proof_time"]
+    outcome.vote_times = vote_times
+
+
+def oracle_verify(setup, outcome, model, tamper):
+    """`oracle_verification_exchange` from the outcome's finish time."""
+    sim = netsim.Simulator(setup.latency)
+    sim.now = outcome.finish_time
+    oracle_verification_exchange(sim, setup, outcome, model, tamper,
+                                 *chain._exchange_constants(setup))
+
+
 def oracle_pool_rounds(setup, pool_id, members, start_times):
     """One pool trained to its natural end and, if it finished, verified:
     the all-pools loop the race replaced, with separate `evaluate` and
     `local_loss` calls."""
     task = setup.task
-    sim = netsim.Simulator(setup.latency)
-    weights_vec = chain._member_weights(setup, members)
+    weights_vec = fed.aggregation_weights(setup.aggregation, [setup.miner_data[m] for m in members],
+                                          task.example)
     k = len(members)
     model = fed.DenseClassifier(task.arch, seed=chain._derive_seed(setup.seed, task.task_id, "init"))
     barrier = max(start_times[m] for m in members)
-    sim.now = barrier
     chunk_lens = [c.shape[0] for c in np.array_split(model.weights, k)]
     outcome = chain.PoolOutcome(pool_id, members[0], members, None, None, False, 0.0,
                                 weights_vec, None)
@@ -277,10 +357,9 @@ def oracle_pool_rounds(setup, pool_id, members, start_times):
             )
             for i in range(k)
         ]
-        session = sharedring.RingSession(sim, members, vectors, masks=masks,
+        session = sharedring.RingSession(setup.latency, members, vectors, masks=masks,
                                          size_multiplier=setup.size_multiplier)
-        session.start([barrier + float(setup.compute_times[m]) for m in members])
-        sim.run_until_idle()
+        session.start(barrier, [barrier + float(setup.compute_times[m]) for m in members])
         barrier = max(session.completion.values())
         model = model.clone(fixedpoint.decode(session.results[members[0]]) / k)
         accuracy = fed.evaluate(model, task.example)
@@ -292,8 +371,7 @@ def oracle_pool_rounds(setup, pool_id, members, start_times):
             outcome.finish_time = barrier
             break
     if outcome.finish_time is not None:
-        chain._verification_exchange(sim, setup, outcome, model, pool_id in setup.tamper_pools,
-                                     *chain._exchange_constants(setup))
+        oracle_verify(setup, outcome, model, pool_id in setup.tamper_pools)
     return outcome
 
 
@@ -521,9 +599,8 @@ class TestVerificationExchange:
 
         monkeypatch.setattr(verify, "prove", counting_prove)
         monkeypatch.setattr(verify, "verify", counting_verify)
-        sim = netsim.Simulator(setup.latency)
-        outcome = chain.PoolOutcome(0, 0, [0, 1, 2], None, None, False, 0.0, None, None)
-        chain._verification_exchange(sim, setup, outcome, model, tamper,
+        outcome = chain.PoolOutcome(0, 0, [0, 1, 2], 100.0, None, False, 0.0, None, None)
+        chain._verification_exchange(setup, outcome, model, tamper,
                                      *chain._exchange_constants(setup))
         return model, proofs, checks
 
@@ -540,7 +617,9 @@ class TestVerificationExchange:
             assert np.array_equal(y, honest) is not tamper
 
     def test_challenge_carries_only_the_rows(self, monkeypatch):
-        derived, challenges = [], []
+        # the prover gets what a challenge message carries: the rows, not
+        # the sample with its labels and digests
+        derived = []
         real_derive = verify.derive_challenge
 
         def recording_derive(*args):
@@ -548,19 +627,12 @@ class TestVerificationExchange:
             return derived[-1]
 
         monkeypatch.setattr(verify, "derive_challenge", recording_derive)
-        real_send = netsim.Simulator.send
-
-        def recording_send(sim, src, dst, payload, *args, **kwargs):
-            if kwargs.get("kind") == "challenge":
-                challenges.append(payload)
-            return real_send(sim, src, dst, payload, *args, **kwargs)
-
-        monkeypatch.setattr(netsim.Simulator, "send", recording_send)
-        self.run_exchange(monkeypatch, tamper=False)
-        assert len(challenges) == len(derived) == 4
-        for payload, sample in zip(challenges, derived):
-            assert isinstance(payload, np.ndarray)
-            assert np.array_equal(payload, sample.x)
+        _, proved, _ = self.run_exchange(monkeypatch, tamper=False)
+        assert len(derived) == 4
+        assert len(proved) == 1
+        assert type(proved[0]) is np.ndarray
+        for sample in derived:
+            assert np.array_equal(proved[0], sample.x)
 
     def test_prover_and_every_verifier_link_their_own_chain(self, monkeypatch):
         links, hashed = [], []
@@ -602,6 +674,102 @@ class TestVerificationExchange:
             # one build per round: nothing is reused from the round before
             assert len(built) == rounds
         assert len(exchanges) >= 4
+
+
+def exchange_latency(kind, n, seed):
+    if kind == "uniform":
+        return netsim.build_topology(n, seed=seed, model=netsim.UniformTopology(10, 100))
+    latency = {
+        "equal": lambda: np.full((n, n), 25.0),
+        "zero": lambda: np.zeros((n, n)),
+        # integer-valued and integer-typed: many arrivals land at equal times
+        "integer": lambda: np.random.default_rng(seed).integers(1, 4, size=(n, n)),
+    }[kind]()
+    np.fill_diagonal(latency, 0)
+    return latency
+
+
+class TestVerificationExchangeOracle:
+    """The closed-form exchange sets every verification field of a
+    `PoolOutcome` exactly as the event-driven replay does, vote order
+    included."""
+
+    @pytest.mark.parametrize("tamper", [False, True])
+    @pytest.mark.parametrize("kind", ["uniform", "equal", "zero", "integer"])
+    @pytest.mark.parametrize("n_verifiers", [1, 3, 5, 8])
+    def test_fields_match_event_loop(self, n_verifiers, kind, tamper):
+        base = build_setup(n_nodes=12, n_pools=2, seed=0)
+        for seed in range(3):
+            # a target any model meets, one a random model may miss, one it
+            # misses; with 1-unit proofs, integer links tie votes whose
+            # proofs arrive at different times
+            task = replace(base.task, target=(1e-9, 0.3, 0.99)[seed])
+            setup = replace(base, task=task, seed=seed, n_verifiers=n_verifiers,
+                            latency=exchange_latency(kind, 12, seed),
+                            size_multiplier=(10.0, 1.0, 2.5)[seed])
+            model = fed.DenseClassifier(task.arch, seed=seed)
+            # a small pool (committee from outside it) and the whole network
+            for pool_id, members in ((seed, [seed, seed + 4, seed + 7]), (0, list(range(12)))):
+                got, want = (
+                    chain.PoolOutcome(pool_id, members[0], members, 0.1 + 57.3 * seed, None, False,
+                                      0.0, None, None)
+                    for _ in range(2)
+                )
+                chain._verification_exchange(setup, got, model, tamper,
+                                             *chain._exchange_constants(setup))
+                oracle_verify(setup, want, model, tamper)
+                assert len(want.vote_times) == n_verifiers
+                if tamper or seed == 0:
+                    assert want.accepted is (not tamper)
+                assert (got.accepted, got.measured_accuracy, got.accept_time, got.commitment,
+                        got.commit_time, got.proof_time) == (
+                    want.accepted, want.measured_accuracy, want.accept_time, want.commitment,
+                    want.commit_time, want.proof_time)
+                assert list(got.vote_times.items()) == list(want.vote_times.items())
+                assert all(type(t) is float for t in got.vote_times.values())
+
+
+class TestNoEventLoop:
+    """A round computes every simulated time in closed form: it never
+    sends, schedules or runs an event."""
+
+    @pytest.mark.parametrize("mode", chain.MODES)
+    def test_every_mode_runs_without_the_event_loop(self, monkeypatch, mode):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a round used the event loop")
+
+        for name in ("run_until_idle", "send", "schedule_at"):
+            monkeypatch.setattr(netsim.Simulator, name, refuse)
+        setup = build_setup(n_nodes=8, n_pools=2, seed=1, pow_difficulty=8)
+        ledger = chain.Chain()
+        assert chain.run_round(ledger, setup, mode).block.height == 1
+        assert chain.validate_chain(ledger) == []
+
+    def test_round_modules_do_not_import_the_simulator(self):
+        assert not hasattr(chain, "Simulator")
+        assert not hasattr(sharedring, "Simulator")
+
+
+class TestCommitteeSize:
+    """A round without a verifier is refused, in every mode, before any
+    work."""
+
+    @pytest.mark.parametrize("n_verifiers", [0, -1])
+    @pytest.mark.parametrize("mode", chain.MODES)
+    def test_refused_before_any_work(self, monkeypatch, mode, n_verifiers):
+        calls = []
+        monkeypatch.setattr(chain, "publish_task", lambda *a, **k: calls.append("publish"))
+        monkeypatch.setattr(chain, "local_train", lambda *a, **k: calls.append("train"))
+        setup = build_setup(n_nodes=6, n_pools=2, seed=1, n_verifiers=n_verifiers,
+                            pow_difficulty=8)
+        with pytest.raises(InvalidCommitteeError, match=f"got {n_verifiers}"):
+            chain.run_round(chain.Chain(), setup, mode)
+        assert calls == []
+
+    def test_one_verifier_settles(self):
+        setup = build_setup(n_nodes=6, n_pools=2, seed=1, n_verifiers=1)
+        result = chain.run_round_fedchain(chain.Chain(), setup)
+        assert len(result.outcomes[result.winner_pool].vote_times) == 1
 
 
 class TestClaimSamples:
@@ -725,14 +893,12 @@ def oracle_gfl_ring(ledger, setup):
     task = setup.task
     publish_tx = chain.publish_task(task, setup.publisher, now=0.0)
     nodes = list(range(setup.n_nodes))
-    sim = netsim.Simulator(setup.latency)
     weights_vec = fed.fedavg_weights([len(setup.miner_data[m]) for m in nodes])
     model = fed.DenseClassifier(task.arch, seed=chain._derive_seed(setup.seed, task.task_id, "init"))
     k = len(nodes)
     barrier = max(
         float(setup.latency[setup.publisher, m]) if m != setup.publisher else 0.0 for m in nodes
     )
-    sim.now = barrier
     metrics = []
     finish = None
     for round_idx in range(setup.max_rounds):
@@ -742,10 +908,9 @@ def oracle_gfl_ring(ledger, setup):
             for m in nodes
         ]
         vectors = [fixedpoint.encode(t.weights * (w * k)) for t, w in zip(trained, weights_vec)]
-        session = sharedring.RingSession(sim, nodes, vectors, masks=None,
+        session = sharedring.RingSession(setup.latency, nodes, vectors, masks=None,
                                          size_multiplier=setup.size_multiplier)
-        session.start([barrier + float(setup.compute_times[m]) for m in nodes])
-        sim.run_until_idle()
+        session.start(barrier, [barrier + float(setup.compute_times[m]) for m in nodes])
         barrier = max(session.completion.values())
         model = model.clone(fixedpoint.decode(session.results[nodes[0]]) / k)
         accuracy, loss = fed.evaluate_and_loss(model, task.example)
@@ -756,21 +921,17 @@ def oracle_gfl_ring(ledger, setup):
             finish = barrier
             break
     return oracle_finish_baseline(ledger, setup, publish_tx, model, finish, weights_vec, nodes,
-                                  metrics, setup.publisher, sim=sim)
+                                  metrics, setup.publisher)
 
 
 def oracle_finish_baseline(ledger, setup, publish_tx, model, finish, weights_vec, members,
-                           metrics, committer, sim=None):
+                           metrics, committer):
     """Honest verification of the whole-network pool, then its block."""
     if finish is None:
         raise RoundFailedError(f"task {setup.task.task_id}: target not reached before the deadline")
-    if sim is None:
-        sim = netsim.Simulator(setup.latency)
-        sim.now = finish
     outcome = chain.PoolOutcome(0, committer, members, finish, None, False, 0.0, weights_vec,
                                 None, metrics=metrics)
-    chain._verification_exchange(sim, setup, outcome, model, False,
-                                 *chain._exchange_constants(setup))
+    oracle_verify(setup, outcome, model, False)
     if not outcome.accepted:
         raise RoundFailedError(f"task {setup.task.task_id}: baseline proof rejected")
     block, credits = chain._build_block(ledger, setup, outcome, None, {}, publish_tx)
@@ -1284,8 +1445,8 @@ class TestChainRingAudit:
         captured = []
 
         class RecordingSession(sharedring.RingSession):
-            def __init__(self, sim, members, vectors, *args, **kwargs):
-                super().__init__(sim, members, vectors, *args, **kwargs)
+            def __init__(self, latency, members, vectors, *args, **kwargs):
+                super().__init__(latency, members, vectors, *args, **kwargs)
                 captured.append((self, [v.copy() for v in vectors]))
 
         monkeypatch.setattr(sharedring, "RingSession", RecordingSession)

@@ -127,6 +127,10 @@ class TestSweep:
         schemes = {r["scheme"] for r in rows}
         assert schemes == {"fedavg", "kl"}
 
+    def test_unknown_scheme_rejected(self):
+        with pytest.raises(ValueError, match="unknown aggregation scheme: median"):
+            experiments.run_sweep_cell(tiny_sweep_config(), "median", 0.8, seed=0)
+
 
 class TestTrendChecks:
     def test_latency_checks_on_synthetic_rows(self):

@@ -355,6 +355,31 @@ class TestKlWeights:
         assert weights.sum() == pytest.approx(1.0)
 
 
+class TestAggregationWeights:
+    """One helper gives the chain's and the sweep's weights."""
+
+    def parts(self):
+        base = data.make_blobs(300, 4, 5, seed=3)
+        return data.partition_noniid(base, 4, alpha=0.3, seed=4), base.subset(np.arange(100))
+
+    def test_fedavg_is_size_weights(self):
+        parts, example = self.parts()
+        got = fed.aggregation_weights("fedavg", parts, example)
+        assert got.tolist() == fed.fedavg_weights([len(p) for p in parts]).tolist()
+
+    def test_kl_against_the_example_histogram(self):
+        parts, example = self.parts()
+        ref = data.smooth_histogram(example.histogram())
+        hists = [data.smooth_histogram(p.histogram()) for p in parts]
+        want = fed.kl_weights(hists, ref, [len(p) for p in parts])
+        assert fed.aggregation_weights("kl", parts, example).tolist() == want.tolist()
+
+    def test_unknown_scheme_rejected(self):
+        parts, example = self.parts()
+        with pytest.raises(ValueError, match="unknown aggregation scheme: median"):
+            fed.aggregation_weights("median", parts, example)
+
+
 class TestAggregate:
     def test_single_miner_identity(self):
         v = np.array([1.0, 2.0, 3.0])

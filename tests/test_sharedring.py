@@ -88,13 +88,11 @@ def seeded_masks(vectors, noise_seed):
 
 
 def run_ring(vectors, masks=None):
-    """One `RingSession` over nodes 0..k-1 of a small network, run to the end."""
+    """One `RingSession` over nodes 0..k-1 of a small network, from clock 0."""
     k = len(vectors)
     lat = netsim.build_topology(max(k, 2), seed=k, model=netsim.UniformTopology(5, 20))
-    sim = netsim.Simulator(lat)
-    session = sharedring.RingSession(sim, list(range(k)), vectors, masks=masks)
-    session.start([0.0] * k)
-    sim.run_until_idle()
+    session = sharedring.RingSession(lat, list(range(k)), vectors, masks=masks)
+    session.start(0.0, [0.0] * k)
     return session
 
 
@@ -324,7 +322,6 @@ class TestRingSession:
     def run_session(self, k, masked, seed=0, m=20):
         rng = np.random.default_rng(seed)
         lat = netsim.build_topology(max(k, 2), seed=seed, model=netsim.UniformTopology(5, 20))
-        sim = netsim.Simulator(lat)
         vectors = [rng.integers(-40, 40, size=m).astype(np.int64) for _ in range(k)]
         masks = None
         if masked:
@@ -332,14 +329,13 @@ class TestRingSession:
             masks = [
                 fixedpoint.generate_noise(len(splits[i][i]), seed=100 + i) for i in range(k)
             ]
-        session = sharedring.RingSession(sim, list(range(k)), vectors, masks=masks)
-        session.start([10.0] * k)
-        sim.run_until_idle()
-        return session, vectors, sim
+        session = sharedring.RingSession(lat, list(range(k)), vectors, masks=masks)
+        session.start(10.0, [10.0] * k)
+        return session, vectors
 
     @pytest.mark.parametrize("k,masked", [(1, True), (2, True), (4, True), (4, False)])
     def test_results_match_direct_sum(self, k, masked):
-        session, vectors, _ = self.run_session(k, masked)
+        session, vectors = self.run_session(k, masked)
         assert done(session)
         expected = np.sum(np.stack(vectors), axis=0)
         for node in range(k):
@@ -347,13 +343,13 @@ class TestRingSession:
 
     def test_simulated_message_count_matches_pure_path(self):
         k = 4
-        session, _, sim = self.run_session(k, masked=True)
+        session, _ = self.run_session(k, masked=True)
         assert len(session.transcript) == k * k + k * (k - 1)
 
     def test_completion_after_ready(self):
-        session, _, sim = self.run_session(3, masked=True)
-        assert all(t >= 10.0 for t in session.completion.values())
-        assert sim.now == max(session.completion.values())
+        session, _ = self.run_session(3, masked=True)
+        assert session.completion.keys() == {0, 1, 2}
+        assert all(t > 10.0 for t in session.completion.values())
 
 
 class TestRingSessionAudit:
@@ -365,7 +361,6 @@ class TestRingSessionAudit:
         rng = np.random.default_rng(seed)
         n = k + 3
         lat = netsim.build_topology(n, seed=seed, model=netsim.UniformTopology(5, 60))
-        sim = netsim.Simulator(lat)
         members = [int(v) for v in rng.permutation(n)[:k]]
         vectors = [fixedpoint.encode(rng.normal(0, 2, size=m)) for _ in range(k)]
         lengths = [c.shape[0] for c in split(vectors[0], k)]
@@ -373,9 +368,8 @@ class TestRingSessionAudit:
             masks = [np.zeros(lengths[i], dtype=np.int64) for i in range(k)]
         else:
             masks = [fixedpoint.generate_noise(lengths[i], seed=seed * 10 + i) for i in range(k)]
-        session = sharedring.RingSession(sim, members, vectors, masks=masks)
-        session.start([float(t) for t in rng.uniform(0, 200, size=k)])
-        sim.run_until_idle()
+        session = sharedring.RingSession(lat, members, vectors, masks=masks)
+        session.start(0.0, [float(t) for t in rng.uniform(0, 200, size=k)])
         assert done(session)
         return session, vectors, masks
 
@@ -426,7 +420,6 @@ class TestRingSessionSharesInputs:
     def test_caller_vectors_unchanged(self, k, masked):
         rng = np.random.default_rng(70 + k)
         lat = netsim.build_topology(max(k, 2), seed=k, model=netsim.UniformTopology(5, 20))
-        sim = netsim.Simulator(lat)
         vectors = [rng.integers(-40, 40, size=23).astype(np.int64) for _ in range(k)]
         before = [v.copy() for v in vectors]
         masks = None
@@ -435,32 +428,31 @@ class TestRingSessionSharesInputs:
                 fixedpoint.generate_noise(len(c), seed=i)
                 for i, c in enumerate(split(vectors[0], k))
             ]
-        session = sharedring.RingSession(sim, list(range(k)), vectors, masks=masks)
+        session = sharedring.RingSession(lat, list(range(k)), vectors, masks=masks)
         for v, raw in zip(vectors, session.raw_splits):
             assert [c.tolist() for c in raw] == [c.tolist() for c in split(v, k)]
-        session.start([5.0] * k)
-        sim.run_until_idle()
+        session.start(5.0, [5.0] * k)
         assert done(session)
         assert all(np.array_equal(v, b) for v, b in zip(vectors, before))
         expected = np.sum(np.stack(before), axis=0)
         assert all(np.array_equal(r, expected) for r in session.results.values())
 
     def test_too_many_members_still_rejected(self):
-        sim = netsim.Simulator(netsim.build_topology(4, seed=0, model=netsim.UniformTopology()))
+        lat = netsim.build_topology(4, seed=0, model=netsim.UniformTopology())
         with pytest.raises(ModelTooSmallError):
-            sharedring.RingSession(sim, [0, 1, 2, 3], [np.arange(3, dtype=np.int64)] * 4)
+            sharedring.RingSession(lat, [0, 1, 2, 3], [np.arange(3, dtype=np.int64)] * 4)
 
     @pytest.mark.parametrize("members", [[0, 2, 0], [0, 1, 4], [-1, 0, 1]])
     def test_members_must_be_distinct_nodes(self, members):
-        sim = netsim.Simulator(netsim.build_topology(4, seed=0, model=netsim.UniformTopology()))
+        lat = netsim.build_topology(4, seed=0, model=netsim.UniformTopology())
         with pytest.raises(NodeNotFoundError):
-            sharedring.RingSession(sim, members, [np.arange(6, dtype=np.int64)] * 3)
+            sharedring.RingSession(lat, members, [np.arange(6, dtype=np.int64)] * 3)
 
     def test_mask_of_wrong_length_rejected(self):
-        sim = netsim.Simulator(netsim.build_topology(4, seed=0, model=netsim.UniformTopology()))
+        lat = netsim.build_topology(4, seed=0, model=netsim.UniformTopology())
         masks = [np.zeros(n, dtype=np.int64) for n in (2, 3, 2)]
         with pytest.raises(MaskShapeError):
-            sharedring.RingSession(sim, [0, 1, 2], [np.arange(6, dtype=np.int64)] * 3, masks=masks)
+            sharedring.RingSession(lat, [0, 1, 2], [np.arange(6, dtype=np.int64)] * 3, masks=masks)
 
     def test_mask_own_chunk_leaves_inputs_and_shares_the_rest(self):
         chunks = split(np.arange(10, dtype=np.int64), 3)
@@ -572,6 +564,22 @@ class OracleRingSession:
                 self._finish_member(pos)
 
 
+def start_session(cls, latency, clock, ready, *args, **kwargs):
+    """A `cls` session over `latency`, started from `clock` with streams
+    leaving at `ready`, and the clock after it. `RingSession` is computed
+    directly and ends at its last completion; `OracleRingSession` is replayed
+    on a `Simulator` set to `clock` until it is idle."""
+    if cls is sharedring.RingSession:
+        session = cls(latency, *args, **kwargs)
+        session.start(clock, ready)
+        return session, max(session.completion.values())
+    sim = netsim.Simulator(latency)
+    sim.now = clock
+    session = cls(sim, *args, **kwargs)
+    session.start(ready)
+    return session, sim.run_until_idle()
+
+
 def oracle_case(k, masked, clock, integer, seed):
     """Inputs for one ring: random member order, latencies and ready times.
 
@@ -611,15 +619,11 @@ class TestRingSessionOracle:
             latency, members, vectors, masks, ready, mult = oracle_case(
                 k, masked, clock, integer, seed=1000 * k + seed
             )
-            runs = []
-            for cls in (sharedring.RingSession, OracleRingSession):
-                sim = netsim.Simulator(latency)
-                sim.now = clock
-                session = cls(sim, members, vectors, masks=masks, size_multiplier=mult)
-                session.start(ready)
-                sim.run_until_idle()
-                runs.append((session, sim.now))
-            (got, got_now), (want, want_now) = runs
+            (got, got_now), (want, want_now) = [
+                start_session(cls, latency, clock, ready, members, vectors, masks=masks,
+                              size_multiplier=mult)
+                for cls in (sharedring.RingSession, OracleRingSession)
+            ]
             assert got.completion == want.completion
             assert got_now == want_now == max(want.completion.values())
             assert got.results.keys() == want.results.keys()
@@ -643,21 +647,15 @@ class TestRingSessionOracle:
         clock, ready = 0.5277764017096607, 3.4762437629867367
         assert clock + (ready - clock) != ready
         latency, members, vectors, masks, _, _ = oracle_case(1, masked, clock, False, seed=2)
-        sessions = []
-        for cls in (sharedring.RingSession, OracleRingSession):
-            sim = netsim.Simulator(latency)
-            sim.now = clock
-            sessions.append(cls(sim, members, vectors, masks=masks))
-            sessions[-1].start([ready])
-            sim.run_until_idle()
-        got, want = sessions
+        got, want = [
+            start_session(cls, latency, clock, [ready], members, vectors, masks=masks)[0]
+            for cls in (sharedring.RingSession, OracleRingSession)
+        ]
         assert got.completion == want.completion == {members[0]: clock + (ready - clock)}
 
     @pytest.mark.parametrize("cls", [sharedring.RingSession, OracleRingSession])
     def test_ready_time_before_clock_rejected(self, cls):
         latency, members, vectors, masks, ready, _ = oracle_case(3, True, 50.0, False, seed=1)
-        sim = netsim.Simulator(latency)
-        sim.now = 50.0
-        session = cls(sim, members, vectors, masks=masks)
         with pytest.raises(TimeTravelError):
-            session.start([ready[0], 49.0, ready[2]])
+            start_session(cls, latency, 50.0, [ready[0], 49.0, ready[2]], members, vectors,
+                          masks=masks)
