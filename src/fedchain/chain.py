@@ -15,7 +15,6 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
-import math
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Sequence
@@ -438,10 +437,13 @@ class RoundSetup:
 class PoolOutcome:
     """One pool's part in a round.
 
-    `abandoned_at` is set on a pool that the race cut short, because it
-    could no longer win: the start barrier of the first round it did not
-    run, or the finish time of a model it did not send to verification.
-    `None` means the pool ran to its natural end (target, deadline or
+    `abandoned_at` is set on a pool that the race cut short once the block
+    was decided: the start barrier of the first round it did not run, or,
+    for a pool that finished but whose last vote would have arrived after
+    the block's, its finish time. Such a finisher's exchange never ran: it
+    keeps `finish_time` and its metrics, but its `commitment`, `accept_time`,
+    `commit_time`, `proof_time` and `vote_times` are unset and `accepted` is
+    False. `None` means the pool ran to its natural end (target, deadline or
     round budget) and, if it finished, was verified."""
 
     pool_id: int
@@ -553,50 +555,74 @@ def _exchange_constants(setup: RoundSetup) -> tuple[verify.PublicParams, np.ndar
     return pp, verify.row_digests(setup.task.held_out.x)
 
 
+def _exchange_schedule(setup: RoundSetup,
+                       outcome: PoolOutcome) -> tuple[list[int], list[tuple]]:
+    """When the messages of the outcome's verification exchange arrive, in
+    closed form from `t0 = finish_time`; no crypto runs here.
+
+    Draws the verifier committee, from outside the pool when the network is
+    big enough, else from every node but the head. With head `h`, verifier
+    `v`'s commit arrives at `t0 + L[h, v]`, its challenge `L[v, h]` later,
+    the proof `L[h, v] * int(size_multiplier)` later and the vote `L[v, h]`
+    later. Returns the committee and its
+    `(vote, proof, challenge, commit, committee index)` arrival tuples
+    sorted, which is the `(time, send order)` order an event loop delivers
+    the votes in, so the last vote arrival comes last. `_race` draws this
+    once per finisher and hands it to `_verification_exchange`."""
+    head, latency = outcome.head, setup.latency
+    rng = np.random.default_rng(
+        _derive_seed(setup.seed, setup.task.task_id, "committee", outcome.pool_id)
+    )
+    outside = np.ones(setup.n_nodes, dtype=bool)
+    outside[outcome.members] = False
+    outside[head] = False
+    candidates = np.flatnonzero(outside)
+    if candidates.size == 0:
+        candidates = np.flatnonzero(np.arange(setup.n_nodes) != head)
+    committee = rng.choice(
+        candidates, size=min(setup.n_verifiers, candidates.size), replace=False
+    ).tolist()
+    t0, su = outcome.finish_time, int(setup.size_multiplier)
+    arrivals = []
+    for idx, v in enumerate(committee):
+        down, up = float(latency[head, v]), float(latency[v, head])
+        commit_at = t0 + down
+        challenge_at = commit_at + up
+        proof_at = challenge_at + down * su
+        arrivals.append((proof_at + up, proof_at, challenge_at, commit_at, idx))
+    return committee, sorted(arrivals)
+
+
 def _verification_exchange(
     setup: RoundSetup,
     outcome: PoolOutcome,
+    schedule: tuple[list[int], list[tuple]],
     model: DenseClassifier,
     tamper: bool,
     pp: verify.PublicParams,
     held_out_digests: np.ndarray,
 ) -> None:
-    """The commit/challenge/prove/vote exchange between the outcome's head
-    and its verifier committee, in closed form from `t0 = finish_time`.
+    """The crypto of the commit/challenge/prove/vote exchange between the
+    outcome's head and the committee of `schedule` (`_exchange_schedule`),
+    and its result set on the outcome.
 
-    Each verifier `v` derives its own challenge from the commitment, sends
-    back only the rows, checks the proof (the head proves each distinct
-    challenge once) and votes. Nothing contends, so with head `h` the
-    commit arrives at `t0 + L[h, v]`, the challenge `L[v, h]` later, the
-    proof `L[h, v] * int(size_multiplier)` later and the vote `L[v, h]`
-    later. The proof time is the first challenge arrival and the accept
-    time the last vote arrival. Votes count in
-    `(vote, proof, challenge, commit, committee index)` order, the
-    `(time, send order)` order an event loop delivers them in, so every
-    field set on the outcome is bit-identical to replaying the messages.
-    `pp` and `held_out_digests` come from `_exchange_constants`."""
+    The head commits to the model. Each verifier derives its own challenge
+    from the commitment, sends back only the rows, checks the proof (the
+    head proves each distinct challenge once) and votes. The proof time is
+    the first challenge arrival and the accept time the last vote arrival;
+    votes count in the schedule's order, so every field set on the outcome
+    is bit-identical to replaying the messages. The outcome is accepted
+    only if it has a committee and every vote accepts. `pp` and
+    `held_out_digests` come from `_exchange_constants`."""
     task = setup.task
-    head, members, pool_id = outcome.head, outcome.members, outcome.pool_id
-    rng = np.random.default_rng(_derive_seed(setup.seed, task.task_id, "committee", pool_id))
-    # verifiers come from outside the pool when the network is big enough
-    member_set = set(members)
-    candidates = [v for v in range(setup.n_nodes) if v != head and v not in member_set]
-    if not candidates:
-        candidates = [v for v in range(setup.n_nodes) if v != head]
-    committee = [int(v) for v in rng.choice(candidates, size=min(setup.n_verifiers, len(candidates)), replace=False)]
-
-    blinding = verify.make_blinding(_derive_seed(setup.seed, task.task_id, "blind", pool_id))
+    committee, votes = schedule
+    blind_seed = _derive_seed(setup.seed, task.task_id, "blind", outcome.pool_id)
+    blinding = verify.make_blinding(blind_seed)
     com = verify.commit(model, pp, blinding)
-    t0, su = outcome.finish_time, int(setup.size_multiplier)
     # The head proves each distinct challenge batch once, keyed by content.
     proofs: dict[tuple, verify.PredictionProof] = {}
-    arrivals, ballots = [], []
-    for idx, v in enumerate(committee):
-        down, up = float(setup.latency[head, v]), float(setup.latency[v, head])
-        commit_at = t0 + down
-        challenge_at = commit_at + up
-        proof_at = challenge_at + down * su
-        arrivals.append((proof_at + up, proof_at, challenge_at, commit_at, idx))
+    ballots = []
+    for _ in committee:
         sample = verify.derive_challenge(task.held_out, held_out_digests, com, setup.challenge_size)
         x = sample.x
         key = (x.shape, x.dtype.str, x.tobytes())
@@ -613,13 +639,12 @@ def _verification_exchange(
             result.measured_accuracy, task.target, sample.count
         )
         ballots.append((ok, result.measured_accuracy))
-    votes = sorted(arrivals)
     outcome.accepted = bool(votes) and all(ok for ok, _ in ballots)
     outcome.measured_accuracy = float(np.mean([ballots[i][1] for *_, i in votes])) if votes else 0.0
     outcome.accept_time = votes[-1][0] if votes else None
     outcome.commitment = com.hex
-    outcome.commit_time = t0
-    outcome.proof_time = min((a[2] for a in arrivals), default=None)
+    outcome.commit_time = outcome.finish_time
+    outcome.proof_time = min((a[2] for a in votes), default=None)
     outcome.vote_times = {committee[i]: t for t, *_, i in votes}
 
 
@@ -836,57 +861,59 @@ def _form_pools(setup: RoundSetup) -> tuple[pools.PoolAssignment, dict[int, floa
 
 
 def _race(setup: RoundSetup, runs: list[_PoolRun]) -> PoolOutcome:
-    """Step the runs on the simulated clock; return the outcome of the first
-    verified finisher, lowest pool id on a tie. `runs[i]` is pool i. Raises
-    RoundFailedError if no run verifies before the deadline.
+    """Run the pools' rounds and verification exchanges in simulated-time
+    order; return the outcome of the first verified finisher, lowest pool
+    id on a tie. `runs[i]` is pool i. Raises RoundFailedError if no run
+    verifies before the deadline.
 
-    A heap holds each unfinished run's next round start barrier as
-    `(barrier, pool_id)`, and `best` is the `(accept_time, pool_id)` of the
-    best accepted run so far, at first `(inf, inf)`. The round at the top of
-    the heap runs only while `(barrier, pool_id) < best`; once it is not,
-    every run left is cut short. A run that finishes is verified only if
-    `(finish_time, pool_id) < best`. Cut runs get `abandoned_at`.
+    A heap holds one event per live run, keyed `(time, pool_id)`: for a run
+    that has not finished, its next round start barrier; for one that has
+    (`outcome.finish_time` is set), the arrival of its last vote, from the
+    exchange schedule drawn when it finished (`_exchange_schedule`).
+    Popping a round start runs that round; popping a vote event runs the
+    exchange's crypto (`_verification_exchange`). The first vote event that
+    accepts wins, and every event still on the heap is cut: its run gets
+    `abandoned_at`, the barrier of a pending round start or the finish
+    time of a pending vote event. A finisher with no committee has its vote
+    event at its finish time and is rejected.
 
-    This is exact: a run's accept time is never before its finish time,
-    which is never before the start barrier of any of its rounds, because
-    ring hops, uploads, compute times and link latencies are non-negative.
-    So a run whose barrier or finish time, paired with its id, is not below
-    `best` cannot reach an `(accept_time, pool_id)` below it, and `best`
-    only ever falls. Comparing whole tuples keeps the lower-pool-id
-    tie-break exact even when verification takes no simulated time. Every
-    run keeps its own clock and derives its seeds from its id, so running
-    them interleaved changes none of their numbers: the winner's outcome
-    equals that of training and verifying every run to its end, and only
-    losing runs' outcomes differ.
+    This is exact: a run's last vote arrives no earlier than it finishes,
+    which is no earlier than any of its round starts, because ring hops,
+    uploads, compute times and link latencies are non-negative. So every
+    round start or vote event below the winner's `(accept_time, pool_id)`
+    pops before the winner's vote event, and none above it can change the
+    block. Comparing whole tuples keeps the lower-pool-id tie-break exact
+    even when verification takes no simulated time. Every run keeps its
+    own clock and derives its seeds from its id, so running them
+    interleaved changes none of their numbers: the winner's outcome equals
+    that of training and verifying every run to its end, and only losing
+    runs' outcomes differ. A loser whose vote event was cut keeps its
+    finish time but has no commitment, accept time or votes.
     """
     heap = [(run.barrier, idx) for idx, run in enumerate(runs)] if setup.max_rounds > 0 else []
     heapq.heapify(heap)
-    best = (math.inf, math.inf)
+    schedules = {}  # pool id -> `_exchange_schedule` of a finished run
     constants = None  # `_exchange_constants`, built on the first exchange
     while heap:
-        barrier, idx = heapq.heappop(heap)
-        if (barrier, idx) >= best:
-            for cut_barrier, cut_idx in [(barrier, idx), *heap]:
-                runs[cut_idx].outcome.abandoned_at = cut_barrier
-            break
+        _, idx = heapq.heappop(heap)
         run = runs[idx]
-        if not run.step():
-            heapq.heappush(heap, (run.barrier, idx))
-            continue
-        finish = run.outcome.finish_time
-        if finish is None:
-            continue
-        if (finish, idx) >= best:
-            run.outcome.abandoned_at = finish
+        outcome = run.outcome
+        if outcome.finish_time is None:
+            if not run.step():
+                heapq.heappush(heap, (run.barrier, idx))
+            elif outcome.finish_time is not None:
+                _, votes = schedules[idx] = _exchange_schedule(setup, outcome)
+                heapq.heappush(heap, (votes[-1][0] if votes else outcome.finish_time, idx))
             continue
         if constants is None:
             constants = _exchange_constants(setup)
-        _verification_exchange(setup, run.outcome, run.model, run.tamper, *constants)
-        if run.outcome.accepted:
-            best = min(best, (run.outcome.accept_time, idx))
-    if best[1] == math.inf:
-        raise RoundFailedError(f"task {setup.task.task_id}: no pool verified before the deadline")
-    return runs[best[1]].outcome
+        _verification_exchange(setup, outcome, schedules[idx], run.model, run.tamper, *constants)
+        if outcome.accepted:
+            for time, cut_idx in heap:
+                cut = runs[cut_idx].outcome
+                cut.abandoned_at = time if cut.finish_time is None else cut.finish_time
+            return outcome
+    raise RoundFailedError(f"task {setup.task.task_id}: no pool verified before the deadline")
 
 
 def _settle(chain: Chain, setup: RoundSetup, publish_tx: Transaction, winner: PoolOutcome,

@@ -249,19 +249,27 @@ class TestFedchainRound:
         assert chain.validate_chain(ledger) == []
 
 
-def oracle_verification_exchange(sim, setup, outcome, model, tamper, pp, held_out_digests):
-    """The commit/challenge/prove/vote exchange replayed message by message
-    on the event simulator from `sim.now`: the handler-based exchange that
-    `chain._verification_exchange` computes in closed form."""
-    task = setup.task
-    head, members, pool_id = outcome.head, outcome.members, outcome.pool_id
-    rng = np.random.default_rng(chain._derive_seed(setup.seed, task.task_id, "committee", pool_id))
-    member_set = set(members)
-    candidates = [v for v in range(setup.n_nodes) if v != head and v not in member_set]
+def listed_committee(setup, outcome):
+    """The committee drawn from candidate lists built by comprehension, as
+    the event-driven oracle draws it."""
+    head, members = outcome.head, set(outcome.members)
+    rng = np.random.default_rng(
+        chain._derive_seed(setup.seed, setup.task.task_id, "committee", outcome.pool_id))
+    candidates = [v for v in range(setup.n_nodes) if v != head and v not in members]
     if not candidates:
         candidates = [v for v in range(setup.n_nodes) if v != head]
-    committee = [int(v) for v in rng.choice(candidates, size=min(setup.n_verifiers, len(candidates)),
-                                            replace=False)]
+    size = min(setup.n_verifiers, len(candidates))
+    return [int(v) for v in rng.choice(candidates, size=size, replace=False)]
+
+
+def oracle_verification_exchange(sim, setup, outcome, model, tamper, pp, held_out_digests):
+    """The commit/challenge/prove/vote exchange replayed message by message
+    on the event simulator from `sim.now`: the handler-based exchange whose
+    arrival times `chain._exchange_schedule` computes in closed form and
+    whose crypto `chain._verification_exchange` runs."""
+    task = setup.task
+    head, pool_id = outcome.head, outcome.pool_id
+    committee = listed_committee(setup, outcome)
     blinding = verify.make_blinding(chain._derive_seed(setup.seed, task.task_id, "blind", pool_id))
     com = verify.commit(model, pp, blinding)
     votes = {}
@@ -327,6 +335,13 @@ def oracle_verify(setup, outcome, model, tamper):
     sim.now = outcome.finish_time
     oracle_verification_exchange(sim, setup, outcome, model, tamper,
                                  *chain._exchange_constants(setup))
+
+
+def closed_form_exchange(setup, outcome, model, tamper):
+    """Both halves of the chain's exchange, as `chain._race` runs them for a
+    finisher: the arrival schedule, then the crypto."""
+    chain._verification_exchange(setup, outcome, chain._exchange_schedule(setup, outcome), model,
+                                 tamper, *chain._exchange_constants(setup))
 
 
 def oracle_pool_rounds(setup, pool_id, members, start_times):
@@ -423,7 +438,9 @@ def assert_same_block(raced, oracle):
 def assert_race_cut(raced, oracle):
     """Every pool-round whose `(start barrier, pool id)` is below the
     block's `(latency_ms, winner)` ran, none other did (the winner runs all
-    of its rounds), and `abandoned_at` marks exactly the pools cut short."""
+    of its rounds), a finisher was verified iff its `(accept_time, pool id)`
+    in the oracle is at or below the block's, and `abandoned_at` marks
+    exactly the pools cut short."""
     best = (oracle.latency_ms, oracle.winner_pool)
     for got, full in zip(raced.outcomes, oracle.outcomes, strict=True):
         pool = full.pool_id
@@ -435,16 +452,18 @@ def assert_race_cut(raced, oracle):
             assert ran == len(full.metrics)
         else:
             assert [i < ran for i in range(len(starts))] == [(t, pool) < best for t in starts]
+        verified = (got.finish_time, got.accept_time, got.accepted, got.measured_accuracy,
+                    got.commitment, got.commit_time, got.proof_time, got.vote_times)
         if ran < len(full.metrics):
             assert got.abandoned_at == starts[ran]
             assert (got.finish_time, got.commitment, got.accepted) == (None, None, False)
-        elif full.finish_time is not None and got.commitment is None:
-            assert got.abandoned_at == full.finish_time == got.finish_time
-            assert (full.finish_time, pool) >= best
+        elif full.finish_time is not None and (full.accept_time, pool) > best:
+            # its last vote would land after the block's: never exchanged
+            assert got.abandoned_at == full.finish_time
+            assert verified == (full.finish_time, None, False, 0.0, None, None, None, {})
         else:
             assert got.abandoned_at is None
-            assert (got.finish_time, got.accept_time, got.accepted, got.measured_accuracy,
-                    got.commitment, got.commit_time, got.proof_time, got.vote_times) == (
+            assert verified == (
                 full.finish_time, full.accept_time, full.accepted, full.measured_accuracy,
                 full.commitment, full.commit_time, full.proof_time, full.vote_times)
     return sum(o.abandoned_at is not None for o in raced.outcomes)
@@ -459,18 +478,68 @@ class TestRaceOracle:
     """The raced round proposes the block of the all-pools oracle, bit for
     bit, and cuts exactly the pool-rounds that cannot change it."""
 
+    GRID = [(40, 4, 0), (40, 4, 1), (60, 6, 2), (60, 6, 3), (50, 10, 4)]
+
+    @staticmethod
+    def tampered(pattern, p, seed):
+        return {"none": (), "some": range(0, p, 3),
+                "all_but_one": [q for q in range(p) if q != seed % p]}[pattern]
+
     @pytest.mark.parametrize("tamper", ["none", "some", "all_but_one"])
     def test_matches_oracle_over_seeds(self, tamper):
         cut = 0
-        for n, p, seed in [(40, 4, 0), (40, 4, 1), (60, 6, 2), (60, 6, 3), (50, 10, 4)]:
-            picked = {"none": (), "some": range(0, p, 3),
-                      "all_but_one": [q for q in range(p) if q != seed % p]}[tamper]
+        for n, p, seed in self.GRID:
+            picked = self.tampered(tamper, p, seed)
             raced, oracle = race_and_oracle(grid_setup(n, p, seed, picked))
             assert oracle is not None
             assert_same_block(raced, oracle)
             cut += assert_race_cut(raced, oracle)
             assert oracle.winner_pool not in picked
         assert cut > 0
+
+    @pytest.mark.parametrize("tamper", ["none", "some", "all_but_one"])
+    def test_exchanges_only_finishers_at_or_below_the_block(self, monkeypatch, tamper):
+        # The race runs an exchange, and proves, exactly for the oracle's
+        # finishers whose (accept_time, pool id) is at or below the block's:
+        # the winner and the rejected finishers ahead of it.
+        exchanged, proved = [], []
+        real_exchange, real_prove = chain._verification_exchange, verify.prove
+
+        def counting_exchange(setup, outcome, *args):
+            exchanged.append(outcome.pool_id)
+            return real_exchange(setup, outcome, *args)
+
+        def counting_prove(model, x, pp, blinding):
+            proved.append(blinding)
+            return real_prove(model, x, pp, blinding)
+
+        ahead = 0
+        for n, p, seed in self.GRID:
+            picked = self.tampered(tamper, p, seed)
+            setup = grid_setup(n, p, seed, picked)
+            oracle = oracle_round_fedchain(chain.Chain(), setup)
+            best = (oracle.latency_ms, oracle.winner_pool)
+            due = sorted(o.pool_id for o in oracle.outcomes
+                         if o.finish_time is not None and (o.accept_time, o.pool_id) <= best)
+            assert oracle.winner_pool in due
+            assert all(not oracle.outcomes[q].accepted and q in picked
+                       for q in due if q != oracle.winner_pool)
+            ahead += len(due) - 1
+            task_id = setup.task.task_id
+            blind = {verify.make_blinding(chain._derive_seed(seed, task_id, "blind", q)): q
+                     for q in range(p)}
+            exchanged.clear()
+            proved.clear()
+            with monkeypatch.context() as spy:
+                spy.setattr(chain, "_verification_exchange", counting_exchange)
+                spy.setattr(verify, "prove", counting_prove)
+                raced = chain.run_round_fedchain(chain.Chain(), setup)
+            assert raced.winner_pool == oracle.winner_pool
+            assert sorted(exchanged) == due
+            # one proof per exchange: every verifier draws the same challenge
+            assert sorted(blind[b] for b in proved) == due
+            assert sorted(o.pool_id for o in raced.outcomes if o.commitment is not None) == due
+        assert (ahead > 0) is (tamper != "none")
 
     def test_deadline_between_finishers(self):
         setup = grid_setup(60, 6, 5, tamper=[1])
@@ -512,9 +581,10 @@ class TestRaceOracle:
         # Nine nodes form three pools of three over equal links; every
         # member computes for 5 ms and the target is met on the first
         # round, so every honest pool accepts at the same time and the
-        # lower pool id wins. Over 0-ms links verification takes no time:
-        # a later pool's finish time already ties the best accept time, so
-        # its verification is skipped.
+        # lower pool id wins. Every later honest pool's vote event ties the
+        # block's accept time with a higher pool id, so, over 0-ms and 10-ms
+        # links alike, its exchange is cut and only the tampered pool ahead
+        # of the winner is verified besides it.
         setup = build_setup(n_nodes=9, n_pools=3, seed=1, target=1e-9,
                             tamper_pools=frozenset(tamper))
         setup.latency = np.full((9, 9), link_ms)
@@ -531,14 +601,31 @@ class TestRaceOracle:
         assert len({o.accept_time for o in accepted}) == 1
         assert oracle.winner_pool == len(tamper)
         assert_same_block(raced, oracle)
-        cut = assert_race_cut(raced, oracle)
+        assert assert_race_cut(raced, oracle) == 3 - len(tamper) - 1
+        finish = raced.outcomes[oracle.winner_pool].finish_time
+        assert all(o.abandoned_at == o.finish_time == finish and o.commitment is None
+                   for o in raced.outcomes[len(tamper) + 1:])
         if link_ms == 0.0:
-            assert oracle.latency_ms == 5.0
-            assert cut == 3 - len(tamper) - 1
-            assert all(o.abandoned_at == o.finish_time == 5.0
-                       for o in raced.outcomes[len(tamper) + 1:])
-        else:
-            assert cut == 0
+            assert oracle.latency_ms == finish == 5.0
+
+
+class TestRaceSlack:
+    """Tampering every pool whose exchange the race did not run, because it
+    was cut or never finished, leaves the round's result unchanged."""
+
+    @pytest.mark.parametrize("n, p", [(20, 2), (50, 5), (120, 6)])
+    def test_tampering_unverified_pools_changes_nothing(self, n, p):
+        unverified_total = 0
+        for seed in range(4):
+            setup = grid_setup(n, p, seed)
+            first = chain.run_round_fedchain(chain.Chain(), setup)
+            unverified = {o.pool_id for o in first.outcomes if o.commitment is None}
+            assert unverified >= {o.pool_id for o in first.outcomes if o.abandoned_at is not None}
+            unverified_total += len(unverified)
+            again = chain.run_round_fedchain(chain.Chain(), replace(setup, tamper_pools=unverified))
+            assert (again.block.hash(), again.latency_ms, again.winner_pool, again.credits) == (
+                first.block.hash(), first.latency_ms, first.winner_pool, first.credits)
+        assert unverified_total > 0
 
 
 class TestRaceCounts:
@@ -600,8 +687,7 @@ class TestVerificationExchange:
         monkeypatch.setattr(verify, "prove", counting_prove)
         monkeypatch.setattr(verify, "verify", counting_verify)
         outcome = chain.PoolOutcome(0, 0, [0, 1, 2], 100.0, None, False, 0.0, None, None)
-        chain._verification_exchange(setup, outcome, model, tamper,
-                                     *chain._exchange_constants(setup))
+        closed_form_exchange(setup, outcome, model, tamper)
         return model, proofs, checks
 
     @pytest.mark.parametrize("tamper", [False, True])
@@ -668,12 +754,14 @@ class TestVerificationExchange:
 
         monkeypatch.setattr(chain, "_exchange_constants", counting_constants)
         monkeypatch.setattr(chain, "_verification_exchange", counting_exchange)
-        setup = grid_setup(60, 6, 0, tamper=[2])
+        # every pool but 3 tampered: the tampered finishers ahead of pool 3
+        # are exchanged and rejected, so each race runs several exchanges
+        setup = grid_setup(60, 6, 0, tamper=[0, 1, 2, 4, 5])
         for rounds in (1, 2):
-            chain.run_round_fedchain(chain.Chain(), setup)
+            assert chain.run_round_fedchain(chain.Chain(), setup).winner_pool == 3
             # one build per round: nothing is reused from the round before
             assert len(built) == rounds
-        assert len(exchanges) >= 4
+            assert len(exchanges) >= 2 * rounds
 
 
 def exchange_latency(kind, n, seed):
@@ -715,8 +803,7 @@ class TestVerificationExchangeOracle:
                                       0.0, None, None)
                     for _ in range(2)
                 )
-                chain._verification_exchange(setup, got, model, tamper,
-                                             *chain._exchange_constants(setup))
+                closed_form_exchange(setup, got, model, tamper)
                 oracle_verify(setup, want, model, tamper)
                 assert len(want.vote_times) == n_verifiers
                 if tamper or seed == 0:
@@ -727,6 +814,51 @@ class TestVerificationExchangeOracle:
                     want.commit_time, want.proof_time)
                 assert list(got.vote_times.items()) == list(want.vote_times.items())
                 assert all(type(t) is float for t in got.vote_times.values())
+
+
+class TestCommitteeDraw:
+    """The schedule's masked candidate draw picks the committee that the
+    list-built draw picks, for pools inside a larger network and for a pool
+    of the whole network (committee from every node but the head); a
+    finisher with no node to draw from is rejected."""
+
+    @pytest.mark.parametrize("n, n_verifiers", [(5, 3), (5, 8), (12, 1), (12, 3), (600, 3)])
+    def test_same_committee_as_candidate_lists(self, n, n_verifiers):
+        base = build_setup(n_nodes=4, n_pools=1, seed=0)
+        latency = np.ones((n, n))
+        np.fill_diagonal(latency, 0.0)
+        for seed in range(4):
+            setup = replace(base, seed=seed, latency=latency, n_verifiers=n_verifiers)
+            head = (7 * seed) % n
+            small = sorted({head, (head + 1) % n, (head + 3) % n})
+            for pool_id, members in ((seed, small), (0, list(range(n)))):
+                outcome = chain.PoolOutcome(pool_id, head, members, 1.0, None, False, 0.0, None,
+                                            None)
+                committee, votes = chain._exchange_schedule(setup, outcome)
+                assert committee == listed_committee(setup, outcome)
+                assert all(type(v) is int for v in committee)
+                assert head not in committee
+                candidates = n - 1 if len(members) == n else n - len(members)
+                assert len(votes) == len(committee) == min(n_verifiers, candidates)
+
+    @pytest.mark.parametrize("mode", ["fedchain", "gfl_ring", "fedavg_central"])
+    def test_finisher_without_committee_is_rejected(self, monkeypatch, mode):
+        # a one-node network has no verifier for its only pool: the pool
+        # finishes, its exchange runs with an empty committee and rejects
+        exchanged = []
+        real_exchange = chain._verification_exchange
+
+        def recording_exchange(setup, outcome, schedule, *args):
+            real_exchange(setup, outcome, schedule, *args)
+            exchanged.append((schedule, outcome.accepted, outcome.commitment is not None))
+
+        monkeypatch.setattr(chain, "_verification_exchange", recording_exchange)
+        base = build_setup(n_nodes=2, n_pools=1, seed=0, target=1e-9)
+        setup = replace(base, latency=np.zeros((1, 1)), compute_times=base.compute_times[:1],
+                        miner_data=base.miner_data[:1])
+        with pytest.raises(RoundFailedError):
+            chain.run_round(chain.Chain(), setup, mode)
+        assert exchanged == [(([], []), False, True)]
 
 
 class TestNoEventLoop:
