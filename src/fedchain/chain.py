@@ -527,14 +527,16 @@ def _simulate_formation(setup: RoundSetup, assignment: pools.PoolAssignment) -> 
 
 def _check_round(setup: RoundSetup, learning: bool = True) -> None:
     """Refuse a round that cannot settle, before any work: in every mode
-    one without a verifier (`n_verifiers < 1`), and in a learning mode one
-    whose challenges are too small for an accuracy claim: each verifier
-    checks the claim on min(challenge_size, held-out rows) samples, which
-    must reach `verify.MIN_CLAIM_SAMPLES`."""
+    one without a verifier (`n_verifiers < 1`) or with a mask width outside
+    [0, 63] bits (NoiseWidthError), and in a learning mode one whose
+    challenges are too small for an accuracy claim: each verifier checks
+    the claim on min(challenge_size, held-out rows) samples, which must
+    reach `verify.MIN_CLAIM_SAMPLES`."""
     if setup.n_verifiers < 1:
         raise InvalidCommitteeError(
             f"task {setup.task.task_id}: n_verifiers must be at least 1, got {setup.n_verifiers}"
         )
+    fixedpoint.check_noise_bits(setup.noise_bits)
     if not learning:
         return
     k = min(setup.challenge_size, len(setup.task.held_out))
@@ -720,13 +722,16 @@ def _ring_round(run: _PoolRun, trained: list[DenseClassifier],
                 masked: bool = True) -> tuple[np.ndarray, float]:
     """Ring all-reduce of the pre-scaled fixed-point updates from the run's
     barrier; masked for a fedchain pool, plain (2(k-1) steps) for `gfl_ring`.
-    Each member starts its streams after its compute delay."""
+    Each member starts its streams after its compute delay. The k updates
+    are scaled and encoded as one (k, n_weights) array."""
     setup, outcome = run.setup, run.outcome
     members, k = outcome.members, len(outcome.members)
-    vectors = [fixedpoint.encode(t.weights * (w * k)) for t, w in zip(trained, outcome.weights)]
+    vectors = fixedpoint.encode(np.stack([t.weights for t in trained])
+                                * (outcome.weights * k)[:, None])
     masks = None
     if masked:
         # Each member's noise covers its own chunk of the ring split.
+        spans = sharedring.ring_layout(k, vectors.shape[1], setup.size_multiplier, True).spans
         masks = [
             fixedpoint.generate_noise(
                 b - a,
@@ -734,7 +739,7 @@ def _ring_round(run: _PoolRun, trained: list[DenseClassifier],
                              "noise", i),
                 setup.noise_bits,
             )
-            for i, (a, b) in enumerate(sharedring.chunk_spans(run.model.weights.shape[0], k))
+            for i, (a, b) in enumerate(spans)
         ]
     session = sharedring.RingSession(
         setup.latency, members, vectors, masks=masks, size_multiplier=setup.size_multiplier
@@ -939,7 +944,8 @@ def run_round_fedchain(chain: Chain, setup: RoundSetup) -> RoundResult:
     """One full task round: pools form, train over masked rings, and race
     (`_race`); the first verified finisher proposes the block. Raises
     RoundFailedError if nobody reaches the target before the deadline, and
-    before any work InvalidCommitteeError without a verifier and
+    before any work InvalidCommitteeError without a verifier,
+    NoiseWidthError for a mask width outside [0, 63] bits and
     InsufficientSamplesError if the challenges are too small for an
     accuracy claim."""
     _check_round(setup)
@@ -1026,7 +1032,8 @@ def run_round(chain: Chain, setup: RoundSetup, mode: str = "fedchain") -> RoundR
     coordinator star and starts at 0, since the coordinator's model
     broadcast is billed to each round. `pow` grinds nonces instead. Every
     mode raises InvalidCommitteeError before any work when
-    `n_verifiers < 1`, and the learning modes raise
+    `n_verifiers < 1` and NoiseWidthError when `noise_bits` is outside
+    [0, 63], and the learning modes raise
     InsufficientSamplesError before any training when
     min(challenge_size, held-out rows) < `verify.MIN_CLAIM_SAMPLES`.
     """

@@ -34,14 +34,29 @@ class Dataset:
 
 def label_histogram(labels: np.ndarray, n_classes: int) -> np.ndarray:
     """Per-label frequency vector (sums to 1)."""
-    counts = np.bincount(np.asarray(labels, dtype=np.int64), minlength=n_classes)
-    return counts / counts.sum()
+    return label_histograms([labels], n_classes)[0]
+
+
+def label_histograms(label_sets: Sequence[np.ndarray], n_classes: int) -> np.ndarray:
+    """One per-label frequency row per label vector, as a (len(label_sets),
+    n_classes) array counted by one bincount over row-offset labels. Raises
+    ValueError on a label outside [0, n_classes), which would count toward
+    a neighbouring row."""
+    sizes = [len(labels) for labels in label_sets]
+    offsets = np.repeat(np.arange(len(sizes)) * n_classes, sizes)
+    labels = np.concatenate(label_sets).astype(np.int64, copy=False)
+    if labels.size and not 0 <= labels.min() <= labels.max() < n_classes:
+        raise ValueError(f"labels must lie in [0, {n_classes})")
+    counts = np.bincount(offsets + labels, minlength=len(sizes) * n_classes)
+    counts = counts.reshape(len(sizes), n_classes)
+    return counts / counts.sum(axis=1, keepdims=True)
 
 
 def smooth_histogram(hist: np.ndarray, eps: float = SMOOTHING_EPS) -> np.ndarray:
-    """Additive smoothing then renormalization, so every entry is positive."""
+    """Additive smoothing then renormalization, so every entry is positive;
+    each row of a 2-D array is smoothed on its own."""
     h = np.asarray(hist, dtype=np.float64) + eps
-    return h / h.sum()
+    return h / h.sum(axis=-1, keepdims=True)
 
 
 def make_blobs(

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset, smooth_histogram
+from .data import Dataset, label_histograms, smooth_histogram
 from .errors import (
     AggregationShapeError,
     NonFiniteLossError,
@@ -270,7 +270,7 @@ def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
 
 
 def kl_weights(
-    histograms: Sequence[np.ndarray],
+    histograms: Sequence[np.ndarray] | np.ndarray,
     reference: np.ndarray,
     sizes: Sequence[int],
 ) -> np.ndarray:
@@ -278,10 +278,23 @@ def kl_weights(
 
     The raw factors are clamped at zero and normalized; when every miner
     clamps to zero the weights fall back to FedAvg's size proportions.
+    `histograms` holds one row per miner, and the divergences are one pass
+    over the (k, C) array. Each equals `kl_divergence(row, reference)` bit
+    for bit: a row sums its terms as a 1-D sum of the row does, and a row
+    with entries outside its support sums just the support, as
+    `kl_divergence` does. `fmax`, like `max(0.0, x)`, clamps a NaN to 0.
     """
-    raw = np.array(
-        [max(0.0, 1.0 - kl_divergence(h, reference)) for h in histograms]
-    )
+    p = np.asarray(histograms, dtype=np.float64)
+    q = np.asarray(reference, dtype=np.float64)
+    support = p > 0
+    if (support & (q == 0)).any():
+        raise UndefinedDivergenceError("reference histogram has a zero on p's support")
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        terms = p * np.log2(p / q)
+        divergence = np.where(support, terms, 0.0).sum(axis=1)
+        for i in np.flatnonzero(~support.all(axis=1)):
+            divergence[i] = terms[i, support[i]].sum()
+        raw = np.fmax(0.0, 1.0 - divergence)
     total = raw.sum()
     if total == 0.0:
         return fedavg_weights(sizes)
@@ -298,9 +311,11 @@ def aggregation_weights(scheme: str, parts: Sequence[Dataset], example: Dataset)
         return fedavg_weights(sizes)
     if scheme != "kl":
         raise ValueError(f"unknown aggregation scheme: {scheme}")
-    reference = smooth_histogram(example.histogram())
-    hists = [smooth_histogram(p.histogram()) for p in parts]
-    return kl_weights(hists, reference, sizes)
+    # Row 0 is the reference, counted in the same bincount as the miners.
+    hists = smooth_histogram(
+        label_histograms([example.y] + [p.y for p in parts], example.n_classes)
+    )
+    return kl_weights(hists[1:], hists[0], sizes)
 
 
 def aggregate(vectors: Sequence[np.ndarray], weights: np.ndarray) -> np.ndarray:

@@ -16,10 +16,13 @@ matrix and is the only all-reduce here: the chain runs it, and
 `transcript_leakage_check` audits the transcript it builds from
 `ring_payloads` and `ring_transcript`. No event loop runs it; the tests
 check it against a message-by-message replay on the event loop in `netsim`.
+Everything a round needs that the latencies, weights and masks do not
+change comes from `ring_layout`, built once per ring shape.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -44,6 +47,61 @@ def chunk_spans(length: int, parts: int) -> list[tuple[int, int]]:
     return list(zip(bounds, bounds[1:]))
 
 
+def payload_index(spans: Sequence[tuple[int, int]], row_len: int) -> np.ndarray:
+    """Flat index into stacked (k, row_len) vectors of every reduce payload
+    element: in slot s's elements, row j takes the element of the member j
+    places after the slot's owner. `spans` are contiguous from 0."""
+    k = len(spans)
+    slot = np.repeat(np.arange(k), [b - a for a, b in spans])
+    member = (slot + np.arange(k)[:, None]) % k
+    return member * row_len + np.arange(slot.size)
+
+
+@dataclass(frozen=True, eq=False)
+class RingLayout:
+    """What a ring round over k members and a model_len-weight vector needs
+    that no latency, weight or mask changes; every array is read-only.
+
+    - `spans`: `chunk_spans(model_len, k)`;
+    - `index`: `payload_index(spans, model_len)`, the (k, model_len) gather of
+      `ring_payloads`;
+    - `units`: each chunk's size units, `chunk_size_units(b - a, ...)`;
+    - `hop_pos`: (k, n_hops + 1), the ring positions stream s visits, from
+      its owner s on;
+    - `arrival`: (k, k), `[p, s]` is the flat index into a stream-major
+      (k, n_hops + 1) time table of the hop that brings member p slot s's
+      final value: position s + reduce_hops, then one gather hop per
+      further position.
+    """
+
+    spans: tuple[tuple[int, int], ...]
+    index: np.ndarray
+    units: np.ndarray
+    hop_pos: np.ndarray
+    arrival: np.ndarray
+
+
+@functools.lru_cache(maxsize=128)
+def ring_layout(k: int, model_len: int, size_multiplier: float, masked: bool) -> RingLayout:
+    """The `RingLayout` of a ring shape, built once and shared: masked rings
+    take k reduce hops per stream, plain ones k - 1, and both k - 1 gather
+    hops. Raises ModelTooSmallError as `chunk_spans` does."""
+    spans = tuple(chunk_spans(model_len, k))
+    reduce_hops = k if masked else k - 1
+    n_hops = reduce_hops + k - 1
+    pos = np.arange(k)
+    layout = RingLayout(
+        spans=spans,
+        index=payload_index(spans, model_len),
+        units=np.array([chunk_size_units(b - a, model_len, size_multiplier) for a, b in spans]),
+        hop_pos=(pos[:, None] + np.arange(n_hops + 1)) % k,
+        arrival=pos * (n_hops + 1) + reduce_hops + (pos[:, None] - pos - reduce_hops) % k,
+    )
+    for array in (layout.index, layout.units, layout.hop_pos, layout.arrival):
+        array.setflags(write=False)
+    return layout
+
+
 @dataclass
 class TranscriptEntry:
     phase: str  # REDUCE or GATHER
@@ -56,9 +114,10 @@ class TranscriptEntry:
 
 
 def ring_payloads(
-    vectors: Sequence[np.ndarray],
+    vectors: Sequence[np.ndarray] | np.ndarray,
     spans: Sequence[tuple[int, int]],
     masks: Sequence[np.ndarray] | None,
+    index: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every reduce payload of one ring all-reduce, and the summed vector.
 
@@ -68,16 +127,17 @@ def ring_payloads(
     down the rows makes the members' additions in forwarding order, and
     int64 addition wraps exactly, so every value is bit-identical to
     forwarding hop by hop. `total` is the clean sum every member ends with.
+    `index` is `payload_index(spans, model_len)`, which `ring_layout`
+    caches for balanced spans.
     """
-    k = len(vectors)
     if masks is not None:
         for (a, b), mask in zip(spans, masks, strict=True):
             if mask.shape != (b - a,):
                 raise MaskShapeError(f"noise length {mask.shape[0]} != chunk length {b - a}")
-    slot = np.repeat(np.arange(k), [b - a for a, b in spans])
-    # Row j takes each element from the member j places after its slot's owner.
-    member = (slot + np.arange(k)[:, None]) % k
-    hops = np.stack(vectors)[member, np.arange(slot.size)]
+    stacked = np.asarray(vectors)
+    if index is None:
+        index = payload_index(spans, stacked.shape[1])
+    hops = np.take(stacked, index)
     noise = np.concatenate(masks) if masks is not None else 0
     hops[0] += noise
     np.cumsum(hops, axis=0, out=hops)
@@ -170,7 +230,9 @@ class RingSession:
     in its order. Member p completes at the max over slots of the hop that
     brings it that slot's final value. Payloads come from `ring_payloads`
     in one cumsum, so times, sums and the lazily built audit `transcript`
-    are bit-identical to the replay.
+    are bit-identical to the replay. Every index comes from the shared
+    `ring_layout`, so a round is one payload gather, one link gather, the
+    two cumsums and one max.
 
     `start(now, ready_times)` fills `completion` and `results` (one shared
     summed array); the round's end is `max(completion.values())`.
@@ -190,25 +252,24 @@ class RingSession:
         n_nodes = latency.shape[0]
         if len(set(self.members)) != self.k or not all(0 <= m < n_nodes for m in self.members):
             raise NodeNotFoundError(f"ring members {self.members} are not distinct nodes")
-        self.vectors = list(vectors)
-        model_len = self.vectors[0].shape[0]
-        self.spans = chunk_spans(model_len, self.k)
+        self.vectors = np.asarray(vectors)
         self.masks = list(masks) if masks is not None else None
-        self._hops, self._total = ring_payloads(self.vectors, self.spans, self.masks)
-        self.chunk_units = np.array(
-            [chunk_size_units(b - a, model_len, size_multiplier) for a, b in self.spans]
-        )
+        self.layout = ring_layout(self.k, self.vectors.shape[1], size_multiplier,
+                                  self.masks is not None)
+        self._hops, self._total = ring_payloads(self.vectors, self.layout.spans, self.masks,
+                                                self.layout.index)
         self.completion: dict[int, float] = {}
         self.results: dict[int, np.ndarray] = {}
 
     @property
     def raw_splits(self) -> list[list[np.ndarray]]:
-        return [[v[a:b] for a, b in self.spans] for v in self.vectors]
+        return [[v[a:b] for a, b in self.layout.spans] for v in self.vectors]
 
     @property
     def transcript(self) -> list[TranscriptEntry]:
         """The round's messages in stream-major order (see `ring_transcript`)."""
-        return ring_transcript(self._hops, self._total, self.spans, self.masks is not None)
+        return ring_transcript(self._hops, self._total, self.layout.spans,
+                               self.masks is not None)
 
     def start(self, now: float, ready_times: Sequence[float]) -> None:
         """Run the round from clock `now`; member i's stream leaves at
@@ -219,18 +280,13 @@ class RingSession:
             raise TimeTravelError(f"ring stream starts at {ready.min()} before clock {now}")
         finish = ready
         if k > 1:
-            reduce_hops = k if self.masks is not None else k - 1
-            n_hops = reduce_hops + k - 1
-            nodes = np.asarray(self.members)
-            links = self.latency[nodes, np.roll(nodes, -1)].astype(np.float64, copy=False)
-            pos = np.arange(k)
-            times = np.empty((k, n_hops + 1))
+            layout = self.layout
+            at = np.asarray(self.members)[layout.hop_pos]
+            times = np.empty(at.shape)
             times[:, 0] = ready
-            times[:, 1:] = links[(pos[:, None] + np.arange(n_hops)) % k] * self.chunk_units[:, None]
+            np.multiply(self.latency[at[:, :-1], at[:, 1:]].astype(np.float64, copy=False),
+                        layout.units[:, None], out=times[:, 1:])
             np.cumsum(times, axis=1, out=times)
-            # [p, s]: slot s is final at position s + reduce_hops after that
-            # many hops; each gather hop takes it one position further.
-            arrival = reduce_hops + (pos[:, None] - pos - reduce_hops) % k
-            finish = times[pos, arrival].max(axis=1)
+            finish = np.take(times, layout.arrival).max(axis=1)
         self.completion = dict(zip(self.members, finish.tolist()))
         self.results = dict.fromkeys(self.members, self._total)

@@ -14,6 +14,7 @@ from fedchain.errors import (
     InvalidCommitteeError,
     InvalidTaskError,
     LedgerIntegrityError,
+    NoiseWidthError,
     RoundFailedError,
 )
 from conftest import build_setup
@@ -630,42 +631,102 @@ class TestRaceSlack:
 
 class TestRaceCounts:
     """The benchmark counts `local_train` calls and ring sessions from the
-    outcomes; a raced round must make exactly those calls."""
+    outcomes, and times `fixedpoint.generate_noise` and `fed.kl_weights`
+    at the call; a raced round must make exactly those calls: one session
+    per pool-round, one mask per member and masked round, and one
+    `kl_weights` per pool under "kl"."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        trained, sessions = [], []
-        real_train = chain.local_train
+        calls = {"train": 0, "session": 0, "noise": 0, "kl": 0}
 
-        def counting_train(*args, **kwargs):
-            trained.append(1)
-            return real_train(*args, **kwargs)
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
 
         class CountingSession(sharedring.RingSession):
             def __init__(self, *args, **kwargs):
-                sessions.append(1)
+                calls["session"] += 1
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(chain, "local_train", counting_train)
+        monkeypatch.setattr(chain, "local_train", counted("train", chain.local_train))
         monkeypatch.setattr(sharedring, "RingSession", CountingSession)
-        return trained, sessions
+        monkeypatch.setattr(fixedpoint, "generate_noise", counted("noise", fixedpoint.generate_noise))
+        monkeypatch.setattr(fed, "kl_weights", counted("kl", fed.kl_weights))
+        return calls
 
     def test_calls_match_outcomes(self, counts):
-        trained, sessions = counts
         result = chain.run_round_fedchain(chain.Chain(), grid_setup(60, 6, 0, tamper=[2]))
         outcomes = result.outcomes
         assert any(o.abandoned_at is not None for o in outcomes)
-        assert len(trained) == sum(len(o.metrics) * len(o.members) for o in outcomes)
-        assert len(sessions) == sum(len(o.metrics) for o in outcomes)
+        member_rounds = sum(len(o.metrics) * len(o.members) for o in outcomes)
+        assert counts["train"] == counts["noise"] == member_rounds
+        assert counts["session"] == sum(len(o.metrics) for o in outcomes)
+        assert counts["kl"] == len(outcomes) == 6
+
+    def test_fedavg_pools_skip_the_divergences(self, counts):
+        setup = grid_setup(40, 4, 1, aggregation="fedavg")
+        result = chain.run_round_fedchain(chain.Chain(), setup)
+        assert counts["kl"] == 0
+        assert counts["noise"] == sum(len(o.metrics) * len(o.members) for o in result.outcomes)
 
     @pytest.mark.parametrize("n, seed", [(5, 1), (20, 3), (50, 0)])
     def test_gfl_ring_calls_match_outcome(self, counts, n, seed):
-        trained, sessions = counts
         result = chain.run_round(chain.Chain(), grid_setup(n, 1, seed), "gfl_ring")
         [outcome] = result.outcomes
         assert len(outcome.members) == n
-        assert len(trained) == len(outcome.metrics) * n
-        assert len(sessions) == len(outcome.metrics)
+        assert counts["train"] == len(outcome.metrics) * n
+        assert counts["session"] == len(outcome.metrics)
+        # a plain ring draws no mask, and FedAvg weights need no divergence
+        assert counts["noise"] == counts["kl"] == 0
+
+
+class TestTimeScaling:
+    """Scaling every input time (latencies, compute times, deadline, PoW
+    trial cost) by a power of two scales every simulated time exactly and
+    changes no decision: every time is built from sums, maxes and integer
+    multiples of the inputs, which such a scaling commutes with in binary
+    floating point."""
+
+    @staticmethod
+    def scaled(setup, factor):
+        return replace(setup, latency=setup.latency * factor,
+                       compute_times=setup.compute_times * factor,
+                       pow_trial_ms=setup.pow_trial_ms * factor,
+                       task=replace(setup.task, deadline=setup.task.deadline * factor))
+
+    @staticmethod
+    def times(result):
+        """Every simulated time of a round, in a fixed order (None kept)."""
+        out = [result.latency_ms, result.block.timestamp]
+        out += [tx.timestamp for tx in result.block.transactions]
+        out += [result.start_times[node] for node in sorted(result.start_times)]
+        for o in result.outcomes:
+            out += [o.finish_time, o.accept_time, o.commit_time, o.proof_time, o.abandoned_at]
+            out += [o.vote_times[v] for v in sorted(o.vote_times)]
+            out += [m.sim_time_ms for m in o.metrics]
+        return out
+
+    @staticmethod
+    def decisions(result):
+        return (result.winner_pool, result.credits, result.accuracy,
+                result.block.proposer, result.block.model_commitment,
+                [(o.pool_id, o.members, len(o.metrics), o.accepted,
+                  [(m.accuracy, m.loss) for m in o.metrics]) for o in result.outcomes])
+
+    @pytest.mark.parametrize("factor", [2.0, 0.5])
+    @pytest.mark.parametrize("n, p", [(20, 2), (50, 5)])
+    @pytest.mark.parametrize("mode", ["fedchain", "gfl_ring"])
+    def test_times_scale_and_decisions_hold(self, mode, n, p, factor):
+        for seed in range(2):
+            setup = grid_setup(n, p, seed)
+            base = chain.run_round(chain.Chain(), setup, mode)
+            got = chain.run_round(chain.Chain(), self.scaled(setup, factor), mode)
+            assert self.decisions(got) == self.decisions(base)
+            want = [None if t is None else t * factor for t in self.times(base)]
+            assert self.times(got) == want
 
 
 class TestVerificationExchange:
@@ -902,6 +963,33 @@ class TestCommitteeSize:
         setup = build_setup(n_nodes=6, n_pools=2, seed=1, n_verifiers=1)
         result = chain.run_round_fedchain(chain.Chain(), setup)
         assert len(result.outcomes[result.winner_pool].vote_times) == 1
+
+
+class TestNoiseWidth:
+    """A mask width outside [0, 63] bits is refused, in every mode, before
+    any work; widths at both edges run, and since masks cancel exactly the
+    block does not depend on the width."""
+
+    @pytest.mark.parametrize("noise_bits", [64, -1])
+    @pytest.mark.parametrize("mode", chain.MODES)
+    def test_refused_before_any_work(self, monkeypatch, mode, noise_bits):
+        calls = []
+        monkeypatch.setattr(chain, "publish_task", lambda *a, **k: calls.append("publish"))
+        monkeypatch.setattr(chain, "local_train", lambda *a, **k: calls.append("train"))
+        setup = build_setup(n_nodes=6, n_pools=2, seed=1, noise_bits=noise_bits,
+                            pow_difficulty=8)
+        with pytest.raises(NoiseWidthError, match=f"got {noise_bits}"):
+            chain.run_round(chain.Chain(), setup, mode)
+        assert calls == []
+
+    def test_edge_widths_give_the_same_block(self):
+        setup = build_setup(n_nodes=8, n_pools=2, seed=2)
+        blocks = {
+            bits: chain.run_round_fedchain(chain.Chain(), replace(setup, noise_bits=bits))
+            for bits in (0, fixedpoint.DEFAULT_NOISE_BITS, 63)
+        }
+        hashes = {result.block.hash() for result in blocks.values()}
+        assert len(hashes) == 1
 
 
 class TestClaimSamples:
@@ -1571,9 +1659,11 @@ class TestLedgerClaims:
 
 class TestChainRingAudit:
     """The ring sessions a fedchain round actually runs pass the leakage
-    audit and sum their inputs exactly."""
+    audit and sum their inputs exactly, at the default mask width and at
+    the widest."""
 
-    def test_every_session_of_a_round(self, monkeypatch):
+    @staticmethod
+    def audit_round(monkeypatch, noise_bits):
         captured = []
 
         class RecordingSession(sharedring.RingSession):
@@ -1583,10 +1673,12 @@ class TestChainRingAudit:
 
         monkeypatch.setattr(sharedring, "RingSession", RecordingSession)
         setup = experiments.build_round_setup(experiments.ExperimentConfig(), 20, 3, 0)
-        result = chain.run_round_fedchain(chain.Chain(), setup)
+        result = chain.run_round_fedchain(chain.Chain(), replace(setup, noise_bits=noise_bits))
         assert len(captured) == sum(len(o.metrics) for o in result.outcomes) > 0
+        bound = 1 << noise_bits
         for session, vectors in captured:
             assert session.masks is not None
+            assert all(-bound <= m.min() and m.max() < bound for m in session.masks)
             report = sharedring.transcript_leakage_check(
                 session.transcript, session.raw_splits, session.masks
             )
@@ -1594,3 +1686,9 @@ class TestChainRingAudit:
             expected = np.sum(np.stack(vectors), axis=0)
             assert session.results.keys() == set(session.members)
             assert all(np.array_equal(r, expected) for r in session.results.values())
+
+    def test_every_session_of_a_round(self, monkeypatch):
+        self.audit_round(monkeypatch, fixedpoint.DEFAULT_NOISE_BITS)
+
+    def test_every_session_at_the_widest_mask(self, monkeypatch):
+        self.audit_round(monkeypatch, fixedpoint.MAX_NOISE_BITS)

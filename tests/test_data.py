@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedchain import data
 from fedchain.errors import PartitionUnderflowError
@@ -47,6 +49,32 @@ class TestHistogram:
         hist = data.smooth_histogram(np.array([1.0, 0.0]))
         assert np.all(hist > 0)
         assert hist.sum() == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_label_outside_the_classes_rejected(self, bad):
+        # in a middle row it would count toward a neighbouring row's class
+        with pytest.raises(ValueError, match=r"\[0, 3\)"):
+            data.label_histograms([np.array([0, 1]), np.array([bad]), np.array([2])], 3)
+
+    @given(st.integers(1, 12), st.lists(st.integers(0, 60), min_size=1, max_size=8),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_rows_match_one_histogram_at_a_time(self, n_classes, sizes, seed):
+        """One bincount over every label set, then row-wise smoothing, gives
+        each set's own histogram bit for bit (an empty set's row is NaN, as
+        its own histogram is)."""
+        rng = np.random.default_rng(seed)
+        label_sets = [rng.integers(0, n_classes, size=n) for n in sizes]
+        with np.errstate(invalid="ignore"):
+            rows = data.label_histograms(label_sets, n_classes)
+            smoothed = data.smooth_histogram(rows)
+            for y, row, smooth_row in zip(label_sets, rows, smoothed, strict=True):
+                counts = np.bincount(y, minlength=n_classes)
+                hist = counts / counts.sum()
+                assert row.tobytes() == hist.tobytes()
+                assert data.label_histogram(y, n_classes).tobytes() == hist.tobytes()
+                padded = hist + data.SMOOTHING_EPS
+                assert smooth_row.tobytes() == (padded / padded.sum()).tobytes()
 
 
 class TestBlobs:

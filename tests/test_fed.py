@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fedchain import data, fed
 from fedchain.errors import (
@@ -355,6 +356,101 @@ class TestKlWeights:
         assert weights.sum() == pytest.approx(1.0)
 
 
+def loop_kl_weights(histograms, reference, sizes):
+    """`kl_weights` one row at a time: a `kl_divergence` call per miner."""
+    raw = np.array([max(0.0, 1.0 - fed.kl_divergence(h, reference)) for h in histograms])
+    total = raw.sum()
+    if total == 0.0:
+        return fed.fedavg_weights(sizes)
+    return raw / total
+
+
+def same_kl_weights(histograms, reference, sizes):
+    """Both forms raise UndefinedDivergenceError, or give the same bits;
+    returns the weights (None when both raised). Extreme entries overflow
+    or underflow the same way in both, so their warnings are silenced."""
+    with np.errstate(all="ignore"):
+        try:
+            want = loop_kl_weights(histograms, reference, sizes)
+        except UndefinedDivergenceError:
+            with pytest.raises(UndefinedDivergenceError):
+                fed.kl_weights(histograms, reference, sizes)
+            return None
+        got = fed.kl_weights(histograms, reference, sizes)
+    assert got.tobytes() == want.tobytes()
+    return got
+
+
+class TestKlWeightsOracle:
+    """The one-pass `kl_weights` equals the per-row loop bit for bit."""
+
+    entries = st.one_of(st.just(0.0), st.floats(1e-6, 1.0), st.floats(0.0, 1e300))
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_raw_histograms(self, draws):
+        """Zeros anywhere, in rows (outside the support) and in the
+        reference (undefined on the support), and extreme magnitudes."""
+        k, c = draws.draw(st.integers(1, 8)), draws.draw(st.integers(1, 24))
+        hists = draws.draw(hnp.arrays(np.float64, (k, c), elements=self.entries))
+        reference = draws.draw(hnp.arrays(np.float64, (c,), elements=self.entries))
+        sizes = draws.draw(st.lists(st.integers(1, 100), min_size=k, max_size=k))
+        same_kl_weights(hists, reference, sizes)
+        same_kl_weights(list(hists), reference, sizes)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_rows_with_holes(self, draws):
+        """Rows with zeros among comparable entries: a sum with zeros in
+        place of the missing terms would round differently from the
+        support's own sum in about two cases of five."""
+        k, c = draws.draw(st.integers(1, 6)), draws.draw(st.integers(9, 24))
+        entries = st.one_of(st.just(0.0), st.floats(0.01, 1.0))
+        hists = draws.draw(hnp.arrays(np.float64, (k, c), elements=entries))
+        reference = draws.draw(hnp.arrays(np.float64, (c,), elements=st.floats(0.01, 1.0)))
+        same_kl_weights(hists, reference, [1] * k)
+
+    def test_undefined_divergence_clamps_to_zero(self):
+        """A row whose terms hold both +inf and -inf has a NaN divergence;
+        its factor clamps to 0, as max(0.0, nan) does, so a lone such miner
+        falls back to FedAvg."""
+        hists, reference = np.array([[5e-324, 1e300]]), np.array([2.0, 1e-300])
+        got = same_kl_weights(hists, reference, [7])
+        assert got.tolist() == [1.0]
+
+    @given(st.integers(1, 12), st.integers(2, 40), st.sampled_from([0.05, 1.0, 50.0]),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_smoothed_histograms(self, k, c, alpha, seed):
+        """What the chain passes: smoothed, so every row has full support."""
+        rng = np.random.default_rng(seed)
+        hists = np.stack([data.smooth_histogram(h) for h in rng.dirichlet(np.full(c, alpha), k)])
+        reference = data.smooth_histogram(rng.dirichlet(np.full(c, alpha)))
+        sizes = rng.integers(1, 50, size=k).tolist()
+        assert same_kl_weights(hists, reference, sizes) is not None
+
+    @given(st.integers(1, 8), st.integers(2, 24), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_all_clamped_fallback(self, k, c, seed):
+        """Rows with no mass where the reference has nearly all of it are
+        about log2(1 / eps) bits away: every factor clamps to zero."""
+        rng = np.random.default_rng(seed)
+        raw = rng.dirichlet(np.ones(c - 1), size=k)
+        hists = np.stack([data.smooth_histogram(np.concatenate([[0.0], r])) for r in raw])
+        reference = data.smooth_histogram(np.eye(c)[0])
+        sizes = rng.integers(1, 50, size=k).tolist()
+        got = same_kl_weights(hists, reference, sizes)
+        assert got.tobytes() == fed.fedavg_weights(sizes).tobytes()
+
+    def test_zero_reference_on_the_support_raises(self):
+        hists = np.array([[0.5, 0.5], [1.0, 0.0]])
+        with pytest.raises(UndefinedDivergenceError):
+            fed.kl_weights(hists, np.array([1.0, 0.0]), [1, 1])
+        # a zero outside every row's support is fine
+        got = same_kl_weights(np.array([[1.0, 0.0], [0.5, 0.0]]), np.array([1.0, 0.0]), [1, 1])
+        assert got.tolist() == [0.4, 0.6]  # raw factors 1 and 1.5
+
+
 class TestAggregationWeights:
     """One helper gives the chain's and the sweep's weights."""
 
@@ -371,7 +467,7 @@ class TestAggregationWeights:
         parts, example = self.parts()
         ref = data.smooth_histogram(example.histogram())
         hists = [data.smooth_histogram(p.histogram()) for p in parts]
-        want = fed.kl_weights(hists, ref, [len(p) for p in parts])
+        want = loop_kl_weights(hists, ref, [len(p) for p in parts])
         assert fed.aggregation_weights("kl", parts, example).tolist() == want.tolist()
 
     def test_unknown_scheme_rejected(self):

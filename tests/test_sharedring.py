@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 from typing import Sequence
 
 import numpy as np
@@ -12,6 +13,7 @@ from fedchain.errors import (
     MaskShapeError,
     ModelTooSmallError,
     NodeNotFoundError,
+    NoiseWidthError,
     TimeTravelError,
 )
 from conftest import split
@@ -316,6 +318,60 @@ class TestFixedPoint:
         b = fixedpoint.generate_noise(10, seed=4)
         assert np.array_equal(a, b)
         assert a.dtype == np.int64
+
+
+class TestNoisePrg:
+    """Masks are SHAKE-128 expansions of the owner's seed, exactly uniform
+    on [-2^w, 2^w) for every width an int64 word holds."""
+
+    @pytest.mark.parametrize("width", [0, 1, 40, 63])
+    def test_values_in_range(self, width):
+        for seed in (0, 1, 2**63 - 1, 2**64 - 1):
+            noise = fixedpoint.generate_noise(500, seed, width)
+            assert noise.dtype == np.int64 and noise.shape == (500,)
+            assert -(1 << width) <= noise.min() and noise.max() < 1 << width
+
+    @pytest.mark.parametrize("width", [0, 1, 2])
+    def test_narrow_widths_cover_the_range(self, width):
+        noise = fixedpoint.generate_noise(4000, seed=9, width_bits=width)
+        assert set(noise.tolist()) == set(range(-(1 << width), 1 << width))
+
+    def test_top_bits_of_the_shake_stream(self):
+        words = np.frombuffer(hashlib.shake_128((77).to_bytes(8, "little")).digest(24), "<u8")
+        want = [int(w) >> (63 - 40) for w in words]
+        got = fixedpoint.generate_noise(3, 77, 40)
+        assert [int(v) + (1 << 40) for v in got] == want
+
+    @given(st.integers(0, 2**64 - 1), st.integers(0, 63), st.integers(1, 40))
+    @settings(max_examples=60, deadline=None)
+    def test_same_seed_same_mask(self, seed, width, length):
+        a = fixedpoint.generate_noise(length, seed, width)
+        assert np.array_equal(a, fixedpoint.generate_noise(length, seed, width))
+        # a shorter mask is a prefix of a longer one from the same seed
+        assert np.array_equal(a[: length // 2], fixedpoint.generate_noise(length // 2, seed, width))
+
+    def test_different_seeds_differ(self):
+        masks = {fixedpoint.generate_noise(8, seed).tobytes() for seed in range(200)}
+        assert len(masks) == 200
+
+    def test_length_zero(self):
+        noise = fixedpoint.generate_noise(0, seed=3)
+        assert noise.shape == (0,) and noise.dtype == np.int64
+
+    @pytest.mark.parametrize("width", [64, -1, 100])
+    def test_width_outside_int64_refused(self, width):
+        with pytest.raises(NoiseWidthError, match=f"got {width}"):
+            fixedpoint.generate_noise(4, seed=1, width_bits=width)
+
+    @pytest.mark.parametrize("width", [0, 63])
+    def test_edge_widths_cancel_in_the_ring(self, width):
+        rng = np.random.default_rng(width)
+        vectors = [fixedpoint.encode(rng.normal(0, 2, size=19)) for _ in range(4)]
+        masks = [fixedpoint.generate_noise(len(c), seed=i, width_bits=width)
+                 for i, c in enumerate(split(vectors[0], 4))]
+        session = run_ring(vectors, masks)
+        expected = np.sum(np.stack(vectors), axis=0)
+        assert all(np.array_equal(r, expected) for r in session.results.values())
 
 
 class TestRingSession:
@@ -659,3 +715,70 @@ class TestRingSessionOracle:
         with pytest.raises(TimeTravelError):
             start_session(cls, latency, 50.0, [ready[0], 49.0, ready[2]], members, vectors,
                           masks=masks)
+
+
+class TestRingLayout:
+    """`ring_layout` is built once per ring shape and shared read-only by
+    every session of that shape."""
+
+    def test_arrays_are_read_only(self):
+        layout = sharedring.ring_layout(4, 23, 10.0, True)
+        for array in (layout.index, layout.units, layout.hop_pos, layout.arrival):
+            with pytest.raises(ValueError, match="read-only"):
+                array[(0,) * array.ndim] = 1
+
+    def test_one_layout_per_shape(self):
+        layout = sharedring.ring_layout(5, 31, 10.0, True)
+        assert sharedring.ring_layout(5, 31, 10.0, True) is layout
+        assert sharedring.ring_layout(5, 31, 10.0, False) is not layout
+        assert layout.spans == tuple(sharedring.chunk_spans(31, 5))
+
+    @pytest.mark.parametrize("masked", [True, False])
+    @pytest.mark.parametrize("k", [1, 2, 5, 8])
+    def test_back_to_back_sessions_match_the_replay(self, k, masked):
+        """Two sessions with the same (k, model_len), the second on the
+        cached layout, both match the event-driven replay."""
+        m = 3 * k + 4
+        layouts = []
+        for seed in range(2):
+            latency, members, _, masks, ready, _ = oracle_case(k, masked, 7.5, False, seed=seed)
+            rng = np.random.default_rng(seed)
+            vectors = [fixedpoint.encode(rng.normal(0, 2, size=m)) for _ in range(k)]
+            if masked:
+                masks = [fixedpoint.generate_noise(c.shape[0], seed=seed * 10 + i)
+                         for i, c in enumerate(split(vectors[0], k))]
+            (got, got_now), (want, want_now) = [
+                start_session(cls, latency, 7.5, ready, members, vectors, masks=masks)
+                for cls in (sharedring.RingSession, OracleRingSession)
+            ]
+            layouts.append(got.layout)
+            assert got.completion == want.completion and got_now == want_now
+            for node, result in want.results.items():
+                assert np.array_equal(got.results[node], result)
+            want_t = {(e.phase, e.slot, e.step): e.payload for e in want.transcript}
+            got_t = {(e.phase, e.slot, e.step): e.payload for e in got.transcript}
+            assert want_t.keys() == got_t.keys()
+            assert all(np.array_equal(got_t[key], want_t[key]) for key in want_t)
+        assert layouts[0] is layouts[1]
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_ring_payloads_on_arbitrary_spans(self, data):
+        """Any contiguous split of the vector, balanced or not, gives the
+        hop-by-hop payloads: slot s on hop j holds its owner's masked chunk
+        plus the next j members' chunks."""
+        k = data.draw(st.integers(1, 6))
+        lengths = data.draw(st.lists(st.integers(1, 7), min_size=k, max_size=k))
+        bounds = np.concatenate([[0], np.cumsum(lengths)]).tolist()
+        spans = list(zip(bounds, bounds[1:]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        vectors = [rng.integers(-2**62, 2**62, size=bounds[-1]) for _ in range(k)]
+        masked = data.draw(st.booleans())
+        masks = [fixedpoint.generate_noise(b - a, seed=i) for i, (a, b) in enumerate(spans)]
+        hops, total = sharedring.ring_payloads(vectors, spans, masks if masked else None)
+        assert np.array_equal(total, np.sum(np.stack(vectors), axis=0))
+        for s, (a, b) in enumerate(spans):
+            acc = masks[s].copy() if masked else np.zeros(b - a, dtype=np.int64)
+            for j in range(k):
+                acc = acc + vectors[(s + j) % k][a:b]
+                assert np.array_equal(hops[j, a:b], acc)
