@@ -38,7 +38,6 @@ from .fed import (
     aggregate,
     aggregation_weights,
     evaluate_and_loss,
-    fedavg_weights,
     local_train,
 )
 
@@ -438,13 +437,17 @@ class PoolOutcome:
     """One pool's part in a round.
 
     `abandoned_at` is set on a pool that the race cut short once the block
-    was decided: the start barrier of the first round it did not run, or,
-    for a pool that finished but whose last vote would have arrived after
-    the block's, its finish time. Such a finisher's exchange never ran: it
-    keeps `finish_time` and its metrics, but its `commitment`, `accept_time`,
-    `commit_time`, `proof_time` and `vote_times` are unset and `accepted` is
-    False. `None` means the pool ran to its natural end (target, deadline or
-    round budget) and, if it finished, was verified."""
+    was decided, because the earliest vote its next round could produce
+    (see `_race`) was not ahead of the block's: the start barrier of the
+    first round it did not run, or, for a pool that finished but whose
+    last vote would have arrived after the block's, its finish time. Such a
+    finisher's exchange never ran: it keeps `finish_time` and its metrics,
+    but its `commitment`, `accept_time`, `commit_time`, `proof_time` and
+    `vote_times` are unset and `accepted` is False. `None` means the pool
+    ran to its natural end (target, deadline or round budget) and, if it
+    finished, was verified. `metrics` holds the rounds the pool ran, and
+    `weights`, its aggregation weights, is computed at its first round:
+    it is None exactly for a pool that never ran a round."""
 
     pool_id: int
     head: int
@@ -557,42 +560,59 @@ def _exchange_constants(setup: RoundSetup) -> tuple[verify.PublicParams, np.ndar
     return pp, verify.row_digests(setup.task.held_out.x)
 
 
-def _exchange_schedule(setup: RoundSetup,
-                       outcome: PoolOutcome) -> tuple[list[int], list[tuple]]:
-    """When the messages of the outcome's verification exchange arrive, in
-    closed form from `t0 = finish_time`; no crypto runs here.
-
-    Draws the verifier committee, from outside the pool when the network is
-    big enough, else from every node but the head. With head `h`, verifier
-    `v`'s commit arrives at `t0 + L[h, v]`, its challenge `L[v, h]` later,
-    the proof `L[h, v] * int(size_multiplier)` later and the vote `L[v, h]`
-    later. Returns the committee and its
-    `(vote, proof, challenge, commit, committee index)` arrival tuples
-    sorted, which is the `(time, send order)` order an event loop delivers
-    the votes in, so the last vote arrival comes last. `_race` draws this
-    once per finisher and hands it to `_verification_exchange`."""
-    head, latency = outcome.head, setup.latency
+def _draw_committee(setup: RoundSetup, outcome: PoolOutcome) -> list[int]:
+    """The outcome's verifier committee, from outside the pool when the
+    network is big enough, else from every node but the head. It depends
+    only on the seed, the task, the pool id and the members, so a run
+    draws it once, when it is made."""
     rng = np.random.default_rng(
         _derive_seed(setup.seed, setup.task.task_id, "committee", outcome.pool_id)
     )
     outside = np.ones(setup.n_nodes, dtype=bool)
     outside[outcome.members] = False
-    outside[head] = False
+    outside[outcome.head] = False
     candidates = np.flatnonzero(outside)
     if candidates.size == 0:
-        candidates = np.flatnonzero(np.arange(setup.n_nodes) != head)
-    committee = rng.choice(
+        candidates = np.flatnonzero(np.arange(setup.n_nodes) != outcome.head)
+    return rng.choice(
         candidates, size=min(setup.n_verifiers, candidates.size), replace=False
     ).tolist()
-    t0, su = outcome.finish_time, int(setup.size_multiplier)
+
+
+def _committee_links(setup: RoundSetup, head: int,
+                     committee: list[int]) -> list[tuple[float, float]]:
+    """`(L[head, v], L[v, head])` for each verifier `v` of the committee."""
+    return [(float(setup.latency[head, v]), float(setup.latency[v, head])) for v in committee]
+
+
+def _vote_arrivals(t0: float, links: list[tuple[float, float]], su: int) -> list[tuple]:
+    """Each verifier's `(vote, proof, challenge, commit, committee index)`
+    arrival times in an exchange from `t0`, unsorted: with `(down, up)` its
+    `_committee_links`, the commit arrives at `t0 + down`, the challenge
+    `up` later, the proof `down * su` later and the vote `up` later. The
+    one place these sums are made, for `_exchange_schedule` and for
+    `_PoolRun.vote_bound` alike."""
     arrivals = []
-    for idx, v in enumerate(committee):
-        down, up = float(latency[head, v]), float(latency[v, head])
+    for idx, (down, up) in enumerate(links):
         commit_at = t0 + down
         challenge_at = commit_at + up
         proof_at = challenge_at + down * su
         arrivals.append((proof_at + up, proof_at, challenge_at, commit_at, idx))
-    return committee, sorted(arrivals)
+    return arrivals
+
+
+def _exchange_schedule(setup: RoundSetup, outcome: PoolOutcome,
+                       committee: list[int]) -> tuple[list[int], list[tuple]]:
+    """When the messages of the outcome's verification exchange with
+    `committee` (`_draw_committee`) arrive, in closed form from
+    `t0 = finish_time`; no crypto runs here. Returns the committee and its
+    `_vote_arrivals` sorted, which is the `(time, send order)` order an
+    event loop delivers the votes in, so the last vote arrival comes last.
+    `_race` computes this once per finisher and hands it to
+    `_verification_exchange`."""
+    links = _committee_links(setup, outcome.head, committee)
+    return committee, sorted(_vote_arrivals(outcome.finish_time, links,
+                                            int(setup.size_multiplier)))
 
 
 def _verification_exchange(
@@ -662,20 +682,25 @@ class _PoolRun:
     (`_ring_round`). The baselines are one pool of every node with FedAvg
     weights, headed by the publisher and never tampered: `gfl_ring`
     combines over the plain ring, `fedavg_central` over a coordinator star
-    (`_star_round`). A run's clock is its `barrier`, and it derives every
-    seed from its pool id, so runs can be interleaved freely.
+    (`_star_round`). `latest_start` is the latest stream start of the
+    combine's next round (`_ring_latest_start` or `_star_latest_start`),
+    from which `vote_bound` bounds the round's earliest last vote. A run's
+    clock is its `barrier`, and it derives every seed from its pool id, so
+    runs can be interleaved freely. Its aggregation weights under `scheme`
+    are computed at its first `step`; `model` is the round's shared initial
+    model (`_initial_model`).
     """
 
     def __init__(self, setup: RoundSetup, pool_id: int, head: int, members: list[int],
-                 weights: np.ndarray, barrier: float,
+                 scheme: str, model: DenseClassifier, barrier: float,
                  combine: Callable[[_PoolRun, list[DenseClassifier]], tuple[np.ndarray, float]],
-                 tamper: bool) -> None:
+                 latest_start: Callable[[_PoolRun], float], tamper: bool) -> None:
         self.setup = setup
-        self.model = DenseClassifier(
-            setup.task.arch, seed=_derive_seed(setup.seed, setup.task.task_id, "init")
-        )
+        self.scheme = scheme
+        self.model = model
         self.barrier = barrier
         self.combine = combine
+        self.latest_start = latest_start
         self.tamper = tamper
         self.round_idx = 0
         self.outcome = PoolOutcome(
@@ -686,13 +711,28 @@ class _PoolRun:
             accept_time=None,
             accepted=False,
             measured_accuracy=0.0,
-            weights=weights,
+            weights=None,
             commitment=None,
         )
+        self.committee = _draw_committee(setup, self.outcome)
+        self._links = _committee_links(setup, head, self.committee)
+
+    def vote_bound(self) -> float:
+        """A lower bound on the last vote the next round could produce: the
+        `_vote_arrivals` chain from the round's latest stream start, maxed
+        over the committee, or that start without a committee (see
+        `_race`)."""
+        t = self.latest_start(self)
+        arrivals = _vote_arrivals(t, self._links, int(self.setup.size_multiplier))
+        return max((a[0] for a in arrivals), default=t)
 
     def step(self) -> bool:
         """Run the next training round; return whether the pool is done."""
         setup, task, outcome = self.setup, self.setup.task, self.outcome
+        if outcome.weights is None:
+            outcome.weights = aggregation_weights(
+                self.scheme, [setup.miner_data[m] for m in outcome.members], task.example
+            )
         trained = [
             local_train(
                 self.model,
@@ -718,12 +758,40 @@ class _PoolRun:
         )
 
 
+def _initial_model(setup: RoundSetup) -> DenseClassifier:
+    """The model every run of a round starts from. Its seed has no pool id,
+    so it is built once and shared; its weights are read-only, since
+    nothing writes a model's weights in place."""
+    model = DenseClassifier(
+        setup.task.arch, seed=_derive_seed(setup.seed, setup.task.task_id, "init")
+    )
+    model.weights.setflags(write=False)
+    return model
+
+
+def _ready_times(run: _PoolRun) -> list[float]:
+    """When each member of the run's next ring round has its update: the
+    barrier plus the member's compute time."""
+    return [run.barrier + float(run.setup.compute_times[m]) for m in run.outcome.members]
+
+
+def _ring_latest_start(run: _PoolRun) -> float:
+    """The latest stream start of the run's next `_ring_round`, as
+    `RingSession.start` computes it."""
+    return float(sharedring.stream_starts(run.barrier, _ready_times(run)).max())
+
+
+def _star_latest_start(run: _PoolRun) -> float:
+    """A `_star_round` ends no earlier than its barrier."""
+    return run.barrier
+
+
 def _ring_round(run: _PoolRun, trained: list[DenseClassifier],
                 masked: bool = True) -> tuple[np.ndarray, float]:
     """Ring all-reduce of the pre-scaled fixed-point updates from the run's
     barrier; masked for a fedchain pool, plain (2(k-1) steps) for `gfl_ring`.
-    Each member starts its streams after its compute delay. The k updates
-    are scaled and encoded as one (k, n_weights) array."""
+    Each member starts its streams after its compute delay (`_ready_times`).
+    The k updates are scaled and encoded as one (k, n_weights) array."""
     setup, outcome = run.setup, run.outcome
     members, k = outcome.members, len(outcome.members)
     vectors = fixedpoint.encode(np.stack([t.weights for t in trained])
@@ -744,7 +812,7 @@ def _ring_round(run: _PoolRun, trained: list[DenseClassifier],
     session = sharedring.RingSession(
         setup.latency, members, vectors, masks=masks, size_multiplier=setup.size_multiplier
     )
-    session.start(run.barrier, [run.barrier + float(setup.compute_times[m]) for m in members])
+    session.start(run.barrier, _ready_times(run))
     return fixedpoint.decode(session.results[members[0]]) / k, max(session.completion.values())
 
 
@@ -871,31 +939,45 @@ def _race(setup: RoundSetup, runs: list[_PoolRun]) -> PoolOutcome:
     id on a tie. `runs[i]` is pool i. Raises RoundFailedError if no run
     verifies before the deadline.
 
-    A heap holds one event per live run, keyed `(time, pool_id)`: for a run
-    that has not finished, its next round start barrier; for one that has
-    (`outcome.finish_time` is set), the arrival of its last vote, from the
-    exchange schedule drawn when it finished (`_exchange_schedule`).
-    Popping a round start runs that round; popping a vote event runs the
-    exchange's crypto (`_verification_exchange`). The first vote event that
-    accepts wins, and every event still on the heap is cut: its run gets
-    `abandoned_at`, the barrier of a pending round start or the finish
-    time of a pending vote event. A finisher with no committee has its vote
-    event at its finish time and is rejected.
+    A heap holds one event per live run, keyed `(time, pool_id)`. For a run
+    that has not finished, the time is `vote_bound`, a lower bound on the
+    last vote arrival its next round could produce: from `t`, the round's
+    latest stream start (for a ring, `RingSession.start`'s `now + (ready -
+    now)` with `ready = barrier + compute time`, both through
+    `sharedring.stream_starts`; for a star, the barrier), the exchange's
+    chain `+down, +up, +down*su, +up` (`_vote_arrivals`), maxed over the
+    run's committee; `t` itself without a committee. For a run that has
+    finished (`outcome.finish_time` is set), the time is the arrival of
+    its last vote, from its exchange schedule (`_exchange_schedule`).
+    Popping a round event runs that round; popping a vote event runs the
+    exchange's crypto (`_verification_exchange`). The first vote event
+    that accepts wins, and every event still on the heap is cut: its run
+    gets `abandoned_at`, its barrier, which is the start barrier of the
+    first round it did not run or, for a pending vote event, its finish
+    time. A finisher with no committee has its vote event at its finish
+    time and is rejected.
 
-    This is exact: a run's last vote arrives no earlier than it finishes,
-    which is no earlier than any of its round starts, because ring hops,
-    uploads, compute times and link latencies are non-negative. So every
-    round start or vote event below the winner's `(accept_time, pool_id)`
-    pops before the winner's vote event, and none above it can change the
-    block. Comparing whole tuples keeps the lower-pool-id tie-break exact
-    even when verification takes no simulated time. Every run keeps its
-    own clock and derives its seeds from its id, so running them
-    interleaved changes none of their numbers: the winner's outcome equals
-    that of training and verifying every run to its end, and only losing
-    runs' outcomes differ. A loser whose vote event was cut keeps its
-    finish time but has no commitment, accept time or votes.
+    This is exact. Under round-to-nearest, adding a non-negative term and
+    multiplying by a non-negative integer are both monotone, and the bound
+    makes the float operations of the times it bounds, in their order. A
+    ring round ends no earlier than its latest stream start, because each
+    stream is a cumsum of non-negative hop times; a star round ends no
+    earlier than its barrier. A finish is a round end, and the next
+    round's stream starts are no earlier than its barrier, this round's
+    end. So every vote event a run could still produce is at or above its
+    key, and the keys popped never decrease: every event below the
+    winner's `(accept_time, pool_id)` pops before the winner's vote event,
+    and none at or above it can change the block. Comparing whole tuples
+    keeps the lower-pool-id tie-break exact even when verification takes
+    no simulated time. Every run keeps its own clock and derives its seeds
+    from its id, so running them interleaved changes none of their
+    numbers: the winner's outcome equals that of training and verifying
+    every run to its end, and only losing runs' outcomes differ. A loser's
+    `metrics` stop at its cut, a loser cut before its first round has no
+    `weights`, and a loser whose vote event was cut keeps its finish time
+    but has no commitment, accept time or votes.
     """
-    heap = [(run.barrier, idx) for idx, run in enumerate(runs)] if setup.max_rounds > 0 else []
+    heap = [(run.vote_bound(), idx) for idx, run in enumerate(runs)] if setup.max_rounds > 0 else []
     heapq.heapify(heap)
     schedules = {}  # pool id -> `_exchange_schedule` of a finished run
     constants = None  # `_exchange_constants`, built on the first exchange
@@ -905,18 +987,17 @@ def _race(setup: RoundSetup, runs: list[_PoolRun]) -> PoolOutcome:
         outcome = run.outcome
         if outcome.finish_time is None:
             if not run.step():
-                heapq.heappush(heap, (run.barrier, idx))
+                heapq.heappush(heap, (run.vote_bound(), idx))
             elif outcome.finish_time is not None:
-                _, votes = schedules[idx] = _exchange_schedule(setup, outcome)
+                _, votes = schedules[idx] = _exchange_schedule(setup, outcome, run.committee)
                 heapq.heappush(heap, (votes[-1][0] if votes else outcome.finish_time, idx))
             continue
         if constants is None:
             constants = _exchange_constants(setup)
         _verification_exchange(setup, outcome, schedules[idx], run.model, run.tamper, *constants)
         if outcome.accepted:
-            for time, cut_idx in heap:
-                cut = runs[cut_idx].outcome
-                cut.abandoned_at = time if cut.finish_time is None else cut.finish_time
+            for _, cut_idx in heap:
+                runs[cut_idx].outcome.abandoned_at = runs[cut_idx].barrier
             return outcome
     raise RoundFailedError(f"task {setup.task.task_id}: no pool verified before the deadline")
 
@@ -951,15 +1032,13 @@ def run_round_fedchain(chain: Chain, setup: RoundSetup) -> RoundResult:
     _check_round(setup)
     publish_tx = publish_task(setup.task, setup.publisher, now=0.0)
     assignment, start_times = _form_pools(setup)
-    runs = []
-    for idx, pool in enumerate(assignment.pools):
-        members = list(pool.members)
-        runs.append(_PoolRun(
-            setup, idx, members[0], members,
-            aggregation_weights(setup.aggregation, [setup.miner_data[m] for m in members],
-                                setup.task.example),
-            max(start_times[m] for m in members), _ring_round, idx in setup.tamper_pools,
-        ))
+    model = _initial_model(setup)
+    runs = [
+        _PoolRun(setup, idx, pool.members[0], list(pool.members), setup.aggregation, model,
+                 max(start_times[m] for m in pool.members), _ring_round, _ring_latest_start,
+                 idx in setup.tamper_pools)
+        for idx, pool in enumerate(assignment.pools)
+    ]
     winner = _race(setup, runs)
     return _settle(chain, setup, publish_tx, winner, [run.outcome for run in runs],
                    assignment, start_times)
@@ -1048,9 +1127,9 @@ def run_round(chain: Chain, setup: RoundSetup, mode: str = "fedchain") -> RoundR
     nodes = list(range(setup.n_nodes))
     if mode == "gfl_ring":
         start, combine = float(_task_arrivals(setup).max()), partial(_ring_round, masked=False)
+        latest_start = _ring_latest_start
     else:
-        start, combine = 0.0, _star_round
-    run = _PoolRun(setup, 0, setup.publisher, nodes,
-                   fedavg_weights([len(setup.miner_data[m]) for m in nodes]),
-                   start, combine, tamper=False)
+        start, combine, latest_start = 0.0, _star_round, _star_latest_start
+    run = _PoolRun(setup, 0, setup.publisher, nodes, "fedavg", _initial_model(setup), start,
+                   combine, latest_start, tamper=False)
     return _settle(chain, setup, publish_tx, _race(setup, [run]), [run.outcome], None, {})

@@ -155,13 +155,33 @@ class LatencyHistory:
         Same result as `record(i, j, observed[i, j])` for each pair in
         row-major order. If any entry is invalid, nothing is recorded and the
         error names the first invalid entry in that order.
+
+        A history with no observation yet, recording a matrix of at least
+        two nodes that covers it, takes a direct path: its one layer is the
+        observation with a zero diagonal and its counts are 1 off the
+        diagonal, which is what the general path writes into a fresh
+        history.
         """
         n = observed.shape[0]
-        off_diag = ~np.eye(n, dtype=bool)
-        bad = off_diag & (observed <= 0)
+        bad = observed <= 0
+        np.fill_diagonal(bad, False)
         if bad.any():
             i, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
             raise InvalidObservationError(f"latency must be positive, got {observed[i, j]}")
+        if not self.layers and n >= max(self.n_nodes, 2):
+            layer = np.array(observed, dtype=np.float64)
+            np.fill_diagonal(layer, 0.0)
+            self.counts = np.ones((n, n), dtype=np.int64)
+            np.fill_diagonal(self.counts, 0)
+            self.layers = [layer]
+            return
+        self._record_at_depths(observed)
+
+    def _record_at_depths(self, observed: np.ndarray) -> None:
+        """`record_matrix`'s general path, after validation: each pair's
+        observation goes to the layer at that pair's current count."""
+        n = observed.shape[0]
+        off_diag = ~np.eye(n, dtype=bool)
         if n > self.n_nodes:
             self._grow(n)
         counts = self.counts[:n, :n]

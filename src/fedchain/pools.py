@@ -44,9 +44,10 @@ def bootstrap_history(latency: np.ndarray, seed: int) -> LatencyHistory:
     """
     n = latency.shape[0]
     rng = np.random.default_rng(seed)
-    factors = rng.uniform(*BOOTSTRAP_NOISE, size=(n, n))
+    observed = rng.uniform(*BOOTSTRAP_NOISE, size=(n, n))
+    observed *= np.asarray(latency, dtype=np.float64)
     history = LatencyHistory(n)
-    history.record_matrix(np.asarray(latency, dtype=np.float64) * factors)
+    history.record_matrix(observed)
     return history
 
 

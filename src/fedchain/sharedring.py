@@ -102,6 +102,14 @@ def ring_layout(k: int, model_len: int, size_multiplier: float, masked: bool) ->
     return layout
 
 
+def stream_starts(now: float, ready_times: Sequence[float]) -> np.ndarray:
+    """When each member's stream leaves on a ring run from clock `now`:
+    `now + (ready - now)`, the float operations of an event loop that
+    schedules each start as a delay from `now`. `RingSession.start` and the
+    chain's race bound both take the starts from here."""
+    return now + (np.asarray(ready_times, dtype=np.float64) - now)
+
+
 @dataclass
 class TranscriptEntry:
     phase: str  # REDUCE or GATHER
@@ -275,7 +283,7 @@ class RingSession:
         """Run the round from clock `now`; member i's stream leaves at
         `ready_times[i]`, which must not be before `now`."""
         k = self.k
-        ready = now + (np.asarray(ready_times, dtype=np.float64) - now)
+        ready = stream_starts(now, ready_times)
         if (ready < now).any():
             raise TimeTravelError(f"ring stream starts at {ready.min()} before clock {now}")
         finish = ready

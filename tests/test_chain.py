@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import json
 from dataclasses import replace
@@ -341,20 +342,22 @@ def oracle_verify(setup, outcome, model, tamper):
 def closed_form_exchange(setup, outcome, model, tamper):
     """Both halves of the chain's exchange, as `chain._race` runs them for a
     finisher: the arrival schedule, then the crypto."""
-    chain._verification_exchange(setup, outcome, chain._exchange_schedule(setup, outcome), model,
-                                 tamper, *chain._exchange_constants(setup))
+    schedule = chain._exchange_schedule(setup, outcome, chain._draw_committee(setup, outcome))
+    chain._verification_exchange(setup, outcome, schedule, model, tamper,
+                                 *chain._exchange_constants(setup))
 
 
-def oracle_pool_rounds(setup, pool_id, members, start_times):
+def oracle_pool_rounds(setup, pool_id, members, start_times, offset=0.0):
     """One pool trained to its natural end and, if it finished, verified:
     the all-pools loop the race replaced, with separate `evaluate` and
-    `local_loss` calls."""
+    `local_loss` calls. Its first barrier is `offset` ms after its last
+    member's start."""
     task = setup.task
     weights_vec = fed.aggregation_weights(setup.aggregation, [setup.miner_data[m] for m in members],
                                           task.example)
     k = len(members)
     model = fed.DenseClassifier(task.arch, seed=chain._derive_seed(setup.seed, task.task_id, "init"))
-    barrier = max(start_times[m] for m in members)
+    barrier = max(start_times[m] for m in members) + offset
     chunk_lens = [c.shape[0] for c in np.array_split(model.weights, k)]
     outcome = chain.PoolOutcome(pool_id, members[0], members, None, None, False, 0.0,
                                 weights_vec, None)
@@ -391,15 +394,16 @@ def oracle_pool_rounds(setup, pool_id, members, start_times):
     return outcome
 
 
-def oracle_round_fedchain(ledger, setup):
+def oracle_round_fedchain(ledger, setup, offset=0.0):
     """`run_round_fedchain` without the race: every pool trains to its end,
     every finisher is verified, and the block goes to the minimum
-    `(accept_time, pool_id)`."""
+    `(accept_time, pool_id)`. Every pool's barriers are `offset` ms later
+    (see `barriers_moved`)."""
     task = setup.task
     publish_tx = chain.publish_task(task, setup.publisher, now=0.0)
     assignment, start_times = chain._form_pools(setup)
     outcomes = [
-        oracle_pool_rounds(setup, idx, list(pool.members), start_times)
+        oracle_pool_rounds(setup, idx, list(pool.members), start_times, offset)
         for idx, pool in enumerate(assignment.pools)
     ]
     verified = [o for o in outcomes if o.accepted]
@@ -436,23 +440,49 @@ def assert_same_block(raced, oracle):
     assert raced.start_times == oracle.start_times
 
 
-def assert_race_cut(raced, oracle):
-    """Every pool-round whose `(start barrier, pool id)` is below the
-    block's `(latency_ms, winner)` ran, none other did (the winner runs all
-    of its rounds), a finisher was verified iff its `(accept_time, pool id)`
-    in the oracle is at or below the block's, and `abandoned_at` marks
-    exactly the pools cut short."""
+def vote_bound(setup, outcome, start, ringed=True):
+    """The earliest last vote a round of the outcome's pool starting at
+    `start` could produce, in the test's own arithmetic: from the latest
+    member's stream start (`start + ((start + compute) - start)` on a ring,
+    `start` on a star), commit, challenge, proof and vote over each link of
+    the committee that `listed_committee` draws; the stream start itself
+    without a committee."""
+    t = start
+    if ringed:
+        t = max(start + ((start + float(setup.compute_times[m])) - start) for m in outcome.members)
+    su = int(setup.size_multiplier)
+    head = outcome.head
+    votes = [
+        (((t + float(setup.latency[head, v])) + float(setup.latency[v, head]))
+         + float(setup.latency[head, v]) * su) + float(setup.latency[v, head])
+        for v in listed_committee(setup, outcome)
+    ]
+    return max(votes, default=t)
+
+
+def assert_race_cut(raced, oracle, setup, offset=0.0):
+    """Round r of pool q ran iff `(vote_bound(start_r), q)` is below the
+    block's `(latency_ms, winner)` (the winner runs all of its rounds), a
+    finisher was verified iff its `(accept_time, pool id)` in the oracle is
+    at or below the block's, and `abandoned_at` marks exactly the pools cut
+    short. The bound is sound: it is at most every oracle finisher's
+    accept time at its finishing round's start. Barriers are `offset` ms
+    later than the start times (see `barriers_moved`)."""
     best = (oracle.latency_ms, oracle.winner_pool)
     for got, full in zip(raced.outcomes, oracle.outcomes, strict=True):
         pool = full.pool_id
         ran = len(got.metrics)
-        first = max(oracle.start_times[m] for m in full.members)
+        first = max(oracle.start_times[m] for m in full.members) + offset
         starts = [first] + [m.sim_time_ms for m in full.metrics[:-1]]
+        bounds = [vote_bound(setup, full, t) for t in starts]
+        if full.accept_time is not None:
+            assert bounds[-1] <= full.accept_time
         assert got.metrics == full.metrics[:ran]
+        assert (got.weights is None) is (ran == 0)
         if pool == oracle.winner_pool:
             assert ran == len(full.metrics)
         else:
-            assert [i < ran for i in range(len(starts))] == [(t, pool) < best for t in starts]
+            assert [i < ran for i in range(len(starts))] == [(b, pool) < best for b in bounds]
         verified = (got.finish_time, got.accept_time, got.accepted, got.measured_accuracy,
                     got.commitment, got.commit_time, got.proof_time, got.vote_times)
         if ran < len(full.metrics):
@@ -491,10 +521,11 @@ class TestRaceOracle:
         cut = 0
         for n, p, seed in self.GRID:
             picked = self.tampered(tamper, p, seed)
-            raced, oracle = race_and_oracle(grid_setup(n, p, seed, picked))
+            setup = grid_setup(n, p, seed, picked)
+            raced, oracle = race_and_oracle(setup)
             assert oracle is not None
             assert_same_block(raced, oracle)
-            cut += assert_race_cut(raced, oracle)
+            cut += assert_race_cut(raced, oracle, setup)
             assert oracle.winner_pool not in picked
         assert cut > 0
 
@@ -551,7 +582,7 @@ class TestRaceOracle:
         assert any(o.finish_time is None for o in oracle.outcomes)
         assert len(finishes) > sum(o.finish_time is not None for o in oracle.outcomes)
         assert_same_block(raced, oracle)
-        assert_race_cut(raced, oracle)
+        assert_race_cut(raced, oracle, setup)
 
     @pytest.mark.parametrize("deadline", [1.0, 50.0])
     def test_tight_deadline_fails_in_both(self, deadline):
@@ -562,19 +593,21 @@ class TestRaceOracle:
     @pytest.mark.parametrize("max_rounds", [0, 1])
     def test_round_budget(self, max_rounds):
         for seed in range(4):
-            raced, oracle = race_and_oracle(grid_setup(40, 4, seed, max_rounds=max_rounds))
+            setup = grid_setup(40, 4, seed, max_rounds=max_rounds)
+            raced, oracle = race_and_oracle(setup)
             if max_rounds == 0:
                 assert oracle is None
             elif oracle is not None:
                 assert_same_block(raced, oracle)
-                assert_race_cut(raced, oracle)
+                assert_race_cut(raced, oracle, setup)
 
     def test_every_node_a_pool(self):
         for seed in range(3):
-            raced, oracle = race_and_oracle(grid_setup(12, 12, seed, tamper=[seed]))
+            setup = grid_setup(12, 12, seed, tamper=[seed])
+            raced, oracle = race_and_oracle(setup)
             assert all(len(o.members) == 1 for o in oracle.outcomes)
             assert_same_block(raced, oracle)
-            assert assert_race_cut(raced, oracle) > 0
+            assert assert_race_cut(raced, oracle, setup) > 0
 
     @pytest.mark.parametrize("tamper", [(), (0,)])
     @pytest.mark.parametrize("link_ms", [0.0, 10.0])
@@ -582,10 +615,13 @@ class TestRaceOracle:
         # Nine nodes form three pools of three over equal links; every
         # member computes for 5 ms and the target is met on the first
         # round, so every honest pool accepts at the same time and the
-        # lower pool id wins. Every later honest pool's vote event ties the
-        # block's accept time with a higher pool id, so, over 0-ms and 10-ms
-        # links alike, its exchange is cut and only the tampered pool ahead
-        # of the winner is verified besides it.
+        # lower pool id wins. Only the tampered pool ahead of the winner is
+        # verified besides it. Over 10-ms links every later honest pool
+        # trains, and its vote event ties the block's accept time with a
+        # higher pool id, so its exchange is cut. Over 0-ms links the
+        # earliest vote of its first round, 5 ms of compute and no link
+        # time, already ties the block's accept time, so it is cut before
+        # it trains, at its start barrier.
         setup = build_setup(n_nodes=9, n_pools=3, seed=1, target=1e-9,
                             tamper_pools=frozenset(tamper))
         setup.latency = np.full((9, 9), link_ms)
@@ -602,12 +638,81 @@ class TestRaceOracle:
         assert len({o.accept_time for o in accepted}) == 1
         assert oracle.winner_pool == len(tamper)
         assert_same_block(raced, oracle)
-        assert assert_race_cut(raced, oracle) == 3 - len(tamper) - 1
+        assert assert_race_cut(raced, oracle, setup) == 3 - len(tamper) - 1
         finish = raced.outcomes[oracle.winner_pool].finish_time
-        assert all(o.abandoned_at == o.finish_time == finish and o.commitment is None
-                   for o in raced.outcomes[len(tamper) + 1:])
+        later = raced.outcomes[len(tamper) + 1:]
         if link_ms == 0.0:
             assert oracle.latency_ms == finish == 5.0
+            assert all(o.abandoned_at == max(raced.start_times[m] for m in o.members)
+                       and o.finish_time is None and o.commitment is None for o in later)
+        else:
+            assert all(o.abandoned_at == o.finish_time == finish and o.commitment is None
+                       for o in later)
+
+
+@contextlib.contextmanager
+def barriers_moved(offset):
+    """Every `chain._PoolRun` made inside starts `offset` ms later."""
+    real_init = chain._PoolRun.__init__
+
+    def moved_init(run, *args, **kwargs):
+        real_init(run, *args, **kwargs)
+        run.barrier += offset
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(chain._PoolRun, "__init__", moved_init)
+        yield
+
+
+class TestRaceBoundProperty:
+    """With full-mantissa latencies and compute times, and barriers moved
+    up to 1e9 ms later, where one ulp is large, the raced round proposes
+    the all-pools oracle's block in every mode, the race keys every pending
+    round by the test's own `vote_bound`, and that bound never exceeds a
+    realized last vote."""
+
+    @given(data=st.data(), mode=st.sampled_from(["fedchain", "gfl_ring", "fedavg_central"]),
+           shape=st.sampled_from([(20, 2), (50, 5)]), seed=st.integers(0, 2**16),
+           scale=st.sampled_from([1 / 3, 5 / 7, 3.0 / 11]),
+           offset=st.one_of(st.sampled_from([0.0, 1e9]), st.floats(0.0, 1e9)))
+    @settings(max_examples=40, deadline=None)
+    def test_same_block_and_sound_bound(self, data, mode, shape, seed, scale, offset):
+        n, p = shape
+        tamper = data.draw(st.sets(st.integers(0, p - 1), max_size=p - 1)) if mode == "fedchain" else ()
+        setup = grid_setup(n, p, seed, tamper)
+        setup = replace(setup, latency=setup.latency * scale,
+                        compute_times=setup.compute_times * scale,
+                        task=replace(setup.task, deadline=offset + 1e9))
+        oracle_round = oracle_round_fedchain if mode == "fedchain" else BASELINE_ORACLES[mode]
+        try:
+            oracle = oracle_round(chain.Chain(), setup, offset)
+        except RoundFailedError:
+            with barriers_moved(offset), pytest.raises(RoundFailedError):
+                chain.run_round(chain.Chain(), setup, mode)
+            return
+        # the race keys each pending round by the bound this test computes
+        matched = []
+        real_bound = chain._PoolRun.vote_bound
+
+        def checked_bound(run):
+            bound = real_bound(run)
+            matched.append(bound == vote_bound(setup, run.outcome, run.barrier,
+                                               ringed=mode != "fedavg_central"))
+            return bound
+
+        with barriers_moved(offset), pytest.MonkeyPatch.context() as patch:
+            patch.setattr(chain._PoolRun, "vote_bound", checked_bound)
+            raced = chain.run_round(chain.Chain(), setup, mode)
+        assert matched and all(matched)
+        if mode == "fedchain":
+            assert_same_block(raced, oracle)
+            assert_race_cut(raced, oracle, setup, offset)
+            return
+        assert_same_baseline(raced, oracle)
+        [full] = oracle.outcomes
+        first = (float(chain._task_arrivals(setup).max()) if mode == "gfl_ring" else 0.0) + offset
+        last_start = full.metrics[-2].sim_time_ms if len(full.metrics) > 1 else first
+        assert vote_bound(setup, full, last_start, ringed=mode == "gfl_ring") <= full.accept_time
 
 
 class TestRaceSlack:
@@ -634,11 +739,12 @@ class TestRaceCounts:
     outcomes, and times `fixedpoint.generate_noise` and `fed.kl_weights`
     at the call; a raced round must make exactly those calls: one session
     per pool-round, one mask per member and masked round, and one
-    `kl_weights` per pool under "kl"."""
+    `kl_weights` per pool that ran a round under "kl". Each pool draws its
+    committee once, when its run is made."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        calls = {"train": 0, "session": 0, "noise": 0, "kl": 0}
+        calls = {"train": 0, "session": 0, "noise": 0, "kl": 0, "committee": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -655,6 +761,7 @@ class TestRaceCounts:
         monkeypatch.setattr(sharedring, "RingSession", CountingSession)
         monkeypatch.setattr(fixedpoint, "generate_noise", counted("noise", fixedpoint.generate_noise))
         monkeypatch.setattr(fed, "kl_weights", counted("kl", fed.kl_weights))
+        monkeypatch.setattr(chain, "_draw_committee", counted("committee", chain._draw_committee))
         return calls
 
     def test_calls_match_outcomes(self, counts):
@@ -664,7 +771,9 @@ class TestRaceCounts:
         member_rounds = sum(len(o.metrics) * len(o.members) for o in outcomes)
         assert counts["train"] == counts["noise"] == member_rounds
         assert counts["session"] == sum(len(o.metrics) for o in outcomes)
-        assert counts["kl"] == len(outcomes) == 6
+        assert len(outcomes) == counts["committee"] == 6
+        assert counts["kl"] == sum(len(o.metrics) > 0 for o in outcomes)
+        assert all((o.weights is None) is (not o.metrics) for o in outcomes)
 
     def test_fedavg_pools_skip_the_divergences(self, counts):
         setup = grid_setup(40, 4, 1, aggregation="fedavg")
@@ -878,8 +987,8 @@ class TestVerificationExchangeOracle:
 
 
 class TestCommitteeDraw:
-    """The schedule's masked candidate draw picks the committee that the
-    list-built draw picks, for pools inside a larger network and for a pool
+    """The masked candidate draw (`chain._draw_committee`) picks the
+    committee that the list-built draw picks, for pools inside a larger network and for a pool
     of the whole network (committee from every node but the head); a
     finisher with no node to draw from is rejected."""
 
@@ -895,7 +1004,8 @@ class TestCommitteeDraw:
             for pool_id, members in ((seed, small), (0, list(range(n)))):
                 outcome = chain.PoolOutcome(pool_id, head, members, 1.0, None, False, 0.0, None,
                                             None)
-                committee, votes = chain._exchange_schedule(setup, outcome)
+                committee, votes = chain._exchange_schedule(
+                    setup, outcome, chain._draw_committee(setup, outcome))
                 assert committee == listed_committee(setup, outcome)
                 assert all(type(v) is int for v in committee)
                 assert head not in committee
@@ -1067,8 +1177,9 @@ class TestBaselines:
         assert 1.0 <= np.mean(trials) < 6 * 64
 
 
-def oracle_fedavg_central(ledger, setup):
-    """The `fedavg_central` loop before the baselines ran on the pool engine."""
+def oracle_fedavg_central(ledger, setup, offset=0.0):
+    """The `fedavg_central` loop before the baselines ran on the pool engine,
+    from a barrier `offset` ms after 0."""
     task = setup.task
     publish_tx = chain.publish_task(task, setup.publisher, now=0.0)
     coord = setup.publisher
@@ -1076,7 +1187,7 @@ def oracle_fedavg_central(ledger, setup):
     weights_vec = fed.fedavg_weights([len(setup.miner_data[m]) for m in nodes])
     model = fed.DenseClassifier(task.arch, seed=chain._derive_seed(setup.seed, task.task_id, "init"))
     su = int(setup.size_multiplier)
-    now = 0.0
+    now = 0.0 + offset
     metrics = []
     finish = None
     for round_idx in range(setup.max_rounds):
@@ -1108,8 +1219,9 @@ def oracle_fedavg_central(ledger, setup):
                                   metrics, coord)
 
 
-def oracle_gfl_ring(ledger, setup):
-    """The `gfl_ring` loop before the baselines ran on the pool engine."""
+def oracle_gfl_ring(ledger, setup, offset=0.0):
+    """The `gfl_ring` loop before the baselines ran on the pool engine,
+    from a barrier `offset` ms after the last node has the task."""
     task = setup.task
     publish_tx = chain.publish_task(task, setup.publisher, now=0.0)
     nodes = list(range(setup.n_nodes))
@@ -1118,7 +1230,7 @@ def oracle_gfl_ring(ledger, setup):
     k = len(nodes)
     barrier = max(
         float(setup.latency[setup.publisher, m]) if m != setup.publisher else 0.0 for m in nodes
-    )
+    ) + offset
     metrics = []
     finish = None
     for round_idx in range(setup.max_rounds):

@@ -218,6 +218,46 @@ class TestDenseLatencyHistory:
             for j in range(n):
                 assert matrixed.series(i, j) == looped.series(i, j)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64])
+    @pytest.mark.parametrize("n_nodes", [0, 2, 7, 9])
+    def test_fresh_history_direct_path_equals_general_path(self, n_nodes, dtype):
+        # a fresh history covered by the matrix writes its one layer
+        # directly (n_nodes 9 is not covered and takes the general path)
+        rng = np.random.default_rng(n_nodes)
+        observed = (rng.uniform(3, 300, size=(7, 7)) / 3).astype(dtype)
+        np.fill_diagonal(observed, -5)  # the diagonal is never recorded
+        direct, general, looped = (netsim.LatencyHistory(n_nodes) for _ in range(3))
+        direct.record_matrix(observed)
+        general._record_at_depths(observed)
+        for i in range(7):
+            for j in range(7):
+                if i != j:
+                    looped.record(i, j, observed[i, j])
+        observed[:] = 1  # the history keeps no view of the caller's matrix
+        assert direct.counts.dtype == general.counts.dtype == np.int64
+        assert np.array_equal(direct.counts, general.counts)
+        assert [layer.tobytes() for layer in direct.layers] == [
+            layer.tobytes() for layer in general.layers]
+        assert len(direct.layers) == 1
+        assert direct.pairs() == looped.pairs()
+        for i in range(7):
+            for j in range(7):
+                assert direct.series(i, j) == looped.series(i, j)
+
+    @pytest.mark.parametrize("bad", [0.0, -2.5])
+    def test_fresh_history_refuses_non_positive_entry(self, bad):
+        observed = np.full((4, 4), 7.0)
+        observed[2, 1] = bad
+        observed[3, 0] = -1.0
+        observed[0, 0] = -9.0  # the diagonal is not validated
+        hist = netsim.LatencyHistory(4)
+        with pytest.raises(InvalidObservationError, match=f"got {bad}"):
+            hist.record_matrix(observed)
+        assert len(hist) == 0 and hist.layers == []
+        observed[2, 1] = observed[3, 0] = 7.0
+        hist.record_matrix(observed)
+        assert len(hist) == 12 and hist.series(2, 1) == [7.0] and hist.series(0, 0) == []
+
     def test_record_matrix_reports_first_invalid_in_row_major(self):
         observed = np.full((3, 3), 5.0)
         observed[1, 2] = -1.0
