@@ -417,7 +417,6 @@ class RoundSetup:
     aggregation: str = "kl"  # "kl" or "fedavg"
     train: TrainConfig = field(default_factory=TrainConfig)
     max_rounds: int = 30
-    head_policy: str = "spread"
     n_verifiers: int = 3
     size_multiplier: float = 10.0
     noise_bits: int = fixedpoint.DEFAULT_NOISE_BITS
@@ -590,8 +589,8 @@ def _vote_arrivals(t0: float, links: list[tuple[float, float]], su: int) -> list
     arrival times in an exchange from `t0`, unsorted: with `(down, up)` its
     `_committee_links`, the commit arrives at `t0 + down`, the challenge
     `up` later, the proof `down * su` later and the vote `up` later. The
-    one place these sums are made, for `_exchange_schedule` and for
-    `_PoolRun.vote_bound` alike."""
+    one place these sums are made, for a finisher's `_PoolRun.votes` and
+    for `_PoolRun.vote_bound` alike."""
     arrivals = []
     for idx, (down, up) in enumerate(links):
         commit_at = t0 + down
@@ -601,43 +600,22 @@ def _vote_arrivals(t0: float, links: list[tuple[float, float]], su: int) -> list
     return arrivals
 
 
-def _exchange_schedule(setup: RoundSetup, outcome: PoolOutcome,
-                       committee: list[int]) -> tuple[list[int], list[tuple]]:
-    """When the messages of the outcome's verification exchange with
-    `committee` (`_draw_committee`) arrive, in closed form from
-    `t0 = finish_time`; no crypto runs here. Returns the committee and its
-    `_vote_arrivals` sorted, which is the `(time, send order)` order an
-    event loop delivers the votes in, so the last vote arrival comes last.
-    `_race` computes this once per finisher and hands it to
-    `_verification_exchange`."""
-    links = _committee_links(setup, outcome.head, committee)
-    return committee, sorted(_vote_arrivals(outcome.finish_time, links,
-                                            int(setup.size_multiplier)))
-
-
-def _verification_exchange(
-    setup: RoundSetup,
-    outcome: PoolOutcome,
-    schedule: tuple[list[int], list[tuple]],
-    model: DenseClassifier,
-    tamper: bool,
-    pp: verify.PublicParams,
-    held_out_digests: np.ndarray,
-) -> None:
-    """The crypto of the commit/challenge/prove/vote exchange between the
-    outcome's head and the committee of `schedule` (`_exchange_schedule`),
-    and its result set on the outcome.
+def _verification_exchange(run: _PoolRun, pp: verify.PublicParams,
+                           held_out_digests: np.ndarray) -> None:
+    """The crypto of the commit/challenge/prove/vote exchange between a
+    finished run's head and its committee, and its result set on the run's
+    outcome. No message is sent: `run.votes` holds the arrival times.
 
     The head commits to the model. Each verifier derives its own challenge
     from the commitment, sends back only the rows, checks the proof (the
     head proves each distinct challenge once) and votes. The proof time is
     the first challenge arrival and the accept time the last vote arrival;
-    votes count in the schedule's order, so every field set on the outcome
-    is bit-identical to replaying the messages. The outcome is accepted
-    only if it has a committee and every vote accepts. `pp` and
+    votes count in the order of `run.votes`, so every field set on the
+    outcome is bit-identical to replaying the messages. The outcome is
+    accepted only if it has a committee and every vote accepts. `pp` and
     `held_out_digests` come from `_exchange_constants`."""
-    task = setup.task
-    committee, votes = schedule
+    setup, outcome, committee, votes = run.setup, run.outcome, run.committee, run.votes
+    task, model = setup.task, run.model
     blind_seed = _derive_seed(setup.seed, task.task_id, "blind", outcome.pool_id)
     blinding = verify.make_blinding(blind_seed)
     com = verify.commit(model, pp, blinding)
@@ -651,7 +629,7 @@ def _verification_exchange(
         proof = proofs.get(key)
         if proof is None:
             proof = verify.prove(model, x, pp, blinding)
-            if tamper:
+            if run.tamper:
                 bad_y = proof.y.copy()
                 bad_y[0] = (bad_y[0] + 1) % task.example.n_classes
                 proof = replace(proof, y=bad_y)
@@ -688,7 +666,9 @@ class _PoolRun:
     clock is its `barrier`, and it derives every seed from its pool id, so
     runs can be interleaved freely. Its aggregation weights under `scheme`
     are computed at its first `step`; `model` is the round's shared initial
-    model (`_initial_model`).
+    model (`_initial_model`). `committee` is its verifier committee
+    (`_draw_committee`), and `votes`, set by `_race` once the run finishes,
+    are the committee's `_vote_arrivals` from the finish time.
     """
 
     def __init__(self, setup: RoundSetup, pool_id: int, head: int, members: list[int],
@@ -716,6 +696,7 @@ class _PoolRun:
         )
         self.committee = _draw_committee(setup, self.outcome)
         self._links = _committee_links(setup, head, self.committee)
+        self.votes: list[tuple] = []
 
     def vote_bound(self) -> float:
         """A lower bound on the last vote the next round could produce: the
@@ -913,13 +894,7 @@ def _form_pools(setup: RoundSetup) -> tuple[pools.PoolAssignment, dict[int, floa
     each node's training start time."""
     history = pools.bootstrap_history(setup.latency, seed=_derive_seed(setup.seed, "ping"))
     l_hat = pools.estimate_latency(history, setup.n_nodes)
-    heads = pools.announce_heads(
-        setup.n_nodes,
-        setup.n_pools,
-        l_hat=l_hat,
-        policy=setup.head_policy,
-        seed=_derive_seed(setup.seed, "heads"),
-    )
+    heads = pools.announce_heads(setup.n_nodes, setup.n_pools, l_hat=l_hat)
     chunk_units = max(
         1, round(setup.size_multiplier / max(1, setup.n_nodes // max(1, setup.n_pools)))
     )
@@ -948,7 +923,9 @@ def _race(setup: RoundSetup, runs: list[_PoolRun]) -> PoolOutcome:
     chain `+down, +up, +down*su, +up` (`_vote_arrivals`), maxed over the
     run's committee; `t` itself without a committee. For a run that has
     finished (`outcome.finish_time` is set), the time is the arrival of
-    its last vote, from its exchange schedule (`_exchange_schedule`).
+    its last vote, from `votes`, its committee's `_vote_arrivals` from
+    the finish time, sorted: that is the `(time, send order)` order an event
+    loop delivers the votes in, so the last vote comes last.
     Popping a round event runs that round; popping a vote event runs the
     exchange's crypto (`_verification_exchange`). The first vote event
     that accepts wins, and every event still on the heap is cut: its run
@@ -979,7 +956,6 @@ def _race(setup: RoundSetup, runs: list[_PoolRun]) -> PoolOutcome:
     """
     heap = [(run.vote_bound(), idx) for idx, run in enumerate(runs)] if setup.max_rounds > 0 else []
     heapq.heapify(heap)
-    schedules = {}  # pool id -> `_exchange_schedule` of a finished run
     constants = None  # `_exchange_constants`, built on the first exchange
     while heap:
         _, idx = heapq.heappop(heap)
@@ -989,12 +965,13 @@ def _race(setup: RoundSetup, runs: list[_PoolRun]) -> PoolOutcome:
             if not run.step():
                 heapq.heappush(heap, (run.vote_bound(), idx))
             elif outcome.finish_time is not None:
-                _, votes = schedules[idx] = _exchange_schedule(setup, outcome, run.committee)
-                heapq.heappush(heap, (votes[-1][0] if votes else outcome.finish_time, idx))
+                run.votes = sorted(_vote_arrivals(outcome.finish_time, run._links,
+                                                  int(setup.size_multiplier)))
+                heapq.heappush(heap, (run.votes[-1][0] if run.votes else outcome.finish_time, idx))
             continue
         if constants is None:
             constants = _exchange_constants(setup)
-        _verification_exchange(setup, outcome, schedules[idx], run.model, run.tamper, *constants)
+        _verification_exchange(run, *constants)
         if outcome.accepted:
             for _, cut_idx in heap:
                 runs[cut_idx].outcome.abandoned_at = runs[cut_idx].barrier

@@ -103,96 +103,74 @@ def chunk_size_units(chunk_len: int, model_len: int, multiplier: float = DEFAULT
 
 
 class LatencyHistory:
-    """Append-only per-pair record of observed link latencies.
+    """Per-pair running record of observed link latencies.
 
-    Storage is dense: `layers[d]` is an (n, n) float64 array whose entry
-    (i, j) holds the d-th observation of the directed pair (i, j), and
-    `counts` is an (n, n) int64 array with the number of observations of
-    each pair. An entry of `layers[d]` is meaningful only where
-    `counts > d`; elsewhere it is 0.0. A history made without `n_nodes`
-    grows its arrays to fit the largest node id recorded.
+    Storage is dense: `total` is an (n, n) float64 array whose entry
+    (i, j) is the sum of the observations of the directed pair (i, j),
+    added in the order they were recorded, and `counts` is an (n, n) int64
+    array with the number of those observations. The diagonal of both is
+    always 0. A history made without `n_nodes` grows its arrays to fit the
+    largest node id recorded.
 
-    The layout lets `pools.estimate_latency` average every pair at once
-    and stay bit-identical to `sum(series) / len(series)`: it adds the
-    layers one at a time in depth order, which is the left-to-right order
-    of Python's `sum`, and a pair with fewer observations adds exact 0.0
-    for its missing depths.
+    `pools.estimate_latency` divides `total` by `counts`, and every mean
+    is bit-identical to `sum(series) / len(series)` over the pair's
+    observations as floats: Python's `sum` adds left to right starting
+    from 0, and `0 + x == x`, so it makes the same float additions as a
+    running `+=` in recording order (and `x / 1 == x`).
     """
 
     def __init__(self, n_nodes: int = 0) -> None:
-        self.counts = np.zeros((n_nodes, n_nodes), dtype=np.int64)
-        self.layers: list[np.ndarray] = []
+        # Filled rather than `np.zeros`: a large `np.zeros` is a calloc of
+        # fresh pages, each faulted in by the first `record_matrix`, where a
+        # filled array can reuse memory the allocator already holds.
+        self.total = np.full((n_nodes, n_nodes), 0.0)
+        self.counts = np.full((n_nodes, n_nodes), 0, dtype=np.int64)
 
     @property
     def n_nodes(self) -> int:
         return self.counts.shape[0]
 
     def _grow(self, n_nodes: int) -> None:
-        old = self.n_nodes
-        pad = ((0, n_nodes - old), (0, n_nodes - old))
-        self.counts = np.pad(self.counts, pad)
-        self.layers = [np.pad(layer, pad) for layer in self.layers]
-
-    def _layer(self, depth: int) -> np.ndarray:
-        while len(self.layers) <= depth:
-            self.layers.append(np.zeros_like(self.counts, dtype=np.float64))
-        return self.layers[depth]
+        if n_nodes > self.n_nodes:
+            pad = ((0, n_nodes - self.n_nodes), (0, n_nodes - self.n_nodes))
+            self.total = np.pad(self.total, pad)
+            self.counts = np.pad(self.counts, pad)
 
     def record(self, i: int, j: int, observed: float) -> None:
+        if min(i, j) < 0:
+            raise NodeNotFoundError(f"negative node id in pair ({i}, {j})")
         if i == j:
             raise InvalidObservationError(f"self-loop observation for node {i}")
         if observed <= 0:
             raise InvalidObservationError(f"latency must be positive, got {observed}")
-        if max(i, j) >= self.n_nodes:
-            self._grow(max(i, j) + 1)
-        depth = int(self.counts[i, j])
-        self._layer(depth)[i, j] = float(observed)
-        self.counts[i, j] = depth + 1
+        self._grow(max(i, j) + 1)
+        self.total[i, j] += float(observed)
+        self.counts[i, j] += 1
 
     def record_matrix(self, observed: np.ndarray) -> None:
         """Record one observation for every off-diagonal pair of an (n, n) matrix.
 
         Same result as `record(i, j, observed[i, j])` for each pair in
-        row-major order. If any entry is invalid, nothing is recorded and the
-        error names the first invalid entry in that order.
-
-        A history with no observation yet, recording a matrix of at least
-        two nodes that covers it, takes a direct path: its one layer is the
-        observation with a zero diagonal and its counts are 1 off the
-        diagonal, which is what the general path writes into a fresh
-        history.
+        row-major order. If the matrix is not square, nothing is recorded.
+        If an off-diagonal entry is invalid, nothing is recorded and the
+        error names the first invalid entry in that order. The diagonal is
+        not recorded: the whole block is added, and the diagonal, which is 0
+        because no self-loop is ever recorded, is set back to 0.
         """
+        if observed.ndim != 2 or observed.shape[0] != observed.shape[1]:
+            raise InvalidObservationError(f"observations must be square, got {observed.shape}")
         n = observed.shape[0]
         bad = observed <= 0
         np.fill_diagonal(bad, False)
         if bad.any():
             i, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
             raise InvalidObservationError(f"latency must be positive, got {observed[i, j]}")
-        if not self.layers and n >= max(self.n_nodes, 2):
-            layer = np.array(observed, dtype=np.float64)
-            np.fill_diagonal(layer, 0.0)
-            self.counts = np.ones((n, n), dtype=np.int64)
-            np.fill_diagonal(self.counts, 0)
-            self.layers = [layer]
-            return
-        self._record_at_depths(observed)
-
-    def _record_at_depths(self, observed: np.ndarray) -> None:
-        """`record_matrix`'s general path, after validation: each pair's
-        observation goes to the layer at that pair's current count."""
-        n = observed.shape[0]
-        off_diag = ~np.eye(n, dtype=bool)
-        if n > self.n_nodes:
-            self._grow(n)
-        counts = self.counts[:n, :n]
-        for depth in np.flatnonzero(np.bincount(counts[off_diag])):
-            np.copyto(self._layer(int(depth))[:n, :n], observed, where=off_diag & (counts == depth))
-        counts += off_diag
-
-    def series(self, i: int, j: int) -> list[float]:
-        if max(i, j) >= self.n_nodes:
-            return []
-        return [float(self.layers[d][i, j]) for d in range(self.counts[i, j])]
+        self._grow(n)
+        total, counts = self.total[:n, :n], self.counts[:n, :n]
+        total += observed
+        counts += 1
+        np.fill_diagonal(total, 0.0)
+        np.fill_diagonal(counts, 0)
 
     def pairs(self) -> list[tuple[int, int]]:
         """Observed pairs in row-major order."""

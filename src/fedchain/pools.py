@@ -51,28 +51,24 @@ def bootstrap_history(latency: np.ndarray, seed: int) -> LatencyHistory:
     return history
 
 
-def estimate_latency(history: LatencyHistory, n_nodes: int, tau: int | None = None) -> np.ndarray:
+def estimate_latency(history: LatencyHistory, n_nodes: int) -> np.ndarray:
     """Estimated latency matrix: per-pair arithmetic mean of the history.
 
-    With `tau` given, only the first tau-1 observations of each pair are
-    averaged (`series[:tau - 1]`); otherwise the full series is used. The
-    layers are summed in depth order, so every mean is bit-identical to
-    `sum(series) / len(series)` (see `LatencyHistory`).
+    `history.total / history.counts` over the first `n_nodes` nodes, with
+    the diagonal divided by 1, so it stays 0. Every mean is bit-identical
+    to `sum(series) / len(series)` over the pair's observations as floats
+    (see `LatencyHistory`). Raises InsufficientHistoryError naming the
+    first pair in row-major order that has no observation.
     """
     size = min(n_nodes, history.n_nodes)
-    counts = np.zeros((n_nodes, n_nodes), dtype=np.int64)
-    counts[:size, :size] = history.counts[:size, :size]
-    if tau is not None:
-        stop = tau - 1
-        counts = np.minimum(counts, stop) if stop >= 0 else np.maximum(counts + stop, 0)
-    np.fill_diagonal(counts, 1)  # the diagonal divides an all-zero total
+    pad = (0, n_nodes - size)
+    counts = np.pad(history.counts[:size, :size], pad)
+    np.fill_diagonal(counts, 1)
     if not counts.all():
         i, j = np.unravel_index(int(np.argmin(counts)), counts.shape)
         raise InsufficientHistoryError(f"no observations for pair ({i}, {j})")
-    total = np.zeros((n_nodes, n_nodes))
-    for depth, layer in enumerate(history.layers[: counts.max(initial=0)]):
-        total[:size, :size] += np.where(counts[:size, :size] > depth, layer[:size, :size], 0.0)
-    return total / counts
+    total = np.pad(history.total[:size, :size], pad)
+    return np.divide(total, counts, out=total)
 
 
 def announce_heads(

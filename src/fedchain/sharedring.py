@@ -8,8 +8,9 @@ when the completed sum returns. A gather pass then circulates the clean
 chunk sums so every miner ends with the identical summed vector.
 
 The plain (unmasked) variant used by the whole-network baseline is the
-standard 2(k-1)-step ring; the masked variant spends k-1 extra messages
-(one per stream) returning each completed chunk to its noise owner.
+standard 2(k-1)-step ring; the masked variant spends one extra message per
+stream, k in all (k(2k-1) hops against 2k(k-1)), returning each completed
+chunk to its noise owner.
 
 `RingSession` computes one such round in closed form over the latency
 matrix and is the only all-reduce here: the chain runs it, and

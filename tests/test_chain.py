@@ -267,8 +267,8 @@ def listed_committee(setup, outcome):
 def oracle_verification_exchange(sim, setup, outcome, model, tamper, pp, held_out_digests):
     """The commit/challenge/prove/vote exchange replayed message by message
     on the event simulator from `sim.now`: the handler-based exchange whose
-    arrival times `chain._exchange_schedule` computes in closed form and
-    whose crypto `chain._verification_exchange` runs."""
+    arrival times `chain._race` computes in closed form (`_PoolRun.votes`)
+    and whose crypto `chain._verification_exchange` runs."""
     task = setup.task
     head, pool_id = outcome.head, outcome.pool_id
     committee = listed_committee(setup, outcome)
@@ -341,10 +341,14 @@ def oracle_verify(setup, outcome, model, tamper):
 
 def closed_form_exchange(setup, outcome, model, tamper):
     """Both halves of the chain's exchange, as `chain._race` runs them for a
-    finisher: the arrival schedule, then the crypto."""
-    schedule = chain._exchange_schedule(setup, outcome, chain._draw_committee(setup, outcome))
-    chain._verification_exchange(setup, outcome, schedule, model, tamper,
-                                 *chain._exchange_constants(setup))
+    finisher: the sorted vote arrivals, then the crypto, on a run that
+    carries the given outcome and model."""
+    run = chain._PoolRun(setup, outcome.pool_id, outcome.head, outcome.members,
+                         setup.aggregation, model, outcome.finish_time, None, None, tamper)
+    run.outcome = outcome
+    run.votes = sorted(chain._vote_arrivals(outcome.finish_time, run._links,
+                                            int(setup.size_multiplier)))
+    chain._verification_exchange(run, *chain._exchange_constants(setup))
 
 
 def oracle_pool_rounds(setup, pool_id, members, start_times, offset=0.0):
@@ -537,9 +541,9 @@ class TestRaceOracle:
         exchanged, proved = [], []
         real_exchange, real_prove = chain._verification_exchange, verify.prove
 
-        def counting_exchange(setup, outcome, *args):
-            exchanged.append(outcome.pool_id)
-            return real_exchange(setup, outcome, *args)
+        def counting_exchange(run, *args):
+            exchanged.append(run.outcome.pool_id)
+            return real_exchange(run, *args)
 
         def counting_prove(model, x, pp, blinding):
             proved.append(blinding)
@@ -826,8 +830,11 @@ class TestTimeScaling:
                   [(m.accuracy, m.loss) for m in o.metrics]) for o in result.outcomes])
 
     @pytest.mark.parametrize("factor", [2.0, 0.5])
-    @pytest.mark.parametrize("n, p", [(20, 2), (50, 5)])
-    @pytest.mark.parametrize("mode", ["fedchain", "gfl_ring"])
+    @pytest.mark.parametrize("mode, n, p", [
+        *((mode, n, p) for mode in ("fedchain", "gfl_ring", "fedavg_central")
+          for n, p in ((20, 2), (50, 5))),
+        ("pow", 20, 2),  # nonce grinding grows with n; (50, 5) would dominate the suite
+    ])
     def test_times_scale_and_decisions_hold(self, mode, n, p, factor):
         for seed in range(2):
             setup = grid_setup(n, p, seed)
@@ -1004,8 +1011,10 @@ class TestCommitteeDraw:
             for pool_id, members in ((seed, small), (0, list(range(n)))):
                 outcome = chain.PoolOutcome(pool_id, head, members, 1.0, None, False, 0.0, None,
                                             None)
-                committee, votes = chain._exchange_schedule(
-                    setup, outcome, chain._draw_committee(setup, outcome))
+                committee = chain._draw_committee(setup, outcome)
+                votes = chain._vote_arrivals(
+                    outcome.finish_time, chain._committee_links(setup, head, committee),
+                    int(setup.size_multiplier))
                 assert committee == listed_committee(setup, outcome)
                 assert all(type(v) is int for v in committee)
                 assert head not in committee
@@ -1019,9 +1028,10 @@ class TestCommitteeDraw:
         exchanged = []
         real_exchange = chain._verification_exchange
 
-        def recording_exchange(setup, outcome, schedule, *args):
-            real_exchange(setup, outcome, schedule, *args)
-            exchanged.append((schedule, outcome.accepted, outcome.commitment is not None))
+        def recording_exchange(run, *args):
+            real_exchange(run, *args)
+            exchanged.append(((run.committee, run.votes), run.outcome.accepted,
+                              run.outcome.commitment is not None))
 
         monkeypatch.setattr(chain, "_verification_exchange", recording_exchange)
         base = build_setup(n_nodes=2, n_pools=1, seed=0, target=1e-9)

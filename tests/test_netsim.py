@@ -120,13 +120,13 @@ class TestLatencyHistory:
     def test_first_record(self):
         hist = netsim.LatencyHistory()
         hist.record(0, 1, 30)
-        assert hist.series(0, 1) == [30]
+        assert (hist.total[0, 1], hist.counts[0, 1]) == (30.0, 1)
 
     def test_append(self):
         hist = netsim.LatencyHistory()
         for v in (10, 20, 30):
             hist.record(0, 1, v)
-        assert hist.series(0, 1) == [10, 20, 30]
+        assert (hist.total[0, 1], hist.counts[0, 1]) == (60.0, 3)
 
     def test_self_loop_rejected(self):
         hist = netsim.LatencyHistory()
@@ -141,9 +141,26 @@ class TestLatencyHistory:
     def test_one_observation_per_round(self):
         hist = netsim.LatencyHistory()
         hist.record(0, 1, 12)
-        assert len(hist.series(0, 1)) == 1
+        assert hist.counts[0, 1] == 1
         hist.record(0, 1, 14)
-        assert len(hist.series(0, 1)) == 2
+        assert hist.counts[0, 1] == 2
+
+    @pytest.mark.parametrize("n_nodes", [0, 3])
+    @pytest.mark.parametrize("i, j", [(-1, 2), (2, -1), (-2, -1), (-1, -1)])
+    def test_negative_node_rejected(self, n_nodes, i, j):
+        # negative indexing would otherwise record another pair, or the
+        # self-loop (2, 2), or crash on a size-less history
+        hist = netsim.LatencyHistory(n_nodes)
+        with pytest.raises(NodeNotFoundError, match="negative node id"):
+            hist.record(i, j, 5.0)
+        assert hist.n_nodes == n_nodes and len(hist) == 0 and not hist.total.any()
+
+
+def assert_same_history(got, want):
+    """Equal sums (bit for bit) and counts, over the same node range."""
+    assert got.n_nodes == want.n_nodes
+    assert got.total.tobytes() == want.total.tobytes()
+    assert np.array_equal(got.counts, want.counts)
 
 
 class TestDenseLatencyHistory:
@@ -155,7 +172,7 @@ class TestDenseLatencyHistory:
         hist.record(3, 2, 8)
         assert len(hist) == 3
         assert hist.pairs() == [(0, 1), (1, 0), (3, 2)]
-        assert hist.series(2, 3) == [] and hist.series(9, 0) == []
+        assert hist.n_nodes == 4 and hist.counts[2, 3] == 0 and hist.total[2, 3] == 0.0
 
     def test_grows_and_keeps_series(self):
         hist = netsim.LatencyHistory(2)
@@ -163,15 +180,16 @@ class TestDenseLatencyHistory:
         hist.record(4, 0, 2.5)
         hist.record(0, 1, 3.5)
         assert hist.n_nodes == 5
-        assert hist.series(0, 1) == [1.5, 3.5]
-        assert hist.series(4, 0) == [2.5]
-        assert hist.counts[0, 1] == 2 and hist.layers[1][0, 1] == 3.5
+        assert hist.total.shape == hist.counts.shape == (5, 5)
+        assert (hist.total[0, 1], hist.counts[0, 1]) == (1.5 + 3.5, 2)
+        assert (hist.total[4, 0], hist.counts[4, 0]) == (2.5, 1)
+        assert hist.pairs() == [(0, 1), (4, 0)]
 
     def test_record_matrix_equals_row_major_records(self):
         rng = np.random.default_rng(8)
         n = 7
         looped, matrixed = netsim.LatencyHistory(), netsim.LatencyHistory(n)
-        # earlier observations on some pairs, so the matrix lands at mixed depths
+        # earlier observations on some pairs, so the matrix lands on mixed counts
         for _ in range(15):
             i, j = (int(v) for v in rng.choice(n, size=2, replace=False))
             value = float(rng.uniform(1, 9))
@@ -185,14 +203,12 @@ class TestDenseLatencyHistory:
                         looped.record(i, j, observed[i, j])
             matrixed.record_matrix(observed)
         assert len(matrixed) == len(looped) == n * (n - 1)
-        for i in range(n):
-            for j in range(n):
-                assert matrixed.series(i, j) == looped.series(i, j)
+        assert_same_history(matrixed, looped)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_record_matrix_at_mixed_depths_equals_records(self, seed):
         # interleaved single records and matrices of varying size leave the
-        # pairs of each matrix spread over several depths
+        # pairs of each matrix at different counts
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 9))
         looped, matrixed = netsim.LatencyHistory(), netsim.LatencyHistory(int(rng.integers(0, n)))
@@ -212,37 +228,30 @@ class TestDenseLatencyHistory:
                     if i != j:
                         looped.record(i, j, observed[i, j])
             matrixed.record_matrix(observed)
-        assert len(matrixed.layers) == len(looped.layers) > 1
-        assert np.array_equal(matrixed.counts[: looped.n_nodes, : looped.n_nodes], looped.counts)
-        for i in range(n):
-            for j in range(n):
-                assert matrixed.series(i, j) == looped.series(i, j)
+        assert looped.counts.max() > 1
+        size = looped.n_nodes
+        assert np.array_equal(matrixed.counts[:size, :size], looped.counts)
+        assert matrixed.total[:size, :size].tobytes() == looped.total.tobytes()
+        assert not matrixed.counts[size:].any() and not matrixed.counts[:, size:].any()
 
     @pytest.mark.parametrize("dtype", [np.float64, np.int64])
     @pytest.mark.parametrize("n_nodes", [0, 2, 7, 9])
-    def test_fresh_history_direct_path_equals_general_path(self, n_nodes, dtype):
-        # a fresh history covered by the matrix writes its one layer
-        # directly (n_nodes 9 is not covered and takes the general path)
+    def test_fresh_history_matrix_equals_records(self, n_nodes, dtype):
+        # a fresh history, smaller than, as large as or larger than the matrix
         rng = np.random.default_rng(n_nodes)
         observed = (rng.uniform(3, 300, size=(7, 7)) / 3).astype(dtype)
         np.fill_diagonal(observed, -5)  # the diagonal is never recorded
-        direct, general, looped = (netsim.LatencyHistory(n_nodes) for _ in range(3))
-        direct.record_matrix(observed)
-        general._record_at_depths(observed)
+        matrixed, looped = netsim.LatencyHistory(n_nodes), netsim.LatencyHistory(n_nodes)
+        matrixed.record_matrix(observed)
         for i in range(7):
             for j in range(7):
                 if i != j:
                     looped.record(i, j, observed[i, j])
         observed[:] = 1  # the history keeps no view of the caller's matrix
-        assert direct.counts.dtype == general.counts.dtype == np.int64
-        assert np.array_equal(direct.counts, general.counts)
-        assert [layer.tobytes() for layer in direct.layers] == [
-            layer.tobytes() for layer in general.layers]
-        assert len(direct.layers) == 1
-        assert direct.pairs() == looped.pairs()
-        for i in range(7):
-            for j in range(7):
-                assert direct.series(i, j) == looped.series(i, j)
+        assert matrixed.total.dtype == np.float64 and matrixed.counts.dtype == np.int64
+        assert matrixed.pairs() == looped.pairs()
+        assert_same_history(matrixed, looped)
+        assert not np.diag(matrixed.total).any() and not np.diag(matrixed.counts).any()
 
     @pytest.mark.parametrize("bad", [0.0, -2.5])
     def test_fresh_history_refuses_non_positive_entry(self, bad):
@@ -253,10 +262,21 @@ class TestDenseLatencyHistory:
         hist = netsim.LatencyHistory(4)
         with pytest.raises(InvalidObservationError, match=f"got {bad}"):
             hist.record_matrix(observed)
-        assert len(hist) == 0 and hist.layers == []
+        assert len(hist) == 0 and not hist.total.any()
         observed[2, 1] = observed[3, 0] = 7.0
         hist.record_matrix(observed)
-        assert len(hist) == 12 and hist.series(2, 1) == [7.0] and hist.series(0, 0) == []
+        assert len(hist) == 12 and (hist.total[2, 1], hist.counts[2, 1]) == (7.0, 1)
+        assert (hist.total[0, 0], hist.counts[0, 0]) == (0.0, 0)
+
+    @pytest.mark.parametrize("shape", [(3, 4), (4, 3), (3,), (2, 2, 2)])
+    @pytest.mark.parametrize("n_nodes", [0, 3, 5])
+    def test_record_matrix_refuses_non_square(self, n_nodes, shape):
+        hist = netsim.LatencyHistory(n_nodes)
+        hist.record(0, 1, 2.0)
+        before = (hist.total.copy(), hist.counts.copy())
+        with pytest.raises(InvalidObservationError, match="square"):
+            hist.record_matrix(np.full(shape, 5.0))
+        assert np.array_equal(hist.total, before[0]) and np.array_equal(hist.counts, before[1])
 
     def test_record_matrix_reports_first_invalid_in_row_major(self):
         observed = np.full((3, 3), 5.0)

@@ -3,6 +3,9 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fedchain import netsim, pools
 from fedchain.errors import InsufficientHistoryError, TooManyPoolsError
@@ -39,11 +42,6 @@ class TestEstimateLatency:
         hist = history_for_pair([10])
         assert pools.estimate_latency(hist, 2)[0, 0] == 0.0
 
-    def test_tau_truncates(self):
-        hist = history_for_pair([10, 20, 1000])
-        l_hat = pools.estimate_latency(hist, 2, tau=3)
-        assert l_hat[0, 1] == 15.0
-
     def test_missing_pair(self):
         hist = LatencyHistory()
         hist.record(0, 1, 5)
@@ -76,10 +74,12 @@ class TestBootstrapHistory:
         for i in range(5):
             for j in range(5):
                 if i == j:
+                    assert (h1.total[i, j], h1.counts[i, j]) == (0.0, 0)
                     continue
-                (obs,) = h1.series(i, j)
-                assert 0.9 * lat[i, j] <= obs <= 1.1 * lat[i, j]
-                assert h2.series(i, j) == [obs]
+                assert h1.counts[i, j] == 1
+                assert 0.9 * lat[i, j] <= h1.total[i, j] <= 1.1 * lat[i, j]
+        assert h2.total.tobytes() == h1.total.tobytes()
+        assert np.array_equal(h2.counts, h1.counts)
 
 
 class TestAnnounceHeads:
@@ -245,15 +245,13 @@ class TestPoolTimeEstimate:
 # them exactly (==), not within a tolerance.
 
 
-def oracle_estimate_latency(series, n_nodes, tau=None):
+def oracle_estimate_latency(series, n_nodes):
     l_hat = np.zeros((n_nodes, n_nodes))
     for i in range(n_nodes):
         for j in range(n_nodes):
             if i == j:
                 continue
             values = series.get((i, j), [])
-            if tau is not None:
-                values = values[: tau - 1]
             if not values:
                 raise InsufficientHistoryError(f"no observations for pair ({i}, {j})")
             l_hat[i, j] = sum(values) / len(values)
@@ -289,16 +287,20 @@ def oracle_assign_pools(n_nodes, heads, l_hat, t_p, seed):
     return members
 
 
-def random_history(rng, n, max_len=6, missing=0.0):
+def random_history(rng, n, max_len=6, missing=0.0, stop=None):
     """A history with series of different lengths, plus the same series as a dict.
 
-    Observations are recorded interleaved across pairs (each pair keeps its
-    own order), so the depths of different pairs fill in arbitrary order."""
+    Each pair draws up to `max_len` observations and keeps `values[:stop]`
+    of them; a pair left with none is not recorded. Observations are
+    recorded interleaved across pairs (each pair keeps its own order), so
+    the counts of different pairs grow in arbitrary order."""
     series = {}
     for i in range(n):
         for j in range(n):
             if i != j and rng.random() >= missing:
-                series[(i, j)] = rng.uniform(1, 500, size=int(rng.integers(1, max_len + 1))).tolist()
+                values = rng.uniform(1, 500, size=int(rng.integers(1, max_len + 1))).tolist()
+                if values[:stop]:
+                    series[(i, j)] = values[:stop]
     tokens = [pair for pair, values in series.items() for _ in values]
     taken = dict.fromkeys(series, 0)
     hist = LatencyHistory()
@@ -311,17 +313,19 @@ def random_history(rng, n, max_len=6, missing=0.0):
 
 class TestKernelOracles:
     @pytest.mark.parametrize("n", [2, 3, 5, 9, 17])
-    @pytest.mark.parametrize("tau", [None, -1, 0, 1, 2, 3, 4, 8])
-    def test_estimate_latency_matches_loop(self, n, tau):
-        rng = np.random.default_rng(1000 * n + (tau if tau is not None else 99))
-        hist, series = random_history(rng, n)
+    @pytest.mark.parametrize("stop", [None, -1, 0, 1, 2, 3, 4, 8])
+    def test_estimate_latency_matches_loop(self, n, stop):
+        # `stop` caps each pair's series (`values[:stop]`): the histories
+        # range from missing pairs to six observations per pair
+        rng = np.random.default_rng(1000 * n + (stop if stop is not None else 99))
+        hist, series = random_history(rng, n, stop=stop)
         try:
-            expected = oracle_estimate_latency(series, n, tau)
+            expected = oracle_estimate_latency(series, n)
         except InsufficientHistoryError as exc:
             with pytest.raises(InsufficientHistoryError, match=re.escape(str(exc))):
-                pools.estimate_latency(hist, n, tau=tau)
+                pools.estimate_latency(hist, n)
             return
-        assert np.array_equal(pools.estimate_latency(hist, n, tau=tau), expected)
+        assert np.array_equal(pools.estimate_latency(hist, n), expected)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_estimate_latency_missing_pair_reported_first_in_row_major(self, seed):
@@ -337,8 +341,10 @@ class TestKernelOracles:
     def test_estimate_latency_on_bootstrap_matches_loop(self):
         lat = netsim.build_topology(40, seed=3, model=netsim.UniformTopology())
         hist = pools.bootstrap_history(lat, seed=4)
-        series = {pair: hist.series(*pair) for pair in hist.pairs()}
-        assert len(series) == 40 * 39
+        # the one noisy ping per pair that bootstrap_history draws
+        observed = np.random.default_rng(4).uniform(*pools.BOOTSTRAP_NOISE, size=(40, 40)) * lat
+        series = {(i, j): [float(observed[i, j])] for i in range(40) for j in range(40) if i != j}
+        assert hist.pairs() == sorted(series)
         assert np.array_equal(pools.estimate_latency(hist, 40), oracle_estimate_latency(series, 40))
 
     def test_estimate_latency_smaller_and_larger_than_history(self):
@@ -385,3 +391,62 @@ class TestKernelOracles:
         assert assignment.pools[0].members == [5]
         assert assignment.pools[2].members == [3]
         assert sorted(assignment.pools[1].members) == [0, 1, 2, 4, 6]
+
+
+positive_floats = st.floats(min_value=1e-6, max_value=1e9, allow_nan=False, allow_infinity=False)
+positive_ints = st.integers(min_value=1, max_value=10**9)
+
+
+@st.composite
+def history_ops(draw):
+    """A size hint and a list of `record` and `record_matrix` calls: single
+    observations anywhere in [0, 8), and float or int matrices from 1x1 to
+    8x8, so the history grows and matrices cover all of it or a sub-block."""
+    ops = []
+    for _ in range(draw(st.integers(0, 10))):
+        if draw(st.booleans()):
+            i, j = draw(st.lists(st.integers(0, 7), min_size=2, max_size=2, unique=True))
+            ops.append(("record", i, j, draw(st.one_of(positive_floats, positive_ints))))
+        else:
+            m = draw(st.integers(1, 8))
+            dtype, elements = draw(st.sampled_from([(np.float64, positive_floats),
+                                                    (np.int64, positive_ints)]))
+            observed = draw(hnp.arrays(dtype, (m, m), elements=elements))
+            np.fill_diagonal(observed, draw(st.sampled_from([0, -3, 1])))  # never recorded
+            ops.append(("matrix", observed))
+    return draw(st.integers(0, 8)), ops
+
+
+class TestHistoryProperty:
+    """Any interleaving of `record` and `record_matrix` gives, at every node
+    count, the bytes of a per-pair `sum(series) / len(series)` over the
+    observations as floats, and InsufficientHistoryError exactly when some
+    pair has no observation."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(history_ops(), st.integers(1, 9))
+    def test_estimate_equals_running_mean_oracle(self, plan, n_query):
+        n_nodes, ops = plan
+        hist, series = LatencyHistory(n_nodes), {}
+        for op in ops:
+            if op[0] == "record":
+                _, i, j, value = op
+                hist.record(i, j, value)
+                series.setdefault((i, j), []).append(float(value))
+            else:
+                observed = op[1]
+                hist.record_matrix(observed)
+                for i, j in itertools.permutations(range(observed.shape[0]), 2):
+                    series.setdefault((i, j), []).append(float(observed[i, j]))
+        assert hist.pairs() == sorted(series)
+        assert {pair: int(hist.counts[pair]) for pair in series} == {
+            pair: len(values) for pair, values in series.items()}
+        missing = [(i, j) for i in range(n_query) for j in range(n_query)
+                   if i != j and (i, j) not in series]
+        if missing:
+            with pytest.raises(InsufficientHistoryError,
+                               match=re.escape(f"no observations for pair {missing[0]}")):
+                pools.estimate_latency(hist, n_query)
+        else:
+            got = pools.estimate_latency(hist, n_query)
+            assert got.tobytes() == oracle_estimate_latency(series, n_query).tobytes()
