@@ -891,9 +891,12 @@ def _build_block(
 
 def _form_pools(setup: RoundSetup) -> tuple[pools.PoolAssignment, dict[int, float]]:
     """Latency estimation, head announcement and greedy assignment, then
-    each node's training start time."""
-    history = pools.bootstrap_history(setup.latency, seed=_derive_seed(setup.seed, "ping"))
-    l_hat = pools.estimate_latency(history, setup.n_nodes)
+    each node's training start time. The latency history is freed as soon
+    as the estimate is built."""
+    l_hat = pools.estimate_latency(
+        pools.bootstrap_history(setup.latency, seed=_derive_seed(setup.seed, "ping")),
+        setup.n_nodes,
+    )
     heads = pools.announce_heads(setup.n_nodes, setup.n_pools, l_hat=l_hat)
     chunk_units = max(
         1, round(setup.size_multiplier / max(1, setup.n_nodes // max(1, setup.n_pools)))

@@ -29,6 +29,10 @@ class TooManyPoolsError(FedChainError):
     """Requested more pool heads than there are nodes."""
 
 
+class EstimateCountError(FedChainError):
+    """Pool training-time estimates are not one per pool head."""
+
+
 class ModelTooSmallError(FedChainError):
     """Weight vector is shorter than the requested chunk count."""
 

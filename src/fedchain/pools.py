@@ -12,7 +12,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InsufficientHistoryError, TooManyPoolsError
+from .errors import (
+    EstimateCountError,
+    InsufficientHistoryError,
+    InvalidTopologyError,
+    NodeNotFoundError,
+    TooManyPoolsError,
+)
 from .netsim import LatencyHistory
 
 BOOTSTRAP_NOISE = (0.9, 1.1)
@@ -54,21 +60,29 @@ def bootstrap_history(latency: np.ndarray, seed: int) -> LatencyHistory:
 def estimate_latency(history: LatencyHistory, n_nodes: int) -> np.ndarray:
     """Estimated latency matrix: per-pair arithmetic mean of the history.
 
-    `history.total / history.counts` over the first `n_nodes` nodes, with
-    the diagonal divided by 1, so it stays 0. Every mean is bit-identical
-    to `sum(series) / len(series)` over the pair's observations as floats
-    (see `LatencyHistory`). Raises InsufficientHistoryError naming the
-    first pair in row-major order that has no observation.
+    A fresh array: `history.total / history.counts` over the first
+    `n_nodes` nodes, with the diagonal (0 / 0) filled with 0. Every mean is
+    bit-identical to `sum(series) / len(series)` over the pair's
+    observations as floats (see `LatencyHistory`). Since the history's
+    count diagonal is always 0, every pair has an observation exactly when
+    the first `n_nodes` nodes have `n_nodes * (n_nodes - 1)` nonzero
+    counts, so the normal path copies nothing. Otherwise a padded copy of
+    the counts names the first pair in row-major order that has no
+    observation, and InsufficientHistoryError is raised.
     """
     size = min(n_nodes, history.n_nodes)
-    pad = (0, n_nodes - size)
-    counts = np.pad(history.counts[:size, :size], pad)
-    np.fill_diagonal(counts, 1)
-    if not counts.all():
+    counts = history.counts[:size, :size]
+    if np.count_nonzero(counts) < n_nodes * (n_nodes - 1):
+        counts = np.pad(counts, (0, n_nodes - size))
+        np.fill_diagonal(counts, 1)
         i, j = np.unravel_index(int(np.argmin(counts)), counts.shape)
         raise InsufficientHistoryError(f"no observations for pair ({i}, {j})")
-    total = np.pad(history.total[:size, :size], pad)
-    return np.divide(total, counts, out=total)
+    if size < n_nodes:  # one node, empty history
+        return np.zeros((n_nodes, n_nodes))
+    with np.errstate(invalid="ignore"):
+        l_hat = history.total[:size, :size] / counts
+    np.fill_diagonal(l_hat, 0.0)
+    return l_hat
 
 
 def announce_heads(
@@ -84,11 +98,22 @@ def announce_heads(
     farthest-point selection on the symmetrized estimated latency: the two
     mutually farthest nodes first, then repeatedly the node maximizing the
     minimum distance to the chosen heads (a single head is the medoid).
+
+    `dist` is one float64 array, and it is exactly symmetric: both mirrored
+    entries are fl(fl(a + b) / 2), and fl(a + b) = fl(b + a). So with the
+    diagonal set to -inf, the first maximum of the whole matrix in
+    row-major order lies in the upper triangle (its mirror would come
+    first otherwise), and it is the first maximum of the upper triangle in
+    row-major order, the pair an upper-triangle scan picks. For the same
+    reason row `dist[h]` equals column `dist[:, h]`, so the farthest-point
+    loop reads contiguous rows.
     """
     if pool_count < 1:
         raise TooManyPoolsError(f"pool count must be >= 1, got {pool_count}")
     if pool_count > n_nodes:
         raise TooManyPoolsError(f"{pool_count} pools for {n_nodes} nodes")
+    if l_hat is not None:
+        _check_latency(n_nodes, l_hat)
 
     if policy == "random":
         rng = np.random.default_rng(seed)
@@ -98,23 +123,35 @@ def announce_heads(
 
     if l_hat is None:
         raise ValueError("spread policy requires an estimated latency matrix")
-    dist = (l_hat + l_hat.T) / 2.0
+    dist = np.add(l_hat, l_hat.T, dtype=np.float64)
+    dist /= 2.0
     if pool_count == 1:
         return [int(np.argmin(dist.sum(axis=1)))]
 
-    iu = np.triu_indices(n_nodes, k=1)
-    best = int(np.argmax(dist[iu]))
-    heads = [int(iu[0][best]), int(iu[1][best])]
+    np.fill_diagonal(dist, -np.inf)
+    heads = list(divmod(int(np.argmax(dist)), n_nodes))
     # Running min distance to the chosen heads; chosen heads are masked to
     # -inf so argmax keeps the first (lowest-id) farthest candidate.
-    min_dist = np.minimum(dist[:, heads[0]], dist[:, heads[1]])
+    min_dist = np.minimum(dist[heads[0]], dist[heads[1]])
     min_dist[heads] = -np.inf
     while len(heads) < pool_count:
         head = int(np.argmax(min_dist))
         heads.append(head)
-        np.minimum(min_dist, dist[:, head], out=min_dist)
+        np.minimum(min_dist, dist[head], out=min_dist)
         min_dist[head] = -np.inf
     return heads
+
+
+def _check_latency(n_nodes: int, l_hat: np.ndarray) -> None:
+    if l_hat.shape != (n_nodes, n_nodes):
+        raise InvalidTopologyError(f"latency estimate of shape {l_hat.shape} for {n_nodes} nodes")
+
+
+def _check_heads(n_nodes: int, heads: Sequence[int]) -> None:
+    if len(heads) == 0:
+        raise TooManyPoolsError("pool count must be >= 1, got 0")
+    if len(set(heads)) != len(heads) or not all(0 <= h < n_nodes for h in heads):
+        raise NodeNotFoundError(f"pool heads {list(heads)} are not distinct nodes")
 
 
 def pool_cost(node: int, members: Sequence[int], t_p: float, l_hat: np.ndarray) -> float:
@@ -148,19 +185,30 @@ def assign_pools(
     pool minimizing `pool_cost` against that pool's membership at the moment
     of joining. Ties go to the pool with the lower head id.
 
-    `worst[node, c]` is the worst estimated link from `node` to the current
-    members of the pool in column c, so `np.maximum(t_p, worst[node])` is
-    `pool_cost` for every pool at once. Columns are ordered by head id, so
-    argmin's first-minimum rule breaks ties toward the lower head.
+    The worst-link matrix is kept transposed, as a (p, n) C-contiguous
+    array: `worst[c, node]` is the worst estimated link from `node` to the
+    current members of pool c, so `np.maximum(t_p, worst[:, node])` is
+    `pool_cost` for every pool at once, and a join updates one contiguous
+    row. Rows are ordered by head id, so argmin's first-minimum rule breaks
+    ties toward the lower head. Raises NodeNotFoundError unless the heads
+    are distinct nodes, InvalidTopologyError unless `l_hat` is
+    (n_nodes, n_nodes), and EstimateCountError unless `t_p` has one entry
+    per head.
     """
-    pools = [Pool(head=h, members=[h]) for h in heads]
+    _check_latency(n_nodes, l_hat)
+    _check_heads(n_nodes, heads)
+    if len(t_p) != len(heads):
+        raise EstimateCountError(f"{len(t_p)} time estimates for {len(heads)} pools")
     by_head = np.argsort(np.asarray(heads), kind="stable")
+    pools = [Pool(head=h, members=[h]) for h in heads]
+    pools_by_head = [pools[idx] for idx in by_head]
     t_p_sorted = np.asarray(t_p, dtype=np.float64)[by_head]
-    worst = np.asarray(l_hat, dtype=np.float64)[:, [heads[idx] for idx in by_head]]
+    worst = l_hat[:, [pool.head for pool in pools_by_head]].T.astype(np.float64, order="C")
+    cost = np.empty(len(heads))
     for node in join_order(n_nodes, heads, seed):
-        col = int(np.argmin(np.maximum(t_p_sorted, worst[node])))
-        pools[by_head[col]].members.append(node)
-        np.maximum(worst[:, col], l_hat[:, node], out=worst[:, col])
+        c = int(np.maximum(t_p_sorted, worst[:, node], out=cost).argmin())
+        pools_by_head[c].members.append(node)
+        np.maximum(worst[c], l_hat[:, node], out=worst[c])
     return PoolAssignment(pools=pools)
 
 

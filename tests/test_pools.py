@@ -1,5 +1,8 @@
+import gc
 import itertools
 import re
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -7,8 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fedchain import netsim, pools
-from fedchain.errors import InsufficientHistoryError, TooManyPoolsError
+from fedchain import chain, netsim, pools
+from fedchain.errors import (
+    EstimateCountError,
+    InsufficientHistoryError,
+    InvalidTopologyError,
+    NodeNotFoundError,
+    TooManyPoolsError,
+)
 from fedchain.netsim import LatencyHistory
 
 
@@ -391,6 +400,146 @@ class TestKernelOracles:
         assert assignment.pools[0].members == [5]
         assert assignment.pools[2].members == [3]
         assert sorted(assignment.pools[1].members) == [0, 1, 2, 4, 6]
+
+
+    def test_announce_diagonal_global_max_asymmetric(self):
+        # the diagonal holds the largest entries, and l_hat is not symmetric
+        rng = np.random.default_rng(31)
+        for n in (2, 3, 7, 16):
+            l_hat = rng.uniform(1, 100, size=(n, n))
+            np.fill_diagonal(l_hat, 1000.0 + np.arange(n))
+            for p in range(1, n + 1):
+                assert pools.announce_heads(n, p, l_hat=l_hat) == oracle_announce_heads(
+                    n, p, l_hat, "spread", None)
+
+    def test_announce_integer_dtype(self):
+        rng = np.random.default_rng(32)
+        for n in (2, 5, 12, 25):
+            l_hat = rng.integers(0, 50, size=(n, n))
+            assert l_hat.dtype.kind == "i"
+            for p in range(1, n + 1):
+                assert pools.announce_heads(n, p, l_hat=l_hat) == oracle_announce_heads(
+                    n, p, l_hat, "spread", None)
+
+    @pytest.mark.parametrize("pairs", [
+        [(1, 4), (4, 1)],                  # mirrored only
+        [(2, 5), (0, 3)],                  # non-mirrored, lower row first
+        [(5, 1), (3, 2)],                  # both in the lower triangle
+        [(4, 0), (1, 2), (2, 1), (0, 5)],  # mixed
+    ])
+    def test_announce_tied_maximum(self, pairs):
+        n = 6
+        l_hat = np.random.default_rng(33).uniform(1, 50, size=(n, n))
+        for i, j in pairs:
+            l_hat[i, j] = l_hat[j, i] = 100.0
+        for p in range(1, n + 1):
+            assert pools.announce_heads(n, p, l_hat=l_hat) == oracle_announce_heads(
+                n, p, l_hat, "spread", None)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_assign_matches_loop_at_200_nodes(self, seed):
+        n = 200
+        rng = np.random.default_rng(200 + seed)
+        l_hat = rng.uniform(1, 100, size=(n, n))
+        np.fill_diagonal(l_hat, 0.0)
+        for p in (2, 9, 40):
+            heads = pools.announce_heads(n, p, l_hat=l_hat)
+            t_p = rng.uniform(0, 100, size=p).tolist()
+            assignment = pools.assign_pools(n, heads, l_hat, t_p, seed=seed)
+            assert [pool.members for pool in assignment.pools] == oracle_assign_pools(
+                n, heads, l_hat, t_p, seed=seed)
+
+    def test_estimate_latency_is_fresh_and_silent(self):
+        rng = np.random.default_rng(34)
+        hist, series = random_history(rng, 5)
+        total = hist.total.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            l_hat = pools.estimate_latency(hist, 5)
+        assert np.array_equal(l_hat, oracle_estimate_latency(series, 5))
+        l_hat[:] = -1.0
+        assert hist.total.tobytes() == total.tobytes()
+
+    @pytest.mark.parametrize("n_nodes", [0, 1])
+    def test_estimate_latency_empty_history(self, n_nodes):
+        got = pools.estimate_latency(LatencyHistory(), n_nodes)
+        assert got.dtype == np.float64
+        assert got.tobytes() == oracle_estimate_latency({}, n_nodes).tobytes()
+
+    @pytest.mark.parametrize("n_hist,n_query", [(2, 3), (3, 5), (4, 9)])
+    def test_estimate_latency_beyond_full_history(self, n_hist, n_query):
+        # every pair of the history observed: the first missing pair is
+        # (0, n_hist), outside it
+        hist = LatencyHistory(n_hist)
+        hist.record_matrix(np.full((n_hist, n_hist), 7.0))
+        series = {(i, j): [7.0] for i in range(n_hist) for j in range(n_hist) if i != j}
+        with pytest.raises(InsufficientHistoryError) as want:
+            oracle_estimate_latency(series, n_query)
+        with pytest.raises(InsufficientHistoryError, match=re.escape(str(want.value))):
+            pools.estimate_latency(hist, n_query)
+        assert f"(0, {n_hist})" in str(want.value)
+
+
+class TestFormationInputs:
+    """Mismatched formation inputs fail with a named error before any n x n work."""
+
+    def setup_method(self):
+        self.l_hat = np.full((5, 5), 10.0)
+        np.fill_diagonal(self.l_hat, 0.0)
+
+    def test_announce_latency_larger_than_network(self):
+        with pytest.raises(InvalidTopologyError):
+            pools.announce_heads(4, 3, l_hat=self.l_hat)
+
+    def test_announce_latency_smaller_than_network(self):
+        with pytest.raises(InvalidTopologyError):
+            pools.announce_heads(5, 2, l_hat=self.l_hat[:3, :3])
+
+    @pytest.mark.parametrize("shape", [(3, 3), (5, 4), (6, 6)])
+    def test_assign_latency_of_wrong_shape(self, shape):
+        l_hat = np.ones(shape)
+        with pytest.raises(InvalidTopologyError):
+            pools.assign_pools(5, [0, 2], l_hat, [0.0, 0.0])
+
+    @pytest.mark.parametrize("t_p", [[0.0], [0.0, 0.0, 0.0], []])
+    def test_assign_estimates_not_one_per_head(self, t_p):
+        with pytest.raises(EstimateCountError, match=f"{len(t_p)} time estimates for 2 pools"):
+            pools.assign_pools(5, [0, 2], self.l_hat, t_p)
+
+    @pytest.mark.parametrize("heads", [[1, 1], [0, 5], [-1, 2], [3, 2, 3]])
+    def test_assign_heads_not_distinct_nodes(self, heads):
+        with pytest.raises(NodeNotFoundError):
+            pools.assign_pools(5, heads, self.l_hat, [0.0] * len(heads))
+
+    def test_assign_without_heads(self):
+        with pytest.raises(TooManyPoolsError):
+            pools.assign_pools(5, [], self.l_hat, [])
+
+
+class TestFormationMemory:
+    def test_form_pools_peak(self):
+        # Formation keeps at most the history (total, counts) plus the ping
+        # it records, about 3.1 n x n float64 arrays; holding the history
+        # through announce_heads reads 4.0.
+        n, p = 400, 40
+        setup = chain.RoundSetup(
+            task=None,
+            latency=netsim.build_topology(n, seed=5, model=netsim.UniformTopology(10, 100)),
+            compute_times=netsim.draw_compute_times(n, seed=3),
+            miner_data=[],
+            n_pools=p,
+            seed=1,
+        )
+        chain._form_pools(setup)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            chain._form_pools(setup)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * n * n * 8
 
 
 positive_floats = st.floats(min_value=1e-6, max_value=1e9, allow_nan=False, allow_infinity=False)
