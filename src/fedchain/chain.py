@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import itertools
 import json
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -51,6 +52,10 @@ TX_KINDS = (
 )
 MODES = ("fedchain", "fedavg_central", "pow", "gfl_ring")
 GENESIS_HASH = "0" * 64
+# Canonical encoders, built once: `json.dumps` with keyword arguments builds
+# a new JSONEncoder on every call. `.encode` gives `json.dumps`' exact text.
+_DIGEST_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_RECORD_JSON = json.JSONEncoder(sort_keys=True)
 
 
 def _derive_seed(*parts) -> int:
@@ -77,11 +82,9 @@ class Transaction:
     timestamp: float
 
     def digest(self) -> str:
-        body = json.dumps(
+        body = _DIGEST_JSON.encode(
             {"kind": self.kind, "payload": self.payload, "author": self.author,
-             "timestamp": self.timestamp},
-            sort_keys=True,
-            separators=(",", ":"),
+             "timestamp": self.timestamp}
         )
         return hashlib.sha256(body.encode()).hexdigest()
 
@@ -97,7 +100,7 @@ class Block:
     model_commitment: str | None
 
     def hash(self) -> str:
-        body = json.dumps(
+        body = _DIGEST_JSON.encode(
             {
                 "height": self.height,
                 "prev_hash": self.prev_hash,
@@ -106,9 +109,7 @@ class Block:
                 "task_id": self.task_id,
                 "model_commitment": self.model_commitment,
                 "tx": [t.digest() for t in self.transactions],
-            },
-            sort_keys=True,
-            separators=(",", ":"),
+            }
         )
         return hashlib.sha256(body.encode()).hexdigest()
 
@@ -157,10 +158,10 @@ class Chain:
                     "task_id": block.task_id,
                     "model_commitment": block.model_commitment,
                 }
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
+                fh.write(_RECORD_JSON.encode(record) + "\n")
                 for tx in block.transactions:
                     fh.write(
-                        json.dumps(
+                        _RECORD_JSON.encode(
                             {
                                 "type": "tx",
                                 "height": block.height,
@@ -168,8 +169,7 @@ class Chain:
                                 "author": tx.author,
                                 "timestamp": tx.timestamp,
                                 "payload": tx.payload,
-                            },
-                            sort_keys=True,
+                            }
                         )
                         + "\n"
                     )
@@ -507,7 +507,9 @@ def _simulate_formation(setup: RoundSetup, assignment: pools.PoolAssignment) -> 
 
     These are bit-identical to running the schedule on the event loop: each
     delivery there is `now + float(L[src, dst]) * 1`, the closed form does
-    the same float additions, and `max` is exact. Not simulating the
+    the same float additions, and `max` is exact. The per-head maximum is
+    one `np.maximum.at` over the non-head members, each against its own
+    head; a pool of size one starts on the task. Not simulating the
     schedule saves (n - 1) + p(n - 1) + 2(n - p) messages and one timer
     event per round.
     """
@@ -515,15 +517,17 @@ def _simulate_formation(setup: RoundSetup, assignment: pools.PoolAssignment) -> 
     task = _task_arrivals(setup)
     heads = np.asarray(assignment.heads())
     last_announce = (task[heads, None] + latency[heads]).max(axis=0)
-    start = np.empty_like(task)
-    for pool in assignment.pools:
-        head = pool.head
-        others = np.asarray([m for m in pool.members if m != head], dtype=np.int64)
-        if others.size == 0:
-            start[head] = task[head]
-            continue
-        start[head] = (last_announce[others] + latency[others, head]).max()
-        start[others] = start[head] + latency[head, others]
+    sizes = np.asarray([len(pool.members) for pool in assignment.pools])
+    nodes = np.fromiter(itertools.chain.from_iterable(pool.members for pool in assignment.pools),
+                        dtype=np.int64, count=int(sizes.sum()))
+    head_of = np.repeat(heads, sizes)
+    joined = nodes != head_of
+    members, member_heads = nodes[joined], head_of[joined]
+    start = np.full_like(task, -np.inf)
+    solo = heads[sizes == 1]
+    start[solo] = task[solo]
+    np.maximum.at(start, member_heads, last_announce[members] + latency[members, member_heads])
+    start[members] = start[member_heads] + latency[member_heads, members]
     return dict(enumerate(start.tolist()))
 
 
@@ -1026,7 +1030,8 @@ def run_round_fedchain(chain: Chain, setup: RoundSetup) -> RoundResult:
 
 def _run_pow(chain: Chain, setup: RoundSetup) -> RoundResult:
     """Hash-puzzle baseline: every node grinds nonces at a fixed trial cost;
-    the first preimage below the difficulty threshold proposes the block."""
+    the first preimage below the difficulty threshold proposes the block.
+    Raises RoundFailedError when nobody else can verify it (one node)."""
     _check_round(setup, learning=False)
     task = setup.task
     publish_tx = publish_task(task, setup.publisher, now=0.0)
@@ -1052,6 +1057,8 @@ def _run_pow(chain: Chain, setup: RoundSetup) -> RoundResult:
         int(v)
         for v in rng.choice(candidates, size=min(setup.n_verifiers, len(candidates)), replace=False)
     ]
+    if not committee:
+        raise RoundFailedError(f"task {task.task_id}: no verifier for node {best_node}'s preimage")
     accept_time = best_time + max(
         float(setup.latency[best_node, v]) + float(setup.latency[v, best_node])
         for v in committee
@@ -1089,7 +1096,9 @@ def run_round(chain: Chain, setup: RoundSetup, mode: str = "fedchain") -> RoundR
     proofs. `gfl_ring` combines over the plain ring and starts when the
     last node has the task; `fedavg_central` combines over the
     coordinator star and starts at 0, since the coordinator's model
-    broadcast is billed to each round. `pow` grinds nonces instead. Every
+    broadcast is billed to each round. `pow` grinds nonces instead, and
+    raises RoundFailedError on a one-node network, where its finder has
+    no committee, as a learning-mode finisher without one fails. Every
     mode raises InvalidCommitteeError before any work when
     `n_verifiers < 1` and NoiseWidthError when `noise_bits` is outside
     [0, 63], and the learning modes raise

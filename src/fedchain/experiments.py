@@ -12,7 +12,6 @@ import warnings
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
-import yaml
 
 from . import chain, netsim
 from .data import Dataset, load_csv, make_blobs, partition_noniid
@@ -68,6 +67,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":
+        import yaml  # only a config file needs it; it is a fifth of `import fedchain`
+
         with open(path, encoding="utf-8") as fh:
             raw = yaml.safe_load(fh) or {}
         known = {f for f in cls.__dataclass_fields__}

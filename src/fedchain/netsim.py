@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -102,6 +103,21 @@ def chunk_size_units(chunk_len: int, model_len: int, multiplier: float = DEFAULT
     return max(1, round(chunk_len * multiplier / model_len))
 
 
+def _check_observations(observed: np.ndarray) -> None:
+    """Raise InvalidObservationError unless `observed` is square and every
+    off-diagonal entry is a positive, finite latency; the error names the
+    first entry in row-major order that is not. The diagonal is not checked."""
+    if observed.ndim != 2 or observed.shape[0] != observed.shape[1]:
+        raise InvalidObservationError(f"observations must be square, got {observed.shape}")
+    ok = observed > 0  # False for NaN
+    ok &= observed < np.inf
+    np.fill_diagonal(ok, True)
+    if not ok.all():
+        i, j = np.unravel_index(int(np.argmin(ok)), ok.shape)
+        raise InvalidObservationError(
+            f"latency of pair ({i}, {j}) must be positive and finite, got {observed[i, j]}")
+
+
 class LatencyHistory:
     """Per-pair running record of observed link latencies.
 
@@ -112,7 +128,14 @@ class LatencyHistory:
     always 0. A history made without `n_nodes` grows its arrays to fit the
     largest node id recorded.
 
-    `pools.estimate_latency` divides `total` by `counts`, and every mean
+    While every off-diagonal pair has the same count, that count is held
+    as one int, `uniform_count`: 0 for a fresh history, and a `record_matrix`
+    over all n nodes adds 1. The `counts` array is built, and kept, on the
+    first read of `counts`, on a `record`, on a `record_matrix` over a
+    sub-block, and on growth of a history that has observations. `adopt`
+    makes a one-observation history from an array it takes over as `total`.
+
+    `pools.estimate_latency` divides `total` by the counts, and every mean
     is bit-identical to `sum(series) / len(series)` over the pair's
     observations as floats: Python's `sum` adds left to right starting
     from 0, and `0 + x == x`, so it makes the same float additions as a
@@ -124,25 +147,58 @@ class LatencyHistory:
         # fresh pages, each faulted in by the first `record_matrix`, where a
         # filled array can reuse memory the allocator already holds.
         self.total = np.full((n_nodes, n_nodes), 0.0)
-        self.counts = np.full((n_nodes, n_nodes), 0, dtype=np.int64)
+        self._counts: np.ndarray | int = 0
+
+    @classmethod
+    def adopt(cls, observed: np.ndarray) -> LatencyHistory:
+        """A history of one observation per off-diagonal pair of `observed`.
+
+        Same history, and same errors, as `record_matrix(observed)` on a
+        fresh history, without its copy: a float64 `observed` becomes
+        `total` itself, its diagonal set to 0 in place, so the caller hands
+        it over and must not use it again.
+        """
+        _check_observations(observed)
+        history = cls()
+        history.total = np.asarray(observed, dtype=np.float64)
+        np.fill_diagonal(history.total, 0.0)
+        history._counts = 1
+        return history
 
     @property
     def n_nodes(self) -> int:
-        return self.counts.shape[0]
+        return self.total.shape[0]
+
+    @property
+    def uniform_count(self) -> int | None:
+        """The count of every off-diagonal pair while it is held as one
+        int, else None."""
+        return self._counts if isinstance(self._counts, int) else None
+
+    @property
+    def counts(self) -> np.ndarray:
+        """The (n, n) int64 counts, built from the uniform count on first read."""
+        if isinstance(self._counts, int):
+            counts = np.full(self.total.shape, self._counts, dtype=np.int64)
+            np.fill_diagonal(counts, 0)
+            self._counts = counts
+        return self._counts
 
     def _grow(self, n_nodes: int) -> None:
         if n_nodes > self.n_nodes:
             pad = ((0, n_nodes - self.n_nodes), (0, n_nodes - self.n_nodes))
+            if self.uniform_count != 0:  # an all-zero count stays uniform
+                self._counts = np.pad(self.counts, pad)
             self.total = np.pad(self.total, pad)
-            self.counts = np.pad(self.counts, pad)
 
     def record(self, i: int, j: int, observed: float) -> None:
         if min(i, j) < 0:
             raise NodeNotFoundError(f"negative node id in pair ({i}, {j})")
         if i == j:
             raise InvalidObservationError(f"self-loop observation for node {i}")
-        if observed <= 0:
-            raise InvalidObservationError(f"latency must be positive, got {observed}")
+        if not 0 < observed < math.inf:
+            raise InvalidObservationError(
+                f"latency of pair ({i}, {j}) must be positive and finite, got {observed}")
         self._grow(max(i, j) + 1)
         self.total[i, j] += float(observed)
         self.counts[i, j] += 1
@@ -152,32 +208,36 @@ class LatencyHistory:
 
         Same result as `record(i, j, observed[i, j])` for each pair in
         row-major order. If the matrix is not square, nothing is recorded.
-        If an off-diagonal entry is invalid, nothing is recorded and the
-        error names the first invalid entry in that order. The diagonal is
-        not recorded: the whole block is added, and the diagonal, which is 0
-        because no self-loop is ever recorded, is set back to 0.
+        If an off-diagonal entry is not positive and finite, nothing is
+        recorded and the error names the first such entry in that order.
+        The diagonal is not recorded: the whole block is added, and the
+        diagonal, which is 0 because no self-loop is ever recorded, is set
+        back to 0. The history keeps no view of `observed`.
         """
-        if observed.ndim != 2 or observed.shape[0] != observed.shape[1]:
-            raise InvalidObservationError(f"observations must be square, got {observed.shape}")
+        _check_observations(observed)
         n = observed.shape[0]
-        bad = observed <= 0
-        np.fill_diagonal(bad, False)
-        if bad.any():
-            i, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
-            raise InvalidObservationError(f"latency must be positive, got {observed[i, j]}")
         self._grow(n)
-        total, counts = self.total[:n, :n], self.counts[:n, :n]
+        total = self.total[:n, :n]
         total += observed
-        counts += 1
         np.fill_diagonal(total, 0.0)
-        np.fill_diagonal(counts, 0)
+        if n == self.n_nodes and self.uniform_count is not None:
+            self._counts += 1
+        else:
+            counts = self.counts[:n, :n]
+            counts += 1
+            np.fill_diagonal(counts, 0)
 
     def pairs(self) -> list[tuple[int, int]]:
         """Observed pairs in row-major order."""
-        return [(int(i), int(j)) for i, j in zip(*np.nonzero(self.counts))]
+        if self.uniform_count is not None:
+            n = self.n_nodes if self.uniform_count else 0
+            return [(i, j) for i in range(n) for j in range(n) if i != j]
+        return [(int(i), int(j)) for i, j in zip(*np.nonzero(self._counts))]
 
     def __len__(self) -> int:
-        return int(np.count_nonzero(self.counts))
+        if self.uniform_count is not None:
+            return self.n_nodes * (self.n_nodes - 1) if self.uniform_count else 0
+        return int(np.count_nonzero(self._counts))
 
 
 @dataclass(slots=True)

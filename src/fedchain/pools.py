@@ -46,41 +46,49 @@ def bootstrap_history(latency: np.ndarray, seed: int) -> LatencyHistory:
     """Seed one observation per directed pair from a noisy one-shot ping.
 
     Used in the first round, before any real exchange has been measured:
-    the observation is the true link latency scaled by U(0.9, 1.1).
+    the observation is the true link latency scaled by U(0.9, 1.1). The
+    history adopts the freshly drawn ping as its `total` (see
+    `LatencyHistory.adopt`), so no n x n array is filled or added.
     """
     n = latency.shape[0]
     rng = np.random.default_rng(seed)
     observed = rng.uniform(*BOOTSTRAP_NOISE, size=(n, n))
     observed *= np.asarray(latency, dtype=np.float64)
-    history = LatencyHistory(n)
-    history.record_matrix(observed)
-    return history
+    return LatencyHistory.adopt(observed)
 
 
 def estimate_latency(history: LatencyHistory, n_nodes: int) -> np.ndarray:
     """Estimated latency matrix: per-pair arithmetic mean of the history.
 
-    A fresh array: `history.total / history.counts` over the first
-    `n_nodes` nodes, with the diagonal (0 / 0) filled with 0. Every mean is
+    A fresh column-major (Fortran-ordered) array, so that column
+    `l_hat[:, node]`, the links from every node to `node`, is contiguous:
+    `history.total` over the first `n_nodes` nodes divided by the counts
+    (one int while they are uniform, see `LatencyHistory`), with the
+    diagonal (0 / 0 on a counts array) filled with 0. Every mean is
     bit-identical to `sum(series) / len(series)` over the pair's
-    observations as floats (see `LatencyHistory`). Since the history's
-    count diagonal is always 0, every pair has an observation exactly when
-    the first `n_nodes` nodes have `n_nodes * (n_nodes - 1)` nonzero
-    counts, so the normal path copies nothing. Otherwise a padded copy of
-    the counts names the first pair in row-major order that has no
-    observation, and InsufficientHistoryError is raised.
+    observations as floats. Since the history's count diagonal is always 0,
+    every pair has an observation exactly when the first `n_nodes` nodes
+    have `n_nodes * (n_nodes - 1)` nonzero counts, so the normal path
+    pads nothing. Otherwise a padded copy of the counts names the first
+    pair in row-major order that has no observation, and
+    InsufficientHistoryError is raised.
     """
     size = min(n_nodes, history.n_nodes)
-    counts = history.counts[:size, :size]
-    if np.count_nonzero(counts) < n_nodes * (n_nodes - 1):
-        counts = np.pad(counts, (0, n_nodes - size))
-        np.fill_diagonal(counts, 1)
-        i, j = np.unravel_index(int(np.argmin(counts)), counts.shape)
+    counts = history.uniform_count
+    if counts is None:
+        counts = history.counts[:size, :size]
+        observed_pairs = np.count_nonzero(counts)
+    else:
+        observed_pairs = size * (size - 1) if counts else 0
+    if observed_pairs < n_nodes * (n_nodes - 1):
+        missing = np.pad(history.counts[:size, :size], (0, n_nodes - size))
+        np.fill_diagonal(missing, 1)
+        i, j = np.unravel_index(int(np.argmin(missing)), missing.shape)
         raise InsufficientHistoryError(f"no observations for pair ({i}, {j})")
     if size < n_nodes:  # one node, empty history
-        return np.zeros((n_nodes, n_nodes))
+        return np.zeros((n_nodes, n_nodes), order="F")
     with np.errstate(invalid="ignore"):
-        l_hat = history.total[:size, :size] / counts
+        l_hat = np.divide(history.total[:size, :size], counts, order="F")
     np.fill_diagonal(l_hat, 0.0)
     return l_hat
 
@@ -185,15 +193,17 @@ def assign_pools(
     pool minimizing `pool_cost` against that pool's membership at the moment
     of joining. Ties go to the pool with the lower head id.
 
-    The worst-link matrix is kept transposed, as a (p, n) C-contiguous
-    array: `worst[c, node]` is the worst estimated link from `node` to the
-    current members of pool c, so `np.maximum(t_p, worst[:, node])` is
-    `pool_cost` for every pool at once, and a join updates one contiguous
-    row. Rows are ordered by head id, so argmin's first-minimum rule breaks
-    ties toward the lower head. Raises NodeNotFoundError unless the heads
-    are distinct nodes, InvalidTopologyError unless `l_hat` is
-    (n_nodes, n_nodes), and EstimateCountError unless `t_p` has one entry
-    per head.
+    The pool costs are kept as a (p, n) C-contiguous array: `cost[c, node]`
+    is `pool_cost(node, members of pool c, t_p[c], l_hat)`, the pool-time
+    floor folded into the worst link. A join into pool c raises row c to
+    the links to the new member, `np.maximum(cost[c], l_hat[:, node])`,
+    which is exact because `max` is exact and associative. Rows are
+    ordered by head id, so argmin's first-minimum rule breaks ties toward
+    the lower head. The column `l_hat[:, node]` is contiguous in the
+    column-major `estimate_latency` output; any layout gives the same
+    pools. Raises NodeNotFoundError unless the heads are distinct nodes,
+    InvalidTopologyError unless `l_hat` is (n_nodes, n_nodes), and
+    EstimateCountError unless `t_p` has one entry per head.
     """
     _check_latency(n_nodes, l_hat)
     _check_heads(n_nodes, heads)
@@ -203,12 +213,14 @@ def assign_pools(
     pools = [Pool(head=h, members=[h]) for h in heads]
     pools_by_head = [pools[idx] for idx in by_head]
     t_p_sorted = np.asarray(t_p, dtype=np.float64)[by_head]
-    worst = l_hat[:, [pool.head for pool in pools_by_head]].T.astype(np.float64, order="C")
-    cost = np.empty(len(heads))
+    cost = np.maximum(l_hat[:, [pool.head for pool in pools_by_head]].T, t_p_sorted[:, None],
+                      order="C")
+    # views made once: rows[c] is cost[c], columns[node] is l_hat[:, node]
+    rows, columns = list(cost), l_hat.T
     for node in join_order(n_nodes, heads, seed):
-        c = int(np.maximum(t_p_sorted, worst[:, node], out=cost).argmin())
+        c = int(cost[:, node].argmin())
         pools_by_head[c].members.append(node)
-        np.maximum(worst[c], l_hat[:, node], out=worst[c])
+        np.maximum(rows[c], columns[node], out=rows[c])
     return PoolAssignment(pools=pools)
 
 

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import hashlib
 import json
 from dataclasses import replace
 
@@ -1040,6 +1041,65 @@ class TestCommitteeDraw:
         with pytest.raises(RoundFailedError):
             chain.run_round(chain.Chain(), setup, mode)
         assert exchanged == [(([], []), False, True)]
+
+    def test_pow_finder_without_committee_fails_by_name(self):
+        # the one node finds the preimage, and nobody is left to verify it
+        base = build_setup(n_nodes=2, n_pools=1, seed=0, pow_difficulty=4)
+        setup = replace(base, latency=np.zeros((1, 1)), compute_times=base.compute_times[:1],
+                        miner_data=base.miner_data[:1])
+        ledger = chain.Chain()
+        with pytest.raises(RoundFailedError, match="no verifier"):
+            chain.run_round(ledger, setup, "pow")
+        assert len(ledger.blocks) == 1 and ledger.balances == {}
+
+
+json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-10**20, 10**20), st.floats(), st.text(max_size=8))
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=12,
+)
+
+
+class TestCanonicalJson:
+    """Digests, block hashes and ledger records built with the prebuilt
+    encoders are byte-equal to `json.dumps` with the same options."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(chain.TX_KINDS),
+                              st.dictionaries(st.text(max_size=6), json_values, max_size=4),
+                              st.integers(-5, 10**6), st.floats(allow_nan=False)),
+                    max_size=4),
+           st.one_of(st.none(), st.text(max_size=12)))
+    def test_same_bytes_as_json_dumps(self, tmp_path_factory, txs, commitment):
+        transactions = [chain.Transaction(*tx) for tx in txs]
+        for tx in transactions:
+            body = json.dumps({"kind": tx.kind, "payload": tx.payload, "author": tx.author,
+                               "timestamp": tx.timestamp}, sort_keys=True, separators=(",", ":"))
+            assert tx.digest() == hashlib.sha256(body.encode()).hexdigest()
+        ledger = chain.Chain()
+        block = chain.Block(1, ledger.head().hash(), 5.0, transactions, 0, 1, commitment)
+        body = json.dumps({"height": 1, "prev_hash": block.prev_hash, "timestamp": 5.0,
+                           "proposer": 0, "task_id": 1, "model_commitment": commitment,
+                           "tx": [tx.digest() for tx in transactions]},
+                          sort_keys=True, separators=(",", ":"))
+        assert block.hash() == hashlib.sha256(body.encode()).hexdigest()
+        ledger.append_block(block)
+        path = tmp_path_factory.mktemp("ledger") / "ledger.jsonl"
+        ledger.export_jsonl(str(path))
+        want = []
+        for b in ledger.blocks:
+            want.append(json.dumps({"type": "block", "height": b.height, "prev_hash": b.prev_hash,
+                                    "hash": b.hash(), "timestamp": b.timestamp,
+                                    "proposer": b.proposer, "task_id": b.task_id,
+                                    "model_commitment": b.model_commitment}, sort_keys=True))
+            want.extend(json.dumps({"type": "tx", "height": b.height, "kind": tx.kind,
+                                    "author": tx.author, "timestamp": tx.timestamp,
+                                    "payload": tx.payload}, sort_keys=True)
+                        for tx in b.transactions)
+        assert path.read_text(encoding="utf-8") == "".join(line + "\n" for line in want)
 
 
 class TestNoEventLoop:

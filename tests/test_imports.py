@@ -1,5 +1,6 @@
 """Every module-level import in `src/fedchain` is used in its module, and
 every private function or class defined in `src/fedchain` is used there.
+`import fedchain` leaves PyYAML unloaded.
 
 No linter ships with the project, so this walks each module's syntax tree
 instead. `__init__.py` is skipped for imports: its imports are the
@@ -8,6 +9,9 @@ package's exports. A private helper that only the tests call belongs in
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -89,3 +93,13 @@ def test_check_catches_an_unused_private_definition():
     }
     assert unused_private_definitions(sources) == [
         "a.py line 4: _only_tests_call_me", "a.py line 11: _method"]
+
+
+def test_import_leaves_yaml_unloaded():
+    # PyYAML is loaded only when a config file is read
+    # (`ExperimentConfig.from_file`; `tests/test_cli.py` runs `--config`)
+    code = "import sys, fedchain; print(sorted(m for m in sys.modules if m.split('.')[0] == 'yaml'))"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"

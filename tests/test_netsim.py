@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fedchain import netsim
+from fedchain import netsim, pools
 from fedchain.errors import (
     InvalidObservationError,
     InvalidTopologyError,
@@ -286,6 +286,94 @@ class TestDenseLatencyHistory:
         with pytest.raises(InvalidObservationError, match="got -1.0"):
             hist.record_matrix(observed)
         assert len(hist) == 0
+
+
+class TestNonFiniteObservations:
+    """NaN and +-inf are refused on every path into a history, naming the
+    first bad entry in row-major order; NaN would otherwise compare as
+    neither small nor large and become the farthest pair."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_record(self, bad):
+        hist = netsim.LatencyHistory()
+        with pytest.raises(InvalidObservationError, match=f"got {bad}$"):
+            hist.record(0, 1, bad)
+        with pytest.raises(InvalidObservationError, match=f"got {bad}$"):
+            hist.record(1, 0, float(bad))
+        assert hist.n_nodes == 0 and len(hist) == 0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("path", ["record_matrix", "adopt"])
+    def test_matrix(self, path, bad):
+        observed = np.full((5, 5), 7.0)
+        observed[1, 3] = bad
+        observed[2, 0] = 0.0
+        observed[4, 4] = np.nan  # the diagonal is not validated
+        hist = netsim.LatencyHistory(5)
+        with pytest.raises(InvalidObservationError, match=rf"pair \(1, 3\).*got {bad}$"):
+            if path == "adopt":
+                netsim.LatencyHistory.adopt(observed)
+            else:
+                hist.record_matrix(observed)
+        assert len(hist) == 0 and not hist.total.any()
+        assert np.isnan(observed[4, 4])  # a refused array is not taken over
+
+    def test_bootstrap(self):
+        latency = netsim.build_topology(5, seed=1, model=netsim.UniformTopology())
+        latency[1, 3] = np.nan
+        with pytest.raises(InvalidObservationError, match=r"pair \(1, 3\).*got nan$"):
+            pools.bootstrap_history(latency, seed=2)
+
+
+class TestUniformCount:
+    """A history holds its counts as one int while every off-diagonal pair
+    has the same count, and answers `len` and `pairs` from it."""
+
+    def test_fresh_and_whole_matrices_stay_uniform(self):
+        hist = netsim.LatencyHistory(3)
+        assert (hist.uniform_count, len(hist), hist.pairs()) == (0, 0, [])
+        hist.record_matrix(np.full((3, 3), 2.0))
+        hist.record_matrix(np.full((3, 3), 4.0))
+        assert hist.uniform_count == 2 and len(hist) == 6
+        assert hist.pairs() == [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
+        assert pools.estimate_latency(hist, 3)[0, 1] == 3.0
+        assert hist.uniform_count == 2
+
+    def test_counts_read_builds_and_keeps_the_array(self):
+        hist = netsim.LatencyHistory(3)
+        hist.record_matrix(np.full((3, 3), 2.0))
+        counts = hist.counts
+        assert counts.dtype == np.int64 and np.array_equal(counts, 1 - np.eye(3))
+        assert hist.uniform_count is None and hist.counts is counts
+        hist.counts[0, 1] = 5  # writes reach the history
+        assert hist.counts[0, 1] == 5
+
+    @pytest.mark.parametrize("change", ["record", "sub-block", "growth"])
+    def test_breaking_uniformity_builds_the_array(self, change):
+        hist = netsim.LatencyHistory(3)
+        hist.record_matrix(np.full((3, 3), 2.0))
+        if change == "record":
+            hist.record(0, 1, 4.0)
+            want = [[0, 2, 1], [1, 0, 1], [1, 1, 0]]
+        elif change == "sub-block":
+            hist.record_matrix(np.full((2, 2), 4.0))
+            want = [[0, 2, 1], [2, 0, 1], [1, 1, 0]]
+        else:
+            hist.record_matrix(np.full((4, 4), 4.0))
+            want = [[0, 2, 2, 1], [2, 0, 2, 1], [2, 2, 0, 1], [1, 1, 1, 0]]
+        assert hist.uniform_count is None
+        assert np.array_equal(hist.counts, want)
+
+    def test_empty_history_grows_uniform(self):
+        hist = netsim.LatencyHistory(2)
+        hist.record_matrix(np.full((4, 4), 3.0))
+        assert hist.uniform_count == 1 and len(hist) == 12
+
+    def test_adopt_takes_the_array_over(self):
+        observed = np.full((4, 4), 6.0)
+        hist = netsim.LatencyHistory.adopt(observed)
+        assert hist.total is observed and not np.diag(observed).any()
+        assert (hist.uniform_count, len(hist)) == (1, 12)
 
 
 class TestRunUntilIdle:

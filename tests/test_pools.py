@@ -1,3 +1,4 @@
+import copy
 import gc
 import itertools
 import re
@@ -480,6 +481,46 @@ class TestKernelOracles:
         assert f"(0, {n_hist})" in str(want.value)
 
 
+class TestMemoryOrder:
+    """`estimate_latency` returns a column-major array, and the formation
+    kernels read any layout the same."""
+
+    def test_estimate_is_fortran_ordered_and_fresh(self):
+        lat = netsim.build_topology(30, seed=6, model=netsim.UniformTopology())
+        adopted = pools.bootstrap_history(lat, seed=7)
+        for hist in (adopted, random_history(np.random.default_rng(8), 6)[0]):
+            n = hist.n_nodes
+            total = hist.total.copy()
+            l_hat = pools.estimate_latency(hist, n)
+            assert l_hat.flags.f_contiguous and l_hat.flags.owndata
+            assert not np.shares_memory(l_hat, hist.total)
+            l_hat[:] = -1.0
+            assert hist.total.tobytes() == total.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 7, 31])
+    def test_announce_and_assign_equal_on_c_and_f_copies(self, n):
+        rng = np.random.default_rng(n)
+        estimates = [
+            pools.estimate_latency(pools.bootstrap_history(
+                netsim.build_topology(n, seed=n, model=netsim.UniformTopology()), seed=n), n),
+            rng.integers(0, 4, size=(n, n)),  # integer, with many ties
+        ]
+        for l_hat in estimates:
+            layouts = [np.ascontiguousarray(l_hat), np.asfortranarray(l_hat)]
+            assert layouts[0].flags.c_contiguous and layouts[1].flags.f_contiguous
+            for p in range(1, n + 1):
+                t_p = rng.integers(0, 4, size=p).astype(float).tolist()
+                got = []
+                for layout in layouts:
+                    heads = pools.announce_heads(n, p, l_hat=layout)
+                    assignment = pools.assign_pools(n, heads, layout, t_p, seed=p)
+                    got.append((heads, [pool.members for pool in assignment.pools]))
+                assert got[0] == got[1]
+                heads = got[0][0]
+                assert heads == oracle_announce_heads(n, p, l_hat, "spread", None)
+                assert got[0][1] == oracle_assign_pools(n, heads, l_hat, t_p, seed=p)
+
+
 class TestFormationInputs:
     """Mismatched formation inputs fail with a named error before any n x n work."""
 
@@ -518,9 +559,10 @@ class TestFormationInputs:
 
 class TestFormationMemory:
     def test_form_pools_peak(self):
-        # Formation keeps at most the history (total, counts) plus the ping
-        # it records, about 3.1 n x n float64 arrays; holding the history
-        # through announce_heads reads 4.0.
+        # Formation holds at most two n x n float64 arrays at once: the
+        # adopted ping (the history's `total`) and the estimate, then the
+        # estimate and `dist`. A history that copies the ping into a
+        # zero-filled `total` next to a `counts` array reads 3.1.
         n, p = 400, 40
         setup = chain.RoundSetup(
             task=None,
@@ -539,7 +581,7 @@ class TestFormationMemory:
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-        assert peak <= 3.5 * n * n * 8
+        assert peak <= 2.5 * n * n * 8
 
 
 positive_floats = st.floats(min_value=1e-6, max_value=1e9, allow_nan=False, allow_infinity=False)
@@ -599,3 +641,63 @@ class TestHistoryProperty:
         else:
             got = pools.estimate_latency(hist, n_query)
             assert got.tobytes() == oracle_estimate_latency(series, n_query).tobytes()
+
+
+def histories_equal(got, want, n_query):
+    """Same sums (bit for bit), counts, pairs and estimate bytes; read on
+    copies, since reading `counts` builds the array and changes the path
+    that later operations take."""
+    assert got.n_nodes == want.n_nodes
+    assert got.total.dtype == want.total.dtype == np.float64
+    assert got.total.tobytes() == want.total.tobytes()
+    assert len(got) == len(want) and got.pairs() == want.pairs()
+    estimates = []
+    for hist in (got, want):
+        try:
+            estimates.append(pools.estimate_latency(copy.deepcopy(hist), n_query).tobytes())
+        except InsufficientHistoryError as exc:
+            estimates.append(str(exc))
+    assert estimates[0] == estimates[1]
+    assert np.array_equal(copy.deepcopy(got).counts, copy.deepcopy(want).counts)
+
+
+@st.composite
+def pings(draw):
+    """A latency matrix with a zero diagonal, as `build_topology` makes,
+    and a seed for `bootstrap_history`'s noise."""
+    n = draw(st.integers(1, 8))
+    latency = draw(hnp.arrays(np.float64, (n, n), elements=st.floats(1e-3, 1e6)))
+    np.fill_diagonal(latency, 0.0)
+    return latency, draw(st.integers(0, 2**32 - 1))
+
+
+class TestAdoptedPingProperty:
+    """`bootstrap_history` adopts its ping with a uniform count of 1; the
+    history equals a fresh one that records the same ping with
+    `record_matrix`, and one whose counts are an array from the start, and
+    stays equal under further `record`, `record_matrix` and growth."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(pings(), history_ops(), st.integers(1, 9))
+    def test_adopted_equals_recorded(self, ping, plan, n_query):
+        latency, seed = ping
+        n = latency.shape[0]
+        observed = np.random.default_rng(seed).uniform(*pools.BOOTSTRAP_NOISE, size=(n, n))
+        observed *= latency
+        adopted = pools.bootstrap_history(latency, seed)
+        recorded = LatencyHistory(n)
+        recorded.record_matrix(observed)
+        dense = copy.deepcopy(recorded)
+        assert dense.counts.dtype == np.int64  # reading builds the array
+        assert adopted.uniform_count == recorded.uniform_count == 1
+        assert dense.uniform_count is None
+        histories_equal(adopted, dense, n_query)
+        histories_equal(recorded, dense, n_query)
+        for op in plan[1]:
+            for hist in (adopted, recorded, dense):
+                if op[0] == "record":
+                    hist.record(*op[1:])
+                else:
+                    hist.record_matrix(op[1])
+            histories_equal(adopted, dense, n_query)
+            histories_equal(recorded, dense, n_query)
