@@ -72,19 +72,22 @@ def make_blobs(
     seeded unit-normal directions scaled by `separation`, samples get unit
     noise. Labels are balanced (first n_samples mod n_classes classes get
     one extra sample).
+
+    The noise is one (n_samples, n_features) draw, which reads the same
+    stream as one draw per class in class order would. Each class's center
+    is added in place to its contiguous block of rows, and the rows are
+    then shuffled by one gather.
     """
     rng = np.random.default_rng(seed)
     centers = rng.normal(0.0, 1.0, size=(n_classes, n_features))
     centers *= separation / np.linalg.norm(centers, axis=1, keepdims=True)
     per_class = np.full(n_classes, n_samples // n_classes)
     per_class[: n_samples % n_classes] += 1
-    xs, ys = [], []
-    for cls in range(n_classes):
-        xs.append(centers[cls] + rng.normal(0.0, 1.0, size=(per_class[cls], n_features)))
-        ys.append(np.full(per_class[cls], cls, dtype=np.int64))
-    x = np.concatenate(xs)
-    y = np.concatenate(ys)
-    order = rng.permutation(len(y))
+    x = rng.normal(0.0, 1.0, size=(n_samples, n_features))
+    for center, block in zip(centers, np.split(x, np.cumsum(per_class)[:-1])):
+        np.add(center, block, out=block)
+    y = np.repeat(np.arange(n_classes, dtype=np.int64), per_class)
+    order = rng.permutation(n_samples)
     return Dataset(x[order], y[order], n_classes)
 
 
@@ -134,6 +137,16 @@ def partition_noniid(
     without replacement while class pools last. A part whose preferred pool
     drains early comes out smaller rather than diluted (empty parts get one
     top-up sample so every miner has data). Deterministic for a given seed.
+
+    Each class pool is a permuted index array drawn from the front. Its
+    cursor after part j is the cumulative sum of the parts' target counts
+    up to j, clipped at the pool's size. An empty part takes its top-up row
+    from the class with the most rows left (the lowest class on a tie);
+    that moves the class's later cursors by one, so the cumulative sums
+    restart after that part. The drawn rows, each part's shuffled by its
+    own permutation in part order, are gathered from `x` and `y` at once,
+    and every part is a row slice of that one gather: no two parts share
+    memory, and none shares the input's.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
@@ -143,39 +156,68 @@ def partition_noniid(
         raise PartitionUnderflowError(f"{len(dataset)} samples for {n_parts} parts")
     if alphas is not None and len(alphas) != n_parts:
         raise ValueError("alphas must have one entry per part")
+    part_alphas = np.asarray([alpha] * n_parts if alphas is None else alphas, dtype=np.float64)
+    # An alpha outside [0, 1] or NaN gives negative counts, which would move
+    # a cursor backwards.
+    bad = np.flatnonzero(~((part_alphas >= 0.0) & (part_alphas <= 1.0)))
+    if bad.size:
+        raise ValueError(f"alpha of part {bad[0]} must be in [0, 1], got {part_alphas[bad[0]]}")
 
     c = dataset.n_classes
     rng = np.random.default_rng(seed)
-    # Each class pool is a permuted index array drawn from the front: the
-    # undrawn rest of pool `cls` is pools[cls][cursors[cls]:].
     pools = [rng.permutation(np.flatnonzero(dataset.y == cls)) for cls in range(c)]
-    cursors = [0] * c
+    pool_sizes = np.array([len(pool) for pool in pools], dtype=np.int64)
     sizes = np.full(n_parts, len(dataset) // n_parts)
     sizes[: len(dataset) % n_parts] += 1
-    # Target counts depend only on (alpha_j, j mod C, size_j).
-    target_counts: dict[tuple[float, int, int], list[int]] = {}
+    # Target counts depend only on (alpha_j, j mod C, size_j); each distinct
+    # key's row is computed for the first part that has it.
+    alpha_ids = np.unique(part_alphas, return_inverse=True)[1].reshape(-1)
+    keys = (alpha_ids * c + np.arange(n_parts) % c) * 2 + (sizes - sizes[-1])
+    _, firsts, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    rows = np.array([
+        _target_counts(int(sizes[j]), (1.0 - a) * np.full(c, 1.0 / c) + a * np.eye(c)[j % c])
+        for j, a in zip(firsts.tolist(), part_alphas[firsts].tolist())
+    ])
+    cum = np.zeros((n_parts + 1, c), dtype=np.int64)
+    np.cumsum(rows[inverse], axis=0, out=cum[1:])
 
-    parts = []
-    for j in range(n_parts):
-        a = alpha if alphas is None else float(alphas[j])
-        key = (a, j % c, int(sizes[j]))
-        counts = target_counts.get(key)
-        if counts is None:
-            target = (1.0 - a) * np.full(c, 1.0 / c) + a * np.eye(c)[j % c]
-            counts = target_counts[key] = _target_counts(key[2], target).tolist()
-        drawn = []
-        for cls in range(c):
-            start = cursors[cls]
-            stop = min(start + counts[cls], len(pools[cls]))
-            if stop > start:
-                drawn.append(pools[cls][start:stop])
-                cursors[cls] = stop
-        if not drawn:
-            left = [len(pool) - cur for pool, cur in zip(pools, cursors)]
-            richest = left.index(max(left))  # most left, lowest class on a tie
-            if left[richest]:
-                drawn.append(pools[richest][cursors[richest]:cursors[richest] + 1])
-                cursors[richest] += 1
-        indices = np.concatenate(drawn) if drawn else np.empty(0, dtype=np.int64)
-        parts.append(dataset.subset(indices[rng.permutation(len(indices))]))
-    return parts
+    # cursors[j] holds each class's cursor before part j, cursors[-1] the end.
+    # Rows cursors[: j + 1] are final; the next `width` rows follow from the
+    # clipped cumulative sums up to the first part that comes out empty. The
+    # width doubles while no part does and shrinks to twice the distance to
+    # the last top-up, so a run of top-ups costs a few rows each rather than
+    # a pass over every later part.
+    cursors = np.zeros_like(cum)
+    j, width = 0, n_parts
+    while j < n_parts:
+        stop = min(j + width, n_parts)
+        cursors[j + 1 : stop + 1] = np.minimum(
+            cursors[j] + cum[j + 1 : stop + 1] - cum[j], pool_sizes
+        )
+        empty = np.flatnonzero((cursors[j + 1 : stop + 1] == cursors[j:stop]).all(axis=1))
+        if not empty.size:
+            j, width = stop, 2 * width
+            continue
+        k = int(empty[0])
+        j += k
+        left = pool_sizes - cursors[j]
+        if not left.any():
+            cursors[j + 1 :] = pool_sizes  # every later part is empty too
+            break
+        cursors[j + 1, left.argmax()] += 1  # most left, lowest class on a tie
+        j, width = j + 1, 2 * (k + 1)
+
+    lengths = np.diff(cursors, axis=0).ravel()
+    heads = (cursors[:-1] + (np.cumsum(pool_sizes) - pool_sizes)).ravel()
+    segment_offsets = np.cumsum(lengths) - lengths
+    drawn = np.concatenate(pools)[
+        np.repeat(heads - segment_offsets, lengths) + np.arange(lengths.sum())
+    ]
+    part_sizes = lengths.reshape(n_parts, c).sum(axis=1)
+    bounds = np.concatenate(([0], np.cumsum(part_sizes)))
+    shuffle = np.concatenate([rng.permutation(m) for m in part_sizes.tolist()])
+    shuffle += np.repeat(bounds[:-1], part_sizes)
+    picked = drawn[shuffle]
+    x, y = dataset.x[picked], dataset.y[picked]
+    bounds = bounds.tolist()
+    return [Dataset(x[a:b], y[a:b], c) for a, b in zip(bounds[:-1], bounds[1:])]

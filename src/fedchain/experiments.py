@@ -115,9 +115,12 @@ def build_task_fixture(
         full = make_blobs(
             total, cfg.n_features, cfg.n_classes, seed=seed, separation=cfg.separation
         )
+    # `example` and `held_out` are copies, so no task keeps `full` alive;
+    # `base` can be a view, because the parts are gathered copies of it.
     example = full.subset(np.arange(cfg.example_size))
     held_out = full.subset(np.arange(cfg.example_size, cfg.example_size + cfg.held_out_size))
-    base = full.subset(np.arange(cfg.example_size + cfg.held_out_size, total))
+    start = cfg.example_size + cfg.held_out_size
+    base = Dataset(full.x[start:total], full.y[start:total], full.n_classes)
     if alphas is not None and slack_parts:
         alphas = list(alphas) + [0.0] * slack_parts
     parts = partition_noniid(

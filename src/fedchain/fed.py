@@ -102,7 +102,10 @@ class DenseClassifier:
     def loss_grad(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Gradient of the summed cross-entropy w.r.t. the flat weights."""
         out = np.empty(self.arch.n_weights)
-        _loss_grad_into(self.arch, self.weights, x, np.eye(self.arch.n_classes)[y], out)
+        _loss_grad_into(
+            _unpack(self.arch, self.weights), _unpack(self.arch, out), x,
+            np.eye(self.arch.n_classes)[y],
+        )
         return out
 
 
@@ -130,47 +133,47 @@ def _unpack(arch: Architecture, flat: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def _loss_grad_into(
-    arch: Architecture,
-    weights: np.ndarray,
+    params: tuple[np.ndarray, ...],
+    grads: tuple[np.ndarray, ...],
     x: np.ndarray,
     onehot: np.ndarray,
-    out: np.ndarray,
 ) -> None:
-    """Write the summed cross-entropy gradient w.r.t. `weights` into `out`.
+    """Write the summed cross-entropy gradient w.r.t. the weights into `grads`.
 
-    `onehot` has one one-hot row per sample of `x`; `out` is a C-contiguous
-    float64 vector of `arch.n_weights` entries, laid out like the weights.
-    The forward pass, the stable softmax and the backward pass run in place
-    on one logits array, with the float operations of the textbook form in
-    the same order: matmul then bias add, minus the row max, exp, divide by
-    the row sum, `x.T @ d`, column sum. Subtracting a one-hot row equals
+    `params` and `grads` are the `_unpack` views of the flat weights and of
+    a C-contiguous float64 gradient vector laid out like them; `onehot` has
+    one one-hot row per sample of `x`. The forward pass, the stable softmax
+    and the backward pass run in place on one logits array, with the float
+    operations of the textbook form in the same order: matmul then bias
+    add, minus the row max, exp, divide by the row sum, `x.T @ d`, column
+    sum (`np.maximum.reduce` and `np.add.reduce` are what the ndarray
+    `max` and `sum` methods call). Subtracting a one-hot row equals
     `d[arange, y] -= 1.0`, because `p - 0.0 == p`. The hidden layer's
     `tanh` is computed once and reused by the backward pass.
     """
-    params = _unpack(arch, weights)
-    grads = _unpack(arch, out)
+    hidden = len(params) == 4
     w, b = params[-2:]
     inputs = x
-    if arch.hidden:
+    if hidden:
         w1, b1 = params[:2]
         inputs = x @ w1
         inputs += b1
         np.tanh(inputs, out=inputs)
     d = inputs @ w
     d += b
-    d -= d.max(axis=1, keepdims=True)
+    d -= np.maximum.reduce(d, axis=1, keepdims=True)
     np.exp(d, out=d)
-    d /= d.sum(axis=1, keepdims=True)
+    d /= np.add.reduce(d, axis=1, keepdims=True)
     d -= onehot
     np.matmul(inputs.T, d, out=grads[-2])
-    d.sum(axis=0, out=grads[-1])
-    if arch.hidden:
+    np.add.reduce(d, axis=0, out=grads[-1])
+    if hidden:
         dz = d @ w.T
         slope = inputs * inputs
         np.subtract(1.0, slope, out=slope)
         dz *= slope
         np.matmul(x.T, dz, out=grads[0])
-        dz.sum(axis=0, out=grads[1])
+        np.add.reduce(dz, axis=0, out=grads[1])
 
 
 def _check_finite_weights(model: DenseClassifier) -> None:
@@ -190,11 +193,6 @@ def local_loss(model: DenseClassifier, dataset: Dataset) -> float:
     return _check_finite_loss(model.loss(dataset.x, dataset.y))
 
 
-def sgd_step(weights: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:
-    """One gradient-descent update: w - lr * grad."""
-    return weights - lr * grad
-
-
 def local_train(
     model: DenseClassifier, dataset: Dataset, cfg: TrainConfig, seed: int = 0
 ) -> DenseClassifier:
@@ -204,9 +202,11 @@ def local_train(
     Deterministic for a given seed.
 
     Each epoch gathers the shuffled rows and their one-hot targets once, so
-    a batch is a row slice of them, and each step writes its gradient with
-    `_loss_grad_into` into one reused buffer, divides it by the batch size
-    and applies `sgd_step`. The result is bit-identical to calling
+    a batch is a row slice of them. Each step writes its gradient with
+    `_loss_grad_into` into one reused buffer through views built once per
+    call, and updates the weights in place: `grad /= batch; grad *= lr;
+    weights -= grad` are the float operations of `weights - lr * (grad /
+    batch)`. The result is bit-identical to calling
     `loss_grad(x[batch], y[batch]) / len(batch)` on a fresh model per batch:
     the rows, the float operations and their order are the same, and only
     temporaries, copies and a second `tanh` of the hidden layer are saved.
@@ -214,6 +214,7 @@ def local_train(
     rng = np.random.default_rng(seed)
     weights = model.weights.copy()
     grad = np.empty_like(weights)
+    params, grads = _unpack(model.arch, weights), _unpack(model.arch, grad)
     eye = np.eye(model.arch.n_classes)
     n = len(dataset)
     for _ in range(cfg.epochs):
@@ -221,9 +222,10 @@ def local_train(
         x, onehot = dataset.x[order], eye[dataset.y[order]]
         for start in range(0, n, cfg.batch_size):
             stop = min(start + cfg.batch_size, n)
-            _loss_grad_into(model.arch, weights, x[start:stop], onehot[start:stop], grad)
+            _loss_grad_into(params, grads, x[start:stop], onehot[start:stop])
             grad /= stop - start
-            weights = sgd_step(weights, grad, cfg.lr)
+            grad *= cfg.lr
+            weights -= grad
         if not np.all(np.isfinite(weights)):
             raise TrainingDivergedError("weights became non-finite during training")
     return model.clone(weights)

