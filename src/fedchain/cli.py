@@ -3,7 +3,10 @@
 Subcommands mirror the experiment surface: `latency-grid` and
 `accuracy-sweep` run the comparison grids and exit non-zero if any encoded
 trend assertion fails; `single-round` simulates one task round; and
-`validate-chain` audits an exported ledger.
+`validate-chain` audits an exported ledger. A named library error, or a
+config or ledger file that cannot be read, ends a command with one
+`error:` line on stderr and exit code 2; 1 stays a failed check or a
+ledger violation.
 """
 
 from __future__ import annotations
@@ -12,12 +15,26 @@ import argparse
 import sys
 
 from . import chain, experiments
-from .errors import LedgerIntegrityError
+from .errors import FedChainError, LedgerIntegrityError
 from .experiments import ExperimentConfig
 
 
+class _UnreadableInput(Exception):
+    """A config or ledger file that could not be read or parsed."""
+
+
+def _read_input(read, path: str):
+    """`read(path)`, with an OSError or ValueError raised as _UnreadableInput."""
+    try:
+        return read(path)
+    except (OSError, ValueError) as err:
+        raise _UnreadableInput(err) from err
+
+
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
-    cfg = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
+    cfg = ExperimentConfig()
+    if args.config:
+        cfg = _read_input(ExperimentConfig.from_file, args.config)
     if args.seed is not None:
         cfg.seeds = [args.seed + i for i in range(len(cfg.seeds))]
     if args.out:
@@ -85,7 +102,7 @@ def cmd_single_round(args: argparse.Namespace) -> int:
 
 def cmd_validate_chain(args: argparse.Namespace) -> int:
     try:
-        ledger = chain.load_chain_jsonl(args.ledger)
+        ledger = _read_input(chain.load_chain_jsonl, args.ledger)
     except LedgerIntegrityError as err:
         print(f"violation: {err}")
         return 1
@@ -135,7 +152,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (FedChainError, _UnreadableInput) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

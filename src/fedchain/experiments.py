@@ -9,7 +9,7 @@ import hashlib
 import json
 import os
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -67,14 +67,30 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":
+        """The config in a YAML mapping of field names to values (an empty
+        file is the default config). Raises ValueError naming the file when
+        it is not YAML or not a mapping, and naming the key for an unknown
+        key or a list field that does not hold a list."""
         import yaml  # only a config file needs it; it is a fifth of `import fedchain`
 
         with open(path, encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh) or {}
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(raw) - known
+            try:
+                raw = yaml.safe_load(fh)
+            except yaml.YAMLError as err:
+                problem = " ".join(str(err).split())  # one line
+                raise ValueError(f"config file {path} is not valid YAML: {problem}") from err
+        if raw is None:
+            raw = {}
+        if not isinstance(raw, dict):
+            raise ValueError(
+                f"config file {path} must hold a mapping of keys, not {type(raw).__name__}"
+            )
+        unknown = set(raw) - set(cls.__dataclass_fields__)
         if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+            raise ValueError(f"unknown config keys: {sorted(unknown, key=str)}")
+        for f in fields(cls):
+            if f.type.startswith("list[") and f.name in raw and not isinstance(raw[f.name], list):
+                raise ValueError(f"config key {f.name!r} must be a list, got {raw[f.name]!r}")
         return cls(**raw)
 
     def fingerprint(self) -> str:

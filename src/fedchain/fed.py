@@ -84,12 +84,6 @@ class DenseClassifier:
         hidden = np.tanh(x @ w1 + b1)
         return hidden @ w2 + b2, hidden
 
-    def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        logits, _ = self._forward(x)
-        logits = logits - logits.max(axis=1, keepdims=True)
-        expl = np.exp(logits)
-        return expl / expl.sum(axis=1, keepdims=True)
-
     def predict(self, x: np.ndarray) -> np.ndarray:
         logits, _ = self._forward(x)
         return logits.argmax(axis=1)
@@ -98,15 +92,6 @@ class DenseClassifier:
         """Cross-entropy summed over the samples."""
         logits, _ = self._forward(x)
         return _summed_cross_entropy(logits, y)
-
-    def loss_grad(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Gradient of the summed cross-entropy w.r.t. the flat weights."""
-        out = np.empty(self.arch.n_weights)
-        _loss_grad_into(
-            _unpack(self.arch, self.weights), _unpack(self.arch, out), x,
-            np.eye(self.arch.n_classes)[y],
-        )
-        return out
 
 
 def _summed_cross_entropy(logits: np.ndarray, y: np.ndarray) -> float:
@@ -206,10 +191,11 @@ def local_train(
     `_loss_grad_into` into one reused buffer through views built once per
     call, and updates the weights in place: `grad /= batch; grad *= lr;
     weights -= grad` are the float operations of `weights - lr * (grad /
-    batch)`. The result is bit-identical to calling
-    `loss_grad(x[batch], y[batch]) / len(batch)` on a fresh model per batch:
-    the rows, the float operations and their order are the same, and only
-    temporaries, copies and a second `tanh` of the hidden layer are saved.
+    batch)`. The result is bit-identical to a textbook loop that computes
+    each batch's gradient of the summed cross-entropy on a fresh model and
+    divides it by the batch size: the rows, the float operations and their
+    order are the same, and only temporaries, copies and a second `tanh` of
+    the hidden layer are saved.
     """
     rng = np.random.default_rng(seed)
     weights = model.weights.copy()
@@ -231,60 +217,23 @@ def local_train(
     return model.clone(weights)
 
 
-def gradient_check(model: DenseClassifier, dataset: Dataset, h: float = 1e-4) -> float:
-    """Max relative error between analytic and central finite-difference gradients.
-
-    The error is normalized by the largest finite-difference component, so a
-    correct gradient scores near machine precision and a misscaled one near 1.
-    """
-    analytic = model.loss_grad(dataset.x, dataset.y)
-    fd = np.empty_like(analytic)
-    base = model.weights
-    for i in range(base.shape[0]):
-        probe = base.copy()
-        probe[i] = base[i] + h
-        up = model.clone(probe).loss(dataset.x, dataset.y)
-        probe[i] = base[i] - h
-        down = model.clone(probe).loss(dataset.x, dataset.y)
-        fd[i] = (up - down) / (2.0 * h)
-    scale = max(float(np.max(np.abs(fd))), 1e-12)
-    return float(np.max(np.abs(analytic - fd)) / scale)
-
-
 def fedavg_weights(sizes: Sequence[int]) -> np.ndarray:
     """Dataset-size-proportional aggregation weights."""
     sizes = np.asarray(sizes, dtype=np.float64)
     return sizes / sizes.sum()
 
 
-def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
-    """KL divergence in bits between two label histograms.
-
-    Both inputs are expected smoothed (strictly positive where compared);
-    a zero in `q` where `p` is positive is rejected.
-    """
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    support = p > 0
-    if np.any(q[support] == 0):
-        raise UndefinedDivergenceError("reference histogram has a zero on p's support")
-    return float(np.sum(p[support] * np.log2(p[support] / q[support])))
-
-
-def kl_weights(
-    histograms: Sequence[np.ndarray] | np.ndarray,
-    reference: np.ndarray,
-    sizes: Sequence[int],
+def kl_divergences(
+    histograms: Sequence[np.ndarray] | np.ndarray, reference: np.ndarray
 ) -> np.ndarray:
-    """Divergence-based aggregation weights: max(0, 1 - D_KL(d_i || d_ref)).
+    """KL divergence in bits of each label histogram from the reference.
 
-    The raw factors are clamped at zero and normalized; when every miner
-    clamps to zero the weights fall back to FedAvg's size proportions.
-    `histograms` holds one row per miner, and the divergences are one pass
-    over the (k, C) array. Each equals `kl_divergence(row, reference)` bit
-    for bit: a row sums its terms as a 1-D sum of the row does, and a row
-    with entries outside its support sums just the support, as
-    `kl_divergence` does. `fmax`, like `max(0.0, x)`, clamps a NaN to 0.
+    `histograms` holds one row per miner; the result has one divergence
+    per row, from one pass over the (k, C) array. A row sums only its
+    support (its positive entries): a row with full support sums its terms
+    as a 1-D sum of the row does, and a row with zeros sums the terms on
+    its support alone. Inputs are expected smoothed; a zero in `reference`
+    on any row's support raises UndefinedDivergenceError.
     """
     p = np.asarray(histograms, dtype=np.float64)
     q = np.asarray(reference, dtype=np.float64)
@@ -296,7 +245,22 @@ def kl_weights(
         divergence = np.where(support, terms, 0.0).sum(axis=1)
         for i in np.flatnonzero(~support.all(axis=1)):
             divergence[i] = terms[i, support[i]].sum()
-        raw = np.fmax(0.0, 1.0 - divergence)
+    return divergence
+
+
+def kl_weights(
+    histograms: Sequence[np.ndarray] | np.ndarray,
+    reference: np.ndarray,
+    sizes: Sequence[int],
+) -> np.ndarray:
+    """Divergence-based aggregation weights: max(0, 1 - D_KL(d_i || d_ref)).
+
+    The raw factors are clamped at zero and normalized; when every miner
+    clamps to zero the weights fall back to FedAvg's size proportions.
+    `histograms` holds one row per miner (see `kl_divergences`). `fmax`,
+    like `max(0.0, x)`, clamps a NaN divergence to 0.
+    """
+    raw = np.fmax(0.0, 1.0 - kl_divergences(histograms, reference))
     total = raw.sum()
     if total == 0.0:
         return fedavg_weights(sizes)

@@ -93,19 +93,13 @@ def estimate_latency(history: LatencyHistory, n_nodes: int) -> np.ndarray:
     return l_hat
 
 
-def announce_heads(
-    n_nodes: int,
-    pool_count: int,
-    l_hat: np.ndarray | None = None,
-    policy: str = "spread",
-    seed: int | None = None,
-) -> list[int]:
+def announce_heads(n_nodes: int, pool_count: int, l_hat: np.ndarray) -> list[int]:
     """Select the pool heads.
 
-    `random` draws a seeded uniform sample. `spread` picks heads by greedy
-    farthest-point selection on the symmetrized estimated latency: the two
-    mutually farthest nodes first, then repeatedly the node maximizing the
-    minimum distance to the chosen heads (a single head is the medoid).
+    Heads are picked by greedy farthest-point selection on the symmetrized
+    estimated latency: the two mutually farthest nodes first, then
+    repeatedly the node maximizing the minimum distance to the chosen heads
+    (a single head is the medoid).
 
     `dist` is one float64 array, and it is exactly symmetric: both mirrored
     entries are fl(fl(a + b) / 2), and fl(a + b) = fl(b + a). So with the
@@ -120,17 +114,7 @@ def announce_heads(
         raise TooManyPoolsError(f"pool count must be >= 1, got {pool_count}")
     if pool_count > n_nodes:
         raise TooManyPoolsError(f"{pool_count} pools for {n_nodes} nodes")
-    if l_hat is not None:
-        _check_latency(n_nodes, l_hat)
-
-    if policy == "random":
-        rng = np.random.default_rng(seed)
-        return [int(h) for h in rng.choice(n_nodes, size=pool_count, replace=False)]
-    if policy != "spread":
-        raise ValueError(f"unknown head policy: {policy!r}")
-
-    if l_hat is None:
-        raise ValueError("spread policy requires an estimated latency matrix")
+    _check_latency(n_nodes, l_hat)
     dist = np.add(l_hat, l_hat.T, dtype=np.float64)
     dist /= 2.0
     if pool_count == 1:
@@ -162,16 +146,6 @@ def _check_heads(n_nodes: int, heads: Sequence[int]) -> None:
         raise NodeNotFoundError(f"pool heads {list(heads)} are not distinct nodes")
 
 
-def pool_cost(node: int, members: Sequence[int], t_p: float, l_hat: np.ndarray) -> float:
-    """Estimated time cost for `node` to join a pool with the given members.
-
-    The outer term is the pool's training-time estimate; the inner term is
-    the worst estimated latency from the node to any current member.
-    """
-    worst_link = max(float(l_hat[node, m]) for m in members)
-    return max(float(t_p), worst_link)
-
-
 def join_order(n_nodes: int, heads: Iterable[int], seed: int) -> list[int]:
     """Seeded random order in which non-head nodes pick their pool."""
     head_set = set(heads)
@@ -190,20 +164,23 @@ def assign_pools(
     """Sequential greedy pool membership.
 
     Non-head nodes are processed in a seeded random order; each joins the
-    pool minimizing `pool_cost` against that pool's membership at the moment
-    of joining. Ties go to the pool with the lower head id.
+    pool with the smallest estimated time cost against that pool's
+    membership at the moment of joining: `max(t_p[c], l_hat[node, m])` over
+    the pool's current members m, the pool's training-time estimate or the
+    worst estimated link to a member, whichever is larger. Ties go to the
+    pool with the lower head id.
 
     The pool costs are kept as a (p, n) C-contiguous array: `cost[c, node]`
-    is `pool_cost(node, members of pool c, t_p[c], l_hat)`, the pool-time
-    floor folded into the worst link. A join into pool c raises row c to
-    the links to the new member, `np.maximum(cost[c], l_hat[:, node])`,
-    which is exact because `max` is exact and associative. Rows are
-    ordered by head id, so argmin's first-minimum rule breaks ties toward
-    the lower head. The column `l_hat[:, node]` is contiguous in the
-    column-major `estimate_latency` output; any layout gives the same
-    pools. Raises NodeNotFoundError unless the heads are distinct nodes,
-    InvalidTopologyError unless `l_hat` is (n_nodes, n_nodes), and
-    EstimateCountError unless `t_p` has one entry per head.
+    is that cost for pool c, the pool-time floor folded into the worst link.
+    A join into pool c raises row c to the links to the new member,
+    `np.maximum(cost[c], l_hat[:, node])`, which is exact because `max` is
+    exact and associative. Rows are ordered by head id, so argmin's
+    first-minimum rule breaks ties toward the lower head. The column
+    `l_hat[:, node]` is contiguous in the column-major `estimate_latency`
+    output; any layout gives the same pools. Raises NodeNotFoundError unless
+    the heads are distinct nodes, InvalidTopologyError unless `l_hat` is
+    (n_nodes, n_nodes), and EstimateCountError unless `t_p` has one entry
+    per head.
     """
     _check_latency(n_nodes, l_hat)
     _check_heads(n_nodes, heads)

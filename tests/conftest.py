@@ -11,6 +11,49 @@ def split(w, parts):
     return [w[a:b] for a, b in sharedring.chunk_spans(w.shape[0], parts)]
 
 
+def kernel_loss_grad(model, x, y):
+    """The gradient `fed.local_train` steps along: `fed._loss_grad_into`
+    on the model's weights, the summed cross-entropy over `(x, y)`."""
+    out = np.empty(model.arch.n_weights)
+    fed._loss_grad_into(fed._unpack(model.arch, model.weights), fed._unpack(model.arch, out),
+                        x, np.eye(model.arch.n_classes)[y])
+    return out
+
+
+def gradient_check(model, dataset, grad=kernel_loss_grad, h=1e-4):
+    """Max error between `grad(model, x, y)` and central finite differences
+    of `model.loss` with step `h`.
+
+    The error is normalized by the largest finite-difference component, so a
+    correct gradient scores near machine precision and a misscaled one near 1.
+    """
+    analytic = grad(model, dataset.x, dataset.y)
+    fd = np.empty_like(analytic)
+    base = model.weights
+    for i in range(base.shape[0]):
+        probe = base.copy()
+        probe[i] = base[i] + h
+        up = model.clone(probe).loss(dataset.x, dataset.y)
+        probe[i] = base[i] - h
+        down = model.clone(probe).loss(dataset.x, dataset.y)
+        fd[i] = (up - down) / (2.0 * h)
+    scale = max(float(np.max(np.abs(fd))), 1e-12)
+    return float(np.max(np.abs(analytic - fd)) / scale)
+
+
+def oracle_pool_cost(node, members, t_p, l_hat):
+    """The brute-force join cost: the pool's training-time estimate or the
+    worst estimated link from `node` to a current member, if larger."""
+    return max([float(t_p)] + [float(l_hat[node, m]) for m in members])
+
+
+def random_heads(n_nodes, pool_count, seed):
+    """A seeded uniform sample of distinct heads, unlike the ones
+    `pools.announce_heads` picks."""
+    rng = np.random.default_rng(seed)
+    return [int(h) for h in rng.choice(n_nodes, size=pool_count, replace=False)]
+
+
 def build_setup(
     n_nodes=6,
     n_pools=2,

@@ -19,7 +19,7 @@ from fedchain.errors import (
     NoiseWidthError,
     RoundFailedError,
 )
-from conftest import build_setup
+from conftest import build_setup, random_heads
 
 
 class TestPublishTask:
@@ -125,15 +125,17 @@ def formation_case(latency, heads, publisher, join_seed):
 class TestFormationOracle:
     """The closed-form formation must equal the event-driven replay exactly."""
 
+    # "random" forms pools on seeded random heads, which announce_heads would not pick
     @pytest.mark.parametrize("policy", ["spread", "random"])
     @pytest.mark.parametrize("topology", ["uniform", "clustered", "integer"])
     def test_closed_form_matches_event_loop(self, topology, policy):
         for n in range(2, 41):
             latency = formation_latency(topology, n)
             for p in range(1, n + 1):
-                heads = pools.announce_heads(
-                    n, p, l_hat=latency.astype(np.float64), policy=policy, seed=p
-                )
+                if policy == "spread":
+                    heads = pools.announce_heads(n, p, l_hat=latency.astype(np.float64))
+                else:
+                    heads = random_heads(n, p, seed=p)
                 # odd p: the publisher is a head; even p: any node
                 publisher = heads[0] if p % 2 else (n + p) % n
                 setup, assignment = formation_case(latency, heads, publisher, n + p)
@@ -737,6 +739,50 @@ class TestRaceSlack:
             assert (again.block.hash(), again.latency_ms, again.winner_pool, again.credits) == (
                 first.block.hash(), first.latency_ms, first.winner_pool, first.credits)
         assert unverified_total > 0
+
+
+class TestSlackProperty:
+    """Loosening a bound the winner already meets leaves the block unchanged
+    in every learning mode: a deadline at or above the round's latency, and
+    a round budget cut to the winner's round count. Pools that would need
+    the looser bound finish, if at all, after the block."""
+
+    modes = st.sampled_from(["fedchain", "gfl_ring", "fedavg_central"])
+    shapes = st.sampled_from([(20, 2), (50, 5), (120, 6)])
+
+    @staticmethod
+    def first_round(mode, shape, seed):
+        """A fresh `grid_setup` (one pool for a baseline) and its round; a
+        setup whose round fails has no block to keep, so it is skipped."""
+        n, p = shape
+        setup = grid_setup(n, p if mode == "fedchain" else 1, seed)
+        try:
+            return setup, chain.run_round(chain.Chain(), setup, mode)
+        except RoundFailedError:
+            assume(False)
+
+    @staticmethod
+    def assert_same_block(setup, mode, want):
+        got = chain.run_round(chain.Chain(), setup, mode)
+        assert (got.block.hash(), got.latency_ms, got.winner_pool, got.credits) == (
+            want.block.hash(), want.latency_ms, want.winner_pool, want.credits)
+
+    @given(mode=modes, shape=shapes, seed=st.integers(0, 2**16),
+           factor=st.one_of(st.sampled_from([1.0, 1.0001, 4.0]), st.floats(1.0, 4.0)))
+    @settings(max_examples=30, deadline=None)
+    def test_deadline_at_or_above_the_latency(self, mode, shape, seed, factor):
+        setup, base = self.first_round(mode, shape, seed)
+        deadline = base.latency_ms * factor
+        assert deadline >= base.latency_ms
+        self.assert_same_block(replace(setup, task=replace(setup.task, deadline=deadline)),
+                               mode, base)
+
+    @given(mode=modes, shape=shapes, seed=st.integers(0, 2**16))
+    @settings(max_examples=30, deadline=None)
+    def test_round_budget_cut_to_the_winners_rounds(self, mode, shape, seed):
+        setup, base = self.first_round(mode, shape, seed)
+        rounds = len(base.outcomes[base.winner_pool].metrics)
+        self.assert_same_block(replace(setup, max_rounds=rounds), mode, base)
 
 
 class TestRaceCounts:

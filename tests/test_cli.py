@@ -77,3 +77,35 @@ def test_accuracy_sweep_cli(tmp_path, capsys):
 def test_unknown_mode_rejected():
     with pytest.raises(SystemExit):
         cli.main(["single-round", "--mode", "bogus"])
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["single-round", "--nodes", "5", "--pools", "9"], "error: 9 pools for 5 nodes"),
+    (["validate-chain", "missing.jsonl"], "error: [Errno 2] No such file or directory"),
+    (["latency-grid", "--config", "missing.yaml"], "error: [Errno 2] No such file or directory"),
+])
+def test_named_error_or_missing_file_exits_2(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(message)
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("body, message", [
+    ("5\n", "must hold a mapping of keys, not int"),
+    ("n_nodes: 20\n", "config key 'n_nodes' must be a list, got 20"),
+    ("modes: fedchain\n", "config key 'modes' must be a list, got 'fedchain'"),
+    ("modes: [fedchain\n", "is not valid YAML"),
+])
+def test_malformed_config_exits_2(tmp_path, capsys, body, message):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(body)
+    rc = cli.main(["latency-grid", "--config", str(cfg), "--out", str(tmp_path / "results")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "results").exists()
+

@@ -5,7 +5,12 @@ from hypothesis import strategies as st
 
 from fedchain import data
 from fedchain.errors import PartitionUnderflowError
-from fedchain.fed import kl_divergence
+from fedchain.fed import kl_divergences
+
+
+def part_divergences(parts, reference):
+    """Each part's smoothed label histogram's divergence from `reference`."""
+    return kl_divergences([data.smooth_histogram(p.histogram()) for p in parts], reference)
 
 
 def oracle_partition_noniid(dataset, n_parts, alpha, seed, alphas=None):
@@ -154,12 +159,7 @@ class TestPartitionNoniid:
 
         def mean_kl(alpha):
             parts = data.partition_noniid(balanced, 4, alpha=alpha, seed=2)
-            return np.mean(
-                [
-                    kl_divergence(data.smooth_histogram(p.histogram()), uniform)
-                    for p in parts
-                ]
-            )
+            return np.mean(part_divergences(parts, uniform))
 
         low, mid, high = mean_kl(0.0), mean_kl(0.5), mean_kl(1.0)
         assert low < mid < high
@@ -187,9 +187,7 @@ class TestPartitionNoniid:
             balanced, 3, alpha=0.8, seed=4, alphas=[0.0, 0.4, 0.8]
         )
         uniform = np.full(10, 0.1)
-        kls = [
-            kl_divergence(data.smooth_histogram(p.histogram()), uniform) for p in parts
-        ]
+        kls = part_divergences(parts, uniform)
         assert kls[0] < kls[1] < kls[2]
 
     def test_underflow(self):

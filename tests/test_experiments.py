@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,33 @@ class TestConfig:
         path.write_text("not_a_knob: 1\n")
         with pytest.raises(ValueError):
             ExperimentConfig.from_file(str(path))
+
+    @pytest.mark.parametrize("body", ["5\n", "[1, 2]\n", "just text\n"])
+    def test_top_level_not_a_mapping_names_the_file(self, tmp_path, body):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(body)
+        with pytest.raises(ValueError, match=f"config file {re.escape(str(path))} must hold a "
+                                             "mapping"):
+            ExperimentConfig.from_file(str(path))
+
+    @pytest.mark.parametrize("key", ["modes", "n_nodes", "n_pools", "alphas", "seeds"])
+    @pytest.mark.parametrize("value", ["fedchain", "20", "0.5"])
+    def test_list_field_without_a_list_names_the_key(self, tmp_path, key, value):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(f"{key}: {value}\n")
+        with pytest.raises(ValueError, match=f"config key '{key}' must be a list"):
+            ExperimentConfig.from_file(str(path))
+
+    def test_invalid_yaml_names_the_file(self, tmp_path):
+        path = tmp_path / "cfg.yaml"
+        path.write_text("seeds: [1,\n")
+        with pytest.raises(ValueError, match=f"config file {re.escape(str(path))} is not valid"):
+            ExperimentConfig.from_file(str(path))
+
+    def test_empty_file_is_the_default_config(self, tmp_path):
+        path = tmp_path / "cfg.yaml"
+        path.write_text("")
+        assert ExperimentConfig.from_file(str(path)) == ExperimentConfig()
 
     def test_fingerprint_tracks_content(self):
         a, b = ExperimentConfig(), ExperimentConfig()

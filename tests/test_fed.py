@@ -13,6 +13,7 @@ from fedchain.errors import (
     TrainingDivergedError,
     UndefinedDivergenceError,
 )
+from conftest import gradient_check, kernel_loss_grad
 
 
 @pytest.fixture
@@ -61,14 +62,6 @@ class TestLocalLoss:
             probs = np.exp(logits) / np.exp(logits).sum()
             expected += -math.log(probs[y[i]])
         assert fed.local_loss(model, ds) == pytest.approx(expected, rel=1e-12)
-
-    @pytest.mark.parametrize("hidden", [(), (8,)])
-    def test_probabilities_normalized(self, small_set, hidden):
-        arch = fed.Architecture(n_features=4, n_classes=3, hidden=hidden)
-        model = fed.DenseClassifier(arch, seed=8)
-        probs = model.predict_proba(small_set.x)
-        assert probs.shape == (len(small_set), 3)
-        assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-6)
 
     def test_nan_weights_rejected(self, arch, small_set):
         weights = np.zeros(arch.n_weights)
@@ -139,9 +132,12 @@ class TestLocalTrain:
 
 
 def oracle_loss_grad(model, x, y):
-    """The textbook gradient: fresh probabilities, a copied dlogits, the
+    """The textbook gradient: a fresh stable softmax, a copied dlogits, the
     hidden layer recomputed, and the parts concatenated."""
-    probs = model.predict_proba(x)
+    logits, _ = model._forward(x)
+    logits = logits - logits.max(axis=1, keepdims=True)
+    expl = np.exp(logits)
+    probs = expl / expl.sum(axis=1, keepdims=True)
     dlogits = probs.copy()
     dlogits[np.arange(len(y)), y] -= 1.0
     params = fed._unpack(model.arch, model.weights)
@@ -188,7 +184,8 @@ def oracle_local_train(model, dataset, cfg, seed=0):
 
 
 class TestTrainingOracle:
-    """`local_train` and `loss_grad` are bit-identical to the textbook loop."""
+    """`local_train` and its gradient kernel `_loss_grad_into` are
+    bit-identical to the textbook loop."""
 
     @staticmethod
     def outcome(train, model, dataset, cfg, seed):
@@ -215,7 +212,7 @@ class TestTrainingOracle:
             ds = data.Dataset(x, rng.integers(0, n_classes, n), n_classes)
             with np.errstate(all="ignore"):
                 assert np.array_equal(
-                    model.loss_grad(ds.x, ds.y), oracle_loss_grad(model, ds.x, ds.y)
+                    kernel_loss_grad(model, ds.x, ds.y), oracle_loss_grad(model, ds.x, ds.y)
                 )
             for i, lr in enumerate([0.0, 0.02, 0.5, 1.3]):
                 cfg = fed.TrainConfig(lr=lr, epochs=1 + (i + variant) % 2, batch_size=batch_size)
@@ -246,26 +243,27 @@ class TestTrainingOracle:
 
 
 class TestGradientCheck:
+    """The finite-difference check on the kernel `local_train` runs."""
+
     def test_dense_below_tolerance(self, arch, small_set):
         model = fed.DenseClassifier(arch, seed=3)
-        assert fed.gradient_check(model, small_set) < 1e-4
+        assert gradient_check(model, small_set) < 1e-4
 
     def test_mlp_below_tolerance(self, mlp_arch, small_set):
         model = fed.DenseClassifier(mlp_arch, seed=3)
-        assert fed.gradient_check(model, small_set) < 1e-4
+        assert gradient_check(model, small_set) < 1e-4
 
     def test_scaled_gradient_negative_control(self, arch, small_set):
-        class Doubled(fed.DenseClassifier):
-            def loss_grad(self, x, y):
-                return 2.0 * super().loss_grad(x, y)
+        def doubled(model, x, y):
+            return 2.0 * kernel_loss_grad(model, x, y)
 
-        model = Doubled(arch, seed=3)
-        assert fed.gradient_check(model, small_set) == pytest.approx(1.0, abs=0.1)
+        model = fed.DenseClassifier(arch, seed=3)
+        assert gradient_check(model, small_set, grad=doubled) == pytest.approx(1.0, abs=0.1)
 
     def test_matches_independent_recomputation(self, arch, small_set):
         model = fed.DenseClassifier(arch, seed=4)
         h = 1e-4
-        analytic = model.loss_grad(small_set.x, small_set.y)
+        analytic = kernel_loss_grad(model, small_set.x, small_set.y)
         fd = np.empty_like(analytic)
         for i in range(len(fd)):
             up = model.weights.copy()
@@ -277,7 +275,7 @@ class TestGradientCheck:
                 - model.clone(down).loss(small_set.x, small_set.y)
             ) / (2 * h)
         expected = np.max(np.abs(analytic - fd)) / max(np.max(np.abs(fd)), 1e-12)
-        assert fed.gradient_check(model, small_set, h=h) == pytest.approx(expected, rel=1e-9)
+        assert gradient_check(model, small_set, h=h) == pytest.approx(expected, rel=1e-9)
 
 
 class TestFedavgWeights:
@@ -293,28 +291,42 @@ class TestFedavgWeights:
         assert fed.fedavg_weights(sizes) == pytest.approx(expected, abs=1e-15)
 
 
+def kl_bits(p, q):
+    """`fed.kl_divergences` of `p` from `q`, as a one-row input and as the
+    middle row of a three-row input, which must agree."""
+    [one] = fed.kl_divergences(np.asarray(p)[None], q)
+    many = fed.kl_divergences(np.stack([q, p, np.full(len(q), 1.0 / len(q))]), q)
+    assert many[1] == one
+    return one
+
+
 class TestKlDivergence:
+    """The batched divergences `kl_weights` runs."""
+
     def test_identical_zero(self):
         h = np.array([0.3, 0.7])
-        assert fed.kl_divergence(h, h) == 0.0
+        assert kl_bits(h, h) == 0.0
 
     def test_one_hot_vs_uniform(self):
         p = data.smooth_histogram(np.array([1.0, 0.0]))
         q = np.array([0.5, 0.5])
         expected = p[0] * math.log2(p[0] / 0.5) + p[1] * math.log2(p[1] / 0.5)
-        assert fed.kl_divergence(p, q) == pytest.approx(expected, abs=1e-12)
-        assert abs(fed.kl_divergence(p, q) - 1.0) < 1e-4  # ~1 bit up to smoothing
+        assert kl_bits(p, q) == pytest.approx(expected, abs=1e-12)
+        assert abs(kl_bits(p, q) - 1.0) < 1e-4  # ~1 bit up to smoothing
 
     def test_closed_form_two_class(self):
         p = np.array([0.5, 0.5])
         q = np.array([0.25, 0.75])
         expected = 0.5 * math.log2(2.0) + 0.5 * math.log2(2.0 / 3.0)
-        assert fed.kl_divergence(p, q) == pytest.approx(expected, abs=1e-12)
+        assert kl_bits(p, q) == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(0.2075187496, abs=1e-9)
 
     def test_zero_reference_rejected(self):
+        p, q = np.array([0.5, 0.5]), np.array([1.0, 0.0])
         with pytest.raises(UndefinedDivergenceError):
-            fed.kl_divergence(np.array([0.5, 0.5]), np.array([1.0, 0.0]))
+            fed.kl_divergences(p[None], q)
+        with pytest.raises(UndefinedDivergenceError):
+            fed.kl_divergences(np.stack([q, p]), q)
 
     @given(st.lists(st.floats(0.01, 10.0), min_size=2, max_size=8))
     @settings(max_examples=60, deadline=None)
@@ -323,7 +335,7 @@ class TestKlDivergence:
         p = np.asarray(raw) / np.sum(raw)
         q_raw = rng.uniform(0.01, 10.0, size=len(raw))
         q = q_raw / q_raw.sum()
-        assert fed.kl_divergence(p, q) >= 0.0
+        assert kl_bits(p, q) >= 0.0
 
 
 class TestKlWeights:
@@ -362,9 +374,19 @@ class TestKlWeights:
         assert weights.sum() == pytest.approx(1.0)
 
 
+def oracle_kl_divergence(p, q):
+    """KL divergence in bits of one histogram, over `p`'s support."""
+    p = np.asarray(p, dtype=np.float64)
+    q = np.asarray(q, dtype=np.float64)
+    support = p > 0
+    if np.any(q[support] == 0):
+        raise UndefinedDivergenceError("reference histogram has a zero on p's support")
+    return float(np.sum(p[support] * np.log2(p[support] / q[support])))
+
+
 def loop_kl_weights(histograms, reference, sizes):
-    """`kl_weights` one row at a time: a `kl_divergence` call per miner."""
-    raw = np.array([max(0.0, 1.0 - fed.kl_divergence(h, reference)) for h in histograms])
+    """`kl_weights` one row at a time: an `oracle_kl_divergence` call per miner."""
+    raw = np.array([max(0.0, 1.0 - oracle_kl_divergence(h, reference)) for h in histograms])
     total = raw.sum()
     if total == 0.0:
         return fed.fedavg_weights(sizes)
@@ -372,23 +394,29 @@ def loop_kl_weights(histograms, reference, sizes):
 
 
 def same_kl_weights(histograms, reference, sizes):
-    """Both forms raise UndefinedDivergenceError, or give the same bits;
-    returns the weights (None when both raised). Extreme entries overflow
-    or underflow the same way in both, so their warnings are silenced."""
+    """Both forms raise UndefinedDivergenceError, or give the same bits,
+    row by row for the divergences and for the weights; returns the weights
+    (None when both raised). Extreme entries overflow or underflow the same
+    way in both, so their warnings are silenced."""
     with np.errstate(all="ignore"):
         try:
-            want = loop_kl_weights(histograms, reference, sizes)
+            rows = np.array([oracle_kl_divergence(h, reference) for h in histograms])
         except UndefinedDivergenceError:
+            with pytest.raises(UndefinedDivergenceError):
+                fed.kl_divergences(histograms, reference)
             with pytest.raises(UndefinedDivergenceError):
                 fed.kl_weights(histograms, reference, sizes)
             return None
+        assert fed.kl_divergences(histograms, reference).tobytes() == rows.tobytes()
+        want = loop_kl_weights(histograms, reference, sizes)
         got = fed.kl_weights(histograms, reference, sizes)
     assert got.tobytes() == want.tobytes()
     return got
 
 
 class TestKlWeightsOracle:
-    """The one-pass `kl_weights` equals the per-row loop bit for bit."""
+    """The one-pass `kl_divergences` and `kl_weights` equal the per-row
+    loop bit for bit."""
 
     entries = st.one_of(st.just(0.0), st.floats(1e-6, 1.0), st.floats(0.0, 1e300))
 

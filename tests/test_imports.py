@@ -1,11 +1,12 @@
-"""Every module-level import in `src/fedchain` is used in its module, and
-every private function or class defined in `src/fedchain` is used there.
-`import fedchain` leaves PyYAML unloaded.
+"""Every module-level import in `src/fedchain` is used in its module, every
+private function or class defined in `src/fedchain` is used there, and
+every public function, class and method is referred to by the package or
+the benchmark. `import fedchain` leaves PyYAML unloaded.
 
 No linter ships with the project, so this walks each module's syntax tree
 instead. `__init__.py` is skipped for imports: its imports are the
-package's exports. A private helper that only the tests call belongs in
-`tests/`, not in the package.
+package's exports. A helper that only the tests call belongs in `tests/`,
+not in the package.
 """
 
 import ast
@@ -17,6 +18,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "fedchain"
+BENCH = SRC.parent.parent / "perfbench"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -93,6 +95,76 @@ def test_check_catches_an_unused_private_definition():
     }
     assert unused_private_definitions(sources) == [
         "a.py line 4: _only_tests_call_me", "a.py line 11: _method"]
+
+
+def unreferenced_public_definitions(sources: dict[str, str], others: list[str]) -> list[str]:
+    """Public functions and classes at module level, and public methods of
+    public classes, in `sources` (module name -> source), whose name no
+    `Name` node, `Attribute` node or string constant in `sources` or
+    `others` equals. Strings count because the benchmark's tracer names
+    what it wraps by string. The check matches names, not bindings: a
+    method is referred to by any attribute of its name, on any object."""
+    defined, used = [], set()
+    for source in [*sources.values(), *others]:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used.add(node.value)
+    public = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, public) and not node.name.startswith("_"):
+                defined.append((f"{module}.{node.name}", node.name))
+                if isinstance(node, ast.ClassDef):
+                    defined += [(f"{module}.{node.name}.{item.name}", item.name)
+                                for item in node.body
+                                if isinstance(item, public) and not item.name.startswith("_")]
+    return [qualname for qualname, name in defined if name not in used]
+
+
+# Public names that only the tests call, with the tests that call them.
+TEST_ONLY_PUBLIC = {
+    "data.save_csv",  # test_data.py TestCsvRoundtrip; test_experiments.py dataset fixtures
+    "data.Dataset.histogram",  # test_data.py partition skew; test_fed.py TestAggregationWeights
+    "netsim.LatencyHistory.record_matrix",  # test_netsim.py TestDenseLatencyHistory
+    "netsim.Simulator.register",  # test_netsim.py TestSend and TestRunUntilIdle
+    "sharedring.transcript_leakage_check",  # test_acceptance.py criterion 2; test_sharedring.py
+}
+
+
+def test_every_public_definition_is_referred_to_outside_the_tests():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    bench = [p.read_text(encoding="utf-8") for p in sorted(BENCH.glob("*.py"))
+             if not p.name.startswith("test_")]
+    assert set(unreferenced_public_definitions(sources, bench)) == TEST_ONLY_PUBLIC
+
+
+def test_check_catches_an_unreferenced_public_definition():
+    sources = {
+        "a": (
+            "def used():\n"
+            "    return 1\n"
+            "\n"
+            "def only_tests_call_me():\n"
+            "    return used()\n"
+            "\n"
+            "class Helper:\n"
+            "    def traced(self):\n"
+            "        return 0\n"
+            "\n"
+            "    def method(self):\n"
+            "        return self.traced()\n"
+        ),
+        "b": "from .a import Helper\n\nvalue = Helper()\n",
+    }
+    assert unreferenced_public_definitions(sources, []) == [
+        "a.only_tests_call_me", "a.Helper.method"]
+    # a string naming it, as the tracer's span table does, is a reference
+    assert unreferenced_public_definitions(sources, ["SPANNED = [('a', 'method')]"]) == [
+        "a.only_tests_call_me"]
 
 
 def test_import_leaves_yaml_unloaded():

@@ -20,6 +20,7 @@ from fedchain.errors import (
     TooManyPoolsError,
 )
 from fedchain.netsim import LatencyHistory
+from conftest import oracle_pool_cost, random_heads
 
 
 def history_for_pair(values, n=2):
@@ -119,14 +120,8 @@ class TestAnnounceHeads:
         best_pair = max(
             itertools.combinations(range(4), 2), key=lambda pair: d[pair[0], pair[1]]
         )
-        heads = pools.announce_heads(4, 2, l_hat=d, policy="spread")
+        heads = pools.announce_heads(4, 2, l_hat=d)
         assert sorted(heads) == sorted(best_pair) == [0, 3]
-
-    def test_random_policy_seeded(self):
-        a = pools.announce_heads(20, 4, policy="random", seed=5)
-        b = pools.announce_heads(20, 4, policy="random", seed=5)
-        assert a == b
-        assert len(set(a)) == 4
 
     def test_too_many_pools(self):
         with pytest.raises(TooManyPoolsError):
@@ -134,24 +129,42 @@ class TestAnnounceHeads:
 
 
 class TestPoolCost:
+    """`assign_pools` joins each node to the pool of least cost
+    max(t_p, worst link to a current member), the lower head on a tie. Each
+    case fails under one wrong rule: the links alone, the time estimates
+    alone, the first pool on a tie, the head's link alone."""
+
     def setup_method(self):
-        # l_hat[0] row gives node 0's latency to members 1 and 2.
+        # node 0 is 20 from head 1 and 40 from head 2
         self.l_hat = np.array([[0, 20, 40], [20, 0, 5], [40, 5, 0]], dtype=float)
 
+    def members(self, heads, t_p, l_hat=None):
+        l_hat = self.l_hat if l_hat is None else l_hat
+        assignment = pools.assign_pools(len(l_hat), heads, l_hat, t_p, seed=0)
+        return [pool.members for pool in assignment.pools]
+
     def test_compute_bound(self):
-        assert pools.pool_cost(0, [1, 2], 100.0, self.l_hat) == 100.0
+        # max(100, 20) > max(50, 40): the nearer head's pool is slower
+        assert self.members([1, 2], [100.0, 50.0]) == [[1], [2, 0]]
 
     def test_latency_bound(self):
-        assert pools.pool_cost(0, [1, 2], 10.0, self.l_hat) == 40.0
+        # max(10, 20) < max(5, 40): the links outweigh both estimates
+        assert self.members([1, 2], [10.0, 5.0]) == [[1, 0], [2]]
 
     def test_tie(self):
-        l_hat = np.array([[0, 50], [50, 0]], dtype=float)
-        assert pools.pool_cost(0, [1], 50.0, l_hat) == 50.0
+        # max(30, 40) == max(40, 20): head 1 wins, though it leads pool 1
+        assert self.members([2, 1], [30.0, 40.0]) == [[2], [1, 0]]
 
     def test_monotone_in_new_worst_member(self):
-        base = pools.pool_cost(0, [1], 0.0, self.l_hat)
-        grown = pools.pool_cost(0, [1, 2], 0.0, self.l_hat)
-        assert grown > base
+        # The first joiner sits by head 0, 50 from the second joiner, so the
+        # second's cost for head 0's pool grows from its head link 10 to 50,
+        # above the 30 of head 3's pool.
+        first, second = pools.join_order(4, [0, 3], seed=0)
+        l_hat = np.full((4, 4), 100.0)
+        np.fill_diagonal(l_hat, 0.0)
+        l_hat[first, 0] = 5.0
+        l_hat[second, [0, 3, first]] = [10.0, 30.0, 50.0]
+        assert self.members([0, 3], [0.0, 0.0], l_hat) == [[0, first], [3, second]]
 
 
 class TestAssignPools:
@@ -193,7 +206,7 @@ class TestAssignPools:
             cost = 0.0
             for node, pool_idx in zip(non_heads, placement):
                 others = [m for m in members[pool_idx] if m != node]
-                cost += pools.pool_cost(node, others, 0.0, l_hat)
+                cost += oracle_pool_cost(node, others, 0.0, l_hat)
             return cost
 
         best = min(itertools.product([0, 1], repeat=4), key=total_cost)
@@ -223,7 +236,7 @@ class TestAssignPools:
         for node in pools.join_order(n, heads, seed):
             chosen = pool_of(assignment, node)
             costs = {
-                idx: pools.pool_cost(node, members[idx], t_p[idx], l_hat)
+                idx: oracle_pool_cost(node, members[idx], t_p[idx], l_hat)
                 for idx in members
             }
             assert costs[chosen] == min(costs.values())
@@ -268,10 +281,7 @@ def oracle_estimate_latency(series, n_nodes):
     return l_hat
 
 
-def oracle_announce_heads(n_nodes, pool_count, l_hat, policy, seed):
-    if policy == "random":
-        rng = np.random.default_rng(seed)
-        return [int(h) for h in rng.choice(n_nodes, size=pool_count, replace=False)]
+def oracle_announce_heads(n_nodes, pool_count, l_hat):
     dist = (l_hat + l_hat.T) / 2.0
     if pool_count == 1:
         return [int(np.argmin(dist.sum(axis=1)))]
@@ -290,7 +300,7 @@ def oracle_assign_pools(n_nodes, heads, l_hat, t_p, seed):
     for node in pools.join_order(n_nodes, heads, seed):
         best_idx, best_key = None, None
         for idx, pool_members in enumerate(members):
-            key = (pools.pool_cost(node, pool_members, t_p[idx], l_hat), heads[idx])
+            key = (oracle_pool_cost(node, pool_members, t_p[idx], l_hat), heads[idx])
             if best_key is None or key < best_key:
                 best_idx, best_key = idx, key
         members[best_idx].append(node)
@@ -367,6 +377,8 @@ class TestKernelOracles:
 
     @pytest.mark.parametrize("policy", ["spread", "random"])
     def test_announce_and_assign_match_loops(self, policy):
+        # "random" assigns on seeded random heads, which announce_heads
+        # would not pick
         for n in range(2, 41):
             rng = np.random.default_rng(n)
             if n % 2:
@@ -381,8 +393,11 @@ class TestKernelOracles:
                 l_hat = rng.integers(0, 4, size=(n, n)).astype(float)
                 np.fill_diagonal(l_hat, 0.0)
             for p in range(1, n + 1):
-                heads = pools.announce_heads(n, p, l_hat=l_hat, policy=policy, seed=p)
-                assert heads == oracle_announce_heads(n, p, l_hat, policy, seed=p)
+                if policy == "spread":
+                    heads = pools.announce_heads(n, p, l_hat=l_hat)
+                    assert heads == oracle_announce_heads(n, p, l_hat)
+                else:
+                    heads = random_heads(n, p, seed=p)
                 t_p = rng.integers(0, 4, size=p).astype(float).tolist()
                 assignment = pools.assign_pools(n, heads, l_hat, t_p, seed=n + p)
                 expected = oracle_assign_pools(n, heads, l_hat, t_p, seed=n + p)
@@ -410,8 +425,7 @@ class TestKernelOracles:
             l_hat = rng.uniform(1, 100, size=(n, n))
             np.fill_diagonal(l_hat, 1000.0 + np.arange(n))
             for p in range(1, n + 1):
-                assert pools.announce_heads(n, p, l_hat=l_hat) == oracle_announce_heads(
-                    n, p, l_hat, "spread", None)
+                assert pools.announce_heads(n, p, l_hat=l_hat) == oracle_announce_heads(n, p, l_hat)
 
     def test_announce_integer_dtype(self):
         rng = np.random.default_rng(32)
@@ -419,8 +433,7 @@ class TestKernelOracles:
             l_hat = rng.integers(0, 50, size=(n, n))
             assert l_hat.dtype.kind == "i"
             for p in range(1, n + 1):
-                assert pools.announce_heads(n, p, l_hat=l_hat) == oracle_announce_heads(
-                    n, p, l_hat, "spread", None)
+                assert pools.announce_heads(n, p, l_hat=l_hat) == oracle_announce_heads(n, p, l_hat)
 
     @pytest.mark.parametrize("pairs", [
         [(1, 4), (4, 1)],                  # mirrored only
@@ -434,8 +447,7 @@ class TestKernelOracles:
         for i, j in pairs:
             l_hat[i, j] = l_hat[j, i] = 100.0
         for p in range(1, n + 1):
-            assert pools.announce_heads(n, p, l_hat=l_hat) == oracle_announce_heads(
-                n, p, l_hat, "spread", None)
+            assert pools.announce_heads(n, p, l_hat=l_hat) == oracle_announce_heads(n, p, l_hat)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_assign_matches_loop_at_200_nodes(self, seed):
@@ -517,7 +529,7 @@ class TestMemoryOrder:
                     got.append((heads, [pool.members for pool in assignment.pools]))
                 assert got[0] == got[1]
                 heads = got[0][0]
-                assert heads == oracle_announce_heads(n, p, l_hat, "spread", None)
+                assert heads == oracle_announce_heads(n, p, l_hat)
                 assert got[0][1] == oracle_assign_pools(n, heads, l_hat, t_p, seed=p)
 
 
