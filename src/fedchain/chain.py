@@ -610,12 +610,13 @@ def _verification_exchange(run: _PoolRun, pp: verify.PublicParams,
     finished run's head and its committee, and its result set on the run's
     outcome. No message is sent: `run.votes` holds the arrival times.
 
-    The head commits to the model. Each verifier derives its own challenge
-    from the commitment, sends back only the rows, checks the proof (the
-    head proves each distinct challenge once) and votes. The proof time is
-    the first challenge arrival and the accept time the last vote arrival;
-    votes count in the order of `run.votes`, so every field set on the
-    outcome is bit-identical to replaying the messages. The outcome is
+    The head commits to the model. Each verifier derives its challenge from
+    the commitment, sends back only the rows, checks the proof and votes.
+    The challenge depends only on the commitment, so every verifier draws
+    the same one: it is derived once and the head proves once. The proof
+    time is the first challenge arrival and the accept time the last vote
+    arrival; votes count in the order of `run.votes`, so every field set on
+    the outcome is bit-identical to replaying the messages. The outcome is
     accepted only if it has a committee and every vote accepts. `pp` and
     `held_out_digests` come from `_exchange_constants`."""
     setup, outcome, committee, votes = run.setup, run.outcome, run.committee, run.votes
@@ -623,21 +624,14 @@ def _verification_exchange(run: _PoolRun, pp: verify.PublicParams,
     blind_seed = _derive_seed(setup.seed, task.task_id, "blind", outcome.pool_id)
     blinding = verify.make_blinding(blind_seed)
     com = verify.commit(model, pp, blinding)
-    # The head proves each distinct challenge batch once, keyed by content.
-    proofs: dict[tuple, verify.PredictionProof] = {}
+    sample = verify.derive_challenge(task.held_out, held_out_digests, com, setup.challenge_size)
+    proof = verify.prove(model, sample.x, pp, blinding)
+    if run.tamper:
+        bad_y = proof.y.copy()
+        bad_y[0] = (bad_y[0] + 1) % task.example.n_classes
+        proof = replace(proof, y=bad_y)
     ballots = []
     for _ in committee:
-        sample = verify.derive_challenge(task.held_out, held_out_digests, com, setup.challenge_size)
-        x = sample.x
-        key = (x.shape, x.dtype.str, x.tobytes())
-        proof = proofs.get(key)
-        if proof is None:
-            proof = verify.prove(model, x, pp, blinding)
-            if run.tamper:
-                bad_y = proof.y.copy()
-                bad_y[0] = (bad_y[0] + 1) % task.example.n_classes
-                proof = replace(proof, y=bad_y)
-            proofs[key] = proof
         result = verify.verify(com, sample, proof.y, proof, pp)
         ok = result.accepted and verify.accuracy_claim_check(
             result.measured_accuracy, task.target, sample.count

@@ -32,21 +32,23 @@ def _read_input(read, path: str):
 
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
-    cfg = ExperimentConfig()
     if args.config:
-        cfg = _read_input(ExperimentConfig.from_file, args.config)
+        return _read_input(ExperimentConfig.from_file, args.config)
+    return ExperimentConfig()
+
+
+def _grid_config(args: argparse.Namespace) -> ExperimentConfig:
+    """The config of `latency-grid` or `accuracy-sweep`, with the flags the
+    subcommand was given applied over it; the list flags' destinations are
+    `ExperimentConfig` field names."""
+    cfg = _load_config(args)
     if args.seed is not None:
         cfg.seeds = [args.seed + i for i in range(len(cfg.seeds))]
     if args.out:
         cfg.out_dir = args.out
-    if getattr(args, "nodes", None):
-        cfg.n_nodes = args.nodes
-    if getattr(args, "pools", None):
-        cfg.n_pools = args.pools
-    if getattr(args, "modes", None):
-        cfg.modes = args.modes
-    if getattr(args, "alphas", None):
-        cfg.alphas = args.alphas
+    for name in ("n_nodes", "n_pools", "modes", "alphas"):
+        if getattr(args, name, None):
+            setattr(cfg, name, getattr(args, name))
     return cfg
 
 
@@ -59,7 +61,7 @@ def _print_checks(checks: list[tuple[str, bool, str]]) -> bool:
 
 
 def cmd_latency_grid(args: argparse.Namespace) -> int:
-    cfg = _load_config(args)
+    cfg = _grid_config(args)
     rows = experiments.run_latency_grid(cfg)
     written = experiments.emit_report(cfg, cfg.out_dir, latency_rows=rows)
     for path in written:
@@ -68,7 +70,7 @@ def cmd_latency_grid(args: argparse.Namespace) -> int:
 
 
 def cmd_accuracy_sweep(args: argparse.Namespace) -> int:
-    cfg = _load_config(args)
+    cfg = _grid_config(args)
     rows = experiments.run_accuracy_sweep(cfg)
     written = experiments.emit_report(cfg, cfg.out_dir, sweep_rows=rows)
     for path in written:
@@ -77,15 +79,11 @@ def cmd_accuracy_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_single_round(args: argparse.Namespace) -> int:
-    cfg = _load_config(args)
-    n = args.nodes[0] if args.nodes else 20
-    p = args.pools[0] if args.pools else 4
-    seed = args.seed if args.seed is not None else 0
-    setup = experiments.build_round_setup(cfg, n, p, seed)
+    setup = experiments.build_round_setup(_load_config(args), args.nodes, args.pools, args.seed)
     ledger = chain.Chain()
     result = chain.run_round(ledger, setup, args.mode)
     print(
-        f"mode={args.mode} n={n} pools={p} seed={seed} "
+        f"mode={args.mode} n={args.nodes} pools={args.pools} seed={args.seed} "
         f"latency_ms={result.latency_ms:.1f} winner={result.winner_pool} "
         f"accuracy={result.accuracy:.4f} block_height={result.block.height}"
     )
@@ -125,12 +123,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="YAML experiment config file")
         p.add_argument("--seed", type=int, default=None, help="base seed override")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--nodes", type=int, nargs="+", help="node counts")
-        p.add_argument("--pools", type=int, nargs="+", help="pool counts")
 
     grid = sub.add_parser("latency-grid", help="latency comparison across consensus modes")
     add_common(grid)
     grid.add_argument("--modes", nargs="+", choices=chain.MODES, help="consensus modes")
+    grid.add_argument("--nodes", dest="n_nodes", type=int, nargs="+", help="node counts")
+    grid.add_argument("--pools", dest="n_pools", type=int, nargs="+", help="pool counts")
     grid.set_defaults(func=cmd_latency_grid)
 
     sweep = sub.add_parser("accuracy-sweep", help="aggregation-scheme accuracy comparison")
@@ -139,8 +137,11 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.set_defaults(func=cmd_accuracy_sweep)
 
     single = sub.add_parser("single-round", help="simulate one task round")
-    add_common(single)
+    single.add_argument("--config", help="YAML experiment config file")
     single.add_argument("--mode", default="fedchain", choices=chain.MODES)
+    single.add_argument("--nodes", type=int, default=20, help="node count")
+    single.add_argument("--pools", type=int, default=4, help="pool count")
+    single.add_argument("--seed", type=int, default=0, help="round seed")
     single.add_argument("--ledger", help="write the ledger as JSON lines")
     single.set_defaults(func=cmd_single_round)
 

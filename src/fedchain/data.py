@@ -28,14 +28,6 @@ class Dataset:
     def subset(self, indices: np.ndarray) -> "Dataset":
         return Dataset(self.x[indices], self.y[indices], self.n_classes)
 
-    def histogram(self) -> np.ndarray:
-        return label_histogram(self.y, self.n_classes)
-
-
-def label_histogram(labels: np.ndarray, n_classes: int) -> np.ndarray:
-    """Per-label frequency vector (sums to 1)."""
-    return label_histograms([labels], n_classes)[0]
-
 
 def label_histograms(label_sets: Sequence[np.ndarray], n_classes: int) -> np.ndarray:
     """One per-label frequency row per label vector, as a (len(label_sets),
@@ -52,10 +44,10 @@ def label_histograms(label_sets: Sequence[np.ndarray], n_classes: int) -> np.nda
     return counts / counts.sum(axis=1, keepdims=True)
 
 
-def smooth_histogram(hist: np.ndarray, eps: float = SMOOTHING_EPS) -> np.ndarray:
-    """Additive smoothing then renormalization, so every entry is positive;
-    each row of a 2-D array is smoothed on its own."""
-    h = np.asarray(hist, dtype=np.float64) + eps
+def smooth_histogram(hist: np.ndarray) -> np.ndarray:
+    """Additive smoothing by `SMOOTHING_EPS` then renormalization, so every
+    entry is positive; each row of a 2-D array is smoothed on its own."""
+    h = np.asarray(hist, dtype=np.float64) + SMOOTHING_EPS
     return h / h.sum(axis=-1, keepdims=True)
 
 

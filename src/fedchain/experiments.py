@@ -9,7 +9,7 @@ import hashlib
 import json
 import os
 import warnings
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -29,6 +29,16 @@ from .fed import Architecture
 LATENCY_COLUMNS = "mode,n_nodes,n_pools,seed,round,winner_pool,latency_ms,accuracy"
 SWEEP_COLUMNS = "scheme,alpha,seed,rounds_to_target,final_accuracy"
 CURVE_COLUMNS = "scheme,alpha,seed,round,accuracy"
+
+
+def _is_a(value, type_name: str) -> bool:
+    """Whether a config value fits a field annotated `type_name` ("int",
+    "float", "str" or "str | None"): an int fits a float, a bool fits
+    neither."""
+    if value is None:
+        return type_name == "str | None"
+    kinds = {"int": int, "float": (int, float), "str": str, "str | None": str}[type_name]
+    return isinstance(value, kinds) and not isinstance(value, bool)
 
 
 @dataclass
@@ -70,7 +80,10 @@ class ExperimentConfig:
         """The config in a YAML mapping of field names to values (an empty
         file is the default config). Raises ValueError naming the file when
         it is not YAML or not a mapping, and naming the key for an unknown
-        key or a list field that does not hold a list."""
+        key or a value whose type does not match its field: a list field
+        must hold a list of its element type, an int is accepted for a
+        float, a bool is not a number, and `dataset_path` is a string or
+        null."""
         import yaml  # only a config file needs it; it is a fifth of `import fedchain`
 
         with open(path, encoding="utf-8") as fh:
@@ -88,9 +101,16 @@ class ExperimentConfig:
         unknown = set(raw) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown, key=str)}")
-        for f in fields(cls):
-            if f.type.startswith("list[") and f.name in raw and not isinstance(raw[f.name], list):
-                raise ValueError(f"config key {f.name!r} must be a list, got {raw[f.name]!r}")
+        for key, value in raw.items():
+            kind, items, verb = cls.__dataclass_fields__[key].type, [value], "be"
+            if kind.startswith("list["):
+                if not isinstance(value, list):
+                    raise ValueError(f"config key {key!r} must be a list, got {value!r}")
+                kind, items, verb = kind[5:-1], value, "hold"
+            for item in items:
+                if not _is_a(item, kind):
+                    kind = kind.replace(" | None", " or null")
+                    raise ValueError(f"config key {key!r} must {verb} {kind}, got {item!r}")
         return cls(**raw)
 
     def fingerprint(self) -> str:
@@ -154,10 +174,8 @@ def build_task_fixture(
     return task, parts
 
 
-def build_round_setup(
-    cfg: ExperimentConfig, n_nodes: int, n_pools: int, seed: int,
-    aggregation: str = "kl",
-) -> chain.RoundSetup:
+def build_round_setup(cfg: ExperimentConfig, n_nodes: int, n_pools: int, seed: int) -> chain.RoundSetup:
+    """The latency grid's round at (n_nodes, n_pools, seed), with KL aggregation."""
     task, parts = build_task_fixture(cfg, n_nodes, seed=seed * 7919 + 11, alpha=cfg.grid_alpha)
     latency = netsim.build_topology(n_nodes, seed=seed * 31 + 5, model=netsim.UniformTopology(10, 100))
     compute = netsim.draw_compute_times(n_nodes, seed=seed * 17 + 3)
@@ -168,7 +186,6 @@ def build_round_setup(
         miner_data=parts,
         n_pools=n_pools,
         seed=seed,
-        aggregation=aggregation,
         train=cfg.train_config(),
         max_rounds=cfg.max_rounds,
         n_verifiers=cfg.n_verifiers,
@@ -311,9 +328,7 @@ def run_sweep_cell(cfg: ExperimentConfig, scheme: str, alpha: float, seed: int) 
     )
     weights = aggregation_weights(scheme, parts, task.example)
 
-    train_cfg = TrainConfig(
-        lr=cfg.sweep_lr, epochs=cfg.epochs, batch_size=cfg.batch_size, target=cfg.target
-    )
+    train_cfg = cfg.train_config(cfg.sweep_lr)
     model = DenseClassifier(task.arch, seed=seed)
     curve: list[float] = []
     rounds_to_target = cfg.sweep_max_rounds + 1

@@ -83,15 +83,11 @@ def build_topology(n_nodes: int, seed: int, model: UniformTopology | ClusteredTo
     return latency
 
 
-def draw_compute_times(
-    n_nodes: int,
-    seed: int,
-    lo: float = DEFAULT_COMPUTE_RANGE[0],
-    hi: float = DEFAULT_COMPUTE_RANGE[1],
-) -> np.ndarray:
-    """Per-node constant cost (ms) of one local training round, drawn once at setup."""
+def draw_compute_times(n_nodes: int, seed: int) -> np.ndarray:
+    """Per-node constant cost (ms) of one local training round, drawn once at
+    setup from U(`DEFAULT_COMPUTE_RANGE`)."""
     rng = np.random.default_rng(seed)
-    return rng.uniform(lo, hi, size=n_nodes)
+    return rng.uniform(*DEFAULT_COMPUTE_RANGE, size=n_nodes)
 
 
 def chunk_size_units(chunk_len: int, model_len: int, multiplier: float = DEFAULT_SIZE_MULTIPLIER) -> int:
@@ -125,15 +121,14 @@ class LatencyHistory:
     (i, j) is the sum of the observations of the directed pair (i, j),
     added in the order they were recorded, and `counts` is an (n, n) int64
     array with the number of those observations. The diagonal of both is
-    always 0. A history made without `n_nodes` grows its arrays to fit the
-    largest node id recorded.
+    always 0. A history is in one of three states:
 
-    While every off-diagonal pair has the same count, that count is held
-    as one int, `uniform_count`: 0 for a fresh history, and a `record_matrix`
-    over all n nodes adds 1. The `counts` array is built, and kept, on the
-    first read of `counts`, on a `record`, on a `record_matrix` over a
-    sub-block, and on growth of a history that has observations. `adopt`
-    makes a one-observation history from an array it takes over as `total`.
+    - fresh, as made: no nodes, and the count held as the int 0;
+    - adopted (`adopt`): one observation per off-diagonal pair, the count
+      held as the int 1, `uniform_count`;
+    - recorded: after a `record`, the counts are an int64 array, grown
+      with `total` to fit the largest node id recorded. A first read of
+      `counts` builds and keeps that array too.
 
     `pools.estimate_latency` divides `total` by the counts, and every mean
     is bit-identical to `sum(series) / len(series)` over the pair's
@@ -142,21 +137,20 @@ class LatencyHistory:
     running `+=` in recording order (and `x / 1 == x`).
     """
 
-    def __init__(self, n_nodes: int = 0) -> None:
-        # Filled rather than `np.zeros`: a large `np.zeros` is a calloc of
-        # fresh pages, each faulted in by the first `record_matrix`, where a
-        # filled array can reuse memory the allocator already holds.
-        self.total = np.full((n_nodes, n_nodes), 0.0)
+    def __init__(self) -> None:
+        self.total = np.zeros((0, 0))
         self._counts: np.ndarray | int = 0
 
     @classmethod
     def adopt(cls, observed: np.ndarray) -> LatencyHistory:
         """A history of one observation per off-diagonal pair of `observed`.
 
-        Same history, and same errors, as `record_matrix(observed)` on a
-        fresh history, without its copy: a float64 `observed` becomes
-        `total` itself, its diagonal set to 0 in place, so the caller hands
-        it over and must not use it again.
+        Same history, and same first error, as `record(i, j, observed[i, j])`
+        on a fresh history for each off-diagonal pair in row-major order,
+        and InvalidObservationError unless `observed` is square; the
+        diagonal is not checked. Nothing is copied: a float64 `observed`
+        becomes `total` itself, its diagonal set to 0 in place, so the
+        caller hands it over and must not use it again.
         """
         _check_observations(observed)
         history = cls()
@@ -172,7 +166,7 @@ class LatencyHistory:
     @property
     def uniform_count(self) -> int | None:
         """The count of every off-diagonal pair while it is held as one
-        int, else None."""
+        int (0 fresh, 1 adopted), else None."""
         return self._counts if isinstance(self._counts, int) else None
 
     @property
@@ -184,13 +178,6 @@ class LatencyHistory:
             self._counts = counts
         return self._counts
 
-    def _grow(self, n_nodes: int) -> None:
-        if n_nodes > self.n_nodes:
-            pad = ((0, n_nodes - self.n_nodes), (0, n_nodes - self.n_nodes))
-            if self.uniform_count != 0:  # an all-zero count stays uniform
-                self._counts = np.pad(self.counts, pad)
-            self.total = np.pad(self.total, pad)
-
     def record(self, i: int, j: int, observed: float) -> None:
         if min(i, j) < 0:
             raise NodeNotFoundError(f"negative node id in pair ({i}, {j})")
@@ -199,44 +186,24 @@ class LatencyHistory:
         if not 0 < observed < math.inf:
             raise InvalidObservationError(
                 f"latency of pair ({i}, {j}) must be positive and finite, got {observed}")
-        self._grow(max(i, j) + 1)
+        counts = self.counts
+        grow = max(i, j) + 1 - self.n_nodes
+        if grow > 0:
+            self.total = np.pad(self.total, ((0, grow), (0, grow)))
+            counts = self._counts = np.pad(counts, ((0, grow), (0, grow)))
         self.total[i, j] += float(observed)
-        self.counts[i, j] += 1
-
-    def record_matrix(self, observed: np.ndarray) -> None:
-        """Record one observation for every off-diagonal pair of an (n, n) matrix.
-
-        Same result as `record(i, j, observed[i, j])` for each pair in
-        row-major order. If the matrix is not square, nothing is recorded.
-        If an off-diagonal entry is not positive and finite, nothing is
-        recorded and the error names the first such entry in that order.
-        The diagonal is not recorded: the whole block is added, and the
-        diagonal, which is 0 because no self-loop is ever recorded, is set
-        back to 0. The history keeps no view of `observed`.
-        """
-        _check_observations(observed)
-        n = observed.shape[0]
-        self._grow(n)
-        total = self.total[:n, :n]
-        total += observed
-        np.fill_diagonal(total, 0.0)
-        if n == self.n_nodes and self.uniform_count is not None:
-            self._counts += 1
-        else:
-            counts = self.counts[:n, :n]
-            counts += 1
-            np.fill_diagonal(counts, 0)
+        counts[i, j] += 1
 
     def pairs(self) -> list[tuple[int, int]]:
         """Observed pairs in row-major order."""
         if self.uniform_count is not None:
-            n = self.n_nodes if self.uniform_count else 0
+            n = self.n_nodes
             return [(i, j) for i in range(n) for j in range(n) if i != j]
         return [(int(i), int(j)) for i, j in zip(*np.nonzero(self._counts))]
 
     def __len__(self) -> int:
         if self.uniform_count is not None:
-            return self.n_nodes * (self.n_nodes - 1) if self.uniform_count else 0
+            return self.n_nodes * (self.n_nodes - 1)
         return int(np.count_nonzero(self._counts))
 
 

@@ -34,10 +34,6 @@ class Pool:
 class PoolAssignment:
     pools: list[Pool]
 
-    @property
-    def n_pools(self) -> int:
-        return len(self.pools)
-
     def heads(self) -> list[int]:
         return [p.head for p in self.pools]
 
@@ -62,10 +58,12 @@ def estimate_latency(history: LatencyHistory, n_nodes: int) -> np.ndarray:
 
     A fresh column-major (Fortran-ordered) array, so that column
     `l_hat[:, node]`, the links from every node to `node`, is contiguous:
-    `history.total` over the first `n_nodes` nodes divided by the counts
-    (one int while they are uniform, see `LatencyHistory`), with the
-    diagonal (0 / 0 on a counts array) filled with 0. Every mean is
-    bit-identical to `sum(series) / len(series)` over the pair's
+    `history.total` over the first `n_nodes` nodes divided by the counts,
+    with the diagonal (0 / 0 on a counts array) filled with 0. Of the
+    history's three states (see `LatencyHistory`), a fresh one has no
+    node, an adopted one divides by its int count 1 and has every pair of
+    its nodes, and a recorded one divides by its counts array. Every mean
+    is bit-identical to `sum(series) / len(series)` over the pair's
     observations as floats. Since the history's count diagonal is always 0,
     every pair has an observation exactly when the first `n_nodes` nodes
     have `n_nodes * (n_nodes - 1)` nonzero counts, so the normal path
@@ -79,7 +77,7 @@ def estimate_latency(history: LatencyHistory, n_nodes: int) -> np.ndarray:
         counts = history.counts[:size, :size]
         observed_pairs = np.count_nonzero(counts)
     else:
-        observed_pairs = size * (size - 1) if counts else 0
+        observed_pairs = size * (size - 1)
     if observed_pairs < n_nodes * (n_nodes - 1):
         missing = np.pad(history.counts[:size, :size], (0, n_nodes - size))
         np.fill_diagonal(missing, 1)

@@ -244,11 +244,9 @@ def margin(claimed: float, k: int) -> float:
     return ONE_SIDED_99_Z * float(np.sqrt(claimed * (1.0 - claimed) / k))
 
 
-def accuracy_claim_check(
-    measured: float, claimed: float, k: int, k_min: int = MIN_CLAIM_SAMPLES
-) -> bool:
+def accuracy_claim_check(measured: float, claimed: float, k: int) -> bool:
     """Accept a miner's accuracy claim if the measurement is within the
-    binomial margin below it."""
-    if k < k_min:
-        raise InsufficientSamplesError(f"{k} samples < required minimum {k_min}")
+    binomial margin below it; K must reach `MIN_CLAIM_SAMPLES`."""
+    if k < MIN_CLAIM_SAMPLES:
+        raise InsufficientSamplesError(f"{k} samples < required minimum {MIN_CLAIM_SAMPLES}")
     return measured >= claimed - margin(claimed, k)

@@ -41,6 +41,12 @@ def gradient_check(model, dataset, grad=kernel_loss_grad, h=1e-4):
     return float(np.max(np.abs(analytic - fd)) / scale)
 
 
+def label_histogram(dataset):
+    """A dataset's per-label frequency vector, counted on its own."""
+    counts = np.bincount(dataset.y, minlength=dataset.n_classes)
+    return counts / counts.sum()
+
+
 def oracle_pool_cost(node, members, t_p, l_hat):
     """The brute-force join cost: the pool's training-time estimate or the
     worst estimated link from `node` to a current member, if larger."""

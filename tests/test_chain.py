@@ -928,7 +928,8 @@ class TestVerificationExchange:
 
     def test_challenge_carries_only_the_rows(self, monkeypatch):
         # the prover gets what a challenge message carries: the rows, not
-        # the sample with its labels and digests
+        # the sample with its labels and digests; the challenge depends only
+        # on the commitment, so the exchange derives it once for every verifier
         derived = []
         real_derive = verify.derive_challenge
 
@@ -938,8 +939,7 @@ class TestVerificationExchange:
 
         monkeypatch.setattr(verify, "derive_challenge", recording_derive)
         _, proved, _ = self.run_exchange(monkeypatch, tamper=False)
-        assert len(derived) == 4
-        assert len(proved) == 1
+        assert len(derived) == len(proved) == 1
         assert type(proved[0]) is np.ndarray
         for sample in derived:
             assert np.array_equal(proved[0], sample.x)

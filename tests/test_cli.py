@@ -1,6 +1,9 @@
+import csv
+
 import pytest
 
 from fedchain import cli
+from fedchain.experiments import ExperimentConfig
 
 
 def test_single_round_writes_and_validates_ledger(tmp_path, capsys):
@@ -83,6 +86,7 @@ def test_unknown_mode_rejected():
     (["single-round", "--nodes", "5", "--pools", "9"], "error: 9 pools for 5 nodes"),
     (["validate-chain", "missing.jsonl"], "error: [Errno 2] No such file or directory"),
     (["latency-grid", "--config", "missing.yaml"], "error: [Errno 2] No such file or directory"),
+    (["single-round", "--config", "missing.yaml"], "error: [Errno 2] No such file or directory"),
 ])
 def test_named_error_or_missing_file_exits_2(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)
@@ -98,6 +102,14 @@ def test_named_error_or_missing_file_exits_2(tmp_path, monkeypatch, capsys, argv
     ("n_nodes: 20\n", "config key 'n_nodes' must be a list, got 20"),
     ("modes: fedchain\n", "config key 'modes' must be a list, got 'fedchain'"),
     ("modes: [fedchain\n", "is not valid YAML"),
+    ("lr: fast\n", "config key 'lr' must be float, got 'fast'"),
+    ("n_nodes: [six]\n", "config key 'n_nodes' must hold int, got 'six'"),
+    ("n_nodes: [20, true]\n", "config key 'n_nodes' must hold int, got True"),
+    ("alphas: [0.1, high]\n", "config key 'alphas' must hold float, got 'high'"),
+    ("target: yes\n", "config key 'target' must be float, got True"),
+    ("max_rounds: 2.5\n", "config key 'max_rounds' must be int, got 2.5"),
+    ("out_dir: 7\n", "config key 'out_dir' must be str, got 7"),
+    ("dataset_path: [a.csv]\n", "config key 'dataset_path' must be str or null, got ['a.csv']"),
 ])
 def test_malformed_config_exits_2(tmp_path, capsys, body, message):
     cfg = tmp_path / "cfg.yaml"
@@ -109,3 +121,82 @@ def test_malformed_config_exits_2(tmp_path, capsys, body, message):
     assert err.count("\n") == 1
     assert not (tmp_path / "results").exists()
 
+
+def test_config_takes_ints_for_floats_and_null_for_the_dataset(tmp_path):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("lr: 1\nalphas: [0, 0.5]\ndataset_path: null\nseeds: []\n")
+    loaded = ExperimentConfig.from_file(str(cfg))
+    assert (loaded.lr, loaded.alphas, loaded.dataset_path, loaded.seeds) == (1, [0, 0.5], None, [])
+
+
+@pytest.mark.parametrize("argv", [
+    ["accuracy-sweep", "--nodes", "5"],
+    ["accuracy-sweep", "--pools", "9"],
+    ["accuracy-sweep", "--nodes", "5", "--pools", "9"],
+    ["single-round", "--out", "results"],
+    ["single-round", "--nodes", "6", "7"],
+    ["single-round", "--pools", "2", "3"],
+])
+def test_flag_a_subcommand_does_not_take_exits_2(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exited:
+        cli.main(argv)
+    assert exited.value.code == 2
+    captured = capsys.readouterr()
+    assert "unrecognized arguments" in captured.err and captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def read_rows(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_latency_grid_takes_every_flag(tmp_path, capsys):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("modes: [fedchain]\nn_nodes: [50]\nn_pools: [5]\nseeds: [0, 1]\n"
+                   "pow_difficulty: 6\n")
+    out = tmp_path / "grid"
+    rc = cli.main(["latency-grid", "--config", str(cfg), "--out", str(out), "--modes", "pow",
+                   "--nodes", "6", "7", "--pools", "2", "--seed", "10"])
+    assert rc == 0
+    rows = read_rows(out / "latency_grid.csv")
+    assert [(r["mode"], r["n_nodes"], r["n_pools"], r["seed"]) for r in rows] == [
+        ("pow", n, "2", seed) for n in ("6", "7") for seed in ("10", "11")]
+    assert f"wrote {out / 'report.md'}" in capsys.readouterr().out
+
+
+def test_accuracy_sweep_takes_every_flag(tmp_path, capsys):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("alphas: [0.1]\nseeds: [0, 1]\nsweep_miners: 4\nsweep_samples: 400\n"
+                   "sweep_max_rounds: 3\n")
+    out = tmp_path / "sweep"
+    cli.main(["accuracy-sweep", "--config", str(cfg), "--out", str(out),
+              "--alphas", "0.2", "0.7", "--seed", "5"])
+    rows = read_rows(out / "accuracy_sweep.csv")
+    assert [(r["scheme"], r["alpha"], r["seed"]) for r in rows] == [
+        (scheme, alpha, seed) for scheme in ("fedavg", "kl") for alpha in ("0.20", "0.70")
+        for seed in ("5", "6")]
+    assert "schemes_match_under_weak_skew" in capsys.readouterr().out
+
+
+def test_single_round_takes_every_flag(tmp_path, capsys):
+    cfg = tmp_path / "cfg.yaml"
+    ledger = tmp_path / "ledger.jsonl"
+    argv = ["single-round", "--mode", "gfl_ring", "--nodes", "8", "--pools", "2", "--seed", "3",
+            "--ledger", str(ledger)]
+    assert cli.main(argv) == 0
+    default = capsys.readouterr().out
+    assert default.startswith("mode=gfl_ring n=8 pools=2 seed=3 ")
+    assert ledger.exists() and f"wrote {ledger}" in default
+    # the config file sets the round's fixture
+    cfg.write_text("separation: 6.0\n")
+    assert cli.main(argv + ["--config", str(cfg)]) == 0
+    configured = capsys.readouterr().out
+    assert configured.startswith("mode=gfl_ring n=8 pools=2 seed=3 ")
+    assert configured.split()[4] != default.split()[4]  # latency_ms
+
+
+def test_single_round_defaults(capsys):
+    assert cli.main(["single-round"]) == 0
+    assert capsys.readouterr().out.startswith("mode=fedchain n=20 pools=4 seed=0 ")

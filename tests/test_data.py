@@ -6,11 +6,12 @@ from hypothesis import strategies as st
 from fedchain import data
 from fedchain.errors import PartitionUnderflowError
 from fedchain.fed import kl_divergences
+from conftest import label_histogram
 
 
 def part_divergences(parts, reference):
     """Each part's smoothed label histogram's divergence from `reference`."""
-    return kl_divergences([data.smooth_histogram(p.histogram()) for p in parts], reference)
+    return kl_divergences([data.smooth_histogram(label_histogram(p)) for p in parts], reference)
 
 
 def oracle_partition_noniid(dataset, n_parts, alpha, seed, alphas=None):
@@ -65,7 +66,7 @@ def balanced():
 
 class TestHistogram:
     def test_frequencies(self):
-        hist = data.label_histogram(np.array([0, 0, 1, 2]), 4)
+        hist = data.label_histograms([np.array([0, 0, 1, 2])], 4)[0]
         assert hist.tolist() == [0.5, 0.25, 0.25, 0.0]
 
     def test_smoothing_positive_and_normalized(self):
@@ -95,7 +96,7 @@ class TestHistogram:
                 counts = np.bincount(y, minlength=n_classes)
                 hist = counts / counts.sum()
                 assert row.tobytes() == hist.tobytes()
-                assert data.label_histogram(y, n_classes).tobytes() == hist.tobytes()
+                assert data.label_histograms([y], n_classes)[0].tobytes() == hist.tobytes()
                 padded = hist + data.SMOOTHING_EPS
                 assert smooth_row.tobytes() == (padded / padded.sum()).tobytes()
 
@@ -141,17 +142,17 @@ class TestCsvRoundtrip:
 class TestPartitionNoniid:
     def test_iid_limit_matches_global(self, balanced):
         parts = data.partition_noniid(balanced, 4, alpha=0.0, seed=1)
-        global_hist = balanced.histogram()
+        global_hist = label_histogram(balanced)
         for part in parts:
             # chi-squared distance to the global histogram stays small
-            hist = part.histogram()
+            hist = label_histogram(part)
             chi2 = np.sum((hist - global_hist) ** 2 / (global_hist + 1e-12))
             assert chi2 < 0.05
 
     def test_skew_limit_near_single_label(self, balanced):
         parts = data.partition_noniid(balanced, 4, alpha=1.0, seed=1)
         for j, part in enumerate(parts):
-            hist = part.histogram()
+            hist = label_histogram(part)
             assert hist[j % 10] > 0.95
 
     def test_mid_alpha_between_extremes(self, balanced):

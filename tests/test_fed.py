@@ -13,7 +13,7 @@ from fedchain.errors import (
     TrainingDivergedError,
     UndefinedDivergenceError,
 )
-from conftest import gradient_check, kernel_loss_grad
+from conftest import gradient_check, kernel_loss_grad, label_histogram
 
 
 @pytest.fixture
@@ -499,8 +499,8 @@ class TestAggregationWeights:
 
     def test_kl_against_the_example_histogram(self):
         parts, example = self.parts()
-        ref = data.smooth_histogram(example.histogram())
-        hists = [data.smooth_histogram(p.histogram()) for p in parts]
+        ref = data.smooth_histogram(label_histogram(example))
+        hists = [data.smooth_histogram(label_histogram(p)) for p in parts]
         want = loop_kl_weights(hists, ref, [len(p) for p in parts])
         assert fed.aggregation_weights("kl", parts, example).tolist() == want.tolist()
 
@@ -562,8 +562,8 @@ class TestEvaluate:
 def test_fedavg_equivalence_iid_equal_sizes():
     base = data.make_blobs(800, n_features=6, n_classes=4, seed=20)
     parts = data.partition_noniid(base, 4, alpha=0.0, seed=21)
-    hists = [data.smooth_histogram(p.histogram()) for p in parts]
-    ref = data.smooth_histogram(base.histogram())
+    hists = [data.smooth_histogram(label_histogram(p)) for p in parts]
+    ref = data.smooth_histogram(label_histogram(base))
     sizes = [len(p) for p in parts]
     kl_w = fed.kl_weights(hists, ref, sizes)
     fa_w = fed.fedavg_weights(sizes)

@@ -1,7 +1,8 @@
 """Every module-level import in `src/fedchain` is used in its module, every
-private function or class defined in `src/fedchain` is used there, and
-every public function, class and method is referred to by the package or
-the benchmark. `import fedchain` leaves PyYAML unloaded.
+private function or class defined in `src/fedchain` is used there, every
+public function, class and method is referred to by the package or the
+benchmark, and every optional parameter is passed by one of their calls.
+`import fedchain` leaves PyYAML unloaded.
 
 No linter ships with the project, so this walks each module's syntax tree
 instead. `__init__.py` is skipped for imports: its imports are the
@@ -128,8 +129,6 @@ def unreferenced_public_definitions(sources: dict[str, str], others: list[str]) 
 # Public names that only the tests call, with the tests that call them.
 TEST_ONLY_PUBLIC = {
     "data.save_csv",  # test_data.py TestCsvRoundtrip; test_experiments.py dataset fixtures
-    "data.Dataset.histogram",  # test_data.py partition skew; test_fed.py TestAggregationWeights
-    "netsim.LatencyHistory.record_matrix",  # test_netsim.py TestDenseLatencyHistory
     "netsim.Simulator.register",  # test_netsim.py TestSend and TestRunUntilIdle
     "sharedring.transcript_leakage_check",  # test_acceptance.py criterion 2; test_sharedring.py
 }
@@ -165,6 +164,109 @@ def test_check_catches_an_unreferenced_public_definition():
     # a string naming it, as the tracer's span table does, is a reference
     assert unreferenced_public_definitions(sources, ["SPANNED = [('a', 'method')]"]) == [
         "a.only_tests_call_me"]
+
+
+def unpassed_optional_parameters(sources: dict[str, str], callers: list[str]) -> list[str]:
+    """Parameters with a default, of module-level functions and of methods
+    of module-level classes in `sources` (module name -> source), that no
+    call in `sources` or `callers` passes, as `module.function(parameter)`.
+
+    The check matches names, not bindings, as the one above does: a call
+    `f(...)` or `x.f(...)` passes the parameters of every function or
+    method named `f`, and a call `C(...)` those of `C.__init__`. It passes
+    a parameter by keyword, or by position, counted after `self` or `cls`
+    for a method that is not a staticmethod; a `*args` passes every
+    positional parameter and a `**kwargs` every parameter. `partial(f,
+    ...)` counts as a call of `f`."""
+    defined = []  # (qualname, name calls use, arguments, leading parameters calls skip)
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.FunctionDef):
+                defined.append((f"{module}.{node.name}", node.name, node.args, 0))
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                     for d in item.decorator_list)
+                        name = node.name if item.name == "__init__" else item.name
+                        defined.append((f"{module}.{node.name}.{item.name}", name, item.args,
+                                        0 if static else 1))
+    calls: dict[str, list[tuple[list[ast.expr], list[ast.keyword]]]] = {}
+    for source in [*sources.values(), *callers]:
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            func, args = node.func, node.args
+            if isinstance(func, ast.Name) and func.id == "partial" and args:
+                func, args = args[0], args[1:]
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            calls.setdefault(name, []).append((args, node.keywords))
+
+    def passes(call, param: str, position: int | None) -> bool:
+        args, keywords = call
+        if position is not None and (
+                len(args) > position or any(isinstance(a, ast.Starred) for a in args)):
+            return True
+        return any(k.arg in (param, None) for k in keywords)
+
+    unpassed = []
+    for qualname, name, arguments, skip in defined:
+        positional = [a.arg for a in arguments.posonlyargs + arguments.args][skip:]
+        first = len(positional) - len(arguments.defaults)
+        optional = [(p, i) for i, p in enumerate(positional) if i >= first]
+        optional += [(a.arg, None) for a, default in
+                     zip(arguments.kwonlyargs, arguments.kw_defaults) if default is not None]
+        unpassed += [f"{qualname}({param})" for param, position in optional
+                     if not any(passes(call, param, position) for call in calls.get(name, []))]
+    return unpassed
+
+
+# Optional parameters that no package or benchmark call passes.
+UNPASSED_OPTIONAL = {
+    "cli.main(argv)",  # the console entry point calls main() and parses sys.argv
+    # The event loop runs only the tests' replay oracles until it is retired.
+    "netsim.Simulator.__init__(record_trace)",
+    "netsim.Simulator.schedule(payload)",
+    "netsim.Simulator.schedule(kind)",
+}
+
+
+def test_every_optional_parameter_is_passed_outside_the_tests():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    bench = [p.read_text(encoding="utf-8") for p in sorted(BENCH.glob("*.py"))
+             if not p.name.startswith("test_")]
+    assert set(unpassed_optional_parameters(sources, bench)) == UNPASSED_OPTIONAL
+
+
+def test_check_catches_an_unpassed_optional_parameter():
+    sources = {
+        "a": (
+            "from functools import partial\n"
+            "\n"
+            "def f(x, scale=1.0, *, eps=1e-6, tag=None):\n"
+            "    return x\n"
+            "\n"
+            "class C:\n"
+            "    def __init__(self, n=0, m=0):\n"
+            "        self.n = n\n"
+            "\n"
+            "    def g(self, k=1, j=2):\n"
+            "        return k\n"
+            "\n"
+            "    @staticmethod\n"
+            "    def h(k=1):\n"
+            "        return k\n"
+            "\n"
+            "def run(c, opts):\n"
+            "    f(1, eps=2.0)\n"
+            "    C(3).g(*opts)\n"
+            "    C.h(5)\n"
+            "    return partial(f, tag='t')\n"
+        ),
+    }
+    assert unpassed_optional_parameters(sources, []) == ["a.f(scale)", "a.C.__init__(m)"]
+    # a caller outside the package counts, and `**kwargs` passes every parameter
+    assert unpassed_optional_parameters(sources, ["f(0, **kw)\nC(m=1)\n"]) == []
 
 
 def test_import_leaves_yaml_unloaded():

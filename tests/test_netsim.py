@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -150,10 +152,12 @@ class TestLatencyHistory:
     def test_negative_node_rejected(self, n_nodes, i, j):
         # negative indexing would otherwise record another pair, or the
         # self-loop (2, 2), or crash on a size-less history
-        hist = netsim.LatencyHistory(n_nodes)
+        hist = netsim.LatencyHistory.adopt(np.full((3, 3), 5.0)) if n_nodes else netsim.LatencyHistory()
+        before = (len(hist), hist.total.copy())
         with pytest.raises(NodeNotFoundError, match="negative node id"):
             hist.record(i, j, 5.0)
-        assert hist.n_nodes == n_nodes and len(hist) == 0 and not hist.total.any()
+        assert hist.n_nodes == n_nodes and len(hist) == before[0]
+        assert np.array_equal(hist.total, before[1])
 
 
 def assert_same_history(got, want):
@@ -161,6 +165,15 @@ def assert_same_history(got, want):
     assert got.n_nodes == want.n_nodes
     assert got.total.tobytes() == want.total.tobytes()
     assert np.array_equal(got.counts, want.counts)
+
+
+def record_row_major(hist, observed):
+    """`record` every off-diagonal pair of `observed` in row-major order."""
+    n = observed.shape[0]
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                hist.record(i, j, observed[i, j])
 
 
 class TestDenseLatencyHistory:
@@ -175,7 +188,7 @@ class TestDenseLatencyHistory:
         assert hist.n_nodes == 4 and hist.counts[2, 3] == 0 and hist.total[2, 3] == 0.0
 
     def test_grows_and_keeps_series(self):
-        hist = netsim.LatencyHistory(2)
+        hist = netsim.LatencyHistory()
         hist.record(0, 1, 1.5)
         hist.record(4, 0, 2.5)
         hist.record(0, 1, 3.5)
@@ -185,73 +198,52 @@ class TestDenseLatencyHistory:
         assert (hist.total[4, 0], hist.counts[4, 0]) == (2.5, 1)
         assert hist.pairs() == [(0, 1), (4, 0)]
 
-    def test_record_matrix_equals_row_major_records(self):
+    def test_adopt_equals_row_major_records(self):
         rng = np.random.default_rng(8)
         n = 7
-        looped, matrixed = netsim.LatencyHistory(), netsim.LatencyHistory(n)
-        # earlier observations on some pairs, so the matrix lands on mixed counts
-        for _ in range(15):
+        observed = rng.uniform(1, 100, size=(n, n))
+        looped = netsim.LatencyHistory()
+        record_row_major(looped, observed)
+        adopted = netsim.LatencyHistory.adopt(observed.copy())
+        assert len(adopted) == len(looped) == n * (n - 1)
+        assert adopted.pairs() == looped.pairs()
+        assert_same_history(adopted, looped)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_adopt_then_records_at_mixed_depths_equals_records(self, seed):
+        # single records after the adopted matrix, some beyond it, leave the
+        # pairs at different counts
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 9))
+        m = int(rng.integers(1, n + 1))
+        observed = rng.uniform(1, 100, size=(m, m))
+        looped = netsim.LatencyHistory()
+        record_row_major(looped, observed)
+        adopted = netsim.LatencyHistory.adopt(observed)
+        for _ in range(12):
             i, j = (int(v) for v in rng.choice(n, size=2, replace=False))
             value = float(rng.uniform(1, 9))
             looped.record(i, j, value)
-            matrixed.record(i, j, value)
-        for _ in range(2):
-            observed = rng.uniform(1, 100, size=(n, n))
-            for i in range(n):
-                for j in range(n):
-                    if i != j:
-                        looped.record(i, j, observed[i, j])
-            matrixed.record_matrix(observed)
-        assert len(matrixed) == len(looped) == n * (n - 1)
-        assert_same_history(matrixed, looped)
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_record_matrix_at_mixed_depths_equals_records(self, seed):
-        # interleaved single records and matrices of varying size leave the
-        # pairs of each matrix at different counts
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(2, 9))
-        looped, matrixed = netsim.LatencyHistory(), netsim.LatencyHistory(int(rng.integers(0, n)))
-        for _ in range(12):
-            if rng.random() < 0.6:
-                i, j = (int(v) for v in rng.choice(n, size=2, replace=False))
-                value = float(rng.uniform(1, 9))
-                looped.record(i, j, value)
-                matrixed.record(i, j, value)
-                continue
-            m = int(rng.integers(1, n + 1))
-            observed = rng.uniform(1, 100, size=(m, m))
-            if rng.random() < 0.3:
-                observed = observed.astype(np.int64)
-            for i in range(m):
-                for j in range(m):
-                    if i != j:
-                        looped.record(i, j, observed[i, j])
-            matrixed.record_matrix(observed)
-        assert looped.counts.max() > 1
-        size = looped.n_nodes
-        assert np.array_equal(matrixed.counts[:size, :size], looped.counts)
-        assert matrixed.total[:size, :size].tobytes() == looped.total.tobytes()
-        assert not matrixed.counts[size:].any() and not matrixed.counts[:, size:].any()
+            adopted.record(i, j, value)
+        assert adopted.pairs() == looped.pairs()
+        assert_same_history(adopted, looped)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.int64])
     @pytest.mark.parametrize("n_nodes", [0, 2, 7, 9])
     def test_fresh_history_matrix_equals_records(self, n_nodes, dtype):
-        # a fresh history, smaller than, as large as or larger than the matrix
+        # a matrix of every size, adopted into a fresh history
         rng = np.random.default_rng(n_nodes)
-        observed = (rng.uniform(3, 300, size=(7, 7)) / 3).astype(dtype)
+        observed = (rng.uniform(3, 300, size=(n_nodes, n_nodes)) / 3).astype(dtype)
         np.fill_diagonal(observed, -5)  # the diagonal is never recorded
-        matrixed, looped = netsim.LatencyHistory(n_nodes), netsim.LatencyHistory(n_nodes)
-        matrixed.record_matrix(observed)
-        for i in range(7):
-            for j in range(7):
-                if i != j:
-                    looped.record(i, j, observed[i, j])
-        observed[:] = 1  # the history keeps no view of the caller's matrix
-        assert matrixed.total.dtype == np.float64 and matrixed.counts.dtype == np.int64
-        assert matrixed.pairs() == looped.pairs()
-        assert_same_history(matrixed, looped)
-        assert not np.diag(matrixed.total).any() and not np.diag(matrixed.counts).any()
+        looped = netsim.LatencyHistory()
+        record_row_major(looped, observed)
+        adopted = netsim.LatencyHistory.adopt(observed)
+        # a float64 matrix is taken over, any other is copied
+        assert (adopted.total is observed) is (dtype is np.float64)
+        assert adopted.total.dtype == np.float64 and adopted.counts.dtype == np.int64
+        assert adopted.pairs() == looped.pairs()
+        assert_same_history(adopted, looped)
+        assert not np.diag(adopted.total).any() and not np.diag(adopted.counts).any()
 
     @pytest.mark.parametrize("bad", [0.0, -2.5])
     def test_fresh_history_refuses_non_positive_entry(self, bad):
@@ -259,33 +251,29 @@ class TestDenseLatencyHistory:
         observed[2, 1] = bad
         observed[3, 0] = -1.0
         observed[0, 0] = -9.0  # the diagonal is not validated
-        hist = netsim.LatencyHistory(4)
         with pytest.raises(InvalidObservationError, match=f"got {bad}"):
-            hist.record_matrix(observed)
-        assert len(hist) == 0 and not hist.total.any()
+            netsim.LatencyHistory.adopt(observed)
         observed[2, 1] = observed[3, 0] = 7.0
-        hist.record_matrix(observed)
+        hist = netsim.LatencyHistory.adopt(observed)
         assert len(hist) == 12 and (hist.total[2, 1], hist.counts[2, 1]) == (7.0, 1)
         assert (hist.total[0, 0], hist.counts[0, 0]) == (0.0, 0)
 
     @pytest.mark.parametrize("shape", [(3, 4), (4, 3), (3,), (2, 2, 2)])
-    @pytest.mark.parametrize("n_nodes", [0, 3, 5])
-    def test_record_matrix_refuses_non_square(self, n_nodes, shape):
-        hist = netsim.LatencyHistory(n_nodes)
-        hist.record(0, 1, 2.0)
-        before = (hist.total.copy(), hist.counts.copy())
+    def test_adopt_refuses_non_square(self, shape):
+        observed = np.full(shape, 5.0)
         with pytest.raises(InvalidObservationError, match="square"):
-            hist.record_matrix(np.full(shape, 5.0))
-        assert np.array_equal(hist.total, before[0]) and np.array_equal(hist.counts, before[1])
+            netsim.LatencyHistory.adopt(observed)
+        assert (observed == 5.0).all()
 
-    def test_record_matrix_reports_first_invalid_in_row_major(self):
+    def test_adopt_reports_first_invalid_in_row_major(self):
         observed = np.full((3, 3), 5.0)
         observed[1, 2] = -1.0
         observed[2, 0] = 0.0
-        hist = netsim.LatencyHistory(3)
-        with pytest.raises(InvalidObservationError, match="got -1.0"):
-            hist.record_matrix(observed)
-        assert len(hist) == 0
+        looped = netsim.LatencyHistory()
+        with pytest.raises(InvalidObservationError, match="got -1.0") as want:
+            record_row_major(looped, observed)
+        with pytest.raises(InvalidObservationError, match=re.escape(str(want.value))):
+            netsim.LatencyHistory.adopt(observed)
 
 
 class TestNonFiniteObservations:
@@ -303,71 +291,52 @@ class TestNonFiniteObservations:
         assert hist.n_nodes == 0 and len(hist) == 0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("path", ["record_matrix", "adopt"])
+    @pytest.mark.parametrize("path", ["adopt", "bootstrap"])
     def test_matrix(self, path, bad):
         observed = np.full((5, 5), 7.0)
         observed[1, 3] = bad
         observed[2, 0] = 0.0
         observed[4, 4] = np.nan  # the diagonal is not validated
-        hist = netsim.LatencyHistory(5)
         with pytest.raises(InvalidObservationError, match=rf"pair \(1, 3\).*got {bad}$"):
             if path == "adopt":
                 netsim.LatencyHistory.adopt(observed)
-            else:
-                hist.record_matrix(observed)
-        assert len(hist) == 0 and not hist.total.any()
+            else:  # the ping scales each latency by noise in [0.9, 1.1]
+                pools.bootstrap_history(observed, seed=2)
         assert np.isnan(observed[4, 4])  # a refused array is not taken over
-
-    def test_bootstrap(self):
-        latency = netsim.build_topology(5, seed=1, model=netsim.UniformTopology())
-        latency[1, 3] = np.nan
-        with pytest.raises(InvalidObservationError, match=r"pair \(1, 3\).*got nan$"):
-            pools.bootstrap_history(latency, seed=2)
 
 
 class TestUniformCount:
-    """A history holds its counts as one int while every off-diagonal pair
-    has the same count, and answers `len` and `pairs` from it."""
+    """A history holds its counts as one int while it is fresh (0) or
+    adopted (1), and answers `len` and `pairs` from it."""
 
     def test_fresh_and_whole_matrices_stay_uniform(self):
-        hist = netsim.LatencyHistory(3)
+        hist = netsim.LatencyHistory()
         assert (hist.uniform_count, len(hist), hist.pairs()) == (0, 0, [])
-        hist.record_matrix(np.full((3, 3), 2.0))
-        hist.record_matrix(np.full((3, 3), 4.0))
-        assert hist.uniform_count == 2 and len(hist) == 6
+        hist = netsim.LatencyHistory.adopt(np.full((3, 3), 3.0))
+        assert hist.uniform_count == 1 and len(hist) == 6
         assert hist.pairs() == [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
         assert pools.estimate_latency(hist, 3)[0, 1] == 3.0
-        assert hist.uniform_count == 2
+        assert hist.uniform_count == 1
 
     def test_counts_read_builds_and_keeps_the_array(self):
-        hist = netsim.LatencyHistory(3)
-        hist.record_matrix(np.full((3, 3), 2.0))
+        hist = netsim.LatencyHistory.adopt(np.full((3, 3), 2.0))
         counts = hist.counts
         assert counts.dtype == np.int64 and np.array_equal(counts, 1 - np.eye(3))
         assert hist.uniform_count is None and hist.counts is counts
         hist.counts[0, 1] = 5  # writes reach the history
         assert hist.counts[0, 1] == 5
 
-    @pytest.mark.parametrize("change", ["record", "sub-block", "growth"])
+    @pytest.mark.parametrize("change", ["record", "growth"])
     def test_breaking_uniformity_builds_the_array(self, change):
-        hist = netsim.LatencyHistory(3)
-        hist.record_matrix(np.full((3, 3), 2.0))
+        hist = netsim.LatencyHistory.adopt(np.full((3, 3), 2.0))
         if change == "record":
             hist.record(0, 1, 4.0)
             want = [[0, 2, 1], [1, 0, 1], [1, 1, 0]]
-        elif change == "sub-block":
-            hist.record_matrix(np.full((2, 2), 4.0))
-            want = [[0, 2, 1], [2, 0, 1], [1, 1, 0]]
         else:
-            hist.record_matrix(np.full((4, 4), 4.0))
-            want = [[0, 2, 2, 1], [2, 0, 2, 1], [2, 2, 0, 1], [1, 1, 1, 0]]
+            hist.record(3, 0, 4.0)
+            want = [[0, 1, 1, 0], [1, 0, 1, 0], [1, 1, 0, 0], [1, 0, 0, 0]]
         assert hist.uniform_count is None
         assert np.array_equal(hist.counts, want)
-
-    def test_empty_history_grows_uniform(self):
-        hist = netsim.LatencyHistory(2)
-        hist.record_matrix(np.full((4, 4), 3.0))
-        assert hist.uniform_count == 1 and len(hist) == 12
 
     def test_adopt_takes_the_array_over(self):
         observed = np.full((4, 4), 6.0)
@@ -464,7 +433,7 @@ class TestChunkSizeUnits:
 
 
 def test_compute_times_deterministic_and_in_range():
-    a = netsim.draw_compute_times(10, seed=3, lo=50, hi=200)
-    b = netsim.draw_compute_times(10, seed=3, lo=50, hi=200)
+    a = netsim.draw_compute_times(10, seed=3)
+    b = netsim.draw_compute_times(10, seed=3)
     assert np.array_equal(a, b)
     assert np.all((a >= 50) & (a <= 200))

@@ -483,8 +483,7 @@ class TestKernelOracles:
     def test_estimate_latency_beyond_full_history(self, n_hist, n_query):
         # every pair of the history observed: the first missing pair is
         # (0, n_hist), outside it
-        hist = LatencyHistory(n_hist)
-        hist.record_matrix(np.full((n_hist, n_hist), 7.0))
+        hist = LatencyHistory.adopt(np.full((n_hist, n_hist), 7.0))
         series = {(i, j): [7.0] for i in range(n_hist) for j in range(n_hist) if i != j}
         with pytest.raises(InsufficientHistoryError) as want:
             oracle_estimate_latency(series, n_query)
@@ -601,46 +600,48 @@ positive_ints = st.integers(min_value=1, max_value=10**9)
 
 
 @st.composite
-def history_ops(draw):
-    """A size hint and a list of `record` and `record_matrix` calls: single
-    observations anywhere in [0, 8), and float or int matrices from 1x1 to
-    8x8, so the history grows and matrices cover all of it or a sub-block."""
+def record_ops(draw):
+    """A list of `record` calls: single observations anywhere in [0, 8)."""
     ops = []
     for _ in range(draw(st.integers(0, 10))):
-        if draw(st.booleans()):
-            i, j = draw(st.lists(st.integers(0, 7), min_size=2, max_size=2, unique=True))
-            ops.append(("record", i, j, draw(st.one_of(positive_floats, positive_ints))))
-        else:
-            m = draw(st.integers(1, 8))
-            dtype, elements = draw(st.sampled_from([(np.float64, positive_floats),
-                                                    (np.int64, positive_ints)]))
-            observed = draw(hnp.arrays(dtype, (m, m), elements=elements))
-            np.fill_diagonal(observed, draw(st.sampled_from([0, -3, 1])))  # never recorded
-            ops.append(("matrix", observed))
-    return draw(st.integers(0, 8)), ops
+        i, j = draw(st.lists(st.integers(0, 7), min_size=2, max_size=2, unique=True))
+        ops.append((i, j, draw(st.one_of(positive_floats, positive_ints))))
+    return ops
+
+
+@st.composite
+def history_ops(draw):
+    """A float or int matrix from 1x1 to 8x8 to adopt, or None for a fresh
+    history, and a list of `record` calls after it, so the history grows
+    past the matrix and its pairs reach different counts."""
+    observed = None
+    if draw(st.booleans()):
+        m = draw(st.integers(1, 8))
+        dtype, elements = draw(st.sampled_from([(np.float64, positive_floats),
+                                                (np.int64, positive_ints)]))
+        observed = draw(hnp.arrays(dtype, (m, m), elements=elements))
+        np.fill_diagonal(observed, draw(st.sampled_from([0, -3, 1])))  # never recorded
+    return observed, draw(record_ops())
 
 
 class TestHistoryProperty:
-    """Any interleaving of `record` and `record_matrix` gives, at every node
-    count, the bytes of a per-pair `sum(series) / len(series)` over the
+    """Records on a fresh or an adopted history give, at every node count,
+    the bytes of a per-pair `sum(series) / len(series)` over the
     observations as floats, and InsufficientHistoryError exactly when some
     pair has no observation."""
 
     @settings(max_examples=200, deadline=None)
     @given(history_ops(), st.integers(1, 9))
     def test_estimate_equals_running_mean_oracle(self, plan, n_query):
-        n_nodes, ops = plan
-        hist, series = LatencyHistory(n_nodes), {}
-        for op in ops:
-            if op[0] == "record":
-                _, i, j, value = op
-                hist.record(i, j, value)
-                series.setdefault((i, j), []).append(float(value))
-            else:
-                observed = op[1]
-                hist.record_matrix(observed)
-                for i, j in itertools.permutations(range(observed.shape[0]), 2):
-                    series.setdefault((i, j), []).append(float(observed[i, j]))
+        observed, ops = plan
+        hist, series = LatencyHistory(), {}
+        if observed is not None:
+            for i, j in itertools.permutations(range(observed.shape[0]), 2):
+                series[(i, j)] = [float(observed[i, j])]
+            hist = LatencyHistory.adopt(observed)
+        for i, j, value in ops:
+            hist.record(i, j, value)
+            series.setdefault((i, j), []).append(float(value))
         assert hist.pairs() == sorted(series)
         assert {pair: int(hist.counts[pair]) for pair in series} == {
             pair: len(values) for pair, values in series.items()}
@@ -676,8 +677,10 @@ def histories_equal(got, want, n_query):
 @st.composite
 def pings(draw):
     """A latency matrix with a zero diagonal, as `build_topology` makes,
-    and a seed for `bootstrap_history`'s noise."""
-    n = draw(st.integers(1, 8))
+    and a seed for `bootstrap_history`'s noise. At least two nodes: a
+    one-node ping has no pair to record, so records leave a history of no
+    node where `adopt` keeps one."""
+    n = draw(st.integers(2, 8))
     latency = draw(hnp.arrays(np.float64, (n, n), elements=st.floats(1e-3, 1e6)))
     np.fill_diagonal(latency, 0.0)
     return latency, draw(st.integers(0, 2**32 - 1))
@@ -685,31 +688,23 @@ def pings(draw):
 
 class TestAdoptedPingProperty:
     """`bootstrap_history` adopts its ping with a uniform count of 1; the
-    history equals a fresh one that records the same ping with
-    `record_matrix`, and one whose counts are an array from the start, and
-    stays equal under further `record`, `record_matrix` and growth."""
+    history equals a fresh one that records the same ping pair by pair in
+    row-major order, and stays equal under further records and growth."""
 
     @settings(max_examples=150, deadline=None)
-    @given(pings(), history_ops(), st.integers(1, 9))
-    def test_adopted_equals_recorded(self, ping, plan, n_query):
+    @given(pings(), record_ops(), st.integers(1, 9))
+    def test_adopted_equals_recorded(self, ping, ops, n_query):
         latency, seed = ping
         n = latency.shape[0]
         observed = np.random.default_rng(seed).uniform(*pools.BOOTSTRAP_NOISE, size=(n, n))
         observed *= latency
         adopted = pools.bootstrap_history(latency, seed)
-        recorded = LatencyHistory(n)
-        recorded.record_matrix(observed)
-        dense = copy.deepcopy(recorded)
-        assert dense.counts.dtype == np.int64  # reading builds the array
-        assert adopted.uniform_count == recorded.uniform_count == 1
-        assert dense.uniform_count is None
-        histories_equal(adopted, dense, n_query)
-        histories_equal(recorded, dense, n_query)
-        for op in plan[1]:
-            for hist in (adopted, recorded, dense):
-                if op[0] == "record":
-                    hist.record(*op[1:])
-                else:
-                    hist.record_matrix(op[1])
-            histories_equal(adopted, dense, n_query)
-            histories_equal(recorded, dense, n_query)
+        recorded = LatencyHistory()
+        for i, j in itertools.permutations(range(n), 2):  # row-major
+            recorded.record(i, j, observed[i, j])
+        assert adopted.uniform_count == 1 and recorded.uniform_count is None
+        histories_equal(adopted, recorded, n_query)
+        for op in ops:
+            for hist in (adopted, recorded):
+                hist.record(*op)
+            histories_equal(adopted, recorded, n_query)
