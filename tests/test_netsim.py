@@ -259,11 +259,20 @@ class TestDenseLatencyHistory:
         assert (hist.total[0, 0], hist.counts[0, 0]) == (0.0, 0)
 
     @pytest.mark.parametrize("shape", [(3, 4), (4, 3), (3,), (2, 2, 2)])
-    def test_adopt_refuses_non_square(self, shape):
+    @pytest.mark.parametrize("n_nodes", [0, 3, 5])
+    def test_record_matrix_refuses_non_square(self, n_nodes, shape):
+        # a non-square matrix is refused on its way into a history; neither
+        # it nor a history already recorded out to n_nodes is changed
+        hist = netsim.LatencyHistory()
+        hist.record(0, 1, 2.0)
+        if n_nodes > 2:
+            hist.record(n_nodes - 1, 0, 3.0)
+        before = (hist.total.copy(), hist.counts.copy())
         observed = np.full(shape, 5.0)
         with pytest.raises(InvalidObservationError, match="square"):
             netsim.LatencyHistory.adopt(observed)
         assert (observed == 5.0).all()
+        assert np.array_equal(hist.total, before[0]) and np.array_equal(hist.counts, before[1])
 
     def test_adopt_reports_first_invalid_in_row_major(self):
         observed = np.full((3, 3), 5.0)
