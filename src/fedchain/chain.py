@@ -12,6 +12,7 @@ comparable; proof-of-work grinds nonces instead.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import heapq
 import itertools
@@ -553,33 +554,32 @@ def _check_round(setup: RoundSetup, learning: bool = True) -> None:
         )
 
 
-def _exchange_constants(setup: RoundSetup) -> tuple[verify.PublicParams, np.ndarray]:
+def _exchange_constants(setup: RoundSetup) -> verify.PublicParams:
     """What every verification exchange of a race shares: the public
-    parameters, which depend only on the seed and the task, and the
-    verifiers' held-out digest table, `verify.row_digests(held_out.x)`.
-    `_race` builds them on its first exchange; they live no longer than
-    the race."""
-    pp = verify.keygen(128, seed=_derive_seed(setup.seed, setup.task.task_id, "pp"))
-    return pp, verify.row_digests(setup.task.held_out.x)
+    parameters, which depend only on the seed and the task. `_race` builds
+    them on its first exchange; they live no longer than the race."""
+    return verify.keygen(128, seed=_derive_seed(setup.seed, setup.task.task_id, "pp"))
 
 
 def _draw_committee(setup: RoundSetup, outcome: PoolOutcome) -> list[int]:
     """The outcome's verifier committee, from outside the pool when the
     network is big enough, else from every node but the head. It depends
     only on the seed, the task, the pool id and the members, so a run
-    draws it once, when it is made."""
+    draws it once, when it is made. A draw from a candidate array picks
+    its indices from the candidate count alone, so the count is drawn from
+    and index i maps to the i-th node not `excluded`: i plus the number of
+    excluded ids it passes, searched over `below[j]`, the count of
+    candidates below `excluded[j]`."""
     rng = np.random.default_rng(
         _derive_seed(setup.seed, setup.task.task_id, "committee", outcome.pool_id)
     )
-    outside = np.ones(setup.n_nodes, dtype=bool)
-    outside[outcome.members] = False
-    outside[outcome.head] = False
-    candidates = np.flatnonzero(outside)
-    if candidates.size == 0:
-        candidates = np.flatnonzero(np.arange(setup.n_nodes) != outcome.head)
-    return rng.choice(
-        candidates, size=min(setup.n_verifiers, candidates.size), replace=False
-    ).tolist()
+    excluded = sorted({*outcome.members, outcome.head})
+    if len(excluded) == setup.n_nodes:
+        excluded = [outcome.head]
+    below = [e - j for j, e in enumerate(excluded)]
+    pop_size = setup.n_nodes - len(excluded)
+    idx = rng.choice(pop_size, size=min(setup.n_verifiers, pop_size), replace=False)
+    return [i + bisect.bisect_right(below, i) for i in idx.tolist()]
 
 
 def _committee_links(setup: RoundSetup, head: int,
@@ -604,8 +604,7 @@ def _vote_arrivals(t0: float, links: list[tuple[float, float]], su: int) -> list
     return arrivals
 
 
-def _verification_exchange(run: _PoolRun, pp: verify.PublicParams,
-                           held_out_digests: np.ndarray) -> None:
+def _verification_exchange(run: _PoolRun, pp: verify.PublicParams) -> None:
     """The crypto of the commit/challenge/prove/vote exchange between a
     finished run's head and its committee, and its result set on the run's
     outcome. No message is sent: `run.votes` holds the arrival times.
@@ -617,14 +616,14 @@ def _verification_exchange(run: _PoolRun, pp: verify.PublicParams,
     time is the first challenge arrival and the accept time the last vote
     arrival; votes count in the order of `run.votes`, so every field set on
     the outcome is bit-identical to replaying the messages. The outcome is
-    accepted only if it has a committee and every vote accepts. `pp` and
-    `held_out_digests` come from `_exchange_constants`."""
+    accepted only if it has a committee and every vote accepts. `pp` comes
+    from `_exchange_constants`."""
     setup, outcome, committee, votes = run.setup, run.outcome, run.committee, run.votes
     task, model = setup.task, run.model
     blind_seed = _derive_seed(setup.seed, task.task_id, "blind", outcome.pool_id)
     blinding = verify.make_blinding(blind_seed)
     com = verify.commit(model, pp, blinding)
-    sample = verify.derive_challenge(task.held_out, held_out_digests, com, setup.challenge_size)
+    sample = verify.derive_challenge(task.held_out, com, setup.challenge_size)
     proof = verify.prove(model, sample.x, pp, blinding)
     if run.tamper:
         bad_y = proof.y.copy()
@@ -666,7 +665,8 @@ class _PoolRun:
     are computed at its first `step`; `model` is the round's shared initial
     model (`_initial_model`). `committee` is its verifier committee
     (`_draw_committee`), and `votes`, set by `_race` once the run finishes,
-    are the committee's `_vote_arrivals` from the finish time.
+    are the committee's `_vote_arrivals` from the finish time. `compute`
+    holds the members' compute times, in member order.
     """
 
     def __init__(self, setup: RoundSetup, pool_id: int, head: int, members: list[int],
@@ -692,6 +692,7 @@ class _PoolRun:
             weights=None,
             commitment=None,
         )
+        self.compute = setup.compute_times[members]
         self.committee = _draw_committee(setup, self.outcome)
         self._links = _committee_links(setup, head, self.committee)
         self.votes: list[tuple] = []
@@ -748,10 +749,10 @@ def _initial_model(setup: RoundSetup) -> DenseClassifier:
     return model
 
 
-def _ready_times(run: _PoolRun) -> list[float]:
+def _ready_times(run: _PoolRun) -> np.ndarray:
     """When each member of the run's next ring round has its update: the
     barrier plus the member's compute time."""
-    return [run.barrier + float(run.setup.compute_times[m]) for m in run.outcome.members]
+    return run.barrier + run.compute
 
 
 def _ring_latest_start(run: _PoolRun) -> float:
@@ -957,7 +958,7 @@ def _race(setup: RoundSetup, runs: list[_PoolRun]) -> PoolOutcome:
     """
     heap = [(run.vote_bound(), idx) for idx, run in enumerate(runs)] if setup.max_rounds > 0 else []
     heapq.heapify(heap)
-    constants = None  # `_exchange_constants`, built on the first exchange
+    pp = None  # `_exchange_constants`, built on the first exchange
     while heap:
         _, idx = heapq.heappop(heap)
         run = runs[idx]
@@ -970,9 +971,9 @@ def _race(setup: RoundSetup, runs: list[_PoolRun]) -> PoolOutcome:
                                                   int(setup.size_multiplier)))
                 heapq.heappush(heap, (run.votes[-1][0] if run.votes else outcome.finish_time, idx))
             continue
-        if constants is None:
-            constants = _exchange_constants(setup)
-        _verification_exchange(run, *constants)
+        if pp is None:
+            pp = _exchange_constants(setup)
+        _verification_exchange(run, pp)
         if outcome.accepted:
             for _, cut_idx in heap:
                 runs[cut_idx].outcome.abandoned_at = runs[cut_idx].barrier

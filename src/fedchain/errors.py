@@ -86,7 +86,7 @@ class RoundFailedError(FedChainError):
 
 
 class LedgerIntegrityError(FedChainError):
-    """A loaded ledger is malformed or a block's stored hash does not match its contents."""
+    """A ledger is malformed, or a block's stored hash does not match its contents."""
 
 
 class DuplicateTaskBlockError(FedChainError):

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import chain, netsim
 from .data import Dataset, load_csv, make_blobs, partition_noniid
-from .errors import EmptyReportError
+from .errors import EmptyReportError, LedgerIntegrityError
 from .fed import (
     DenseClassifier,
     TrainConfig,
@@ -83,7 +83,8 @@ class ExperimentConfig:
         key or a value whose type does not match its field: a list field
         must hold a list of its element type, an int is accepted for a
         float, a bool is not a number, and `dataset_path` is a string or
-        null."""
+        null. Raises ValueError naming the file for a training value that
+        `TrainConfig` refuses, such as a target outside (0, 1]."""
         import yaml  # only a config file needs it; it is a fifth of `import fedchain`
 
         with open(path, encoding="utf-8") as fh:
@@ -111,7 +112,13 @@ class ExperimentConfig:
                 if not _is_a(item, kind):
                     kind = kind.replace(" | None", " or null")
                     raise ValueError(f"config key {key!r} must {verb} {kind}, got {item!r}")
-        return cls(**raw)
+        cfg = cls(**raw)
+        try:  # the range checks of both training configs
+            cfg.train_config()
+            cfg.train_config(cfg.sweep_lr)
+        except ValueError as err:
+            raise ValueError(f"config file {path}: {err}") from err
+        return cfg
 
     def fingerprint(self) -> str:
         body = json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
@@ -200,7 +207,12 @@ def run_grid_cell(cfg: ExperimentConfig, mode: str, n_nodes: int, n_pools: int, 
     setup = build_round_setup(cfg, n_nodes, n_pools, seed)
     ledger = chain.Chain()
     result = chain.run_round(ledger, setup, mode)
-    assert chain.validate_chain(ledger) == []
+    violations = chain.validate_chain(ledger)
+    if violations:
+        raise LedgerIntegrityError(
+            f"{mode} round at n={n_nodes}, p={n_pools}, seed={seed} built an invalid ledger: "
+            + "; ".join(violations)
+        )
     winner = result.outcomes[result.winner_pool] if result.outcomes else None
     rounds = len(winner.metrics) if winner else 0
     return {

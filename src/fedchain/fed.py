@@ -50,11 +50,11 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.lr < 0:
-            raise ValueError("learning rate must be >= 0")
+            raise ValueError(f"learning rate must be >= 0, got {self.lr}")
         if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if not 0 < self.target <= 1:
-            raise ValueError("accuracy target must be in (0, 1]")
+            raise ValueError(f"accuracy target must be in (0, 1], got {self.target}")
 
 
 class DenseClassifier:

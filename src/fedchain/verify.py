@@ -26,6 +26,7 @@ from .fed import Architecture, DenseClassifier
 
 SUPPORTED_SECURITY_BITS = (128, 256)
 DOMAIN_TAG = b"fedchain/model-commitment/v1"
+BINDING_TAG = b"fedchain/prediction-binding/v1"
 MAGIC = b"FCM1"
 MIN_CLAIM_SAMPLES = 200
 ONE_SIDED_99_Z = 2.326
@@ -51,7 +52,6 @@ class ModelCommitment:
 class VerificationSample:
     x: np.ndarray
     labels: np.ndarray  # held by the verifier, never sent to the prover
-    row_digests: np.ndarray  # (count, 32) uint8 table: `row_digests(x)`
 
     @property
     def count(self) -> int:
@@ -127,49 +127,15 @@ def commit(model: DenseClassifier, pp: PublicParams, blinding: bytes) -> ModelCo
     return ModelCommitment(digest=_digest(pp, blinding + serialize_model(model)))
 
 
-def row_digests(x: np.ndarray) -> np.ndarray:
-    """SHA-256 of each row of `x` as C-order little-endian float64 bytes, as
-    a `(rows, 32)` uint8 table.
-
-    A uint8 table rather than an `S32` array: numpy strips trailing zero
-    bytes from `S32` scalars, which would shorten a digest ending in 0x00.
-    """
-    rows = len(x)
-    if rows == 0:
-        return np.empty((0, 32), dtype=np.uint8)
-    x_bytes = np.ascontiguousarray(x, dtype="<f8").tobytes()
-    width = len(x_bytes) // rows
-    sha256 = hashlib.sha256
-    table = b"".join([sha256(x_bytes[i:i + width]).digest() for i in range(0, rows * width, width)])
-    return np.frombuffer(table, dtype=np.uint8).reshape(rows, 32)
-
-
-def _link_chain(com: ModelCommitment, digests: np.ndarray, y: np.ndarray) -> bytes:
-    """Hash chain over (row digest, label) pairs, truncated to the shorter input.
-
-    Each link hashes the previous link, the row's SHA-256 from `digests` and
-    the label as a little-endian int64. Every `digest || label` pair is
-    packed into one 40-byte record up front, so a link is one slice and one
-    hash.
-    """
-    sha256 = hashlib.sha256
-    link = sha256(DOMAIN_TAG + com.digest).digest()
-    rows = min(len(digests), len(y))
-    if rows == 0:
-        return link
-    records = np.empty((rows, 40), dtype=np.uint8)
-    records[:, :32] = digests[:rows]
-    records[:, 32:] = np.asarray(y[:rows]).astype("<i8").view(np.uint8).reshape(rows, 8)
-    packed = records.tobytes()
-    for i in range(0, rows * 40, 40):
-        link = sha256(link + packed[i:i + 40]).digest()
-    return link
-
-
-def _chain(com: ModelCommitment, x: np.ndarray, y: np.ndarray) -> bytes:
-    """The digest chain of the rows of `x` with the labels `y`: the two
-    stages, `row_digests` and `_link_chain`, composed."""
-    return _link_chain(com, row_digests(x[:len(y)]), y)
+def _bind(com: ModelCommitment, x: np.ndarray, y: np.ndarray) -> bytes:
+    """One SHA-256 over `BINDING_TAG`, the commitment, the row count
+    `rows = min(len(x), len(y))` as 8 little-endian bytes, `x[:rows]` as
+    C-order little-endian float64 and `y[:rows]` as little-endian int64."""
+    rows = min(len(x), len(y))
+    binding = hashlib.sha256(BINDING_TAG + com.digest + rows.to_bytes(8, "little"))
+    binding.update(np.ascontiguousarray(x[:rows], dtype="<f8"))
+    binding.update(np.ascontiguousarray(y[:rows], dtype="<i8"))
+    return binding.digest()
 
 
 def prove(
@@ -183,7 +149,7 @@ def prove(
     com = ModelCommitment(digest=_digest(pp, blinding + opening))
     return PredictionProof(
         y=y,
-        digest_chain=_chain(com, challenge_x, y),
+        digest_chain=_bind(com, challenge_x, y),
         blinding=blinding,
         model_opening=opening,
     )
@@ -199,9 +165,10 @@ def verify(
     """Check the proof against the commitment and measure the claimed predictions.
 
     Accepts iff the opened model reproduces the commitment, its predictions on
-    the challenge equal `y`, and the digest chain matches. The chain is
-    linked here, on every call, over the sample's row digests. The measured
-    accuracy is the fraction of `y` agreeing with the verifier's held labels.
+    the challenge equal `y`, and the proof's binding matches the one this
+    verifier computes itself over the commitment, its challenge rows and `y`.
+    The measured accuracy is the fraction of `y` agreeing with the
+    verifier's held labels.
     """
     reopened = _digest(pp, proof.blinding + proof.model_opening)
     if reopened != com.digest:
@@ -210,33 +177,23 @@ def verify(
     predicted = model.predict(sample.x)
     if predicted.shape != np.asarray(y).shape or not np.array_equal(predicted, y):
         return VerificationResult(False, 0.0, "predictions do not match claimed labels")
-    if _link_chain(com, sample.row_digests, y) != proof.digest_chain:
+    if _bind(com, sample.x, y) != proof.digest_chain:
         return VerificationResult(False, 0.0, "digest chain mismatch")
     accuracy = float(np.mean(np.asarray(y) == sample.labels))
     return VerificationResult(True, accuracy)
 
 
-def derive_challenge(
-    held_out: Dataset, held_out_digests: np.ndarray, com: ModelCommitment, k: int
-) -> VerificationSample:
+def derive_challenge(held_out: Dataset, com: ModelCommitment, k: int) -> VerificationSample:
     """Draw K held-out samples seeded by the commitment digest.
 
     Sampling after (and from) the commitment makes the challenge unforgeable:
-    the prover cannot have fit to it before committing. `held_out_digests`
-    is `row_digests(held_out.x)`; the sample carries the rows of it that it
-    draws.
+    the prover cannot have fit to it before committing.
     """
-    if held_out_digests.shape != (len(held_out), 32):
-        raise ValueError(
-            f"digest table of shape {held_out_digests.shape} for {len(held_out)} held-out rows"
-        )
     seed = int.from_bytes(hashlib.sha256(b"challenge" + com.digest).digest()[:8], "little")
     rng = np.random.default_rng(seed)
     k = min(k, len(held_out))
     indices = rng.choice(len(held_out), size=k, replace=False)
-    return VerificationSample(
-        x=held_out.x[indices], labels=held_out.y[indices], row_digests=held_out_digests[indices]
-    )
+    return VerificationSample(x=held_out.x[indices], labels=held_out.y[indices])
 
 
 def margin(claimed: float, k: int) -> float:

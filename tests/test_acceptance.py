@@ -287,7 +287,6 @@ def test_criterion_8_accuracy_trends():
 def test_criterion_9_verification_soundness():
     arch = fed.Architecture(n_features=6, n_classes=4)
     held_out = data.make_blobs(600, 6, 4, seed=1)
-    digests = verify.row_digests(held_out.x)
     pp = verify.keygen(128, seed=2)
 
     complete = True
@@ -295,14 +294,14 @@ def test_criterion_9_verification_soundness():
         model = fed.DenseClassifier(arch, seed=seed)
         blinding = verify.make_blinding(seed + 500)
         com = verify.commit(model, pp, blinding)
-        sample = verify.derive_challenge(held_out, digests, com, 250)
+        sample = verify.derive_challenge(held_out, com, 250)
         proof = verify.prove(model, sample.x, pp, blinding)
         complete &= verify.verify(com, sample, proof.y, proof, pp).accepted
 
     model = fed.DenseClassifier(arch, seed=9)
     blinding = verify.make_blinding(10)
     com = verify.commit(model, pp, blinding)
-    sample = verify.derive_challenge(held_out, digests, com, 250)
+    sample = verify.derive_challenge(held_out, com, 250)
     words = fixedpoint.encode(model.weights)
     rng = np.random.default_rng(11)
     acceptances = 0

@@ -3,6 +3,7 @@ import copy
 import hashlib
 import json
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -267,7 +268,7 @@ def listed_committee(setup, outcome):
     return [int(v) for v in rng.choice(candidates, size=size, replace=False)]
 
 
-def oracle_verification_exchange(sim, setup, outcome, model, tamper, pp, held_out_digests):
+def oracle_verification_exchange(sim, setup, outcome, model, tamper, pp):
     """The commit/challenge/prove/vote exchange replayed message by message
     on the event simulator from `sim.now`: the handler-based exchange whose
     arrival times `chain._race` computes in closed form (`_PoolRun.votes`)
@@ -306,8 +307,7 @@ def oracle_verification_exchange(sim, setup, outcome, model, tamper, pp, held_ou
 
     def verifier_handler(s, event):
         if event.kind == "commit":
-            sample = verify.derive_challenge(task.held_out, held_out_digests, event.payload,
-                                             setup.challenge_size)
+            sample = verify.derive_challenge(task.held_out, event.payload, setup.challenge_size)
             samples[event.dst] = sample
             s.send(event.dst, head, sample.x, kind="challenge")
         elif event.kind == "proof":
@@ -339,7 +339,7 @@ def oracle_verify(setup, outcome, model, tamper):
     sim = netsim.Simulator(setup.latency)
     sim.now = outcome.finish_time
     oracle_verification_exchange(sim, setup, outcome, model, tamper,
-                                 *chain._exchange_constants(setup))
+                                 chain._exchange_constants(setup))
 
 
 def closed_form_exchange(setup, outcome, model, tamper):
@@ -351,7 +351,7 @@ def closed_form_exchange(setup, outcome, model, tamper):
     run.outcome = outcome
     run.votes = sorted(chain._vote_arrivals(outcome.finish_time, run._links,
                                             int(setup.size_multiplier)))
-    chain._verification_exchange(run, *chain._exchange_constants(setup))
+    chain._verification_exchange(run, chain._exchange_constants(setup))
 
 
 def oracle_pool_rounds(setup, pool_id, members, start_times, offset=0.0):
@@ -928,7 +928,7 @@ class TestVerificationExchange:
 
     def test_challenge_carries_only_the_rows(self, monkeypatch):
         # the prover gets what a challenge message carries: the rows, not
-        # the sample with its labels and digests; the challenge depends only
+        # the sample with its labels; the challenge depends only
         # on the commitment, so the exchange derives it once for every verifier
         derived = []
         real_derive = verify.derive_challenge
@@ -945,24 +945,27 @@ class TestVerificationExchange:
             assert np.array_equal(proved[0], sample.x)
 
     def test_prover_and_every_verifier_link_their_own_chain(self, monkeypatch):
-        links, hashed = [], []
-        real_link, real_digests = verify._link_chain, verify.row_digests
+        # each party binds the rows it holds with one hash, and no row is
+        # hashed on its own
+        binds, hashed = [], []
+        real_bind, real_sha256 = verify._bind, hashlib.sha256
 
-        def counting_link(*args):
-            links.append(1)
-            return real_link(*args)
+        def counting_bind(com, x, y):
+            binds.append(len(x))
+            return real_bind(com, x, y)
 
-        def counting_digests(x):
-            hashed.append(len(x))
-            return real_digests(x)
+        def counting_sha256(data):
+            hashed.append(len(data))
+            return real_sha256(data)
 
-        monkeypatch.setattr(verify, "_link_chain", counting_link)
-        monkeypatch.setattr(verify, "row_digests", counting_digests)
+        monkeypatch.setattr(verify, "_bind", counting_bind)
+        monkeypatch.setattr(verify, "hashlib", SimpleNamespace(sha256=counting_sha256))
         _, proofs, checks = self.run_exchange(monkeypatch, tamper=False)
         assert all(accepted for _, _, accepted in checks)
-        assert len(links) == len(proofs) + len(checks) == 1 + 4
-        # rows are hashed once for the held-out table and once by the prover
-        assert sorted(hashed) == [len(proofs[0]), 400]
+        assert binds == [len(proofs[0])] * (len(proofs) + len(checks)) == [250] * (1 + 4)
+        # the head's commitment and the challenge seed, then each party
+        # reopens the commitment and binds: the count does not grow with rows
+        assert len(hashed) == 2 + 2 * (len(proofs) + len(checks))
 
     def test_race_builds_its_constants_once(self, monkeypatch):
         built, exchanges = [], []
@@ -1041,7 +1044,7 @@ class TestVerificationExchangeOracle:
 
 
 class TestCommitteeDraw:
-    """The masked candidate draw (`chain._draw_committee`) picks the
+    """The committee draw (`chain._draw_committee`) picks the
     committee that the list-built draw picks, for pools inside a larger network and for a pool
     of the whole network (committee from every node but the head); a
     finisher with no node to draw from is rejected."""
@@ -1067,6 +1070,30 @@ class TestCommitteeDraw:
                 assert head not in committee
                 candidates = n - 1 if len(members) == n else n - len(members)
                 assert len(votes) == len(committee) == min(n_verifiers, candidates)
+
+    @pytest.mark.parametrize("n, p", [(20, 4), (60, 6), (200, 20)])
+    def test_every_formed_pool_draws_the_listed_committee(self, n, p):
+        for seed in range(3):
+            setup = grid_setup(n, p, seed)
+            assignment, _ = chain._form_pools(setup)
+            for pool_id, pool in enumerate(assignment.pools):
+                outcome = chain.PoolOutcome(pool_id, pool.head, list(pool.members), 1.0, None,
+                                            False, 0.0, None, None)
+                assert chain._draw_committee(setup, outcome) == listed_committee(setup, outcome)
+
+    @pytest.mark.parametrize("head, members, drawn", [
+        (1, [1, 2, 3, 5], [0, 4]),  # two candidates for four seats: both sit
+        (0, [2, 3], [1, 4, 5]),  # a head outside its member list is excluded too
+        (1, list(range(6)), [0, 2, 3, 4, 5]),  # no node outside: all but the head
+    ])
+    def test_short_or_empty_complement(self, head, members, drawn):
+        setup = replace(build_setup(n_nodes=6, n_pools=1, seed=0), n_verifiers=4)
+        for pool_id in range(8):
+            outcome = chain.PoolOutcome(pool_id, head, members, 1.0, None, False, 0.0, None, None)
+            committee = chain._draw_committee(setup, outcome)
+            assert committee == listed_committee(setup, outcome)
+            assert len(set(committee)) == len(committee) == min(4, len(drawn))
+            assert set(committee) <= set(drawn)
 
     @pytest.mark.parametrize("mode", ["fedchain", "gfl_ring", "fedavg_central"])
     def test_finisher_without_committee_is_rejected(self, monkeypatch, mode):

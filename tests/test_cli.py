@@ -122,6 +122,25 @@ def test_malformed_config_exits_2(tmp_path, capsys, body, message):
     assert not (tmp_path / "results").exists()
 
 
+@pytest.mark.parametrize("command", ["single-round", "latency-grid"])
+@pytest.mark.parametrize("body, message", [
+    ("target: 0.0\n", "accuracy target must be in (0, 1], got 0.0"),
+    ("target: 1.5\n", "accuracy target must be in (0, 1], got 1.5"),
+    ("lr: -1\n", "learning rate must be >= 0, got -1"),
+    ("sweep_lr: -0.5\n", "learning rate must be >= 0, got -0.5"),
+    ("epochs: 0\n", "epochs must be >= 1, got 0"),
+])
+def test_out_of_range_config_exits_2(tmp_path, monkeypatch, capsys, command, body, message):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(body)
+    assert cli.main([command, "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: config file {cfg}: {message}\n"
+    assert captured.out == ""
+    assert not (tmp_path / "results").exists()
+
+
 def test_config_takes_ints_for_floats_and_null_for_the_dataset(tmp_path):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text("lr: 1\nalphas: [0, 0.5]\ndataset_path: null\nseeds: []\n")

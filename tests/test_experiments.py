@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fedchain import experiments
-from fedchain.errors import EmptyReportError
+from fedchain.errors import EmptyReportError, LedgerIntegrityError
 from fedchain.experiments import ExperimentConfig
 
 
@@ -90,6 +90,12 @@ class TestLatencyGrid:
         a = experiments.run_grid_cell(cfg, "fedchain", 6, 2, seed=1)
         b = experiments.run_grid_cell(cfg, "fedchain", 6, 2, seed=1)
         assert a == b
+
+    def test_invalid_ledger_raises_a_named_error(self, monkeypatch):
+        # a check that survives `python -O`, unlike an assert
+        monkeypatch.setattr(experiments.chain, "validate_chain", lambda ledger: ["block 1: forged"])
+        with pytest.raises(LedgerIntegrityError, match="seed=1 built an invalid ledger: block 1: forged"):
+            experiments.run_grid_cell(tiny_grid_config(), "fedchain", 6, 2, seed=1)
 
     def test_grid_skips_infeasible_and_counts_rows(self):
         cfg = tiny_grid_config()

@@ -1,9 +1,12 @@
 import hashlib
 import math
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fedchain import data, fed, verify
 from fedchain.errors import (
@@ -13,7 +16,7 @@ from fedchain.errors import (
 )
 
 
-@pytest.fixture
+@pytest.fixture(scope="module")
 def setup():
     arch = fed.Architecture(n_features=6, n_classes=4)
     model = fed.DenseClassifier(arch, seed=1)
@@ -92,7 +95,7 @@ class TestProveVerify:
     def test_honest_roundtrip_accepts(self, setup):
         model, held_out, pp, blinding = setup
         com = verify.commit(model, pp, blinding)
-        sample = verify.derive_challenge(held_out, verify.row_digests(held_out.x), com, 250)
+        sample = verify.derive_challenge(held_out, com, 250)
         proof = verify.prove(model, sample.x, pp, blinding)
         result = verify.verify(com, sample, proof.y, proof, pp)
         assert result.accepted
@@ -100,7 +103,7 @@ class TestProveVerify:
     def test_measured_accuracy_equals_evaluate(self, setup):
         model, held_out, pp, blinding = setup
         com = verify.commit(model, pp, blinding)
-        sample = verify.derive_challenge(held_out, verify.row_digests(held_out.x), com, 300)
+        sample = verify.derive_challenge(held_out, com, 300)
         proof = verify.prove(model, sample.x, pp, blinding)
         result = verify.verify(com, sample, proof.y, proof, pp)
         subset = data.Dataset(sample.x, sample.labels, held_out.n_classes)
@@ -109,19 +112,16 @@ class TestProveVerify:
     def test_different_batch_rejected(self, setup):
         model, held_out, pp, blinding = setup
         com = verify.commit(model, pp, blinding)
-        sample = verify.derive_challenge(held_out, verify.row_digests(held_out.x), com, 200)
+        sample = verify.derive_challenge(held_out, com, 200)
         proof = verify.prove(model, sample.x, pp, blinding)
-        other = verify.VerificationSample(
-            x=held_out.x[:200], labels=held_out.y[:200],
-            row_digests=verify.row_digests(held_out.x[:200]),
-        )
+        other = verify.VerificationSample(x=held_out.x[:200], labels=held_out.y[:200])
         result = verify.verify(com, other, proof.y, proof, pp)
         assert not result.accepted
 
     def test_tampered_prediction_rejected(self, setup):
         model, held_out, pp, blinding = setup
         com = verify.commit(model, pp, blinding)
-        sample = verify.derive_challenge(held_out, verify.row_digests(held_out.x), com, 200)
+        sample = verify.derive_challenge(held_out, com, 200)
         proof = verify.prove(model, sample.x, pp, blinding)
         tampered = proof.y.copy()
         tampered[0] = (tampered[0] + 1) % 4
@@ -133,7 +133,7 @@ class TestProveVerify:
         com = verify.commit(model, pp, blinding)
         other_model = fed.DenseClassifier(model.arch, seed=77)
         other_blinding = verify.make_blinding(78)
-        sample = verify.derive_challenge(held_out, verify.row_digests(held_out.x), com, 200)
+        sample = verify.derive_challenge(held_out, com, 200)
         foreign = verify.prove(other_model, sample.x, pp, other_blinding)
         result = verify.verify(com, sample, foreign.y, foreign, pp)
         assert not result.accepted
@@ -142,7 +142,7 @@ class TestProveVerify:
     def test_mutated_model_never_verifies(self, setup):
         model, held_out, pp, blinding = setup
         com = verify.commit(model, pp, blinding)
-        sample = verify.derive_challenge(held_out, verify.row_digests(held_out.x), com, 200)
+        sample = verify.derive_challenge(held_out, com, 200)
         rng = np.random.default_rng(6)
         for _ in range(200):
             mutated = model.weights.copy()
@@ -156,16 +156,16 @@ class TestChallengeDerivation:
     def test_deterministic_per_commitment(self, setup):
         model, held_out, pp, blinding = setup
         com = verify.commit(model, pp, blinding)
-        a = verify.derive_challenge(held_out, verify.row_digests(held_out.x), com, 100)
-        b = verify.derive_challenge(held_out, verify.row_digests(held_out.x), com, 100)
+        a = verify.derive_challenge(held_out, com, 100)
+        b = verify.derive_challenge(held_out, com, 100)
         assert np.array_equal(a.x, b.x)
 
     def test_commitment_changes_challenge(self, setup):
         model, held_out, pp, blinding = setup
         com_a = verify.commit(model, pp, blinding)
         com_b = verify.commit(model, pp, verify.make_blinding(50))
-        a = verify.derive_challenge(held_out, verify.row_digests(held_out.x), com_a, 100)
-        b = verify.derive_challenge(held_out, verify.row_digests(held_out.x), com_b, 100)
+        a = verify.derive_challenge(held_out, com_a, 100)
+        b = verify.derive_challenge(held_out, com_b, 100)
         assert not np.array_equal(a.x, b.x)
 
 
@@ -189,13 +189,16 @@ class TestAccuracyClaim:
             verify.accuracy_claim_check(0.9, 0.9, 100)
 
 
-def oracle_chain(com, x, y):
-    """Per-row digest chain, serializing each row and label on its own."""
-    link = hashlib.sha256(verify.DOMAIN_TAG + com.digest).digest()
-    for row, label in zip(x, y):
-        row_digest = hashlib.sha256(np.ascontiguousarray(row, dtype="<f8").tobytes()).digest()
-        link = hashlib.sha256(link + row_digest + struct.pack("<q", int(label))).digest()
-    return link
+def oracle_binding(com, x, y):
+    """The proof binding, serializing the row count, then each row and
+    each label on its own."""
+    rows = min(len(x), len(y))
+    body = struct.pack("<Q", rows)
+    for row in list(x)[:rows]:
+        body += np.ascontiguousarray(row, dtype="<f8").tobytes()
+    for label in list(y)[:rows]:
+        body += struct.pack("<q", int(label))
+    return hashlib.sha256(verify.BINDING_TAG + com.digest + body).digest()
 
 
 class TestDigestChain:
@@ -224,48 +227,39 @@ class TestDigestChain:
 
     def test_matches_per_row_oracle(self, com):
         for name, (x, y) in self.inputs().items():
-            assert verify._chain(com, x, y) == oracle_chain(com, x, y), name
+            assert verify._bind(com, x, y) == oracle_binding(com, x, y), name
 
     def test_proof_digest_unchanged(self, setup):
         model, held_out, pp, blinding = setup
         x = held_out.x[:50]
         proof = verify.prove(model, x, pp, blinding)
-        assert proof.digest_chain == oracle_chain(verify.commit(model, pp, blinding), x, proof.y)
+        assert proof.digest_chain == oracle_binding(verify.commit(model, pp, blinding), x, proof.y)
 
-
-class TestRowDigestTable:
-    """The chain's two stages: `row_digests` hashes each row once, and
-    `_link_chain` links a digest table with the labels."""
-
-    com = verify.ModelCommitment(digest=bytes(range(16)))
-
-    def test_link_chain_matches_oracle(self):
-        for name, (x, y) in TestDigestChain().inputs().items():
-            digests = verify.row_digests(x)
-            assert digests.shape == (len(x), 32) and digests.dtype == np.uint8, name
-            assert verify._link_chain(self.com, digests, y) == oracle_chain(self.com, x, y), name
-
-    def test_digest_ending_in_zero_byte(self):
-        rng = np.random.default_rng(8)
-        rows = rng.normal(size=(2000, 5))
-        full = [hashlib.sha256(row.astype("<f8").tobytes()).digest() for row in rows]
-        zero_end = next(i for i, d in enumerate(full) if d[-1] == 0)
-        # an S32 array would strip the trailing zero byte
-        assert len(np.array([full[zero_end]], dtype="S32")[0]) < 32
-        x = rows[zero_end - 2:zero_end + 3]
-        y = rng.integers(0, 4, size=len(x))
-        digests = verify.row_digests(x)
-        assert digests[2].tobytes() == full[zero_end]
-        assert verify._link_chain(self.com, digests, y) == oracle_chain(self.com, x, y)
-
-    def test_sample_carries_its_row_digests(self, setup):
+    @settings(max_examples=150, deadline=None)
+    @given(change=st.sampled_from(["value", "label", "rows", "commitment"]),
+           row=st.integers(0, 199), col=st.integers(0, 5),
+           value=st.floats(allow_nan=False), shift=st.integers(1, 2**40))
+    def test_any_change_to_a_bound_input_is_rejected(self, setup, change, row, col, value, shift):
+        # a proof bound to anything but the verifier's own inputs fails on
+        # the binding: the model and the claimed labels stay honest
         model, held_out, pp, blinding = setup
         com = verify.commit(model, pp, blinding)
-        sample = verify.derive_challenge(held_out, verify.row_digests(held_out.x), com, 250)
-        assert np.array_equal(sample.row_digests, verify.row_digests(sample.x))
-
-    def test_digest_table_must_cover_held_out(self, setup):
-        model, held_out, pp, blinding = setup
-        com = verify.commit(model, pp, blinding)
-        with pytest.raises(ValueError):
-            verify.derive_challenge(held_out, verify.row_digests(held_out.x[:-1]), com, 250)
+        sample = verify.derive_challenge(held_out, com, 200)
+        proof = verify.prove(model, sample.x, pp, blinding)
+        x, y, bound_com = sample.x.copy(), proof.y.copy(), com
+        if change == "value":
+            x[row, col] = value
+            assume(x[row, col].tobytes() != sample.x[row, col].tobytes())
+        elif change == "label":
+            y[row] += shift
+        elif change == "rows":
+            x, y = x[:row], y[:row]
+        else:
+            bound_com = verify.ModelCommitment(
+                digest=bytes([com.digest[0] ^ (shift & 0xFF or 1)]) + com.digest[1:])
+        forged = replace(proof, digest_chain=verify._bind(bound_com, x, y))
+        assert forged.digest_chain != proof.digest_chain
+        result = verify.verify(com, sample, proof.y, forged, pp)
+        assert not result.accepted
+        assert result.reason == "digest chain mismatch"
+        assert verify.verify(com, sample, proof.y, proof, pp).accepted
