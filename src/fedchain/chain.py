@@ -53,10 +53,22 @@ TX_KINDS = (
 )
 MODES = ("fedchain", "fedavg_central", "pow", "gfl_ring")
 GENESIS_HASH = "0" * 64
-# Canonical encoders, built once: `json.dumps` with keyword arguments builds
-# a new JSONEncoder on every call. `.encode` gives `json.dumps`' exact text.
-_DIGEST_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-_RECORD_JSON = json.JSONEncoder(sort_keys=True)
+
+
+def _canonical_json(**options) -> Callable[[object], str]:
+    """`json.dumps(obj, sort_keys=True, **options)` with its C encoder built
+    once, not per call, and no cycle markers: ledger records are acyclic."""
+    encoder = json.JSONEncoder(sort_keys=True, **options)
+    if json.encoder.c_make_encoder is None:
+        return encoder.encode
+    encode = json.encoder.c_make_encoder(None, encoder.default, json.encoder.encode_basestring_ascii,
+                                         None, encoder.key_separator, encoder.item_separator,
+                                         True, False, True)
+    return lambda obj: "".join(encode(obj, 0))
+
+
+_DIGEST_JSON = _canonical_json(separators=(",", ":"))
+_RECORD_JSON = _canonical_json()
 
 
 def _derive_seed(*parts) -> int:
@@ -83,7 +95,7 @@ class Transaction:
     timestamp: float
 
     def digest(self) -> str:
-        body = _DIGEST_JSON.encode(
+        body = _DIGEST_JSON(
             {"kind": self.kind, "payload": self.payload, "author": self.author,
              "timestamp": self.timestamp}
         )
@@ -101,7 +113,7 @@ class Block:
     model_commitment: str | None
 
     def hash(self) -> str:
-        body = _DIGEST_JSON.encode(
+        body = _DIGEST_JSON(
             {
                 "height": self.height,
                 "prev_hash": self.prev_hash,
@@ -159,10 +171,10 @@ class Chain:
                     "task_id": block.task_id,
                     "model_commitment": block.model_commitment,
                 }
-                fh.write(_RECORD_JSON.encode(record) + "\n")
+                fh.write(_RECORD_JSON(record) + "\n")
                 for tx in block.transactions:
                     fh.write(
-                        _RECORD_JSON.encode(
+                        _RECORD_JSON(
                             {
                                 "type": "tx",
                                 "height": block.height,
@@ -890,13 +902,13 @@ def _build_block(
 
 def _form_pools(setup: RoundSetup) -> tuple[pools.PoolAssignment, dict[int, float]]:
     """Latency estimation, head announcement and greedy assignment, then
-    each node's training start time. The latency history is freed as soon
-    as the estimate is built."""
-    l_hat = pools.estimate_latency(
-        pools.bootstrap_history(setup.latency, seed=_derive_seed(setup.seed, "ping")),
-        setup.n_nodes,
-    )
-    heads = pools.announce_heads(setup.n_nodes, setup.n_pools, l_hat=l_hat)
+    each node's training start time. `announce_heads` symmetrizes into the
+    history's adopted ping, which is dropped before assignment, so
+    formation holds at most two n x n arrays: the ping and the estimate."""
+    history = pools.bootstrap_history(setup.latency, seed=_derive_seed(setup.seed, "ping"))
+    l_hat = pools.estimate_latency(history, setup.n_nodes)
+    heads = pools.announce_heads(setup.n_nodes, setup.n_pools, l_hat=l_hat, ping=history.total)
+    del history
     chunk_units = max(
         1, round(setup.size_multiplier / max(1, setup.n_nodes // max(1, setup.n_pools)))
     )

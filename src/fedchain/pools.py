@@ -61,10 +61,10 @@ def estimate_latency(history: LatencyHistory, n_nodes: int) -> np.ndarray:
     `history.total` over the first `n_nodes` nodes divided by the counts,
     with the diagonal (0 / 0 on a counts array) filled with 0. Of the
     history's three states (see `LatencyHistory`), a fresh one has no
-    node, an adopted one divides by its int count 1 and has every pair of
-    its nodes, and a recorded one divides by its counts array. Every mean
-    is bit-identical to `sum(series) / len(series)` over the pair's
-    observations as floats. Since the history's count diagonal is always 0,
+    node, an adopted one has every pair of its nodes and is copied (its
+    count is 1, and x / 1 == x), and a recorded one divides by its counts
+    array. Every mean is bit-identical to `sum(series) / len(series)` over
+    the pair's observations as floats. Since the count diagonal is always 0,
     every pair has an observation exactly when the first `n_nodes` nodes
     have `n_nodes * (n_nodes - 1)` nonzero counts, so the normal path
     pads nothing. Otherwise a padded copy of the counts names the first
@@ -85,13 +85,17 @@ def estimate_latency(history: LatencyHistory, n_nodes: int) -> np.ndarray:
         raise InsufficientHistoryError(f"no observations for pair ({i}, {j})")
     if size < n_nodes:  # one node, empty history
         return np.zeros((n_nodes, n_nodes), order="F")
-    with np.errstate(invalid="ignore"):
-        l_hat = np.divide(history.total[:size, :size], counts, order="F")
+    if history.uniform_count == 1:
+        l_hat = np.array(history.total[:size, :size], order="F")
+    else:
+        with np.errstate(invalid="ignore"):
+            l_hat = np.divide(history.total[:size, :size], counts, order="F")
     np.fill_diagonal(l_hat, 0.0)
     return l_hat
 
 
-def announce_heads(n_nodes: int, pool_count: int, l_hat: np.ndarray) -> list[int]:
+def announce_heads(n_nodes: int, pool_count: int, l_hat: np.ndarray,
+                   ping: np.ndarray | None = None) -> list[int]:
     """Select the pool heads.
 
     Heads are picked by greedy farthest-point selection on the symmetrized
@@ -99,8 +103,13 @@ def announce_heads(n_nodes: int, pool_count: int, l_hat: np.ndarray) -> list[int
     repeatedly the node maximizing the minimum distance to the chosen heads
     (a single head is the medoid).
 
-    `dist` is one float64 array, and it is exactly symmetric: both mirrored
-    entries are fl(fl(a + b) / 2), and fl(a + b) = fl(b + a). So with the
+    `dist` is one float64 array, `(l_hat + l_hat.T) * 0.5`, the bits of
+    `/ 2`. `ping`, the row-major float64 array an adopted history's
+    estimate was copied from (`history.total`), is overwritten with it as
+    `ping + l_hat.T`: both operands contiguous, and the same fl(a + b). A
+    `ping` of the wrong shape raises InvalidTopologyError. `dist` is
+    exactly symmetric: both mirrored entries are fl(fl(a + b) / 2), and
+    fl(a + b) = fl(b + a). So with the
     diagonal set to -inf, the first maximum of the whole matrix in
     row-major order lies in the upper triangle (its mirror would come
     first otherwise), and it is the first maximum of the upper triangle in
@@ -113,8 +122,12 @@ def announce_heads(n_nodes: int, pool_count: int, l_hat: np.ndarray) -> list[int
     if pool_count > n_nodes:
         raise TooManyPoolsError(f"{pool_count} pools for {n_nodes} nodes")
     _check_latency(n_nodes, l_hat)
-    dist = np.add(l_hat, l_hat.T, dtype=np.float64)
-    dist /= 2.0
+    if ping is None:
+        dist = np.add(l_hat, l_hat.T, dtype=np.float64)
+    else:
+        _check_latency(n_nodes, ping)
+        dist = np.add(ping, l_hat.T, out=ping)
+    dist *= 0.5
     if pool_count == 1:
         return [int(np.argmin(dist.sum(axis=1)))]
 
@@ -190,10 +203,10 @@ def assign_pools(
     t_p_sorted = np.asarray(t_p, dtype=np.float64)[by_head]
     cost = np.maximum(l_hat[:, [pool.head for pool in pools_by_head]].T, t_p_sorted[:, None],
                       order="C")
-    # views made once: rows[c] is cost[c], columns[node] is l_hat[:, node]
-    rows, columns = list(cost), l_hat.T
+    # views made once: rows[c] = cost[c], costs[v] = cost[:, v], columns[v] = l_hat[:, v]
+    rows, costs, columns = list(cost), list(cost.T), l_hat.T
     for node in join_order(n_nodes, heads, seed):
-        c = int(cost[:, node].argmin())
+        c = int(costs[node].argmin())
         pools_by_head[c].members.append(node)
         np.maximum(rows[c], columns[node], out=rows[c])
     return PoolAssignment(pools=pools)

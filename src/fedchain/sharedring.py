@@ -139,10 +139,7 @@ def ring_payloads(
     `index` is `payload_index(spans, model_len)`, which `ring_layout`
     caches for balanced spans.
     """
-    if masks is not None:
-        for (a, b), mask in zip(spans, masks, strict=True):
-            if mask.shape != (b - a,):
-                raise MaskShapeError(f"noise length {mask.shape[0]} != chunk length {b - a}")
+    _check_masks(spans, masks)
     stacked = np.asarray(vectors)
     if index is None:
         index = payload_index(spans, stacked.shape[1])
@@ -151,6 +148,13 @@ def ring_payloads(
     hops[0] += noise
     np.cumsum(hops, axis=0, out=hops)
     return hops, hops[-1] - noise
+
+
+def _check_masks(spans: Sequence[tuple[int, int]], masks: Sequence[np.ndarray] | None) -> None:
+    if masks is not None:
+        for (a, b), mask in zip(spans, masks, strict=True):
+            if mask.shape != (b - a,):
+                raise MaskShapeError(f"noise length {mask.shape[0]} != chunk length {b - a}")
 
 
 def ring_transcript(
@@ -237,11 +241,12 @@ class RingSession:
     chains: one cumsum from `now + (ready[s] - now)` over the hop costs
     makes the float additions an event loop replaying every message makes,
     in its order. Member p completes at the max over slots of the hop that
-    brings it that slot's final value. Payloads come from `ring_payloads`
-    in one cumsum, so times, sums and the lazily built audit `transcript`
-    are bit-identical to the replay. Every index comes from the shared
-    `ring_layout`, so a round is one payload gather, one link gather, the
-    two cumsums and one max.
+    brings it that slot's final value. The sum is one column sum of the
+    vectors (int64 addition wraps, so order does not matter), and only the
+    lazily built audit `transcript` builds payloads, by `ring_payloads`:
+    times, sums and transcript are bit-identical to the replay. Every index
+    comes from the shared `ring_layout`, so a round is one column sum, one
+    link gather, one cumsum and one max.
 
     `start(now, ready_times)` fills `completion` and `results` (one shared
     summed array); the round's end is `max(completion.values())`.
@@ -265,8 +270,8 @@ class RingSession:
         self.masks = list(masks) if masks is not None else None
         self.layout = ring_layout(self.k, self.vectors.shape[1], size_multiplier,
                                   self.masks is not None)
-        self._hops, self._total = ring_payloads(self.vectors, self.layout.spans, self.masks,
-                                                self.layout.index)
+        _check_masks(self.layout.spans, self.masks)
+        self._total = np.add.reduce(self.vectors, axis=0)
         self.completion: dict[int, float] = {}
         self.results: dict[int, np.ndarray] = {}
 
@@ -277,8 +282,8 @@ class RingSession:
     @property
     def transcript(self) -> list[TranscriptEntry]:
         """The round's messages in stream-major order (see `ring_transcript`)."""
-        return ring_transcript(self._hops, self._total, self.layout.spans,
-                               self.masks is not None)
+        hops, _ = ring_payloads(self.vectors, self.layout.spans, self.masks, self.layout.index)
+        return ring_transcript(hops, self._total, self.layout.spans, self.masks is not None)
 
     def start(self, now: float, ready_times: Sequence[float]) -> None:
         """Run the round from clock `now`; member i's stream leaves at

@@ -1175,6 +1175,31 @@ class TestCanonicalJson:
         assert path.read_text(encoding="utf-8") == "".join(line + "\n" for line in want)
 
 
+CANONICAL_PAYLOADS = [
+    0, -7, 2**63, True, False, None,
+    0.1 + 0.2, 1e-7, 1e16, -0.0, 5e-324, 1.7976931348623157e308, float("inf"), float("nan"),
+    [], {}, [1, [2.5, [None, {"b": [], "a": {"z": -0.0}}]]],
+    {"é": "naïve ☃ 𝄞", "b": [True, "\u0000\n\"\\"], "a": {"d": 1e16, "c": [0.1 + 0.2]}},
+    {"credits": {"12": 250, "3": 750}, "com": "ab" * 32, "measured": 0.9125},
+]
+
+
+class TestCanonicalJsonMatrix:
+    """The prebuilt encoders give `json.dumps`' text with the same options,
+    with the C encoder and without it."""
+
+    @pytest.mark.parametrize("options", [{"separators": (",", ":")}, {}])
+    @pytest.mark.parametrize("c_encoder", [True, False])
+    def test_same_text_as_json_dumps(self, monkeypatch, options, c_encoder):
+        if not c_encoder:
+            monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+        encode = chain._canonical_json(**options)
+        for payload in CANONICAL_PAYLOADS:
+            assert encode(payload) == json.dumps(payload, sort_keys=True, **options)
+            record = {"type": "tx", "payload": payload, "timestamp": 0.1 + 0.2}
+            assert encode(record) == json.dumps(record, sort_keys=True, **options)
+
+
 class TestNoEventLoop:
     """A round computes every simulated time in closed form: it never
     sends, schedules or runs an event."""
@@ -1570,6 +1595,28 @@ def test_ledger_export_roundtrip(tmp_path):
     loaded = chain.load_chain_jsonl(str(path))
     assert chain.validate_chain(loaded) == []
     assert loaded.blocks[1].hash() == ledger.blocks[1].hash()
+
+
+# SHA-256 of `export_jsonl` after one round of `grid_setup(20, 4, seed)`.
+LEDGER_EXPORT_SHA256 = {
+    ("fedchain", 0): "0ff71600e132f9e3b326ea56928ebb56e0144bfc2f8adabd02dc7a74b8865f04",
+    ("fedchain", 3): "74bfcded59682818e6b3b3ec4c11c8489cdc9fb785fe6f2bb8ea040b9bff6817",
+    ("fedavg_central", 0): "ab83617887936262a84e1e79f596415402c3641d234c9bce9876abb85e334e8f",
+    ("fedavg_central", 3): "0782aa4c11dd4055891743052696f4faebc0fa9774e83fd21e6471570969b569",
+    ("pow", 0): "f8cea94d43aae6825b9f737df860a9db053a4ee0c5a35529d3aa3b5a364d46ee",
+    ("pow", 3): "34a921206fbe8e04eeac6ddcf8c2a5616abb36de554140debafbcf71014c2d06",
+    ("gfl_ring", 0): "d01864e92092e7e6f475205ee00cceceb9691b65e0343950a88d4a2bea65fd58",
+    ("gfl_ring", 3): "86fc2601e89ca8703e724d37ac1f1288ef1233290f31ffe5cdba1c554552bb97",
+}
+
+
+@pytest.mark.parametrize("mode,seed", sorted(LEDGER_EXPORT_SHA256))
+def test_ledger_export_bytes(tmp_path, mode, seed):
+    ledger = chain.Chain()
+    chain.run_round(ledger, grid_setup(20, 4, seed), mode)
+    path = tmp_path / "ledger.jsonl"
+    ledger.export_jsonl(str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == LEDGER_EXPORT_SHA256[mode, seed]
 
 
 class TestLedgerIntegrity:

@@ -568,11 +568,81 @@ class TestFormationInputs:
             pools.assign_pools(5, [], self.l_hat, [])
 
 
+def formation_before(setup):
+    """`chain._form_pools`' heads and members, formed as before the estimate
+    copied the adopted ping: the estimate divides the ping by its count 1,
+    `dist` is a fresh array read through a transposed view and halved with
+    `/ 2.0`, and each join slices its pool costs out of `cost`."""
+    n, p = setup.n_nodes, setup.n_pools
+    history = pools.bootstrap_history(setup.latency, seed=chain._derive_seed(setup.seed, "ping"))
+    with np.errstate(invalid="ignore"):
+        l_hat = np.divide(history.total, history.uniform_count, order="F")
+    np.fill_diagonal(l_hat, 0.0)
+    dist = np.add(l_hat, l_hat.T, dtype=np.float64)
+    dist /= 2.0
+    if p == 1:
+        heads = [int(np.argmin(dist.sum(axis=1)))]
+    else:
+        np.fill_diagonal(dist, -np.inf)
+        heads = list(divmod(int(np.argmax(dist)), n))
+        min_dist = np.minimum(dist[heads[0]], dist[heads[1]])
+        min_dist[heads] = -np.inf
+        while len(heads) < p:
+            head = int(np.argmax(min_dist))
+            heads.append(head)
+            np.minimum(min_dist, dist[head], out=min_dist)
+            min_dist[head] = -np.inf
+    chunk_units = max(1, round(setup.size_multiplier / max(1, n // max(1, p))))
+    t_p = [pools.pool_time_estimate([h], setup.compute_times, l_hat, setup.train.epochs,
+                                    chunk_units) for h in heads]
+    by_head = np.argsort(np.asarray(heads), kind="stable")
+    members = [[h] for h in heads]
+    members_by_head = [members[idx] for idx in by_head]
+    cost = np.maximum(l_hat[:, np.asarray(heads)[by_head]].T,
+                      np.asarray(t_p)[by_head][:, None], order="C")
+    for node in pools.join_order(n, heads, chain._derive_seed(setup.seed, "join")):
+        c = int(cost[:, node].argmin())
+        members_by_head[c].append(node)
+        np.maximum(cost[c], l_hat[:, node], out=cost[c])
+    return heads, members
+
+
+def formation_setup(latency, p, seed):
+    return chain.RoundSetup(task=None, latency=latency,
+                            compute_times=netsim.draw_compute_times(len(latency), seed=seed + 3),
+                            miner_data=[], n_pools=p, seed=seed)
+
+
+class TestFormationBefore:
+    """`chain._form_pools` forms the pools of `formation_before`."""
+
+    @pytest.mark.parametrize("n,p,seed", [(600, 60, s) for s in (0, 1, 2, 20231)]
+                             + [(50, 5, 3), (40, 1, 4), (9, 9, 5)])
+    def test_same_pools(self, n, p, seed):
+        latency = netsim.build_topology(n, seed=seed * 31 + 5, model=netsim.UniformTopology(10, 100))
+        setup = formation_setup(latency, p, seed)
+        assignment, _ = chain._form_pools(setup)
+        heads, members = formation_before(setup)
+        assert assignment.heads() == heads
+        assert [pool.members for pool in assignment.pools] == members
+
+    @pytest.mark.parametrize("p", [1, 3, 12])
+    def test_same_pools_on_integer_latency(self, p):
+        latency = np.random.default_rng(p).integers(1, 4, size=(30, 30))
+        np.fill_diagonal(latency, 0)
+        setup = formation_setup(latency, p, seed=p)
+        assignment, _ = chain._form_pools(setup)
+        heads, members = formation_before(setup)
+        assert assignment.heads() == heads
+        assert [pool.members for pool in assignment.pools] == members
+
+
 class TestFormationMemory:
     def test_form_pools_peak(self):
         # Formation holds at most two n x n float64 arrays at once: the
-        # adopted ping (the history's `total`) and the estimate, then the
-        # estimate and `dist`. A history that copies the ping into a
+        # adopted ping (the history's `total`) and the estimate copied from
+        # it. `announce_heads` symmetrizes into the ping, which is dropped
+        # before assignment. A history that copies the ping into a
         # zero-filled `total` next to a `counts` array reads 3.1.
         n, p = 400, 40
         setup = chain.RoundSetup(
@@ -708,3 +778,41 @@ class TestAdoptedPingProperty:
             for hist in (adopted, recorded):
                 hist.record(*op)
             histories_equal(adopted, recorded, n_query)
+
+
+@st.composite
+def adopted_pings(draw):
+    """A row-major float64 ping with a zero diagonal, as an adopted history
+    holds it, drawn from few values so that distances tie, and a pool count."""
+    n = draw(st.integers(1, 9))
+    values = st.one_of(st.sampled_from([1.0, 2.0, 3.0]), positive_floats)
+    ping = draw(hnp.arrays(np.float64, (n, n), elements=values))
+    np.fill_diagonal(ping, 0.0)
+    return ping, draw(st.integers(1, n))
+
+
+class TestAnnounceWithPing:
+    """Symmetrizing into the ping picks the heads of a fresh `dist`."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(adopted_pings())
+    def test_same_heads_with_and_without_ping(self, case):
+        ping, p = case
+        n = len(ping)
+        l_hat = np.array(ping, order="F")
+        without = pools.announce_heads(n, p, l_hat=l_hat)
+        with_ping = pools.announce_heads(n, p, l_hat=l_hat, ping=ping.copy())
+        assert with_ping == without == oracle_announce_heads(n, p, l_hat)
+
+    def test_ping_is_overwritten_with_dist(self):
+        ping = netsim.build_topology(7, seed=2, model=netsim.UniformTopology())
+        l_hat = np.array(ping, order="F")
+        target = ping.copy()
+        pools.announce_heads(7, 1, l_hat=l_hat, ping=target)
+        assert target.tobytes() == ((ping + ping.T) / 2.0).tobytes()
+
+    @pytest.mark.parametrize("shape", [(4, 4), (5, 6), (6, 6)])
+    def test_ping_of_wrong_shape(self, shape):
+        l_hat = np.ones((5, 5))
+        with pytest.raises(InvalidTopologyError):
+            pools.announce_heads(5, 2, l_hat=l_hat, ping=np.ones(shape))

@@ -408,6 +408,36 @@ class TestRingSession:
         assert all(t > 10.0 for t in session.completion.values())
 
 
+class TestRingSessionTotal:
+    """A session sums its vectors by one column sum and builds the payloads
+    only for its transcript: both equal what `ring_payloads` gives, also
+    where int64 sums wrap."""
+
+    @pytest.mark.parametrize("masked", [True, False])
+    @pytest.mark.parametrize("k", [1, 2, 7])
+    def test_total_and_transcript_equal_ring_payloads(self, k, masked):
+        rng = np.random.default_rng(k)
+        lat = netsim.build_topology(max(k, 2), seed=k, model=netsim.UniformTopology(5, 20))
+        near = np.iinfo(np.int64).max - rng.integers(0, 1000, size=(k, 23))
+        vectors = [v * sign for v, sign in zip(near, rng.choice([-1, 1], size=(k, 1)))]
+        spans = sharedring.chunk_spans(23, k)
+        masks = None
+        if masked:
+            masks = [fixedpoint.generate_noise(b - a, seed=i) for i, (a, b) in enumerate(spans)]
+        session = sharedring.RingSession(lat, list(range(k)), vectors, masks=masks)
+        session.start(0.0, [0.0] * k)
+        hops, total = sharedring.ring_payloads(vectors, spans, masks)
+        assert all(r.tobytes() == total.tobytes() for r in session.results.values())
+        want = sharedring.ring_transcript(hops, total, spans, masked)
+        got = session.transcript
+        assert [(e.phase, e.step, e.src, e.dst, e.slot, e.masked) for e in got] == [
+            (e.phase, e.step, e.src, e.dst, e.slot, e.masked) for e in want]
+        assert all(np.array_equal(g.payload, w.payload) for g, w in zip(got, want))
+        if masked:
+            report = sharedring.transcript_leakage_check(got, session.raw_splits, masks)
+            assert report.passed, report.violations
+
+
 class TestRingSessionAudit:
     """The ring the chain runs, checked by the leakage audit and against the
     hop-by-hop reference. The transcript holds the payload arrays themselves,
