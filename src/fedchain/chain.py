@@ -23,8 +23,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import fixedpoint, pools, sharedring, verify
-from .data import Dataset
+from . import fixedpoint, netsim, pools, sharedring, verify
+from .data import Dataset, largest_remainder
 from .errors import (
     DuplicateTaskBlockError,
     InsufficientSamplesError,
@@ -53,6 +53,8 @@ TX_KINDS = (
 )
 MODES = ("fedchain", "fedavg_central", "pow", "gfl_ring")
 GENESIS_HASH = "0" * 64
+PUBLISHER = 0  # the node that publishes every task
+_MODEL_UNITS = int(netsim.SIZE_MULTIPLIER)  # size units of a whole model, or of a proof
 
 
 def _canonical_json(**options) -> Callable[[object], str]:
@@ -389,17 +391,9 @@ def validate_chain(chain: Chain) -> list[str]:
 
 
 def split_reward(reward: int, weights: np.ndarray, members: Sequence[int]) -> dict[int, int]:
-    """Integer reward split proportional to aggregation weights.
-
-    Largest-remainder apportionment keeps the total exactly equal to the
-    reward amount.
-    """
-    raw = np.asarray(weights, dtype=np.float64) * reward
-    credits = np.floor(raw).astype(np.int64)
-    shortfall = reward - int(credits.sum())
-    if shortfall > 0:
-        order = np.argsort(-(raw - credits), kind="stable")
-        credits[order[:shortfall]] += 1
+    """Integer reward split proportional to aggregation weights, by
+    `largest_remainder`, so the total is exactly the reward amount."""
+    credits = largest_remainder(reward, weights)
     return {int(m): int(c) for m, c in zip(members, credits)}
 
 
@@ -421,22 +415,23 @@ def publish_task(task: Task, publisher: int, now: float = 0.0) -> Transaction:
 
 @dataclass
 class RoundSetup:
+    """What one task round runs on. The protocol's fixed values are module
+    constants, not fields: the publisher (`PUBLISHER`), the mask width
+    (`fixedpoint.NOISE_BITS`), a whole model's size units
+    (`netsim.SIZE_MULTIPLIER`), the challenge size (`verify.CHALLENGE_SIZE`)
+    and the fedchain pools' KL weighting."""
+
     task: Task
     latency: np.ndarray
     compute_times: np.ndarray
     miner_data: list[Dataset]  # indexed by node id
     n_pools: int = 5
     seed: int = 0
-    aggregation: str = "kl"  # "kl" or "fedavg"
     train: TrainConfig = field(default_factory=TrainConfig)
     max_rounds: int = 30
     n_verifiers: int = 3
-    size_multiplier: float = 10.0
-    noise_bits: int = fixedpoint.DEFAULT_NOISE_BITS
-    challenge_size: int = 250
     pow_difficulty: int = 12
     pow_trial_ms: float = 1.0
-    publisher: int = 0
     tamper_pools: frozenset = frozenset()  # pools whose proofs get corrupted
 
     @property
@@ -492,8 +487,8 @@ class RoundResult:
 def _task_arrivals(setup: RoundSetup) -> np.ndarray:
     """When each node has the task: over one link from the publisher, which
     has it at 0.0."""
-    task = np.asarray(setup.latency, dtype=np.float64)[setup.publisher].copy()
-    task[setup.publisher] = 0.0
+    task = np.asarray(setup.latency, dtype=np.float64)[PUBLISHER].copy()
+    task[PUBLISHER] = 0.0
     return task
 
 
@@ -546,19 +541,17 @@ def _simulate_formation(setup: RoundSetup, assignment: pools.PoolAssignment) -> 
 
 def _check_round(setup: RoundSetup, learning: bool = True) -> None:
     """Refuse a round that cannot settle, before any work: in every mode
-    one without a verifier (`n_verifiers < 1`) or with a mask width outside
-    [0, 63] bits (NoiseWidthError), and in a learning mode one whose
-    challenges are too small for an accuracy claim: each verifier checks
-    the claim on min(challenge_size, held-out rows) samples, which must
-    reach `verify.MIN_CLAIM_SAMPLES`."""
+    one without a verifier (`n_verifiers < 1`), and in a learning mode one
+    whose challenges are too small for an accuracy claim: each verifier
+    checks the claim on min(`verify.CHALLENGE_SIZE`, held-out rows)
+    samples, which must reach `verify.MIN_CLAIM_SAMPLES`."""
     if setup.n_verifiers < 1:
         raise InvalidCommitteeError(
             f"task {setup.task.task_id}: n_verifiers must be at least 1, got {setup.n_verifiers}"
         )
-    fixedpoint.check_noise_bits(setup.noise_bits)
     if not learning:
         return
-    k = min(setup.challenge_size, len(setup.task.held_out))
+    k = min(verify.CHALLENGE_SIZE, len(setup.task.held_out))
     if k < verify.MIN_CLAIM_SAMPLES:
         raise InsufficientSamplesError(
             f"task {setup.task.task_id}: challenges of {k} samples < required minimum "
@@ -600,18 +593,18 @@ def _committee_links(setup: RoundSetup, head: int,
     return [(float(setup.latency[head, v]), float(setup.latency[v, head])) for v in committee]
 
 
-def _vote_arrivals(t0: float, links: list[tuple[float, float]], su: int) -> list[tuple]:
+def _vote_arrivals(t0: float, links: list[tuple[float, float]]) -> list[tuple]:
     """Each verifier's `(vote, proof, challenge, commit, committee index)`
     arrival times in an exchange from `t0`, unsorted: with `(down, up)` its
     `_committee_links`, the commit arrives at `t0 + down`, the challenge
-    `up` later, the proof `down * su` later and the vote `up` later. The
-    one place these sums are made, for a finisher's `_PoolRun.votes` and
-    for `_PoolRun.vote_bound` alike."""
+    `up` later, the proof `down * _MODEL_UNITS` later and the vote `up`
+    later. The one place these sums are made, for a finisher's
+    `_PoolRun.votes` and for `_PoolRun.vote_bound` alike."""
     arrivals = []
     for idx, (down, up) in enumerate(links):
         commit_at = t0 + down
         challenge_at = commit_at + up
-        proof_at = challenge_at + down * su
+        proof_at = challenge_at + down * _MODEL_UNITS
         arrivals.append((proof_at + up, proof_at, challenge_at, commit_at, idx))
     return arrivals
 
@@ -635,7 +628,7 @@ def _verification_exchange(run: _PoolRun, pp: verify.PublicParams) -> None:
     blind_seed = _derive_seed(setup.seed, task.task_id, "blind", outcome.pool_id)
     blinding = verify.make_blinding(blind_seed)
     com = verify.commit(model, pp, blinding)
-    sample = verify.derive_challenge(task.held_out, com, setup.challenge_size)
+    sample = verify.derive_challenge(task.held_out, com, verify.CHALLENGE_SIZE)
     proof = verify.prove(model, sample.x, pp, blinding)
     if run.tamper:
         bad_y = proof.y.copy()
@@ -715,7 +708,7 @@ class _PoolRun:
         over the committee, or that start without a committee (see
         `_race`)."""
         t = self.latest_start(self)
-        arrivals = _vote_arrivals(t, self._links, int(self.setup.size_multiplier))
+        arrivals = _vote_arrivals(t, self._links)
         return max((a[0] for a in arrivals), default=t)
 
     def step(self) -> bool:
@@ -791,19 +784,16 @@ def _ring_round(run: _PoolRun, trained: list[DenseClassifier],
     masks = None
     if masked:
         # Each member's noise covers its own chunk of the ring split.
-        spans = sharedring.ring_layout(k, vectors.shape[1], setup.size_multiplier, True).spans
+        spans = sharedring.ring_layout(k, vectors.shape[1], True).spans
         masks = [
             fixedpoint.generate_noise(
                 b - a,
                 _derive_seed(setup.seed, setup.task.task_id, outcome.pool_id, run.round_idx,
                              "noise", i),
-                setup.noise_bits,
             )
             for i, (a, b) in enumerate(spans)
         ]
-    session = sharedring.RingSession(
-        setup.latency, members, vectors, masks=masks, size_multiplier=setup.size_multiplier
-    )
+    session = sharedring.RingSession(setup.latency, members, vectors, masks=masks)
     session.start(run.barrier, _ready_times(run))
     return fixedpoint.decode(session.results[members[0]]) / k, max(session.completion.values())
 
@@ -814,9 +804,8 @@ def _star_round(run: _PoolRun, trained: list[DenseClassifier]) -> tuple[np.ndarr
     upload transmission at a time, which is the scaling bottleneck. Weights
     are averaged in float. Returns the round's end with the model."""
     setup, coord, now = run.setup, run.outcome.head, run.barrier
-    su = int(setup.size_multiplier)
     ready = [
-        (now if m == coord else now + float(setup.latency[coord, m]) * su)
+        (now if m == coord else now + float(setup.latency[coord, m]) * _MODEL_UNITS)
         + float(setup.compute_times[m])
         for m in run.outcome.members
     ]
@@ -825,7 +814,7 @@ def _star_round(run: _PoolRun, trained: list[DenseClassifier]) -> tuple[np.ndarr
         if m == coord:
             busy = max(busy, r)
         else:
-            busy = max(busy, r) + float(setup.latency[m, coord]) * su
+            busy = max(busy, r) + float(setup.latency[m, coord]) * _MODEL_UNITS
     return aggregate([t.weights for t in trained], run.outcome.weights), busy
 
 
@@ -884,7 +873,7 @@ def _build_block(
         Transaction(
             kind="RewardSettle",
             payload={"credits": {str(k): v for k, v in credits.items()}},
-            author=setup.publisher,
+            author=PUBLISHER,
             timestamp=winner.accept_time,
         )
     )
@@ -910,7 +899,7 @@ def _form_pools(setup: RoundSetup) -> tuple[pools.PoolAssignment, dict[int, floa
     heads = pools.announce_heads(setup.n_nodes, setup.n_pools, l_hat=l_hat, ping=history.total)
     del history
     chunk_units = max(
-        1, round(setup.size_multiplier / max(1, setup.n_nodes // max(1, setup.n_pools)))
+        1, round(netsim.SIZE_MULTIPLIER / max(1, setup.n_nodes // max(1, setup.n_pools)))
     )
     t_p = [
         pools.pool_time_estimate([h], setup.compute_times, l_hat, setup.train.epochs, chunk_units)
@@ -979,8 +968,7 @@ def _race(setup: RoundSetup, runs: list[_PoolRun]) -> PoolOutcome:
             if not run.step():
                 heapq.heappush(heap, (run.vote_bound(), idx))
             elif outcome.finish_time is not None:
-                run.votes = sorted(_vote_arrivals(outcome.finish_time, run._links,
-                                                  int(setup.size_multiplier)))
+                run.votes = sorted(_vote_arrivals(outcome.finish_time, run._links))
                 heapq.heappush(heap, (run.votes[-1][0] if run.votes else outcome.finish_time, idx))
             continue
         if pp is None:
@@ -1016,16 +1004,16 @@ def run_round_fedchain(chain: Chain, setup: RoundSetup) -> RoundResult:
     """One full task round: pools form, train over masked rings, and race
     (`_race`); the first verified finisher proposes the block. Raises
     RoundFailedError if nobody reaches the target before the deadline, and
-    before any work InvalidCommitteeError without a verifier,
-    NoiseWidthError for a mask width outside [0, 63] bits and
+    before any work InvalidCommitteeError without a verifier and
     InsufficientSamplesError if the challenges are too small for an
-    accuracy claim."""
+    accuracy claim. Every pool weights its members by label distribution
+    (`"kl"`)."""
     _check_round(setup)
-    publish_tx = publish_task(setup.task, setup.publisher, now=0.0)
+    publish_tx = publish_task(setup.task, PUBLISHER, now=0.0)
     assignment, start_times = _form_pools(setup)
     model = _initial_model(setup)
     runs = [
-        _PoolRun(setup, idx, pool.members[0], list(pool.members), setup.aggregation, model,
+        _PoolRun(setup, idx, pool.members[0], list(pool.members), "kl", model,
                  max(start_times[m] for m in pool.members), _ring_round, _ring_latest_start,
                  idx in setup.tamper_pools)
         for idx, pool in enumerate(assignment.pools)
@@ -1041,7 +1029,7 @@ def _run_pow(chain: Chain, setup: RoundSetup) -> RoundResult:
     Raises RoundFailedError when nobody else can verify it (one node)."""
     _check_round(setup, learning=False)
     task = setup.task
-    publish_tx = publish_task(task, setup.publisher, now=0.0)
+    publish_tx = publish_task(task, PUBLISHER, now=0.0)
     threshold = 1 << (256 - setup.pow_difficulty)
     best_node, best_time = None, None
     for node in range(setup.n_nodes):
@@ -1052,8 +1040,8 @@ def _run_pow(chain: Chain, setup: RoundSetup) -> RoundResult:
             nonce += 1
             if int.from_bytes(digest, "big") < threshold:
                 break
-        t = nonce * setup.pow_trial_ms + float(setup.latency[setup.publisher, node]) * (
-            0 if node == setup.publisher else 1
+        t = nonce * setup.pow_trial_ms + float(setup.latency[PUBLISHER, node]) * (
+            0 if node == PUBLISHER else 1
         )
         if best_time is None or (t, node) < (best_time, best_node):
             best_node, best_time = node, t
@@ -1107,10 +1095,9 @@ def run_round(chain: Chain, setup: RoundSetup, mode: str = "fedchain") -> RoundR
     raises RoundFailedError on a one-node network, where its finder has
     no committee, as a learning-mode finisher without one fails. Every
     mode raises InvalidCommitteeError before any work when
-    `n_verifiers < 1` and NoiseWidthError when `noise_bits` is outside
-    [0, 63], and the learning modes raise
+    `n_verifiers < 1`, and the learning modes raise
     InsufficientSamplesError before any training when
-    min(challenge_size, held-out rows) < `verify.MIN_CLAIM_SAMPLES`.
+    min(`verify.CHALLENGE_SIZE`, held-out rows) < `verify.MIN_CLAIM_SAMPLES`.
     """
     if mode == "fedchain":
         return run_round_fedchain(chain, setup)
@@ -1119,13 +1106,13 @@ def run_round(chain: Chain, setup: RoundSetup, mode: str = "fedchain") -> RoundR
     if mode not in MODES:
         raise ValueError(f"unknown mode: {mode}")
     _check_round(setup)
-    publish_tx = publish_task(setup.task, setup.publisher, now=0.0)
+    publish_tx = publish_task(setup.task, PUBLISHER, now=0.0)
     nodes = list(range(setup.n_nodes))
     if mode == "gfl_ring":
         start, combine = float(_task_arrivals(setup).max()), partial(_ring_round, masked=False)
         latest_start = _ring_latest_start
     else:
         start, combine, latest_start = 0.0, _star_round, _star_latest_start
-    run = _PoolRun(setup, 0, setup.publisher, nodes, "fedavg", _initial_model(setup), start,
+    run = _PoolRun(setup, 0, PUBLISHER, nodes, "fedavg", _initial_model(setup), start,
                    combine, latest_start, tamper=False)
     return _settle(chain, setup, publish_tx, _race(setup, [run]), [run.outcome], None, {})

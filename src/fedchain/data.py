@@ -104,11 +104,14 @@ def load_csv(path: str) -> Dataset:
     return Dataset(x, y, c)
 
 
-def _target_counts(size: int, dist: np.ndarray) -> np.ndarray:
-    """Largest-remainder apportionment of `size` samples to the distribution."""
-    raw = size * dist
+def largest_remainder(total: int, shares: np.ndarray) -> np.ndarray:
+    """Largest-remainder apportionment of the integer `total` to `shares`
+    (non-negative, summing to 1): each entry gets the floor of its share
+    of `total`, and the shortfall goes one each to the largest remainders,
+    the first on a tie, so the counts sum to `total` exactly."""
+    raw = np.asarray(shares, dtype=np.float64) * total
     counts = np.floor(raw).astype(np.int64)
-    shortfall = size - counts.sum()
+    shortfall = total - int(counts.sum())
     if shortfall > 0:
         order = np.argsort(-(raw - counts), kind="stable")
         counts[order[:shortfall]] += 1
@@ -167,7 +170,7 @@ def partition_noniid(
     keys = (alpha_ids * c + np.arange(n_parts) % c) * 2 + (sizes - sizes[-1])
     _, firsts, inverse = np.unique(keys, return_index=True, return_inverse=True)
     rows = np.array([
-        _target_counts(int(sizes[j]), (1.0 - a) * np.full(c, 1.0 / c) + a * np.eye(c)[j % c])
+        largest_remainder(int(sizes[j]), (1.0 - a) * np.full(c, 1.0 / c) + a * np.eye(c)[j % c])
         for j, a in zip(firsts.tolist(), part_alphas[firsts].tolist())
     ])
     cum = np.zeros((n_parts + 1, c), dtype=np.int64)

@@ -95,7 +95,3 @@ class DuplicateTaskBlockError(FedChainError):
 
 class EmptyReportError(FedChainError):
     """Report emission requested with no run records."""
-
-
-class NoiseWidthError(FedChainError):
-    """Mask width is outside the [0, 63] bits an int64 word can hold."""

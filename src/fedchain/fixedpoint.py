@@ -6,8 +6,9 @@ cancellation even on overflow. Values return to floats only after unmasking.
 
 A mask is a PRG expansion of its owner's seed, as in secure aggregation
 (Bonawitz et al., CCS 2017): SHAKE-128 of the seed's 8 little-endian bytes
-gives one 64-bit word per element, and the top `width_bits + 1` bits of each
-word, less 2^width_bits, are exactly uniform on [-2^width_bits, 2^width_bits).
+gives one 64-bit word per element, and the top `NOISE_BITS + 1` bits of each
+word, less 2^NOISE_BITS, are exactly uniform on [-2^NOISE_BITS, 2^NOISE_BITS).
+The width is fixed: masks cancel exactly at any width, so it changes no sum.
 """
 
 from __future__ import annotations
@@ -16,12 +17,9 @@ import hashlib
 
 import numpy as np
 
-from .errors import NoiseWidthError
-
 SCALE_BITS = 24
 SCALE = 1 << SCALE_BITS
-DEFAULT_NOISE_BITS = 40
-MAX_NOISE_BITS = 63
+NOISE_BITS = 40
 
 
 def encode(values: np.ndarray) -> np.ndarray:
@@ -35,25 +33,10 @@ def decode(words: np.ndarray) -> np.ndarray:
     return np.asarray(words, dtype=np.float64) / SCALE
 
 
-def check_noise_bits(width_bits: int) -> None:
-    """Raise NoiseWidthError unless 0 <= width_bits <= MAX_NOISE_BITS, the
-    widths whose masks fit an int64 word."""
-    if not 0 <= width_bits <= MAX_NOISE_BITS:
-        raise NoiseWidthError(
-            f"noise width must be in [0, {MAX_NOISE_BITS}] bits, got {width_bits}"
-        )
-
-
-def generate_noise(length: int, seed: int, width_bits: int = DEFAULT_NOISE_BITS) -> np.ndarray:
-    """Seeded uniform noise over [-2^width_bits, 2^width_bits) fixed-point
+def generate_noise(length: int, seed: int) -> np.ndarray:
+    """Seeded uniform noise over [-2^NOISE_BITS, 2^NOISE_BITS) fixed-point
     units: `length` int64 words expanded from `seed` (0 <= seed < 2^64) by
-    SHAKE-128.
-
-    The width is configurable so the noise magnitude can be matched to the
-    expected magnitude of the masked sums. Raises NoiseWidthError for a width
-    outside [0, 63].
-    """
-    check_noise_bits(width_bits)
+    SHAKE-128."""
     stream = hashlib.shake_128(int(seed).to_bytes(8, "little")).digest(8 * length)
-    words = np.frombuffer(stream, dtype="<u8") >> np.uint64(MAX_NOISE_BITS - width_bits)
-    return (words - np.uint64(1 << width_bits)).view(np.int64)
+    words = np.frombuffer(stream, dtype="<u8") >> np.uint64(63 - NOISE_BITS)
+    return (words - np.uint64(1 << NOISE_BITS)).view(np.int64)

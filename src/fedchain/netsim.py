@@ -25,7 +25,7 @@ from .errors import (
     TimeTravelError,
 )
 
-DEFAULT_SIZE_MULTIPLIER = 10.0
+SIZE_MULTIPLIER = 10.0  # size units of a whole model
 DEFAULT_COMPUTE_RANGE = (50.0, 200.0)
 
 
@@ -90,13 +90,14 @@ def draw_compute_times(n_nodes: int, seed: int) -> np.ndarray:
     return rng.uniform(*DEFAULT_COMPUTE_RANGE, size=n_nodes)
 
 
-def chunk_size_units(chunk_len: int, model_len: int, multiplier: float = DEFAULT_SIZE_MULTIPLIER) -> int:
+def chunk_size_units(chunk_len: int, model_len: int) -> int:
     """Latency multiplier for a weight chunk of `chunk_len` out of `model_len` entries.
 
-    A whole model costs `multiplier` units; a chunk costs its proportional
-    share, never less than one unit (control messages use one unit).
+    A whole model costs `SIZE_MULTIPLIER` units; a chunk costs its
+    proportional share, never less than one unit (control messages use one
+    unit).
     """
-    return max(1, round(chunk_len * multiplier / model_len))
+    return max(1, round(chunk_len * SIZE_MULTIPLIER / model_len))
 
 
 def _check_observations(observed: np.ndarray) -> None:

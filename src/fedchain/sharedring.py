@@ -83,7 +83,7 @@ class RingLayout:
 
 
 @functools.lru_cache(maxsize=128)
-def ring_layout(k: int, model_len: int, size_multiplier: float, masked: bool) -> RingLayout:
+def ring_layout(k: int, model_len: int, masked: bool) -> RingLayout:
     """The `RingLayout` of a ring shape, built once and shared: masked rings
     take k reduce hops per stream, plain ones k - 1, and both k - 1 gather
     hops. Raises ModelTooSmallError as `chunk_spans` does."""
@@ -94,7 +94,7 @@ def ring_layout(k: int, model_len: int, size_multiplier: float, masked: bool) ->
     layout = RingLayout(
         spans=spans,
         index=payload_index(spans, model_len),
-        units=np.array([chunk_size_units(b - a, model_len, size_multiplier) for a, b in spans]),
+        units=np.array([chunk_size_units(b - a, model_len) for a, b in spans]),
         hop_pos=(pos[:, None] + np.arange(n_hops + 1)) % k,
         arrival=pos * (n_hops + 1) + reduce_hops + (pos[:, None] - pos - reduce_hops) % k,
     )
@@ -236,11 +236,11 @@ class RingSession:
     s's ready time through 2k - 1 hops when masked (k reduce hops back to
     the mask owner, then k - 1 gather hops) or 2k - 2 when plain. Hop h
     costs `L[m_(s+h), m_(s+h+1)] * units[s]` ms, units being the chunk's
-    share of `size_multiplier`. Nothing in a ring contends for a node or a
-    link and members forward on arrival, so the streams are independent
-    chains: one cumsum from `now + (ready[s] - now)` over the hop costs
-    makes the float additions an event loop replaying every message makes,
-    in its order. Member p completes at the max over slots of the hop that
+    share of `netsim.SIZE_MULTIPLIER`. Nothing in a ring contends for a
+    node or a link and members forward on arrival, so the streams are
+    independent chains: one cumsum from `now + (ready[s] - now)` over the
+    hop costs makes the float additions an event loop replaying every
+    message makes, in its order. Member p completes at the max over slots of the hop that
     brings it that slot's final value. The sum is one column sum of the
     vectors (int64 addition wraps, so order does not matter), and only the
     lazily built audit `transcript` builds payloads, by `ring_payloads`:
@@ -258,7 +258,6 @@ class RingSession:
         members: Sequence[int],
         vectors: Sequence[np.ndarray],
         masks: Sequence[np.ndarray] | None = None,
-        size_multiplier: float = 10.0,
     ) -> None:
         self.latency = latency
         self.members = list(members)
@@ -268,8 +267,7 @@ class RingSession:
             raise NodeNotFoundError(f"ring members {self.members} are not distinct nodes")
         self.vectors = np.asarray(vectors)
         self.masks = list(masks) if masks is not None else None
-        self.layout = ring_layout(self.k, self.vectors.shape[1], size_multiplier,
-                                  self.masks is not None)
+        self.layout = ring_layout(self.k, self.vectors.shape[1], self.masks is not None)
         _check_masks(self.layout.spans, self.masks)
         self._total = np.add.reduce(self.vectors, axis=0)
         self.completion: dict[int, float] = {}

@@ -29,6 +29,7 @@ DOMAIN_TAG = b"fedchain/model-commitment/v1"
 BINDING_TAG = b"fedchain/prediction-binding/v1"
 MAGIC = b"FCM1"
 MIN_CLAIM_SAMPLES = 200
+CHALLENGE_SIZE = 250  # held-out rows a round's challenge draws, if it has them
 ONE_SIDED_99_Z = 2.326
 
 

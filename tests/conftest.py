@@ -65,7 +65,6 @@ def build_setup(
     n_pools=2,
     seed=0,
     alpha=0.1,
-    aggregation="kl",
     topology=None,
     target=0.90,
     deadline=1e9,
@@ -110,7 +109,6 @@ def build_setup(
         miner_data=parts,
         n_pools=n_pools,
         seed=seed,
-        aggregation=aggregation,
         train=train or fed.TrainConfig(lr=0.5, epochs=2, batch_size=32),
         max_rounds=max_rounds,
         **overrides,

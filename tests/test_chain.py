@@ -17,7 +17,6 @@ from fedchain.errors import (
     InvalidCommitteeError,
     InvalidTaskError,
     LedgerIntegrityError,
-    NoiseWidthError,
     RoundFailedError,
 )
 from conftest import build_setup, random_heads
@@ -94,10 +93,10 @@ def oracle_formation(setup, assignment):
 
     for node in range(n):
         sim.register(node, handle)
-    sim.schedule(0.0, setup.publisher, kind="task")
+    sim.schedule(0.0, chain.PUBLISHER, kind="task")
     for node in range(n):
-        if node != setup.publisher:
-            sim.send(setup.publisher, node, None, kind="task")
+        if node != chain.PUBLISHER:
+            sim.send(chain.PUBLISHER, node, None, kind="task")
     sim.run_until_idle()
     assert sim.stats["delivered"] == 1 + (n - 1) + len(heads) * (n - 1) + 2 * (n - len(heads))
     return start_times
@@ -114,12 +113,10 @@ def formation_latency(topology, n):
     return latency
 
 
-def formation_case(latency, heads, publisher, join_seed):
+def formation_case(latency, heads, join_seed):
     l_hat = latency.astype(np.float64)
     assignment = pools.assign_pools(len(latency), heads, l_hat, [0.0] * len(heads), seed=join_seed)
-    setup = chain.RoundSetup(
-        task=None, latency=latency, compute_times=None, miner_data=[], publisher=publisher
-    )
+    setup = chain.RoundSetup(task=None, latency=latency, compute_times=None, miner_data=[])
     return setup, assignment
 
 
@@ -137,32 +134,34 @@ class TestFormationOracle:
                     heads = pools.announce_heads(n, p, l_hat=latency.astype(np.float64))
                 else:
                     heads = random_heads(n, p, seed=p)
-                # odd p: the publisher is a head; even p: any node
-                publisher = heads[0] if p % 2 else (n + p) % n
-                setup, assignment = formation_case(latency, heads, publisher, n + p)
+                # odd p: the publisher (node 0) is a head; even p: any heads
+                if p % 2 and chain.PUBLISHER not in heads:
+                    heads[0] = chain.PUBLISHER
+                setup, assignment = formation_case(latency, heads, n + p)
                 got = chain._simulate_formation(setup, assignment)
                 assert got == oracle_formation(setup, assignment)
                 assert all(type(t) is float for t in got.values())
 
     def test_solo_pools_start_on_the_task(self):
         latency = formation_latency("uniform", 9)
-        heads = [4, 0, 7]
-        setup, assignment = formation_case(latency, heads, publisher=4, join_seed=1)
-        # force two solo pools next to one pool with everyone else
-        assignment.pools[0].members = [4]
-        assignment.pools[1].members = [0]
+        heads = [0, 4, 7]
+        setup, assignment = formation_case(latency, heads, join_seed=1)
+        # force two solo pools, the publisher's among them, next to one pool
+        # with everyone else
+        assignment.pools[0].members = [0]
+        assignment.pools[1].members = [4]
         assignment.pools[2].members = [7] + [v for v in range(9) if v not in heads]
         got = chain._simulate_formation(setup, assignment)
         assert got == oracle_formation(setup, assignment)
-        assert got[4] == 0.0
-        assert got[0] == float(latency[4, 0])
+        assert got[0] == 0.0
+        assert got[4] == float(latency[0, 4])
 
     def test_every_node_a_head(self):
         latency = formation_latency("integer", 6)
-        setup, assignment = formation_case(latency, [3, 1, 0, 5, 2, 4], publisher=2, join_seed=0)
+        setup, assignment = formation_case(latency, [3, 1, 0, 5, 2, 4], join_seed=0)
         got = chain._simulate_formation(setup, assignment)
         assert got == oracle_formation(setup, assignment)
-        assert got == {v: (0.0 if v == 2 else float(latency[2, v])) for v in range(6)}
+        assert got == {v: (0.0 if v == 0 else float(latency[0, v])) for v in range(6)}
 
 
 class TestFedchainRound:
@@ -177,9 +176,10 @@ class TestFedchainRound:
         assert chain.validate_chain(ledger) == []
 
     def test_faster_pool_wins_on_identical_data(self):
-        # Two latency clusters; cluster A computes 10 ms per round, cluster B
-        # 500 ms. Every miner holds the same dataset, so the fast cluster's
-        # pool must finish and verify first.
+        # Two latency clusters; nodes 0-2 compute 60 ms per round, nodes 3-5
+        # 10 ms. Every miner holds the same dataset, so the fast cluster's
+        # pool must finish and verify first. The publisher, node 0, is in
+        # the slow cluster, so announcements reach both pools alike.
         setup = build_setup(
             n_nodes=6,
             n_pools=2,
@@ -190,12 +190,11 @@ class TestFedchainRound:
         )
         shared = setup.miner_data[0]
         setup.miner_data = [shared] * 6
-        setup.compute_times = np.array([10.0, 10.0, 10.0, 60.0, 60.0, 60.0])
-        setup.publisher = 3  # in the slow cluster, so announcements reach both pools alike
+        setup.compute_times = np.array([60.0, 60.0, 60.0, 10.0, 10.0, 10.0])
         ledger = chain.Chain()
         result = chain.run_round_fedchain(ledger, setup)
         winner_members = result.outcomes[result.winner_pool].members
-        assert set(winner_members) == {0, 1, 2}
+        assert set(winner_members) == {3, 4, 5}
         fast, slow = result.outcomes[result.winner_pool], result.outcomes[1 - result.winner_pool]
         per_round_fast = np.diff([m.sim_time_ms for m in fast.metrics])
         per_round_slow = np.diff([m.sim_time_ms for m in slow.metrics])
@@ -213,8 +212,7 @@ class TestFedchainRound:
         )
         shared = setup.miner_data[0]
         setup.miner_data = [shared] * 6
-        setup.compute_times = np.array([10.0, 10.0, 10.0, 60.0, 60.0, 60.0])
-        setup.publisher = 3
+        setup.compute_times = np.array([60.0, 60.0, 60.0, 10.0, 10.0, 10.0])
         ledger = chain.Chain()
         clean = chain.run_round_fedchain(ledger, setup)
         fast_pool = clean.winner_pool
@@ -229,8 +227,7 @@ class TestFedchainRound:
             tamper_pools=frozenset({fast_pool}),
         )
         tampered_setup.miner_data = [shared] * 6
-        tampered_setup.compute_times = np.array([10.0, 10.0, 10.0, 60.0, 60.0, 60.0])
-        tampered_setup.publisher = 3
+        tampered_setup.compute_times = np.array([60.0, 60.0, 60.0, 10.0, 10.0, 10.0])
         ledger2 = chain.Chain()
         result = chain.run_round_fedchain(ledger2, tampered_setup)
         assert result.winner_pool != fast_pool
@@ -298,7 +295,7 @@ def oracle_verification_exchange(sim, setup, outcome, model, tamper, pp):
                 proofs[key] = proof
             if state["proof_time"] is None:
                 state["proof_time"] = s.now
-            s.send(head, event.src, proof, size_units=int(setup.size_multiplier), kind="proof")
+            s.send(head, event.src, proof, size_units=int(netsim.SIZE_MULTIPLIER), kind="proof")
         elif event.kind == "vote":
             votes[event.src] = event.payload
             vote_times[event.src] = s.now
@@ -307,7 +304,7 @@ def oracle_verification_exchange(sim, setup, outcome, model, tamper, pp):
 
     def verifier_handler(s, event):
         if event.kind == "commit":
-            sample = verify.derive_challenge(task.held_out, event.payload, setup.challenge_size)
+            sample = verify.derive_challenge(task.held_out, event.payload, verify.CHALLENGE_SIZE)
             samples[event.dst] = sample
             s.send(event.dst, head, sample.x, kind="challenge")
         elif event.kind == "proof":
@@ -347,10 +344,9 @@ def closed_form_exchange(setup, outcome, model, tamper):
     finisher: the sorted vote arrivals, then the crypto, on a run that
     carries the given outcome and model."""
     run = chain._PoolRun(setup, outcome.pool_id, outcome.head, outcome.members,
-                         setup.aggregation, model, outcome.finish_time, None, None, tamper)
+                         "kl", model, outcome.finish_time, None, None, tamper)
     run.outcome = outcome
-    run.votes = sorted(chain._vote_arrivals(outcome.finish_time, run._links,
-                                            int(setup.size_multiplier)))
+    run.votes = sorted(chain._vote_arrivals(outcome.finish_time, run._links))
     chain._verification_exchange(run, chain._exchange_constants(setup))
 
 
@@ -360,7 +356,7 @@ def oracle_pool_rounds(setup, pool_id, members, start_times, offset=0.0):
     `local_loss` calls. Its first barrier is `offset` ms after its last
     member's start."""
     task = setup.task
-    weights_vec = fed.aggregation_weights(setup.aggregation, [setup.miner_data[m] for m in members],
+    weights_vec = fed.aggregation_weights("kl", [setup.miner_data[m] for m in members],
                                           task.example)
     k = len(members)
     model = fed.DenseClassifier(task.arch, seed=chain._derive_seed(setup.seed, task.task_id, "init"))
@@ -379,12 +375,10 @@ def oracle_pool_rounds(setup, pool_id, members, start_times, offset=0.0):
             fixedpoint.generate_noise(
                 chunk_lens[i],
                 chain._derive_seed(setup.seed, task.task_id, pool_id, round_idx, "noise", i),
-                setup.noise_bits,
             )
             for i in range(k)
         ]
-        session = sharedring.RingSession(setup.latency, members, vectors, masks=masks,
-                                         size_multiplier=setup.size_multiplier)
+        session = sharedring.RingSession(setup.latency, members, vectors, masks=masks)
         session.start(barrier, [barrier + float(setup.compute_times[m]) for m in members])
         barrier = max(session.completion.values())
         model = model.clone(fixedpoint.decode(session.results[members[0]]) / k)
@@ -407,7 +401,7 @@ def oracle_round_fedchain(ledger, setup, offset=0.0):
     `(accept_time, pool_id)`. Every pool's barriers are `offset` ms later
     (see `barriers_moved`)."""
     task = setup.task
-    publish_tx = chain.publish_task(task, setup.publisher, now=0.0)
+    publish_tx = chain.publish_task(task, chain.PUBLISHER, now=0.0)
     assignment, start_times = chain._form_pools(setup)
     outcomes = [
         oracle_pool_rounds(setup, idx, list(pool.members), start_times, offset)
@@ -457,7 +451,7 @@ def vote_bound(setup, outcome, start, ringed=True):
     t = start
     if ringed:
         t = max(start + ((start + float(setup.compute_times[m])) - start) for m in outcome.members)
-    su = int(setup.size_multiplier)
+    su = int(netsim.SIZE_MULTIPLIER)
     head = outcome.head
     votes = [
         (((t + float(setup.latency[head, v])) + float(setup.latency[v, head]))
@@ -826,12 +820,6 @@ class TestRaceCounts:
         assert counts["kl"] == sum(len(o.metrics) > 0 for o in outcomes)
         assert all((o.weights is None) is (not o.metrics) for o in outcomes)
 
-    def test_fedavg_pools_skip_the_divergences(self, counts):
-        setup = grid_setup(40, 4, 1, aggregation="fedavg")
-        result = chain.run_round_fedchain(chain.Chain(), setup)
-        assert counts["kl"] == 0
-        assert counts["noise"] == sum(len(o.metrics) * len(o.members) for o in result.outcomes)
-
     @pytest.mark.parametrize("n, seed", [(5, 1), (20, 3), (50, 0)])
     def test_gfl_ring_calls_match_outcome(self, counts, n, seed):
         result = chain.run_round(chain.Chain(), grid_setup(n, 1, seed), "gfl_ring")
@@ -999,9 +987,20 @@ def exchange_latency(kind, n, seed):
         "zero": lambda: np.zeros((n, n)),
         # integer-valued and integer-typed: many arrivals land at equal times
         "integer": lambda: np.random.default_rng(seed).integers(1, 4, size=(n, n)),
+        "tied": lambda: tied_links(n, seed),
     }[kind]()
     np.fill_diagonal(latency, 0)
     return latency
+
+
+def tied_links(n, seed):
+    """Integer links whose `(down, up)` from a lower node to a higher one is
+    (2, 12) or (4, 1): with a proof of `netsim.SIZE_MULTIPLIER` (10) units,
+    a verifier's vote arrives 11 * down + 2 * up = 46 ms after the commit
+    leaves for either pair, and its proof at +34 or +45, so tied votes
+    follow proofs that arrived at different times."""
+    upper = np.triu(np.random.default_rng(seed).choice([2, 4], size=(n, n)), 1)
+    return upper + np.where(upper == 2, 12, np.where(upper == 4, 1, 0)).T
 
 
 class TestVerificationExchangeOracle:
@@ -1010,18 +1009,16 @@ class TestVerificationExchangeOracle:
     included."""
 
     @pytest.mark.parametrize("tamper", [False, True])
-    @pytest.mark.parametrize("kind", ["uniform", "equal", "zero", "integer"])
+    @pytest.mark.parametrize("kind", ["uniform", "equal", "zero", "integer", "tied"])
     @pytest.mark.parametrize("n_verifiers", [1, 3, 5, 8])
     def test_fields_match_event_loop(self, n_verifiers, kind, tamper):
         base = build_setup(n_nodes=12, n_pools=2, seed=0)
         for seed in range(3):
             # a target any model meets, one a random model may miss, one it
-            # misses; with 1-unit proofs, integer links tie votes whose
-            # proofs arrive at different times
+            # misses
             task = replace(base.task, target=(1e-9, 0.3, 0.99)[seed])
             setup = replace(base, task=task, seed=seed, n_verifiers=n_verifiers,
-                            latency=exchange_latency(kind, 12, seed),
-                            size_multiplier=(10.0, 1.0, 2.5)[seed])
+                            latency=exchange_latency(kind, 12, seed))
             model = fed.DenseClassifier(task.arch, seed=seed)
             # a small pool (committee from outside it) and the whole network
             for pool_id, members in ((seed, [seed, seed + 4, seed + 7]), (0, list(range(12)))):
@@ -1063,8 +1060,7 @@ class TestCommitteeDraw:
                                             None)
                 committee = chain._draw_committee(setup, outcome)
                 votes = chain._vote_arrivals(
-                    outcome.finish_time, chain._committee_links(setup, head, committee),
-                    int(setup.size_multiplier))
+                    outcome.finish_time, chain._committee_links(setup, head, committee))
                 assert committee == listed_committee(setup, outcome)
                 assert all(type(v) is int for v in committee)
                 assert head not in committee
@@ -1244,29 +1240,16 @@ class TestCommitteeSize:
 
 
 class TestNoiseWidth:
-    """A mask width outside [0, 63] bits is refused, in every mode, before
-    any work; widths at both edges run, and since masks cancel exactly the
-    block does not depend on the width."""
+    """Masks cancel exactly, so the block does not depend on the mask width
+    `fixedpoint.NOISE_BITS`, down to 0 bits and up to the 63 an int64 word
+    holds."""
 
-    @pytest.mark.parametrize("noise_bits", [64, -1])
-    @pytest.mark.parametrize("mode", chain.MODES)
-    def test_refused_before_any_work(self, monkeypatch, mode, noise_bits):
-        calls = []
-        monkeypatch.setattr(chain, "publish_task", lambda *a, **k: calls.append("publish"))
-        monkeypatch.setattr(chain, "local_train", lambda *a, **k: calls.append("train"))
-        setup = build_setup(n_nodes=6, n_pools=2, seed=1, noise_bits=noise_bits,
-                            pow_difficulty=8)
-        with pytest.raises(NoiseWidthError, match=f"got {noise_bits}"):
-            chain.run_round(chain.Chain(), setup, mode)
-        assert calls == []
-
-    def test_edge_widths_give_the_same_block(self):
+    def test_edge_widths_give_the_same_block(self, monkeypatch):
         setup = build_setup(n_nodes=8, n_pools=2, seed=2)
-        blocks = {
-            bits: chain.run_round_fedchain(chain.Chain(), replace(setup, noise_bits=bits))
-            for bits in (0, fixedpoint.DEFAULT_NOISE_BITS, 63)
-        }
-        hashes = {result.block.hash() for result in blocks.values()}
+        hashes = set()
+        for bits in (0, fixedpoint.NOISE_BITS, 63):
+            monkeypatch.setattr(fixedpoint, "NOISE_BITS", bits)
+            hashes.add(chain.run_round_fedchain(chain.Chain(), setup).block.hash())
         assert len(hashes) == 1
 
 
@@ -1294,9 +1277,9 @@ class TestClaimSamples:
             chain.run_round(chain.Chain(), setup, mode)
         assert trained == []
 
-    def test_small_challenge_refused_before_training(self, trained):
-        setup = build_setup(n_nodes=6, n_pools=2, seed=1,
-                            challenge_size=verify.MIN_CLAIM_SAMPLES - 1)
+    def test_small_challenge_refused_before_training(self, monkeypatch, trained):
+        monkeypatch.setattr(verify, "CHALLENGE_SIZE", verify.MIN_CLAIM_SAMPLES - 1)
+        setup = build_setup(n_nodes=6, n_pools=2, seed=1)
         with pytest.raises(InsufficientSamplesError):
             chain.run_round_fedchain(chain.Chain(), setup)
         assert trained == []
@@ -1349,12 +1332,12 @@ def oracle_fedavg_central(ledger, setup, offset=0.0):
     """The `fedavg_central` loop before the baselines ran on the pool engine,
     from a barrier `offset` ms after 0."""
     task = setup.task
-    publish_tx = chain.publish_task(task, setup.publisher, now=0.0)
-    coord = setup.publisher
+    publish_tx = chain.publish_task(task, chain.PUBLISHER, now=0.0)
+    coord = chain.PUBLISHER
     nodes = list(range(setup.n_nodes))
     weights_vec = fed.fedavg_weights([len(setup.miner_data[m]) for m in nodes])
     model = fed.DenseClassifier(task.arch, seed=chain._derive_seed(setup.seed, task.task_id, "init"))
-    su = int(setup.size_multiplier)
+    su = int(netsim.SIZE_MULTIPLIER)
     now = 0.0 + offset
     metrics = []
     finish = None
@@ -1391,13 +1374,13 @@ def oracle_gfl_ring(ledger, setup, offset=0.0):
     """The `gfl_ring` loop before the baselines ran on the pool engine,
     from a barrier `offset` ms after the last node has the task."""
     task = setup.task
-    publish_tx = chain.publish_task(task, setup.publisher, now=0.0)
+    publish_tx = chain.publish_task(task, chain.PUBLISHER, now=0.0)
     nodes = list(range(setup.n_nodes))
     weights_vec = fed.fedavg_weights([len(setup.miner_data[m]) for m in nodes])
     model = fed.DenseClassifier(task.arch, seed=chain._derive_seed(setup.seed, task.task_id, "init"))
     k = len(nodes)
     barrier = max(
-        float(setup.latency[setup.publisher, m]) if m != setup.publisher else 0.0 for m in nodes
+        float(setup.latency[chain.PUBLISHER, m]) if m != chain.PUBLISHER else 0.0 for m in nodes
     ) + offset
     metrics = []
     finish = None
@@ -1408,8 +1391,7 @@ def oracle_gfl_ring(ledger, setup, offset=0.0):
             for m in nodes
         ]
         vectors = [fixedpoint.encode(t.weights * (w * k)) for t, w in zip(trained, weights_vec)]
-        session = sharedring.RingSession(setup.latency, nodes, vectors, masks=None,
-                                         size_multiplier=setup.size_multiplier)
+        session = sharedring.RingSession(setup.latency, nodes, vectors, masks=None)
         session.start(barrier, [barrier + float(setup.compute_times[m]) for m in nodes])
         barrier = max(session.completion.values())
         model = model.clone(fixedpoint.decode(session.results[nodes[0]]) / k)
@@ -1421,7 +1403,7 @@ def oracle_gfl_ring(ledger, setup, offset=0.0):
             finish = barrier
             break
     return oracle_finish_baseline(ledger, setup, publish_tx, model, finish, weights_vec, nodes,
-                                  metrics, setup.publisher)
+                                  metrics, chain.PUBLISHER)
 
 
 def oracle_finish_baseline(ledger, setup, publish_tx, model, finish, weights_vec, members,
@@ -1481,8 +1463,7 @@ class TestBaselineOracle:
     def test_matches_oracle_over_seeds(self, mode, n):
         blocks = 0
         for seed in range(4):  # the publisher heads the pool and commits
-            got, oracle = baseline_and_oracle(
-                grid_setup(n, max(1, n // 10), seed, publisher=seed), mode)
+            got, oracle = baseline_and_oracle(grid_setup(n, max(1, n // 10), seed), mode)
             if oracle is not None:
                 assert_same_baseline(got, oracle)
                 blocks += 1
@@ -1961,11 +1942,12 @@ class TestLedgerClaims:
 
 class TestChainRingAudit:
     """The ring sessions a fedchain round actually runs pass the leakage
-    audit and sum their inputs exactly, at the default mask width and at
-    the widest."""
+    audit and sum their inputs exactly, at the mask width
+    `fixedpoint.NOISE_BITS` and at the widest an int64 word holds."""
 
     @staticmethod
     def audit_round(monkeypatch, noise_bits):
+        monkeypatch.setattr(fixedpoint, "NOISE_BITS", noise_bits)
         captured = []
 
         class RecordingSession(sharedring.RingSession):
@@ -1975,7 +1957,7 @@ class TestChainRingAudit:
 
         monkeypatch.setattr(sharedring, "RingSession", RecordingSession)
         setup = experiments.build_round_setup(experiments.ExperimentConfig(), 20, 3, 0)
-        result = chain.run_round_fedchain(chain.Chain(), replace(setup, noise_bits=noise_bits))
+        result = chain.run_round_fedchain(chain.Chain(), setup)
         assert len(captured) == sum(len(o.metrics) for o in result.outcomes) > 0
         bound = 1 << noise_bits
         for session, vectors in captured:
@@ -1990,7 +1972,7 @@ class TestChainRingAudit:
             assert all(np.array_equal(r, expected) for r in session.results.values())
 
     def test_every_session_of_a_round(self, monkeypatch):
-        self.audit_round(monkeypatch, fixedpoint.DEFAULT_NOISE_BITS)
+        self.audit_round(monkeypatch, fixedpoint.NOISE_BITS)
 
     def test_every_session_at_the_widest_mask(self, monkeypatch):
-        self.audit_round(monkeypatch, fixedpoint.MAX_NOISE_BITS)
+        self.audit_round(monkeypatch, 63)

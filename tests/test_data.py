@@ -26,7 +26,7 @@ def oracle_partition_noniid(dataset, n_parts, alpha, seed, alphas=None):
     for j in range(n_parts):
         a = alpha if alphas is None else float(alphas[j])
         target = (1.0 - a) * np.full(c, 1.0 / c) + a * np.eye(c)[j % c]
-        counts = data._target_counts(int(sizes[j]), target)
+        counts = data.largest_remainder(int(sizes[j]), target)
         chosen = []
         for cls in range(c):
             take = min(int(counts[cls]), len(pools[cls]))
@@ -279,3 +279,34 @@ class TestPartitionNoniid:
     def test_bad_per_part_alpha(self, balanced, alphas, part):
         with pytest.raises(ValueError, match=rf"alpha of part {part} must be in \[0, 1\]"):
             data.partition_noniid(balanced, 4, alpha=0.5, seed=0, alphas=alphas)
+
+
+def oracle_largest_remainder(total, shares):
+    """Largest remainder one entry at a time, as `partition_noniid` counted
+    its targets (`total * share`) and `chain.split_reward` its credits."""
+    raw = [total * float(s) for s in shares]
+    counts = [int(np.floor(r)) for r in raw]
+    order = sorted(range(len(raw)), key=lambda i: -(raw[i] - counts[i]))
+    for i in order[: max(0, total - sum(counts))]:
+        counts[i] += 1
+    return counts
+
+
+class TestLargestRemainder:
+    """The one apportionment of `partition_noniid`'s target counts and of
+    reward splits: the entry-by-entry oracle's counts, bit for bit, summing
+    to the total."""
+
+    @given(st.integers(0, 10**6), st.integers(1, 12), st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_oracle(self, total, k, seed):
+        rng = np.random.default_rng(seed)
+        shares = rng.dirichlet(np.ones(k)) if seed % 2 else np.full(k, 1.0 / k)
+        got = data.largest_remainder(total, shares)
+        assert got.dtype == np.int64
+        assert got.tolist() == oracle_largest_remainder(total, shares)
+        assert int(got.sum()) == total
+
+    def test_ties_go_to_the_first(self):
+        assert data.largest_remainder(2, np.full(3, 1 / 3)).tolist() == [1, 1, 0]
+        assert data.largest_remainder(1000, [0.75, 0.25]).tolist() == [750, 250]

@@ -1,7 +1,8 @@
 """Every module-level import in `src/fedchain` is used in its module, every
 private function or class defined in `src/fedchain` is used there, every
 public function, class and method is referred to by the package or the
-benchmark, and every optional parameter is passed by one of their calls.
+benchmark, every optional parameter is passed by one of their calls, and
+every field with a default of the round's dataclasses is set by one.
 `import fedchain` leaves PyYAML unloaded.
 
 No linter ships with the project, so this walks each module's syntax tree
@@ -21,6 +22,17 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src" / "fedchain"
 BENCH = SRC.parent.parent / "perfbench"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def package_sources() -> dict[str, str]:
+    """Module name -> source of every module of the package."""
+    return {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+
+
+def bench_sources() -> list[str]:
+    """The sources of the benchmark, its tests left out."""
+    return [p.read_text(encoding="utf-8") for p in sorted(BENCH.glob("*.py"))
+            if not p.name.startswith("test_")]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -135,10 +147,8 @@ TEST_ONLY_PUBLIC = {
 
 
 def test_every_public_definition_is_referred_to_outside_the_tests():
-    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
-    bench = [p.read_text(encoding="utf-8") for p in sorted(BENCH.glob("*.py"))
-             if not p.name.startswith("test_")]
-    assert set(unreferenced_public_definitions(sources, bench)) == TEST_ONLY_PUBLIC
+    assert set(unreferenced_public_definitions(package_sources(), bench_sources())) == \
+        TEST_ONLY_PUBLIC
 
 
 def test_check_catches_an_unreferenced_public_definition():
@@ -166,6 +176,33 @@ def test_check_catches_an_unreferenced_public_definition():
         "a.only_tests_call_me"]
 
 
+def call_sites(sources: list[str]) -> dict[str, list[tuple[list[ast.expr], list[ast.keyword]]]]:
+    """The `(positional arguments, keywords)` of every call in `sources`, by
+    the name called: `f` for `f(...)` and `x.f(...)`. `partial(f, ...)`
+    counts as a call of `f`."""
+    calls: dict[str, list[tuple[list[ast.expr], list[ast.keyword]]]] = {}
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            func, args = node.func, node.args
+            if isinstance(func, ast.Name) and func.id == "partial" and args:
+                func, args = args[0], args[1:]
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            calls.setdefault(name, []).append((args, node.keywords))
+    return calls
+
+
+def passes(call, param: str, position: int | None) -> bool:
+    """Whether a `call_sites` call passes `param`: by keyword or `**kwargs`,
+    or, unless `position` is None, at that position or by a `*args`."""
+    args, keywords = call
+    if position is not None and (
+            len(args) > position or any(isinstance(a, ast.Starred) for a in args)):
+        return True
+    return any(k.arg in (param, None) for k in keywords)
+
+
 def unpassed_optional_parameters(sources: dict[str, str], callers: list[str]) -> list[str]:
     """Parameters with a default, of module-level functions and of methods
     of module-level classes in `sources` (module name -> source), that no
@@ -191,24 +228,7 @@ def unpassed_optional_parameters(sources: dict[str, str], callers: list[str]) ->
                         name = node.name if item.name == "__init__" else item.name
                         defined.append((f"{module}.{node.name}.{item.name}", name, item.args,
                                         0 if static else 1))
-    calls: dict[str, list[tuple[list[ast.expr], list[ast.keyword]]]] = {}
-    for source in [*sources.values(), *callers]:
-        for node in ast.walk(ast.parse(source)):
-            if not isinstance(node, ast.Call):
-                continue
-            func, args = node.func, node.args
-            if isinstance(func, ast.Name) and func.id == "partial" and args:
-                func, args = args[0], args[1:]
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            calls.setdefault(name, []).append((args, node.keywords))
-
-    def passes(call, param: str, position: int | None) -> bool:
-        args, keywords = call
-        if position is not None and (
-                len(args) > position or any(isinstance(a, ast.Starred) for a in args)):
-            return True
-        return any(k.arg in (param, None) for k in keywords)
-
+    calls = call_sites([*sources.values(), *callers])
     unpassed = []
     for qualname, name, arguments, skip in defined:
         positional = [a.arg for a in arguments.posonlyargs + arguments.args][skip:]
@@ -232,10 +252,8 @@ UNPASSED_OPTIONAL = {
 
 
 def test_every_optional_parameter_is_passed_outside_the_tests():
-    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
-    bench = [p.read_text(encoding="utf-8") for p in sorted(BENCH.glob("*.py"))
-             if not p.name.startswith("test_")]
-    assert set(unpassed_optional_parameters(sources, bench)) == UNPASSED_OPTIONAL
+    assert set(unpassed_optional_parameters(package_sources(), bench_sources())) == \
+        UNPASSED_OPTIONAL
 
 
 def test_check_catches_an_unpassed_optional_parameter():
@@ -267,6 +285,76 @@ def test_check_catches_an_unpassed_optional_parameter():
     assert unpassed_optional_parameters(sources, []) == ["a.f(scale)", "a.C.__init__(m)"]
     # a caller outside the package counts, and `**kwargs` passes every parameter
     assert unpassed_optional_parameters(sources, ["f(0, **kw)\nC(m=1)\n"]) == []
+
+
+def unset_dataclass_fields(sources: dict[str, str], callers: list[str],
+                           classes: set[str]) -> list[str]:
+    """Fields with a default of the dataclasses named in `classes`
+    (`module.Class`, defined at module level in `sources`) that no call in
+    `sources` or `callers` sets, as `module.Class.field`.
+
+    The check matches names, not bindings, as the one above does: a call
+    `C(...)` or `x.C(...)` sets a field of `C` by keyword or by its position
+    among the fields, and `replace(obj, ...)` sets a field of every
+    dataclass with a field of that name, by keyword. A `*args` in a call of
+    `C` sets every field of `C`, and a `**kwargs` in either call every
+    field it could."""
+    calls = call_sites([*sources.values(), *callers])
+    unset = []
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if not (isinstance(node, ast.ClassDef) and f"{module}.{node.name}" in classes):
+                continue
+            fields = [item for item in node.body
+                      if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+            unset += [
+                f"{module}.{node.name}.{item.target.id}"
+                for position, item in enumerate(fields)
+                if item.value is not None
+                and not any(passes(call, item.target.id, position)
+                            for call in calls.get(node.name, []))
+                and not any(passes(call, item.target.id, None)
+                            for call in calls.get("replace", []))
+            ]
+    return unset
+
+
+# The dataclasses whose fields are a round's settable values.
+ROUND_DATACLASSES = {"chain.RoundSetup", "chain.Task", "fed.TrainConfig"}
+
+
+def test_every_dataclass_default_is_set_outside_the_tests():
+    assert unset_dataclass_fields(package_sources(), bench_sources(), ROUND_DATACLASSES) == []
+
+
+def test_check_catches_an_unset_dataclass_field():
+    sources = {
+        "a": (
+            "from dataclasses import dataclass, field, replace\n"
+            "\n"
+            "@dataclass\n"
+            "class S:\n"
+            "    task: int\n"
+            "    n: int = 5\n"
+            "    seed: int = 0\n"
+            "    knob: float = 1.0\n"
+            "    tags: list = field(default_factory=list)\n"
+            "\n"
+            "@dataclass\n"
+            "class Other:\n"
+            "    unset: int = 0\n"
+            "\n"
+            "def run():\n"
+            "    s = S(1, 4)\n"
+            "    return replace(s, seed=2)\n"
+        ),
+    }
+    assert unset_dataclass_fields(sources, [], {"a.S"}) == ["a.S.knob", "a.S.tags"]
+    # a caller outside the package counts, `replace` sets only by keyword,
+    # and `**kwargs` sets every field
+    assert unset_dataclass_fields(sources, ["S(0, knob=2.0)\nreplace(s, 1, 2, 3, 4)\n"],
+                                  {"a.S"}) == ["a.S.tags"]
+    assert unset_dataclass_fields(sources, ["replace(s, **kw)\n"], {"a.S", "a.Other"}) == []
 
 
 def test_import_leaves_yaml_unloaded():

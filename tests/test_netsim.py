@@ -432,13 +432,13 @@ class TestRunUntilIdle:
 
 class TestChunkSizeUnits:
     def test_whole_model(self):
-        assert netsim.chunk_size_units(170, 170, multiplier=10) == 10
+        assert netsim.chunk_size_units(170, 170) == 10
 
     def test_small_chunk_floor(self):
-        assert netsim.chunk_size_units(1, 1000, multiplier=10) == 1
+        assert netsim.chunk_size_units(1, 1000) == 1
 
     def test_proportional(self):
-        assert netsim.chunk_size_units(50, 100, multiplier=10) == 5
+        assert netsim.chunk_size_units(50, 100) == 5
 
 
 def test_compute_times_deterministic_and_in_range():

@@ -592,7 +592,7 @@ def formation_before(setup):
             heads.append(head)
             np.minimum(min_dist, dist[head], out=min_dist)
             min_dist[head] = -np.inf
-    chunk_units = max(1, round(setup.size_multiplier / max(1, n // max(1, p))))
+    chunk_units = max(1, round(netsim.SIZE_MULTIPLIER / max(1, n // max(1, p))))
     t_p = [pools.pool_time_estimate([h], setup.compute_times, l_hat, setup.train.epochs,
                                     chunk_units) for h in heads]
     by_head = np.argsort(np.asarray(heads), kind="stable")

@@ -13,7 +13,6 @@ from fedchain.errors import (
     MaskShapeError,
     ModelTooSmallError,
     NodeNotFoundError,
-    NoiseWidthError,
     TimeTravelError,
 )
 from conftest import split
@@ -322,33 +321,37 @@ class TestFixedPoint:
 
 class TestNoisePrg:
     """Masks are SHAKE-128 expansions of the owner's seed, exactly uniform
-    on [-2^w, 2^w) for every width an int64 word holds."""
+    on [-2^w, 2^w) for the width w = `fixedpoint.NOISE_BITS`, and for every
+    width an int64 word holds that the constant could be set to."""
 
     @pytest.mark.parametrize("width", [0, 1, 40, 63])
-    def test_values_in_range(self, width):
+    def test_values_in_range(self, monkeypatch, width):
+        monkeypatch.setattr(fixedpoint, "NOISE_BITS", width)
         for seed in (0, 1, 2**63 - 1, 2**64 - 1):
-            noise = fixedpoint.generate_noise(500, seed, width)
+            noise = fixedpoint.generate_noise(500, seed)
             assert noise.dtype == np.int64 and noise.shape == (500,)
             assert -(1 << width) <= noise.min() and noise.max() < 1 << width
 
     @pytest.mark.parametrize("width", [0, 1, 2])
-    def test_narrow_widths_cover_the_range(self, width):
-        noise = fixedpoint.generate_noise(4000, seed=9, width_bits=width)
+    def test_narrow_widths_cover_the_range(self, monkeypatch, width):
+        monkeypatch.setattr(fixedpoint, "NOISE_BITS", width)
+        noise = fixedpoint.generate_noise(4000, seed=9)
         assert set(noise.tolist()) == set(range(-(1 << width), 1 << width))
 
     def test_top_bits_of_the_shake_stream(self):
         words = np.frombuffer(hashlib.shake_128((77).to_bytes(8, "little")).digest(24), "<u8")
         want = [int(w) >> (63 - 40) for w in words]
-        got = fixedpoint.generate_noise(3, 77, 40)
+        assert fixedpoint.NOISE_BITS == 40
+        got = fixedpoint.generate_noise(3, 77)
         assert [int(v) + (1 << 40) for v in got] == want
 
-    @given(st.integers(0, 2**64 - 1), st.integers(0, 63), st.integers(1, 40))
+    @given(st.integers(0, 2**64 - 1), st.integers(1, 40))
     @settings(max_examples=60, deadline=None)
-    def test_same_seed_same_mask(self, seed, width, length):
-        a = fixedpoint.generate_noise(length, seed, width)
-        assert np.array_equal(a, fixedpoint.generate_noise(length, seed, width))
+    def test_same_seed_same_mask(self, seed, length):
+        a = fixedpoint.generate_noise(length, seed)
+        assert np.array_equal(a, fixedpoint.generate_noise(length, seed))
         # a shorter mask is a prefix of a longer one from the same seed
-        assert np.array_equal(a[: length // 2], fixedpoint.generate_noise(length // 2, seed, width))
+        assert np.array_equal(a[: length // 2], fixedpoint.generate_noise(length // 2, seed))
 
     def test_different_seeds_differ(self):
         masks = {fixedpoint.generate_noise(8, seed).tobytes() for seed in range(200)}
@@ -358,16 +361,12 @@ class TestNoisePrg:
         noise = fixedpoint.generate_noise(0, seed=3)
         assert noise.shape == (0,) and noise.dtype == np.int64
 
-    @pytest.mark.parametrize("width", [64, -1, 100])
-    def test_width_outside_int64_refused(self, width):
-        with pytest.raises(NoiseWidthError, match=f"got {width}"):
-            fixedpoint.generate_noise(4, seed=1, width_bits=width)
-
     @pytest.mark.parametrize("width", [0, 63])
-    def test_edge_widths_cancel_in_the_ring(self, width):
+    def test_edge_widths_cancel_in_the_ring(self, monkeypatch, width):
+        monkeypatch.setattr(fixedpoint, "NOISE_BITS", width)
         rng = np.random.default_rng(width)
         vectors = [fixedpoint.encode(rng.normal(0, 2, size=19)) for _ in range(4)]
-        masks = [fixedpoint.generate_noise(len(c), seed=i, width_bits=width)
+        masks = [fixedpoint.generate_noise(len(c), seed=i)
                  for i, c in enumerate(split(vectors[0], 4))]
         session = run_ring(vectors, masks)
         expected = np.sum(np.stack(vectors), axis=0)
@@ -558,7 +557,7 @@ class OracleRingSession:
     same schedule in closed form and must match this replay exactly.
     """
 
-    def __init__(self, sim, members, vectors, masks=None, size_multiplier=10.0, kind="ring"):
+    def __init__(self, sim, members, vectors, masks=None, kind="ring"):
         self.sim = sim
         self.members = list(members)
         self.k = len(self.members)
@@ -574,7 +573,7 @@ class OracleRingSession:
         else:
             self.work = [list(c) for c in chunks]
         self.chunk_units = [
-            netsim.chunk_size_units(c.shape[0], model_len, size_multiplier) for c in chunks[0]
+            netsim.chunk_size_units(c.shape[0], model_len) for c in chunks[0]
         ]
         self.final = [dict() for _ in range(self.k)]
         self.completion = {}
@@ -689,8 +688,7 @@ def oracle_case(k, masked, clock, integer, seed):
             fixedpoint.generate_noise(c.shape[0], seed=seed * 10 + i)
             for i, c in enumerate(split(vectors[0], k))
         ]
-    size_multiplier = float(rng.choice([1.0, 10.0, 37.0]))
-    return latency, members, vectors, masks, ready.tolist(), size_multiplier
+    return latency, members, vectors, masks, ready.tolist()
 
 
 class TestRingSessionOracle:
@@ -702,12 +700,11 @@ class TestRingSessionOracle:
     @pytest.mark.parametrize("k", range(1, 10))
     def test_matches_event_driven_replay(self, k, masked, clock, integer):
         for seed in range(3):
-            latency, members, vectors, masks, ready, mult = oracle_case(
+            latency, members, vectors, masks, ready = oracle_case(
                 k, masked, clock, integer, seed=1000 * k + seed
             )
             (got, got_now), (want, want_now) = [
-                start_session(cls, latency, clock, ready, members, vectors, masks=masks,
-                              size_multiplier=mult)
+                start_session(cls, latency, clock, ready, members, vectors, masks=masks)
                 for cls in (sharedring.RingSession, OracleRingSession)
             ]
             assert got.completion == want.completion
@@ -732,7 +729,7 @@ class TestRingSessionOracle:
         # For this pair, clock + (ready - clock) is one ulp away from ready.
         clock, ready = 0.5277764017096607, 3.4762437629867367
         assert clock + (ready - clock) != ready
-        latency, members, vectors, masks, _, _ = oracle_case(1, masked, clock, False, seed=2)
+        latency, members, vectors, masks, _ = oracle_case(1, masked, clock, False, seed=2)
         got, want = [
             start_session(cls, latency, clock, [ready], members, vectors, masks=masks)[0]
             for cls in (sharedring.RingSession, OracleRingSession)
@@ -741,7 +738,7 @@ class TestRingSessionOracle:
 
     @pytest.mark.parametrize("cls", [sharedring.RingSession, OracleRingSession])
     def test_ready_time_before_clock_rejected(self, cls):
-        latency, members, vectors, masks, ready, _ = oracle_case(3, True, 50.0, False, seed=1)
+        latency, members, vectors, masks, ready = oracle_case(3, True, 50.0, False, seed=1)
         with pytest.raises(TimeTravelError):
             start_session(cls, latency, 50.0, [ready[0], 49.0, ready[2]], members, vectors,
                           masks=masks)
@@ -752,15 +749,15 @@ class TestRingLayout:
     every session of that shape."""
 
     def test_arrays_are_read_only(self):
-        layout = sharedring.ring_layout(4, 23, 10.0, True)
+        layout = sharedring.ring_layout(4, 23, True)
         for array in (layout.index, layout.units, layout.hop_pos, layout.arrival):
             with pytest.raises(ValueError, match="read-only"):
                 array[(0,) * array.ndim] = 1
 
     def test_one_layout_per_shape(self):
-        layout = sharedring.ring_layout(5, 31, 10.0, True)
-        assert sharedring.ring_layout(5, 31, 10.0, True) is layout
-        assert sharedring.ring_layout(5, 31, 10.0, False) is not layout
+        layout = sharedring.ring_layout(5, 31, True)
+        assert sharedring.ring_layout(5, 31, True) is layout
+        assert sharedring.ring_layout(5, 31, False) is not layout
         assert layout.spans == tuple(sharedring.chunk_spans(31, 5))
 
     @pytest.mark.parametrize("masked", [True, False])
@@ -771,7 +768,7 @@ class TestRingLayout:
         m = 3 * k + 4
         layouts = []
         for seed in range(2):
-            latency, members, _, masks, ready, _ = oracle_case(k, masked, 7.5, False, seed=seed)
+            latency, members, _, masks, ready = oracle_case(k, masked, 7.5, False, seed=seed)
             rng = np.random.default_rng(seed)
             vectors = [fixedpoint.encode(rng.normal(0, 2, size=m)) for _ in range(k)]
             if masked:
