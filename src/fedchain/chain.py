@@ -397,19 +397,20 @@ def split_reward(reward: int, weights: np.ndarray, members: Sequence[int]) -> di
     return {int(m): int(c) for m, c in zip(members, credits)}
 
 
-def publish_task(task: Task, publisher: int, now: float = 0.0) -> Transaction:
-    """Validate a task and produce its publication transaction."""
+def publish_task(task: Task) -> Transaction:
+    """Validate a task and produce its publication transaction, by
+    `PUBLISHER` at time 0."""
     if not 0.0 < task.target <= 1.0:
         raise InvalidTaskError(f"accuracy target must be in (0, 1], got {task.target}")
-    if task.deadline <= now:
+    if task.deadline <= 0.0:
         raise InvalidTaskError("task deadline is not in the future")
     if task.reward < 0:
         raise InvalidTaskError("reward must be non-negative")
     return Transaction(
         kind="TaskPublish",
         payload={"task_id": task.task_id, "target": task.target, "reward": task.reward},
-        author=publisher,
-        timestamp=now,
+        author=PUBLISHER,
+        timestamp=0.0,
     )
 
 
@@ -563,28 +564,36 @@ def _exchange_constants(setup: RoundSetup) -> verify.PublicParams:
     """What every verification exchange of a race shares: the public
     parameters, which depend only on the seed and the task. `_race` builds
     them on its first exchange; they live no longer than the race."""
-    return verify.keygen(128, seed=_derive_seed(setup.seed, setup.task.task_id, "pp"))
+    return verify.keygen(_derive_seed(setup.seed, setup.task.task_id, "pp"))
+
+
+def _sample_nodes(rng: np.random.Generator, n_nodes: int, excluded: list[int],
+                  size: int) -> list[int]:
+    """`min(size, candidates)` distinct nodes of `range(n_nodes)` outside the
+    sorted, distinct `excluded`, as `rng.choice(candidates, ...,
+    replace=False)` on the candidate list draws them. That draw picks its
+    indices from the candidate count alone, so the count is drawn from and
+    index i maps to the i-th node not excluded: i plus the number of
+    excluded ids it passes, searched over `below[j]`, the count of
+    candidates below `excluded[j]`."""
+    below = [e - j for j, e in enumerate(excluded)]
+    pop_size = n_nodes - len(excluded)
+    idx = rng.choice(pop_size, size=min(size, pop_size), replace=False)
+    return [i + bisect.bisect_right(below, i) for i in idx.tolist()]
 
 
 def _draw_committee(setup: RoundSetup, outcome: PoolOutcome) -> list[int]:
     """The outcome's verifier committee, from outside the pool when the
     network is big enough, else from every node but the head. It depends
     only on the seed, the task, the pool id and the members, so a run
-    draws it once, when it is made. A draw from a candidate array picks
-    its indices from the candidate count alone, so the count is drawn from
-    and index i maps to the i-th node not `excluded`: i plus the number of
-    excluded ids it passes, searched over `below[j]`, the count of
-    candidates below `excluded[j]`."""
+    draws it once, when it is made."""
     rng = np.random.default_rng(
         _derive_seed(setup.seed, setup.task.task_id, "committee", outcome.pool_id)
     )
     excluded = sorted({*outcome.members, outcome.head})
     if len(excluded) == setup.n_nodes:
         excluded = [outcome.head]
-    below = [e - j for j, e in enumerate(excluded)]
-    pop_size = setup.n_nodes - len(excluded)
-    idx = rng.choice(pop_size, size=min(setup.n_verifiers, pop_size), replace=False)
-    return [i + bisect.bisect_right(below, i) for i in idx.tolist()]
+    return _sample_nodes(rng, setup.n_nodes, excluded, setup.n_verifiers)
 
 
 def _committee_links(setup: RoundSetup, head: int,
@@ -898,13 +907,8 @@ def _form_pools(setup: RoundSetup) -> tuple[pools.PoolAssignment, dict[int, floa
     l_hat = pools.estimate_latency(history, setup.n_nodes)
     heads = pools.announce_heads(setup.n_nodes, setup.n_pools, l_hat=l_hat, ping=history.total)
     del history
-    chunk_units = max(
-        1, round(netsim.SIZE_MULTIPLIER / max(1, setup.n_nodes // max(1, setup.n_pools)))
-    )
-    t_p = [
-        pools.pool_time_estimate([h], setup.compute_times, l_hat, setup.train.epochs, chunk_units)
-        for h in heads
-    ]
+    # The head's own training time; ROADMAP item 5 asks for a pool-size estimate.
+    t_p = setup.compute_times[heads] * setup.train.epochs
     assignment = pools.assign_pools(
         setup.n_nodes, heads, l_hat, t_p, seed=_derive_seed(setup.seed, "join")
     )
@@ -1009,7 +1013,7 @@ def run_round_fedchain(chain: Chain, setup: RoundSetup) -> RoundResult:
     accuracy claim. Every pool weights its members by label distribution
     (`"kl"`)."""
     _check_round(setup)
-    publish_tx = publish_task(setup.task, PUBLISHER, now=0.0)
+    publish_tx = publish_task(setup.task)
     assignment, start_times = _form_pools(setup)
     model = _initial_model(setup)
     runs = [
@@ -1029,7 +1033,7 @@ def _run_pow(chain: Chain, setup: RoundSetup) -> RoundResult:
     Raises RoundFailedError when nobody else can verify it (one node)."""
     _check_round(setup, learning=False)
     task = setup.task
-    publish_tx = publish_task(task, PUBLISHER, now=0.0)
+    publish_tx = publish_task(task)
     threshold = 1 << (256 - setup.pow_difficulty)
     best_node, best_time = None, None
     for node in range(setup.n_nodes):
@@ -1047,11 +1051,7 @@ def _run_pow(chain: Chain, setup: RoundSetup) -> RoundResult:
             best_node, best_time = node, t
 
     rng = np.random.default_rng(_derive_seed(setup.seed, task.task_id, "pow-committee"))
-    candidates = [v for v in range(setup.n_nodes) if v != best_node]
-    committee = [
-        int(v)
-        for v in rng.choice(candidates, size=min(setup.n_verifiers, len(candidates)), replace=False)
-    ]
+    committee = _sample_nodes(rng, setup.n_nodes, [best_node], setup.n_verifiers)
     if not committee:
         raise RoundFailedError(f"task {task.task_id}: no verifier for node {best_node}'s preimage")
     accept_time = best_time + max(
@@ -1106,7 +1106,7 @@ def run_round(chain: Chain, setup: RoundSetup, mode: str = "fedchain") -> RoundR
     if mode not in MODES:
         raise ValueError(f"unknown mode: {mode}")
     _check_round(setup)
-    publish_tx = publish_task(setup.task, PUBLISHER, now=0.0)
+    publish_tx = publish_task(setup.task)
     nodes = list(range(setup.n_nodes))
     if mode == "gfl_ring":
         start, combine = float(_task_arrivals(setup).max()), partial(_ring_round, masked=False)

@@ -61,10 +61,6 @@ class AggregationShapeError(FedChainError):
     """Weight vectors passed to aggregation disagree in shape."""
 
 
-class UnsupportedSecurityError(FedChainError):
-    """Requested security parameter is not one of the supported levels."""
-
-
 class EmptyChallengeError(FedChainError):
     """Proof requested over an empty challenge batch."""
 

@@ -1,10 +1,10 @@
 """Local training, aggregation weighting, and model evaluation.
 
-The model family is a dense softmax classifier (optionally with one tanh
-hidden layer); the protocol is architecture-agnostic, so this keeps the
-simulator fast while exercising real gradients. Aggregation weights come
-either from dataset sizes (FedAvg) or from each miner's label-distribution
-divergence against the publisher's reference histogram.
+The model family is a dense softmax classifier; the protocol is
+architecture-agnostic, so this keeps the simulator fast while exercising
+real gradients. Aggregation weights come either from dataset sizes (FedAvg)
+or from each miner's label-distribution divergence against the publisher's
+reference histogram.
 """
 
 from __future__ import annotations
@@ -27,18 +27,10 @@ from .errors import (
 class Architecture:
     n_features: int
     n_classes: int
-    hidden: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if len(self.hidden) > 1:
-            raise ValueError("at most one hidden layer is supported")
 
     @property
     def n_weights(self) -> int:
-        if not self.hidden:
-            return self.n_features * self.n_classes + self.n_classes
-        h = self.hidden[0]
-        return self.n_features * h + h + h * self.n_classes + self.n_classes
+        return self.n_features * self.n_classes + self.n_classes
 
 
 @dataclass
@@ -75,23 +67,16 @@ class DenseClassifier:
         w = self.weights.copy() if weights is None else np.asarray(weights, dtype=np.float64)
         return DenseClassifier(self.arch, w)
 
-    def _forward(self, x: np.ndarray):
-        params = _unpack(self.arch, self.weights)
-        if len(params) == 2:
-            w, b = params
-            return x @ w + b, None
-        w1, b1, w2, b2 = params
-        hidden = np.tanh(x @ w1 + b1)
-        return hidden @ w2 + b2, hidden
+    def _forward(self, x: np.ndarray) -> np.ndarray:
+        w, b = _unpack(self.arch, self.weights)
+        return x @ w + b
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        logits, _ = self._forward(x)
-        return logits.argmax(axis=1)
+        return self._forward(x).argmax(axis=1)
 
     def loss(self, x: np.ndarray, y: np.ndarray) -> float:
         """Cross-entropy summed over the samples."""
-        logits, _ = self._forward(x)
-        return _summed_cross_entropy(logits, y)
+        return _summed_cross_entropy(self._forward(x), y)
 
 
 def _summed_cross_entropy(logits: np.ndarray, y: np.ndarray) -> float:
@@ -100,26 +85,15 @@ def _summed_cross_entropy(logits: np.ndarray, y: np.ndarray) -> float:
     return float(-log_probs[np.arange(len(y)), y].sum())
 
 
-def _unpack(arch: Architecture, flat: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Views of a flat weight-layout vector: (w, b) or (w1, b1, w2, b2)."""
-    if not arch.hidden:
-        split = arch.n_features * arch.n_classes
-        return (flat[:split].reshape(arch.n_features, arch.n_classes), flat[split:])
-    h = arch.hidden[0]
-    idx = 0
-    w1 = flat[idx : idx + arch.n_features * h].reshape(arch.n_features, h)
-    idx += arch.n_features * h
-    b1 = flat[idx : idx + h]
-    idx += h
-    w2 = flat[idx : idx + h * arch.n_classes].reshape(h, arch.n_classes)
-    idx += h * arch.n_classes
-    b2 = flat[idx:]
-    return (w1, b1, w2, b2)
+def _unpack(arch: Architecture, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Views `(w, b)` of a flat weight-layout vector."""
+    split = arch.n_features * arch.n_classes
+    return flat[:split].reshape(arch.n_features, arch.n_classes), flat[split:]
 
 
 def _loss_grad_into(
-    params: tuple[np.ndarray, ...],
-    grads: tuple[np.ndarray, ...],
+    params: tuple[np.ndarray, np.ndarray],
+    grads: tuple[np.ndarray, np.ndarray],
     x: np.ndarray,
     onehot: np.ndarray,
 ) -> None:
@@ -133,32 +107,17 @@ def _loss_grad_into(
     add, minus the row max, exp, divide by the row sum, `x.T @ d`, column
     sum (`np.maximum.reduce` and `np.add.reduce` are what the ndarray
     `max` and `sum` methods call). Subtracting a one-hot row equals
-    `d[arange, y] -= 1.0`, because `p - 0.0 == p`. The hidden layer's
-    `tanh` is computed once and reused by the backward pass.
+    `d[arange, y] -= 1.0`, because `p - 0.0 == p`.
     """
-    hidden = len(params) == 4
-    w, b = params[-2:]
-    inputs = x
-    if hidden:
-        w1, b1 = params[:2]
-        inputs = x @ w1
-        inputs += b1
-        np.tanh(inputs, out=inputs)
-    d = inputs @ w
+    w, b = params
+    d = x @ w
     d += b
     d -= np.maximum.reduce(d, axis=1, keepdims=True)
     np.exp(d, out=d)
     d /= np.add.reduce(d, axis=1, keepdims=True)
     d -= onehot
-    np.matmul(inputs.T, d, out=grads[-2])
-    np.add.reduce(d, axis=0, out=grads[-1])
-    if hidden:
-        dz = d @ w.T
-        slope = inputs * inputs
-        np.subtract(1.0, slope, out=slope)
-        dz *= slope
-        np.matmul(x.T, dz, out=grads[0])
-        np.add.reduce(dz, axis=0, out=grads[1])
+    np.matmul(x.T, d, out=grads[0])
+    np.add.reduce(d, axis=0, out=grads[1])
 
 
 def _check_finite_weights(model: DenseClassifier) -> None:
@@ -194,8 +153,7 @@ def local_train(
     batch)`. The result is bit-identical to a textbook loop that computes
     each batch's gradient of the summed cross-entropy on a fresh model and
     divides it by the batch size: the rows, the float operations and their
-    order are the same, and only temporaries, copies and a second `tanh` of
-    the hidden layer are saved.
+    order are the same, and only temporaries and copies are saved.
     """
     rng = np.random.default_rng(seed)
     weights = model.weights.copy()
@@ -307,7 +265,7 @@ def evaluate_and_loss(model: DenseClassifier, dataset: Dataset) -> tuple[float, 
     forward pass: both derive from the same logits, so the values are
     bit-identical to the two calls, and NonFiniteLossError is raised under
     the same conditions as `local_loss`."""
-    logits, _ = model._forward(dataset.x)
+    logits = model._forward(dataset.x)
     accuracy = float(np.mean(logits.argmax(axis=1) == dataset.y))
     _check_finite_weights(model)
     return accuracy, _check_finite_loss(_summed_cross_entropy(logits, dataset.y))

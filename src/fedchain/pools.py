@@ -211,25 +211,3 @@ def assign_pools(
         np.maximum(rows[c], columns[node], out=rows[c])
     return PoolAssignment(pools=pools)
 
-
-def pool_time_estimate(
-    members: Sequence[int],
-    compute_times: np.ndarray,
-    l_hat: np.ndarray,
-    rounds_hint: int = 1,
-    chunk_units: int = 1,
-) -> float:
-    """A-priori estimate of the pool's training duration under ring all-reduce.
-
-    One round costs the slowest member's compute time plus 2(|p|-1) ring hops
-    at the mean intra-pool estimated latency, scaled by the chunk size units.
-    """
-    k = len(members)
-    if k == 0:
-        raise ValueError("pool must be non-empty")
-    max_compute = max(float(compute_times[m]) for m in members)
-    if k == 1:
-        return rounds_hint * max_compute
-    links = [float(l_hat[i, j]) for i in members for j in members if i != j]
-    mean_latency = sum(links) / len(links)
-    return rounds_hint * (max_compute + 2 * (k - 1) * mean_latency * chunk_units)

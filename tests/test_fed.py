@@ -22,11 +22,6 @@ def arch():
 
 
 @pytest.fixture
-def mlp_arch():
-    return fed.Architecture(n_features=4, n_classes=3, hidden=(8,))
-
-
-@pytest.fixture
 def small_set():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(12, 4))
@@ -75,9 +70,7 @@ class TestEvaluateAndLoss:
     """The fused call equals `evaluate` then `local_loss`, bit for bit, and
     raises where `local_loss` raises."""
 
-    @pytest.mark.parametrize("hidden", [(), (8,)])
-    def test_bit_identical_to_the_two_calls(self, hidden):
-        arch = fed.Architecture(n_features=4, n_classes=3, hidden=hidden)
+    def test_bit_identical_to_the_two_calls(self, arch):
         for seed in range(20):
             rng = np.random.default_rng(seed)
             model = fed.DenseClassifier(arch, weights=rng.normal(0, 2.0, arch.n_weights))
@@ -132,28 +125,17 @@ class TestLocalTrain:
 
 
 def oracle_loss_grad(model, x, y):
-    """The textbook gradient: a fresh stable softmax, a copied dlogits, the
-    hidden layer recomputed, and the parts concatenated."""
-    logits, _ = model._forward(x)
+    """The textbook gradient: a fresh stable softmax, a copied dlogits, and
+    the parts concatenated."""
+    logits = model._forward(x)
     logits = logits - logits.max(axis=1, keepdims=True)
     expl = np.exp(logits)
     probs = expl / expl.sum(axis=1, keepdims=True)
     dlogits = probs.copy()
     dlogits[np.arange(len(y)), y] -= 1.0
-    params = fed._unpack(model.arch, model.weights)
-    if len(params) == 2:
-        gw = x.T @ dlogits
-        gb = dlogits.sum(axis=0)
-        return np.concatenate([gw.ravel(), gb])
-    w1, b1, w2, b2 = params
-    hidden = np.tanh(x @ w1 + b1)
-    gw2 = hidden.T @ dlogits
-    gb2 = dlogits.sum(axis=0)
-    dhidden = dlogits @ w2.T
-    dz = dhidden * (1.0 - hidden * hidden)
-    gw1 = x.T @ dz
-    gb1 = dz.sum(axis=0)
-    return np.concatenate([gw1.ravel(), gb1, gw2.ravel(), gb2])
+    gw = x.T @ dlogits
+    gb = dlogits.sum(axis=0)
+    return np.concatenate([gw.ravel(), gb])
 
 
 def sgd_step(weights, grad, lr):
@@ -195,18 +177,15 @@ class TestTrainingOracle:
             except TrainingDivergedError:
                 return "diverged"
 
-    @pytest.mark.parametrize("hidden", [False, True])
     @pytest.mark.parametrize("n", [0, 1, 5, 32, 40, 100, 129])
     @pytest.mark.parametrize("batch_size", [1, 7, 32, 64])
-    def test_matches_oracle(self, hidden, n, batch_size):
-        rng = np.random.default_rng([n, batch_size, hidden])
+    def test_matches_oracle(self, n, batch_size):
+        rng = np.random.default_rng([n, batch_size, 0])
         for variant, (dtype, scale) in enumerate(
             [(np.float64, 1.0), (np.float32, 1.0), (np.float64, 50.0)]
         ):
             n_features, n_classes = int(rng.integers(1, 16)), int(rng.integers(2, 12))
-            arch = fed.Architecture(
-                n_features, n_classes, (int(rng.integers(1, 9)),) if hidden else ()
-            )
+            arch = fed.Architecture(n_features, n_classes)
             model = fed.DenseClassifier(arch, rng.normal(0.0, 0.5, arch.n_weights))
             x = (rng.normal(size=(n, n_features)) * scale).astype(dtype)
             ds = data.Dataset(x, rng.integers(0, n_classes, n), n_classes)
@@ -234,7 +213,7 @@ class TestTrainingOracle:
                 fed.local_train(model, ds, cfg, seed=1)
 
     def test_model_and_dataset_untouched(self, small_set):
-        model = fed.DenseClassifier(fed.Architecture(4, 3, (5,)), seed=6)
+        model = fed.DenseClassifier(fed.Architecture(4, 3), seed=6)
         weights, x, y = model.weights.copy(), small_set.x.copy(), small_set.y.copy()
         trained = fed.local_train(model, small_set, fed.TrainConfig(lr=0.3, epochs=2), seed=2)
         assert trained.weights is not model.weights
@@ -247,10 +226,6 @@ class TestGradientCheck:
 
     def test_dense_below_tolerance(self, arch, small_set):
         model = fed.DenseClassifier(arch, seed=3)
-        assert gradient_check(model, small_set) < 1e-4
-
-    def test_mlp_below_tolerance(self, mlp_arch, small_set):
-        model = fed.DenseClassifier(mlp_arch, seed=3)
         assert gradient_check(model, small_set) < 1e-4
 
     def test_scaled_gradient_negative_control(self, arch, small_set):

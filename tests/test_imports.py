@@ -1,9 +1,10 @@
 """Every module-level import in `src/fedchain` is used in its module, every
 private function or class defined in `src/fedchain` is used there, every
 public function, class and method is referred to by the package or the
-benchmark, every optional parameter is passed by one of their calls, and
-every field with a default of the round's dataclasses is set by one.
-`import fedchain` leaves PyYAML unloaded.
+benchmark, every optional parameter is passed by one of their calls, no
+parameter is passed the same literal by all of them, and every field with
+a default of the round's dataclasses is set by one. `import fedchain`
+leaves PyYAML unloaded.
 
 No linter ships with the project, so this walks each module's syntax tree
 instead. `__init__.py` is skipped for imports: its imports are the
@@ -203,19 +204,14 @@ def passes(call, param: str, position: int | None) -> bool:
     return any(k.arg in (param, None) for k in keywords)
 
 
-def unpassed_optional_parameters(sources: dict[str, str], callers: list[str]) -> list[str]:
-    """Parameters with a default, of module-level functions and of methods
-    of module-level classes in `sources` (module name -> source), that no
-    call in `sources` or `callers` passes, as `module.function(parameter)`.
-
-    The check matches names, not bindings, as the one above does: a call
-    `f(...)` or `x.f(...)` passes the parameters of every function or
-    method named `f`, and a call `C(...)` those of `C.__init__`. It passes
-    a parameter by keyword, or by position, counted after `self` or `cls`
-    for a method that is not a staticmethod; a `*args` passes every
-    positional parameter and a `**kwargs` every parameter. `partial(f,
-    ...)` counts as a call of `f`."""
-    defined = []  # (qualname, name calls use, arguments, leading parameters calls skip)
+def defined_functions(sources: dict[str, str]) -> list[tuple[str, str, ast.arguments, list[str]]]:
+    """`(qualname, name calls use, arguments, positional parameters calls
+    fill)` of every module-level function and every method of a
+    module-level class in `sources` (module name -> source). A call `C(...)`
+    uses the name of `C` for `C.__init__`, and fills the positional
+    parameters after `self` or `cls` of a method that is not a
+    staticmethod."""
+    defined = []
     for module, source in sources.items():
         for node in ast.parse(source).body:
             if isinstance(node, ast.FunctionDef):
@@ -228,10 +224,26 @@ def unpassed_optional_parameters(sources: dict[str, str], callers: list[str]) ->
                         name = node.name if item.name == "__init__" else item.name
                         defined.append((f"{module}.{node.name}.{item.name}", name, item.args,
                                         0 if static else 1))
+    return [(qualname, name, arguments,
+             [a.arg for a in arguments.posonlyargs + arguments.args][skip:])
+            for qualname, name, arguments, skip in defined]
+
+
+def unpassed_optional_parameters(sources: dict[str, str], callers: list[str]) -> list[str]:
+    """Parameters with a default, of module-level functions and of methods
+    of module-level classes in `sources` (module name -> source), that no
+    call in `sources` or `callers` passes, as `module.function(parameter)`.
+
+    The check matches names, not bindings, as the one above does: a call
+    `f(...)` or `x.f(...)` passes the parameters of every function or
+    method named `f`, and a call `C(...)` those of `C.__init__`. It passes
+    a parameter by keyword, or by position, counted after `self` or `cls`
+    for a method that is not a staticmethod; a `*args` passes every
+    positional parameter and a `**kwargs` every parameter. `partial(f,
+    ...)` counts as a call of `f`."""
     calls = call_sites([*sources.values(), *callers])
     unpassed = []
-    for qualname, name, arguments, skip in defined:
-        positional = [a.arg for a in arguments.posonlyargs + arguments.args][skip:]
+    for qualname, name, arguments, positional in defined_functions(sources):
         first = len(positional) - len(arguments.defaults)
         optional = [(p, i) for i, p in enumerate(positional) if i >= first]
         optional += [(a.arg, None) for a, default in
@@ -287,6 +299,109 @@ def test_check_catches_an_unpassed_optional_parameter():
     assert unpassed_optional_parameters(sources, ["f(0, **kw)\nC(m=1)\n"]) == []
 
 
+def value_references(sources: list[str]) -> set[str]:
+    """The names read as a value rather than called: `f` in `g(f)`, `x = f`
+    or `x.f` that is not the function of a call. The function `partial(f,
+    ...)` wraps is a call (see `call_sites`)."""
+    nodes = [node for source in sources for node in ast.walk(ast.parse(source))]
+    called = set()
+    for node in nodes:
+        if isinstance(node, ast.Call):
+            called.add(id(node.func))
+            if isinstance(node.func, ast.Name) and node.func.id == "partial" and node.args:
+                called.add(id(node.args[0]))
+    return {node.id if isinstance(node, ast.Name) else node.attr for node in nodes
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+            and id(node) not in called}
+
+
+def argument(call, param: str, position: int | None):
+    """The expression a `call_sites` call passes as `param`, by keyword or,
+    unless `position` is None, at that position; `...` if a `*args` or
+    `**kwargs` may pass it, None if the call leaves it out."""
+    args, keywords = call
+    if position is not None:
+        for i, arg in enumerate(args):
+            if isinstance(arg, ast.Starred):
+                return ...
+            if i == position:
+                return arg
+    for keyword in keywords:
+        if keyword.arg == param:
+            return keyword.value
+        if keyword.arg is None:
+            return ...
+    return None
+
+
+def constant_arguments(sources: dict[str, str], callers: list[str]) -> list[str]:
+    """Parameters of the functions and methods in `sources` (module name ->
+    source; see `defined_functions`) that every call in `sources` or
+    `callers` passes as the same literal (`ast.Constant`), as
+    `module.function(parameter)`. Such a parameter is a constant.
+
+    The check matches names, not bindings, as the ones above do. A function
+    named as a value (`value_references`), such as a callback handed to a
+    constructor, counts as a call that passes nothing, since whoever calls
+    it is not seen. A `*args` or `**kwargs` that may pass a parameter
+    passes something other than a literal."""
+    calls = call_sites([*sources.values(), *callers])
+    values = value_references([*sources.values(), *callers])
+    constant = []
+    for qualname, name, arguments, positional in defined_functions(sources):
+        if name in values or not calls.get(name):
+            continue
+        params = [(p, i) for i, p in enumerate(positional)]
+        params += [(a.arg, None) for a in arguments.kwonlyargs]
+        for param, position in params:
+            passed = [argument(call, param, position) for call in calls[name]]
+            literals = {(type(v.value), v.value) for v in passed if isinstance(v, ast.Constant)}
+            if len(literals) == 1 and all(isinstance(v, ast.Constant) for v in passed):
+                constant.append(f"{qualname}({param})")
+    return constant
+
+
+def test_no_parameter_is_always_passed_one_literal():
+    assert constant_arguments(package_sources(), bench_sources()) == []
+
+
+def test_check_catches_a_constant_argument():
+    sources = {
+        "a": (
+            "from functools import partial\n"
+            "\n"
+            "def f(x, scale, *, eps=1e-6, tag=None):\n"
+            "    return x\n"
+            "\n"
+            "def g(x, masked=True):\n"
+            "    return x\n"
+            "\n"
+            "class C:\n"
+            "    def __init__(self, n, m=0):\n"
+            "        self.n = n\n"
+            "\n"
+            "    def h(self, k, j=2):\n"
+            "        return k\n"
+            "\n"
+            "def run(c, opts, n):\n"
+            "    f(1, 2.0, eps=1, tag='t')\n"
+            "    f(2, 2.0, eps=True, tag=n)\n"
+            "    C(n, 0).h(3, *opts)\n"
+            "    C(n + 1, m=0).h(3, **opts)\n"
+            "    return partial(g, masked=False)\n"
+        ),
+    }
+    # `1` and `True` are different literals, a starred call passes what it
+    # may pass, and `partial(g, ...)` is a call of `g`
+    assert constant_arguments(sources, []) == [
+        "a.f(scale)", "a.g(masked)", "a.C.__init__(m)", "a.C.h(k)"]
+    # a caller outside the package counts
+    assert constant_arguments(sources, ["C(0, m=1)\nx.h(4)\n"]) == [
+        "a.f(scale)", "a.g(masked)"]
+    # a function named as a value is a call that passes nothing
+    assert constant_arguments(sources, ["plan = [f, g]\n"]) == ["a.C.__init__(m)", "a.C.h(k)"]
+
+
 def unset_dataclass_fields(sources: dict[str, str], callers: list[str],
                            classes: set[str]) -> list[str]:
     """Fields with a default of the dataclasses named in `classes`
@@ -320,7 +435,8 @@ def unset_dataclass_fields(sources: dict[str, str], callers: list[str],
 
 
 # The dataclasses whose fields are a round's settable values.
-ROUND_DATACLASSES = {"chain.RoundSetup", "chain.Task", "fed.TrainConfig"}
+ROUND_DATACLASSES = {"chain.RoundSetup", "chain.Task", "fed.Architecture",
+                     "fed.TrainConfig"}
 
 
 def test_every_dataclass_default_is_set_outside_the_tests():

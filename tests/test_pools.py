@@ -243,26 +243,6 @@ class TestAssignPools:
             members[chosen].append(node)
 
 
-class TestPoolTimeEstimate:
-    def test_singleton_no_comm_term(self):
-        compute = np.array([100.0])
-        t = pools.pool_time_estimate([0], compute, np.zeros((1, 1)), rounds_hint=1)
-        assert t == 100.0
-
-    def test_pair_formula(self):
-        compute = np.array([80.0, 100.0])
-        l_hat = np.array([[0.0, 10.0], [10.0, 0.0]])
-        t = pools.pool_time_estimate([0, 1], compute, l_hat, rounds_hint=1, chunk_units=1)
-        assert t == 100.0 + 2 * 1 * 10.0
-
-    def test_rounds_hint_linear(self):
-        compute = np.array([80.0, 100.0])
-        l_hat = np.array([[0.0, 10.0], [10.0, 0.0]])
-        one = pools.pool_time_estimate([0, 1], compute, l_hat, rounds_hint=1)
-        three = pools.pool_time_estimate([0, 1], compute, l_hat, rounds_hint=3)
-        assert three == pytest.approx(3 * one)
-
-
 # --- loop oracles for the array kernels -------------------------------------
 # Per-pair / per-candidate loop references. The array kernels must reproduce
 # them exactly (==), not within a tolerance.
@@ -592,9 +572,7 @@ def formation_before(setup):
             heads.append(head)
             np.minimum(min_dist, dist[head], out=min_dist)
             min_dist[head] = -np.inf
-    chunk_units = max(1, round(netsim.SIZE_MULTIPLIER / max(1, n // max(1, p))))
-    t_p = [pools.pool_time_estimate([h], setup.compute_times, l_hat, setup.train.epochs,
-                                    chunk_units) for h in heads]
+    t_p = [setup.train.epochs * float(setup.compute_times[h]) for h in heads]
     by_head = np.argsort(np.asarray(heads), kind="stable")
     members = [[h] for h in heads]
     members_by_head = [members[idx] for idx in by_head]

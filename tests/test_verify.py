@@ -9,11 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fedchain import data, fed, verify
-from fedchain.errors import (
-    EmptyChallengeError,
-    InsufficientSamplesError,
-    UnsupportedSecurityError,
-)
+from fedchain.errors import EmptyChallengeError, InsufficientSamplesError
 
 
 @pytest.fixture(scope="module")
@@ -21,21 +17,17 @@ def setup():
     arch = fed.Architecture(n_features=6, n_classes=4)
     model = fed.DenseClassifier(arch, seed=1)
     held_out = data.make_blobs(500, n_features=6, n_classes=4, seed=2)
-    pp = verify.keygen(128, seed=3)
+    pp = verify.keygen(seed=3)
     blinding = verify.make_blinding(4)
     return model, held_out, pp, blinding
 
 
 class TestKeygen:
     def test_deterministic(self):
-        assert verify.keygen(128, seed=9) == verify.keygen(128, seed=9)
-
-    def test_unsupported_level(self):
-        with pytest.raises(UnsupportedSecurityError):
-            verify.keygen(64, seed=0)
+        assert verify.keygen(seed=9) == verify.keygen(seed=9)
 
     def test_nonce_nonzero(self):
-        pp = verify.keygen(256, seed=5)
+        pp = verify.keygen(seed=5)
         assert any(pp.verifier_nonce)
         assert len(pp.verifier_nonce) == 32
 
@@ -48,7 +40,9 @@ class TestCommit:
 
     def test_recommit_reproduces(self, setup):
         model, _, pp, blinding = setup
-        assert verify.commit(model, pp, blinding) == verify.commit(model, pp, blinding)
+        com = verify.commit(model, pp, blinding)
+        assert com == verify.commit(model, pp, blinding)
+        assert len(com.digest) == 16
 
     def test_lowest_bit_flip_changes_commitment(self, setup):
         model, _, pp, blinding = setup
@@ -56,13 +50,6 @@ class TestCommit:
         bumped = model.weights.copy()
         bumped[0] += 2.0 ** -verify.fixedpoint.SCALE_BITS  # one fixed-point ulp
         assert verify.commit(model.clone(bumped), pp, blinding) != com
-
-    def test_security_level_sets_digest_length(self, setup):
-        model, _, _, blinding = setup
-        com128 = verify.commit(model, verify.keygen(128, seed=1), blinding)
-        com256 = verify.commit(model, verify.keygen(256, seed=1), blinding)
-        assert len(com128.digest) == 16
-        assert len(com256.digest) == 32
 
 
 class TestSerialization:
@@ -79,11 +66,12 @@ class TestSerialization:
         assert verify.serialize_model(model) == verify.serialize_model(model)
         assert verify.serialize_model(model)[:4] == b"FCM1"
 
-    def test_mlp_header(self):
-        arch = fed.Architecture(n_features=3, n_classes=2, hidden=(5,))
-        model = fed.DenseClassifier(arch, seed=0)
-        back = verify.deserialize_model(verify.serialize_model(model))
-        assert back.arch.hidden == (5,)
+    def test_hidden_layer_refused(self, setup):
+        model, _, _, _ = setup
+        blob = verify.serialize_model(model)
+        assert blob[12] == 0  # the hidden-layer count after magic, features and classes
+        with pytest.raises(ValueError, match="hidden layers"):
+            verify.deserialize_model(blob[:12] + b"\x01" + struct.pack("<I", 5) + blob[13:])
 
 
 class TestProveVerify:
