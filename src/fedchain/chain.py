@@ -645,7 +645,7 @@ def _verification_exchange(run: _PoolRun, pp: verify.PublicParams) -> None:
         proof = replace(proof, y=bad_y)
     ballots = []
     for _ in committee:
-        result = verify.verify(com, sample, proof.y, proof, pp)
+        result = verify.verify(com, sample, proof, pp)
         ok = result.accepted and verify.accuracy_claim_check(
             result.measured_accuracy, task.target, sample.count
         )
@@ -827,14 +827,24 @@ def _star_round(run: _PoolRun, trained: list[DenseClassifier]) -> tuple[np.ndarr
     return aggregate([t.weights for t in trained], run.outcome.weights), busy
 
 
-def _build_block(
-    chain: Chain,
+def _append_block(chain: Chain, task: Task, txs: list[Transaction], timestamp: float,
+                  proposer: int, commitment: str | None, credits: dict[int, int]) -> Block:
+    """Build the task's block on the chain head, append it and credit `credits`."""
+    head = chain.head()
+    block = Block(head.height + 1, head.hash(), timestamp, txs, proposer, task.task_id, commitment)
+    chain.append_block(block)
+    chain.settle_reward(block, credits)
+    return block
+
+
+def _block_transactions(
     setup: RoundSetup,
     winner: PoolOutcome,
     assignment: pools.PoolAssignment | None,
     start_times: dict[int, float],
     publish_tx: Transaction,
-) -> tuple[Block, dict[int, int]]:
+) -> tuple[list[Transaction], dict[int, int]]:
+    """The winner's block transactions, in ledger order, and its pool's credits."""
     task = setup.task
     txs = [publish_tx]
     if assignment is not None:
@@ -886,16 +896,7 @@ def _build_block(
             timestamp=winner.accept_time,
         )
     )
-    block = Block(
-        height=chain.head().height + 1,
-        prev_hash=chain.head().hash(),
-        timestamp=winner.accept_time,
-        transactions=txs,
-        proposer=winner.head,
-        task_id=task.task_id,
-        model_commitment=winner.commitment,
-    )
-    return block, credits
+    return txs, credits
 
 
 def _form_pools(setup: RoundSetup) -> tuple[pools.PoolAssignment, dict[int, float]]:
@@ -989,9 +990,9 @@ def _settle(chain: Chain, setup: RoundSetup, publish_tx: Transaction, winner: Po
             outcomes: list[PoolOutcome], assignment: pools.PoolAssignment | None,
             start_times: dict[int, float]) -> RoundResult:
     """Append the winner's block, credit its pool and report the round."""
-    block, credits = _build_block(chain, setup, winner, assignment, start_times, publish_tx)
-    chain.append_block(block)
-    chain.settle_reward(block, credits)
+    txs, credits = _block_transactions(setup, winner, assignment, start_times, publish_tx)
+    block = _append_block(chain, setup.task, txs, winner.accept_time, winner.head,
+                          winner.commitment, credits)
     return RoundResult(
         block=block,
         latency_ms=winner.accept_time,
@@ -1058,19 +1059,8 @@ def _run_pow(chain: Chain, setup: RoundSetup) -> RoundResult:
         float(setup.latency[best_node, v]) + float(setup.latency[v, best_node])
         for v in committee
     )
-    txs = [publish_tx]
-    block = Block(
-        height=chain.head().height + 1,
-        prev_hash=chain.head().hash(),
-        timestamp=accept_time,
-        transactions=txs,
-        proposer=best_node,
-        task_id=task.task_id,
-        model_commitment=None,
-    )
-    chain.append_block(block)
     credits = {best_node: task.reward}
-    chain.settle_reward(block, credits)
+    block = _append_block(chain, task, [publish_tx], accept_time, best_node, None, credits)
     return RoundResult(
         block=block,
         latency_ms=accept_time,

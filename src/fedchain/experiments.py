@@ -83,8 +83,10 @@ class ExperimentConfig:
         key or a value whose type does not match its field: a list field
         must hold a list of its element type, an int is accepted for a
         float, a bool is not a number, and `dataset_path` is a string or
-        null. Raises ValueError naming the file for a training value that
-        `TrainConfig` refuses, such as a target outside (0, 1]."""
+        null. Raises ValueError naming the file for a value out of range: a
+        training value that `TrainConfig` refuses (a negative `lr` or
+        `sweep_lr`, `epochs` or `batch_size` below 1), a `target` outside
+        (0, 1], or `sweep_miners` or `sweep_max_rounds` below 1."""
         import yaml  # only a config file needs it; it is a fifth of `import fedchain`
 
         with open(path, encoding="utf-8") as fh:
@@ -113,9 +115,14 @@ class ExperimentConfig:
                     kind = kind.replace(" | None", " or null")
                     raise ValueError(f"config key {key!r} must {verb} {kind}, got {item!r}")
         cfg = cls(**raw)
-        try:  # the range checks of both training configs
+        try:  # the range checks of both training configs, the target and the sweep
             cfg.train_config()
+            if not 0 < cfg.target <= 1:
+                raise ValueError(f"accuracy target must be in (0, 1], got {cfg.target}")
             cfg.train_config(cfg.sweep_lr)
+            for key in ("sweep_miners", "sweep_max_rounds"):
+                if getattr(cfg, key) < 1:
+                    raise ValueError(f"{key} must be >= 1, got {getattr(cfg, key)}")
         except ValueError as err:
             raise ValueError(f"config file {path}: {err}") from err
         return cfg
@@ -129,7 +136,6 @@ class ExperimentConfig:
             lr=self.lr if lr is None else lr,
             epochs=self.epochs,
             batch_size=self.batch_size,
-            target=self.target,
         )
 
 
@@ -184,7 +190,7 @@ def build_task_fixture(
 def build_round_setup(cfg: ExperimentConfig, n_nodes: int, n_pools: int, seed: int) -> chain.RoundSetup:
     """The latency grid's round at (n_nodes, n_pools, seed), with KL aggregation."""
     task, parts = build_task_fixture(cfg, n_nodes, seed=seed * 7919 + 11, alpha=cfg.grid_alpha)
-    latency = netsim.build_topology(n_nodes, seed=seed * 31 + 5, model=netsim.UniformTopology(10, 100))
+    latency = netsim.build_topology(n_nodes, seed=seed * 31 + 5)
     compute = netsim.draw_compute_times(n_nodes, seed=seed * 17 + 3)
     return chain.RoundSetup(
         task=task,

@@ -35,18 +35,20 @@ class Architecture:
 
 @dataclass
 class TrainConfig:
+    """What `local_train` reads. The accuracy target is the task's
+    (`chain.Task.target`), not training's."""
+
     lr: float = 0.5
     epochs: int = 1
     batch_size: int = 32
-    target: float = 0.90
 
     def __post_init__(self):
         if self.lr < 0:
             raise ValueError(f"learning rate must be >= 0, got {self.lr}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if not 0 < self.target <= 1:
-            raise ValueError(f"accuracy target must be in (0, 1], got {self.target}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
 
 
 class DenseClassifier:

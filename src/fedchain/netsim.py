@@ -1,4 +1,4 @@
-"""Network model of N nodes: latency topologies, compute times, message
+"""Network model of N nodes: a latency matrix, compute times, message
 sizes, latency history, and a discrete-event loop.
 
 Rounds compute their latencies in closed form over the latency matrix and
@@ -26,59 +26,21 @@ from .errors import (
 )
 
 SIZE_MULTIPLIER = 10.0  # size units of a whole model
+LINK_RANGE = (10.0, 100.0)  # ms, every directed link
 DEFAULT_COMPUTE_RANGE = (50.0, 200.0)
 
 
-@dataclass(frozen=True)
-class UniformTopology:
-    """All distinct links draw latency from U(lo, hi) milliseconds."""
+def build_topology(n_nodes: int, seed: int) -> np.ndarray:
+    """A dense directed latency matrix in milliseconds, every link drawn
+    from U(*`LINK_RANGE`) by one seeded draw.
 
-    lo: float = 10.0
-    hi: float = 100.0
-
-
-@dataclass(frozen=True)
-class ClusteredTopology:
-    """Low-latency clusters with high-latency links between them.
-
-    Nodes are split into `n_clusters` contiguous, balanced groups;
-    intra-cluster links draw from U(intra_lo, intra_hi) and inter-cluster
-    links from U(inter_lo, inter_hi).
-    """
-
-    n_clusters: int = 5
-    intra_lo: float = 5.0
-    intra_hi: float = 15.0
-    inter_lo: float = 80.0
-    inter_hi: float = 120.0
-
-
-def cluster_labels(n_nodes: int, n_clusters: int) -> np.ndarray:
-    """Ground-truth cluster ids used by ClusteredTopology (contiguous blocks)."""
-    labels = np.empty(n_nodes, dtype=np.int64)
-    for cid, block in enumerate(np.array_split(np.arange(n_nodes), n_clusters)):
-        labels[block] = cid
-    return labels
-
-
-def build_topology(n_nodes: int, seed: int, model: UniformTopology | ClusteredTopology) -> np.ndarray:
-    """Generate a dense directed latency matrix in milliseconds.
-
-    Deterministic for a given (seed, model). The diagonal is zero; the matrix
-    is not required to be symmetric.
+    Deterministic for a given seed. The diagonal is zero; the matrix is not
+    required to be symmetric. Raises InvalidTopologyError for fewer than
+    two nodes.
     """
     if n_nodes < 2:
         raise InvalidTopologyError(f"need at least 2 nodes, got {n_nodes}")
-    rng = np.random.default_rng(seed)
-    if isinstance(model, UniformTopology):
-        latency = rng.uniform(model.lo, model.hi, size=(n_nodes, n_nodes))
-    elif isinstance(model, ClusteredTopology):
-        labels = cluster_labels(n_nodes, model.n_clusters)
-        latency = rng.uniform(model.inter_lo, model.inter_hi, size=(n_nodes, n_nodes))
-        intra = labels[:, None] == labels[None, :]
-        latency[intra] = rng.uniform(model.intra_lo, model.intra_hi, size=int(intra.sum()))
-    else:
-        raise InvalidTopologyError(f"unknown topology model: {model!r}")
+    latency = np.random.default_rng(seed).uniform(*LINK_RANGE, size=(n_nodes, n_nodes))
     np.fill_diagonal(latency, 0.0)
     return latency
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import fixedpoint
 from .data import Dataset
-from .errors import EmptyChallengeError, InsufficientSamplesError
+from .errors import AggregationShapeError, EmptyChallengeError, InsufficientSamplesError
 from .fed import Architecture, DenseClassifier
 
 DIGEST_BYTES = 16  # commitments are SHA-256 truncated to 128 bits
@@ -89,8 +89,10 @@ def serialize_model(model: DenseClassifier) -> bytes:
 
 
 def deserialize_model(blob: bytes) -> DenseClassifier:
-    """The model `serialize_model` wrote. Raises ValueError on a bad magic
-    or a nonzero hidden-layer count."""
+    """The model `serialize_model` wrote. Raises ValueError on a bad magic,
+    a nonzero hidden-layer count or a body shorter than its weight count,
+    struct.error on a header cut short, and AggregationShapeError when the
+    weight count does not fit the header's architecture."""
     if blob[:4] != MAGIC:
         raise ValueError("bad model serialization magic")
     n_features, n_classes, n_hidden = struct.unpack_from("<IIB", blob, 4)
@@ -142,28 +144,31 @@ def prove(
 def verify(
     com: ModelCommitment,
     sample: VerificationSample,
-    y: np.ndarray,
     proof: PredictionProof,
     pp: PublicParams,
 ) -> VerificationResult:
-    """Check the proof against the commitment and measure the claimed predictions.
+    """Check the proof against the commitment and measure its claimed labels.
 
-    Accepts iff the opened model reproduces the commitment, its predictions on
-    the challenge equal `y`, and the proof's binding matches the one this
-    verifier computes itself over the commitment, its challenge rows and `y`.
-    The measured accuracy is the fraction of `y` agreeing with the
-    verifier's held labels.
+    Accepts iff the opened model reproduces the commitment and parses, its
+    predictions on the challenge equal the proof's labels `proof.y`, and
+    the proof's binding matches the one this verifier computes itself over
+    the commitment, its challenge rows and those labels. The measured
+    accuracy is the fraction of the labels agreeing with the verifier's
+    held labels.
     """
     reopened = _digest(pp, proof.blinding + proof.model_opening)
     if reopened != com.digest:
         return VerificationResult(False, 0.0, "commitment mismatch")
-    model = deserialize_model(proof.model_opening)
+    try:
+        model = deserialize_model(proof.model_opening)
+    except (ValueError, struct.error, AggregationShapeError):
+        return VerificationResult(False, 0.0, "model opening does not parse")
     predicted = model.predict(sample.x)
-    if predicted.shape != np.asarray(y).shape or not np.array_equal(predicted, y):
+    if predicted.shape != np.asarray(proof.y).shape or not np.array_equal(predicted, proof.y):
         return VerificationResult(False, 0.0, "predictions do not match claimed labels")
-    if _bind(com, sample.x, y) != proof.digest_chain:
+    if _bind(com, sample.x, proof.y) != proof.digest_chain:
         return VerificationResult(False, 0.0, "digest chain mismatch")
-    accuracy = float(np.mean(np.asarray(y) == sample.labels))
+    accuracy = float(np.mean(np.asarray(proof.y) == sample.labels))
     return VerificationResult(True, accuracy)
 
 

@@ -60,6 +60,37 @@ def random_heads(n_nodes, pool_count, seed):
     return [int(h) for h in rng.choice(n_nodes, size=pool_count, replace=False)]
 
 
+def uniform_links(n_nodes, seed, lo, hi):
+    """A latency matrix with every link drawn from U(lo, hi) by one seeded
+    draw and a zero diagonal: `netsim.build_topology` at another link
+    range. At `netsim.LINK_RANGE` it is that function's matrix."""
+    latency = np.random.default_rng(seed).uniform(lo, hi, size=(n_nodes, n_nodes))
+    np.fill_diagonal(latency, 0.0)
+    return latency
+
+
+def cluster_labels(n_nodes, n_clusters):
+    """The cluster of each node in `clustered_links`: contiguous, balanced blocks."""
+    labels = np.empty(n_nodes, dtype=np.int64)
+    for cid, block in enumerate(np.array_split(np.arange(n_nodes), n_clusters)):
+        labels[block] = cid
+    return labels
+
+
+def clustered_links(n_nodes, seed, n_clusters, intra=(5.0, 15.0), inter=(80.0, 120.0)):
+    """A latency matrix of low-latency clusters (`cluster_labels`) joined by
+    high-latency links: every link is drawn from U(*inter), then the links
+    within a cluster are redrawn from U(*intra) in row-major order, from one
+    seeded generator; the diagonal is zero."""
+    rng = np.random.default_rng(seed)
+    labels = cluster_labels(n_nodes, n_clusters)
+    latency = rng.uniform(*inter, size=(n_nodes, n_nodes))
+    same = labels[:, None] == labels[None, :]
+    latency[same] = rng.uniform(*intra, size=int(same.sum()))
+    np.fill_diagonal(latency, 0.0)
+    return latency
+
+
 def build_setup(
     n_nodes=6,
     n_pools=2,
@@ -75,7 +106,9 @@ def build_setup(
     max_rounds=20,
     **overrides,
 ):
-    """Small, fast task/round fixture shared by protocol-level tests."""
+    """Small, fast task/round fixture shared by protocol-level tests.
+    `topology(n_nodes, seed)` draws the latency matrix, by default
+    `netsim.build_topology`."""
     arch = fed.Architecture(n_features=n_features, n_classes=n_classes)
     n_example, n_held = 240, 400
     full = data.make_blobs(
@@ -89,9 +122,7 @@ def build_setup(
     held_out = full.subset(np.arange(n_example, n_example + n_held))
     base = full.subset(np.arange(n_example + n_held, len(full)))
     parts = data.partition_noniid(base, n_nodes, alpha=alpha, seed=seed + 4)
-    if topology is None:
-        topology = netsim.UniformTopology(10, 100)
-    latency = netsim.build_topology(n_nodes, seed=seed + 5, model=topology)
+    latency = (topology or netsim.build_topology)(n_nodes, seed + 5)
     compute = netsim.draw_compute_times(n_nodes, seed=seed + 6)
     task = chain.Task(
         task_id=1,

@@ -4,13 +4,16 @@ pass/fail line. Run with `pytest tests/test_acceptance.py -v -s`."""
 import itertools
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from fedchain import chain, data, experiments, fed, fixedpoint, netsim, pools, sharedring, verify
 from fedchain.experiments import ExperimentConfig
-from conftest import gradient_check, oracle_pool_cost, split
+from conftest import (
+    cluster_labels, clustered_links, gradient_check, oracle_pool_cost, split, uniform_links,
+)
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -22,7 +25,7 @@ def run_ring_session(vectors, masks):
     """Run the pool ring the chain runs, `sharedring.RingSession`, over nodes
     0..k-1 of a small network from clock 0."""
     k = len(vectors)
-    latency = netsim.build_topology(max(k, 2), seed=k, model=netsim.UniformTopology(5, 50))
+    latency = uniform_links(max(k, 2), k, 5, 50)
     session = sharedring.RingSession(latency, list(range(k)), vectors, masks=masks)
     session.start(0.0, [0.0] * k)
     return session
@@ -145,11 +148,8 @@ def test_criterion_4_pool_assignment_recovers_clusters():
         rng = np.random.default_rng(seed)
         n_clusters = int(rng.integers(2, 5))
         n_nodes = int(rng.integers(max(6, 3 * n_clusters), 31))
-        topo = netsim.ClusteredTopology(
-            n_clusters=n_clusters, intra_lo=5, intra_hi=15, inter_lo=80, inter_hi=120
-        )
-        latency = netsim.build_topology(n_nodes, seed=seed, model=topo)
-        labels = netsim.cluster_labels(n_nodes, n_clusters)
+        latency = clustered_links(n_nodes, seed, n_clusters, intra=(5, 15), inter=(80, 120))
+        labels = cluster_labels(n_nodes, n_clusters)
         history = pools.bootstrap_history(latency, seed=seed + 1)
         l_hat = pools.estimate_latency(history, n_nodes)
         heads = pools.announce_heads(n_nodes, n_clusters, l_hat=l_hat)
@@ -291,7 +291,7 @@ def test_criterion_9_verification_soundness():
         com = verify.commit(model, pp, blinding)
         sample = verify.derive_challenge(held_out, com, 250)
         proof = verify.prove(model, sample.x, pp, blinding)
-        complete &= verify.verify(com, sample, proof.y, proof, pp).accepted
+        complete &= verify.verify(com, sample, proof, pp).accepted
 
     model = fed.DenseClassifier(arch, seed=9)
     blinding = verify.make_blinding(10)
@@ -307,17 +307,17 @@ def test_criterion_9_verification_soundness():
         mutated[idx] = np.int64(int(mutated[idx]) ^ (1 << bit))
         bad_model = model.clone(fixedpoint.decode(mutated))
         bad_proof = verify.prove(bad_model, sample.x, pp, blinding)
-        if verify.verify(com, sample, bad_proof.y, bad_proof, pp).accepted:
+        if verify.verify(com, sample, bad_proof, pp).accepted:
             acceptances += 1
 
     honest = verify.prove(model, sample.x, pp, blinding)
     tampered_y = honest.y.copy()
     tampered_y[0] = (tampered_y[0] + 1) % 4
-    tamper_rejected = not verify.verify(com, sample, tampered_y, honest, pp).accepted
+    tamper_rejected = not verify.verify(com, sample, replace(honest, y=tampered_y), pp).accepted
 
     other = fed.DenseClassifier(arch, seed=77)
     foreign = verify.prove(other, sample.x, pp, verify.make_blinding(78))
-    replay_rejected = not verify.verify(com, sample, foreign.y, foreign, pp).accepted
+    replay_rejected = not verify.verify(com, sample, foreign, pp).accepted
 
     report(
         "criterion 9 (verification soundness)",

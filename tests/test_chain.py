@@ -1,8 +1,11 @@
+import ast
 import contextlib
 import copy
 import hashlib
+import inspect
 import json
 from dataclasses import replace
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,7 +22,7 @@ from fedchain.errors import (
     LedgerIntegrityError,
     RoundFailedError,
 )
-from conftest import build_setup, random_heads
+from conftest import build_setup, clustered_links, random_heads
 
 
 class TestPublishTask:
@@ -105,9 +108,9 @@ def oracle_formation(setup, assignment):
 
 def formation_latency(topology, n):
     if topology == "uniform":
-        return netsim.build_topology(n, seed=n, model=netsim.UniformTopology())
+        return netsim.build_topology(n, seed=n)
     if topology == "clustered":
-        return netsim.build_topology(n, seed=n, model=netsim.ClusteredTopology(n_clusters=3))
+        return clustered_links(n, n, n_clusters=3)
     # integer-valued and integer-typed: many arrivals land at equal times
     latency = np.random.default_rng(n).integers(1, 4, size=(n, n))
     np.fill_diagonal(latency, 0)
@@ -185,9 +188,7 @@ class TestFedchainRound:
             n_nodes=6,
             n_pools=2,
             seed=7,
-            topology=netsim.ClusteredTopology(
-                n_clusters=2, intra_lo=5, intra_hi=10, inter_lo=150, inter_hi=200
-            ),
+            topology=partial(clustered_links, n_clusters=2, intra=(5, 10), inter=(150, 200)),
         )
         shared = setup.miner_data[0]
         setup.miner_data = [shared] * 6
@@ -207,9 +208,7 @@ class TestFedchainRound:
             n_nodes=6,
             n_pools=2,
             seed=7,
-            topology=netsim.ClusteredTopology(
-                n_clusters=2, intra_lo=5, intra_hi=10, inter_lo=150, inter_hi=200
-            ),
+            topology=partial(clustered_links, n_clusters=2, intra=(5, 10), inter=(150, 200)),
         )
         shared = setup.miner_data[0]
         setup.miner_data = [shared] * 6
@@ -222,9 +221,7 @@ class TestFedchainRound:
             n_nodes=6,
             n_pools=2,
             seed=7,
-            topology=netsim.ClusteredTopology(
-                n_clusters=2, intra_lo=5, intra_hi=10, inter_lo=150, inter_hi=200
-            ),
+            topology=partial(clustered_links, n_clusters=2, intra=(5, 10), inter=(150, 200)),
             tamper_pools=frozenset({fast_pool}),
         )
         tampered_setup.miner_data = [shared] * 6
@@ -311,7 +308,7 @@ def oracle_verification_exchange(sim, setup, outcome, model, tamper, pp):
         elif event.kind == "proof":
             proof = event.payload
             sample = samples[event.dst]
-            result = verify.verify(com, sample, proof.y, proof, pp)
+            result = verify.verify(com, sample, proof, pp)
             ok = result.accepted and verify.accuracy_claim_check(
                 result.measured_accuracy, task.target, sample.count
             )
@@ -412,11 +409,7 @@ def oracle_round_fedchain(ledger, setup, offset=0.0):
     if not verified:
         raise RoundFailedError(f"task {task.task_id}: no pool verified before the deadline")
     winner = min(verified, key=lambda o: (o.accept_time, o.pool_id))
-    block, credits = chain._build_block(ledger, setup, winner, assignment, start_times, publish_tx)
-    ledger.append_block(block)
-    ledger.settle_reward(block, credits)
-    return chain.RoundResult(block, winner.accept_time, winner.pool_id, winner.measured_accuracy,
-                             outcomes, assignment, start_times, credits)
+    return chain._settle(ledger, setup, publish_tx, winner, outcomes, assignment, start_times)
 
 
 def race_and_oracle(setup):
@@ -892,9 +885,9 @@ class TestVerificationExchange:
             proofs.append(args[1])
             return real_prove(*args)
 
-        def counting_verify(com, sample, y, proof, pp):
-            result = real_verify(com, sample, y, proof, pp)
-            checks.append((sample, np.array(y), result.accepted))
+        def counting_verify(com, sample, proof, pp):
+            result = real_verify(com, sample, proof, pp)
+            checks.append((sample, np.array(proof.y), result.accepted))
             return result
 
         monkeypatch.setattr(verify, "prove", counting_prove)
@@ -982,7 +975,7 @@ class TestVerificationExchange:
 
 def exchange_latency(kind, n, seed):
     if kind == "uniform":
-        return netsim.build_topology(n, seed=seed, model=netsim.UniformTopology(10, 100))
+        return netsim.build_topology(n, seed=seed)
     latency = {
         "equal": lambda: np.full((n, n), 25.0),
         "zero": lambda: np.zeros((n, n)),
@@ -1251,6 +1244,38 @@ class TestNoEventLoop:
         assert not hasattr(sharedring, "Simulator")
 
 
+class TestOneBlockPath:
+    """Every mode puts its block on the ledger through `_append_block`."""
+
+    def test_only_the_helper_builds_a_round_block(self):
+        builders = {
+            fn.name for fn in ast.walk(ast.parse(inspect.getsource(chain)))
+            if isinstance(fn, ast.FunctionDef) and any(
+                isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "Block"
+                for n in ast.walk(fn))
+        }
+        # the genesis block and a loaded ledger's blocks are not a round's
+        assert builders == {"__init__", "load_chain_jsonl", "_append_block"}
+
+    @pytest.mark.parametrize("mode", chain.MODES)
+    def test_every_mode_appends_and_credits_once(self, monkeypatch, mode):
+        calls = []
+        real = chain._append_block
+
+        def counting(ledger, *args):
+            calls.append(args)
+            return real(ledger, *args)
+
+        monkeypatch.setattr(chain, "_append_block", counting)
+        ledger = chain.Chain()
+        setup = build_setup(n_nodes=8, n_pools=2, seed=1, pow_difficulty=8)
+        result = chain.run_round(ledger, setup, mode)
+        assert len(calls) == 1
+        assert ledger.blocks == [ledger.blocks[0], result.block]
+        assert ledger.balances == result.credits
+        assert sum(result.credits.values()) == setup.task.reward
+
+
 class TestCommitteeSize:
     """A round without a verifier is refused, in every mode, before any
     work."""
@@ -1450,11 +1475,7 @@ def oracle_finish_baseline(ledger, setup, publish_tx, model, finish, weights_vec
     oracle_verify(setup, outcome, model, False)
     if not outcome.accepted:
         raise RoundFailedError(f"task {setup.task.task_id}: baseline proof rejected")
-    block, credits = chain._build_block(ledger, setup, outcome, None, {}, publish_tx)
-    ledger.append_block(block)
-    ledger.settle_reward(block, credits)
-    return chain.RoundResult(block, outcome.accept_time, 0, outcome.measured_accuracy, [outcome],
-                             None, {}, credits)
+    return chain._settle(ledger, setup, publish_tx, outcome, [outcome], None, {})
 
 
 BASELINE_ORACLES = {"gfl_ring": oracle_gfl_ring, "fedavg_central": oracle_fedavg_central}

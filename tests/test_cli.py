@@ -122,13 +122,17 @@ def test_malformed_config_exits_2(tmp_path, capsys, body, message):
     assert not (tmp_path / "results").exists()
 
 
-@pytest.mark.parametrize("command", ["single-round", "latency-grid"])
+@pytest.mark.parametrize("command", ["single-round", "latency-grid", "accuracy-sweep"])
 @pytest.mark.parametrize("body, message", [
     ("target: 0.0\n", "accuracy target must be in (0, 1], got 0.0"),
     ("target: 1.5\n", "accuracy target must be in (0, 1], got 1.5"),
     ("lr: -1\n", "learning rate must be >= 0, got -1"),
     ("sweep_lr: -0.5\n", "learning rate must be >= 0, got -0.5"),
     ("epochs: 0\n", "epochs must be >= 1, got 0"),
+    ("batch_size: 0\n", "batch size must be >= 1, got 0"),
+    ("batch_size: -4\n", "batch size must be >= 1, got -4"),
+    ("sweep_miners: 0\n", "sweep_miners must be >= 1, got 0"),
+    ("sweep_max_rounds: 0\n", "sweep_max_rounds must be >= 1, got 0"),
 ])
 def test_out_of_range_config_exits_2(tmp_path, monkeypatch, capsys, command, body, message):
     monkeypatch.chdir(tmp_path)

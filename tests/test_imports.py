@@ -1,7 +1,8 @@
 """Every module-level import in `src/fedchain` is used in its module, every
 private function or class defined in `src/fedchain` is used there, every
 public function, class and method is referred to by the package or the
-benchmark, every optional parameter is passed by one of their calls, no
+benchmark, every public class is constructed or subclassed there, every
+optional parameter is passed by one of their calls, no
 parameter is passed the same literal by all of them, and every field with
 a default of the round's dataclasses is set by one. `import fedchain`
 leaves PyYAML unloaded.
@@ -175,6 +176,82 @@ def test_check_catches_an_unreferenced_public_definition():
     # a string naming it, as the tracer's span table does, is a reference
     assert unreferenced_public_definitions(sources, ["SPANNED = [('a', 'method')]"]) == [
         "a.only_tests_call_me"]
+
+
+def unconstructed_public_classes(sources: dict[str, str], others: list[str]) -> list[str]:
+    """Public classes at module level in `sources` (module name -> source)
+    that no call in `sources` or `others` constructs and no class there
+    subclasses, as `module.Class`. A call `C(...)` or `x.C(...)`
+    constructs `C`, and so does a call `cls(...)` inside a classmethod of
+    `C`; a class lists `C` or `x.C` among its bases to subclass it."""
+    calls = call_sites([*sources.values(), *others])
+    used = set()
+    for source in [*sources.values(), *others]:
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            used.update(b.id if isinstance(b, ast.Name) else getattr(b, "attr", None)
+                        for b in node.bases)
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and any(
+                        isinstance(d, ast.Name) and d.id == "classmethod"
+                        for d in item.decorator_list):
+                    cls = item.args.args[0].arg if item.args.args else None
+                    if any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                           and n.func.id == cls for n in ast.walk(item)):
+                        used.add(node.name)
+    return [f"{module}.{node.name}" for module, source in sources.items()
+            for node in ast.parse(source).body
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+            and node.name not in calls and node.name not in used]
+
+
+# Public classes that only the tests construct.
+UNCONSTRUCTED_PUBLIC = {
+    # The event loop runs only the tests' replay oracles until it is retired.
+    "netsim.Simulator",
+}
+
+
+def test_every_public_class_is_constructed_outside_the_tests():
+    assert set(unconstructed_public_classes(package_sources(), bench_sources())) == \
+        UNCONSTRUCTED_PUBLIC
+
+
+def test_check_catches_an_unconstructed_public_class():
+    sources = {
+        "a": (
+            "class Base(Exception):\n"
+            "    pass\n"
+            "\n"
+            "class Leaf(Base):\n"
+            "    pass\n"
+            "\n"
+            "class Built:\n"
+            "    @classmethod\n"
+            "    def make(cls):\n"
+            "        return cls()\n"
+            "\n"
+            "class Named:\n"
+            "    pass\n"
+            "\n"
+            "class OnlyTests:\n"
+            "    def clone(self):\n"
+            "        return self\n"
+            "\n"
+            "class _Private:\n"
+            "    pass\n"
+            "\n"
+            "def run():\n"
+            "    raise Leaf('x')\n"
+        ),
+    }
+    # a name that is only referred to, not called, constructs nothing
+    assert unconstructed_public_classes(sources, ["kinds = [Named, OnlyTests]\n"]) == [
+        "a.Named", "a.OnlyTests"]
+    # a caller outside the package counts, and a subclass there uses its base
+    assert unconstructed_public_classes(
+        sources, ["x = m.Named()\nclass Sub(a.OnlyTests):\n    pass\n"]) == []
 
 
 def call_sites(sources: list[str]) -> dict[str, list[tuple[list[ast.expr], list[ast.keyword]]]]:

@@ -10,44 +10,39 @@ from fedchain.errors import (
     NodeNotFoundError,
     TimeTravelError,
 )
+from conftest import uniform_links
 
 
 class TestBuildTopology:
     def test_uniform_two_nodes(self):
-        lat = netsim.build_topology(2, seed=7, model=netsim.UniformTopology(10, 100))
+        lat = netsim.build_topology(2, seed=7)
         assert lat.shape == (2, 2)
         assert lat[0, 0] == 0.0 and lat[1, 1] == 0.0
         assert 10 <= lat[0, 1] <= 100
         assert 10 <= lat[1, 0] <= 100
 
-    @pytest.mark.parametrize(
-        "model",
-        [netsim.UniformTopology(10, 100), netsim.ClusteredTopology(n_clusters=3)],
-    )
-    def test_zero_diagonal(self, model):
-        lat = netsim.build_topology(30, seed=3, model=model)
+    def test_zero_diagonal(self):
+        lat = netsim.build_topology(30, seed=3)
         assert np.all(np.diag(lat) == 0.0)
 
-    def test_clustered_intra_below_inter(self):
-        model = netsim.ClusteredTopology(
-            n_clusters=5, intra_lo=5, intra_hi=15, inter_lo=80, inter_hi=120
-        )
-        lat = netsim.build_topology(100, seed=1, model=model)
-        labels = netsim.cluster_labels(100, 5)
-        same = labels[:, None] == labels[None, :]
-        off_diag = ~np.eye(100, dtype=bool)
-        intra_mean = lat[same & off_diag].mean()
-        inter_mean = lat[~same].mean()
-        assert intra_mean < inter_mean
+    @pytest.mark.parametrize("n, seed", [(2, 0), (7, 3), (30, 1)])
+    def test_one_uniform_draw_at_the_link_range(self, n, seed):
+        # int and float bounds of U(10, 100) draw the same floats
+        assert netsim.LINK_RANGE == (10.0, 100.0)
+        expected = np.random.default_rng(seed).uniform(10, 100, size=(n, n))
+        np.fill_diagonal(expected, 0.0)
+        lat = netsim.build_topology(n, seed=seed)
+        assert lat.tobytes() == expected.tobytes()
+        assert lat.tobytes() == uniform_links(n, seed, 10, 100).tobytes()
 
     def test_deterministic(self):
-        a = netsim.build_topology(20, seed=5, model=netsim.UniformTopology())
-        b = netsim.build_topology(20, seed=5, model=netsim.UniformTopology())
+        a = netsim.build_topology(20, seed=5)
+        b = netsim.build_topology(20, seed=5)
         assert np.array_equal(a, b)
 
     def test_too_few_nodes(self):
         with pytest.raises(InvalidTopologyError):
-            netsim.build_topology(1, seed=0, model=netsim.UniformTopology())
+            netsim.build_topology(1, seed=0)
 
 
 class TestSend:
@@ -392,7 +387,7 @@ class TestRunUntilIdle:
             sim.schedule(-5.0, 0)
 
     def test_monotone_clock_and_conservation(self):
-        lat = netsim.build_topology(5, seed=11, model=netsim.UniformTopology(5, 30))
+        lat = uniform_links(5, 11, 5, 30)
         sim = netsim.Simulator(lat, record_trace=True)
 
         def chatter(s, event):
@@ -409,7 +404,7 @@ class TestRunUntilIdle:
 
     def test_deterministic_trace(self):
         def run():
-            lat = netsim.build_topology(6, seed=2, model=netsim.UniformTopology())
+            lat = netsim.build_topology(6, seed=2)
             sim = netsim.Simulator(lat, record_trace=True)
             rng = np.random.default_rng(42)
 

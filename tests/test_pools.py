@@ -20,7 +20,7 @@ from fedchain.errors import (
     TooManyPoolsError,
 )
 from fedchain.netsim import LatencyHistory
-from conftest import oracle_pool_cost, random_heads
+from conftest import oracle_pool_cost, random_heads, uniform_links
 
 
 def history_for_pair(values, n=2):
@@ -79,7 +79,7 @@ class TestEstimateLatency:
 
 class TestBootstrapHistory:
     def test_noise_band_and_determinism(self):
-        lat = netsim.build_topology(5, seed=2, model=netsim.UniformTopology(10, 50))
+        lat = uniform_links(5, 2, 10, 50)
         h1 = pools.bootstrap_history(lat, seed=9)
         h2 = pools.bootstrap_history(lat, seed=9)
         for i in range(5):
@@ -100,7 +100,7 @@ class TestAnnounceHeads:
         assert sorted(heads) == [0, 1, 2, 3, 4]
 
     def test_single_head_pool_holds_all_nodes(self):
-        l_hat = netsim.build_topology(100, seed=4, model=netsim.UniformTopology())
+        l_hat = netsim.build_topology(100, seed=4)
         heads = pools.announce_heads(100, 1, l_hat=l_hat)
         assert len(heads) == 1
         assignment = pools.assign_pools(100, heads, l_hat, t_p=[0.0], seed=1)
@@ -218,7 +218,7 @@ class TestAssignPools:
         assert sorted(assignment.pools[1].members) == [3, 4, 5]
 
     def test_partition_invariant(self):
-        l_hat = netsim.build_topology(20, seed=8, model=netsim.UniformTopology())
+        l_hat = netsim.build_topology(20, seed=8)
         heads = pools.announce_heads(20, 4, l_hat=l_hat)
         assignment = pools.assign_pools(20, heads, l_hat, t_p=[0.0] * 4, seed=5)
         assert sorted(m for pool in assignment.pools for m in pool.members) == list(range(20))
@@ -227,7 +227,7 @@ class TestAssignPools:
         # Rebuild memberships in join order and check each node's chosen pool
         # was cost-minimal at the moment it joined.
         n, k = 15, 3
-        l_hat = netsim.build_topology(n, seed=21, model=netsim.UniformTopology())
+        l_hat = netsim.build_topology(n, seed=21)
         heads = pools.announce_heads(n, k, l_hat=l_hat)
         t_p = [40.0, 10.0, 90.0]
         seed = 13
@@ -339,7 +339,7 @@ class TestKernelOracles:
         assert str(got.value) == str(want.value)
 
     def test_estimate_latency_on_bootstrap_matches_loop(self):
-        lat = netsim.build_topology(40, seed=3, model=netsim.UniformTopology())
+        lat = netsim.build_topology(40, seed=3)
         hist = pools.bootstrap_history(lat, seed=4)
         # the one noisy ping per pair that bootstrap_history draws
         observed = np.random.default_rng(4).uniform(*pools.BOOTSTRAP_NOISE, size=(40, 40)) * lat
@@ -364,7 +364,7 @@ class TestKernelOracles:
             if n % 2:
                 l_hat = pools.estimate_latency(
                     pools.bootstrap_history(
-                        netsim.build_topology(n, seed=n, model=netsim.UniformTopology()), seed=n
+                        netsim.build_topology(n, seed=n), seed=n
                     ),
                     n,
                 )
@@ -477,7 +477,7 @@ class TestMemoryOrder:
     kernels read any layout the same."""
 
     def test_estimate_is_fortran_ordered_and_fresh(self):
-        lat = netsim.build_topology(30, seed=6, model=netsim.UniformTopology())
+        lat = netsim.build_topology(30, seed=6)
         adopted = pools.bootstrap_history(lat, seed=7)
         for hist in (adopted, random_history(np.random.default_rng(8), 6)[0]):
             n = hist.n_nodes
@@ -493,7 +493,7 @@ class TestMemoryOrder:
         rng = np.random.default_rng(n)
         estimates = [
             pools.estimate_latency(pools.bootstrap_history(
-                netsim.build_topology(n, seed=n, model=netsim.UniformTopology()), seed=n), n),
+                netsim.build_topology(n, seed=n), seed=n), n),
             rng.integers(0, 4, size=(n, n)),  # integer, with many ties
         ]
         for l_hat in estimates:
@@ -597,7 +597,7 @@ class TestFormationBefore:
     @pytest.mark.parametrize("n,p,seed", [(600, 60, s) for s in (0, 1, 2, 20231)]
                              + [(50, 5, 3), (40, 1, 4), (9, 9, 5)])
     def test_same_pools(self, n, p, seed):
-        latency = netsim.build_topology(n, seed=seed * 31 + 5, model=netsim.UniformTopology(10, 100))
+        latency = netsim.build_topology(n, seed=seed * 31 + 5)
         setup = formation_setup(latency, p, seed)
         assignment, _ = chain._form_pools(setup)
         heads, members = formation_before(setup)
@@ -625,7 +625,7 @@ class TestFormationMemory:
         n, p = 400, 40
         setup = chain.RoundSetup(
             task=None,
-            latency=netsim.build_topology(n, seed=5, model=netsim.UniformTopology(10, 100)),
+            latency=netsim.build_topology(n, seed=5),
             compute_times=netsim.draw_compute_times(n, seed=3),
             miner_data=[],
             n_pools=p,
@@ -783,7 +783,7 @@ class TestAnnounceWithPing:
         assert with_ping == without == oracle_announce_heads(n, p, l_hat)
 
     def test_ping_is_overwritten_with_dist(self):
-        ping = netsim.build_topology(7, seed=2, model=netsim.UniformTopology())
+        ping = netsim.build_topology(7, seed=2)
         l_hat = np.array(ping, order="F")
         target = ping.copy()
         pools.announce_heads(7, 1, l_hat=l_hat, ping=target)

@@ -15,7 +15,7 @@ from fedchain.errors import (
     NodeNotFoundError,
     TimeTravelError,
 )
-from conftest import split
+from conftest import split, uniform_links
 
 
 def column_sum_oracle(vectors, parts):
@@ -91,7 +91,7 @@ def seeded_masks(vectors, noise_seed):
 def run_ring(vectors, masks=None):
     """One `RingSession` over nodes 0..k-1 of a small network, from clock 0."""
     k = len(vectors)
-    lat = netsim.build_topology(max(k, 2), seed=k, model=netsim.UniformTopology(5, 20))
+    lat = uniform_links(max(k, 2), k, 5, 20)
     session = sharedring.RingSession(lat, list(range(k)), vectors, masks=masks)
     session.start(0.0, [0.0] * k)
     return session
@@ -376,7 +376,7 @@ class TestNoisePrg:
 class TestRingSession:
     def run_session(self, k, masked, seed=0, m=20):
         rng = np.random.default_rng(seed)
-        lat = netsim.build_topology(max(k, 2), seed=seed, model=netsim.UniformTopology(5, 20))
+        lat = uniform_links(max(k, 2), seed, 5, 20)
         vectors = [rng.integers(-40, 40, size=m).astype(np.int64) for _ in range(k)]
         masks = None
         if masked:
@@ -416,7 +416,7 @@ class TestRingSessionTotal:
     @pytest.mark.parametrize("k", [1, 2, 7])
     def test_total_and_transcript_equal_ring_payloads(self, k, masked):
         rng = np.random.default_rng(k)
-        lat = netsim.build_topology(max(k, 2), seed=k, model=netsim.UniformTopology(5, 20))
+        lat = uniform_links(max(k, 2), k, 5, 20)
         near = np.iinfo(np.int64).max - rng.integers(0, 1000, size=(k, 23))
         vectors = [v * sign for v, sign in zip(near, rng.choice([-1, 1], size=(k, 1)))]
         spans = sharedring.chunk_spans(23, k)
@@ -445,7 +445,7 @@ class TestRingSessionAudit:
     def run_session(self, k, seed, zero_masks=False, m=37):
         rng = np.random.default_rng(seed)
         n = k + 3
-        lat = netsim.build_topology(n, seed=seed, model=netsim.UniformTopology(5, 60))
+        lat = uniform_links(n, seed, 5, 60)
         members = [int(v) for v in rng.permutation(n)[:k]]
         vectors = [fixedpoint.encode(rng.normal(0, 2, size=m)) for _ in range(k)]
         lengths = [c.shape[0] for c in split(vectors[0], k)]
@@ -504,7 +504,7 @@ class TestRingSessionSharesInputs:
     @pytest.mark.parametrize("k", [1, 2, 3, 5])
     def test_caller_vectors_unchanged(self, k, masked):
         rng = np.random.default_rng(70 + k)
-        lat = netsim.build_topology(max(k, 2), seed=k, model=netsim.UniformTopology(5, 20))
+        lat = uniform_links(max(k, 2), k, 5, 20)
         vectors = [rng.integers(-40, 40, size=23).astype(np.int64) for _ in range(k)]
         before = [v.copy() for v in vectors]
         masks = None
@@ -523,18 +523,18 @@ class TestRingSessionSharesInputs:
         assert all(np.array_equal(r, expected) for r in session.results.values())
 
     def test_too_many_members_still_rejected(self):
-        lat = netsim.build_topology(4, seed=0, model=netsim.UniformTopology())
+        lat = netsim.build_topology(4, seed=0)
         with pytest.raises(ModelTooSmallError):
             sharedring.RingSession(lat, [0, 1, 2, 3], [np.arange(3, dtype=np.int64)] * 4)
 
     @pytest.mark.parametrize("members", [[0, 2, 0], [0, 1, 4], [-1, 0, 1]])
     def test_members_must_be_distinct_nodes(self, members):
-        lat = netsim.build_topology(4, seed=0, model=netsim.UniformTopology())
+        lat = netsim.build_topology(4, seed=0)
         with pytest.raises(NodeNotFoundError):
             sharedring.RingSession(lat, members, [np.arange(6, dtype=np.int64)] * 3)
 
     def test_mask_of_wrong_length_rejected(self):
-        lat = netsim.build_topology(4, seed=0, model=netsim.UniformTopology())
+        lat = netsim.build_topology(4, seed=0)
         masks = [np.zeros(n, dtype=np.int64) for n in (2, 3, 2)]
         with pytest.raises(MaskShapeError):
             sharedring.RingSession(lat, [0, 1, 2], [np.arange(6, dtype=np.int64)] * 3, masks=masks)
@@ -677,7 +677,7 @@ def oracle_case(k, masked, clock, integer, seed):
         np.fill_diagonal(latency, 0)
         ready = clock + rng.integers(0, 6, size=k).astype(np.float64)
     else:
-        latency = netsim.build_topology(n, seed=seed, model=netsim.UniformTopology(5, 60))
+        latency = uniform_links(n, seed, 5, 60)
         ready = clock + rng.uniform(0, 200, size=k)
     members = [int(v) for v in rng.permutation(n)[:k]]
     m = int(rng.integers(k, 4 * k + 20))

@@ -85,7 +85,7 @@ class TestProveVerify:
         com = verify.commit(model, pp, blinding)
         sample = verify.derive_challenge(held_out, com, 250)
         proof = verify.prove(model, sample.x, pp, blinding)
-        result = verify.verify(com, sample, proof.y, proof, pp)
+        result = verify.verify(com, sample, proof, pp)
         assert result.accepted
 
     def test_measured_accuracy_equals_evaluate(self, setup):
@@ -93,7 +93,7 @@ class TestProveVerify:
         com = verify.commit(model, pp, blinding)
         sample = verify.derive_challenge(held_out, com, 300)
         proof = verify.prove(model, sample.x, pp, blinding)
-        result = verify.verify(com, sample, proof.y, proof, pp)
+        result = verify.verify(com, sample, proof, pp)
         subset = data.Dataset(sample.x, sample.labels, held_out.n_classes)
         assert result.measured_accuracy == fed.evaluate(model, subset)
 
@@ -103,7 +103,7 @@ class TestProveVerify:
         sample = verify.derive_challenge(held_out, com, 200)
         proof = verify.prove(model, sample.x, pp, blinding)
         other = verify.VerificationSample(x=held_out.x[:200], labels=held_out.y[:200])
-        result = verify.verify(com, other, proof.y, proof, pp)
+        result = verify.verify(com, other, proof, pp)
         assert not result.accepted
 
     def test_tampered_prediction_rejected(self, setup):
@@ -113,7 +113,7 @@ class TestProveVerify:
         proof = verify.prove(model, sample.x, pp, blinding)
         tampered = proof.y.copy()
         tampered[0] = (tampered[0] + 1) % 4
-        result = verify.verify(com, sample, tampered, proof, pp)
+        result = verify.verify(com, sample, replace(proof, y=tampered), pp)
         assert not result.accepted
 
     def test_cross_model_replay_rejected(self, setup):
@@ -123,7 +123,7 @@ class TestProveVerify:
         other_blinding = verify.make_blinding(78)
         sample = verify.derive_challenge(held_out, com, 200)
         foreign = verify.prove(other_model, sample.x, pp, other_blinding)
-        result = verify.verify(com, sample, foreign.y, foreign, pp)
+        result = verify.verify(com, sample, foreign, pp)
         assert not result.accepted
         assert result.reason == "commitment mismatch"
 
@@ -137,7 +137,29 @@ class TestProveVerify:
             idx = int(rng.integers(0, len(mutated)))
             mutated[idx] += 2.0 ** -verify.fixedpoint.SCALE_BITS * int(rng.integers(1, 100))
             bad = verify.prove(model.clone(mutated), sample.x, pp, blinding)
-            assert not verify.verify(com, sample, bad.y, bad, pp).accepted
+            assert not verify.verify(com, sample, bad, pp).accepted
+
+
+class TestUnparsableOpening:
+    def openings(self, blob):
+        count = (len(blob) - 21) // 8
+        return {
+            "truncated": blob[:-8],  # one weight word short of its count
+            "hidden": blob[:12] + b"\x01" + blob[13:],
+            "count": blob[:13] + struct.pack("<Q", count - 1) + blob[21:-8],
+            "short-header": blob[:10],
+        }
+
+    @pytest.mark.parametrize("case", ["truncated", "hidden", "count", "short-header"])
+    def test_rejected_not_raised(self, setup, case):
+        # the opening is committed, so verification gets past the reopen check
+        model, held_out, pp, blinding = setup
+        opening = self.openings(verify.serialize_model(model))[case]
+        com = verify.ModelCommitment(digest=verify._digest(pp, blinding + opening))
+        sample = verify.derive_challenge(held_out, com, 200)
+        proof = replace(verify.prove(model, sample.x, pp, blinding), model_opening=opening)
+        assert verify.verify(com, sample, proof, pp) == verify.VerificationResult(
+            False, 0.0, "model opening does not parse")
 
 
 class TestChallengeDerivation:
@@ -247,7 +269,7 @@ class TestDigestChain:
                 digest=bytes([com.digest[0] ^ (shift & 0xFF or 1)]) + com.digest[1:])
         forged = replace(proof, digest_chain=verify._bind(bound_com, x, y))
         assert forged.digest_chain != proof.digest_chain
-        result = verify.verify(com, sample, proof.y, forged, pp)
+        result = verify.verify(com, sample, forged, pp)
         assert not result.accepted
         assert result.reason == "digest chain mismatch"
-        assert verify.verify(com, sample, proof.y, proof, pp).accepted
+        assert verify.verify(com, sample, proof, pp).accepted
