@@ -7,7 +7,7 @@ closed form over the latency matrix, bit-identical to an event-driven
 replay kept in the tests. The centralized aggregation and whole-network
 ring baselines are one-pool runs of the same training engine (`_PoolRun`),
 race (`_race`) and settlement (`_settle`), so their latencies are
-comparable; proof-of-work grinds nonces instead.
+comparable; proof-of-work's trial counts are one seeded geometric draw.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import hashlib
 import heapq
 import itertools
 import json
+import math
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Sequence
@@ -54,6 +55,7 @@ TX_KINDS = (
 MODES = ("fedchain", "fedavg_central", "pow", "gfl_ring")
 GENESIS_HASH = "0" * 64
 PUBLISHER = 0  # the node that publishes every task
+MAX_POW_DIFFICULTY = 56  # above it, `pow`'s geometric draw hits the int64 ceiling too often
 _MODEL_UNITS = int(netsim.SIZE_MULTIPLIER)  # size units of a whole model, or of a proof
 
 
@@ -265,14 +267,19 @@ def load_chain_jsonl(path: str) -> Chain:
     return chain
 
 
+def _is_finite_number(value) -> bool:
+    """An int, or a float but the infinities and NaN (it fails every comparison)."""
+    return type(value) is int or (type(value) is float and math.isfinite(value))
+
+
 def _malformed_claim(tx: Transaction) -> str | None:
     """Why a transaction cannot be audited as a claim, or None if it can."""
     if not isinstance(tx.kind, str) or tx.kind not in TX_KINDS:
         return f"unknown transaction kind {tx.kind!r}"
     if not isinstance(tx.payload, dict):
         return f"{tx.kind} payload is not a map"
-    if type(tx.timestamp) not in (int, float):
-        return f"{tx.kind} timestamp {tx.timestamp!r} is not a number"
+    if not _is_finite_number(tx.timestamp):
+        return f"{tx.kind} timestamp {tx.timestamp!r} is not a finite number"
     if tx.kind in ("PoolRegister", "ModelCommit") and "pool" in tx.payload:
         if type(tx.payload["pool"]) is not int:
             return f"{tx.kind} pool {tx.payload['pool']!r} is not an integer"
@@ -292,10 +299,10 @@ def validate_chain(chain: Chain) -> list[str]:
     commit-before-proof freshness, and the block's own claims: the proposer
     is the model committer, every vote accepts, the credits sum to the task
     reward and go only to registered members of the committing pool.
-    Returns a list of violations. A malformed claim (an unknown kind, a
-    payload or credits of the wrong shape, a timestamp or task id of the
-    wrong type) is itself a violation, and the claims of its block are not
-    audited further."""
+    Returns a list of violations. A block timestamp that is not a finite
+    number is one, and so is a malformed claim (an unknown kind, a payload
+    or credits of the wrong shape, a timestamp that is not a finite number,
+    a task id of the wrong type), whose block's claims are not audited."""
     violations: list[str] = []
     for idx, block in enumerate(chain.blocks):
         if idx == 0:
@@ -307,6 +314,9 @@ def validate_chain(chain: Chain) -> list[str]:
             violations.append(f"height {block.height}: non-monotone height")
         if type(block.task_id) is not int:
             violations.append(f"height {block.height}: task id {block.task_id!r} is not an integer")
+        if not _is_finite_number(block.timestamp):
+            violations.append(f"height {block.height}: block timestamp {block.timestamp!r} "
+                              "is not a finite number")
         malformed = [
             f"height {block.height}: transaction {i}: {why}"
             for i, tx in enumerate(block.transactions)
@@ -1029,48 +1039,28 @@ def run_round_fedchain(chain: Chain, setup: RoundSetup) -> RoundResult:
 
 
 def _run_pow(chain: Chain, setup: RoundSetup) -> RoundResult:
-    """Hash-puzzle baseline: every node grinds nonces at a fixed trial cost;
-    the first preimage below the difficulty threshold proposes the block.
-    Raises RoundFailedError when nobody else can verify it (one node)."""
+    """Hash-puzzle baseline: a node needs Geometric(2^-d) trials of
+    `pow_trial_ms` each, one seeded draw for all n, after the task reaches
+    it (at 0 for the publisher); d is in [0, MAX_POW_DIFFICULTY] and the
+    trial cost finite and >= 0. The earliest finder, the lowest node on a
+    tie, proposes the block. RoundFailedError if no one else can verify it."""
     _check_round(setup, learning=False)
     task = setup.task
     publish_tx = publish_task(task)
-    threshold = 1 << (256 - setup.pow_difficulty)
-    best_node, best_time = None, None
-    for node in range(setup.n_nodes):
-        nonce = 0
-        material = f"{setup.seed}/{task.task_id}/{node}".encode()
-        while True:
-            digest = hashlib.sha256(material + nonce.to_bytes(8, "little")).digest()
-            nonce += 1
-            if int.from_bytes(digest, "big") < threshold:
-                break
-        t = nonce * setup.pow_trial_ms + float(setup.latency[PUBLISHER, node]) * (
-            0 if node == PUBLISHER else 1
-        )
-        if best_time is None or (t, node) < (best_time, best_node):
-            best_node, best_time = node, t
-
+    rng = np.random.default_rng(_derive_seed(setup.seed, task.task_id, "pow"))
+    trials = rng.geometric(2.0 ** -setup.pow_difficulty, size=setup.n_nodes)
+    found = trials * setup.pow_trial_ms + _task_arrivals(setup)
+    best_node = int(np.argmin(found))
     rng = np.random.default_rng(_derive_seed(setup.seed, task.task_id, "pow-committee"))
     committee = _sample_nodes(rng, setup.n_nodes, [best_node], setup.n_verifiers)
     if not committee:
         raise RoundFailedError(f"task {task.task_id}: no verifier for node {best_node}'s preimage")
-    accept_time = best_time + max(
-        float(setup.latency[best_node, v]) + float(setup.latency[v, best_node])
-        for v in committee
+    accept_time = float(found[best_node]) + max(
+        float(setup.latency[best_node, v]) + float(setup.latency[v, best_node]) for v in committee
     )
     credits = {best_node: task.reward}
     block = _append_block(chain, task, [publish_tx], accept_time, best_node, None, credits)
-    return RoundResult(
-        block=block,
-        latency_ms=accept_time,
-        winner_pool=None,
-        accuracy=0.0,
-        outcomes=[],
-        assignment=None,
-        start_times={},
-        credits=credits,
-    )
+    return RoundResult(block, accept_time, None, 0.0, [], None, {}, credits)
 
 
 def run_round(chain: Chain, setup: RoundSetup, mode: str = "fedchain") -> RoundResult:
@@ -1081,7 +1071,7 @@ def run_round(chain: Chain, setup: RoundSetup, mode: str = "fedchain") -> RoundR
     proofs. `gfl_ring` combines over the plain ring and starts when the
     last node has the task; `fedavg_central` combines over the
     coordinator star and starts at 0, since the coordinator's model
-    broadcast is billed to each round. `pow` grinds nonces instead, and
+    broadcast is billed to each round. `pow` draws trial counts instead, and
     raises RoundFailedError on a one-node network, where its finder has
     no committee, as a learning-mode finisher without one fails. Every
     mode raises InvalidCommitteeError before any work when

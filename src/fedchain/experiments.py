@@ -86,7 +86,8 @@ class ExperimentConfig:
         null. Raises ValueError naming the file for a value out of range: a
         training value that `TrainConfig` refuses (a negative `lr` or
         `sweep_lr`, `epochs` or `batch_size` below 1), a `target` outside
-        (0, 1], or `sweep_miners` or `sweep_max_rounds` below 1."""
+        (0, 1], `sweep_miners` or `sweep_max_rounds` below 1, a `pow_difficulty`
+        outside [0, 56] or a negative or non-finite `pow_trial_ms`."""
         import yaml  # only a config file needs it; it is a fifth of `import fedchain`
 
         with open(path, encoding="utf-8") as fh:
@@ -115,7 +116,7 @@ class ExperimentConfig:
                     kind = kind.replace(" | None", " or null")
                     raise ValueError(f"config key {key!r} must {verb} {kind}, got {item!r}")
         cfg = cls(**raw)
-        try:  # the range checks of both training configs, the target and the sweep
+        try:  # the range checks of both training configs, the target, the sweep and pow
             cfg.train_config()
             if not 0 < cfg.target <= 1:
                 raise ValueError(f"accuracy target must be in (0, 1], got {cfg.target}")
@@ -123,6 +124,11 @@ class ExperimentConfig:
             for key in ("sweep_miners", "sweep_max_rounds"):
                 if getattr(cfg, key) < 1:
                     raise ValueError(f"{key} must be >= 1, got {getattr(cfg, key)}")
+            if not 0 <= cfg.pow_difficulty <= chain.MAX_POW_DIFFICULTY:
+                raise ValueError(f"pow_difficulty must be in [0, {chain.MAX_POW_DIFFICULTY}], "
+                                 f"got {cfg.pow_difficulty}")
+            if not 0 <= cfg.pow_trial_ms < np.inf:
+                raise ValueError(f"pow_trial_ms must be finite and >= 0, got {cfg.pow_trial_ms}")
         except ValueError as err:
             raise ValueError(f"config file {path}: {err}") from err
         return cfg

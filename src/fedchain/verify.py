@@ -149,10 +149,11 @@ def verify(
 ) -> VerificationResult:
     """Check the proof against the commitment and measure its claimed labels.
 
-    Accepts iff the opened model reproduces the commitment and parses, its
-    predictions on the challenge equal the proof's labels `proof.y`, and
-    the proof's binding matches the one this verifier computes itself over
-    the commitment, its challenge rows and those labels. The measured
+    Accepts iff the opened model reproduces the commitment and parses, fits
+    the challenge (it takes the challenge's feature count and has a class),
+    its predictions on the challenge equal the proof's labels `proof.y`,
+    and the proof's binding matches the one this verifier computes itself
+    over the commitment, its challenge rows and those labels. The measured
     accuracy is the fraction of the labels agreeing with the verifier's
     held labels.
     """
@@ -163,6 +164,8 @@ def verify(
         model = deserialize_model(proof.model_opening)
     except (ValueError, struct.error, AggregationShapeError):
         return VerificationResult(False, 0.0, "model opening does not parse")
+    if sample.x.shape[1:] != (model.arch.n_features,) or model.arch.n_classes < 1:
+        return VerificationResult(False, 0.0, "model does not fit the challenge")
     predicted = model.predict(sample.x)
     if predicted.shape != np.asarray(proof.y).shape or not np.array_equal(predicted, proof.y):
         return VerificationResult(False, 0.0, "predictions do not match claimed labels")

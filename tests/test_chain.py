@@ -3,7 +3,9 @@ import contextlib
 import copy
 import hashlib
 import inspect
+import itertools
 import json
+import math
 from dataclasses import replace
 from functools import partial
 from types import SimpleNamespace
@@ -860,9 +862,7 @@ class TestTimeScaling:
 
     @pytest.mark.parametrize("factor", [2.0, 0.5])
     @pytest.mark.parametrize("mode, n, p", [
-        *((mode, n, p) for mode in ("fedchain", "gfl_ring", "fedavg_central")
-          for n, p in ((20, 2), (50, 5))),
-        ("pow", 20, 2),  # nonce grinding grows with n; (50, 5) would dominate the suite
+        (mode, n, p) for mode in chain.MODES for n, p in ((20, 2), (50, 5))
     ])
     def test_times_scale_and_decisions_hold(self, mode, n, p, factor):
         for seed in range(2):
@@ -1387,6 +1387,66 @@ class TestBaselines:
         assert 1.0 <= np.mean(trials) < 6 * 64
 
 
+def grind_trials(seed, task_id, node, difficulty):
+    """Nonces a node grinds, one SHA-256 each, until a digest falls below
+    2^(256 - difficulty): a Geometric(2^-difficulty) count."""
+    threshold = 1 << (256 - difficulty)
+    material = f"{seed}/{task_id}/{node}".encode()
+    for nonce in itertools.count():
+        digest = hashlib.sha256(material + nonce.to_bytes(8, "little")).digest()
+        if int.from_bytes(digest, "big") < threshold:
+            return nonce + 1
+
+
+class TestPowTrialDistribution:
+    """The closed form's trial counts follow the grinding oracle's law."""
+
+    DIFFICULTY, NODES, SEEDS = 6, 20, 200
+
+    def closed_form_trials(self, monkeypatch):
+        """Every node's trial count in `_run_pow`, read off the finish times
+        it ranks, over `SEEDS` rounds with free links and 1-ms trials."""
+        base = build_setup(n_nodes=self.NODES, n_pools=1, seed=0,
+                           pow_difficulty=self.DIFFICULTY, pow_trial_ms=1.0)
+        base = replace(base, latency=np.zeros((self.NODES, self.NODES)))
+        ranked = []
+        argmin = np.argmin
+
+        def recording_argmin(a, *args, **kwargs):
+            ranked.append(np.array(a))
+            return argmin(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "argmin", recording_argmin)
+        for seed in range(self.SEEDS):
+            chain.run_round(chain.Chain(), replace(base, seed=seed), "pow")
+        monkeypatch.undo()
+        assert len(ranked) == self.SEEDS and all(r.shape == (self.NODES,) for r in ranked)
+        trials = np.concatenate(ranked)
+        assert np.array_equal(trials, np.round(trials))
+        return trials, base.task.task_id
+
+    def test_matches_the_grinding_oracle(self, monkeypatch):
+        got, task_id = self.closed_form_trials(monkeypatch)
+        want = np.array([grind_trials(seed, task_id, node, self.DIFFICULTY)
+                         for seed in range(self.SEEDS) for node in range(self.NODES)], dtype=float)
+        n = len(got)
+        assert n == len(want) >= 4000
+        support = np.union1d(got, want)
+        cdf = [np.searchsorted(np.sort(x), support, side="right") / n for x in (got, want)]
+        ks = np.abs(cdf[0] - cdf[1]).max()
+        assert ks < 1.63 * np.sqrt(2 / n)  # two-sample KS at the 1% level
+        stderr = np.sqrt((got.var(ddof=1) + want.var(ddof=1)) / n)
+        assert abs(got.mean() - want.mean()) < 5 * stderr
+        assert got.min() >= 1 and want.min() >= 1
+
+    def test_draw_has_no_loop_over_nodes_or_nonces(self):
+        # the one generator left runs over the verifier committee
+        tree = ast.parse(inspect.getsource(chain._run_pow))
+        assert not any(isinstance(n, (ast.For, ast.While)) for n in ast.walk(tree))
+        loops = [n for n in ast.walk(tree) if isinstance(n, ast.comprehension)]
+        assert [ast.unparse(n.iter) for n in loops] == ["committee"]
+
+
 def oracle_fedavg_central(ledger, setup, offset=0.0):
     """The `fedavg_central` loop before the baselines ran on the pool engine,
     from a barrier `offset` ms after 0."""
@@ -1639,8 +1699,8 @@ LEDGER_EXPORT_SHA256 = {
     ("fedchain", 3): "74bfcded59682818e6b3b3ec4c11c8489cdc9fb785fe6f2bb8ea040b9bff6817",
     ("fedavg_central", 0): "ab83617887936262a84e1e79f596415402c3641d234c9bce9876abb85e334e8f",
     ("fedavg_central", 3): "0782aa4c11dd4055891743052696f4faebc0fa9774e83fd21e6471570969b569",
-    ("pow", 0): "f8cea94d43aae6825b9f737df860a9db053a4ee0c5a35529d3aa3b5a364d46ee",
-    ("pow", 3): "34a921206fbe8e04eeac6ddcf8c2a5616abb36de554140debafbcf71014c2d06",
+    ("pow", 0): "98d719c82298ea0f936698512afb166b0923436077ac5d7ec33eab97390548ca",
+    ("pow", 3): "ab79a391ed13459f0245d6a2210a9a62a1c5aa98b148ae67d071208634c487ce",
     ("gfl_ring", 0): "d01864e92092e7e6f475205ee00cceceb9691b65e0343950a88d4a2bea65fd58",
     ("gfl_ring", 3): "86fc2601e89ca8703e724d37ac1f1288ef1233290f31ffe5cdba1c554552bb97",
 }
@@ -1931,6 +1991,33 @@ class TestLedgerClaims:
     @pytest.mark.parametrize("mode", chain.MODES)
     def test_clean_ledger_has_no_violations(self, tmp_path, mode):
         assert chain.validate_chain(self.reexported(tmp_path, mode)) == []
+
+    @pytest.mark.parametrize("mode", chain.MODES)
+    def test_nan_timestamps_flagged_by_name(self, tmp_path, mode):
+        def mutate(block):
+            block.timestamp = block.transactions[-1].timestamp = math.nan
+
+        loaded = self.reexported(tmp_path, mode, mutate)
+        last = loaded.head().transactions[-1]
+        assert chain.validate_chain(loaded) == [
+            "height 1: block timestamp nan is not a finite number",
+            f"height 1: transaction {len(loaded.head().transactions) - 1}: "
+            f"{last.kind} timestamp nan is not a finite number",
+        ]
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, "0.0", None, True])
+    def test_block_timestamp_not_a_finite_number_flagged(self, tmp_path, value):
+        def mutate(block):
+            block.timestamp = value
+
+        violations = chain.validate_chain(self.reexported(tmp_path, "pow", mutate))
+        assert violations == [f"height 1: block timestamp {value!r} is not a finite number"]
+
+    def test_huge_integer_timestamp_is_a_number(self, tmp_path):
+        def mutate(block):
+            block.timestamp = 10**400
+
+        assert chain.validate_chain(self.reexported(tmp_path, "pow", mutate)) == []
 
     def test_foreign_proposer_flagged(self, tmp_path):
         def mutate(block):

@@ -133,6 +133,12 @@ def test_malformed_config_exits_2(tmp_path, capsys, body, message):
     ("batch_size: -4\n", "batch size must be >= 1, got -4"),
     ("sweep_miners: 0\n", "sweep_miners must be >= 1, got 0"),
     ("sweep_max_rounds: 0\n", "sweep_max_rounds must be >= 1, got 0"),
+    ("pow_difficulty: 300\n", "pow_difficulty must be in [0, 56], got 300"),
+    ("pow_difficulty: 57\n", "pow_difficulty must be in [0, 56], got 57"),
+    ("pow_difficulty: -1\n", "pow_difficulty must be in [0, 56], got -1"),
+    ("pow_trial_ms: -1\n", "pow_trial_ms must be finite and >= 0, got -1"),
+    ("pow_trial_ms: .nan\n", "pow_trial_ms must be finite and >= 0, got nan"),
+    ("pow_trial_ms: .inf\n", "pow_trial_ms must be finite and >= 0, got inf"),
 ])
 def test_out_of_range_config_exits_2(tmp_path, monkeypatch, capsys, command, body, message):
     monkeypatch.chdir(tmp_path)
@@ -143,6 +149,15 @@ def test_out_of_range_config_exits_2(tmp_path, monkeypatch, capsys, command, bod
     assert captured.err == f"error: config file {cfg}: {message}\n"
     assert captured.out == ""
     assert not (tmp_path / "results").exists()
+
+
+def test_pow_range_edges_run(tmp_path, capsys):
+    cfg = tmp_path / "cfg.yaml"
+    for body in ("pow_difficulty: 0\npow_trial_ms: 0\n", "pow_difficulty: 56\n"):
+        cfg.write_text(body)
+        assert cli.main(["single-round", "--mode", "pow", "--nodes", "6", "--pools", "2",
+                         "--config", str(cfg)]) == 0
+        assert "latency_ms=" in capsys.readouterr().out
 
 
 def test_config_takes_ints_for_floats_and_null_for_the_dataset(tmp_path):

@@ -15,7 +15,7 @@ from fedchain.experiments import (
     sweep_rows_to_csv,
 )
 
-GRID_SHA256 = "4a9cb921ca131ee9a32e4a3076c6e2b5dd88d3baa84c756156ed3dad4300302f"
+GRID_SHA256 = "c03ca92219593de6ee2cbd527e64099200d4d033bf15f2472ba788941979e8fd"
 SWEEP_SHA256 = "d800017957b73b31ee3f7dc7b3061c1ddc7f70ddda3002d2a7bf109587fe4072"
 
 

@@ -162,6 +162,36 @@ class TestUnparsableOpening:
             False, 0.0, "model opening does not parse")
 
 
+class TestOpeningThatDoesNotFit:
+    """An opening that parses but cannot run on the challenge is rejected,
+    not raised from the matmul."""
+
+    @pytest.mark.parametrize("n_features, n_classes", [(5, 4), (7, 4), (6, 0)])
+    def test_rejected_not_raised(self, setup, n_features, n_classes):
+        _, held_out, pp, blinding = setup
+        model = fed.DenseClassifier(fed.Architecture(n_features, n_classes), seed=1)
+        opening = verify.serialize_model(model)
+        com = verify.ModelCommitment(digest=verify._digest(pp, blinding + opening))
+        sample = verify.derive_challenge(held_out, com, 200)
+        proof = verify.PredictionProof(y=np.zeros(200, dtype=np.int64), digest_chain=b"",
+                                       blinding=blinding, model_opening=opening)
+        assert verify.verify(com, sample, proof, pp) == verify.VerificationResult(
+            False, 0.0, "model does not fit the challenge")
+
+    def test_fewer_classes_than_the_labels_still_verify(self, setup):
+        # a class-count mismatch alone runs: the model just never predicts
+        # the classes it lacks
+        _, held_out, pp, blinding = setup
+        model = fed.DenseClassifier(fed.Architecture(6, 2), seed=1)
+        com = verify.commit(model, pp, blinding)
+        sample = verify.derive_challenge(held_out, com, 200)
+        proof = verify.prove(model, sample.x, pp, blinding)
+        result = verify.verify(com, sample, proof, pp)
+        assert result.accepted
+        assert set(proof.y) <= {0, 1}
+        assert result.measured_accuracy == np.mean(proof.y == sample.labels)
+
+
 class TestChallengeDerivation:
     def test_deterministic_per_commitment(self, setup):
         model, held_out, pp, blinding = setup
