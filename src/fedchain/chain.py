@@ -30,6 +30,7 @@ from .errors import (
     DuplicateTaskBlockError,
     InsufficientSamplesError,
     InvalidCommitteeError,
+    InvalidPowSettingsError,
     InvalidTaskError,
     LedgerIntegrityError,
     RoundFailedError,
@@ -91,6 +92,16 @@ class Task:
     reward: int = 1000
 
 
+# Each record's fields, declared once: a record's digest covers exactly the
+# fields its export writes and its load reads.
+_TX_FIELDS = ("kind", "author", "timestamp", "payload")
+_BLOCK_FIELDS = ("height", "prev_hash", "timestamp", "proposer", "task_id", "model_commitment")
+
+
+def _fields(record, names: tuple[str, ...]) -> dict:
+    return {name: getattr(record, name) for name in names}
+
+
 @dataclass
 class Transaction:
     kind: str
@@ -99,10 +110,7 @@ class Transaction:
     timestamp: float
 
     def digest(self) -> str:
-        body = _DIGEST_JSON(
-            {"kind": self.kind, "payload": self.payload, "author": self.author,
-             "timestamp": self.timestamp}
-        )
+        body = _DIGEST_JSON(_fields(self, _TX_FIELDS))
         return hashlib.sha256(body.encode()).hexdigest()
 
 
@@ -117,17 +125,8 @@ class Block:
     model_commitment: str | None
 
     def hash(self) -> str:
-        body = _DIGEST_JSON(
-            {
-                "height": self.height,
-                "prev_hash": self.prev_hash,
-                "timestamp": self.timestamp,
-                "proposer": self.proposer,
-                "task_id": self.task_id,
-                "model_commitment": self.model_commitment,
-                "tx": [t.digest() for t in self.transactions],
-            }
-        )
+        body = _DIGEST_JSON({**_fields(self, _BLOCK_FIELDS),
+                             "tx": [t.digest() for t in self.transactions]})
         return hashlib.sha256(body.encode()).hexdigest()
 
 
@@ -138,64 +137,37 @@ class Chain:
         genesis = Block(0, GENESIS_HASH, 0.0, [], -1, -1, None)
         self.blocks: list[Block] = [genesis]
         self.balances: dict[int, int] = {}
-        self._settled: set[int] = set()
 
     def head(self) -> Block:
         return self.blocks[-1]
 
-    def append_block(self, block: Block) -> None:
-        """Append a block that extends the head; a task gets at most one block."""
+    def append_block(self, block: Block, credits: dict[int, int]) -> None:
+        """Append a block that extends the head and credit its reward split.
+        A task gets at most one block, so it is credited at most once."""
         expected = self.head().hash()
         if block.prev_hash != expected or block.height != self.head().height + 1:
             raise ValueError("block does not extend the chain head")
         if any(b.task_id == block.task_id for b in self.blocks[1:]):
             raise DuplicateTaskBlockError(f"task {block.task_id} already has a block")
         self.blocks.append(block)
-
-    def settle_reward(self, block: Block, credits: dict[int, int]) -> bool:
-        """Credit the block's reward split once; repeated settlement is a no-op."""
-        if block.task_id in self._settled:
-            return False
         for node, amount in credits.items():
             self.balances[node] = self.balances.get(node, 0) + amount
-        self._settled.add(block.task_id)
-        return True
 
     def export_jsonl(self, path: str) -> None:
         """Line-delimited ledger dump: one record per block and transaction."""
         with open(path, "w", encoding="utf-8") as fh:
             for block in self.blocks:
-                record = {
-                    "type": "block",
-                    "height": block.height,
-                    "prev_hash": block.prev_hash,
-                    "hash": block.hash(),
-                    "timestamp": block.timestamp,
-                    "proposer": block.proposer,
-                    "task_id": block.task_id,
-                    "model_commitment": block.model_commitment,
-                }
+                record = {"type": "block", "hash": block.hash(), **_fields(block, _BLOCK_FIELDS)}
                 fh.write(_RECORD_JSON(record) + "\n")
                 for tx in block.transactions:
-                    fh.write(
-                        _RECORD_JSON(
-                            {
-                                "type": "tx",
-                                "height": block.height,
-                                "kind": tx.kind,
-                                "author": tx.author,
-                                "timestamp": tx.timestamp,
-                                "payload": tx.payload,
-                            }
-                        )
-                        + "\n"
-                    )
+                    record = {"type": "tx", "height": block.height, **_fields(tx, _TX_FIELDS)}
+                    fh.write(_RECORD_JSON(record) + "\n")
 
 
+# The fields an export line must hold, in the order a "lacks" message names them.
 _LEDGER_FIELDS = {
-    "block": ("height", "prev_hash", "hash", "timestamp", "proposer", "task_id",
-              "model_commitment"),
-    "tx": ("height", "kind", "author", "timestamp", "payload"),
+    "block": _BLOCK_FIELDS[:2] + ("hash",) + _BLOCK_FIELDS[2:],
+    "tx": ("height",) + _TX_FIELDS,
 }
 
 
@@ -234,27 +206,15 @@ def load_chain_jsonl(path: str) -> Chain:
                 if height in blocks:
                     raise LedgerIntegrityError(f"line {lineno}: repeated block height {height}")
                 stored_hashes[height] = record["hash"]
-                blocks[height] = Block(
-                    height=height,
-                    prev_hash=record["prev_hash"],
-                    timestamp=record["timestamp"],
-                    transactions=[],
-                    proposer=record["proposer"],
-                    task_id=record["task_id"],
-                    model_commitment=record["model_commitment"],
-                )
+                blocks[height] = Block(transactions=[],
+                                       **{name: record[name] for name in _BLOCK_FIELDS})
             elif height not in blocks:
                 raise LedgerIntegrityError(
                     f"line {lineno}: tx for height {height} before its block record"
                 )
             else:
                 blocks[height].transactions.append(
-                    Transaction(
-                        kind=record["kind"],
-                        payload=record["payload"],
-                        author=record["author"],
-                        timestamp=record["timestamp"],
-                    )
+                    Transaction(**{name: record[name] for name in _TX_FIELDS})
                 )
     for height in sorted(blocks):
         if blocks[height].hash() != stored_hashes[height]:
@@ -297,8 +257,10 @@ def _malformed_claim(tx: Transaction) -> str | None:
 def validate_chain(chain: Chain) -> list[str]:
     """Audit of hash links, heights, per-task transaction ordering,
     commit-before-proof freshness, and the block's own claims: the proposer
-    is the model committer, every vote accepts, the credits sum to the task
-    reward and go only to registered members of the committing pool.
+    is the model committer, every vote accepts, every registered pool's
+    members start with its head, the reward is settled at the block's
+    timestamp, and the credits sum to the task reward and go only to
+    registered members of the committing pool.
     Returns a list of violations. A block timestamp that is not a finite
     number is one, and so is a malformed claim (an unknown kind, a payload
     or credits of the wrong shape, a timestamp that is not a finite number,
@@ -354,11 +316,19 @@ def validate_chain(chain: Chain) -> list[str]:
         for vote in by_kind.get("VerifyVote", []):
             if vote.payload.get("accept") is not True:
                 violations.append(f"height {block.height}: vote by {vote.author} does not accept")
+        for tx in by_kind.get("PoolRegister", []):
+            members = tx.payload.get("members")
+            if not members or members[0] != tx.payload.get("head"):
+                violations.append(f"height {block.height}: pool {tx.payload.get('pool')} "
+                                  "members do not start with its head")
         pools_by_id = {
             r.payload.get("pool"): {str(m) for m in r.payload.get("members", [])}
             for r in by_kind.get("PoolRegister", [])
         }
         for settle in by_kind.get("RewardSettle", []):
+            if settle.timestamp != block.timestamp:
+                violations.append(f"height {block.height}: reward settled at {settle.timestamp}, "
+                                  f"not at the block timestamp {block.timestamp}")
             credits = settle.payload.get("credits", {})
             if publishes and sum(credits.values()) != publishes[0].payload.get("reward"):
                 violations.append(f"height {block.height}: credits do not sum to the task reward")
@@ -550,17 +520,29 @@ def _simulate_formation(setup: RoundSetup, assignment: pools.PoolAssignment) -> 
     return dict(enumerate(start.tolist()))
 
 
+def pow_range_problem(difficulty, trial_ms) -> str | None:
+    """Why `pow` cannot run at this difficulty and trial cost, or None if it can."""
+    if not 0 <= difficulty <= MAX_POW_DIFFICULTY:
+        return f"pow_difficulty must be in [0, {MAX_POW_DIFFICULTY}], got {difficulty}"
+    if not 0 <= trial_ms < math.inf:
+        return f"pow_trial_ms must be finite and >= 0, got {trial_ms}"
+    return None
+
+
 def _check_round(setup: RoundSetup, learning: bool = True) -> None:
     """Refuse a round that cannot settle, before any work: in every mode
-    one without a verifier (`n_verifiers < 1`), and in a learning mode one
-    whose challenges are too small for an accuracy claim: each verifier
-    checks the claim on min(`verify.CHALLENGE_SIZE`, held-out rows)
-    samples, which must reach `verify.MIN_CLAIM_SAMPLES`."""
+    one without a verifier (`n_verifiers < 1`); in `pow` (not `learning`)
+    one whose difficulty or trial cost `pow_range_problem` refuses; and in
+    a learning mode one whose challenges are too small for an accuracy
+    claim: each verifier checks the claim on min(`verify.CHALLENGE_SIZE`,
+    held-out rows) samples, which must reach `verify.MIN_CLAIM_SAMPLES`."""
     if setup.n_verifiers < 1:
         raise InvalidCommitteeError(
             f"task {setup.task.task_id}: n_verifiers must be at least 1, got {setup.n_verifiers}"
         )
     if not learning:
+        if (problem := pow_range_problem(setup.pow_difficulty, setup.pow_trial_ms)) is not None:
+            raise InvalidPowSettingsError(f"task {setup.task.task_id}: {problem}")
         return
     k = min(verify.CHALLENGE_SIZE, len(setup.task.held_out))
     if k < verify.MIN_CLAIM_SAMPLES:
@@ -842,8 +824,7 @@ def _append_block(chain: Chain, task: Task, txs: list[Transaction], timestamp: f
     """Build the task's block on the chain head, append it and credit `credits`."""
     head = chain.head()
     block = Block(head.height + 1, head.hash(), timestamp, txs, proposer, task.task_id, commitment)
-    chain.append_block(block)
-    chain.settle_reward(block, credits)
+    chain.append_block(block, credits)
     return block
 
 
@@ -1041,9 +1022,10 @@ def run_round_fedchain(chain: Chain, setup: RoundSetup) -> RoundResult:
 def _run_pow(chain: Chain, setup: RoundSetup) -> RoundResult:
     """Hash-puzzle baseline: a node needs Geometric(2^-d) trials of
     `pow_trial_ms` each, one seeded draw for all n, after the task reaches
-    it (at 0 for the publisher); d is in [0, MAX_POW_DIFFICULTY] and the
-    trial cost finite and >= 0. The earliest finder, the lowest node on a
-    tie, proposes the block. RoundFailedError if no one else can verify it."""
+    it (at 0 for the publisher). The earliest finder, the lowest node on a
+    tie, proposes the block. InvalidPowSettingsError before any draw if
+    `pow_range_problem` refuses d or the trial cost; RoundFailedError if no
+    one else can verify the block."""
     _check_round(setup, learning=False)
     task = setup.task
     publish_tx = publish_task(task)
@@ -1075,7 +1057,8 @@ def run_round(chain: Chain, setup: RoundSetup, mode: str = "fedchain") -> RoundR
     raises RoundFailedError on a one-node network, where its finder has
     no committee, as a learning-mode finisher without one fails. Every
     mode raises InvalidCommitteeError before any work when
-    `n_verifiers < 1`, and the learning modes raise
+    `n_verifiers < 1`, `pow` raises InvalidPowSettingsError before any draw
+    when `pow_range_problem` refuses its settings, and the learning modes raise
     InsufficientSamplesError before any training when
     min(`verify.CHALLENGE_SIZE`, held-out rows) < `verify.MIN_CLAIM_SAMPLES`.
     """

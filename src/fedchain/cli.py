@@ -3,10 +3,10 @@
 Subcommands mirror the experiment surface: `latency-grid` and
 `accuracy-sweep` run the comparison grids and exit non-zero if any encoded
 trend assertion fails; `single-round` simulates one task round; and
-`validate-chain` audits an exported ledger. A named library error, or a
-config or ledger file that cannot be read, ends a command with one
-`error:` line on stderr and exit code 2; 1 stays a failed check or a
-ledger violation.
+`validate-chain` audits an exported ledger. A named library error, a
+config or ledger file that cannot be read, or a flag value out of range
+ends a command with one `error:` line on stderr and exit code 2; 1 stays
+a failed check or a ledger violation.
 """
 
 from __future__ import annotations
@@ -19,21 +19,21 @@ from .errors import FedChainError, LedgerIntegrityError
 from .experiments import ExperimentConfig
 
 
-class _UnreadableInput(Exception):
-    """A config or ledger file that could not be read or parsed."""
+class _BadInput(Exception):
+    """A config or ledger file that could not be read or parsed, or a value out of range."""
 
 
-def _read_input(read, path: str):
-    """`read(path)`, with an OSError or ValueError raised as _UnreadableInput."""
+def _guarded(call, arg):
+    """`call(arg)`, with an OSError or ValueError raised as _BadInput."""
     try:
-        return read(path)
+        return call(arg)
     except (OSError, ValueError) as err:
-        raise _UnreadableInput(err) from err
+        raise _BadInput(err) from err
 
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     if args.config:
-        return _read_input(ExperimentConfig.from_file, args.config)
+        return _guarded(ExperimentConfig.from_file, args.config)
     return ExperimentConfig()
 
 
@@ -49,6 +49,7 @@ def _grid_config(args: argparse.Namespace) -> ExperimentConfig:
     for name in ("n_nodes", "n_pools", "modes", "alphas"):
         if getattr(args, name, None):
             setattr(cfg, name, getattr(args, name))
+    _guarded(ExperimentConfig.check, cfg)
     return cfg
 
 
@@ -79,7 +80,10 @@ def cmd_accuracy_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_single_round(args: argparse.Namespace) -> int:
-    setup = experiments.build_round_setup(_load_config(args), args.nodes, args.pools, args.seed)
+    cfg = _load_config(args)
+    cfg.seeds = [args.seed]
+    _guarded(ExperimentConfig.check, cfg)
+    setup = experiments.build_round_setup(cfg, args.nodes, args.pools, args.seed)
     ledger = chain.Chain()
     result = chain.run_round(ledger, setup, args.mode)
     print(
@@ -100,7 +104,7 @@ def cmd_single_round(args: argparse.Namespace) -> int:
 
 def cmd_validate_chain(args: argparse.Namespace) -> int:
     try:
-        ledger = _read_input(chain.load_chain_jsonl, args.ledger)
+        ledger = _guarded(chain.load_chain_jsonl, args.ledger)
     except LedgerIntegrityError as err:
         print(f"violation: {err}")
         return 1
@@ -155,7 +159,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (FedChainError, _UnreadableInput) as err:
+    except (FedChainError, _BadInput) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -77,6 +77,10 @@ class InvalidCommitteeError(FedChainError):
     """A round asks for fewer than one verifier."""
 
 
+class InvalidPowSettingsError(FedChainError):
+    """A proof-of-work round's difficulty or trial cost is out of range."""
+
+
 class RoundFailedError(FedChainError):
     """No pool reached the accuracy target before the task deadline."""
 

@@ -83,11 +83,8 @@ class ExperimentConfig:
         key or a value whose type does not match its field: a list field
         must hold a list of its element type, an int is accepted for a
         float, a bool is not a number, and `dataset_path` is a string or
-        null. Raises ValueError naming the file for a value out of range: a
-        training value that `TrainConfig` refuses (a negative `lr` or
-        `sweep_lr`, `epochs` or `batch_size` below 1), a `target` outside
-        (0, 1], `sweep_miners` or `sweep_max_rounds` below 1, a `pow_difficulty`
-        outside [0, 56] or a negative or non-finite `pow_trial_ms`."""
+        null. Raises ValueError naming the file for a value out of range
+        (see `check`)."""
         import yaml  # only a config file needs it; it is a fifth of `import fedchain`
 
         with open(path, encoding="utf-8") as fh:
@@ -116,22 +113,33 @@ class ExperimentConfig:
                     kind = kind.replace(" | None", " or null")
                     raise ValueError(f"config key {key!r} must {verb} {kind}, got {item!r}")
         cfg = cls(**raw)
-        try:  # the range checks of both training configs, the target, the sweep and pow
-            cfg.train_config()
-            if not 0 < cfg.target <= 1:
-                raise ValueError(f"accuracy target must be in (0, 1], got {cfg.target}")
-            cfg.train_config(cfg.sweep_lr)
-            for key in ("sweep_miners", "sweep_max_rounds"):
-                if getattr(cfg, key) < 1:
-                    raise ValueError(f"{key} must be >= 1, got {getattr(cfg, key)}")
-            if not 0 <= cfg.pow_difficulty <= chain.MAX_POW_DIFFICULTY:
-                raise ValueError(f"pow_difficulty must be in [0, {chain.MAX_POW_DIFFICULTY}], "
-                                 f"got {cfg.pow_difficulty}")
-            if not 0 <= cfg.pow_trial_ms < np.inf:
-                raise ValueError(f"pow_trial_ms must be finite and >= 0, got {cfg.pow_trial_ms}")
+        try:
+            cfg.check()
         except ValueError as err:
             raise ValueError(f"config file {path}: {err}") from err
         return cfg
+
+    def check(self) -> None:
+        """Raise ValueError for a value out of range: a training value that
+        `TrainConfig` refuses, a `target` outside (0, 1], `sweep_miners` or
+        `sweep_max_rounds` below 1, pow settings that `chain.pow_range_problem`
+        refuses, an alpha or `grid_alpha` outside [0, 1], or a negative seed."""
+        self.train_config()
+        if not 0 < self.target <= 1:
+            raise ValueError(f"accuracy target must be in (0, 1], got {self.target}")
+        self.train_config(self.sweep_lr)
+        for key in ("sweep_miners", "sweep_max_rounds"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
+        problem = chain.pow_range_problem(self.pow_difficulty, self.pow_trial_ms)
+        if problem is not None:
+            raise ValueError(problem)
+        for key, values in (("alphas", self.alphas), ("grid_alpha", [self.grid_alpha])):
+            outside = [a for a in values if not 0 <= a <= 1]
+            if outside:
+                raise ValueError(f"{key} must be in [0, 1], got {outside[0]}")
+        if min(self.seeds, default=0) < 0:
+            raise ValueError(f"seeds must be >= 0, got {min(self.seeds)}")
 
     def fingerprint(self) -> str:
         body = json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))

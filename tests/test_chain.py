@@ -20,6 +20,7 @@ from fedchain.errors import (
     DuplicateTaskBlockError,
     InsufficientSamplesError,
     InvalidCommitteeError,
+    InvalidPowSettingsError,
     InvalidTaskError,
     LedgerIntegrityError,
     RoundFailedError,
@@ -1182,7 +1183,7 @@ class TestCanonicalJson:
                            "tx": [tx.digest() for tx in transactions]},
                           sort_keys=True, separators=(",", ":"))
         assert block.hash() == hashlib.sha256(body.encode()).hexdigest()
-        ledger.append_block(block)
+        ledger.append_block(block, {})
         path = tmp_path_factory.mktemp("ledger") / "ledger.jsonl"
         ledger.export_jsonl(str(path))
         want = []
@@ -1385,6 +1386,33 @@ class TestBaselines:
             trials.append(result.latency_ms)
         # winner is min over 6 nodes of Geometric(2^-6) trials; crude sanity band
         assert 1.0 <= np.mean(trials) < 6 * 64
+
+
+class TestPowRange:
+    """A `pow` round built in code is refused, before any draw, at a
+    difficulty or trial cost the config file refuses too."""
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"pow_difficulty": 300}, "pow_difficulty must be in [0, 56], got 300"),
+        ({"pow_difficulty": 1100}, "pow_difficulty must be in [0, 56], got 1100"),
+        ({"pow_difficulty": -1}, "pow_difficulty must be in [0, 56], got -1"),
+        ({"pow_difficulty": math.nan}, "pow_difficulty must be in [0, 56], got nan"),
+        ({"pow_trial_ms": -1.0}, "pow_trial_ms must be finite and >= 0, got -1.0"),
+        ({"pow_trial_ms": math.nan}, "pow_trial_ms must be finite and >= 0, got nan"),
+        ({"pow_trial_ms": math.inf}, "pow_trial_ms must be finite and >= 0, got inf"),
+    ])
+    def test_refused_before_any_draw(self, monkeypatch, overrides, message):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a refused round drew")
+
+        setup = build_setup(n_nodes=6, n_pools=1, seed=5, **overrides)
+        monkeypatch.setattr(chain, "publish_task", refuse)
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        ledger = chain.Chain()
+        with pytest.raises(InvalidPowSettingsError) as err:
+            chain.run_round(ledger, setup, "pow")
+        assert str(err.value) == f"task 1: {message}"
+        assert ledger.blocks == [ledger.blocks[0]] and ledger.balances == {}
 
 
 def grind_trials(seed, task_id, node, difficulty):
@@ -1624,13 +1652,18 @@ class TestRewards:
             credits = chain.split_reward(reward, w, list(range(k)))
             assert sum(credits.values()) == reward
 
-    def test_settlement_idempotent(self):
+    def test_refused_second_block_credits_nothing(self):
         ledger = chain.Chain()
         setup = build_setup(n_nodes=4, n_pools=1, seed=6)
         result = chain.run_round_fedchain(ledger, setup)
         before = dict(ledger.balances)
-        assert ledger.settle_reward(result.block, result.credits) is False
+        head = ledger.head()
+        again = chain.Block(head.height + 1, head.hash(), head.timestamp, [], head.proposer,
+                            head.task_id, head.model_commitment)
+        with pytest.raises(DuplicateTaskBlockError):
+            ledger.append_block(again, result.credits)
         assert ledger.balances == before
+        assert ledger.blocks == [ledger.blocks[0], result.block]
 
     def test_balances_sum_to_reward(self):
         ledger = chain.Chain()
@@ -1713,6 +1746,17 @@ def test_ledger_export_bytes(tmp_path, mode, seed):
     path = tmp_path / "ledger.jsonl"
     ledger.export_jsonl(str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == LEDGER_EXPORT_SHA256[mode, seed]
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("mode", chain.MODES)
+def test_export_load_export_same_bytes(tmp_path, mode, seed):
+    ledger = chain.Chain()
+    chain.run_round(ledger, grid_setup(20, 4, seed), mode)
+    first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+    ledger.export_jsonl(str(first))
+    chain.load_chain_jsonl(str(first)).export_jsonl(str(second))
+    assert second.read_bytes() == first.read_bytes()
 
 
 class TestLedgerIntegrity:
@@ -2072,6 +2116,31 @@ class TestLedgerClaims:
         violations = chain.validate_chain(self.reexported(tmp_path, mutate=mutate))
         assert len(violations) == 1
         assert violations[0].endswith("credits are not a map of node to integer amount")
+
+    def test_reward_settled_off_the_block_time_flagged(self, tmp_path):
+        def mutate(block):
+            self.txs(block, "RewardSettle")[0].timestamp = block.timestamp + 1.0
+
+        loaded = self.reexported(tmp_path, mutate=mutate)
+        block = loaded.head()
+        assert chain.validate_chain(loaded) == [
+            f"height 1: reward settled at {block.timestamp + 1.0}, "
+            f"not at the block timestamp {block.timestamp}"
+        ]
+
+    @pytest.mark.parametrize("members", [
+        lambda m: [], lambda m: [m[0] + 1, *m], lambda m: [str(n) for n in m],
+    ])
+    def test_register_not_led_by_its_head_flagged(self, tmp_path, members):
+        def mutate(block):
+            committed = self.txs(block, "ModelCommit")[0].payload["pool"]
+            register = next(tx for tx in self.txs(block, "PoolRegister")
+                            if tx.payload["pool"] != committed)
+            register.payload["members"] = members(register.payload["members"])
+            self.pool = register.payload["pool"]
+
+        violations = chain.validate_chain(self.reexported(tmp_path, mutate=mutate))
+        assert violations == [f"height 1: pool {self.pool} members do not start with its head"]
 
     def test_second_block_for_a_task_refused(self):
         ledger = chain.Chain()

@@ -2,7 +2,7 @@ import csv
 
 import pytest
 
-from fedchain import cli
+from fedchain import cli, experiments
 from fedchain.experiments import ExperimentConfig
 
 
@@ -149,6 +149,47 @@ def test_out_of_range_config_exits_2(tmp_path, monkeypatch, capsys, command, bod
     assert captured.err == f"error: config file {cfg}: {message}\n"
     assert captured.out == ""
     assert not (tmp_path / "results").exists()
+
+
+@pytest.mark.parametrize("command", ["single-round", "latency-grid", "accuracy-sweep"])
+@pytest.mark.parametrize("body, message", [
+    ("alphas: [0.1, 1.5]\n", "alphas must be in [0, 1], got 1.5"),
+    ("alphas: [-0.5]\n", "alphas must be in [0, 1], got -0.5"),
+    ("alphas: [.nan]\n", "alphas must be in [0, 1], got nan"),
+    ("grid_alpha: 1.5\n", "grid_alpha must be in [0, 1], got 1.5"),
+    ("seeds: [0, -1]\n", "seeds must be >= 0, got -1"),
+])
+def test_alpha_or_seed_out_of_range_in_config_exits_2(tmp_path, monkeypatch, capsys, command,
+                                                      body, message):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(body)
+    assert cli.main([command, "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: config file {cfg}: {message}\n"
+    assert captured.out == ""
+    assert not (tmp_path / "results").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["accuracy-sweep", "--alphas", "0.2", "1.5"], "alphas must be in [0, 1], got 1.5"),
+    (["accuracy-sweep", "--alphas", "nan"], "alphas must be in [0, 1], got nan"),
+    (["accuracy-sweep", "--seed", "-3"], "seeds must be >= 0, got -3"),
+    (["latency-grid", "--seed", "-3"], "seeds must be >= 0, got -3"),
+    (["single-round", "--seed", "-3"], "seeds must be >= 0, got -3"),
+])
+def test_out_of_range_flag_exits_2_before_any_cell(tmp_path, monkeypatch, capsys, argv, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.chdir(tmp_path)
+    for name in ("run_sweep_cell", "run_grid_cell", "build_round_setup"):
+        monkeypatch.setattr(experiments, name, refuse)
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_pow_range_edges_run(tmp_path, capsys):
