@@ -255,119 +255,118 @@ def _malformed_claim(tx: Transaction) -> str | None:
 
 
 def validate_chain(chain: Chain) -> list[str]:
-    """Audit of hash links, heights, per-task transaction ordering,
-    commit-before-proof freshness, and the block's own claims: the proposer
-    is the model committer, every vote accepts, every registered pool's
-    members start with its head, the reward is settled at the block's
-    timestamp, and the credits sum to the task reward and go only to
-    registered members of the committing pool.
-    Returns a list of violations. A block timestamp that is not a finite
-    number is one, and so is a malformed claim (an unknown kind, a payload
-    or credits of the wrong shape, a timestamp that is not a finite number,
-    a task id of the wrong type), whose block's claims are not audited."""
+    """Audit a ledger; return its violations, each naming the block height.
+
+    Per block: the hash link to the block before, a height one above it,
+    an integer task id and a block timestamp that is a finite number. A
+    malformed claim (an unknown kind, a payload or credits of the wrong
+    shape, a timestamp that is not a finite number) is one violation, and
+    a block that has one has no other claim audited. `_claim_violations`
+    audits the claims of every other block:
+    - transaction kinds in `TX_KINDS` order, and `PoolRegister`s in time order;
+    - one time order for the winning pipeline: its `TaskPublish`,
+      `ModelCommit`, `ProofSubmit`, `VerifyVote` and `RewardSettle`
+      timestamps never decrease in ledger order (a pool may register after
+      the winner commits), and each adjacent pair out of order is one
+      violation;
+    - the block no earlier than its last transaction, and the reward
+      settled at the block timestamp;
+    - a task target in (0, 1], a measured accuracy in [0, 1] and a claimed
+      accuracy equal to the task target;
+    - the proposer is the model committer, every proof has a matching
+      commitment, and every vote accepts;
+    - every registered pool's members start with its head;
+    - the credits sum to the task reward and go only to registered members
+      of the committing pool.
+    Across blocks: at most one block per task."""
     violations: list[str] = []
-    for idx, block in enumerate(chain.blocks):
-        if idx == 0:
-            continue
-        prev = chain.blocks[idx - 1]
+    for prev, block in zip(chain.blocks, chain.blocks[1:]):
+        found = []
         if block.prev_hash != prev.hash():
-            violations.append(f"height {block.height}: broken hash link")
+            found.append("broken hash link")
         if block.height != prev.height + 1:
-            violations.append(f"height {block.height}: non-monotone height")
+            found.append("non-monotone height")
         if type(block.task_id) is not int:
-            violations.append(f"height {block.height}: task id {block.task_id!r} is not an integer")
+            found.append(f"task id {block.task_id!r} is not an integer")
         if not _is_finite_number(block.timestamp):
-            violations.append(f"height {block.height}: block timestamp {block.timestamp!r} "
-                              "is not a finite number")
+            found.append(f"block timestamp {block.timestamp!r} is not a finite number")
         malformed = [
-            f"height {block.height}: transaction {i}: {why}"
+            f"transaction {i}: {why}"
             for i, tx in enumerate(block.transactions)
             if (why := _malformed_claim(tx)) is not None
         ]
-        if malformed:
-            violations.extend(malformed)
-            continue
-        order = [TX_KINDS.index(tx.kind) for tx in block.transactions]
-        if order != sorted(order):
-            violations.append(f"height {block.height}: transaction kinds out of order")
-        by_kind: dict[str, list[Transaction]] = {}
-        for tx in block.transactions:
-            by_kind.setdefault(tx.kind, []).append(tx)
-        for kind, txs in by_kind.items():
-            times = [tx.timestamp for tx in txs]
-            if times != sorted(times):
-                violations.append(
-                    f"height {block.height}: {kind} timestamps out of order"
-                )
-        # the winning pipeline must run publish -> commit -> proof -> votes -> settle
-        publishes = by_kind.get("TaskPublish", [])
-        pipeline = [
-            tx for kind in ("ModelCommit", "ProofSubmit", "VerifyVote", "RewardSettle")
-            for tx in by_kind.get(kind, [])
-        ]
-        if publishes and pipeline:
-            if min(tx.timestamp for tx in pipeline) < max(t.timestamp for t in publishes):
-                violations.append(
-                    f"height {block.height}: pipeline started before task publication"
-                )
-        commits = by_kind.get("ModelCommit", [])
-        if any(c.author != block.proposer for c in commits):
-            violations.append(f"height {block.height}: proposer is not the model committer")
-        for vote in by_kind.get("VerifyVote", []):
-            if vote.payload.get("accept") is not True:
-                violations.append(f"height {block.height}: vote by {vote.author} does not accept")
-        for tx in by_kind.get("PoolRegister", []):
-            members = tx.payload.get("members")
-            if not members or members[0] != tx.payload.get("head"):
-                violations.append(f"height {block.height}: pool {tx.payload.get('pool')} "
-                                  "members do not start with its head")
-        pools_by_id = {
-            r.payload.get("pool"): {str(m) for m in r.payload.get("members", [])}
-            for r in by_kind.get("PoolRegister", [])
-        }
-        for settle in by_kind.get("RewardSettle", []):
-            if settle.timestamp != block.timestamp:
-                violations.append(f"height {block.height}: reward settled at {settle.timestamp}, "
-                                  f"not at the block timestamp {block.timestamp}")
-            credits = settle.payload.get("credits", {})
-            if publishes and sum(credits.values()) != publishes[0].payload.get("reward"):
-                violations.append(f"height {block.height}: credits do not sum to the task reward")
-            if pools_by_id:
-                members = pools_by_id.get(commits[0].payload.get("pool") if commits else None, set())
-                outside = sorted(node for node in credits if node not in members)
-                if outside:
-                    violations.append(
-                        f"height {block.height}: credits to nodes {outside} outside the committing pool"
-                    )
-        for proof in by_kind.get("ProofSubmit", []):
-            matching = [c for c in commits if c.payload.get("com") == proof.payload.get("com")]
-            if not matching:
-                violations.append(
-                    f"height {block.height}: proof without matching model commitment"
-                )
-            elif min(c.timestamp for c in matching) > proof.timestamp:
-                violations.append(
-                    f"height {block.height}: challenge derived before commitment"
-                )
-            else:
-                votes = [
-                    v for v in by_kind.get("VerifyVote", [])
-                    if v.payload.get("com") == proof.payload.get("com")
-                ]
-                if votes and min(v.timestamp for v in votes) < proof.timestamp:
-                    violations.append(
-                        f"height {block.height}: vote cast before proof submission"
-                    )
-        for settle in by_kind.get("RewardSettle", []):
-            votes = by_kind.get("VerifyVote", [])
-            if votes and settle.timestamp < max(v.timestamp for v in votes):
-                violations.append(
-                    f"height {block.height}: reward settled before the vote quorum"
-                )
+        found += malformed or _claim_violations(block)
+        violations += [f"height {block.height}: {v}" for v in found]
     task_ids = [b.task_id for b in chain.blocks[1:] if type(b.task_id) is int]
     if len(task_ids) != len(set(task_ids)):
         violations.append("duplicate block for a task")
     return violations
+
+
+def _claim_violations(block: Block) -> list[str]:
+    """The violations of a block's well-formed claims (see `validate_chain`),
+    without the height."""
+    found = []
+    order = [TX_KINDS.index(tx.kind) for tx in block.transactions]
+    if order != sorted(order):
+        found.append("transaction kinds out of order")
+    by_kind: dict[str, list[Transaction]] = {kind: [] for kind in TX_KINDS}
+    for tx in block.transactions:
+        by_kind[tx.kind].append(tx)
+    publishes, registers, commits, proofs, votes, settles = by_kind.values()
+    times = [tx.timestamp for tx in registers]
+    if times != sorted(times):
+        found.append("PoolRegister timestamps out of order")
+    pipeline = [tx for tx in block.transactions if tx.kind != "PoolRegister"]
+    found += [
+        f"timestamps out of order: {tx.kind} at {tx.timestamp} "
+        f"before the {prev.kind} at {prev.timestamp}"
+        for prev, tx in zip(pipeline, pipeline[1:]) if tx.timestamp < prev.timestamp
+    ]
+    last = block.transactions[-1] if block.transactions else None
+    # a RewardSettle is held to the block timestamp below
+    if (last is not None and last.kind != "RewardSettle" and _is_finite_number(block.timestamp)
+            and block.timestamp < last.timestamp):
+        found.append(f"block timestamp {block.timestamp} is before the {last.kind} "
+                     f"at {last.timestamp}")
+    for tx in publishes:
+        target = tx.payload.get("target")
+        if not (_is_finite_number(target) and 0 < target <= 1):
+            found.append(f"task target {target!r} is not a finite number in (0, 1]")
+    if any(c.author != block.proposer for c in commits):
+        found.append("proposer is not the model committer")
+    for proof in proofs:
+        measured, claimed = proof.payload.get("measured"), proof.payload.get("claimed")
+        if not (_is_finite_number(measured) and 0 <= measured <= 1):
+            found.append(f"measured accuracy {measured!r} is not a finite number in [0, 1]")
+        if publishes and not (_is_finite_number(claimed)
+                              and claimed == publishes[0].payload.get("target")):
+            found.append(f"claimed accuracy {claimed!r} is not the task target")
+        if not any(c.payload.get("com") == proof.payload.get("com") for c in commits):
+            found.append("proof without matching model commitment")
+    for vote in votes:
+        if vote.payload.get("accept") is not True:
+            found.append(f"vote by {vote.author} does not accept")
+    for tx in registers:
+        members = tx.payload.get("members")
+        if not members or members[0] != tx.payload.get("head"):
+            found.append(f"pool {tx.payload.get('pool')} members do not start with its head")
+    pools_by_id = {
+        r.payload.get("pool"): {str(m) for m in r.payload.get("members", [])} for r in registers
+    }
+    for settle in settles:
+        if settle.timestamp != block.timestamp:
+            found.append(f"reward settled at {settle.timestamp}, "
+                         f"not at the block timestamp {block.timestamp}")
+        credits = settle.payload.get("credits", {})
+        if publishes and sum(credits.values()) != publishes[0].payload.get("reward"):
+            found.append("credits do not sum to the task reward")
+        if pools_by_id:
+            members = pools_by_id.get(commits[0].payload.get("pool") if commits else None, set())
+            outside = sorted(node for node in credits if node not in members)
+            if outside:
+                found.append(f"credits to nodes {outside} outside the committing pool")
+    return found
 
 
 def split_reward(reward: int, weights: np.ndarray, members: Sequence[int]) -> dict[int, int]:
@@ -527,29 +526,6 @@ def pow_range_problem(difficulty, trial_ms) -> str | None:
     if not 0 <= trial_ms < math.inf:
         return f"pow_trial_ms must be finite and >= 0, got {trial_ms}"
     return None
-
-
-def _check_round(setup: RoundSetup, learning: bool = True) -> None:
-    """Refuse a round that cannot settle, before any work: in every mode
-    one without a verifier (`n_verifiers < 1`); in `pow` (not `learning`)
-    one whose difficulty or trial cost `pow_range_problem` refuses; and in
-    a learning mode one whose challenges are too small for an accuracy
-    claim: each verifier checks the claim on min(`verify.CHALLENGE_SIZE`,
-    held-out rows) samples, which must reach `verify.MIN_CLAIM_SAMPLES`."""
-    if setup.n_verifiers < 1:
-        raise InvalidCommitteeError(
-            f"task {setup.task.task_id}: n_verifiers must be at least 1, got {setup.n_verifiers}"
-        )
-    if not learning:
-        if (problem := pow_range_problem(setup.pow_difficulty, setup.pow_trial_ms)) is not None:
-            raise InvalidPowSettingsError(f"task {setup.task.task_id}: {problem}")
-        return
-    k = min(verify.CHALLENGE_SIZE, len(setup.task.held_out))
-    if k < verify.MIN_CLAIM_SAMPLES:
-        raise InsufficientSamplesError(
-            f"task {setup.task.task_id}: challenges of {k} samples < required minimum "
-            f"{verify.MIN_CLAIM_SAMPLES}"
-        )
 
 
 def _exchange_constants(setup: RoundSetup) -> verify.PublicParams:
@@ -996,29 +972,6 @@ def _settle(chain: Chain, setup: RoundSetup, publish_tx: Transaction, winner: Po
     )
 
 
-def run_round_fedchain(chain: Chain, setup: RoundSetup) -> RoundResult:
-    """One full task round: pools form, train over masked rings, and race
-    (`_race`); the first verified finisher proposes the block. Raises
-    RoundFailedError if nobody reaches the target before the deadline, and
-    before any work InvalidCommitteeError without a verifier and
-    InsufficientSamplesError if the challenges are too small for an
-    accuracy claim. Every pool weights its members by label distribution
-    (`"kl"`)."""
-    _check_round(setup)
-    publish_tx = publish_task(setup.task)
-    assignment, start_times = _form_pools(setup)
-    model = _initial_model(setup)
-    runs = [
-        _PoolRun(setup, idx, pool.members[0], list(pool.members), "kl", model,
-                 max(start_times[m] for m in pool.members), _ring_round, _ring_latest_start,
-                 idx in setup.tamper_pools)
-        for idx, pool in enumerate(assignment.pools)
-    ]
-    winner = _race(setup, runs)
-    return _settle(chain, setup, publish_tx, winner, [run.outcome for run in runs],
-                   assignment, start_times)
-
-
 def _run_pow(chain: Chain, setup: RoundSetup) -> RoundResult:
     """Hash-puzzle baseline: a node needs Geometric(2^-d) trials of
     `pow_trial_ms` each, one seeded draw for all n, after the task reaches
@@ -1026,8 +979,9 @@ def _run_pow(chain: Chain, setup: RoundSetup) -> RoundResult:
     tie, proposes the block. InvalidPowSettingsError before any draw if
     `pow_range_problem` refuses d or the trial cost; RoundFailedError if no
     one else can verify the block."""
-    _check_round(setup, learning=False)
     task = setup.task
+    if (problem := pow_range_problem(setup.pow_difficulty, setup.pow_trial_ms)) is not None:
+        raise InvalidPowSettingsError(f"task {task.task_id}: {problem}")
     publish_tx = publish_task(task)
     rng = np.random.default_rng(_derive_seed(setup.seed, task.task_id, "pow"))
     trials = rng.geometric(2.0 ** -setup.pow_difficulty, size=setup.n_nodes)
@@ -1048,34 +1002,59 @@ def _run_pow(chain: Chain, setup: RoundSetup) -> RoundResult:
 def run_round(chain: Chain, setup: RoundSetup, mode: str = "fedchain") -> RoundResult:
     """One task round in `mode` (one of MODES).
 
-    `gfl_ring` and `fedavg_central` race a single pool of every node,
-    headed and committed by the publisher, with FedAvg weights and honest
-    proofs. `gfl_ring` combines over the plain ring and starts when the
-    last node has the task; `fedavg_central` combines over the
-    coordinator star and starts at 0, since the coordinator's model
-    broadcast is billed to each round. `pow` draws trial counts instead, and
-    raises RoundFailedError on a one-node network, where its finder has
-    no committee, as a learning-mode finisher without one fails. Every
-    mode raises InvalidCommitteeError before any work when
-    `n_verifiers < 1`, `pow` raises InvalidPowSettingsError before any draw
-    when `pow_range_problem` refuses its settings, and the learning modes raise
-    InsufficientSamplesError before any training when
+    `fedchain` forms pools, trains them over masked rings and races them
+    (`_race`); the first verified finisher proposes the block, and every
+    pool weights its members by label distribution (`"kl"`). `gfl_ring`
+    and `fedavg_central` race a single pool of every node, headed and
+    committed by the publisher, with FedAvg weights and honest proofs.
+    `gfl_ring` combines over the plain ring and starts when the last node
+    has the task; `fedavg_central` combines over the coordinator star and
+    starts at 0, since the coordinator's model broadcast is billed to each
+    round. `pow` draws trial counts instead (`_run_pow`).
+
+    Every mode raises InvalidCommitteeError before any work when
+    `n_verifiers < 1`, `pow` raises InvalidPowSettingsError before any
+    draw when `pow_range_problem` refuses its settings, and the learning
+    modes raise InsufficientSamplesError before any training when
     min(`verify.CHALLENGE_SIZE`, held-out rows) < `verify.MIN_CLAIM_SAMPLES`.
+    RoundFailedError means no pool verified before the deadline, or, in
+    `pow` on a one-node network, that its finder has no committee, as a
+    learning-mode finisher without one fails.
     """
-    if mode == "fedchain":
-        return run_round_fedchain(chain, setup)
-    if mode == "pow":
-        return _run_pow(chain, setup)
     if mode not in MODES:
         raise ValueError(f"unknown mode: {mode}")
-    _check_round(setup)
+    if setup.n_verifiers < 1:
+        raise InvalidCommitteeError(
+            f"task {setup.task.task_id}: n_verifiers must be at least 1, got {setup.n_verifiers}"
+        )
+    if mode == "pow":
+        return _run_pow(chain, setup)
+    # each verifier checks the accuracy claim on this many samples
+    k = min(verify.CHALLENGE_SIZE, len(setup.task.held_out))
+    if k < verify.MIN_CLAIM_SAMPLES:
+        raise InsufficientSamplesError(
+            f"task {setup.task.task_id}: challenges of {k} samples < required minimum "
+            f"{verify.MIN_CLAIM_SAMPLES}"
+        )
     publish_tx = publish_task(setup.task)
-    nodes = list(range(setup.n_nodes))
-    if mode == "gfl_ring":
-        start, combine = float(_task_arrivals(setup).max()), partial(_ring_round, masked=False)
-        latest_start = _ring_latest_start
+    model = _initial_model(setup)
+    if mode == "fedchain":
+        assignment, start_times = _form_pools(setup)
+        runs = [
+            _PoolRun(setup, idx, pool.members[0], list(pool.members), "kl", model,
+                     max(start_times[m] for m in pool.members), _ring_round, _ring_latest_start,
+                     idx in setup.tamper_pools)
+            for idx, pool in enumerate(assignment.pools)
+        ]
     else:
-        start, combine, latest_start = 0.0, _star_round, _star_latest_start
-    run = _PoolRun(setup, 0, PUBLISHER, nodes, "fedavg", _initial_model(setup), start,
-                   combine, latest_start, tamper=False)
-    return _settle(chain, setup, publish_tx, _race(setup, [run]), [run.outcome], None, {})
+        assignment, start_times = None, {}
+        if mode == "gfl_ring":
+            start, combine = float(_task_arrivals(setup).max()), partial(_ring_round, masked=False)
+            latest_start = _ring_latest_start
+        else:
+            start, combine, latest_start = 0.0, _star_round, _star_latest_start
+        runs = [_PoolRun(setup, 0, PUBLISHER, list(range(setup.n_nodes)), "fedavg", model, start,
+                         combine, latest_start, tamper=False)]
+    winner = _race(setup, runs)
+    return _settle(chain, setup, publish_tx, winner, [run.outcome for run in runs],
+                   assignment, start_times)

@@ -155,8 +155,7 @@ class ExperimentConfig:
 
 def build_task_fixture(
     cfg: ExperimentConfig, n_nodes: int, seed: int, alpha: float,
-    alphas: list[float] | None = None, n_parts: int | None = None,
-    slack_parts: int = 0,
+    alphas: list[float] | None = None, slack_parts: int = 0,
 ) -> tuple[chain.Task, list[Dataset]]:
     """One blob population sliced into example/held-out/miner splits, so the
     training and verification data share a distribution.
@@ -164,8 +163,7 @@ def build_task_fixture(
     `slack_parts` extra unskewed parts are carved but not handed to miners;
     they keep the per-class pools from draining, so the miner parts realize
     their target distributions instead of exhaustion artifacts."""
-    n_parts = n_parts or n_nodes
-    total = cfg.example_size + cfg.held_out_size + cfg.samples_per_node * (n_parts + slack_parts)
+    total = cfg.example_size + cfg.held_out_size + cfg.samples_per_node * (n_nodes + slack_parts)
     if cfg.dataset_path:
         full = load_csv(cfg.dataset_path)
         if len(full) < total:
@@ -187,8 +185,8 @@ def build_task_fixture(
     if alphas is not None and slack_parts:
         alphas = list(alphas) + [0.0] * slack_parts
     parts = partition_noniid(
-        base, n_parts + slack_parts, alpha=alpha, seed=seed + 1, alphas=alphas
-    )[:n_parts]
+        base, n_nodes + slack_parts, alpha=alpha, seed=seed + 1, alphas=alphas
+    )[:n_nodes]
     task = chain.Task(
         task_id=1,
         arch=Architecture(full.n_features, full.n_classes),
@@ -202,9 +200,11 @@ def build_task_fixture(
 
 
 def build_round_setup(cfg: ExperimentConfig, n_nodes: int, n_pools: int, seed: int) -> chain.RoundSetup:
-    """The latency grid's round at (n_nodes, n_pools, seed), with KL aggregation."""
-    task, parts = build_task_fixture(cfg, n_nodes, seed=seed * 7919 + 11, alpha=cfg.grid_alpha)
+    """The latency grid's round at (n_nodes, n_pools, seed), with KL
+    aggregation. The topology is drawn first, so a node count below 2 is
+    refused by name (InvalidTopologyError) before the fixture is built."""
     latency = netsim.build_topology(n_nodes, seed=seed * 31 + 5)
+    task, parts = build_task_fixture(cfg, n_nodes, seed=seed * 7919 + 11, alpha=cfg.grid_alpha)
     compute = netsim.draw_compute_times(n_nodes, seed=seed * 17 + 3)
     return chain.RoundSetup(
         task=task,
@@ -355,8 +355,7 @@ def run_sweep_cell(cfg: ExperimentConfig, scheme: str, alpha: float, seed: int) 
         cfg, samples_per_node=max(1, cfg.sweep_samples // m)
     )
     task, parts = build_task_fixture(
-        fixture_cfg, m, seed=seed * 104729 + 7, alpha=alpha, alphas=grades, n_parts=m,
-        slack_parts=m,
+        fixture_cfg, m, seed=seed * 104729 + 7, alpha=alpha, alphas=grades, slack_parts=m,
     )
     weights = aggregation_weights(scheme, parts, task.example)
 
@@ -372,7 +371,7 @@ def run_sweep_cell(cfg: ExperimentConfig, scheme: str, alpha: float, seed: int) 
         model = model.clone(aggregate([t.weights for t in trained], weights))
         acc = evaluate(model, task.example)
         curve.append(acc)
-        if acc >= cfg.target and rounds_to_target > cfg.sweep_max_rounds:
+        if acc >= cfg.target:
             rounds_to_target = round_idx + 1
             break
     return {

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fedchain import chain, data, fed, netsim, sharedring
+from fedchain import chain, data, experiments, fed, netsim, sharedring
 
 
 def split(w, parts):
@@ -150,3 +150,15 @@ def build_setup(
 @pytest.fixture
 def small_setup():
     return build_setup()
+
+
+@pytest.fixture(scope="session")
+def mode_ledgers():
+    """One ledger per mode, each holding the `experiments.build_round_setup`
+    round at 20 nodes, 2 pools and seed 0. A test copies one before editing it."""
+    built = {}
+    for mode in chain.MODES:
+        built[mode] = chain.Chain()
+        setup = experiments.build_round_setup(experiments.ExperimentConfig(), 20, 2, 0)
+        chain.run_round(built[mode], setup, mode)
+    return built

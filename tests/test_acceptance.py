@@ -338,7 +338,7 @@ def test_criterion_10_chain_safety():
     for task_id, seed in ((1, 3), (2, 4)):
         setup = build_setup(n_nodes=5, n_pools=2, seed=seed)
         setup.task.task_id = task_id
-        chain.run_round_fedchain(ledger, setup)
+        chain.run_round(ledger, setup)
         total_reward += setup.task.reward
         all_valid &= chain.validate_chain(ledger) == []
     conserved &= sum(ledger.balances.values()) == total_reward
@@ -353,11 +353,11 @@ def test_criterion_10_chain_safety():
     # fault injection: a tampered proof must never land on chain
     setup = build_setup(n_nodes=6, n_pools=2, seed=7)
     probe = chain.Chain()
-    clean = chain.run_round_fedchain(probe, setup)
+    clean = chain.run_round(probe, setup)
     fast_pool = clean.winner_pool
     tampered_setup = build_setup(n_nodes=6, n_pools=2, seed=7, tamper_pools=frozenset({fast_pool}))
     tampered_ledger = chain.Chain()
-    result = chain.run_round_fedchain(tampered_ledger, tampered_setup)
+    result = chain.run_round(tampered_ledger, tampered_setup)
     bad_com = result.outcomes[fast_pool].commitment
     gated = (
         result.winner_pool != fast_pool

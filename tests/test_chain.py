@@ -175,7 +175,7 @@ class TestFedchainRound:
     def test_single_pool_produces_block(self):
         setup = build_setup(n_nodes=4, n_pools=1, seed=3)
         ledger = chain.Chain()
-        result = chain.run_round_fedchain(ledger, setup)
+        result = chain.run_round(ledger, setup)
         assert result.block is not None
         assert result.block.height == 1
         assert result.block.proposer == result.outcomes[result.winner_pool].head
@@ -197,7 +197,7 @@ class TestFedchainRound:
         setup.miner_data = [shared] * 6
         setup.compute_times = np.array([60.0, 60.0, 60.0, 10.0, 10.0, 10.0])
         ledger = chain.Chain()
-        result = chain.run_round_fedchain(ledger, setup)
+        result = chain.run_round(ledger, setup)
         winner_members = result.outcomes[result.winner_pool].members
         assert set(winner_members) == {3, 4, 5}
         fast, slow = result.outcomes[result.winner_pool], result.outcomes[1 - result.winner_pool]
@@ -217,7 +217,7 @@ class TestFedchainRound:
         setup.miner_data = [shared] * 6
         setup.compute_times = np.array([60.0, 60.0, 60.0, 10.0, 10.0, 10.0])
         ledger = chain.Chain()
-        clean = chain.run_round_fedchain(ledger, setup)
+        clean = chain.run_round(ledger, setup)
         fast_pool = clean.winner_pool
 
         tampered_setup = build_setup(
@@ -230,7 +230,7 @@ class TestFedchainRound:
         tampered_setup.miner_data = [shared] * 6
         tampered_setup.compute_times = np.array([60.0, 60.0, 60.0, 10.0, 10.0, 10.0])
         ledger2 = chain.Chain()
-        result = chain.run_round_fedchain(ledger2, tampered_setup)
+        result = chain.run_round(ledger2, tampered_setup)
         assert result.winner_pool != fast_pool
         assert not result.outcomes[fast_pool].accepted
         # the tampered pool's commitment never lands on chain
@@ -240,14 +240,14 @@ class TestFedchainRound:
     def test_round_fails_when_deadline_too_tight(self):
         setup = build_setup(n_nodes=4, n_pools=1, seed=3, deadline=1.0)
         with pytest.raises(RoundFailedError):
-            chain.run_round_fedchain(chain.Chain(), setup)
+            chain.run_round(chain.Chain(), setup)
 
     def test_two_tasks_sequential_blocks(self):
         ledger = chain.Chain()
         for task_id in (1, 2):
             setup = build_setup(n_nodes=4, n_pools=1, seed=10 + task_id)
             setup.task.task_id = task_id
-            chain.run_round_fedchain(ledger, setup)
+            chain.run_round(ledger, setup)
         assert [b.task_id for b in ledger.blocks[1:]] == [1, 2]
         assert [b.height for b in ledger.blocks] == [0, 1, 2]
         assert chain.validate_chain(ledger) == []
@@ -397,7 +397,7 @@ def oracle_pool_rounds(setup, pool_id, members, start_times, offset=0.0):
 
 
 def oracle_round_fedchain(ledger, setup, offset=0.0):
-    """`run_round_fedchain` without the race: every pool trains to its end,
+    """`run_round` without the race: every pool trains to its end,
     every finisher is verified, and the block goes to the minimum
     `(accept_time, pool_id)`. Every pool's barriers are `offset` ms later
     (see `barriers_moved`)."""
@@ -422,9 +422,9 @@ def race_and_oracle(setup):
         oracle = oracle_round_fedchain(chain.Chain(), setup)
     except RoundFailedError:
         with pytest.raises(RoundFailedError):
-            chain.run_round_fedchain(chain.Chain(), setup)
+            chain.run_round(chain.Chain(), setup)
         return None, None
-    return chain.run_round_fedchain(chain.Chain(), setup), oracle
+    return chain.run_round(chain.Chain(), setup), oracle
 
 
 def assert_same_block(raced, oracle):
@@ -563,7 +563,7 @@ class TestRaceOracle:
             with monkeypatch.context() as spy:
                 spy.setattr(chain, "_verification_exchange", counting_exchange)
                 spy.setattr(verify, "prove", counting_prove)
-                raced = chain.run_round_fedchain(chain.Chain(), setup)
+                raced = chain.run_round(chain.Chain(), setup)
             assert raced.winner_pool == oracle.winner_pool
             assert sorted(exchanged) == due
             # one proof per exchange: every verifier draws the same challenge
@@ -722,11 +722,11 @@ class TestRaceSlack:
         unverified_total = 0
         for seed in range(4):
             setup = grid_setup(n, p, seed)
-            first = chain.run_round_fedchain(chain.Chain(), setup)
+            first = chain.run_round(chain.Chain(), setup)
             unverified = {o.pool_id for o in first.outcomes if o.commitment is None}
             assert unverified >= {o.pool_id for o in first.outcomes if o.abandoned_at is not None}
             unverified_total += len(unverified)
-            again = chain.run_round_fedchain(chain.Chain(), replace(setup, tamper_pools=unverified))
+            again = chain.run_round(chain.Chain(), replace(setup, tamper_pools=unverified))
             assert (again.block.hash(), again.latency_ms, again.winner_pool, again.credits) == (
                 first.block.hash(), first.latency_ms, first.winner_pool, first.credits)
         assert unverified_total > 0
@@ -807,7 +807,7 @@ class TestRaceCounts:
         return calls
 
     def test_calls_match_outcomes(self, counts):
-        result = chain.run_round_fedchain(chain.Chain(), grid_setup(60, 6, 0, tamper=[2]))
+        result = chain.run_round(chain.Chain(), grid_setup(60, 6, 0, tamper=[2]))
         outcomes = result.outcomes
         assert any(o.abandoned_at is not None for o in outcomes)
         member_rounds = sum(len(o.metrics) * len(o.members) for o in outcomes)
@@ -968,7 +968,7 @@ class TestVerificationExchange:
         # are exchanged and rejected, so each race runs several exchanges
         setup = grid_setup(60, 6, 0, tamper=[0, 1, 2, 4, 5])
         for rounds in (1, 2):
-            assert chain.run_round_fedchain(chain.Chain(), setup).winner_pool == 3
+            assert chain.run_round(chain.Chain(), setup).winner_pool == 3
             # one build per round: nothing is reused from the round before
             assert len(built) == rounds
             assert len(exchanges) >= 2 * rounds
@@ -1295,7 +1295,7 @@ class TestCommitteeSize:
 
     def test_one_verifier_settles(self):
         setup = build_setup(n_nodes=6, n_pools=2, seed=1, n_verifiers=1)
-        result = chain.run_round_fedchain(chain.Chain(), setup)
+        result = chain.run_round(chain.Chain(), setup)
         assert len(result.outcomes[result.winner_pool].vote_times) == 1
 
 
@@ -1309,7 +1309,7 @@ class TestNoiseWidth:
         hashes = set()
         for bits in (0, fixedpoint.NOISE_BITS, 63):
             monkeypatch.setattr(fixedpoint, "NOISE_BITS", bits)
-            hashes.add(chain.run_round_fedchain(chain.Chain(), setup).block.hash())
+            hashes.add(chain.run_round(chain.Chain(), setup).block.hash())
         assert len(hashes) == 1
 
 
@@ -1341,7 +1341,7 @@ class TestClaimSamples:
         monkeypatch.setattr(verify, "CHALLENGE_SIZE", verify.MIN_CLAIM_SAMPLES - 1)
         setup = build_setup(n_nodes=6, n_pools=2, seed=1)
         with pytest.raises(InsufficientSamplesError):
-            chain.run_round_fedchain(chain.Chain(), setup)
+            chain.run_round(chain.Chain(), setup)
         assert trained == []
 
     def test_minimum_challenge_runs(self, trained):
@@ -1349,7 +1349,7 @@ class TestClaimSamples:
         setup.task = replace(
             setup.task, held_out=setup.task.held_out.subset(np.arange(verify.MIN_CLAIM_SAMPLES))
         )
-        result = chain.run_round_fedchain(chain.Chain(), setup)
+        result = chain.run_round(chain.Chain(), setup)
         assert result.outcomes[result.winner_pool].accepted
         assert trained
 
@@ -1655,7 +1655,7 @@ class TestRewards:
     def test_refused_second_block_credits_nothing(self):
         ledger = chain.Chain()
         setup = build_setup(n_nodes=4, n_pools=1, seed=6)
-        result = chain.run_round_fedchain(ledger, setup)
+        result = chain.run_round(ledger, setup)
         before = dict(ledger.balances)
         head = ledger.head()
         again = chain.Block(head.height + 1, head.hash(), head.timestamp, [], head.proposer,
@@ -1668,7 +1668,7 @@ class TestRewards:
     def test_balances_sum_to_reward(self):
         ledger = chain.Chain()
         setup = build_setup(n_nodes=4, n_pools=1, seed=6)
-        chain.run_round_fedchain(ledger, setup)
+        chain.run_round(ledger, setup)
         assert sum(ledger.balances.values()) == setup.task.reward
 
 
@@ -1676,7 +1676,7 @@ class TestValidateChain:
     def make_chain(self):
         ledger = chain.Chain()
         setup = build_setup(n_nodes=4, n_pools=1, seed=8)
-        chain.run_round_fedchain(ledger, setup)
+        chain.run_round(ledger, setup)
         return ledger
 
     def test_fresh_chain_ok(self):
@@ -1686,7 +1686,7 @@ class TestValidateChain:
         ledger = self.make_chain()
         setup = build_setup(n_nodes=4, n_pools=1, seed=9)
         setup.task.task_id = 2
-        chain.run_round_fedchain(ledger, setup)
+        chain.run_round(ledger, setup)
         ledger.blocks[1].transactions[0].payload["reward"] = 10**6
         violations = chain.validate_chain(ledger)
         assert any("height 2" in v and "hash link" in v for v in violations)
@@ -1718,7 +1718,7 @@ class TestValidateChain:
 def test_ledger_export_roundtrip(tmp_path):
     ledger = chain.Chain()
     setup = build_setup(n_nodes=4, n_pools=1, seed=12)
-    chain.run_round_fedchain(ledger, setup)
+    chain.run_round(ledger, setup)
     path = tmp_path / "ledger.jsonl"
     ledger.export_jsonl(str(path))
     loaded = chain.load_chain_jsonl(str(path))
@@ -1764,7 +1764,7 @@ class TestLedgerIntegrity:
 
     def export(self, tmp_path):
         ledger = chain.Chain()
-        chain.run_round_fedchain(ledger, build_setup(n_nodes=6, n_pools=2, seed=12))
+        chain.run_round(ledger, build_setup(n_nodes=6, n_pools=2, seed=12))
         path = tmp_path / "ledger.jsonl"
         ledger.export_jsonl(str(path))
         return path, [json.loads(line) for line in path.read_text().splitlines()]
@@ -2142,13 +2142,110 @@ class TestLedgerClaims:
         violations = chain.validate_chain(self.reexported(tmp_path, mutate=mutate))
         assert violations == [f"height 1: pool {self.pool} members do not start with its head"]
 
+    WRONG_VALUES = [None, "0.9", math.nan, math.inf, -math.inf, -1, 2, [0.9]]
+
+    @pytest.mark.parametrize("value", WRONG_VALUES)
+    @pytest.mark.parametrize("key, message", [
+        ("measured", "measured accuracy {!r} is not a finite number in [0, 1]"),
+        ("claimed", "claimed accuracy {!r} is not the task target"),
+    ])
+    def test_proof_claim_of_the_wrong_type_or_range_flagged(self, tmp_path, key, message, value):
+        def mutate(block):
+            self.txs(block, "ProofSubmit")[0].payload[key] = value
+
+        violations = chain.validate_chain(self.reexported(tmp_path, mutate=mutate))
+        assert violations == ["height 1: " + message.format(value)]
+
+    @pytest.mark.parametrize("value", WRONG_VALUES + [0, 0.0])
+    @pytest.mark.parametrize("mode", ["pow", "fedchain"])
+    def test_task_target_of_the_wrong_type_or_range_flagged(self, tmp_path, mode, value):
+        def mutate(block):
+            self.txs(block, "TaskPublish")[0].payload["target"] = value
+
+        violations = chain.validate_chain(self.reexported(tmp_path, mode, mutate))
+        expected = [f"height 1: task target {value!r} is not a finite number in (0, 1]"]
+        if mode == "fedchain":  # the proof's claim no longer matches the target either
+            expected.append("height 1: claimed accuracy 0.9 is not the task target")
+        assert violations == expected
+
+    @pytest.mark.parametrize("mode, kind, key, value", [
+        *[("fedchain", "ProofSubmit", "measured", v) for v in (0, 1, 0.0, 1.0)],
+        ("fedchain", "ProofSubmit", "claimed", 0.9),
+        *[("pow", "TaskPublish", "target", v) for v in (1, 1.0, 1e-9)],
+    ])
+    def test_claim_in_range_is_clean(self, tmp_path, mode, kind, key, value):
+        def mutate(block):
+            self.txs(block, kind)[0].payload[key] = value
+
+        assert chain.validate_chain(self.reexported(tmp_path, mode, mutate)) == []
+
+    @pytest.mark.parametrize("value", [-1.0, -0.5, -10**400])
+    def test_pow_block_before_its_task_flagged(self, tmp_path, value):
+        def mutate(block):
+            block.timestamp = value
+
+        violations = chain.validate_chain(self.reexported(tmp_path, "pow", mutate))
+        assert violations == [f"height 1: block timestamp {value} is before the TaskPublish at 0.0"]
+
+    def test_block_before_its_last_vote_flagged(self, tmp_path):
+        def mutate(block):
+            block.transactions.pop()  # the RewardSettle, whose own check would fire
+            block.timestamp = block.transactions[-1].timestamp - 1.0
+
+        loaded = self.reexported(tmp_path, mutate=mutate)
+        block = loaded.head()
+        vote = block.transactions[-1]
+        assert vote.kind == "VerifyVote"
+        assert chain.validate_chain(loaded) == [
+            f"height 1: block timestamp {block.timestamp} is before the VerifyVote at {vote.timestamp}"
+        ]
+
     def test_second_block_for_a_task_refused(self):
         ledger = chain.Chain()
         setup = build_setup(n_nodes=4, n_pools=1, seed=3)
-        chain.run_round_fedchain(ledger, setup)
+        chain.run_round(ledger, setup)
         with pytest.raises(DuplicateTaskBlockError, match="task 1"):
-            chain.run_round_fedchain(ledger, setup)
+            chain.run_round(ledger, setup)
         assert len(ledger.blocks) == 2
+
+
+def wrong_claim_values(key):
+    """JSON values a claim field `key` must not hold: any value that is
+    not a finite number, and numbers outside the field's range (for
+    `claimed`, any other than the task target 0.9)."""
+    def in_range(v):
+        if not chain._is_finite_number(v):
+            return False
+        return {"target": 0 < v <= 1, "measured": 0 <= v <= 1, "claimed": v == 0.9}[key]
+
+    return st.one_of(
+        st.none(), st.booleans(), st.text(max_size=4), st.lists(st.floats(), max_size=2),
+        st.floats(), st.integers(),
+    ).filter(lambda v: not in_range(v))
+
+
+class TestClaimRangeProperty:
+    """A claim field of a re-exported ledger of any mode set to a value of
+    the wrong type or range gives a violation naming the height and field."""
+
+    FIELDS = {"target": ("TaskPublish", "task target"),
+              "measured": ("ProofSubmit", "measured accuracy"),
+              "claimed": ("ProofSubmit", "claimed accuracy")}
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_wrong_value_flagged_by_height_and_field(self, mode_ledgers, tmp_path_factory, data):
+        mode = data.draw(st.sampled_from(chain.MODES), label="mode")
+        keys = ["target"] if mode == "pow" else sorted(self.FIELDS)
+        key = data.draw(st.sampled_from(keys), label="field")
+        kind, name = self.FIELDS[key]
+        ledger = copy.deepcopy(mode_ledgers[mode])
+        tx = next(tx for tx in ledger.head().transactions if tx.kind == kind)
+        tx.payload[key] = data.draw(wrong_claim_values(key), label="value")
+        path = tmp_path_factory.mktemp("claims") / "ledger.jsonl"
+        ledger.export_jsonl(str(path))
+        violations = chain.validate_chain(chain.load_chain_jsonl(str(path)))
+        assert any(v.startswith(f"height 1: {name} ") for v in violations), violations
 
 
 class TestChainRingAudit:
@@ -2168,7 +2265,7 @@ class TestChainRingAudit:
 
         monkeypatch.setattr(sharedring, "RingSession", RecordingSession)
         setup = experiments.build_round_setup(experiments.ExperimentConfig(), 20, 3, 0)
-        result = chain.run_round_fedchain(chain.Chain(), setup)
+        result = chain.run_round(chain.Chain(), setup)
         assert len(captured) == sum(len(o.metrics) for o in result.outcomes) > 0
         bound = 1 << noise_bits
         for session, vectors in captured:

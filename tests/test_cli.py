@@ -84,6 +84,9 @@ def test_unknown_mode_rejected():
 
 @pytest.mark.parametrize("argv, message", [
     (["single-round", "--nodes", "5", "--pools", "9"], "error: 9 pools for 5 nodes"),
+    (["single-round", "--nodes", "0", "--pools", "0"], "error: need at least 2 nodes, got 0"),
+    (["latency-grid", "--nodes", "0", "--pools", "0"], "error: need at least 2 nodes, got 0"),
+    (["single-round", "--nodes", "-3", "--pools", "1"], "error: need at least 2 nodes, got -3"),
     (["validate-chain", "missing.jsonl"], "error: [Errno 2] No such file or directory"),
     (["latency-grid", "--config", "missing.yaml"], "error: [Errno 2] No such file or directory"),
     (["single-round", "--config", "missing.yaml"], "error: [Errno 2] No such file or directory"),
