@@ -271,13 +271,15 @@ def validate_chain(chain: Chain) -> list[str]:
       violation;
     - the block no earlier than its last transaction, and the reward
       settled at the block timestamp;
-    - a task target in (0, 1], a measured accuracy in [0, 1] and a claimed
-      accuracy equal to the task target;
+    - the block's task id is its publication's, and its model commitment
+      is its `ModelCommit`'s, or None without one;
+    - a task target in (0, 1], a task reward not below 0, a measured
+      accuracy in [0, 1] and a claimed accuracy equal to the task target;
     - the proposer is the model committer, every proof has a matching
       commitment, and every vote accepts;
     - every registered pool's members start with its head;
-    - the credits sum to the task reward and go only to registered members
-      of the committing pool.
+    - the credits are not below 0, sum to the task reward and go only to
+      registered members of the committing pool.
     Across blocks: at most one block per task."""
     violations: list[str] = []
     for prev, block in zip(chain.blocks, chain.blocks[1:]):
@@ -330,9 +332,18 @@ def _claim_violations(block: Block) -> list[str]:
         found.append(f"block timestamp {block.timestamp} is before the {last.kind} "
                      f"at {last.timestamp}")
     for tx in publishes:
-        target = tx.payload.get("target")
+        target, reward = tx.payload.get("target"), tx.payload.get("reward")
         if not (_is_finite_number(target) and 0 < target <= 1):
             found.append(f"task target {target!r} is not a finite number in (0, 1]")
+        if _is_finite_number(reward) and reward < 0:
+            found.append(f"task reward {reward!r} is below 0")
+        if tx.payload.get("task_id") != block.task_id:
+            found.append(f"block task id {block.task_id!r} is not the published "
+                         f"task id {tx.payload.get('task_id')!r}")
+    commitment = commits[0].payload.get("com") if commits else None
+    if block.model_commitment != commitment:
+        found.append(f"block model commitment {block.model_commitment!r} is not "
+                     f"the committed {commitment!r}")
     if any(c.author != block.proposer for c in commits):
         found.append("proposer is not the model committer")
     for proof in proofs:
@@ -359,6 +370,9 @@ def _claim_violations(block: Block) -> list[str]:
             found.append(f"reward settled at {settle.timestamp}, "
                          f"not at the block timestamp {block.timestamp}")
         credits = settle.payload.get("credits", {})
+        negative = sorted(node for node, amount in credits.items() if amount < 0)
+        if negative:
+            found.append(f"credits below 0 to nodes {negative}")
         if publishes and sum(credits.values()) != publishes[0].payload.get("reward"):
             found.append("credits do not sum to the task reward")
         if pools_by_id:
@@ -872,7 +886,7 @@ def _form_pools(setup: RoundSetup) -> tuple[pools.PoolAssignment, dict[int, floa
     history's adopted ping, which is dropped before assignment, so
     formation holds at most two n x n arrays: the ping and the estimate."""
     history = pools.bootstrap_history(setup.latency, seed=_derive_seed(setup.seed, "ping"))
-    l_hat = pools.estimate_latency(history, setup.n_nodes)
+    l_hat = pools.estimate_latency(history)
     heads = pools.announce_heads(setup.n_nodes, setup.n_pools, l_hat=l_hat, ping=history.total)
     del history
     # The head's own training time; ROADMAP item 5 asks for a pool-size estimate.

@@ -104,18 +104,18 @@ def load_csv(path: str) -> Dataset:
     return Dataset(x, y, c)
 
 
-def largest_remainder(total: int, shares: np.ndarray) -> np.ndarray:
-    """Largest-remainder apportionment of the integer `total` to `shares`
+def largest_remainder(totals: int | np.ndarray, shares: np.ndarray) -> np.ndarray:
+    """Largest-remainder apportionment of the integer `totals` to `shares`
     (non-negative, summing to 1): each entry gets the floor of its share
-    of `total`, and the shortfall goes one each to the largest remainders,
-    the first on a tie, so the counts sum to `total` exactly."""
-    raw = np.asarray(shares, dtype=np.float64) * total
+    of the total, and the shortfall goes one each to the largest
+    remainders, the first on a tie, so the counts sum to the total
+    exactly. A 2-D `shares` apportions each row to its entry of `totals`
+    (or to one shared total)."""
+    raw = np.asarray(shares, dtype=np.float64) * np.expand_dims(totals, -1)
     counts = np.floor(raw).astype(np.int64)
-    shortfall = total - int(counts.sum())
-    if shortfall > 0:
-        order = np.argsort(-(raw - counts), kind="stable")
-        counts[order[:shortfall]] += 1
-    return counts
+    shortfall = np.expand_dims(totals - counts.sum(axis=-1), -1)
+    rank = np.argsort(np.argsort(counts - raw, axis=-1, kind="stable"), axis=-1)
+    return counts + (rank < shortfall)
 
 
 def partition_noniid(
@@ -164,17 +164,10 @@ def partition_noniid(
     pool_sizes = np.array([len(pool) for pool in pools], dtype=np.int64)
     sizes = np.full(n_parts, len(dataset) // n_parts)
     sizes[: len(dataset) % n_parts] += 1
-    # Target counts depend only on (alpha_j, j mod C, size_j); each distinct
-    # key's row is computed for the first part that has it.
-    alpha_ids = np.unique(part_alphas, return_inverse=True)[1].reshape(-1)
-    keys = (alpha_ids * c + np.arange(n_parts) % c) * 2 + (sizes - sizes[-1])
-    _, firsts, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    rows = np.array([
-        largest_remainder(int(sizes[j]), (1.0 - a) * np.full(c, 1.0 / c) + a * np.eye(c)[j % c])
-        for j, a in zip(firsts.tolist(), part_alphas[firsts].tolist())
-    ])
+    skew = part_alphas[:, None]
+    shares = (1.0 - skew) * np.full(c, 1.0 / c) + skew * np.eye(c)[np.arange(n_parts) % c]
     cum = np.zeros((n_parts + 1, c), dtype=np.int64)
-    np.cumsum(rows[inverse], axis=0, out=cum[1:])
+    np.cumsum(largest_remainder(sizes, shares), axis=0, out=cum[1:])
 
     # cursors[j] holds each class's cursor before part j, cursors[-1] the end.
     # Rows cursors[: j + 1] are final; the next `width` rows follow from the

@@ -248,11 +248,13 @@ def run_grid_cell(cfg: ExperimentConfig, mode: str, n_nodes: int, n_pools: int, 
 
 
 def run_latency_grid(cfg: ExperimentConfig) -> list[dict]:
-    """Full (mode x nodes x pools x seeds) grid. Baseline modes do not depend
-    on the pool count, so their cells are computed once per (n, seed) and
-    reused; infeasible pool counts are skipped with a warning row."""
+    """Full (mode x nodes x pools x seeds) grid. Each cell is computed once
+    per key of what it depends on, `(mode, n, seed)` for the baselines,
+    which do not depend on the pool count, and `(mode, n, p, seed)` for
+    `fedchain`, and reused; infeasible pool counts are skipped with a
+    warning."""
     rows: list[dict] = []
-    baseline_cache: dict[tuple[str, int, int], dict] = {}
+    cells: dict[tuple, dict] = {}
     for mode in cfg.modes:
         for n in cfg.n_nodes:
             for p in cfg.n_pools:
@@ -260,17 +262,10 @@ def run_latency_grid(cfg: ExperimentConfig) -> list[dict]:
                     if p > n:
                         warnings.warn(f"skipping infeasible cell: {p} pools > {n} nodes")
                         continue
-                    if mode != "fedchain":
-                        key = (mode, n, seed)
-                        if key in baseline_cache:
-                            row = dict(baseline_cache[key])
-                            row["n_pools"] = p
-                        else:
-                            row = run_grid_cell(cfg, mode, n, p, seed)
-                            baseline_cache[key] = row
-                    else:
-                        row = run_grid_cell(cfg, mode, n, p, seed)
-                    rows.append(row)
+                    key = (mode, n, p, seed) if mode == "fedchain" else (mode, n, seed)
+                    if key not in cells:
+                        cells[key] = run_grid_cell(cfg, mode, n, p, seed)
+                    rows.append({**cells[key], "n_pools": p})
     return rows
 
 

@@ -78,21 +78,21 @@ def _check_observations(observed: np.ndarray) -> None:
 
 
 class LatencyHistory:
-    """Per-pair running record of observed link latencies.
+    """Per-pair running record of observed link latencies among a fixed
+    set of `n_nodes` nodes, ids in [0, n_nodes).
 
     Storage is dense: `total` is an (n, n) float64 array whose entry
     (i, j) is the sum of the observations of the directed pair (i, j),
     added in the order they were recorded, and `counts` is an (n, n) int64
     array with the number of those observations. The diagonal of both is
-    always 0. A history is in one of three states:
+    always 0. The counts are held in one of two ways:
 
-    - fresh, as made: no nodes, and the count held as the int 0;
+    - counted: an int64 array, held from the start by a history made
+      empty, and built by an adopted one at its first `record`;
     - adopted (`adopt`): one observation per off-diagonal pair, the count
-      held as the int 1, `uniform_count`;
-    - recorded: after a `record`, the counts are an int64 array, grown
-      with `total` to fit the largest node id recorded. A first read of
-      `counts` builds and keeps that array too.
+      held as the int 1, `uniform_count`, and no n x n count array.
 
+    Only `record` changes the representation; reading `counts` does not.
     `pools.estimate_latency` divides `total` by the counts, and every mean
     is bit-identical to `sum(series) / len(series)` over the pair's
     observations as floats: Python's `sum` adds left to right starting
@@ -100,23 +100,23 @@ class LatencyHistory:
     running `+=` in recording order (and `x / 1 == x`).
     """
 
-    def __init__(self) -> None:
-        self.total = np.zeros((0, 0))
-        self._counts: np.ndarray | int = 0
+    def __init__(self, n_nodes: int) -> None:
+        self.total = np.zeros((n_nodes, n_nodes))
+        self._counts: np.ndarray | int = np.zeros((n_nodes, n_nodes), dtype=np.int64)
 
     @classmethod
     def adopt(cls, observed: np.ndarray) -> LatencyHistory:
         """A history of one observation per off-diagonal pair of `observed`.
 
         Same history, and same first error, as `record(i, j, observed[i, j])`
-        on a fresh history for each off-diagonal pair in row-major order,
-        and InvalidObservationError unless `observed` is square; the
-        diagonal is not checked. Nothing is copied: a float64 `observed`
-        becomes `total` itself, its diagonal set to 0 in place, so the
-        caller hands it over and must not use it again.
+        on an empty history of as many nodes for each off-diagonal pair in
+        row-major order, and InvalidObservationError unless `observed` is
+        square; the diagonal is not checked. Nothing is copied: a float64
+        `observed` becomes `total` itself, its diagonal set to 0 in place,
+        so the caller hands it over and must not use it again.
         """
         _check_observations(observed)
-        history = cls()
+        history = cls(0)
         history.total = np.asarray(observed, dtype=np.float64)
         np.fill_diagonal(history.total, 0.0)
         history._counts = 1
@@ -128,41 +128,34 @@ class LatencyHistory:
 
     @property
     def uniform_count(self) -> int | None:
-        """The count of every off-diagonal pair while it is held as one
-        int (0 fresh, 1 adopted), else None."""
+        """1 for an adopted history, None for a counted one."""
         return self._counts if isinstance(self._counts, int) else None
 
     @property
     def counts(self) -> np.ndarray:
-        """The (n, n) int64 counts, built from the uniform count on first read."""
-        if isinstance(self._counts, int):
-            counts = np.full(self.total.shape, self._counts, dtype=np.int64)
-            np.fill_diagonal(counts, 0)
-            self._counts = counts
-        return self._counts
+        """The (n, n) int64 counts: a counted history's own array, or a new
+        one built from an adopted history's uniform count."""
+        if isinstance(self._counts, np.ndarray):
+            return self._counts
+        counts = np.ones(self.total.shape, dtype=np.int64)
+        np.fill_diagonal(counts, 0)
+        return counts
 
     def record(self, i: int, j: int, observed: float) -> None:
-        if min(i, j) < 0:
-            raise NodeNotFoundError(f"negative node id in pair ({i}, {j})")
+        if not (0 <= i < self.n_nodes and 0 <= j < self.n_nodes):
+            raise NodeNotFoundError(f"pair ({i}, {j}) outside [0, {self.n_nodes})")
         if i == j:
             raise InvalidObservationError(f"self-loop observation for node {i}")
         if not 0 < observed < math.inf:
             raise InvalidObservationError(
                 f"latency of pair ({i}, {j}) must be positive and finite, got {observed}")
-        counts = self.counts
-        grow = max(i, j) + 1 - self.n_nodes
-        if grow > 0:
-            self.total = np.pad(self.total, ((0, grow), (0, grow)))
-            counts = self._counts = np.pad(counts, ((0, grow), (0, grow)))
+        self._counts = self.counts  # an adopted history builds its array here
         self.total[i, j] += float(observed)
-        counts[i, j] += 1
+        self._counts[i, j] += 1
 
     def pairs(self) -> list[tuple[int, int]]:
         """Observed pairs in row-major order."""
-        if self.uniform_count is not None:
-            n = self.n_nodes
-            return [(i, j) for i in range(n) for j in range(n) if i != j]
-        return [(int(i), int(j)) for i, j in zip(*np.nonzero(self._counts))]
+        return [(int(i), int(j)) for i, j in zip(*np.nonzero(self.counts))]
 
     def __len__(self) -> int:
         if self.uniform_count is not None:

@@ -53,43 +53,33 @@ def bootstrap_history(latency: np.ndarray, seed: int) -> LatencyHistory:
     return LatencyHistory.adopt(observed)
 
 
-def estimate_latency(history: LatencyHistory, n_nodes: int) -> np.ndarray:
-    """Estimated latency matrix: per-pair arithmetic mean of the history.
+def estimate_latency(history: LatencyHistory) -> np.ndarray:
+    """Estimated latency matrix of the history's nodes: per-pair arithmetic
+    mean of the history.
 
     A fresh column-major (Fortran-ordered) array, so that column
     `l_hat[:, node]`, the links from every node to `node`, is contiguous:
-    `history.total` over the first `n_nodes` nodes divided by the counts,
-    with the diagonal (0 / 0 on a counts array) filled with 0. Of the
-    history's three states (see `LatencyHistory`), a fresh one has no
-    node, an adopted one has every pair of its nodes and is copied (its
-    count is 1, and x / 1 == x), and a recorded one divides by its counts
-    array. Every mean is bit-identical to `sum(series) / len(series)` over
-    the pair's observations as floats. Since the count diagonal is always 0,
-    every pair has an observation exactly when the first `n_nodes` nodes
-    have `n_nodes * (n_nodes - 1)` nonzero counts, so the normal path
-    pads nothing. Otherwise a padded copy of the counts names the first
-    pair in row-major order that has no observation, and
-    InsufficientHistoryError is raised.
+    `history.total` divided by the counts, with the diagonal (0 / 0 on a
+    counts array) filled with 0. An adopted history (see `LatencyHistory`)
+    has every pair and is copied (its count is 1, and x / 1 == x); a
+    counted one divides by its counts array. Every mean is bit-identical to
+    `sum(series) / len(series)` over the pair's observations as floats.
+    Since the count diagonal is always 0, every pair has an observation
+    exactly when the counts have `n * (n - 1)` nonzero entries. Otherwise
+    InsufficientHistoryError names the first pair in row-major order that
+    has no observation.
     """
-    size = min(n_nodes, history.n_nodes)
-    counts = history.uniform_count
-    if counts is None:
-        counts = history.counts[:size, :size]
-        observed_pairs = np.count_nonzero(counts)
-    else:
-        observed_pairs = size * (size - 1)
-    if observed_pairs < n_nodes * (n_nodes - 1):
-        missing = np.pad(history.counts[:size, :size], (0, n_nodes - size))
-        np.fill_diagonal(missing, 1)
-        i, j = np.unravel_index(int(np.argmin(missing)), missing.shape)
-        raise InsufficientHistoryError(f"no observations for pair ({i}, {j})")
-    if size < n_nodes:  # one node, empty history
-        return np.zeros((n_nodes, n_nodes), order="F")
     if history.uniform_count == 1:
-        l_hat = np.array(history.total[:size, :size], order="F")
+        l_hat = np.array(history.total, order="F")
     else:
+        counts, n = history.counts, history.n_nodes
+        if np.count_nonzero(counts) < n * (n - 1):
+            missing = counts == 0
+            np.fill_diagonal(missing, False)
+            i, j = np.unravel_index(int(np.argmax(missing)), missing.shape)
+            raise InsufficientHistoryError(f"no observations for pair ({i}, {j})")
         with np.errstate(invalid="ignore"):
-            l_hat = np.divide(history.total[:size, :size], counts, order="F")
+            l_hat = np.divide(history.total, counts, order="F")
     np.fill_diagonal(l_hat, 0.0)
     return l_hat
 

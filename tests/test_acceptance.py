@@ -102,11 +102,11 @@ def test_criterion_3_latency_estimation_and_pool_cost_exactness():
     mean_ok = True
     for _ in range(1000):
         series = rng.uniform(1, 500, size=int(rng.integers(1, 12)))
-        hist = netsim.LatencyHistory()
+        hist = netsim.LatencyHistory(2)
         for v in series:
             hist.record(0, 1, float(v))
             hist.record(1, 0, float(v))
-        l_hat = pools.estimate_latency(hist, 2)
+        l_hat = pools.estimate_latency(hist)
         mean_ok &= math.isclose(l_hat[0, 1], float(np.mean(series)), rel_tol=1e-14)
     # 1000 small assign_pools runs, every join replayed against the
     # brute-force cost; odd cases use coarse integer times, so costs tie
@@ -151,7 +151,7 @@ def test_criterion_4_pool_assignment_recovers_clusters():
         latency = clustered_links(n_nodes, seed, n_clusters, intra=(5, 15), inter=(80, 120))
         labels = cluster_labels(n_nodes, n_clusters)
         history = pools.bootstrap_history(latency, seed=seed + 1)
-        l_hat = pools.estimate_latency(history, n_nodes)
+        l_hat = pools.estimate_latency(history)
         heads = pools.announce_heads(n_nodes, n_clusters, l_hat=l_hat)
         t_p = [0.0] * n_clusters
         assignment = pools.assign_pools(n_nodes, heads, l_hat, t_p, seed=seed + 2)

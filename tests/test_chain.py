@@ -51,7 +51,7 @@ class TestFormation:
         from fedchain.pools import announce_heads, assign_pools, bootstrap_history, estimate_latency
 
         hist = bootstrap_history(small_setup.latency, seed=1)
-        l_hat = estimate_latency(hist, small_setup.n_nodes)
+        l_hat = estimate_latency(hist)
         heads = announce_heads(small_setup.n_nodes, 2, l_hat=l_hat)
         assignment = assign_pools(small_setup.n_nodes, heads, l_hat, [0.0, 0.0], seed=2)
         start = chain._simulate_formation(small_setup, assignment)
@@ -2198,6 +2198,62 @@ class TestLedgerClaims:
         assert vote.kind == "VerifyVote"
         assert chain.validate_chain(loaded) == [
             f"height 1: block timestamp {block.timestamp} is before the VerifyVote at {vote.timestamp}"
+        ]
+
+    def test_credit_below_zero_flagged(self, tmp_path):
+        # moving 5,000 between two members keeps the sum at the task reward
+        def mutate(block):
+            credits = self.txs(block, "RewardSettle")[0].payload["credits"]
+            giver, taker = sorted(credits)[:2]
+            credits[giver] -= 5000
+            credits[taker] += 5000
+            self.giver = giver
+
+        violations = chain.validate_chain(self.reexported(tmp_path, mutate=mutate))
+        assert violations == [f"height 1: credits below 0 to nodes ['{self.giver}']"]
+
+    @pytest.mark.parametrize("value", [-1, -0.5, -1000])
+    @pytest.mark.parametrize("mode", ["pow", "fedchain"])
+    def test_task_reward_below_zero_flagged(self, tmp_path, mode, value):
+        def mutate(block):
+            self.txs(block, "TaskPublish")[0].payload["reward"] = value
+
+        violations = chain.validate_chain(self.reexported(tmp_path, mode, mutate))
+        expected = [f"height 1: task reward {value!r} is below 0"]
+        if mode == "fedchain":  # the credits settle the old reward
+            expected.append("height 1: credits do not sum to the task reward")
+        assert violations == expected
+
+    @staticmethod
+    def reexported_copy(ledger, tmp_path, mutate):
+        ledger = copy.deepcopy(ledger)
+        mutate(ledger.head())
+        path = tmp_path / "ledger.jsonl"
+        ledger.export_jsonl(str(path))
+        return chain.load_chain_jsonl(str(path))
+
+    @pytest.mark.parametrize("mode", chain.MODES)
+    def test_block_commitment_not_the_committed_flagged(self, mode_ledgers, tmp_path, mode):
+        # a pow block has no ModelCommit, so its commitment must be None
+        def mutate(block):
+            block.model_commitment = "0" * 64
+
+        loaded = self.reexported_copy(mode_ledgers[mode], tmp_path, mutate)
+        commits = self.txs(loaded.head(), "ModelCommit")
+        committed = commits[0].payload["com"] if commits else None
+        assert (mode == "pow") is (committed is None)
+        assert chain.validate_chain(loaded) == [
+            f"height 1: block model commitment {'0' * 64!r} is not the committed {committed!r}"
+        ]
+
+    @pytest.mark.parametrize("mode", chain.MODES)
+    def test_block_task_id_not_the_published_flagged(self, mode_ledgers, tmp_path, mode):
+        def mutate(block):
+            self.txs(block, "TaskPublish")[0].payload["task_id"] = 99
+
+        loaded = self.reexported_copy(mode_ledgers[mode], tmp_path, mutate)
+        assert chain.validate_chain(loaded) == [
+            "height 1: block task id 1 is not the published task id 99"
         ]
 
     def test_second_block_for_a_task_refused(self):

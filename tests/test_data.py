@@ -307,6 +307,21 @@ class TestLargestRemainder:
         assert got.tolist() == oracle_largest_remainder(total, shares)
         assert int(got.sum()) == total
 
+    @given(st.lists(st.integers(0, 10**6), min_size=1, max_size=8), st.integers(1, 12),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_each_row_of_a_table_matches_oracle(self, totals, k, seed):
+        # one call apportions every row of a share table to its own total;
+        # even rows are uniform, so their remainders tie
+        rng = np.random.default_rng(seed)
+        shares = rng.dirichlet(np.ones(k), size=len(totals))
+        shares[::2] = 1.0 / k
+        got = data.largest_remainder(np.array(totals), shares)
+        assert got.dtype == np.int64 and got.shape == shares.shape
+        assert got.tolist() == [oracle_largest_remainder(t, row) for t, row in zip(totals, shares)]
+        shared = data.largest_remainder(totals[0], shares)
+        assert shared.tolist() == [oracle_largest_remainder(totals[0], row) for row in shares]
+
     def test_ties_go_to_the_first(self):
         assert data.largest_remainder(2, np.full(3, 1 / 3)).tolist() == [1, 1, 0]
         assert data.largest_remainder(1000, [0.75, 0.25]).tolist() == [750, 250]

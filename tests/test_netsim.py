@@ -115,28 +115,28 @@ class TestSend:
 
 class TestLatencyHistory:
     def test_first_record(self):
-        hist = netsim.LatencyHistory()
+        hist = netsim.LatencyHistory(2)
         hist.record(0, 1, 30)
         assert (hist.total[0, 1], hist.counts[0, 1]) == (30.0, 1)
 
     def test_append(self):
-        hist = netsim.LatencyHistory()
+        hist = netsim.LatencyHistory(2)
         for v in (10, 20, 30):
             hist.record(0, 1, v)
         assert (hist.total[0, 1], hist.counts[0, 1]) == (60.0, 3)
 
     def test_self_loop_rejected(self):
-        hist = netsim.LatencyHistory()
+        hist = netsim.LatencyHistory(3)
         with pytest.raises(InvalidObservationError):
             hist.record(2, 2, 10)
 
     def test_non_positive_rejected(self):
-        hist = netsim.LatencyHistory()
+        hist = netsim.LatencyHistory(2)
         with pytest.raises(InvalidObservationError):
             hist.record(0, 1, 0)
 
     def test_one_observation_per_round(self):
-        hist = netsim.LatencyHistory()
+        hist = netsim.LatencyHistory(2)
         hist.record(0, 1, 12)
         assert hist.counts[0, 1] == 1
         hist.record(0, 1, 14)
@@ -146,13 +146,24 @@ class TestLatencyHistory:
     @pytest.mark.parametrize("i, j", [(-1, 2), (2, -1), (-2, -1), (-1, -1)])
     def test_negative_node_rejected(self, n_nodes, i, j):
         # negative indexing would otherwise record another pair, or the
-        # self-loop (2, 2), or crash on a size-less history
-        hist = netsim.LatencyHistory.adopt(np.full((3, 3), 5.0)) if n_nodes else netsim.LatencyHistory()
-        before = (len(hist), hist.total.copy())
-        with pytest.raises(NodeNotFoundError, match="negative node id"):
+        # self-loop (2, 2)
+        hist = netsim.LatencyHistory.adopt(np.full((3, 3), 5.0)) if n_nodes else netsim.LatencyHistory(0)
+        before = (len(hist), hist.total.copy(), hist.uniform_count)
+        with pytest.raises(NodeNotFoundError, match=re.escape(f"pair ({i}, {j}) outside [0, {n_nodes})")):
             hist.record(i, j, 5.0)
         assert hist.n_nodes == n_nodes and len(hist) == before[0]
-        assert np.array_equal(hist.total, before[1])
+        assert np.array_equal(hist.total, before[1]) and hist.uniform_count == before[2]
+
+    @pytest.mark.parametrize("adopted", [False, True])
+    @pytest.mark.parametrize("i, j", [(3, 0), (0, 3), (5, 4), (3, 3)])
+    def test_node_past_the_last_rejected(self, adopted, i, j):
+        # a history never grows: an id past its last node has no entry
+        hist = netsim.LatencyHistory.adopt(np.full((3, 3), 5.0)) if adopted else netsim.LatencyHistory(3)
+        before = (len(hist), hist.total.copy(), hist.uniform_count)
+        with pytest.raises(NodeNotFoundError, match=re.escape(f"pair ({i}, {j}) outside [0, 3)")):
+            hist.record(i, j, 5.0)
+        assert hist.n_nodes == 3 and len(hist) == before[0]
+        assert np.array_equal(hist.total, before[1]) and hist.uniform_count == before[2]
 
 
 def assert_same_history(got, want):
@@ -173,7 +184,7 @@ def record_row_major(hist, observed):
 
 class TestDenseLatencyHistory:
     def test_len_counts_observed_ordered_pairs(self):
-        hist = netsim.LatencyHistory()
+        hist = netsim.LatencyHistory(4)
         hist.record(0, 1, 5)
         hist.record(0, 1, 6)
         hist.record(1, 0, 7)
@@ -182,22 +193,11 @@ class TestDenseLatencyHistory:
         assert hist.pairs() == [(0, 1), (1, 0), (3, 2)]
         assert hist.n_nodes == 4 and hist.counts[2, 3] == 0 and hist.total[2, 3] == 0.0
 
-    def test_grows_and_keeps_series(self):
-        hist = netsim.LatencyHistory()
-        hist.record(0, 1, 1.5)
-        hist.record(4, 0, 2.5)
-        hist.record(0, 1, 3.5)
-        assert hist.n_nodes == 5
-        assert hist.total.shape == hist.counts.shape == (5, 5)
-        assert (hist.total[0, 1], hist.counts[0, 1]) == (1.5 + 3.5, 2)
-        assert (hist.total[4, 0], hist.counts[4, 0]) == (2.5, 1)
-        assert hist.pairs() == [(0, 1), (4, 0)]
-
     def test_adopt_equals_row_major_records(self):
         rng = np.random.default_rng(8)
         n = 7
         observed = rng.uniform(1, 100, size=(n, n))
-        looped = netsim.LatencyHistory()
+        looped = netsim.LatencyHistory(n)
         record_row_major(looped, observed)
         adopted = netsim.LatencyHistory.adopt(observed.copy())
         assert len(adopted) == len(looped) == n * (n - 1)
@@ -206,13 +206,12 @@ class TestDenseLatencyHistory:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_adopt_then_records_at_mixed_depths_equals_records(self, seed):
-        # single records after the adopted matrix, some beyond it, leave the
-        # pairs at different counts
+        # single records after the adopted matrix leave the pairs at
+        # different counts
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 9))
-        m = int(rng.integers(1, n + 1))
-        observed = rng.uniform(1, 100, size=(m, m))
-        looped = netsim.LatencyHistory()
+        observed = rng.uniform(1, 100, size=(n, n))
+        looped = netsim.LatencyHistory(n)
         record_row_major(looped, observed)
         adopted = netsim.LatencyHistory.adopt(observed)
         for _ in range(12):
@@ -226,11 +225,11 @@ class TestDenseLatencyHistory:
     @pytest.mark.parametrize("dtype", [np.float64, np.int64])
     @pytest.mark.parametrize("n_nodes", [0, 2, 7, 9])
     def test_fresh_history_matrix_equals_records(self, n_nodes, dtype):
-        # a matrix of every size, adopted into a fresh history
+        # a matrix of every size, adopted, against records into an empty one
         rng = np.random.default_rng(n_nodes)
         observed = (rng.uniform(3, 300, size=(n_nodes, n_nodes)) / 3).astype(dtype)
         np.fill_diagonal(observed, -5)  # the diagonal is never recorded
-        looped = netsim.LatencyHistory()
+        looped = netsim.LatencyHistory(n_nodes)
         record_row_major(looped, observed)
         adopted = netsim.LatencyHistory.adopt(observed)
         # a float64 matrix is taken over, any other is copied
@@ -258,7 +257,7 @@ class TestDenseLatencyHistory:
     def test_record_matrix_refuses_non_square(self, n_nodes, shape):
         # a non-square matrix is refused on its way into a history; neither
         # it nor a history already recorded out to n_nodes is changed
-        hist = netsim.LatencyHistory()
+        hist = netsim.LatencyHistory(max(n_nodes, 2))
         hist.record(0, 1, 2.0)
         if n_nodes > 2:
             hist.record(n_nodes - 1, 0, 3.0)
@@ -273,7 +272,7 @@ class TestDenseLatencyHistory:
         observed = np.full((3, 3), 5.0)
         observed[1, 2] = -1.0
         observed[2, 0] = 0.0
-        looped = netsim.LatencyHistory()
+        looped = netsim.LatencyHistory(3)
         with pytest.raises(InvalidObservationError, match="got -1.0") as want:
             record_row_major(looped, observed)
         with pytest.raises(InvalidObservationError, match=re.escape(str(want.value))):
@@ -287,12 +286,12 @@ class TestNonFiniteObservations:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_record(self, bad):
-        hist = netsim.LatencyHistory()
+        hist = netsim.LatencyHistory(2)
         with pytest.raises(InvalidObservationError, match=f"got {bad}$"):
             hist.record(0, 1, bad)
         with pytest.raises(InvalidObservationError, match=f"got {bad}$"):
             hist.record(1, 0, float(bad))
-        assert hist.n_nodes == 0 and len(hist) == 0
+        assert hist.n_nodes == 2 and len(hist) == 0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("path", ["adopt", "bootstrap"])
@@ -310,37 +309,37 @@ class TestNonFiniteObservations:
 
 
 class TestUniformCount:
-    """A history holds its counts as one int while it is fresh (0) or
-    adopted (1), and answers `len` and `pairs` from it."""
+    """An adopted history holds its counts as the int 1 and answers `len`
+    and `pairs` from it; a history made empty holds a count array."""
 
-    def test_fresh_and_whole_matrices_stay_uniform(self):
-        hist = netsim.LatencyHistory()
-        assert (hist.uniform_count, len(hist), hist.pairs()) == (0, 0, [])
+    def test_empty_history_counts_and_adopted_stays_uniform(self):
+        hist = netsim.LatencyHistory(3)
+        assert (hist.uniform_count, len(hist), hist.pairs()) == (None, 0, [])
+        assert hist.counts.dtype == np.int64 and not hist.counts.any()
         hist = netsim.LatencyHistory.adopt(np.full((3, 3), 3.0))
         assert hist.uniform_count == 1 and len(hist) == 6
         assert hist.pairs() == [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
-        assert pools.estimate_latency(hist, 3)[0, 1] == 3.0
+        assert pools.estimate_latency(hist)[0, 1] == 3.0
         assert hist.uniform_count == 1
 
-    def test_counts_read_builds_and_keeps_the_array(self):
+    def test_counts_read_changes_nothing(self):
         hist = netsim.LatencyHistory.adopt(np.full((3, 3), 2.0))
         counts = hist.counts
         assert counts.dtype == np.int64 and np.array_equal(counts, 1 - np.eye(3))
-        assert hist.uniform_count is None and hist.counts is counts
-        hist.counts[0, 1] = 5  # writes reach the history
-        assert hist.counts[0, 1] == 5
+        assert hist.uniform_count == 1 and hist.counts is not counts
+        counts[0, 1] = 5  # the array read is the caller's
+        assert hist.counts[0, 1] == 1 and len(hist) == 6
 
-    @pytest.mark.parametrize("change", ["record", "growth"])
+    @pytest.mark.parametrize("change", ["record", "read then record"])
     def test_breaking_uniformity_builds_the_array(self, change):
         hist = netsim.LatencyHistory.adopt(np.full((3, 3), 2.0))
-        if change == "record":
-            hist.record(0, 1, 4.0)
-            want = [[0, 2, 1], [1, 0, 1], [1, 1, 0]]
-        else:
-            hist.record(3, 0, 4.0)
-            want = [[0, 1, 1, 0], [1, 0, 1, 0], [1, 1, 0, 0], [1, 0, 0, 0]]
+        if change == "read then record":
+            hist.counts
+            assert hist.uniform_count == 1
+        hist.record(0, 1, 4.0)
         assert hist.uniform_count is None
-        assert np.array_equal(hist.counts, want)
+        assert np.array_equal(hist.counts, [[0, 2, 1], [1, 0, 1], [1, 1, 0]])
+        assert hist.counts is hist.counts
 
     def test_adopt_takes_the_array_over(self):
         observed = np.full((4, 4), 6.0)

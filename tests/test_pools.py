@@ -1,4 +1,3 @@
-import copy
 import gc
 import itertools
 import re
@@ -24,7 +23,7 @@ from conftest import oracle_pool_cost, random_heads, uniform_links
 
 
 def history_for_pair(values, n=2):
-    hist = LatencyHistory()
+    hist = LatencyHistory(n)
     for v in values:
         hist.record(0, 1, v)
     for v in values:
@@ -46,23 +45,23 @@ class TestEstimateLatency:
     )
     def test_arithmetic_mean(self, series, expected):
         hist = history_for_pair(series)
-        l_hat = pools.estimate_latency(hist, 2)
+        l_hat = pools.estimate_latency(hist)
         assert l_hat[0, 1] == pytest.approx(expected, abs=0)
 
     def test_zero_diagonal(self):
         hist = history_for_pair([10])
-        assert pools.estimate_latency(hist, 2)[0, 0] == 0.0
+        assert pools.estimate_latency(hist)[0, 0] == 0.0
 
     def test_missing_pair(self):
-        hist = LatencyHistory()
+        hist = LatencyHistory(2)
         hist.record(0, 1, 5)
         with pytest.raises(InsufficientHistoryError):
-            pools.estimate_latency(hist, 2)
+            pools.estimate_latency(hist)
 
     def test_matches_mean_oracle(self):
         rng = np.random.default_rng(17)
-        hist = LatencyHistory()
         n = 4
+        hist = LatencyHistory(n)
         series = {}
         for i in range(n):
             for j in range(n):
@@ -72,7 +71,7 @@ class TestEstimateLatency:
                 series[(i, j)] = vals
                 for v in vals:
                     hist.record(i, j, v)
-        l_hat = pools.estimate_latency(hist, n)
+        l_hat = pools.estimate_latency(hist)
         for (i, j), vals in series.items():
             assert l_hat[i, j] == pytest.approx(np.mean(vals), rel=1e-15)
 
@@ -303,7 +302,7 @@ def random_history(rng, n, max_len=6, missing=0.0, stop=None):
                     series[(i, j)] = values[:stop]
     tokens = [pair for pair, values in series.items() for _ in values]
     taken = dict.fromkeys(series, 0)
-    hist = LatencyHistory()
+    hist = LatencyHistory(n)
     for idx in rng.permutation(len(tokens)):
         pair = tokens[idx]
         hist.record(*pair, series[pair][taken[pair]])
@@ -323,9 +322,9 @@ class TestKernelOracles:
             expected = oracle_estimate_latency(series, n)
         except InsufficientHistoryError as exc:
             with pytest.raises(InsufficientHistoryError, match=re.escape(str(exc))):
-                pools.estimate_latency(hist, n)
+                pools.estimate_latency(hist)
             return
-        assert np.array_equal(pools.estimate_latency(hist, n), expected)
+        assert np.array_equal(pools.estimate_latency(hist), expected)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_estimate_latency_missing_pair_reported_first_in_row_major(self, seed):
@@ -335,7 +334,7 @@ class TestKernelOracles:
         with pytest.raises(InsufficientHistoryError) as want:
             oracle_estimate_latency(series, n)
         with pytest.raises(InsufficientHistoryError) as got:
-            pools.estimate_latency(hist, n)
+            pools.estimate_latency(hist)
         assert str(got.value) == str(want.value)
 
     def test_estimate_latency_on_bootstrap_matches_loop(self):
@@ -345,15 +344,7 @@ class TestKernelOracles:
         observed = np.random.default_rng(4).uniform(*pools.BOOTSTRAP_NOISE, size=(40, 40)) * lat
         series = {(i, j): [float(observed[i, j])] for i in range(40) for j in range(40) if i != j}
         assert hist.pairs() == sorted(series)
-        assert np.array_equal(pools.estimate_latency(hist, 40), oracle_estimate_latency(series, 40))
-
-    def test_estimate_latency_smaller_and_larger_than_history(self):
-        rng = np.random.default_rng(5)
-        hist, series = random_history(rng, 6)
-        sub = {pair: v for pair, v in series.items() if max(pair) < 4}
-        assert np.array_equal(pools.estimate_latency(hist, 4), oracle_estimate_latency(sub, 4))
-        with pytest.raises(InsufficientHistoryError, match=r"pair \(0, 6\)"):
-            pools.estimate_latency(hist, 7)
+        assert np.array_equal(pools.estimate_latency(hist), oracle_estimate_latency(series, 40))
 
     @pytest.mark.parametrize("policy", ["spread", "random"])
     def test_announce_and_assign_match_loops(self, policy):
@@ -363,10 +354,7 @@ class TestKernelOracles:
             rng = np.random.default_rng(n)
             if n % 2:
                 l_hat = pools.estimate_latency(
-                    pools.bootstrap_history(
-                        netsim.build_topology(n, seed=n), seed=n
-                    ),
-                    n,
+                    pools.bootstrap_history(netsim.build_topology(n, seed=n), seed=n)
                 )
             else:
                 # coarse integer latencies, zeros included: many tied distances and costs
@@ -448,28 +436,16 @@ class TestKernelOracles:
         total = hist.total.copy()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            l_hat = pools.estimate_latency(hist, 5)
+            l_hat = pools.estimate_latency(hist)
         assert np.array_equal(l_hat, oracle_estimate_latency(series, 5))
         l_hat[:] = -1.0
         assert hist.total.tobytes() == total.tobytes()
 
     @pytest.mark.parametrize("n_nodes", [0, 1])
     def test_estimate_latency_empty_history(self, n_nodes):
-        got = pools.estimate_latency(LatencyHistory(), n_nodes)
+        got = pools.estimate_latency(LatencyHistory(n_nodes))
         assert got.dtype == np.float64
         assert got.tobytes() == oracle_estimate_latency({}, n_nodes).tobytes()
-
-    @pytest.mark.parametrize("n_hist,n_query", [(2, 3), (3, 5), (4, 9)])
-    def test_estimate_latency_beyond_full_history(self, n_hist, n_query):
-        # every pair of the history observed: the first missing pair is
-        # (0, n_hist), outside it
-        hist = LatencyHistory.adopt(np.full((n_hist, n_hist), 7.0))
-        series = {(i, j): [7.0] for i in range(n_hist) for j in range(n_hist) if i != j}
-        with pytest.raises(InsufficientHistoryError) as want:
-            oracle_estimate_latency(series, n_query)
-        with pytest.raises(InsufficientHistoryError, match=re.escape(str(want.value))):
-            pools.estimate_latency(hist, n_query)
-        assert f"(0, {n_hist})" in str(want.value)
 
 
 class TestMemoryOrder:
@@ -482,7 +458,7 @@ class TestMemoryOrder:
         for hist in (adopted, random_history(np.random.default_rng(8), 6)[0]):
             n = hist.n_nodes
             total = hist.total.copy()
-            l_hat = pools.estimate_latency(hist, n)
+            l_hat = pools.estimate_latency(hist)
             assert l_hat.flags.f_contiguous and l_hat.flags.owndata
             assert not np.shares_memory(l_hat, hist.total)
             l_hat[:] = -1.0
@@ -492,8 +468,7 @@ class TestMemoryOrder:
     def test_announce_and_assign_equal_on_c_and_f_copies(self, n):
         rng = np.random.default_rng(n)
         estimates = [
-            pools.estimate_latency(pools.bootstrap_history(
-                netsim.build_topology(n, seed=n), seed=n), n),
+            pools.estimate_latency(pools.bootstrap_history(netsim.build_topology(n, seed=n), seed=n)),
             rng.integers(0, 4, size=(n, n)),  # integer, with many ties
         ]
         for l_hat in estimates:
@@ -648,87 +623,117 @@ positive_ints = st.integers(min_value=1, max_value=10**9)
 
 
 @st.composite
-def record_ops(draw):
-    """A list of `record` calls: single observations anywhere in [0, 8)."""
+def record_ops(draw, n):
+    """A list of `record` calls: single observations among nodes [0, n)."""
     ops = []
-    for _ in range(draw(st.integers(0, 10))):
-        i, j = draw(st.lists(st.integers(0, 7), min_size=2, max_size=2, unique=True))
+    for _ in range(draw(st.integers(0, 10 if n > 1 else 0))):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
         ops.append((i, j, draw(st.one_of(positive_floats, positive_ints))))
     return ops
 
 
 @st.composite
 def history_ops(draw):
-    """A float or int matrix from 1x1 to 8x8 to adopt, or None for a fresh
-    history, and a list of `record` calls after it, so the history grows
-    past the matrix and its pairs reach different counts."""
+    """A network of 1 to 8 nodes; a float or int matrix of its size to
+    adopt, or None for an empty history; and a list of `record` calls
+    after it, so that its pairs reach different counts."""
+    n = draw(st.integers(1, 8))
     observed = None
     if draw(st.booleans()):
-        m = draw(st.integers(1, 8))
         dtype, elements = draw(st.sampled_from([(np.float64, positive_floats),
                                                 (np.int64, positive_ints)]))
-        observed = draw(hnp.arrays(dtype, (m, m), elements=elements))
+        observed = draw(hnp.arrays(dtype, (n, n), elements=elements))
         np.fill_diagonal(observed, draw(st.sampled_from([0, -3, 1])))  # never recorded
-    return observed, draw(record_ops())
+    return n, observed, draw(record_ops(n))
+
+
+def history_of(n, observed):
+    return LatencyHistory(n) if observed is None else LatencyHistory.adopt(observed)
 
 
 class TestHistoryProperty:
-    """Records on a fresh or an adopted history give, at every node count,
-    the bytes of a per-pair `sum(series) / len(series)` over the
-    observations as floats, and InsufficientHistoryError exactly when some
-    pair has no observation."""
+    """Records on an empty or an adopted history give the bytes of a
+    per-pair `sum(series) / len(series)` over the observations as floats,
+    and InsufficientHistoryError exactly when some pair has no
+    observation."""
 
     @settings(max_examples=200, deadline=None)
-    @given(history_ops(), st.integers(1, 9))
-    def test_estimate_equals_running_mean_oracle(self, plan, n_query):
-        observed, ops = plan
-        hist, series = LatencyHistory(), {}
+    @given(history_ops())
+    def test_estimate_equals_running_mean_oracle(self, plan):
+        n, observed, ops = plan
+        series = {}
         if observed is not None:
-            for i, j in itertools.permutations(range(observed.shape[0]), 2):
+            for i, j in itertools.permutations(range(n), 2):
                 series[(i, j)] = [float(observed[i, j])]
-            hist = LatencyHistory.adopt(observed)
+        hist = history_of(n, observed)
         for i, j, value in ops:
             hist.record(i, j, value)
             series.setdefault((i, j), []).append(float(value))
         assert hist.pairs() == sorted(series)
         assert {pair: int(hist.counts[pair]) for pair in series} == {
             pair: len(values) for pair, values in series.items()}
-        missing = [(i, j) for i in range(n_query) for j in range(n_query)
+        missing = [(i, j) for i in range(n) for j in range(n)
                    if i != j and (i, j) not in series]
         if missing:
             with pytest.raises(InsufficientHistoryError,
                                match=re.escape(f"no observations for pair {missing[0]}")):
-                pools.estimate_latency(hist, n_query)
+                pools.estimate_latency(hist)
         else:
-            got = pools.estimate_latency(hist, n_query)
-            assert got.tobytes() == oracle_estimate_latency(series, n_query).tobytes()
+            got = pools.estimate_latency(hist)
+            assert got.tobytes() == oracle_estimate_latency(series, n).tobytes()
 
 
-def histories_equal(got, want, n_query):
-    """Same sums (bit for bit), counts, pairs and estimate bytes; read on
-    copies, since reading `counts` builds the array and changes the path
-    that later operations take."""
+def estimate_or_error(hist):
+    """The estimate's bytes, or the InsufficientHistoryError message."""
+    try:
+        return pools.estimate_latency(hist).tobytes()
+    except InsufficientHistoryError as exc:
+        return str(exc)
+
+
+def histories_equal(got, want):
+    """Same sums (bit for bit), counts, pairs and estimate bytes."""
     assert got.n_nodes == want.n_nodes
     assert got.total.dtype == want.total.dtype == np.float64
     assert got.total.tobytes() == want.total.tobytes()
     assert len(got) == len(want) and got.pairs() == want.pairs()
-    estimates = []
-    for hist in (got, want):
-        try:
-            estimates.append(pools.estimate_latency(copy.deepcopy(hist), n_query).tobytes())
-        except InsufficientHistoryError as exc:
-            estimates.append(str(exc))
-    assert estimates[0] == estimates[1]
-    assert np.array_equal(copy.deepcopy(got).counts, copy.deepcopy(want).counts)
+    assert estimate_or_error(got) == estimate_or_error(want)
+    assert np.array_equal(got.counts, want.counts)
+
+
+class TestCountsReadProperty:
+    """Reading `counts` changes nothing: a history whose counts are read
+    between its records keeps the representation, sums, length and
+    estimate bytes of one whose counts are never read."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(history_ops(), st.data())
+    def test_read_and_unread_histories_agree(self, plan, data):
+        n, observed, ops = plan
+        read = history_of(n, None if observed is None else observed.copy())
+        unread = history_of(n, observed)
+
+        def agree():
+            assert read.uniform_count == unread.uniform_count
+            assert read.total.tobytes() == unread.total.tobytes()
+            assert len(read) == len(unread)
+            assert estimate_or_error(read) == estimate_or_error(unread)
+
+        for op in [*ops, None]:
+            if data.draw(st.booleans(), label="read counts"):
+                read.counts
+                agree()
+            if op is not None:
+                read.record(*op)
+                unread.record(*op)
+        agree()
 
 
 @st.composite
 def pings(draw):
     """A latency matrix with a zero diagonal, as `build_topology` makes,
-    and a seed for `bootstrap_history`'s noise. At least two nodes: a
-    one-node ping has no pair to record, so records leave a history of no
-    node where `adopt` keeps one."""
-    n = draw(st.integers(2, 8))
+    and a seed for `bootstrap_history`'s noise."""
+    n = draw(st.integers(1, 8))
     latency = draw(hnp.arrays(np.float64, (n, n), elements=st.floats(1e-3, 1e6)))
     np.fill_diagonal(latency, 0.0)
     return latency, draw(st.integers(0, 2**32 - 1))
@@ -736,26 +741,26 @@ def pings(draw):
 
 class TestAdoptedPingProperty:
     """`bootstrap_history` adopts its ping with a uniform count of 1; the
-    history equals a fresh one that records the same ping pair by pair in
-    row-major order, and stays equal under further records and growth."""
+    history equals an empty one that records the same ping pair by pair
+    in row-major order, and stays equal under further records."""
 
     @settings(max_examples=150, deadline=None)
-    @given(pings(), record_ops(), st.integers(1, 9))
-    def test_adopted_equals_recorded(self, ping, ops, n_query):
+    @given(pings(), st.data())
+    def test_adopted_equals_recorded(self, ping, data):
         latency, seed = ping
         n = latency.shape[0]
         observed = np.random.default_rng(seed).uniform(*pools.BOOTSTRAP_NOISE, size=(n, n))
         observed *= latency
         adopted = pools.bootstrap_history(latency, seed)
-        recorded = LatencyHistory()
+        recorded = LatencyHistory(n)
         for i, j in itertools.permutations(range(n), 2):  # row-major
             recorded.record(i, j, observed[i, j])
         assert adopted.uniform_count == 1 and recorded.uniform_count is None
-        histories_equal(adopted, recorded, n_query)
-        for op in ops:
+        histories_equal(adopted, recorded)
+        for op in data.draw(record_ops(n), label="ops"):
             for hist in (adopted, recorded):
                 hist.record(*op)
-            histories_equal(adopted, recorded, n_query)
+            histories_equal(adopted, recorded)
 
 
 @st.composite
