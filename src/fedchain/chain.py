@@ -41,7 +41,7 @@ from .fed import (
     TrainConfig,
     aggregate,
     aggregation_weights,
-    evaluate_and_loss,
+    evaluate,
     local_train,
 )
 
@@ -443,23 +443,23 @@ class PoolOutcome:
     first round it did not run, or, for a pool that finished but whose
     last vote would have arrived after the block's, its finish time. Such a
     finisher's exchange never ran: it keeps `finish_time` and its metrics,
-    but its `commitment`, `accept_time`, `commit_time`, `proof_time` and
-    `vote_times` are unset and `accepted` is False. `None` means the pool
-    ran to its natural end (target, deadline or round budget) and, if it
-    finished, was verified. `metrics` holds the rounds the pool ran, and
+    but its `commitment`, `accept_time`, `proof_time` and `vote_times` are
+    unset and `accepted` is False. `None` means the pool ran to its natural
+    end (target, deadline or round budget) and, if it finished, was
+    verified. `metrics` holds the rounds the pool ran, in order, and
     `weights`, its aggregation weights, is computed at its first round:
-    it is None exactly for a pool that never ran a round."""
+    it is None exactly for a pool that never ran a round. A verified
+    pool's head commits its model at `finish_time`."""
 
     pool_id: int
     head: int
     members: list[int]
-    finish_time: float | None  # training barrier when target was reached
+    finish_time: float | None  # training barrier when target was reached, and the commit time
     accept_time: float | None  # all verifier votes in
     accepted: bool
     measured_accuracy: float
     weights: np.ndarray | None
     commitment: str | None
-    commit_time: float | None = None
     proof_time: float | None = None
     vote_times: dict[int, float] = field(default_factory=dict)
     metrics: list[RoundMetrics] = field(default_factory=list)
@@ -636,7 +636,6 @@ def _verification_exchange(run: _PoolRun, pp: verify.PublicParams) -> None:
     outcome.measured_accuracy = float(np.mean([ballots[i][1] for *_, i in votes])) if votes else 0.0
     outcome.accept_time = votes[-1][0] if votes else None
     outcome.commitment = com.hex
-    outcome.commit_time = outcome.finish_time
     outcome.proof_time = min((a[2] for a in votes), default=None)
     outcome.vote_times = {committee[i]: t for t, *_, i in votes}
 
@@ -648,18 +647,19 @@ class _PoolRun:
     Each round: members train locally from the current model, `combine`
     aggregates their weighted updates into the next model and returns the
     round's end barrier, everyone evaluates the aggregate on the public
-    example split, and the pool is done at the target, the deadline, or the
-    round budget. A fedchain pool combines over the masked ring
-    (`_ring_round`). The baselines are one pool of every node with FedAvg
+    example split (`fed.evaluate`), and the pool is done at the target,
+    the deadline, or the round budget. A fedchain pool combines over the
+    masked ring (`_ring_round`). The baselines are one pool of every node with FedAvg
     weights, headed by the publisher and never tampered: `gfl_ring`
     combines over the plain ring, `fedavg_central` over a coordinator star
     (`_star_round`). `latest_start` is the latest stream start of the
     combine's next round (`_ring_latest_start` or `_star_latest_start`),
     from which `vote_bound` bounds the round's earliest last vote. A run's
-    clock is its `barrier`, and it derives every seed from its pool id, so
-    runs can be interleaved freely. Its aggregation weights under `scheme`
-    are computed at its first `step`; `model` is the round's shared initial
-    model (`_initial_model`). `committee` is its verifier committee
+    clock is its `barrier`, and it derives every seed from its pool id and
+    the round's index, `len(outcome.metrics)`, so runs can be interleaved
+    freely. Its aggregation weights under `scheme` are computed at its
+    first `step`; `model` is the round's shared initial model
+    (`_initial_model`). `committee` is its verifier committee
     (`_draw_committee`), and `votes`, set by `_race` once the run finishes,
     are the committee's `_vote_arrivals` from the finish time. `compute`
     holds the members' compute times, in member order.
@@ -676,7 +676,6 @@ class _PoolRun:
         self.combine = combine
         self.latest_start = latest_start
         self.tamper = tamper
-        self.round_idx = 0
         self.outcome = PoolOutcome(
             pool_id=pool_id,
             head=head,
@@ -705,6 +704,7 @@ class _PoolRun:
     def step(self) -> bool:
         """Run the next training round; return whether the pool is done."""
         setup, task, outcome = self.setup, self.setup.task, self.outcome
+        round_no = len(outcome.metrics)
         if outcome.weights is None:
             outcome.weights = aggregation_weights(
                 self.scheme, [setup.miner_data[m] for m in outcome.members], task.example
@@ -714,23 +714,20 @@ class _PoolRun:
                 self.model,
                 setup.miner_data[m],
                 setup.train,
-                seed=_derive_seed(setup.seed, task.task_id, outcome.pool_id, self.round_idx, m),
+                seed=_derive_seed(setup.seed, task.task_id, outcome.pool_id, round_no, m),
             )
             for m in outcome.members
         ]
         flat, self.barrier = self.combine(self, trained)
         self.model = self.model.clone(flat)
-        accuracy, loss = evaluate_and_loss(self.model, task.example)
-        outcome.metrics.append(
-            RoundMetrics(self.round_idx, outcome.pool_id, accuracy, loss, self.barrier)
-        )
-        self.round_idx += 1
+        accuracy = evaluate(self.model, task.example)
+        outcome.metrics.append(RoundMetrics(accuracy, self.barrier))
         if self.barrier <= task.deadline and accuracy >= task.target:
             outcome.finish_time = self.barrier
         return (
             self.barrier > task.deadline
             or outcome.finish_time is not None
-            or self.round_idx >= setup.max_rounds
+            or len(outcome.metrics) >= setup.max_rounds
         )
 
 
@@ -779,14 +776,14 @@ def _ring_round(run: _PoolRun, trained: list[DenseClassifier],
         masks = [
             fixedpoint.generate_noise(
                 b - a,
-                _derive_seed(setup.seed, setup.task.task_id, outcome.pool_id, run.round_idx,
-                             "noise", i),
+                _derive_seed(setup.seed, setup.task.task_id, outcome.pool_id,
+                             len(outcome.metrics), "noise", i),
             )
             for i, (a, b) in enumerate(spans)
         ]
     session = sharedring.RingSession(setup.latency, members, vectors, masks=masks)
     session.start(run.barrier, _ready_times(run))
-    return fixedpoint.decode(session.results[members[0]]) / k, max(session.completion.values())
+    return fixedpoint.decode(session.total) / k, max(session.completion.values())
 
 
 def _star_round(run: _PoolRun, trained: list[DenseClassifier]) -> tuple[np.ndarray, float]:
@@ -844,7 +841,7 @@ def _block_transactions(
             kind="ModelCommit",
             payload={"com": winner.commitment, "pool": winner.pool_id},
             author=winner.head,
-            timestamp=winner.commit_time,
+            timestamp=winner.finish_time,
         )
     )
     txs.append(
@@ -887,13 +884,11 @@ def _form_pools(setup: RoundSetup) -> tuple[pools.PoolAssignment, dict[int, floa
     formation holds at most two n x n arrays: the ping and the estimate."""
     history = pools.bootstrap_history(setup.latency, seed=_derive_seed(setup.seed, "ping"))
     l_hat = pools.estimate_latency(history)
-    heads = pools.announce_heads(setup.n_nodes, setup.n_pools, l_hat=l_hat, ping=history.total)
+    heads = pools.announce_heads(setup.n_pools, l_hat, ping=history.total)
     del history
     # The head's own training time; ROADMAP item 5 asks for a pool-size estimate.
     t_p = setup.compute_times[heads] * setup.train.epochs
-    assignment = pools.assign_pools(
-        setup.n_nodes, heads, l_hat, t_p, seed=_derive_seed(setup.seed, "join")
-    )
+    assignment = pools.assign_pools(heads, l_hat, t_p, seed=_derive_seed(setup.seed, "join"))
     return assignment, _simulate_formation(setup, assignment)
 
 

@@ -358,16 +358,16 @@ def run_sweep_cell(cfg: ExperimentConfig, scheme: str, alpha: float, seed: int) 
     model = DenseClassifier(task.arch, seed=seed)
     curve: list[float] = []
     rounds_to_target = cfg.sweep_max_rounds + 1
-    for round_idx in range(cfg.sweep_max_rounds):
+    for round_no in range(cfg.sweep_max_rounds):
         trained = [
-            local_train(model, parts[j], train_cfg, seed=seed * 1009 + round_idx * 97 + j)
+            local_train(model, parts[j], train_cfg, seed=seed * 1009 + round_no * 97 + j)
             for j in range(m)
         ]
         model = model.clone(aggregate([t.weights for t in trained], weights))
         acc = evaluate(model, task.example)
         curve.append(acc)
         if acc >= cfg.target:
-            rounds_to_target = round_idx + 1
+            rounds_to_target = round_no + 1
             break
     return {
         "scheme": scheme,

@@ -78,13 +78,10 @@ class DenseClassifier:
 
     def loss(self, x: np.ndarray, y: np.ndarray) -> float:
         """Cross-entropy summed over the samples."""
-        return _summed_cross_entropy(self._forward(x), y)
-
-
-def _summed_cross_entropy(logits: np.ndarray, y: np.ndarray) -> float:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    return float(-log_probs[np.arange(len(y)), y].sum())
+        logits = self._forward(x)
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        return float(-log_probs[np.arange(len(y)), y].sum())
 
 
 def _unpack(arch: Architecture, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -122,21 +119,14 @@ def _loss_grad_into(
     np.add.reduce(d, axis=0, out=grads[1])
 
 
-def _check_finite_weights(model: DenseClassifier) -> None:
+def local_loss(model: DenseClassifier, dataset: Dataset) -> float:
+    """Summed cross-entropy of the model over a miner's dataset."""
     if not np.all(np.isfinite(model.weights)):
         raise NonFiniteLossError("model weights contain NaN or infinity")
-
-
-def _check_finite_loss(value: float) -> float:
+    value = model.loss(dataset.x, dataset.y)
     if not np.isfinite(value):
         raise NonFiniteLossError(f"loss evaluated to {value}")
     return value
-
-
-def local_loss(model: DenseClassifier, dataset: Dataset) -> float:
-    """Summed cross-entropy of the model over a miner's dataset."""
-    _check_finite_weights(model)
-    return _check_finite_loss(model.loss(dataset.x, dataset.y))
 
 
 def local_train(
@@ -262,21 +252,11 @@ def evaluate(model: DenseClassifier, dataset: Dataset) -> float:
     return float(np.mean(model.predict(dataset.x) == dataset.y))
 
 
-def evaluate_and_loss(model: DenseClassifier, dataset: Dataset) -> tuple[float, float]:
-    """`(evaluate(model, dataset), local_loss(model, dataset))` from one
-    forward pass: both derive from the same logits, so the values are
-    bit-identical to the two calls, and NonFiniteLossError is raised under
-    the same conditions as `local_loss`."""
-    logits = model._forward(dataset.x)
-    accuracy = float(np.mean(logits.argmax(axis=1) == dataset.y))
-    _check_finite_weights(model)
-    return accuracy, _check_finite_loss(_summed_cross_entropy(logits, dataset.y))
-
-
 @dataclass
 class RoundMetrics:
-    round: int
-    pool: int
+    """One training round of a pool: its accuracy on the public example
+    split and its end barrier. The round is the entry's position in its
+    outcome's `metrics`, and the pool is that outcome's `pool_id`."""
+
     accuracy: float
-    loss: float
     sim_time_ms: float

@@ -101,6 +101,9 @@ class LatencyHistory:
     """
 
     def __init__(self, n_nodes: int) -> None:
+        """An empty history; InvalidTopologyError for a negative `n_nodes`."""
+        if n_nodes < 0:
+            raise InvalidTopologyError(f"a history needs n_nodes >= 0, got {n_nodes}")
         self.total = np.zeros((n_nodes, n_nodes))
         self._counts: np.ndarray | int = np.zeros((n_nodes, n_nodes), dtype=np.int64)
 

@@ -84,9 +84,9 @@ def estimate_latency(history: LatencyHistory) -> np.ndarray:
     return l_hat
 
 
-def announce_heads(n_nodes: int, pool_count: int, l_hat: np.ndarray,
+def announce_heads(pool_count: int, l_hat: np.ndarray,
                    ping: np.ndarray | None = None) -> list[int]:
-    """Select the pool heads.
+    """Select the pool heads among the nodes of the square estimate `l_hat`.
 
     Heads are picked by greedy farthest-point selection on the symmetrized
     estimated latency: the two mutually farthest nodes first, then
@@ -96,10 +96,10 @@ def announce_heads(n_nodes: int, pool_count: int, l_hat: np.ndarray,
     `dist` is one float64 array, `(l_hat + l_hat.T) * 0.5`, the bits of
     `/ 2`. `ping`, the row-major float64 array an adopted history's
     estimate was copied from (`history.total`), is overwritten with it as
-    `ping + l_hat.T`: both operands contiguous, and the same fl(a + b). A
-    `ping` of the wrong shape raises InvalidTopologyError. `dist` is
-    exactly symmetric: both mirrored entries are fl(fl(a + b) / 2), and
-    fl(a + b) = fl(b + a). So with the
+    `ping + l_hat.T`: both operands contiguous, and the same fl(a + b). An
+    `l_hat` that is not square, or a `ping` not of its shape, raises
+    InvalidTopologyError. `dist` is exactly symmetric: both mirrored
+    entries are fl(fl(a + b) / 2), and fl(a + b) = fl(b + a). So with the
     diagonal set to -inf, the first maximum of the whole matrix in
     row-major order lies in the upper triangle (its mirror would come
     first otherwise), and it is the first maximum of the upper triangle in
@@ -109,13 +109,12 @@ def announce_heads(n_nodes: int, pool_count: int, l_hat: np.ndarray,
     """
     if pool_count < 1:
         raise TooManyPoolsError(f"pool count must be >= 1, got {pool_count}")
+    n_nodes = _check_latency(l_hat, ping)
     if pool_count > n_nodes:
         raise TooManyPoolsError(f"{pool_count} pools for {n_nodes} nodes")
-    _check_latency(n_nodes, l_hat)
     if ping is None:
         dist = np.add(l_hat, l_hat.T, dtype=np.float64)
     else:
-        _check_latency(n_nodes, ping)
         dist = np.add(ping, l_hat.T, out=ping)
     dist *= 0.5
     if pool_count == 1:
@@ -135,9 +134,15 @@ def announce_heads(n_nodes: int, pool_count: int, l_hat: np.ndarray,
     return heads
 
 
-def _check_latency(n_nodes: int, l_hat: np.ndarray) -> None:
-    if l_hat.shape != (n_nodes, n_nodes):
-        raise InvalidTopologyError(f"latency estimate of shape {l_hat.shape} for {n_nodes} nodes")
+def _check_latency(l_hat: np.ndarray, ping: np.ndarray | None = None) -> int:
+    """The node count of a square estimate `l_hat`; InvalidTopologyError if
+    it is not square, or if `ping` is given and is not of its shape."""
+    if l_hat.ndim != 2 or l_hat.shape[0] != l_hat.shape[1]:
+        raise InvalidTopologyError(f"latency estimate of shape {l_hat.shape} is not square")
+    if ping is not None and ping.shape != l_hat.shape:
+        raise InvalidTopologyError(
+            f"ping of shape {ping.shape} for a latency estimate of shape {l_hat.shape}")
+    return l_hat.shape[0]
 
 
 def _check_heads(n_nodes: int, heads: Sequence[int]) -> None:
@@ -156,13 +161,13 @@ def join_order(n_nodes: int, heads: Iterable[int], seed: int) -> list[int]:
 
 
 def assign_pools(
-    n_nodes: int,
     heads: Sequence[int],
     l_hat: np.ndarray,
     t_p: Sequence[float],
     seed: int = 0,
 ) -> PoolAssignment:
-    """Sequential greedy pool membership.
+    """Sequential greedy pool membership of the nodes of the square
+    estimate `l_hat`.
 
     Non-head nodes are processed in a seeded random order; each joins the
     pool with the smallest estimated time cost against that pool's
@@ -180,10 +185,9 @@ def assign_pools(
     `l_hat[:, node]` is contiguous in the column-major `estimate_latency`
     output; any layout gives the same pools. Raises NodeNotFoundError unless
     the heads are distinct nodes, InvalidTopologyError unless `l_hat` is
-    (n_nodes, n_nodes), and EstimateCountError unless `t_p` has one entry
-    per head.
+    square, and EstimateCountError unless `t_p` has one entry per head.
     """
-    _check_latency(n_nodes, l_hat)
+    n_nodes = _check_latency(l_hat)
     _check_heads(n_nodes, heads)
     if len(t_p) != len(heads):
         raise EstimateCountError(f"{len(t_p)} time estimates for {len(heads)} pools")

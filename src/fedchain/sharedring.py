@@ -248,8 +248,9 @@ class RingSession:
     comes from the shared `ring_layout`, so a round is one column sum, one
     link gather, one cumsum and one max.
 
-    `start(now, ready_times)` fills `completion` and `results` (one shared
-    summed array); the round's end is `max(completion.values())`.
+    `total` is the summed vector every member ends with, and
+    `start(now, ready_times)` fills `completion`; the round's end is
+    `max(completion.values())`.
     """
 
     def __init__(
@@ -269,9 +270,8 @@ class RingSession:
         self.masks = list(masks) if masks is not None else None
         self.layout = ring_layout(self.k, self.vectors.shape[1], self.masks is not None)
         _check_masks(self.layout.spans, self.masks)
-        self._total = np.add.reduce(self.vectors, axis=0)
+        self.total = np.add.reduce(self.vectors, axis=0)
         self.completion: dict[int, float] = {}
-        self.results: dict[int, np.ndarray] = {}
 
     @property
     def raw_splits(self) -> list[list[np.ndarray]]:
@@ -281,7 +281,7 @@ class RingSession:
     def transcript(self) -> list[TranscriptEntry]:
         """The round's messages in stream-major order (see `ring_transcript`)."""
         hops, _ = ring_payloads(self.vectors, self.layout.spans, self.masks, self.layout.index)
-        return ring_transcript(hops, self._total, self.layout.spans, self.masks is not None)
+        return ring_transcript(hops, self.total, self.layout.spans, self.masks is not None)
 
     def start(self, now: float, ready_times: Sequence[float]) -> None:
         """Run the round from clock `now`; member i's stream leaves at
@@ -301,4 +301,3 @@ class RingSession:
             np.cumsum(times, axis=1, out=times)
             finish = np.take(times, layout.arrival).max(axis=1)
         self.completion = dict(zip(self.members, finish.tolist()))
-        self.results = dict.fromkeys(self.members, self._total)

@@ -127,11 +127,15 @@ def _bind(com: ModelCommitment, x: np.ndarray, y: np.ndarray) -> bytes:
 def prove(
     model: DenseClassifier, challenge_x: np.ndarray, pp: PublicParams, blinding: bytes
 ) -> PredictionProof:
-    """Predict the challenge batch and bind the predictions to the commitment."""
+    """Predict the challenge batch and bind the predictions to the commitment.
+
+    The predictions are the opened model's, `deserialize_model` of the
+    fixed-point serialization that `verify` re-runs, not the float model's:
+    rounding to fixed point can flip an argmax."""
     if challenge_x.shape[0] == 0:
         raise EmptyChallengeError("challenge batch is empty")
-    y = model.predict(challenge_x)
     opening = serialize_model(model)
+    y = deserialize_model(opening).predict(challenge_x)
     com = ModelCommitment(digest=_digest(pp, blinding + opening))
     return PredictionProof(
         y=y,

@@ -52,8 +52,8 @@ class TestFormation:
 
         hist = bootstrap_history(small_setup.latency, seed=1)
         l_hat = estimate_latency(hist)
-        heads = announce_heads(small_setup.n_nodes, 2, l_hat=l_hat)
-        assignment = assign_pools(small_setup.n_nodes, heads, l_hat, [0.0, 0.0], seed=2)
+        heads = announce_heads(2, l_hat=l_hat)
+        assignment = assign_pools(heads, l_hat, [0.0, 0.0], seed=2)
         start = chain._simulate_formation(small_setup, assignment)
         assert set(start) == set(range(small_setup.n_nodes))
         max_lat = small_setup.latency.max()
@@ -122,7 +122,7 @@ def formation_latency(topology, n):
 
 def formation_case(latency, heads, join_seed):
     l_hat = latency.astype(np.float64)
-    assignment = pools.assign_pools(len(latency), heads, l_hat, [0.0] * len(heads), seed=join_seed)
+    assignment = pools.assign_pools(heads, l_hat, [0.0] * len(heads), seed=join_seed)
     setup = chain.RoundSetup(task=None, latency=latency, compute_times=None, miner_data=[])
     return setup, assignment
 
@@ -138,7 +138,7 @@ class TestFormationOracle:
             latency = formation_latency(topology, n)
             for p in range(1, n + 1):
                 if policy == "spread":
-                    heads = pools.announce_heads(n, p, l_hat=latency.astype(np.float64))
+                    heads = pools.announce_heads(p, l_hat=latency.astype(np.float64))
                 else:
                     heads = random_heads(n, p, seed=p)
                 # odd p: the publisher (node 0) is a head; even p: any heads
@@ -277,7 +277,7 @@ def oracle_verification_exchange(sim, setup, outcome, model, tamper, pp):
     blinding = verify.make_blinding(chain._derive_seed(setup.seed, task.task_id, "blind", pool_id))
     com = verify.commit(model, pp, blinding)
     votes = {}
-    state = {"commit_time": sim.now, "proof_time": None, "accept_time": None}
+    state = {"proof_time": None, "accept_time": None}
     vote_times = {}
     proofs = {}
     samples = {}
@@ -327,7 +327,6 @@ def oracle_verification_exchange(sim, setup, outcome, model, tamper, pp):
     outcome.measured_accuracy = float(np.mean([m for _, m in votes.values()])) if votes else 0.0
     outcome.accept_time = state["accept_time"]
     outcome.commitment = com.hex
-    outcome.commit_time = state["commit_time"]
     outcome.proof_time = state["proof_time"]
     outcome.vote_times = vote_times
 
@@ -353,8 +352,7 @@ def closed_form_exchange(setup, outcome, model, tamper):
 
 def oracle_pool_rounds(setup, pool_id, members, start_times, offset=0.0):
     """One pool trained to its natural end and, if it finished, verified:
-    the all-pools loop the race replaced, with separate `evaluate` and
-    `local_loss` calls. Its first barrier is `offset` ms after its last
+    the all-pools loop the race replaced. Its first barrier is `offset` ms after its last
     member's start."""
     task = setup.task
     weights_vec = fed.aggregation_weights("kl", [setup.miner_data[m] for m in members],
@@ -382,10 +380,9 @@ def oracle_pool_rounds(setup, pool_id, members, start_times, offset=0.0):
         session = sharedring.RingSession(setup.latency, members, vectors, masks=masks)
         session.start(barrier, [barrier + float(setup.compute_times[m]) for m in members])
         barrier = max(session.completion.values())
-        model = model.clone(fixedpoint.decode(session.results[members[0]]) / k)
+        model = model.clone(fixedpoint.decode(session.total) / k)
         accuracy = fed.evaluate(model, task.example)
-        loss = fed.local_loss(model, task.example)
-        outcome.metrics.append(fed.RoundMetrics(round_idx, pool_id, accuracy, loss, barrier))
+        outcome.metrics.append(fed.RoundMetrics(accuracy, barrier))
         if barrier > task.deadline:
             return outcome
         if accuracy >= task.target:
@@ -434,6 +431,8 @@ def assert_same_block(raced, oracle):
     assert raced.winner_pool == winner
     assert raced.accuracy == oracle.accuracy
     assert raced.outcomes[winner].metrics == oracle.outcomes[winner].metrics
+    commit = next(tx for tx in raced.block.transactions if tx.kind == "ModelCommit")
+    assert commit.timestamp == oracle.outcomes[winner].finish_time
     assert raced.credits == oracle.credits
     assert raced.start_times == oracle.start_times
 
@@ -482,19 +481,19 @@ def assert_race_cut(raced, oracle, setup, offset=0.0):
         else:
             assert [i < ran for i in range(len(starts))] == [(b, pool) < best for b in bounds]
         verified = (got.finish_time, got.accept_time, got.accepted, got.measured_accuracy,
-                    got.commitment, got.commit_time, got.proof_time, got.vote_times)
+                    got.commitment, got.proof_time, got.vote_times)
         if ran < len(full.metrics):
             assert got.abandoned_at == starts[ran]
             assert (got.finish_time, got.commitment, got.accepted) == (None, None, False)
         elif full.finish_time is not None and (full.accept_time, pool) > best:
             # its last vote would land after the block's: never exchanged
             assert got.abandoned_at == full.finish_time
-            assert verified == (full.finish_time, None, False, 0.0, None, None, None, {})
+            assert verified == (full.finish_time, None, False, 0.0, None, None, {})
         else:
             assert got.abandoned_at is None
             assert verified == (
                 full.finish_time, full.accept_time, full.accepted, full.measured_accuracy,
-                full.commitment, full.commit_time, full.proof_time, full.vote_times)
+                full.commitment, full.proof_time, full.vote_times)
     return sum(o.abandoned_at is not None for o in raced.outcomes)
 
 
@@ -849,7 +848,7 @@ class TestTimeScaling:
         out += [tx.timestamp for tx in result.block.transactions]
         out += [result.start_times[node] for node in sorted(result.start_times)]
         for o in result.outcomes:
-            out += [o.finish_time, o.accept_time, o.commit_time, o.proof_time, o.abandoned_at]
+            out += [o.finish_time, o.accept_time, o.proof_time, o.abandoned_at]
             out += [o.vote_times[v] for v in sorted(o.vote_times)]
             out += [m.sim_time_ms for m in o.metrics]
         return out
@@ -859,7 +858,7 @@ class TestTimeScaling:
         return (result.winner_pool, result.credits, result.accuracy,
                 result.block.proposer, result.block.model_commitment,
                 [(o.pool_id, o.members, len(o.metrics), o.accepted,
-                  [(m.accuracy, m.loss) for m in o.metrics]) for o in result.outcomes])
+                  [m.accuracy for m in o.metrics]) for o in result.outcomes])
 
     @pytest.mark.parametrize("factor", [2.0, 0.5])
     @pytest.mark.parametrize("mode, n, p", [
@@ -1028,9 +1027,9 @@ class TestVerificationExchangeOracle:
                 if tamper or seed == 0:
                     assert want.accepted is (not tamper)
                 assert (got.accepted, got.measured_accuracy, got.accept_time, got.commitment,
-                        got.commit_time, got.proof_time) == (
+                        got.proof_time) == (
                     want.accepted, want.measured_accuracy, want.accept_time, want.commitment,
-                    want.commit_time, want.proof_time)
+                    want.proof_time)
                 assert list(got.vote_times.items()) == list(want.vote_times.items())
                 assert all(type(t) is float for t in got.vote_times.values())
 
@@ -1506,8 +1505,8 @@ def oracle_fedavg_central(ledger, setup, offset=0.0):
                 busy = max(busy, r) + float(setup.latency[m, coord]) * su
         now = busy
         model = model.clone(fed.aggregate([t.weights for t in trained], weights_vec))
-        accuracy, loss = fed.evaluate_and_loss(model, task.example)
-        metrics.append(fed.RoundMetrics(round_idx, 0, accuracy, loss, now))
+        accuracy = fed.evaluate(model, task.example)
+        metrics.append(fed.RoundMetrics(accuracy, now))
         if now > task.deadline:
             break
         if accuracy >= task.target:
@@ -1541,9 +1540,9 @@ def oracle_gfl_ring(ledger, setup, offset=0.0):
         session = sharedring.RingSession(setup.latency, nodes, vectors, masks=None)
         session.start(barrier, [barrier + float(setup.compute_times[m]) for m in nodes])
         barrier = max(session.completion.values())
-        model = model.clone(fixedpoint.decode(session.results[nodes[0]]) / k)
-        accuracy, loss = fed.evaluate_and_loss(model, task.example)
-        metrics.append(fed.RoundMetrics(round_idx, 0, accuracy, loss, barrier))
+        model = model.clone(fixedpoint.decode(session.total) / k)
+        accuracy = fed.evaluate(model, task.example)
+        metrics.append(fed.RoundMetrics(accuracy, barrier))
         if barrier > task.deadline:
             break
         if accuracy >= task.target:
@@ -1590,9 +1589,9 @@ def assert_same_baseline(got, oracle):
     [a], [b] = got.outcomes, oracle.outcomes
     assert a.metrics == b.metrics
     assert (a.head, a.members, a.finish_time, a.accept_time, a.accepted, a.measured_accuracy,
-            a.commitment, a.commit_time, a.proof_time, a.vote_times, a.abandoned_at) == (
+            a.commitment, a.proof_time, a.vote_times, a.abandoned_at) == (
         b.head, b.members, b.finish_time, b.accept_time, b.accepted, b.measured_accuracy,
-        b.commitment, b.commit_time, b.proof_time, b.vote_times, b.abandoned_at)
+        b.commitment, b.proof_time, b.vote_times, b.abandoned_at)
     assert np.array_equal(a.weights, b.weights)
 
 
@@ -1757,6 +1756,36 @@ def test_export_load_export_same_bytes(tmp_path, mode, seed):
     ledger.export_jsonl(str(first))
     chain.load_chain_jsonl(str(first)).export_jsonl(str(second))
     assert second.read_bytes() == first.read_bytes()
+
+
+def setup_digests(setup):
+    """SHA-256 of every array a round reads from its setup: the latency,
+    the compute times, each miner's data, the example and the held-out set."""
+    datasets = [*setup.miner_data, setup.task.example, setup.task.held_out]
+    arrays = [setup.latency, setup.compute_times] + [a for d in datasets for a in (d.x, d.y)]
+    return [hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest() for a in arrays]
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_a_round_leaves_its_setup_unchanged(tmp_path, seed):
+    """Every mode run twice on one shared setup gives the latency, winner,
+    credits and ledger export bytes of a run on a fresh setup, and the
+    shared setup's arrays hash the same before and after."""
+
+    def result(setup, mode):
+        ledger = chain.Chain()
+        got = chain.run_round(ledger, setup, mode)
+        path = tmp_path / "ledger.jsonl"
+        ledger.export_jsonl(str(path))
+        return got.latency_ms, got.winner_pool, got.credits, path.read_bytes()
+
+    shared = grid_setup(20, 4, seed)
+    before = setup_digests(shared)
+    for mode in chain.MODES:
+        fresh = result(grid_setup(20, 4, seed), mode)
+        for _ in range(2):
+            assert result(shared, mode) == fresh
+    assert setup_digests(shared) == before
 
 
 class TestLedgerIntegrity:
@@ -2332,8 +2361,7 @@ class TestChainRingAudit:
             )
             assert report.passed, report.violations
             expected = np.sum(np.stack(vectors), axis=0)
-            assert session.results.keys() == set(session.members)
-            assert all(np.array_equal(r, expected) for r in session.results.values())
+            assert np.array_equal(session.total, expected)
 
     def test_every_session_of_a_round(self, monkeypatch):
         self.audit_round(monkeypatch, fixedpoint.NOISE_BITS)

@@ -58,30 +58,8 @@ class TestLocalLoss:
             expected += -math.log(probs[y[i]])
         assert fed.local_loss(model, ds) == pytest.approx(expected, rel=1e-12)
 
-    def test_nan_weights_rejected(self, arch, small_set):
-        weights = np.zeros(arch.n_weights)
-        weights[0] = np.nan
-        model = fed.DenseClassifier(arch, weights=weights)
-        with pytest.raises(NonFiniteLossError):
-            fed.local_loss(model, small_set)
-
-
-class TestEvaluateAndLoss:
-    """The fused call equals `evaluate` then `local_loss`, bit for bit, and
-    raises where `local_loss` raises."""
-
-    def test_bit_identical_to_the_two_calls(self, arch):
-        for seed in range(20):
-            rng = np.random.default_rng(seed)
-            model = fed.DenseClassifier(arch, weights=rng.normal(0, 2.0, arch.n_weights))
-            n = int(rng.integers(1, 60))
-            ds = data.Dataset(rng.normal(size=(n, 4)), rng.integers(0, 3, n), 3)
-            accuracy, loss = fed.evaluate_and_loss(model, ds)
-            assert (accuracy, loss) == (fed.evaluate(model, ds), fed.local_loss(model, ds))
-            assert type(accuracy) is float and type(loss) is float
-
     @pytest.mark.parametrize("case", ["nan_weight", "inf_weight", "overflowing_loss"])
-    def test_non_finite_raises_like_local_loss(self, arch, small_set, case):
+    def test_non_finite_rejected(self, arch, small_set, case):
         weights = np.zeros(arch.n_weights)
         if case == "nan_weight":
             weights[0] = np.nan
@@ -91,12 +69,9 @@ class TestEvaluateAndLoss:
             weights[:] = 1e308
         model = fed.DenseClassifier(arch, weights=weights)
         with np.errstate(all="ignore"):
-            with pytest.raises(NonFiniteLossError) as expected:
+            with pytest.raises(NonFiniteLossError) as raised:
                 fed.local_loss(model, small_set)
-            with pytest.raises(NonFiniteLossError) as fused:
-                fed.evaluate_and_loss(model, small_set)
-        assert str(fused.value) == str(expected.value)
-        assert str(expected.value).startswith(
+        assert str(raised.value).startswith(
             "loss evaluated" if case == "overflowing_loss" else "model weights"
         )
 

@@ -142,6 +142,20 @@ class TestLatencyHistory:
         hist.record(0, 1, 14)
         assert hist.counts[0, 1] == 2
 
+    @pytest.mark.parametrize("n_nodes", [-1, -2, -10**12])
+    def test_negative_size_rejected_before_allocating(self, monkeypatch, n_nodes):
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("allocated an array for a negative size")
+
+        monkeypatch.setattr(netsim.np, "zeros", no_allocation)
+        with pytest.raises(InvalidTopologyError, match=re.escape(f"got {n_nodes}")):
+            netsim.LatencyHistory(n_nodes)
+
+    @pytest.mark.parametrize("n_nodes", [0, 1])
+    def test_empty_and_one_node_sizes_are_valid(self, n_nodes):
+        hist = netsim.LatencyHistory(n_nodes)
+        assert hist.n_nodes == n_nodes and len(hist) == 0 and hist.pairs() == []
+
     @pytest.mark.parametrize("n_nodes", [0, 3])
     @pytest.mark.parametrize("i, j", [(-1, 2), (2, -1), (-2, -1), (-1, -1)])
     def test_negative_node_rejected(self, n_nodes, i, j):

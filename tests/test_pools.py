@@ -95,14 +95,14 @@ class TestBootstrapHistory:
 class TestAnnounceHeads:
     def test_saturation(self):
         l_hat = np.ones((5, 5))
-        heads = pools.announce_heads(5, 5, l_hat=l_hat)
+        heads = pools.announce_heads(5, l_hat=l_hat)
         assert sorted(heads) == [0, 1, 2, 3, 4]
 
     def test_single_head_pool_holds_all_nodes(self):
         l_hat = netsim.build_topology(100, seed=4)
-        heads = pools.announce_heads(100, 1, l_hat=l_hat)
+        heads = pools.announce_heads(1, l_hat=l_hat)
         assert len(heads) == 1
-        assignment = pools.assign_pools(100, heads, l_hat, t_p=[0.0], seed=1)
+        assignment = pools.assign_pools(heads, l_hat, t_p=[0.0], seed=1)
         assert sorted(assignment.pools[0].members) == list(range(100))
 
     def test_spread_matches_bruteforce_maxmin(self):
@@ -119,12 +119,12 @@ class TestAnnounceHeads:
         best_pair = max(
             itertools.combinations(range(4), 2), key=lambda pair: d[pair[0], pair[1]]
         )
-        heads = pools.announce_heads(4, 2, l_hat=d)
+        heads = pools.announce_heads(2, l_hat=d)
         assert sorted(heads) == sorted(best_pair) == [0, 3]
 
     def test_too_many_pools(self):
         with pytest.raises(TooManyPoolsError):
-            pools.announce_heads(3, 4, l_hat=np.zeros((3, 3)))
+            pools.announce_heads(4, l_hat=np.zeros((3, 3)))
 
 
 class TestPoolCost:
@@ -139,7 +139,7 @@ class TestPoolCost:
 
     def members(self, heads, t_p, l_hat=None):
         l_hat = self.l_hat if l_hat is None else l_hat
-        assignment = pools.assign_pools(len(l_hat), heads, l_hat, t_p, seed=0)
+        assignment = pools.assign_pools(heads, l_hat, t_p, seed=0)
         return [pool.members for pool in assignment.pools]
 
     def test_compute_bound(self):
@@ -171,7 +171,7 @@ class TestAssignPools:
         n = 6
         l_hat = np.full((n, n), 25.0)
         np.fill_diagonal(l_hat, 0.0)
-        assignment = pools.assign_pools(n, heads=[2, 4], l_hat=l_hat, t_p=[0.0, 0.0], seed=1)
+        assignment = pools.assign_pools(heads=[2, 4], l_hat=l_hat, t_p=[0.0, 0.0], seed=1)
         lower = assignment.pools[0]
         assert lower.head == 2
         assert sorted(lower.members) == [0, 1, 2, 3, 5]
@@ -181,7 +181,7 @@ class TestAssignPools:
         l_hat = np.array(
             [[0, 5, 500], [5, 0, 300], [500, 300, 0]], dtype=float
         )
-        assignment = pools.assign_pools(3, heads=[1, 2], l_hat=l_hat, t_p=[0.0, 0.0], seed=0)
+        assignment = pools.assign_pools(heads=[1, 2], l_hat=l_hat, t_p=[0.0, 0.0], seed=0)
         assert pool_of(assignment, 0) == 0  # joins head 1's pool over head 2's
 
     def test_recovers_clusters_against_enumeration(self):
@@ -210,7 +210,7 @@ class TestAssignPools:
 
         best = min(itertools.product([0, 1], repeat=4), key=total_cost)
         expected = {node: pool for node, pool in zip(non_heads, best)}
-        assignment = pools.assign_pools(n, heads, l_hat, t_p=[0.0, 0.0], seed=3)
+        assignment = pools.assign_pools(heads, l_hat, t_p=[0.0, 0.0], seed=3)
         for node in non_heads:
             assert pool_of(assignment, node) == expected[node]
         assert sorted(assignment.pools[0].members) == [0, 1, 2]
@@ -218,8 +218,8 @@ class TestAssignPools:
 
     def test_partition_invariant(self):
         l_hat = netsim.build_topology(20, seed=8)
-        heads = pools.announce_heads(20, 4, l_hat=l_hat)
-        assignment = pools.assign_pools(20, heads, l_hat, t_p=[0.0] * 4, seed=5)
+        heads = pools.announce_heads(4, l_hat=l_hat)
+        assignment = pools.assign_pools(heads, l_hat, t_p=[0.0] * 4, seed=5)
         assert sorted(m for pool in assignment.pools for m in pool.members) == list(range(20))
 
     def test_greedy_local_optimality_replay(self):
@@ -227,10 +227,10 @@ class TestAssignPools:
         # was cost-minimal at the moment it joined.
         n, k = 15, 3
         l_hat = netsim.build_topology(n, seed=21)
-        heads = pools.announce_heads(n, k, l_hat=l_hat)
+        heads = pools.announce_heads(k, l_hat=l_hat)
         t_p = [40.0, 10.0, 90.0]
         seed = 13
-        assignment = pools.assign_pools(n, heads, l_hat, t_p, seed=seed)
+        assignment = pools.assign_pools(heads, l_hat, t_p, seed=seed)
         members = {idx: [pool.head] for idx, pool in enumerate(assignment.pools)}
         for node in pools.join_order(n, heads, seed):
             chosen = pool_of(assignment, node)
@@ -362,12 +362,12 @@ class TestKernelOracles:
                 np.fill_diagonal(l_hat, 0.0)
             for p in range(1, n + 1):
                 if policy == "spread":
-                    heads = pools.announce_heads(n, p, l_hat=l_hat)
+                    heads = pools.announce_heads(p, l_hat=l_hat)
                     assert heads == oracle_announce_heads(n, p, l_hat)
                 else:
                     heads = random_heads(n, p, seed=p)
                 t_p = rng.integers(0, 4, size=p).astype(float).tolist()
-                assignment = pools.assign_pools(n, heads, l_hat, t_p, seed=n + p)
+                assignment = pools.assign_pools(heads, l_hat, t_p, seed=n + p)
                 expected = oracle_assign_pools(n, heads, l_hat, t_p, seed=n + p)
                 assert [pool.members for pool in assignment.pools] == expected
                 assert assignment.heads() == heads
@@ -377,7 +377,7 @@ class TestKernelOracles:
         l_hat = np.full((n, n), 10.0)
         np.fill_diagonal(l_hat, 0.0)
         heads = [5, 1, 3]  # pool 0 has the highest head id
-        assignment = pools.assign_pools(n, heads, l_hat, t_p=[20.0, 20.0, 20.0], seed=0)
+        assignment = pools.assign_pools(heads, l_hat, t_p=[20.0, 20.0, 20.0], seed=0)
         assert [pool.members for pool in assignment.pools] == oracle_assign_pools(
             n, heads, l_hat, [20.0, 20.0, 20.0], seed=0
         )
@@ -393,7 +393,7 @@ class TestKernelOracles:
             l_hat = rng.uniform(1, 100, size=(n, n))
             np.fill_diagonal(l_hat, 1000.0 + np.arange(n))
             for p in range(1, n + 1):
-                assert pools.announce_heads(n, p, l_hat=l_hat) == oracle_announce_heads(n, p, l_hat)
+                assert pools.announce_heads(p, l_hat=l_hat) == oracle_announce_heads(n, p, l_hat)
 
     def test_announce_integer_dtype(self):
         rng = np.random.default_rng(32)
@@ -401,7 +401,7 @@ class TestKernelOracles:
             l_hat = rng.integers(0, 50, size=(n, n))
             assert l_hat.dtype.kind == "i"
             for p in range(1, n + 1):
-                assert pools.announce_heads(n, p, l_hat=l_hat) == oracle_announce_heads(n, p, l_hat)
+                assert pools.announce_heads(p, l_hat=l_hat) == oracle_announce_heads(n, p, l_hat)
 
     @pytest.mark.parametrize("pairs", [
         [(1, 4), (4, 1)],                  # mirrored only
@@ -415,7 +415,7 @@ class TestKernelOracles:
         for i, j in pairs:
             l_hat[i, j] = l_hat[j, i] = 100.0
         for p in range(1, n + 1):
-            assert pools.announce_heads(n, p, l_hat=l_hat) == oracle_announce_heads(n, p, l_hat)
+            assert pools.announce_heads(p, l_hat=l_hat) == oracle_announce_heads(n, p, l_hat)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_assign_matches_loop_at_200_nodes(self, seed):
@@ -424,9 +424,9 @@ class TestKernelOracles:
         l_hat = rng.uniform(1, 100, size=(n, n))
         np.fill_diagonal(l_hat, 0.0)
         for p in (2, 9, 40):
-            heads = pools.announce_heads(n, p, l_hat=l_hat)
+            heads = pools.announce_heads(p, l_hat=l_hat)
             t_p = rng.uniform(0, 100, size=p).tolist()
-            assignment = pools.assign_pools(n, heads, l_hat, t_p, seed=seed)
+            assignment = pools.assign_pools(heads, l_hat, t_p, seed=seed)
             assert [pool.members for pool in assignment.pools] == oracle_assign_pools(
                 n, heads, l_hat, t_p, seed=seed)
 
@@ -478,8 +478,8 @@ class TestMemoryOrder:
                 t_p = rng.integers(0, 4, size=p).astype(float).tolist()
                 got = []
                 for layout in layouts:
-                    heads = pools.announce_heads(n, p, l_hat=layout)
-                    assignment = pools.assign_pools(n, heads, layout, t_p, seed=p)
+                    heads = pools.announce_heads(p, l_hat=layout)
+                    assignment = pools.assign_pools(heads, layout, t_p, seed=p)
                     got.append((heads, [pool.members for pool in assignment.pools]))
                 assert got[0] == got[1]
                 heads = got[0][0]
@@ -494,33 +494,41 @@ class TestFormationInputs:
         self.l_hat = np.full((5, 5), 10.0)
         np.fill_diagonal(self.l_hat, 0.0)
 
-    def test_announce_latency_larger_than_network(self):
-        with pytest.raises(InvalidTopologyError):
-            pools.announce_heads(4, 3, l_hat=self.l_hat)
+    @pytest.mark.parametrize("shape", [(5, 4), (4, 5), (5,), (3, 3, 3)])
+    def test_announce_latency_not_square(self, shape):
+        with pytest.raises(InvalidTopologyError, match="is not square"):
+            pools.announce_heads(2, l_hat=np.ones(shape))
 
-    def test_announce_latency_smaller_than_network(self):
-        with pytest.raises(InvalidTopologyError):
-            pools.announce_heads(5, 2, l_hat=self.l_hat[:3, :3])
+    @pytest.mark.parametrize("shape", [(5, 4), (4, 5), (5,), (3, 3, 3)])
+    def test_assign_latency_not_square(self, shape):
+        with pytest.raises(InvalidTopologyError, match="is not square"):
+            pools.assign_pools([0, 2], np.ones(shape), [0.0, 0.0])
 
-    @pytest.mark.parametrize("shape", [(3, 3), (5, 4), (6, 6)])
-    def test_assign_latency_of_wrong_shape(self, shape):
-        l_hat = np.ones(shape)
-        with pytest.raises(InvalidTopologyError):
-            pools.assign_pools(5, [0, 2], l_hat, [0.0, 0.0])
+    @pytest.mark.parametrize("n", [2, 5, 9])
+    def test_node_count_is_the_estimate_size(self, n):
+        """Heads and members range over the nodes of `l_hat`, whatever its size."""
+        l_hat = netsim.build_topology(n, seed=n)
+        heads = pools.announce_heads(2, l_hat=l_hat)
+        assignment = pools.assign_pools(heads, l_hat, [0.0, 0.0])
+        assert sorted(m for pool in assignment.pools for m in pool.members) == list(range(n))
+        with pytest.raises(TooManyPoolsError, match=f"{n + 1} pools for {n} nodes"):
+            pools.announce_heads(n + 1, l_hat=l_hat)
+        with pytest.raises(NodeNotFoundError):
+            pools.assign_pools([0, n], l_hat, [0.0, 0.0])
 
     @pytest.mark.parametrize("t_p", [[0.0], [0.0, 0.0, 0.0], []])
     def test_assign_estimates_not_one_per_head(self, t_p):
         with pytest.raises(EstimateCountError, match=f"{len(t_p)} time estimates for 2 pools"):
-            pools.assign_pools(5, [0, 2], self.l_hat, t_p)
+            pools.assign_pools([0, 2], self.l_hat, t_p)
 
     @pytest.mark.parametrize("heads", [[1, 1], [0, 5], [-1, 2], [3, 2, 3]])
     def test_assign_heads_not_distinct_nodes(self, heads):
         with pytest.raises(NodeNotFoundError):
-            pools.assign_pools(5, heads, self.l_hat, [0.0] * len(heads))
+            pools.assign_pools(heads, self.l_hat, [0.0] * len(heads))
 
     def test_assign_without_heads(self):
         with pytest.raises(TooManyPoolsError):
-            pools.assign_pools(5, [], self.l_hat, [])
+            pools.assign_pools([], self.l_hat, [])
 
 
 def formation_before(setup):
@@ -783,19 +791,19 @@ class TestAnnounceWithPing:
         ping, p = case
         n = len(ping)
         l_hat = np.array(ping, order="F")
-        without = pools.announce_heads(n, p, l_hat=l_hat)
-        with_ping = pools.announce_heads(n, p, l_hat=l_hat, ping=ping.copy())
+        without = pools.announce_heads(p, l_hat=l_hat)
+        with_ping = pools.announce_heads(p, l_hat=l_hat, ping=ping.copy())
         assert with_ping == without == oracle_announce_heads(n, p, l_hat)
 
     def test_ping_is_overwritten_with_dist(self):
         ping = netsim.build_topology(7, seed=2)
         l_hat = np.array(ping, order="F")
         target = ping.copy()
-        pools.announce_heads(7, 1, l_hat=l_hat, ping=target)
+        pools.announce_heads(1, l_hat=l_hat, ping=target)
         assert target.tobytes() == ((ping + ping.T) / 2.0).tobytes()
 
     @pytest.mark.parametrize("shape", [(4, 4), (5, 6), (6, 6)])
     def test_ping_of_wrong_shape(self, shape):
         l_hat = np.ones((5, 5))
         with pytest.raises(InvalidTopologyError):
-            pools.announce_heads(5, 2, l_hat=l_hat, ping=np.ones(shape))
+            pools.announce_heads(2, l_hat=l_hat, ping=np.ones(shape))

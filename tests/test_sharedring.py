@@ -201,7 +201,7 @@ class TestReduceScatter:
         rng = np.random.default_rng(4)
         vectors = [rng.integers(-50, 50, size=9).astype(np.int64) for _ in range(3)]
         session = run_ring(vectors, seeded_masks(vectors, 77))
-        acc0 = session.results[0][: len(session.raw_splits[0][0])] + session.masks[0]
+        acc0 = session.total[: len(session.raw_splits[0][0])] + session.masks[0]
         wrong = unmask_own_sum(acc0, session.masks[1])
         oracle = column_sum_oracle(vectors, 3)
         assert not np.array_equal(wrong, oracle[0])
@@ -209,7 +209,7 @@ class TestReduceScatter:
     def test_all_zero_models_leaves_noise(self):
         vectors = [np.zeros(6, dtype=np.int64) for _ in range(2)]
         session = run_ring(vectors, seeded_masks(vectors, 9))
-        assert np.array_equal(session.results[0], np.zeros(6, dtype=np.int64))
+        assert np.array_equal(session.total, np.zeros(6, dtype=np.int64))
 
 
 class TestAllGather:
@@ -217,15 +217,13 @@ class TestAllGather:
         vectors = [np.array([5, 6], dtype=np.int64)]
         session = run_ring(vectors, seeded_masks(vectors, 1))
         assert len(session.transcript) == 0
-        assert np.array_equal(session.results[0], np.array([5, 6]))
+        assert np.array_equal(session.total, np.array([5, 6]))
 
-    def test_all_miners_identical_and_match_oracle(self):
+    def test_total_matches_oracle(self):
         rng = np.random.default_rng(8)
         vectors = [rng.integers(-100, 100, size=11).astype(np.int64) for _ in range(3)]
         session = run_ring(vectors, seeded_masks(vectors, 123))
-        expected = np.sum(np.stack(vectors), axis=0)
-        for s in session.results.values():
-            assert np.array_equal(s, expected)
+        assert np.array_equal(session.total, np.sum(np.stack(vectors), axis=0))
 
     @pytest.mark.parametrize("k", [2, 3, 5, 8])
     def test_masked_message_count(self, k):
@@ -245,9 +243,7 @@ class TestAllGather:
         rng = np.random.default_rng(12)
         vectors = [rng.integers(-100, 100, size=13).astype(np.int64) for _ in range(4)]
         session = run_ring(vectors)
-        expected = np.sum(np.stack(vectors), axis=0)
-        for s in session.results.values():
-            assert np.array_equal(s, expected)
+        assert np.array_equal(session.total, np.sum(np.stack(vectors), axis=0))
 
 
 class TestMaskNeutrality:
@@ -256,8 +252,7 @@ class TestMaskNeutrality:
         vectors = [rng.integers(-1000, 1000, size=23).astype(np.int64) for _ in range(5)]
         a = run_ring(vectors, seeded_masks(vectors, 111))
         b = run_ring(vectors, seeded_masks(vectors, 9999))
-        for x, y in zip(a.results.values(), b.results.values()):
-            assert np.array_equal(x, y)
+        assert np.array_equal(a.total, b.total)
 
     @given(st.integers(0, 2**31 - 1), st.integers(0, 2**31 - 1))
     @settings(max_examples=25, deadline=None)
@@ -266,7 +261,7 @@ class TestMaskNeutrality:
         vectors = [rng.integers(-9, 9, size=7).astype(np.int64) for _ in range(3)]
         a = run_ring(vectors, seeded_masks(vectors, seed_a))
         b = run_ring(vectors, seeded_masks(vectors, seed_b))
-        assert all(np.array_equal(x, y) for x, y in zip(a.results.values(), b.results.values()))
+        assert np.array_equal(a.total, b.total)
 
 
 class TestLeakage:
@@ -370,7 +365,7 @@ class TestNoisePrg:
                  for i, c in enumerate(split(vectors[0], 4))]
         session = run_ring(vectors, masks)
         expected = np.sum(np.stack(vectors), axis=0)
-        assert all(np.array_equal(r, expected) for r in session.results.values())
+        assert np.array_equal(session.total, expected)
 
 
 class TestRingSession:
@@ -389,12 +384,11 @@ class TestRingSession:
         return session, vectors
 
     @pytest.mark.parametrize("k,masked", [(1, True), (2, True), (4, True), (4, False)])
-    def test_results_match_direct_sum(self, k, masked):
+    def test_total_matches_direct_sum(self, k, masked):
         session, vectors = self.run_session(k, masked)
         assert done(session)
         expected = np.sum(np.stack(vectors), axis=0)
-        for node in range(k):
-            assert np.array_equal(session.results[node], expected)
+        assert np.array_equal(session.total, expected)
 
     def test_simulated_message_count_matches_pure_path(self):
         k = 4
@@ -426,7 +420,7 @@ class TestRingSessionTotal:
         session = sharedring.RingSession(lat, list(range(k)), vectors, masks=masks)
         session.start(0.0, [0.0] * k)
         hops, total = sharedring.ring_payloads(vectors, spans, masks)
-        assert all(r.tobytes() == total.tobytes() for r in session.results.values())
+        assert session.total.tobytes() == total.tobytes()
         want = sharedring.ring_transcript(hops, total, spans, masked)
         got = session.transcript
         assert [(e.phase, e.step, e.src, e.dst, e.slot, e.masked) for e in got] == [
@@ -466,7 +460,7 @@ class TestRingSessionAudit:
         )
         assert report.passed, report.violations
         expected = np.sum(np.stack(vectors), axis=0)
-        assert all(np.array_equal(r, expected) for r in session.results.values())
+        assert np.array_equal(session.total, expected)
 
     @pytest.mark.parametrize("k", [2, 3, 4, 6])
     def test_zero_mask_session_fails_leakage_check(self, k):
@@ -520,7 +514,7 @@ class TestRingSessionSharesInputs:
         assert done(session)
         assert all(np.array_equal(v, b) for v, b in zip(vectors, before))
         expected = np.sum(np.stack(before), axis=0)
-        assert all(np.array_equal(r, expected) for r in session.results.values())
+        assert np.array_equal(session.total, expected)
 
     def test_too_many_members_still_rejected(self):
         lat = netsim.build_topology(4, seed=0)
@@ -709,9 +703,9 @@ class TestRingSessionOracle:
             ]
             assert got.completion == want.completion
             assert got_now == want_now == max(want.completion.values())
-            assert got.results.keys() == want.results.keys()
-            for node, result in want.results.items():
-                assert np.array_equal(got.results[node], result)
+            assert want.results.keys() == set(members)
+            for result in want.results.values():
+                assert np.array_equal(got.total, result)
 
             def by_key(entries):
                 return {(e.phase, e.slot, e.step): e for e in entries}
@@ -780,8 +774,8 @@ class TestRingLayout:
             ]
             layouts.append(got.layout)
             assert got.completion == want.completion and got_now == want_now
-            for node, result in want.results.items():
-                assert np.array_equal(got.results[node], result)
+            for result in want.results.values():
+                assert np.array_equal(got.total, result)
             want_t = {(e.phase, e.slot, e.step): e.payload for e in want.transcript}
             got_t = {(e.phase, e.slot, e.step): e.payload for e in got.transcript}
             assert want_t.keys() == got_t.keys()

@@ -88,6 +88,21 @@ class TestProveVerify:
         result = verify.verify(com, sample, proof, pp)
         assert result.accepted
 
+    def test_honest_proof_accepted_where_fixed_point_flips_an_argmax(self):
+        # The float model predicts class 1 by a 1e-9 margin; in fixed point
+        # the two logits tie, so the opened model predicts class 0.
+        model = fed.DenseClassifier(fed.Architecture(2, 2),
+                                    weights=np.array([0.1, 0.1 + 1e-9, 0.0, 0.0, 0.0, 0.0]))
+        x = np.array([[1.0, 0.0]])
+        pp, blinding = verify.keygen(seed=3), verify.make_blinding(4)
+        com = verify.commit(model, pp, blinding)
+        proof = verify.prove(model, x, pp, blinding)
+        result = verify.verify(com, verify.VerificationSample(x=x, labels=np.array([1])), proof, pp)
+        assert result.accepted, result.reason
+        assert model.predict(x).tolist() == [1]
+        assert proof.y.tolist() == verify.deserialize_model(proof.model_opening).predict(x).tolist()
+        assert proof.y.tolist() == [0] and result.measured_accuracy == 0.0
+
     def test_measured_accuracy_equals_evaluate(self, setup):
         model, held_out, pp, blinding = setup
         com = verify.commit(model, pp, blinding)
