@@ -121,16 +121,18 @@ class ExperimentConfig:
 
     def check(self) -> None:
         """Raise ValueError for a value out of range: a training value that
-        `TrainConfig` refuses, a `target` outside (0, 1], `sweep_miners` or
-        `sweep_max_rounds` below 1, pow settings that `chain.pow_range_problem`
-        refuses, an alpha or `grid_alpha` outside [0, 1], or a negative seed."""
+        `TrainConfig` refuses, a `target` outside (0, 1], `sweep_miners`,
+        `sweep_max_rounds` or `example_size` below 1, a negative
+        `held_out_size`, pow settings that `chain.pow_range_problem` refuses,
+        an alpha or `grid_alpha` outside [0, 1], or a negative seed."""
         self.train_config()
         if not 0 < self.target <= 1:
             raise ValueError(f"accuracy target must be in (0, 1], got {self.target}")
         self.train_config(self.sweep_lr)
-        for key in ("sweep_miners", "sweep_max_rounds"):
-            if getattr(self, key) < 1:
-                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
+        for key, floor in (("sweep_miners", 1), ("sweep_max_rounds", 1),
+                           ("example_size", 1), ("held_out_size", 0)):
+            if getattr(self, key) < floor:
+                raise ValueError(f"{key} must be >= {floor}, got {getattr(self, key)}")
         problem = chain.pow_range_problem(self.pow_difficulty, self.pow_trial_ms)
         if problem is not None:
             raise ValueError(problem)

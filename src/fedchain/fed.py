@@ -9,6 +9,7 @@ reference histogram.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -105,18 +106,29 @@ def _loss_grad_into(
     operations of the textbook form in the same order: matmul then bias
     add, minus the row max, exp, divide by the row sum, `x.T @ d`, column
     sum (`np.maximum.reduce` and `np.add.reduce` are what the ndarray
-    `max` and `sum` methods call). Subtracting a one-hot row equals
+    `max` and `sum` methods call; their arguments are positional, `(array,
+    axis, dtype, out, keepdims)`, which spares the keyword parsing of a
+    call made once per batch). Subtracting a one-hot row equals
     `d[arange, y] -= 1.0`, because `p - 0.0 == p`.
     """
     w, b = params
     d = x @ w
     d += b
-    d -= np.maximum.reduce(d, axis=1, keepdims=True)
+    d -= np.maximum.reduce(d, 1, None, None, True)
     np.exp(d, out=d)
-    d /= np.add.reduce(d, axis=1, keepdims=True)
+    d /= np.add.reduce(d, 1, None, None, True)
     d -= onehot
     np.matmul(x.T, d, out=grads[0])
-    np.add.reduce(d, axis=0, out=grads[1])
+    np.add.reduce(d, 0, None, grads[1])
+
+
+@functools.cache
+def _identity(n_classes: int) -> np.ndarray:
+    """The read-only `np.eye(n_classes)` whose rows are the one-hot targets,
+    built once per class count."""
+    eye = np.eye(n_classes)
+    eye.flags.writeable = False
+    return eye
 
 
 def local_loss(model: DenseClassifier, dataset: Dataset) -> float:
@@ -137,34 +149,37 @@ def local_train(
     Batch gradients are means, so the learning rate is batch-size stable.
     Deterministic for a given seed.
 
-    Each epoch gathers the shuffled rows and their one-hot targets once, so
-    a batch is a row slice of them. Each step writes its gradient with
-    `_loss_grad_into` into one reused buffer through views built once per
-    call, and updates the weights in place: `grad /= batch; grad *= lr;
-    weights -= grad` are the float operations of `weights - lr * (grad /
-    batch)`. The result is bit-identical to a textbook loop that computes
-    each batch's gradient of the summed cross-entropy on a fresh model and
-    divides it by the batch size: the rows, the float operations and their
-    order are the same, and only temporaries and copies are saved.
+    Each epoch gathers the shuffled rows and their one-hot targets once,
+    with `take` (the rows of `x[order]` and `eye[y[order]]`, C-contiguous
+    whatever the layout of `x`), so a batch is a row slice of them. Each
+    step writes its gradient with `_loss_grad_into` into one reused buffer
+    through views built once per call, and updates the weights in place:
+    `grad /= batch; grad *= lr; weights -= grad` are the float operations
+    of `weights - lr * (grad / batch)`. The result is bit-identical to a
+    textbook loop that computes each batch's gradient of the summed
+    cross-entropy on a fresh model and divides it by the batch size: the
+    rows, the float operations and their order are the same, and only
+    temporaries and copies are saved.
     """
     rng = np.random.default_rng(seed)
     weights = model.weights.copy()
     grad = np.empty_like(weights)
     params, grads = _unpack(model.arch, weights), _unpack(model.arch, grad)
-    eye = np.eye(model.arch.n_classes)
-    n = len(dataset)
+    eye = _identity(model.arch.n_classes)
+    n, size, lr = len(dataset), cfg.batch_size, cfg.lr
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
-        x, onehot = dataset.x[order], eye[dataset.y[order]]
-        for start in range(0, n, cfg.batch_size):
-            stop = min(start + cfg.batch_size, n)
-            _loss_grad_into(params, grads, x[start:stop], onehot[start:stop])
-            grad /= stop - start
-            grad *= cfg.lr
+        x = dataset.x.take(order, axis=0)
+        onehot = eye.take(dataset.y.take(order), axis=0)
+        for start in range(0, n, size):
+            batch = x[start:start + size]
+            _loss_grad_into(params, grads, batch, onehot[start:start + size])
+            grad /= len(batch)
+            grad *= lr
             weights -= grad
-        if not np.all(np.isfinite(weights)):
+        if not np.isfinite(weights).all():
             raise TrainingDivergedError("weights became non-finite during training")
-    return model.clone(weights)
+    return DenseClassifier(model.arch, weights)
 
 
 def fedavg_weights(sizes: Sequence[int]) -> np.ndarray:

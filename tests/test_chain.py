@@ -1725,7 +1725,9 @@ def test_ledger_export_roundtrip(tmp_path):
     assert loaded.blocks[1].hash() == ledger.blocks[1].hash()
 
 
-# SHA-256 of `export_jsonl` after one round of `grid_setup(20, 4, seed)`.
+# SHA-256 of `export_jsonl` after one round of `grid_setup(20, 4, seed)`, made on
+# the numpy release below; another release may round a reduction differently.
+LEDGER_PINNED_ON = "numpy 2.4.6"
 LEDGER_EXPORT_SHA256 = {
     ("fedchain", 0): "0ff71600e132f9e3b326ea56928ebb56e0144bfc2f8adabd02dc7a74b8865f04",
     ("fedchain", 3): "74bfcded59682818e6b3b3ec4c11c8489cdc9fb785fe6f2bb8ea040b9bff6817",
@@ -1744,7 +1746,11 @@ def test_ledger_export_bytes(tmp_path, mode, seed):
     chain.run_round(ledger, grid_setup(20, 4, seed), mode)
     path = tmp_path / "ledger.jsonl"
     ledger.export_jsonl(str(path))
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == LEDGER_EXPORT_SHA256[mode, seed]
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == LEDGER_EXPORT_SHA256[mode, seed], (
+        f"{mode} seed {seed} ledger digest {digest} "
+        f"(pinned on {LEDGER_PINNED_ON}, ran on numpy {np.__version__})"
+    )
 
 
 @pytest.mark.parametrize("seed", [0, 3])

@@ -136,6 +136,8 @@ def test_malformed_config_exits_2(tmp_path, capsys, body, message):
     ("batch_size: -4\n", "batch size must be >= 1, got -4"),
     ("sweep_miners: 0\n", "sweep_miners must be >= 1, got 0"),
     ("sweep_max_rounds: 0\n", "sweep_max_rounds must be >= 1, got 0"),
+    ("example_size: 0\n", "example_size must be >= 1, got 0"),
+    ("held_out_size: -5\n", "held_out_size must be >= 0, got -5"),
     ("pow_difficulty: 300\n", "pow_difficulty must be in [0, 56], got 300"),
     ("pow_difficulty: 57\n", "pow_difficulty must be in [0, 56], got 57"),
     ("pow_difficulty: -1\n", "pow_difficulty must be in [0, 56], got -1"),

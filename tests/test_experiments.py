@@ -78,6 +78,9 @@ class TestConfig:
         path.write_text("")
         assert ExperimentConfig.from_file(str(path)) == ExperimentConfig()
 
+    def test_check_accepts_the_smallest_sizes(self):
+        ExperimentConfig(example_size=1, held_out_size=0).check()
+
     def test_fingerprint_tracks_content(self):
         a, b = ExperimentConfig(), ExperimentConfig()
         assert a.fingerprint() == b.fingerprint()

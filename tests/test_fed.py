@@ -156,13 +156,20 @@ class TestTrainingOracle:
     @pytest.mark.parametrize("batch_size", [1, 7, 32, 64])
     def test_matches_oracle(self, n, batch_size):
         rng = np.random.default_rng([n, batch_size, 0])
-        for variant, (dtype, scale) in enumerate(
-            [(np.float64, 1.0), (np.float32, 1.0), (np.float64, 50.0)]
-        ):
+        for variant, (dtype, scale, layout) in enumerate([
+            (np.float64, 1.0, "C"), (np.float32, 1.0, "C"), (np.float64, 50.0, "C"),
+            (np.float64, 1.0, "F"), (np.float32, 1.0, "strided"),
+        ]):
             n_features, n_classes = int(rng.integers(1, 16)), int(rng.integers(2, 12))
             arch = fed.Architecture(n_features, n_classes)
             model = fed.DenseClassifier(arch, rng.normal(0.0, 0.5, arch.n_weights))
             x = (rng.normal(size=(n, n_features)) * scale).astype(dtype)
+            # the trainer gathers rows with `take`: feed it rows that are not
+            # C-contiguous too, in Fortran order or as every other column
+            if layout == "F":
+                x = np.asfortranarray(x)
+            elif layout == "strided":
+                x = np.repeat(x, 2, axis=1)[:, ::2]
             ds = data.Dataset(x, rng.integers(0, n_classes, n), n_classes)
             with np.errstate(all="ignore"):
                 assert np.array_equal(
