@@ -41,6 +41,10 @@ class MaskShapeError(FedChainError):
     """Noise mask length does not match the owner's chunk length."""
 
 
+class ReadyTimeCountError(FedChainError):
+    """Ring stream ready times are not one per member."""
+
+
 class NonFiniteLossError(FedChainError):
     """Loss evaluation produced NaN or infinity."""
 

@@ -122,17 +122,21 @@ class ExperimentConfig:
     def check(self) -> None:
         """Raise ValueError for a value out of range: a training value that
         `TrainConfig` refuses, a `target` outside (0, 1], `sweep_miners`,
-        `sweep_max_rounds` or `example_size` below 1, a negative
-        `held_out_size`, pow settings that `chain.pow_range_problem` refuses,
-        an alpha or `grid_alpha` outside [0, 1], or a negative seed."""
+        `sweep_max_rounds`, `n_features`, `n_classes` or `example_size` below
+        1, a negative `held_out_size`, a mode not in `chain.MODES`, pow
+        settings that `chain.pow_range_problem` refuses, an alpha or
+        `grid_alpha` outside [0, 1], or a negative seed."""
         self.train_config()
         if not 0 < self.target <= 1:
             raise ValueError(f"accuracy target must be in (0, 1], got {self.target}")
         self.train_config(self.sweep_lr)
-        for key, floor in (("sweep_miners", 1), ("sweep_max_rounds", 1),
-                           ("example_size", 1), ("held_out_size", 0)):
+        for key, floor in (("sweep_miners", 1), ("sweep_max_rounds", 1), ("n_features", 1),
+                           ("n_classes", 1), ("example_size", 1), ("held_out_size", 0)):
             if getattr(self, key) < floor:
                 raise ValueError(f"{key} must be >= {floor}, got {getattr(self, key)}")
+        unknown = [mode for mode in self.modes if mode not in chain.MODES]
+        if unknown:
+            raise ValueError(f"modes must be in {list(chain.MODES)}, got {unknown[0]!r}")
         problem = chain.pow_range_problem(self.pow_difficulty, self.pow_trial_ms)
         if problem is not None:
             raise ValueError(problem)
@@ -429,15 +433,15 @@ def accuracy_trend_checks(rows: list[dict], cfg: ExperimentConfig) -> list[tuple
         )
     )
     kl_lo, fa_lo = np.array(finals("kl", lo)), np.array(finals("fedavg", lo))
-    pooled_sd = float(np.sqrt((kl_lo.std(ddof=1) ** 2 + fa_lo.std(ddof=1) ** 2) / 2))
-    gap = abs(float(kl_lo.mean() - fa_lo.mean()))
-    checks.append(
-        (
-            "schemes_match_under_weak_skew",
-            bool(gap <= 2 * pooled_sd + 1e-9),
-            f"|acc gap| {gap:.4f} vs 2 x pooled sd {2 * pooled_sd:.4f} at alpha={lo}",
-        )
-    )
+    fewest = min(len(kl_lo), len(fa_lo))
+    if fewest < 2:  # a pooled sd needs two rows per scheme
+        passed, detail = False, f"needs two seeds per scheme at alpha={lo}, got {fewest}"
+    else:
+        pooled_sd = float(np.sqrt((kl_lo.std(ddof=1) ** 2 + fa_lo.std(ddof=1) ** 2) / 2))
+        gap = abs(float(kl_lo.mean() - fa_lo.mean()))
+        passed = bool(gap <= 2 * pooled_sd + 1e-9)
+        detail = f"|acc gap| {gap:.4f} vs 2 x pooled sd {2 * pooled_sd:.4f} at alpha={lo}"
+    checks.append(("schemes_match_under_weak_skew", passed, detail))
     return checks
 
 

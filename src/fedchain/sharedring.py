@@ -14,8 +14,8 @@ chunk to its noise owner.
 
 `RingSession` computes one such round in closed form over the latency
 matrix and is the only all-reduce here: the chain runs it, and
-`transcript_leakage_check` audits the transcript it builds from
-`ring_payloads` and `ring_transcript`. No event loop runs it; the tests
+`transcript_leakage_check` audits the transcript it builds on request,
+one stream at a time and one hop at a time. No event loop runs it; the tests
 check it against a message-by-message replay on the event loop in `netsim`.
 Everything a round needs that the latencies, weights and masks do not
 change comes from `ring_layout`, built once per ring shape.
@@ -29,7 +29,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import MaskShapeError, ModelTooSmallError, NodeNotFoundError, TimeTravelError
+from .errors import (AggregationShapeError, MaskShapeError, ModelTooSmallError,
+                     NodeNotFoundError, ReadyTimeCountError, TimeTravelError)
 from .netsim import chunk_size_units
 
 REDUCE, GATHER = "reduce", "gather"
@@ -48,24 +49,12 @@ def chunk_spans(length: int, parts: int) -> list[tuple[int, int]]:
     return list(zip(bounds, bounds[1:]))
 
 
-def payload_index(spans: Sequence[tuple[int, int]], row_len: int) -> np.ndarray:
-    """Flat index into stacked (k, row_len) vectors of every reduce payload
-    element: in slot s's elements, row j takes the element of the member j
-    places after the slot's owner. `spans` are contiguous from 0."""
-    k = len(spans)
-    slot = np.repeat(np.arange(k), [b - a for a, b in spans])
-    member = (slot + np.arange(k)[:, None]) % k
-    return member * row_len + np.arange(slot.size)
-
-
 @dataclass(frozen=True, eq=False)
 class RingLayout:
     """What a ring round over k members and a model_len-weight vector needs
     that no latency, weight or mask changes; every array is read-only.
 
     - `spans`: `chunk_spans(model_len, k)`;
-    - `index`: `payload_index(spans, model_len)`, the (k, model_len) gather of
-      `ring_payloads`;
     - `units`: each chunk's size units, `chunk_size_units(b - a, ...)`;
     - `hop_pos`: (k, n_hops + 1), the ring positions stream s visits, from
       its owner s on;
@@ -76,7 +65,6 @@ class RingLayout:
     """
 
     spans: tuple[tuple[int, int], ...]
-    index: np.ndarray
     units: np.ndarray
     hop_pos: np.ndarray
     arrival: np.ndarray
@@ -93,12 +81,11 @@ def ring_layout(k: int, model_len: int, masked: bool) -> RingLayout:
     pos = np.arange(k)
     layout = RingLayout(
         spans=spans,
-        index=payload_index(spans, model_len),
         units=np.array([chunk_size_units(b - a, model_len) for a, b in spans]),
         hop_pos=(pos[:, None] + np.arange(n_hops + 1)) % k,
         arrival=pos * (n_hops + 1) + reduce_hops + (pos[:, None] - pos - reduce_hops) % k,
     )
-    for array in (layout.index, layout.units, layout.hop_pos, layout.arrival):
+    for array in (layout.units, layout.hop_pos, layout.arrival):
         array.setflags(write=False)
     return layout
 
@@ -120,66 +107,6 @@ class TranscriptEntry:
     slot: int
     payload: np.ndarray
     masked: bool
-
-
-def ring_payloads(
-    vectors: Sequence[np.ndarray] | np.ndarray,
-    spans: Sequence[tuple[int, int]],
-    masks: Sequence[np.ndarray] | None,
-    index: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Every reduce payload of one ring all-reduce, and the summed vector.
-
-    Returns `(hops, total)`. In slot s's elements, row j of the (k,
-    model_len) array `hops` is what stream s carries on reduce hop j: the
-    owner's (masked) chunk plus the chunks of the next j members. One cumsum
-    down the rows makes the members' additions in forwarding order, and
-    int64 addition wraps exactly, so every value is bit-identical to
-    forwarding hop by hop. `total` is the clean sum every member ends with.
-    `index` is `payload_index(spans, model_len)`, which `ring_layout`
-    caches for balanced spans.
-    """
-    _check_masks(spans, masks)
-    stacked = np.asarray(vectors)
-    if index is None:
-        index = payload_index(spans, stacked.shape[1])
-    hops = np.take(stacked, index)
-    noise = np.concatenate(masks) if masks is not None else 0
-    hops[0] += noise
-    np.cumsum(hops, axis=0, out=hops)
-    return hops, hops[-1] - noise
-
-
-def _check_masks(spans: Sequence[tuple[int, int]], masks: Sequence[np.ndarray] | None) -> None:
-    if masks is not None:
-        for (a, b), mask in zip(spans, masks, strict=True):
-            if mask.shape != (b - a,):
-                raise MaskShapeError(f"noise length {mask.shape[0]} != chunk length {b - a}")
-
-
-def ring_transcript(
-    hops: np.ndarray,
-    total: np.ndarray,
-    spans: Sequence[tuple[int, int]],
-    masked: bool,
-) -> list[TranscriptEntry]:
-    """Every message of a ring all-reduce, built from `ring_payloads`' arrays.
-
-    Stream-major order: every stream's reduce hops (k when masked, back to
-    the mask owner; k - 1 when plain), then every stream's k - 1 gather
-    hops. Stream s's r-th hop overall goes from position s + r to s + r + 1.
-    """
-    k = len(spans)
-    if k == 1:
-        return []
-    r = k if masked else k - 1
-    return [
-        TranscriptEntry(REDUCE, j, (s + j) % k, (s + j + 1) % k, s, hops[j, a:b], masked)
-        for s, (a, b) in enumerate(spans) for j in range(r)
-    ] + [
-        TranscriptEntry(GATHER, j, (s + r + j) % k, (s + r + j + 1) % k, s, total[a:b], False)
-        for s, (a, b) in enumerate(spans) for j in range(k - 1)
-    ]
 
 
 @dataclass
@@ -240,17 +167,19 @@ class RingSession:
     node or a link and members forward on arrival, so the streams are
     independent chains: one cumsum from `now + (ready[s] - now)` over the
     hop costs makes the float additions an event loop replaying every
-    message makes, in its order. Member p completes at the max over slots of the hop that
-    brings it that slot's final value. The sum is one column sum of the
-    vectors (int64 addition wraps, so order does not matter), and only the
-    lazily built audit `transcript` builds payloads, by `ring_payloads`:
-    times, sums and transcript are bit-identical to the replay. Every index
-    comes from the shared `ring_layout`, so a round is one column sum, one
-    link gather, one cumsum and one max.
+    message makes, in its order. Member p completes at the max over slots
+    of the hop that brings it that slot's final value. Every index comes
+    from the shared `ring_layout`.
 
-    `total` is the summed vector every member ends with, and
-    `start(now, ready_times)` fills `completion`; the round's end is
-    `max(completion.values())`.
+    `total`, the summed vector every member ends with, is one column sum of
+    the vectors (int64 addition wraps, so order does not matter); only the
+    audit `transcript` builds payloads. Times, sum and transcript are
+    bit-identical to the replay. `start(now, ready_times)` fills
+    `completion`; the round's end is `max(completion.values())`.
+
+    `vectors` are one equal-length row per member (else
+    AggregationShapeError), and `masks`, if given, one per member of its
+    chunk's length (else MaskShapeError).
     """
 
     def __init__(
@@ -266,10 +195,19 @@ class RingSession:
         n_nodes = latency.shape[0]
         if len(set(self.members)) != self.k or not all(0 <= m < n_nodes for m in self.members):
             raise NodeNotFoundError(f"ring members {self.members} are not distinct nodes")
-        self.vectors = np.asarray(vectors)
+        try:
+            self.vectors = np.asarray(vectors)
+        except ValueError as err:  # numpy refuses ragged rows
+            raise AggregationShapeError(f"ring vectors differ in length: {err}") from err
+        if self.vectors.ndim != 2 or len(self.vectors) != self.k:
+            raise AggregationShapeError(f"{self.k} members need one vector row each, "
+                                        f"got shape {self.vectors.shape}")
         self.masks = list(masks) if masks is not None else None
         self.layout = ring_layout(self.k, self.vectors.shape[1], self.masks is not None)
-        _check_masks(self.layout.spans, self.masks)
+        if self.masks is not None:
+            got, want = [m.shape for m in self.masks], [(b - a,) for a, b in self.layout.spans]
+            if got != want:
+                raise MaskShapeError(f"noise shapes {got} != chunk shapes {want}")
         self.total = np.add.reduce(self.vectors, axis=0)
         self.completion: dict[int, float] = {}
 
@@ -279,15 +217,36 @@ class RingSession:
 
     @property
     def transcript(self) -> list[TranscriptEntry]:
-        """The round's messages in stream-major order (see `ring_transcript`)."""
-        hops, _ = ring_payloads(self.vectors, self.layout.spans, self.masks, self.layout.index)
-        return ring_transcript(hops, self.total, self.layout.spans, self.masks is not None)
+        """Every message of the round: each stream's reduce hops (k when
+        masked, back to the mask owner; k - 1 when plain), then each stream's
+        k - 1 gather hops, which carry `total`'s chunk. Stream s's r-th hop
+        goes from position s + r to s + r + 1; its reduce hop j carries the
+        owner's (masked) chunk plus the next j members' chunks."""
+        k, masked = self.k, self.masks is not None
+        if k == 1:
+            return []
+        r = k if masked else k - 1
+        reduce, gather = [], []
+        for s, (a, b) in enumerate(self.layout.spans):
+            chunks = self.vectors[:, a:b]
+            payload = chunks[s] + self.masks[s] if masked else chunks[s].copy()
+            for j in range(r):
+                if j:
+                    payload = payload + chunks[(s + j) % k]
+                reduce.append(TranscriptEntry(REDUCE, j, (s + j) % k, (s + j + 1) % k, s,
+                                              payload, masked))
+            gather += [TranscriptEntry(GATHER, j, (s + r + j) % k, (s + r + j + 1) % k, s,
+                                       self.total[a:b], False) for j in range(k - 1)]
+        return reduce + gather
 
     def start(self, now: float, ready_times: Sequence[float]) -> None:
         """Run the round from clock `now`; member i's stream leaves at
-        `ready_times[i]`, which must not be before `now`."""
+        `ready_times[i]`, which must not be before `now` (else
+        TimeTravelError) and is one per member (else ReadyTimeCountError)."""
         k = self.k
         ready = stream_starts(now, ready_times)
+        if ready.shape != (k,):
+            raise ReadyTimeCountError(f"{ready.size} ready times for {k} ring members")
         if (ready < now).any():
             raise TimeTravelError(f"ring stream starts at {ready.min()} before clock {now}")
         finish = ready

@@ -138,6 +138,11 @@ def test_malformed_config_exits_2(tmp_path, capsys, body, message):
     ("sweep_max_rounds: 0\n", "sweep_max_rounds must be >= 1, got 0"),
     ("example_size: 0\n", "example_size must be >= 1, got 0"),
     ("held_out_size: -5\n", "held_out_size must be >= 0, got -5"),
+    ("n_features: 0\n", "n_features must be >= 1, got 0"),
+    ("n_features: -2\n", "n_features must be >= 1, got -2"),
+    ("n_classes: 0\n", "n_classes must be >= 1, got 0"),
+    ("modes: [bogus]\n",
+     "modes must be in ['fedchain', 'fedavg_central', 'pow', 'gfl_ring'], got 'bogus'"),
     ("pow_difficulty: 300\n", "pow_difficulty must be in [0, 56], got 300"),
     ("pow_difficulty: 57\n", "pow_difficulty must be in [0, 56], got 57"),
     ("pow_difficulty: -1\n", "pow_difficulty must be in [0, 56], got -1"),

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from fedchain import experiments
+from fedchain import chain, experiments
 from fedchain.errors import EmptyReportError, LedgerIntegrityError
 from fedchain.experiments import ExperimentConfig
 
@@ -79,7 +79,8 @@ class TestConfig:
         assert ExperimentConfig.from_file(str(path)) == ExperimentConfig()
 
     def test_check_accepts_the_smallest_sizes(self):
-        ExperimentConfig(example_size=1, held_out_size=0).check()
+        ExperimentConfig(example_size=1, held_out_size=0, n_features=1, n_classes=1,
+                         modes=list(chain.MODES)).check()
 
     def test_fingerprint_tracks_content(self):
         a, b = ExperimentConfig(), ExperimentConfig()
@@ -211,6 +212,17 @@ class TestTrendChecks:
         )
         assert checks["kl_faster_under_strong_skew"]
         assert checks["schemes_match_under_weak_skew"]
+
+    def test_one_seed_fails_the_weak_skew_check_without_nan(self):
+        cfg = ExperimentConfig(alphas=[0.1, 0.8], seeds=[0])
+        rows = [dict(scheme=scheme, alpha=alpha, seed=0, rounds_to_target=2,
+                     final_accuracy=0.93, curve=[0.93])
+                for scheme in ("kl", "fedavg") for alpha in cfg.alphas]
+        checks = {name: (ok, detail)
+                  for name, ok, detail in experiments.accuracy_trend_checks(rows, cfg)}
+        ok, detail = checks["schemes_match_under_weak_skew"]
+        assert not ok
+        assert detail == "needs two seeds per scheme at alpha=0.1, got 1"
 
 
 class TestReport:

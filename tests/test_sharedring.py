@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 
 from fedchain import fixedpoint, netsim, sharedring
 from fedchain.errors import (
+    AggregationShapeError,
     MaskShapeError,
     ModelTooSmallError,
     NodeNotFoundError,
+    ReadyTimeCountError,
     TimeTravelError,
 )
 from conftest import split, uniform_links
@@ -24,9 +26,9 @@ def column_sum_oracle(vectors, parts):
     return split(total, parts)
 
 
-# --- hop-by-hop reference of the masked ring --------------------------------
-# `RingSession` computes every payload in one cumsum; these build the same
-# values one chunk and one hop at a time, for the tests to compare against.
+# --- hop-by-hop reference of the ring ---------------------------------------
+# `RingSession` sums the vectors in one column sum; these build the payloads
+# and the sum one chunk and one hop at a time, for the tests to compare against.
 
 
 def concat(chunks: Sequence[np.ndarray]) -> np.ndarray:
@@ -80,6 +82,35 @@ def ring_reduce_scatter(
             else:
                 partial = partial + masked_splits[dst][s]
     return accs
+
+
+def walk_ring(vectors, masks=None):
+    """Every message of a ring over `vectors` in stream-major order, and the
+    sum, by walking each stream one hop at a time: the stream leaves its
+    owner with the owner's (masked) chunk, each member it reaches adds its
+    own chunk (or, back at the owner, strips the noise), and the finished
+    sum then travels k - 1 gather hops. Returns `(messages, total)`."""
+    k, masked = len(vectors), masks is not None
+    if k == 1:
+        return [], np.array(vectors[0])
+    reduce, gather, sums = [], [], []
+    for s, (a, b) in enumerate(sharedring.chunk_spans(len(vectors[0]), k)):
+        pos, acc = s, vectors[s][a:b] + (masks[s] if masked else 0)
+        for step in range(k if masked else k - 1):
+            nxt = (pos + 1) % k
+            reduce.append(
+                sharedring.TranscriptEntry(sharedring.REDUCE, step, pos, nxt, s, acc, masked)
+            )
+            acc = acc - masks[s] if nxt == s else acc + vectors[nxt][a:b]
+            pos = nxt
+        sums.append(acc)
+        for step in range(k - 1):
+            nxt = (pos + 1) % k
+            gather.append(
+                sharedring.TranscriptEntry(sharedring.GATHER, step, pos, nxt, s, acc, False)
+            )
+            pos = nxt
+    return reduce + gather, np.concatenate(sums)
 
 
 def seeded_masks(vectors, noise_seed):
@@ -403,12 +434,12 @@ class TestRingSession:
 
 class TestRingSessionTotal:
     """A session sums its vectors by one column sum and builds the payloads
-    only for its transcript: both equal what `ring_payloads` gives, also
+    only for its transcript: both equal a hop-by-hop walk of the ring, also
     where int64 sums wrap."""
 
     @pytest.mark.parametrize("masked", [True, False])
     @pytest.mark.parametrize("k", [1, 2, 7])
-    def test_total_and_transcript_equal_ring_payloads(self, k, masked):
+    def test_total_and_transcript_equal_a_hop_by_hop_walk(self, k, masked):
         rng = np.random.default_rng(k)
         lat = uniform_links(max(k, 2), k, 5, 20)
         near = np.iinfo(np.int64).max - rng.integers(0, 1000, size=(k, 23))
@@ -419,13 +450,12 @@ class TestRingSessionTotal:
             masks = [fixedpoint.generate_noise(b - a, seed=i) for i, (a, b) in enumerate(spans)]
         session = sharedring.RingSession(lat, list(range(k)), vectors, masks=masks)
         session.start(0.0, [0.0] * k)
-        hops, total = sharedring.ring_payloads(vectors, spans, masks)
+        want, total = walk_ring(vectors, masks)
         assert session.total.tobytes() == total.tobytes()
-        want = sharedring.ring_transcript(hops, total, spans, masked)
         got = session.transcript
         assert [(e.phase, e.step, e.src, e.dst, e.slot, e.masked) for e in got] == [
             (e.phase, e.step, e.src, e.dst, e.slot, e.masked) for e in want]
-        assert all(np.array_equal(g.payload, w.payload) for g, w in zip(got, want))
+        assert all(g.payload.tobytes() == w.payload.tobytes() for g, w in zip(got, want))
         if masked:
             report = sharedring.transcript_leakage_check(got, session.raw_splits, masks)
             assert report.passed, report.violations
@@ -532,6 +562,33 @@ class TestRingSessionSharesInputs:
         masks = [np.zeros(n, dtype=np.int64) for n in (2, 3, 2)]
         with pytest.raises(MaskShapeError):
             sharedring.RingSession(lat, [0, 1, 2], [np.arange(6, dtype=np.int64)] * 3, masks=masks)
+
+    @pytest.mark.parametrize("vectors", [
+        [np.arange(6, dtype=np.int64)] * 2,
+        [np.arange(6, dtype=np.int64)] * 4,
+        [np.arange(6, dtype=np.int64), np.arange(7, dtype=np.int64), np.arange(6, dtype=np.int64)],
+        np.arange(6, dtype=np.int64),
+        np.zeros((3, 6, 2), dtype=np.int64),
+    ], ids=["two-rows", "four-rows", "ragged", "flat", "three-d"])
+    def test_vectors_not_one_row_per_member_rejected(self, vectors):
+        lat = netsim.build_topology(4, seed=0)
+        with pytest.raises(AggregationShapeError):
+            sharedring.RingSession(lat, [0, 1, 2], vectors)
+
+    @pytest.mark.parametrize("n_masks", [2, 4])
+    def test_mask_count_not_one_per_member_rejected(self, n_masks):
+        lat = netsim.build_topology(4, seed=0)
+        masks = [np.zeros(2, dtype=np.int64)] * n_masks
+        with pytest.raises(MaskShapeError):
+            sharedring.RingSession(lat, [0, 1, 2], [np.arange(6, dtype=np.int64)] * 3, masks=masks)
+
+    @pytest.mark.parametrize("k, n_ready", [(3, 2), (3, 4), (1, 2)])
+    def test_ready_times_not_one_per_member_rejected(self, k, n_ready):
+        lat = netsim.build_topology(4, seed=0)
+        session = sharedring.RingSession(lat, list(range(k)), [np.arange(6, dtype=np.int64)] * k)
+        with pytest.raises(ReadyTimeCountError):
+            session.start(0.0, [1.0] * n_ready)
+        assert session.completion == {}
 
     def test_mask_own_chunk_leaves_inputs_and_shares_the_rest(self):
         chunks = split(np.arange(10, dtype=np.int64), 3)
@@ -744,7 +801,7 @@ class TestRingLayout:
 
     def test_arrays_are_read_only(self):
         layout = sharedring.ring_layout(4, 23, True)
-        for array in (layout.index, layout.units, layout.hop_pos, layout.arrival):
+        for array in (layout.units, layout.hop_pos, layout.arrival):
             with pytest.raises(ValueError, match="read-only"):
                 array[(0,) * array.ndim] = 1
 
@@ -784,22 +841,25 @@ class TestRingLayout:
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
-    def test_ring_payloads_on_arbitrary_spans(self, data):
-        """Any contiguous split of the vector, balanced or not, gives the
-        hop-by-hop payloads: slot s on hop j holds its owner's masked chunk
-        plus the next j members' chunks."""
+    def test_reduce_payloads_accumulate_hop_by_hop(self, data):
+        """Slot s on reduce hop j holds its owner's (masked) chunk plus the
+        next j members' chunks, for any ring size and model length."""
         k = data.draw(st.integers(1, 6))
-        lengths = data.draw(st.lists(st.integers(1, 7), min_size=k, max_size=k))
-        bounds = np.concatenate([[0], np.cumsum(lengths)]).tolist()
-        spans = list(zip(bounds, bounds[1:]))
+        m = data.draw(st.integers(k, 7 * k))
+        spans = sharedring.chunk_spans(m, k)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        vectors = [rng.integers(-2**62, 2**62, size=bounds[-1]) for _ in range(k)]
+        vectors = [rng.integers(-2**62, 2**62, size=m) for _ in range(k)]
         masked = data.draw(st.booleans())
         masks = [fixedpoint.generate_noise(b - a, seed=i) for i, (a, b) in enumerate(spans)]
-        hops, total = sharedring.ring_payloads(vectors, spans, masks if masked else None)
-        assert np.array_equal(total, np.sum(np.stack(vectors), axis=0))
-        for s, (a, b) in enumerate(spans):
+        session = sharedring.RingSession(uniform_links(max(k, 2), k, 5, 20), list(range(k)),
+                                         vectors, masks=masks if masked else None)
+        assert np.array_equal(session.total, np.sum(np.stack(vectors), axis=0))
+        hops = {(e.slot, e.step): e.payload for e in session.transcript
+                if e.phase == sharedring.REDUCE}
+        assert len(hops) == (0 if k == 1 else k * k if masked else k * (k - 1))
+        for (s, j), payload in hops.items():
+            a, b = spans[s]
             acc = masks[s].copy() if masked else np.zeros(b - a, dtype=np.int64)
-            for j in range(k):
-                acc = acc + vectors[(s + j) % k][a:b]
-                assert np.array_equal(hops[j, a:b], acc)
+            for i in range(j + 1):
+                acc = acc + vectors[(s + i) % k][a:b]
+            assert np.array_equal(payload, acc)
