@@ -65,22 +65,23 @@ def make_blobs(
     noise. Labels are balanced (first n_samples mod n_classes classes get
     one extra sample).
 
-    The noise is one (n_samples, n_features) draw, which reads the same
-    stream as one draw per class in class order would. Each class's center
-    is added in place to its contiguous block of rows, and the rows are
-    then shuffled by one gather.
+    The noise is one (n_samples, n_features) standard-normal fill, which
+    reads the same stream as one draw per class in class order would and
+    gives the values `normal(0, 1)` would. Each class's center is added in
+    place to its contiguous block of rows, and the rows and labels are then
+    shuffled by one `take` each.
     """
     rng = np.random.default_rng(seed)
     centers = rng.normal(0.0, 1.0, size=(n_classes, n_features))
     centers *= separation / np.linalg.norm(centers, axis=1, keepdims=True)
     per_class = np.full(n_classes, n_samples // n_classes)
     per_class[: n_samples % n_classes] += 1
-    x = rng.normal(0.0, 1.0, size=(n_samples, n_features))
+    x = rng.standard_normal((n_samples, n_features))
     for center, block in zip(centers, np.split(x, np.cumsum(per_class)[:-1])):
         np.add(center, block, out=block)
     y = np.repeat(np.arange(n_classes, dtype=np.int64), per_class)
     order = rng.permutation(n_samples)
-    return Dataset(x[order], y[order], n_classes)
+    return Dataset(x.take(order, axis=0), y.take(order), n_classes)
 
 
 def save_csv(dataset: Dataset, path: str) -> None:
@@ -138,9 +139,11 @@ def partition_noniid(
     up to j, clipped at the pool's size. An empty part takes its top-up row
     from the class with the most rows left (the lowest class on a tie);
     that moves the class's later cursors by one, so the cumulative sums
-    restart after that part. The drawn rows, each part's shuffled by its
-    own permutation in part order, are gathered from `x` and `y` at once,
-    and every part is a row slice of that one gather: no two parts share
+    restart after that part. Each part's rows are shuffled in part order by
+    shuffling its segment of one `arange` in place, which draws what a
+    permutation per part would and already carries the part's offset. The
+    drawn rows are then gathered from `x` and `y` by one `take` each, and
+    every part is a row slice of that one gather: no two parts share
     memory, and none shares the input's.
     """
     if not 0.0 <= alpha <= 1.0:
@@ -198,14 +201,15 @@ def partition_noniid(
     lengths = np.diff(cursors, axis=0).ravel()
     heads = (cursors[:-1] + (np.cumsum(pool_sizes) - pool_sizes)).ravel()
     segment_offsets = np.cumsum(lengths) - lengths
-    drawn = np.concatenate(pools)[
-        np.repeat(heads - segment_offsets, lengths) + np.arange(lengths.sum())
-    ]
+    total = int(lengths.sum())
+    drawn = np.concatenate(pools).take(
+        np.repeat(heads - segment_offsets, lengths) + np.arange(total)
+    )
     part_sizes = lengths.reshape(n_parts, c).sum(axis=1)
-    bounds = np.concatenate(([0], np.cumsum(part_sizes)))
-    shuffle = np.concatenate([rng.permutation(m) for m in part_sizes.tolist()])
-    shuffle += np.repeat(bounds[:-1], part_sizes)
-    picked = drawn[shuffle]
-    x, y = dataset.x[picked], dataset.y[picked]
-    bounds = bounds.tolist()
+    bounds = [0, *np.cumsum(part_sizes).tolist()]
+    shuffle = np.arange(total)
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        rng.shuffle(shuffle[a:b])
+    picked = drawn.take(shuffle)
+    x, y = dataset.x.take(picked, axis=0), dataset.y.take(picked)
     return [Dataset(x[a:b], y[a:b], c) for a, b in zip(bounds[:-1], bounds[1:])]

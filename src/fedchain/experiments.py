@@ -122,18 +122,26 @@ class ExperimentConfig:
     def check(self) -> None:
         """Raise ValueError for a value out of range: a training value that
         `TrainConfig` refuses, a `target` outside (0, 1], `sweep_miners`,
-        `sweep_max_rounds`, `n_features`, `n_classes` or `example_size` below
-        1, a negative `held_out_size`, a mode not in `chain.MODES`, pow
-        settings that `chain.pow_range_problem` refuses, an alpha or
-        `grid_alpha` outside [0, 1], or a negative seed."""
+        `sweep_max_rounds`, `n_features`, `n_classes`, `samples_per_node` or
+        `example_size` below 1, `sweep_samples` below `sweep_miners` (a sweep
+        miner's share would be no rows), a negative `held_out_size`, a mode
+        not in `chain.MODES`, pow settings that `chain.pow_range_problem`
+        refuses, an alpha or `grid_alpha` outside [0, 1], or a negative
+        seed."""
         self.train_config()
         if not 0 < self.target <= 1:
             raise ValueError(f"accuracy target must be in (0, 1], got {self.target}")
         self.train_config(self.sweep_lr)
         for key, floor in (("sweep_miners", 1), ("sweep_max_rounds", 1), ("n_features", 1),
-                           ("n_classes", 1), ("example_size", 1), ("held_out_size", 0)):
+                           ("n_classes", 1), ("samples_per_node", 1), ("example_size", 1),
+                           ("held_out_size", 0)):
             if getattr(self, key) < floor:
                 raise ValueError(f"{key} must be >= {floor}, got {getattr(self, key)}")
+        if self.sweep_samples < self.sweep_miners:
+            raise ValueError(
+                f"sweep_samples must be >= sweep_miners ({self.sweep_miners}), "
+                f"got {self.sweep_samples}"
+            )
         unknown = [mode for mode in self.modes if mode not in chain.MODES]
         if unknown:
             raise ValueError(f"modes must be in {list(chain.MODES)}, got {unknown[0]!r}")
@@ -352,9 +360,7 @@ def run_sweep_cell(cfg: ExperimentConfig, scheme: str, alpha: float, seed: int) 
     """
     m = cfg.sweep_miners
     grades = [alpha if j < m // 2 else 0.0 for j in range(m)]
-    fixture_cfg = replace(
-        cfg, samples_per_node=max(1, cfg.sweep_samples // m)
-    )
+    fixture_cfg = replace(cfg, samples_per_node=cfg.sweep_samples // m)
     task, parts = build_task_fixture(
         fixture_cfg, m, seed=seed * 104729 + 7, alpha=alpha, alphas=grades, slack_parts=m,
     )

@@ -141,6 +141,9 @@ def test_malformed_config_exits_2(tmp_path, capsys, body, message):
     ("n_features: 0\n", "n_features must be >= 1, got 0"),
     ("n_features: -2\n", "n_features must be >= 1, got -2"),
     ("n_classes: 0\n", "n_classes must be >= 1, got 0"),
+    ("samples_per_node: -100\n", "samples_per_node must be >= 1, got -100"),
+    ("samples_per_node: 0\n", "samples_per_node must be >= 1, got 0"),
+    ("sweep_samples: 3\n", "sweep_samples must be >= sweep_miners (8), got 3"),
     ("modes: [bogus]\n",
      "modes must be in ['fedchain', 'fedavg_central', 'pow', 'gfl_ring'], got 'bogus'"),
     ("pow_difficulty: 300\n", "pow_difficulty must be in [0, 56], got 300"),

@@ -80,6 +80,7 @@ class TestConfig:
 
     def test_check_accepts_the_smallest_sizes(self):
         ExperimentConfig(example_size=1, held_out_size=0, n_features=1, n_classes=1,
+                         samples_per_node=1, sweep_miners=1, sweep_samples=1,
                          modes=list(chain.MODES)).check()
 
     def test_fingerprint_tracks_content(self):
