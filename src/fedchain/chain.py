@@ -193,8 +193,9 @@ def load_chain_jsonl(path: str) -> Chain:
     Raises LedgerIntegrityError naming the line for a line that is not JSON,
     a record that is not a block or tx or lacks a field, a height that is
     not an integer, a tx before its block record and a repeated block
-    height; and naming the lowest offending height if a block's recomputed
-    hash differs from the hash stored with it."""
+    height; for a file with no genesis record (the height-0 block that every
+    export starts with); and naming the lowest offending height if a block's
+    recomputed hash differs from the hash stored with it."""
     chain = Chain()
     blocks: dict[int, Block] = {}
     stored_hashes: dict[int, object] = {}
@@ -216,6 +217,8 @@ def load_chain_jsonl(path: str) -> Chain:
                 blocks[height].transactions.append(
                     Transaction(**{name: record[name] for name in _TX_FIELDS})
                 )
+    if 0 not in blocks:
+        raise LedgerIntegrityError("no genesis record: no block at height 0")
     for height in sorted(blocks):
         if blocks[height].hash() != stored_hashes[height]:
             raise LedgerIntegrityError(

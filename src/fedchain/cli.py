@@ -4,9 +4,10 @@ Subcommands mirror the experiment surface: `latency-grid` and
 `accuracy-sweep` run the comparison grids and exit non-zero if any encoded
 trend assertion fails; `single-round` simulates one task round; and
 `validate-chain` audits an exported ledger. A named library error, a
-config or ledger file that cannot be read, or a flag value out of range
-ends a command with one `error:` line on stderr and exit code 2; 1 stays
-a failed check or a ledger violation.
+config or ledger file that cannot be read, an output that cannot be
+written, or a flag value out of range ends a command with one `error:`
+line on stderr and exit code 2; 1 stays a failed check or a ledger
+violation.
 """
 
 from __future__ import annotations
@@ -20,14 +21,14 @@ from .experiments import ExperimentConfig
 
 
 class _BadInput(Exception):
-    """A config or ledger file that could not be read or parsed, or a value out of range."""
+    """A config or ledger file that could not be parsed, or a value out of range."""
 
 
 def _guarded(call, arg):
-    """`call(arg)`, with an OSError or ValueError raised as _BadInput."""
+    """`call(arg)`, with a ValueError raised as _BadInput."""
     try:
         return call(arg)
-    except (OSError, ValueError) as err:
+    except ValueError as err:
         raise _BadInput(err) from err
 
 
@@ -53,30 +54,17 @@ def _grid_config(args: argparse.Namespace) -> ExperimentConfig:
     return cfg
 
 
-def _print_checks(checks: list[tuple[str, bool, str]]) -> bool:
-    ok = True
+def cmd_grid(args: argparse.Namespace) -> int:
+    """`latency-grid` or `accuracy-sweep`: run the grid, write its report and
+    print the report's checks."""
+    cfg = _grid_config(args)
+    grid = experiments.GRIDS[args.command]
+    written, checks = experiments.emit_report(cfg, cfg.out_dir, **{grid.rows_arg: grid.run(cfg)})
+    for path in written:
+        print(f"wrote {path}")
     for name, passed, detail in checks:
         print(f"[{'PASS' if passed else 'FAIL'}] {name}: {detail}")
-        ok = ok and passed
-    return ok
-
-
-def cmd_latency_grid(args: argparse.Namespace) -> int:
-    cfg = _grid_config(args)
-    rows = experiments.run_latency_grid(cfg)
-    written = experiments.emit_report(cfg, cfg.out_dir, latency_rows=rows)
-    for path in written:
-        print(f"wrote {path}")
-    return 0 if _print_checks(experiments.latency_trend_checks(rows, cfg)) else 1
-
-
-def cmd_accuracy_sweep(args: argparse.Namespace) -> int:
-    cfg = _grid_config(args)
-    rows = experiments.run_accuracy_sweep(cfg)
-    written = experiments.emit_report(cfg, cfg.out_dir, sweep_rows=rows)
-    for path in written:
-        print(f"wrote {path}")
-    return 0 if _print_checks(experiments.accuracy_trend_checks(rows, cfg)) else 1
+    return 0 if all(passed for _, passed, _ in checks) else 1
 
 
 def cmd_single_round(args: argparse.Namespace) -> int:
@@ -133,12 +121,12 @@ def build_parser() -> argparse.ArgumentParser:
     grid.add_argument("--modes", nargs="+", choices=chain.MODES, help="consensus modes")
     grid.add_argument("--nodes", dest="n_nodes", type=int, nargs="+", help="node counts")
     grid.add_argument("--pools", dest="n_pools", type=int, nargs="+", help="pool counts")
-    grid.set_defaults(func=cmd_latency_grid)
+    grid.set_defaults(func=cmd_grid)
 
     sweep = sub.add_parser("accuracy-sweep", help="aggregation-scheme accuracy comparison")
     add_common(sweep)
     sweep.add_argument("--alphas", type=float, nargs="+", help="label-skew levels")
-    sweep.set_defaults(func=cmd_accuracy_sweep)
+    sweep.set_defaults(func=cmd_grid)
 
     single = sub.add_parser("single-round", help="simulate one task round")
     single.add_argument("--config", help="YAML experiment config file")
@@ -159,7 +147,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (FedChainError, _BadInput) as err:
+    except (FedChainError, _BadInput, OSError) as err:  # OSError: a file not read or written
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -10,6 +10,7 @@ import json
 import os
 import warnings
 from dataclasses import asdict, dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
@@ -29,6 +30,8 @@ from .fed import Architecture
 LATENCY_COLUMNS = "mode,n_nodes,n_pools,seed,round,winner_pool,latency_ms,accuracy"
 SWEEP_COLUMNS = "scheme,alpha,seed,rounds_to_target,final_accuracy"
 CURVE_COLUMNS = "scheme,alpha,seed,round,accuracy"
+
+Check = tuple[str, bool, str]  # (name, passed, detail)
 
 
 def _is_a(value, type_name: str) -> bool:
@@ -293,58 +296,49 @@ def latency_rows_to_csv(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _mean_latency(rows: list[dict], **filters) -> float:
-    vals = [
-        r["latency_ms"]
-        for r in rows
-        if all(r[k] == v for k, v in filters.items())
-    ]
-    return float(np.mean(vals)) if vals else float("nan")
-
-
-def latency_trend_checks(rows: list[dict], cfg: ExperimentConfig) -> list[tuple[str, bool, str]]:
+def latency_trend_checks(rows: list[dict], cfg: ExperimentConfig) -> list[Check]:
     """Encoded expectations: pooled decentralized training beats the
     whole-network ring and the centralized coordinator; more pools means
-    lower latency; the coordinator's latency grows with node count."""
-    checks: list[tuple[str, bool, str]] = []
+    lower latency; the coordinator's latency grows with node count. A check
+    runs only when `cfg.modes` holds every mode it compares, and fails
+    naming the first (mode, nodes, pools) cell it compares that has no rows."""
     n_cmp = 50 if 50 in cfg.n_nodes else max(cfg.n_nodes)
     p_cmp = 5 if 5 in cfg.n_pools else cfg.n_pools[0]
-    fc = _mean_latency(rows, mode="fedchain", n_nodes=n_cmp, n_pools=p_cmp)
+
+    def check(name, cells, holds, describe) -> Check:
+        means = []
+        for mode, n, p in cells:
+            vals = [r["latency_ms"] for r in rows
+                    if (r["mode"], r["n_nodes"], r["n_pools"]) == (mode, n, p)]
+            if not vals:
+                return name, False, f"no {mode} rows at n={n}, pools={p}"
+            means.append(float(np.mean(vals)))
+        return name, bool(holds(means)), describe(means)
+
+    checks: list[Check] = []
     for rival in ("gfl_ring", "fedavg_central"):
-        if rival in cfg.modes:
-            other = _mean_latency(rows, mode=rival, n_nodes=n_cmp, n_pools=p_cmp)
-            checks.append(
-                (
-                    f"fedchain_below_{rival}",
-                    bool(fc < other),
-                    f"fedchain {fc:.1f} ms vs {rival} {other:.1f} ms at n={n_cmp}, pools={p_cmp}",
-                )
-            )
+        if "fedchain" in cfg.modes and rival in cfg.modes:
+            checks.append(check(
+                f"fedchain_below_{rival}", [("fedchain", n_cmp, p_cmp), (rival, n_cmp, p_cmp)],
+                lambda m: m[0] < m[1],
+                lambda m: f"fedchain {m[0]:.1f} ms vs {rival} {m[1]:.1f} ms "
+                          f"at n={n_cmp}, pools={p_cmp}",
+            ))
     pool_levels = sorted(p for p in cfg.n_pools if p <= n_cmp)
     if len(pool_levels) >= 2 and "fedchain" in cfg.modes:
-        means = [_mean_latency(rows, mode="fedchain", n_nodes=n_cmp, n_pools=p) for p in pool_levels]
-        decreasing = all(a > b for a, b in zip(means, means[1:]))
-        checks.append(
-            (
-                "fedchain_latency_decreases_with_pools",
-                bool(decreasing),
-                f"pools {pool_levels} -> {['%.1f' % m for m in means]} ms at n={n_cmp}",
-            )
-        )
+        checks.append(check(
+            "fedchain_latency_decreases_with_pools", [("fedchain", n_cmp, p) for p in pool_levels],
+            lambda m: all(a > b for a, b in zip(m, m[1:])),
+            lambda m: f"pools {pool_levels} -> {['%.1f' % x for x in m]} ms at n={n_cmp}",
+        ))
     if "fedavg_central" in cfg.modes and len(cfg.n_nodes) >= 2:
         node_levels = sorted(cfg.n_nodes)
-        means = [
-            _mean_latency(rows, mode="fedavg_central", n_nodes=n, n_pools=cfg.n_pools[0])
-            for n in node_levels
-        ]
-        increasing = all(a < b for a, b in zip(means, means[1:]))
-        checks.append(
-            (
-                "fedavg_central_latency_grows_with_nodes",
-                bool(increasing),
-                f"nodes {node_levels} -> {['%.1f' % m for m in means]} ms",
-            )
-        )
+        checks.append(check(
+            "fedavg_central_latency_grows_with_nodes",
+            [("fedavg_central", n, cfg.n_pools[0]) for n in node_levels],
+            lambda m: all(a < b for a, b in zip(m, m[1:])),
+            lambda m: f"nodes {node_levels} -> {['%.1f' % x for x in m]} ms",
+        ))
     return checks
 
 
@@ -418,10 +412,10 @@ def curve_rows_to_csv(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def accuracy_trend_checks(rows: list[dict], cfg: ExperimentConfig) -> list[tuple[str, bool, str]]:
+def accuracy_trend_checks(rows: list[dict], cfg: ExperimentConfig) -> list[Check]:
     """Encoded expectations: divergence weighting converges faster than size
     weighting under strong skew, and matches it under weak skew."""
-    checks: list[tuple[str, bool, str]] = []
+    checks: list[Check] = []
     lo, hi = min(cfg.alphas), max(cfg.alphas)
 
     def rounds(scheme, alpha):
@@ -451,50 +445,66 @@ def accuracy_trend_checks(rows: list[dict], cfg: ExperimentConfig) -> list[tuple
     return checks
 
 
+@dataclass(frozen=True)
+class Grid:
+    """One experiment grid, from its rows to its artifacts: the function that
+    runs its rows, the keyword `emit_report` takes them by, its CSV files
+    with the function that writes each, its report section's title and its
+    trend checks."""
+
+    run: Callable[[ExperimentConfig], list[dict]]
+    rows_arg: str
+    csvs: tuple[tuple[str, Callable[[list[dict]], str]], ...]
+    title: str
+    checks: Callable[[list[dict], ExperimentConfig], list[Check]]
+
+
+# By the CLI command that runs each grid, in the order the report lists them.
+GRIDS = {
+    "latency-grid": Grid(
+        run_latency_grid, "latency_rows", (("latency_grid.csv", latency_rows_to_csv),),
+        "Latency grid", latency_trend_checks,
+    ),
+    "accuracy-sweep": Grid(
+        run_accuracy_sweep, "sweep_rows",
+        (("accuracy_sweep.csv", sweep_rows_to_csv), ("accuracy_curves.csv", curve_rows_to_csv)),
+        "Accuracy sweep", accuracy_trend_checks,
+    ),
+}
+
+
 def emit_report(
     cfg: ExperimentConfig,
     out_dir: str,
     latency_rows: list[dict] | None = None,
     sweep_rows: list[dict] | None = None,
-) -> list[str]:
-    """Write CSV artifacts plus a markdown summary; returns written paths.
+) -> tuple[list[str], list[Check]]:
+    """Write each given grid's CSV files plus a markdown summary of its trend
+    checks; returns the written paths and the checks, grid after grid.
 
     Identical inputs produce byte-identical files (the config fingerprint is
     embedded so runs can be reproduced)."""
-    if not latency_rows and not sweep_rows:
+    given = {"latency_rows": latency_rows, "sweep_rows": sweep_rows}
+    if not any(given.values()):
         raise EmptyReportError("no run records to report")
+    files: list[tuple[str, str]] = []
+    checks: list[Check] = []
+    report_lines = ["# Experiment report", "", f"Config fingerprint: `{cfg.fingerprint()}`", ""]
+    for grid in GRIDS.values():
+        rows = given[grid.rows_arg]
+        if not rows:
+            continue
+        files += [(name, to_csv(rows)) for name, to_csv in grid.csvs]
+        grid_checks = grid.checks(rows, cfg)
+        checks += grid_checks
+        report_lines += [f"## {grid.title}", ""]
+        report_lines += [f"- {'PASS' if ok else 'FAIL'} {name}: {detail}"
+                         for name, ok, detail in grid_checks]
+        report_lines.append("")
+    files.append(("report.md", "\n".join(report_lines)))
     os.makedirs(out_dir, exist_ok=True)
-    written: list[str] = []
-    report_lines = [
-        "# Experiment report",
-        "",
-        f"Config fingerprint: `{cfg.fingerprint()}`",
-        "",
-    ]
-    if latency_rows:
-        path = os.path.join(out_dir, "latency_grid.csv")
+    written = [os.path.join(out_dir, name) for name, _ in files]
+    for path, (_, text) in zip(written, files):
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(latency_rows_to_csv(latency_rows))
-        written.append(path)
-        report_lines += ["## Latency grid", ""]
-        for name, ok, detail in latency_trend_checks(latency_rows, cfg):
-            report_lines.append(f"- {'PASS' if ok else 'FAIL'} {name}: {detail}")
-        report_lines.append("")
-    if sweep_rows:
-        path = os.path.join(out_dir, "accuracy_sweep.csv")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(sweep_rows_to_csv(sweep_rows))
-        written.append(path)
-        path = os.path.join(out_dir, "accuracy_curves.csv")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(curve_rows_to_csv(sweep_rows))
-        written.append(path)
-        report_lines += ["## Accuracy sweep", ""]
-        for name, ok, detail in accuracy_trend_checks(sweep_rows, cfg):
-            report_lines.append(f"- {'PASS' if ok else 'FAIL'} {name}: {detail}")
-        report_lines.append("")
-    report_path = os.path.join(out_dir, "report.md")
-    with open(report_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(report_lines))
-    written.append(report_path)
-    return written
+            fh.write(text)
+    return written, checks

@@ -1905,6 +1905,15 @@ class TestLedgerIntegrity:
         assert cli.main(["validate-chain", str(path)]) == 1
         assert capsys.readouterr().out == f"violation: line {index + 1}: {message}\n"
 
+    def test_ledger_without_its_genesis_record_is_refused(self, tmp_path, capsys):
+        path, records = self.export(tmp_path)
+        assert (records[0]["type"], records[0]["height"]) == ("block", 0)
+        self.rewrite(path, records[1:])
+        with pytest.raises(LedgerIntegrityError, match="^no genesis record: no block at height 0$"):
+            chain.load_chain_jsonl(str(path))
+        assert cli.main(["validate-chain", str(path)]) == 1
+        assert capsys.readouterr().out == "violation: no genesis record: no block at height 0\n"
+
     def test_untouched_rewrite_still_loads(self, tmp_path):
         path, records = self.export(tmp_path)
         self.rewrite(path, records)

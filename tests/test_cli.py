@@ -77,6 +77,39 @@ def test_accuracy_sweep_cli(tmp_path, capsys):
     assert rc == 0
 
 
+def test_latency_grid_without_fedchain_compares_only_what_ran(tmp_path, capsys):
+    out = tmp_path / "results"
+    rc = cli.main(["latency-grid", "--modes", "gfl_ring", "fedavg_central", "--nodes", "20",
+                   "--pools", "2", "--out", str(out)])
+    printed = capsys.readouterr().out
+    assert rc == 0
+    assert "fedchain" not in printed and "nan" not in printed
+    assert "fedchain" not in (out / "report.md").read_text()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["single-round", "--nodes", "6", "--pools", "2", "--ledger", "missing/x.jsonl"],
+     "error: [Errno 2] No such file or directory: 'missing/x.jsonl'"),
+    (["latency-grid", "--modes", "pow", "--nodes", "6", "--pools", "2",
+      "--out", "a_file/results"],
+     "error: [Errno 20] Not a directory: 'a_file/results'"),
+    (["latency-grid", "--modes", "pow", "--nodes", "6", "--pools", "2", "--out", "a_file"],
+     "error: [Errno 17] File exists: 'a_file'"),
+])
+def test_output_that_cannot_be_written_exits_2(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a_file").write_text("")
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == message + "\n"
+
+
+def test_validate_chain_refuses_an_empty_ledger(tmp_path, capsys):
+    path = tmp_path / "empty.jsonl"
+    path.write_text("")
+    assert cli.main(["validate-chain", str(path)]) == 1
+    assert capsys.readouterr().out == "violation: no genesis record: no block at height 0\n"
+
+
 def test_unknown_mode_rejected():
     with pytest.raises(SystemExit):
         cli.main(["single-round", "--mode", "bogus"])

@@ -197,6 +197,31 @@ class TestTrendChecks:
         assert checks["fedchain_latency_decreases_with_pools"]
         assert checks["fedavg_central_latency_grows_with_nodes"]
 
+    def test_latency_checks_compare_only_the_modes_that_ran(self):
+        cfg = ExperimentConfig(modes=["gfl_ring", "fedavg_central"], n_nodes=[10, 20],
+                               n_pools=[2, 5], seeds=[0])
+        rows = [dict(mode=mode, n_nodes=n, n_pools=p, seed=0, round=1, winner_pool=0,
+                     latency_ms=100.0 + n, accuracy=0.9)
+                for mode in cfg.modes for n in cfg.n_nodes for p in cfg.n_pools]
+        names = [name for name, _, _ in experiments.latency_trend_checks(rows, cfg)]
+        assert names == ["fedavg_central_latency_grows_with_nodes"]
+
+    def test_a_compared_cell_without_rows_fails_naming_it(self):
+        cfg = ExperimentConfig(modes=["fedchain", "gfl_ring", "fedavg_central"], n_nodes=[6, 20],
+                               n_pools=[7], seeds=[0])
+        # p=7 > n=6 is skipped by the grid, so no row has (n=6, pools=7)
+        rows = [dict(mode=mode, n_nodes=20, n_pools=7, seed=0, round=1, winner_pool=0,
+                     latency_ms=latency, accuracy=0.9)
+                for mode, latency in (("gfl_ring", 500.0), ("fedavg_central", 900.0))]
+        checks = {name: (ok, detail)
+                  for name, ok, detail in experiments.latency_trend_checks(rows, cfg)}
+        assert checks == {
+            "fedchain_below_gfl_ring": (False, "no fedchain rows at n=20, pools=7"),
+            "fedchain_below_fedavg_central": (False, "no fedchain rows at n=20, pools=7"),
+            "fedavg_central_latency_grows_with_nodes": (False,
+                                                        "no fedavg_central rows at n=6, pools=7"),
+        }
+
     def test_accuracy_checks_on_synthetic_rows(self):
         cfg = ExperimentConfig(alphas=[0.1, 0.8], seeds=[0, 1, 2])
         rows = []

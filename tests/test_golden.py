@@ -1,5 +1,5 @@
-"""Golden digests of a small fixed latency grid and accuracy sweep, and of
-the fixtures the benchmark builds.
+"""Golden digests of a small fixed latency grid and accuracy sweep, of the
+report files written from them, and of the fixtures the benchmark builds.
 
 A change that is meant to keep behaviour must keep these bytes. If a change
 moves them on purpose, it says which outputs moved and why, and updates the
@@ -14,11 +14,13 @@ import hashlib
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from fedchain.experiments import (
     ExperimentConfig,
     build_round_setup,
     build_task_fixture,
+    emit_report,
     latency_rows_to_csv,
     run_accuracy_sweep,
     run_latency_grid,
@@ -29,6 +31,25 @@ PINNED_ON = "numpy 2.4.6"
 GRID_SHA256 = "c03ca92219593de6ee2cbd527e64099200d4d033bf15f2472ba788941979e8fd"
 SWEEP_SHA256 = "d800017957b73b31ee3f7dc7b3061c1ddc7f70ddda3002d2a7bf109587fe4072"
 SETUP_SHA256 = "84c4f5bf6b4e424671a253a4e9a916b9f7767889478274e13913d0403d872536"
+# The files `emit_report` writes for the grid and sweep of
+# `test_report_files_digest`, given the grid's rows, the sweep's or both.
+REPORT_SHA256 = {
+    "grid": {
+        "latency_grid.csv": "ffcb901f2f867bf5172359572b0b2dcfde8064742481d7e1ef4792769554f9bb",
+        "report.md": "40494817ec838fbe75e4019bdbc651e7ed4c70267b2b03132399ed3b57792e9f",
+    },
+    "sweep": {
+        "accuracy_curves.csv": "53e78e0233a2454d327d1f8b2b11a09ae8911643acc5516b005269fb8f4ff285",
+        "accuracy_sweep.csv": "d800017957b73b31ee3f7dc7b3061c1ddc7f70ddda3002d2a7bf109587fe4072",
+        "report.md": "7e721082d8e23020446e002d36aa3ca54853b3bfca63de9768d52171dd296410",
+    },
+    "both": {
+        "accuracy_curves.csv": "53e78e0233a2454d327d1f8b2b11a09ae8911643acc5516b005269fb8f4ff285",
+        "accuracy_sweep.csv": "d800017957b73b31ee3f7dc7b3061c1ddc7f70ddda3002d2a7bf109587fe4072",
+        "latency_grid.csv": "ffcb901f2f867bf5172359572b0b2dcfde8064742481d7e1ef4792769554f9bb",
+        "report.md": "1b63cf35f4c0fee1477c6dc3510cd76dab03818535654d579726eea988f18e28",
+    },
+}
 
 
 def sha256(text: str) -> str:
@@ -79,4 +100,32 @@ def test_setup_digest_at_benchmark_scale():
     digest = h.hexdigest()
     assert digest == SETUP_SHA256, (
         f"setup digest {digest} (pinned on {PINNED_ON}, ran on numpy {np.__version__})"
+    )
+
+
+@pytest.mark.parametrize("given", sorted(REPORT_SHA256))
+def test_report_files_digest(tmp_path, given):
+    # A grid with `fedchain`, so every latency check runs, and the sweep of
+    # `test_accuracy_sweep_digest`. The "both" report takes the grid's config.
+    grid_cfg = ExperimentConfig(
+        modes=["fedchain", "gfl_ring", "fedavg_central"],
+        n_nodes=[6, 8],
+        n_pools=[2, 3],
+        seeds=[0, 1],
+        epochs=2,
+        max_rounds=30,
+    )
+    sweep_cfg = ExperimentConfig(
+        alphas=[0.1, 0.8], seeds=[0, 1], sweep_miners=4, sweep_samples=400, sweep_max_rounds=20
+    )
+    rows = {}
+    if given in ("grid", "both"):
+        rows["latency_rows"] = run_latency_grid(grid_cfg)
+    if given in ("sweep", "both"):
+        rows["sweep_rows"] = run_accuracy_sweep(sweep_cfg)
+    emit_report(sweep_cfg if given == "sweep" else grid_cfg, str(tmp_path), **rows)
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in tmp_path.iterdir()}
+    assert digests == REPORT_SHA256[given], (
+        f"report digests {digests} (pinned on {PINNED_ON}, ran on numpy {np.__version__})"
     )
