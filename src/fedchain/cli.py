@@ -13,6 +13,7 @@ violation.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import chain, experiments
@@ -58,8 +59,9 @@ def cmd_grid(args: argparse.Namespace) -> int:
     """`latency-grid` or `accuracy-sweep`: run the grid, write its report and
     print the report's checks."""
     cfg = _grid_config(args)
-    grid = experiments.GRIDS[args.command]
-    written, checks = experiments.emit_report(cfg, cfg.out_dir, **{grid.rows_arg: grid.run(cfg)})
+    os.makedirs(cfg.out_dir, exist_ok=True)  # an --out that cannot be written fails before any cell
+    rows = experiments.GRIDS[args.command].run(cfg)
+    written, checks = experiments.emit_report(cfg, {args.command: rows})
     for path in written:
         print(f"wrote {path}")
     for name, passed, detail in checks:

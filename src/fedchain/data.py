@@ -7,7 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import PartitionUnderflowError
+from .errors import DatasetFixtureError, PartitionUnderflowError
 
 SMOOTHING_EPS = 1e-6
 
@@ -94,15 +94,42 @@ def save_csv(dataset: Dataset, path: str) -> None:
 
 
 def load_csv(path: str) -> Dataset:
-    with open(path, encoding="utf-8") as fh:
-        n, f, c = (int(v) for v in fh.readline().strip().split(","))
-        x = np.empty((n, f))
-        y = np.empty(n, dtype=np.int64)
+    """Read a `save_csv` fixture. Raises DatasetFixtureError naming the file
+    and line for a header that is not three positive ints, a row without
+    one field per feature plus the label, a feature that is not a number, a
+    label that is not an integer in [0, classes), or fewer rows than the
+    header declares. Bytes that are not UTF-8 read as U+FFFD, so they fail
+    one of these checks."""
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        header = fh.readline().strip()
+        try:
+            n, f, c = (int(v) for v in header.split(","))
+        except ValueError:
+            n = f = c = 0
+        if min(n, f, c) < 1:
+            raise DatasetFixtureError(
+                f"fixture {path} line 1: header must be three positive ints "
+                f"n_samples,n_features,n_classes, got {header!r}"
+            )
+        # Rows are collected before any array is made, so a header that
+        # declares more rows or features than the file holds allocates nothing.
+        x, y = [], []
         for i in range(n):
-            parts = fh.readline().strip().split(",")
-            x[i] = [float(v) for v in parts[:f]]
-            y[i] = int(parts[f])
-    return Dataset(x, y, c)
+            where = f"fixture {path} line {i + 2}"
+            line = fh.readline()
+            if not line:
+                raise DatasetFixtureError(f"{where}: header declares {n} rows, found {i}")
+            fields = line.strip().split(",")
+            if len(fields) != f + 1:
+                raise DatasetFixtureError(f"{where}: {len(fields)} fields, need {f + 1}")
+            try:
+                x.append([float(v) for v in fields[:f]])
+                y.append(int(fields[f]))
+            except ValueError as err:
+                raise DatasetFixtureError(f"{where}: {err}") from err
+            if not 0 <= y[-1] < c:
+                raise DatasetFixtureError(f"{where}: label {y[-1]} outside [0, {c})")
+    return Dataset(np.array(x), np.array(y, dtype=np.int64), c)
 
 
 def largest_remainder(totals: int | np.ndarray, shares: np.ndarray) -> np.ndarray:
@@ -119,20 +146,14 @@ def largest_remainder(totals: int | np.ndarray, shares: np.ndarray) -> np.ndarra
     return counts + (rank < shortfall)
 
 
-def partition_noniid(
-    dataset: Dataset,
-    n_parts: int,
-    alpha: float,
-    seed: int,
-    alphas: Sequence[float] | None = None,
-) -> list[Dataset]:
-    """Split a dataset into label-skewed parts.
+def partition_noniid(dataset: Dataset, alphas: Sequence[float], seed: int) -> list[Dataset]:
+    """Split a dataset into label-skewed parts, one per entry of `alphas`.
 
     Part j targets the label distribution (1-a)*uniform + a*onehot(j mod C)
-    with a = alpha (or alphas[j] when a per-part schedule is given), drawing
-    without replacement while class pools last. A part whose preferred pool
-    drains early comes out smaller rather than diluted (empty parts get one
-    top-up sample so every miner has data). Deterministic for a given seed.
+    with a = alphas[j], drawing without replacement while class pools last.
+    A part whose preferred pool drains early comes out smaller rather than
+    diluted (empty parts get one top-up sample so every miner has data).
+    Deterministic for a given seed.
 
     Each class pool is a permuted index array drawn from the front. Its
     cursor after part j is the cumulative sum of the parts' target counts
@@ -146,15 +167,12 @@ def partition_noniid(
     every part is a row slice of that one gather: no two parts share
     memory, and none shares the input's.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    if n_parts < 1:
-        raise ValueError(f"n_parts must be >= 1, got {n_parts}")
+    part_alphas = np.asarray(alphas, dtype=np.float64)
+    n_parts = len(part_alphas)
+    if not n_parts:
+        raise ValueError("alphas must hold one entry per part, got none")
     if len(dataset) < n_parts:
         raise PartitionUnderflowError(f"{len(dataset)} samples for {n_parts} parts")
-    if alphas is not None and len(alphas) != n_parts:
-        raise ValueError("alphas must have one entry per part")
-    part_alphas = np.asarray([alpha] * n_parts if alphas is None else alphas, dtype=np.float64)
     # An alpha outside [0, 1] or NaN gives negative counts, which would move
     # a cursor backwards.
     bad = np.flatnonzero(~((part_alphas >= 0.0) & (part_alphas <= 1.0)))

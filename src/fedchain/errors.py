@@ -61,6 +61,10 @@ class PartitionUnderflowError(FedChainError):
     """Dataset has fewer samples than requested partitions."""
 
 
+class DatasetFixtureError(FedChainError):
+    """A CSV dataset fixture is malformed or holds too few samples."""
+
+
 class AggregationShapeError(FedChainError):
     """Weight vectors passed to aggregation disagree in shape."""
 

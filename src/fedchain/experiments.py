@@ -10,13 +10,13 @@ import json
 import os
 import warnings
 from dataclasses import asdict, dataclass, field, replace
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import chain, netsim
 from .data import Dataset, load_csv, make_blobs, partition_noniid
-from .errors import EmptyReportError, LedgerIntegrityError
+from .errors import DatasetFixtureError, EmptyReportError, LedgerIntegrityError
 from .fed import (
     DenseClassifier,
     TrainConfig,
@@ -159,7 +159,9 @@ class ExperimentConfig:
             raise ValueError(f"seeds must be >= 0, got {min(self.seeds)}")
 
     def fingerprint(self) -> str:
-        body = json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
+        """Hash of every field but `out_dir`: what a run computes, not where."""
+        fields = {k: v for k, v in asdict(self).items() if k != "out_dir"}
+        body = json.dumps(fields, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(body.encode()).hexdigest()[:12]
 
     def train_config(self, lr: float | None = None) -> TrainConfig:
@@ -170,21 +172,17 @@ class ExperimentConfig:
         )
 
 
-def build_task_fixture(
-    cfg: ExperimentConfig, n_nodes: int, seed: int, alpha: float,
-    alphas: list[float] | None = None, slack_parts: int = 0,
-) -> tuple[chain.Task, list[Dataset]]:
+def build_task_fixture(cfg: ExperimentConfig, alphas: Sequence[float],
+                       seed: int) -> tuple[chain.Task, list[Dataset]]:
     """One blob population sliced into example/held-out/miner splits, so the
-    training and verification data share a distribution.
-
-    `slack_parts` extra unskewed parts are carved but not handed to miners;
-    they keep the per-class pools from draining, so the miner parts realize
-    their target distributions instead of exhaustion artifacts."""
-    total = cfg.example_size + cfg.held_out_size + cfg.samples_per_node * (n_nodes + slack_parts)
+    training and verification data share a distribution: `samples_per_node`
+    miner rows per entry of `alphas`, cut into one part per entry skewed by
+    it. Raises DatasetFixtureError when `dataset_path` has too few rows."""
+    total = cfg.example_size + cfg.held_out_size + cfg.samples_per_node * len(alphas)
     if cfg.dataset_path:
         full = load_csv(cfg.dataset_path)
         if len(full) < total:
-            raise ValueError(
+            raise DatasetFixtureError(
                 f"fixture {cfg.dataset_path} has {len(full)} samples, need {total}"
             )
         order = np.random.default_rng(seed).permutation(len(full))[:total]
@@ -199,11 +197,7 @@ def build_task_fixture(
     held_out = full.subset(np.arange(cfg.example_size, cfg.example_size + cfg.held_out_size))
     start = cfg.example_size + cfg.held_out_size
     base = Dataset(full.x[start:total], full.y[start:total], full.n_classes)
-    if alphas is not None and slack_parts:
-        alphas = list(alphas) + [0.0] * slack_parts
-    parts = partition_noniid(
-        base, n_nodes + slack_parts, alpha=alpha, seed=seed + 1, alphas=alphas
-    )[:n_nodes]
+    parts = partition_noniid(base, alphas, seed=seed + 1)
     task = chain.Task(
         task_id=1,
         arch=Architecture(full.n_features, full.n_classes),
@@ -221,7 +215,7 @@ def build_round_setup(cfg: ExperimentConfig, n_nodes: int, n_pools: int, seed: i
     aggregation. The topology is drawn first, so a node count below 2 is
     refused by name (InvalidTopologyError) before the fixture is built."""
     latency = netsim.build_topology(n_nodes, seed=seed * 31 + 5)
-    task, parts = build_task_fixture(cfg, n_nodes, seed=seed * 7919 + 11, alpha=cfg.grid_alpha)
+    task, parts = build_task_fixture(cfg, [cfg.grid_alpha] * n_nodes, seed=seed * 7919 + 11)
     compute = netsim.draw_compute_times(n_nodes, seed=seed * 17 + 3)
     return chain.RoundSetup(
         task=task,
@@ -349,15 +343,15 @@ def run_sweep_cell(cfg: ExperimentConfig, scheme: str, alpha: float, seed: int) 
 
     Heterogeneous divergence across miners is the regime where divergence
     weighting and size weighting actually differ; with every miner skewed
-    alike the two schemes coincide. Slack parts keep the skewed draws from
-    draining the class pools, so the iid miners stay genuinely iid.
+    alike the two schemes coincide. m unskewed slack parts, which no miner
+    gets, keep the skewed draws from draining the class pools, so the iid
+    miners stay genuinely iid.
     """
     m = cfg.sweep_miners
     grades = [alpha if j < m // 2 else 0.0 for j in range(m)]
     fixture_cfg = replace(cfg, samples_per_node=cfg.sweep_samples // m)
-    task, parts = build_task_fixture(
-        fixture_cfg, m, seed=seed * 104729 + 7, alpha=alpha, alphas=grades, slack_parts=m,
-    )
+    task, parts = build_task_fixture(fixture_cfg, grades + [0.0] * m, seed=seed * 104729 + 7)
+    parts = parts[:m]
     weights = aggregation_weights(scheme, parts, task.example)
 
     train_cfg = cfg.train_config(cfg.sweep_lr)
@@ -448,62 +442,58 @@ def accuracy_trend_checks(rows: list[dict], cfg: ExperimentConfig) -> list[Check
 @dataclass(frozen=True)
 class Grid:
     """One experiment grid, from its rows to its artifacts: the function that
-    runs its rows, the keyword `emit_report` takes them by, its CSV files
-    with the function that writes each, its report section's title and its
-    trend checks."""
+    runs its rows, its CSV files with the function that writes each, its
+    report section's title and its trend checks."""
 
     run: Callable[[ExperimentConfig], list[dict]]
-    rows_arg: str
     csvs: tuple[tuple[str, Callable[[list[dict]], str]], ...]
     title: str
     checks: Callable[[list[dict], ExperimentConfig], list[Check]]
 
 
-# By the CLI command that runs each grid, in the order the report lists them.
+# By the CLI command that runs each grid and that `emit_report` takes its rows
+# by, in the order the report lists them.
 GRIDS = {
     "latency-grid": Grid(
-        run_latency_grid, "latency_rows", (("latency_grid.csv", latency_rows_to_csv),),
+        run_latency_grid, (("latency_grid.csv", latency_rows_to_csv),),
         "Latency grid", latency_trend_checks,
     ),
     "accuracy-sweep": Grid(
-        run_accuracy_sweep, "sweep_rows",
+        run_accuracy_sweep,
         (("accuracy_sweep.csv", sweep_rows_to_csv), ("accuracy_curves.csv", curve_rows_to_csv)),
         "Accuracy sweep", accuracy_trend_checks,
     ),
 }
 
 
-def emit_report(
-    cfg: ExperimentConfig,
-    out_dir: str,
-    latency_rows: list[dict] | None = None,
-    sweep_rows: list[dict] | None = None,
-) -> tuple[list[str], list[Check]]:
-    """Write each given grid's CSV files plus a markdown summary of its trend
-    checks; returns the written paths and the checks, grid after grid.
-
-    Identical inputs produce byte-identical files (the config fingerprint is
-    embedded so runs can be reproduced)."""
-    given = {"latency_rows": latency_rows, "sweep_rows": sweep_rows}
-    if not any(given.values()):
+def emit_report(cfg: ExperimentConfig, rows: dict[str, list[dict]]) -> tuple[list[str], list[Check]]:
+    """Write into `cfg.out_dir` the CSV files of each grid in `rows`, keyed
+    as in `GRIDS` (another key is refused by name), plus a markdown summary
+    of its trend checks; returns the written paths and the checks, grid
+    after grid. Identical inputs produce byte-identical files (the config
+    fingerprint is embedded so runs can be reproduced)."""
+    unknown = [key for key in rows if key not in GRIDS]
+    if unknown:
+        raise ValueError(f"no grid named {unknown[0]!r}; grids are {list(GRIDS)}")
+    if not any(rows.values()):
         raise EmptyReportError("no run records to report")
     files: list[tuple[str, str]] = []
     checks: list[Check] = []
     report_lines = ["# Experiment report", "", f"Config fingerprint: `{cfg.fingerprint()}`", ""]
-    for grid in GRIDS.values():
-        rows = given[grid.rows_arg]
-        if not rows:
+    for key, grid in GRIDS.items():
+        grid_rows = rows.get(key)
+        if not grid_rows:
             continue
-        files += [(name, to_csv(rows)) for name, to_csv in grid.csvs]
-        grid_checks = grid.checks(rows, cfg)
+        files += [(name, to_csv(grid_rows)) for name, to_csv in grid.csvs]
+        grid_checks = grid.checks(grid_rows, cfg)
         checks += grid_checks
         report_lines += [f"## {grid.title}", ""]
         report_lines += [f"- {'PASS' if ok else 'FAIL'} {name}: {detail}"
                          for name, ok, detail in grid_checks]
         report_lines.append("")
     files.append(("report.md", "\n".join(report_lines)))
-    os.makedirs(out_dir, exist_ok=True)
-    written = [os.path.join(out_dir, name) for name, _ in files]
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    written = [os.path.join(cfg.out_dir, name) for name, _ in files]
     for path, (_, text) in zip(written, files):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -121,7 +121,7 @@ def build_setup(
     example = full.subset(np.arange(n_example))
     held_out = full.subset(np.arange(n_example, n_example + n_held))
     base = full.subset(np.arange(n_example + n_held, len(full)))
-    parts = data.partition_noniid(base, n_nodes, alpha=alpha, seed=seed + 4)
+    parts = data.partition_noniid(base, [alpha] * n_nodes, seed=seed + 4)
     latency = (topology or netsim.build_topology)(n_nodes, seed + 5)
     compute = netsim.draw_compute_times(n_nodes, seed=seed + 6)
     task = chain.Task(

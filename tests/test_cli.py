@@ -1,4 +1,5 @@
 import csv
+from dataclasses import replace
 
 import pytest
 
@@ -97,10 +98,48 @@ def test_latency_grid_without_fedchain_compares_only_what_ran(tmp_path, capsys):
      "error: [Errno 17] File exists: 'a_file'"),
 ])
 def test_output_that_cannot_be_written_exits_2(tmp_path, monkeypatch, capsys, argv, message):
+    ran = []
+    for key, grid in experiments.GRIDS.items():
+        monkeypatch.setitem(experiments.GRIDS, key, replace(grid, run=ran.append))
     monkeypatch.chdir(tmp_path)
     (tmp_path / "a_file").write_text("")
     assert cli.main(argv) == 2
     assert capsys.readouterr().err == message + "\n"
+    assert ran == []  # the grid never ran
+
+
+BAD_HEADER = "line 1: header must be three positive ints n_samples,n_features,n_classes, got "
+
+
+@pytest.mark.parametrize("command", ["latency-grid", "accuracy-sweep"])
+@pytest.mark.parametrize("body, message", [
+    ("3,4\n", BAD_HEADER + "'3,4'"),
+    ("0,4,2\n", BAD_HEADER + "'0,4,2'"),
+    ("n,f,c\n", BAD_HEADER + "'n,f,c'"),
+    ("\udcff1,2,3\n", BAD_HEADER + "'\ufffd1,2,3'"),  # a byte that is not UTF-8
+    ("2,2,3\n0.1,0.2,1\n0.3,1\n", "line 3: 2 fields, need 3"),
+    ("2,2,3\n0.1,0.2,1,0\n0.3,0.4,1\n", "line 2: 4 fields, need 3"),
+    ("2,2,3\n0.1,x,1\n0.3,0.4,1\n", "line 2: could not convert string to float: 'x'"),
+    ("1,2,3\n0.1,0.2,1.5\n", "line 2: invalid literal for int() with base 10: '1.5'"),
+    ("2,2,3\n0.1,0.2,1\n0.3,0.4,3\n", "line 3: label 3 outside [0, 3)"),
+    ("1,2,3\n0.1,0.2,-1\n", "line 2: label -1 outside [0, 3)"),
+    ("3,2,3\n0.1,0.2,1\n", "line 3: header declares 3 rows, found 1"),
+    # a header far larger than the file is refused, not allocated
+    ("1000000000000,2,3\n0.1,0.2,1\n", "line 3: header declares 1000000000000 rows, found 1"),
+    ("1,1000000000000,3\n0.1,1\n", "line 2: 2 fields, need 1000000000001"),
+    ("3,2,3\n0.1,0.2,1\n0.3,0.4,2\n0.5,0.6,0\n", "has 3 samples, need {need}"),
+])
+def test_bad_dataset_fixture_exits_2(tmp_path, monkeypatch, capsys, command, body, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "tiny.csv").write_bytes(body.encode(errors="surrogateescape"))  # \udcff -> 0xff
+    (tmp_path / "cfg.yaml").write_text(
+        "dataset_path: tiny.csv\nmodes: [pow]\nn_nodes: [6]\nn_pools: [2]\nseeds: [0]\n"
+    )
+    assert cli.main([command, "--config", "cfg.yaml"]) == 2
+    captured = capsys.readouterr()
+    need = {"latency-grid": 400 + 600 + 40 * 6, "accuracy-sweep": 400 + 600 + 1600 // 8 * 16}
+    assert captured.err == f"error: fixture tiny.csv {message.format(need=need[command])}\n"
+    assert captured.out == ""
 
 
 def test_validate_chain_refuses_an_empty_ledger(tmp_path, capsys):

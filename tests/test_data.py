@@ -141,7 +141,7 @@ class TestCsvRoundtrip:
 
 class TestPartitionNoniid:
     def test_iid_limit_matches_global(self, balanced):
-        parts = data.partition_noniid(balanced, 4, alpha=0.0, seed=1)
+        parts = data.partition_noniid(balanced, [0.0] * 4, seed=1)
         global_hist = label_histogram(balanced)
         for part in parts:
             # chi-squared distance to the global histogram stays small
@@ -150,7 +150,7 @@ class TestPartitionNoniid:
             assert chi2 < 0.05
 
     def test_skew_limit_near_single_label(self, balanced):
-        parts = data.partition_noniid(balanced, 4, alpha=1.0, seed=1)
+        parts = data.partition_noniid(balanced, [1.0] * 4, seed=1)
         for j, part in enumerate(parts):
             hist = label_histogram(part)
             assert hist[j % 10] > 0.95
@@ -159,14 +159,14 @@ class TestPartitionNoniid:
         uniform = np.full(10, 0.1)
 
         def mean_kl(alpha):
-            parts = data.partition_noniid(balanced, 4, alpha=alpha, seed=2)
+            parts = data.partition_noniid(balanced, [alpha] * 4, seed=2)
             return np.mean(part_divergences(parts, uniform))
 
         low, mid, high = mean_kl(0.0), mean_kl(0.5), mean_kl(1.0)
         assert low < mid < high
 
     def test_parts_disjoint_within_base(self, balanced):
-        parts = data.partition_noniid(balanced, 5, alpha=0.4, seed=9)
+        parts = data.partition_noniid(balanced, [0.4] * 5, seed=9)
         rows = np.concatenate([p.x for p in parts])
         # samples drawn without replacement: no row reused across parts
         assert len(np.unique(rows, axis=0)) == len(rows)
@@ -174,19 +174,17 @@ class TestPartitionNoniid:
         assert all(len(p) >= 1 for p in parts)
 
     def test_iid_partition_covers_base(self, balanced):
-        parts = data.partition_noniid(balanced, 4, alpha=0.0, seed=9)
+        parts = data.partition_noniid(balanced, [0.0] * 4, seed=9)
         assert sum(len(p) for p in parts) == len(balanced)
 
     def test_deterministic(self, balanced):
-        a = data.partition_noniid(balanced, 3, alpha=0.5, seed=11)
-        b = data.partition_noniid(balanced, 3, alpha=0.5, seed=11)
+        a = data.partition_noniid(balanced, [0.5] * 3, seed=11)
+        b = data.partition_noniid(balanced, [0.5] * 3, seed=11)
         for pa, pb in zip(a, b):
             assert np.array_equal(pa.y, pb.y)
 
     def test_per_part_alpha_schedule(self, balanced):
-        parts = data.partition_noniid(
-            balanced, 3, alpha=0.8, seed=4, alphas=[0.0, 0.4, 0.8]
-        )
+        parts = data.partition_noniid(balanced, [0.0, 0.4, 0.8], seed=4)
         uniform = np.full(10, 0.1)
         kls = part_divergences(parts, uniform)
         assert kls[0] < kls[1] < kls[2]
@@ -194,14 +192,25 @@ class TestPartitionNoniid:
     def test_underflow(self):
         tiny = data.make_blobs(3, n_classes=3, seed=0)
         with pytest.raises(PartitionUnderflowError):
-            data.partition_noniid(tiny, 4, alpha=0.0, seed=0)
+            data.partition_noniid(tiny, [0.0] * 4, seed=0)
 
     def test_bad_alpha(self, balanced):
-        with pytest.raises(ValueError):
-            data.partition_noniid(balanced, 2, alpha=1.5, seed=0)
+        with pytest.raises(ValueError, match=r"alpha of part 0 must be in \[0, 1\], got 1.5"):
+            data.partition_noniid(balanced, [1.5] * 2, seed=0)
+
+    @pytest.mark.parametrize("n_parts", [1, 3, 10])
+    def test_one_part_per_alpha(self, balanced, n_parts):
+        parts = data.partition_noniid(balanced, np.linspace(0.0, 1.0, n_parts), seed=5)
+        assert len(parts) == n_parts
+
+    def test_empty_alphas_rejected(self, balanced):
+        with pytest.raises(ValueError, match="alphas must hold one entry per part, got none"):
+            data.partition_noniid(balanced, [], seed=0)
 
     def assert_matches_oracle(self, dataset, n_parts, alpha, seed, alphas=None):
-        got = data.partition_noniid(dataset, n_parts, alpha, seed, alphas=alphas)
+        got = data.partition_noniid(
+            dataset, [alpha] * n_parts if alphas is None else alphas, seed
+        )
         want = oracle_partition_noniid(dataset, n_parts, alpha, seed, alphas=alphas)
         assert len(got) == len(want)
         for g, w in zip(got, want):
@@ -246,7 +255,8 @@ class TestPartitionNoniid:
     def test_matches_list_oracle_property(self, source):
         """Random label supplies (some classes scarce or empty, so pools
         drain and parts need top-ups), part counts up to one row per part,
-        and a scalar alpha or a per-part schedule with exact 0s and 1s."""
+        and one alpha for every part or a per-part schedule, with exact 0s
+        and 1s."""
         n_classes = source.draw(st.integers(1, 6))
         supply = source.draw(st.lists(st.integers(0, 30), min_size=n_classes,
                                     max_size=n_classes).filter(sum))
@@ -264,7 +274,7 @@ class TestPartitionNoniid:
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0])
     def test_parts_share_no_memory(self, balanced, alpha):
-        parts = data.partition_noniid(balanced, 7, alpha=alpha, seed=3)
+        parts = data.partition_noniid(balanced, [alpha] * 7, seed=3)
         arrays = [a for p in parts for a in (p.x, p.y)]
         for i, a in enumerate(arrays):
             assert not np.shares_memory(a, balanced.x)
@@ -278,7 +288,7 @@ class TestPartitionNoniid:
     )
     def test_bad_per_part_alpha(self, balanced, alphas, part):
         with pytest.raises(ValueError, match=rf"alpha of part {part} must be in \[0, 1\]"):
-            data.partition_noniid(balanced, 4, alpha=0.5, seed=0, alphas=alphas)
+            data.partition_noniid(balanced, alphas, seed=0)
 
 
 def oracle_largest_remainder(total, shares):

@@ -1,10 +1,11 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from fedchain import chain, experiments
-from fedchain.errors import EmptyReportError, LedgerIntegrityError
+from fedchain.errors import DatasetFixtureError, EmptyReportError, LedgerIntegrityError
 from fedchain.experiments import ExperimentConfig
 
 
@@ -123,7 +124,7 @@ class TestLatencyGrid:
             held_out_size=200,
             samples_per_node=40,
         )
-        task, parts = experiments.build_task_fixture(cfg, n_nodes=4, seed=0, alpha=0.2)
+        task, parts = experiments.build_task_fixture(cfg, [0.2] * 4, seed=0)
         assert task.arch.n_features == 5
         assert task.arch.n_classes == 4
         assert len(task.example) == 100
@@ -136,8 +137,15 @@ class TestLatencyGrid:
         path = tmp_path / "fixture.csv"
         data.save_csv(ds, str(path))
         cfg = ExperimentConfig(dataset_path=str(path))
-        with pytest.raises(ValueError, match="samples"):
-            experiments.build_task_fixture(cfg, n_nodes=4, seed=0, alpha=0.2)
+        with pytest.raises(DatasetFixtureError, match="has 50 samples, need 1160"):
+            experiments.build_task_fixture(cfg, [0.2] * 4, seed=0)
+
+    @pytest.mark.parametrize("alphas", [[0.5], [0.0, 1.0, 0.3], [0.1] * 9])
+    def test_fixture_has_one_part_per_alpha(self, alphas):
+        cfg = ExperimentConfig(samples_per_node=20, example_size=50, held_out_size=10)
+        task, parts = experiments.build_task_fixture(cfg, alphas, seed=4)
+        assert len(parts) == len(alphas)
+        assert sum(len(p) for p in parts) <= 20 * len(alphas)
 
     def test_baseline_latency_independent_of_pools(self):
         cfg = tiny_grid_config(n_nodes=[8])
@@ -252,21 +260,33 @@ class TestTrendChecks:
 
 
 class TestReport:
-    def test_empty_report_rejected(self, tmp_path):
+    @pytest.mark.parametrize("rows", [{}, {"latency-grid": [], "accuracy-sweep": []}])
+    def test_empty_report_rejected(self, tmp_path, rows):
         with pytest.raises(EmptyReportError):
-            experiments.emit_report(ExperimentConfig(), str(tmp_path))
+            experiments.emit_report(ExperimentConfig(out_dir=str(tmp_path)), rows)
+
+    def test_unknown_rows_key_rejected(self, tmp_path):
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match="no grid named 'latency_rows'"):
+            experiments.emit_report(ExperimentConfig(out_dir=str(out)), {"latency_rows": [{}]})
+        assert not out.exists()
 
     def test_report_bytes_deterministic(self, tmp_path):
-        cfg = tiny_grid_config(modes=["pow"], n_nodes=[6], n_pools=[2])
-        rows = experiments.run_latency_grid(cfg)
-        out_a, out_b = tmp_path / "a", tmp_path / "b"
-        experiments.emit_report(cfg, str(out_a), latency_rows=rows)
-        experiments.emit_report(cfg, str(out_b), latency_rows=rows)
-        for name in ("latency_grid.csv", "report.md"):
-            assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+        # two configs that differ only in out_dir: one fingerprint, one set of bytes
+        a = tiny_grid_config(modes=["pow"], n_nodes=[6], n_pools=[2], out_dir=str(tmp_path / "a"))
+        b = replace(a, out_dir=str(tmp_path / "b"))
+        assert a.fingerprint() == b.fingerprint()
+        rows = experiments.run_latency_grid(a)
+        for cfg in (a, b):
+            experiments.emit_report(cfg, {"latency-grid": rows})
+        names = sorted(path.name for path in (tmp_path / "a").iterdir())
+        assert names == sorted(path.name for path in (tmp_path / "b").iterdir())
+        assert names == ["latency_grid.csv", "report.md"]
+        for name in names:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_report_embeds_fingerprint(self, tmp_path):
-        cfg = tiny_grid_config(modes=["pow"], n_nodes=[6], n_pools=[2])
+        cfg = tiny_grid_config(modes=["pow"], n_nodes=[6], n_pools=[2], out_dir=str(tmp_path))
         rows = experiments.run_latency_grid(cfg)
-        experiments.emit_report(cfg, str(tmp_path), latency_rows=rows)
+        experiments.emit_report(cfg, {"latency-grid": rows})
         assert cfg.fingerprint() in (tmp_path / "report.md").read_text()

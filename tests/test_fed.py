@@ -447,7 +447,7 @@ class TestAggregationWeights:
 
     def parts(self):
         base = data.make_blobs(300, 4, 5, seed=3)
-        return data.partition_noniid(base, 4, alpha=0.3, seed=4), base.subset(np.arange(100))
+        return data.partition_noniid(base, [0.3] * 4, seed=4), base.subset(np.arange(100))
 
     def test_fedavg_is_size_weights(self):
         parts, example = self.parts()
@@ -518,7 +518,7 @@ class TestEvaluate:
 
 def test_fedavg_equivalence_iid_equal_sizes():
     base = data.make_blobs(800, n_features=6, n_classes=4, seed=20)
-    parts = data.partition_noniid(base, 4, alpha=0.0, seed=21)
+    parts = data.partition_noniid(base, [0.0] * 4, seed=21)
     hists = [data.smooth_histogram(label_histogram(p)) for p in parts]
     ref = data.smooth_histogram(label_histogram(base))
     sizes = [len(p) for p in parts]

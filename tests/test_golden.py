@@ -36,18 +36,18 @@ SETUP_SHA256 = "84c4f5bf6b4e424671a253a4e9a916b9f7767889478274e13913d0403d872536
 REPORT_SHA256 = {
     "grid": {
         "latency_grid.csv": "ffcb901f2f867bf5172359572b0b2dcfde8064742481d7e1ef4792769554f9bb",
-        "report.md": "40494817ec838fbe75e4019bdbc651e7ed4c70267b2b03132399ed3b57792e9f",
+        "report.md": "d22902800298d838aedd47f7387ecb58487f190d88dc0a1bbde332a60ef0a63b",
     },
     "sweep": {
         "accuracy_curves.csv": "53e78e0233a2454d327d1f8b2b11a09ae8911643acc5516b005269fb8f4ff285",
         "accuracy_sweep.csv": "d800017957b73b31ee3f7dc7b3061c1ddc7f70ddda3002d2a7bf109587fe4072",
-        "report.md": "7e721082d8e23020446e002d36aa3ca54853b3bfca63de9768d52171dd296410",
+        "report.md": "8ccb67ca67e3ce5c6c0a9141bdd71f4471b7b718f74e6f9540bfdda3899aebb8",
     },
     "both": {
         "accuracy_curves.csv": "53e78e0233a2454d327d1f8b2b11a09ae8911643acc5516b005269fb8f4ff285",
         "accuracy_sweep.csv": "d800017957b73b31ee3f7dc7b3061c1ddc7f70ddda3002d2a7bf109587fe4072",
         "latency_grid.csv": "ffcb901f2f867bf5172359572b0b2dcfde8064742481d7e1ef4792769554f9bb",
-        "report.md": "1b63cf35f4c0fee1477c6dc3510cd76dab03818535654d579726eea988f18e28",
+        "report.md": "f294b11eb54cc89146d1d8a9ea4148379f2e3000c8b78aa51852032ac85457cd",
     },
 }
 
@@ -86,9 +86,8 @@ def test_setup_digest_at_benchmark_scale():
     cfg = ExperimentConfig()
     setup = build_round_setup(cfg, 600, 60, seed=1)
     sweep_cfg = replace(cfg, samples_per_node=cfg.sweep_samples // 16)
-    sweep_task, sweep_parts = build_task_fixture(
-        sweep_cfg, 16, seed=7, alpha=0.8, alphas=[0.8] * 8 + [0.0] * 8, slack_parts=16
-    )
+    sweep_task, sweep_parts = build_task_fixture(sweep_cfg, [0.8] * 8 + [0.0] * 24, seed=7)
+    sweep_parts = sweep_parts[:16]
     arrays = [setup.latency, setup.compute_times]
     for task, parts in ((setup.task, setup.miner_data), (sweep_task, sweep_parts)):
         for data in [task.example, task.held_out, *parts]:
@@ -120,10 +119,10 @@ def test_report_files_digest(tmp_path, given):
     )
     rows = {}
     if given in ("grid", "both"):
-        rows["latency_rows"] = run_latency_grid(grid_cfg)
+        rows["latency-grid"] = run_latency_grid(grid_cfg)
     if given in ("sweep", "both"):
-        rows["sweep_rows"] = run_accuracy_sweep(sweep_cfg)
-    emit_report(sweep_cfg if given == "sweep" else grid_cfg, str(tmp_path), **rows)
+        rows["accuracy-sweep"] = run_accuracy_sweep(sweep_cfg)
+    emit_report(replace(sweep_cfg if given == "sweep" else grid_cfg, out_dir=str(tmp_path)), rows)
     digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                for path in tmp_path.iterdir()}
     assert digests == REPORT_SHA256[given], (
