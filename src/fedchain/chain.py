@@ -20,7 +20,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -60,20 +60,10 @@ MAX_POW_DIFFICULTY = 56  # above it, `pow`'s geometric draw hits the int64 ceili
 _MODEL_UNITS = int(netsim.SIZE_MULTIPLIER)  # size units of a whole model, or of a proof
 
 
-def _canonical_json(**options) -> Callable[[object], str]:
-    """`json.dumps(obj, sort_keys=True, **options)` with its C encoder built
-    once, not per call, and no cycle markers: ledger records are acyclic."""
-    encoder = json.JSONEncoder(sort_keys=True, **options)
-    if json.encoder.c_make_encoder is None:
-        return encoder.encode
-    encode = json.encoder.c_make_encoder(None, encoder.default, json.encoder.encode_basestring_ascii,
-                                         None, encoder.key_separator, encoder.item_separator,
-                                         True, False, True)
-    return lambda obj: "".join(encode(obj, 0))
-
-
-_DIGEST_JSON = _canonical_json(separators=(",", ":"))
-_RECORD_JSON = _canonical_json()
+# `json.dumps(obj, sort_keys=True[, separators])` with the encoder built once,
+# not per call, and no cycle markers: ledger records are acyclic.
+_DIGEST_JSON = json.JSONEncoder(sort_keys=True, check_circular=False, separators=(",", ":")).encode
+_RECORD_JSON = json.JSONEncoder(sort_keys=True, check_circular=False).encode
 
 
 def _derive_seed(*parts) -> int:
@@ -150,18 +140,23 @@ class Chain:
         if any(b.task_id == block.task_id for b in self.blocks[1:]):
             raise DuplicateTaskBlockError(f"task {block.task_id} already has a block")
         self.blocks.append(block)
+        self._credit(credits)
+
+    def _credit(self, credits: dict[int, int]) -> None:
         for node, amount in credits.items():
             self.balances[node] = self.balances.get(node, 0) + amount
 
     def export_jsonl(self, path: str) -> None:
-        """Line-delimited ledger dump: one record per block and transaction."""
+        """Line-delimited ledger dump: one record per block and transaction,
+        all encoded before the file is opened and written once."""
+        records = []
+        for block in self.blocks:
+            records.append({"type": "block", "hash": block.hash(), **_fields(block, _BLOCK_FIELDS)})
+            records += ({"type": "tx", "height": block.height, **_fields(tx, _TX_FIELDS)}
+                        for tx in block.transactions)
+        text = "\n".join(map(_RECORD_JSON, records)) + "\n"
         with open(path, "w", encoding="utf-8") as fh:
-            for block in self.blocks:
-                record = {"type": "block", "hash": block.hash(), **_fields(block, _BLOCK_FIELDS)}
-                fh.write(_RECORD_JSON(record) + "\n")
-                for tx in block.transactions:
-                    record = {"type": "tx", "height": block.height, **_fields(tx, _TX_FIELDS)}
-                    fh.write(_RECORD_JSON(record) + "\n")
+            fh.write(text)
 
 
 # The fields an export line must hold, in the order a "lacks" message names them.
@@ -187,8 +182,32 @@ def _ledger_record(line: bytes, lineno: int) -> dict:
     return record
 
 
+def _settled_credits(block: Block) -> list[dict[int, int]]:
+    """What a loaded block credits: each `RewardSettle`'s credits by int node
+    id or, in a block without one (`pow`), its `TaskPublish` reward to its
+    proposer. A settlement that is not a map of decimal node ids to int
+    amounts credits nothing; `validate_chain` reports it."""
+    settles = [tx.payload.get("credits") if isinstance(tx.payload, dict) else None
+               for tx in block.transactions if tx.kind == "RewardSettle"]
+    if not settles:
+        settles = [{str(block.proposer): tx.payload.get("reward")} for tx in block.transactions
+                   if tx.kind == "TaskPublish" and isinstance(tx.payload, dict)
+                   and type(block.proposer) is int][:1]
+    credits = []
+    for given in settles:
+        if isinstance(given, dict) and all(
+                type(node) is str and node.isascii() and node.isdecimal() and type(amount) is int
+                for node, amount in given.items()):
+            try:
+                credits.append({int(node): amount for node, amount in given.items()})
+            except ValueError:  # an id longer than `int` parses
+                pass
+    return credits
+
+
 def load_chain_jsonl(path: str) -> Chain:
-    """Rebuild a Chain from an export; used by the validate-chain CLI.
+    """Rebuild a Chain from an export, crediting each block's
+    `_settled_credits`; used by the validate-chain CLI.
 
     Raises LedgerIntegrityError naming the line for a line that is not JSON,
     a record that is not a block or tx or lacks a field, a height that is
@@ -227,6 +246,8 @@ def load_chain_jsonl(path: str) -> Chain:
         if height == 0:
             continue
         chain.blocks.append(blocks[height])
+        for credits in _settled_credits(blocks[height]):
+            chain._credit(credits)
     return chain
 
 
@@ -365,9 +386,10 @@ def _claim_violations(block: Block) -> list[str]:
         members = tx.payload.get("members")
         if not members or members[0] != tx.payload.get("head"):
             found.append(f"pool {tx.payload.get('pool')} members do not start with its head")
-    pools_by_id = {
-        r.payload.get("pool"): {str(m) for m in r.payload.get("members", [])} for r in registers
-    }
+    if registers:  # the committing pool's last registration names its members
+        pool = commits[0].payload.get("pool") if commits else None
+        committing = next(({str(m) for m in r.payload.get("members", [])}
+                           for r in reversed(registers) if r.payload.get("pool") == pool), set())
     for settle in settles:
         if settle.timestamp != block.timestamp:
             found.append(f"reward settled at {settle.timestamp}, "
@@ -378,9 +400,8 @@ def _claim_violations(block: Block) -> list[str]:
             found.append(f"credits below 0 to nodes {negative}")
         if publishes and sum(credits.values()) != publishes[0].payload.get("reward"):
             found.append("credits do not sum to the task reward")
-        if pools_by_id:
-            members = pools_by_id.get(commits[0].payload.get("pool") if commits else None, set())
-            outside = sorted(node for node in credits if node not in members)
+        if registers:
+            outside = sorted(node for node in credits if node not in committing)
             if outside:
                 found.append(f"credits to nodes {outside} outside the committing pool")
     return found
@@ -651,37 +672,31 @@ class _PoolRun:
     aggregates their weighted updates into the next model and returns the
     round's end barrier, everyone evaluates the aggregate on the public
     example split (`fed.evaluate`), and the pool is done at the target,
-    the deadline, or the round budget. A fedchain pool combines over the
-    masked ring (`_ring_round`). The baselines are one pool of every node with FedAvg
-    weights, headed by the publisher and never tampered: `gfl_ring`
-    combines over the plain ring, `fedavg_central` over a coordinator star
-    (`_star_round`). `latest_start` is the latest stream start of the
-    combine's next round (`_ring_latest_start` or `_star_latest_start`),
-    from which `vote_bound` bounds the round's earliest last vote. A run's
+    the deadline, or the round budget. The learning mode's `_ENGINES` entry
+    gives the aggregation `scheme`, the `combine` and `latest_start`, the
+    latest stream start of the combine's next round, from which
+    `vote_bound` bounds the round's earliest last vote. `members[0]` is the
+    head; only a fedchain pool listed in `tamper_pools` is tampered. A run's
     clock is its `barrier`, and it derives every seed from its pool id and
     the round's index, `len(outcome.metrics)`, so runs can be interleaved
-    freely. Its aggregation weights under `scheme` are computed at its
-    first `step`; `model` is the round's shared initial model
-    (`_initial_model`). `committee` is its verifier committee
-    (`_draw_committee`), and `votes`, set by `_race` once the run finishes,
-    are the committee's `_vote_arrivals` from the finish time. `compute`
-    holds the members' compute times, in member order.
+    freely. Its aggregation weights are computed at its first `step`;
+    `model` is the round's shared initial model (`_initial_model`).
+    `committee` is its verifier committee (`_draw_committee`), and `votes`,
+    set by `_race` once the run finishes, are the committee's
+    `_vote_arrivals` from the finish time. `compute` holds the members'
+    compute times, in member order.
     """
 
-    def __init__(self, setup: RoundSetup, pool_id: int, head: int, members: list[int],
-                 scheme: str, model: DenseClassifier, barrier: float,
-                 combine: Callable[[_PoolRun, list[DenseClassifier]], tuple[np.ndarray, float]],
-                 latest_start: Callable[[_PoolRun], float], tamper: bool) -> None:
+    def __init__(self, setup: RoundSetup, mode: str, pool_id: int, members: list[int],
+                 model: DenseClassifier, barrier: float) -> None:
         self.setup = setup
-        self.scheme = scheme
+        self.scheme, self.combine, self.latest_start = _ENGINES[mode]
         self.model = model
         self.barrier = barrier
-        self.combine = combine
-        self.latest_start = latest_start
-        self.tamper = tamper
+        self.tamper = mode == "fedchain" and pool_id in setup.tamper_pools
         self.outcome = PoolOutcome(
             pool_id=pool_id,
-            head=head,
+            head=members[0],
             members=members,
             finish_time=None,
             accept_time=None,
@@ -692,7 +707,7 @@ class _PoolRun:
         )
         self.compute = setup.compute_times[members]
         self.committee = _draw_committee(setup, self.outcome)
-        self._links = _committee_links(setup, head, self.committee)
+        self._links = _committee_links(setup, members[0], self.committee)
         self.votes: list[tuple] = []
 
     def vote_bound(self) -> float:
@@ -807,6 +822,15 @@ def _star_round(run: _PoolRun, trained: list[DenseClassifier]) -> tuple[np.ndarr
         else:
             busy = max(busy, r) + float(setup.latency[m, coord]) * _MODEL_UNITS
     return aggregate([t.weights for t in trained], run.outcome.weights), busy
+
+
+# Each learning mode's aggregation scheme, combine and latest stream start
+# (see `run_round`).
+_ENGINES = {
+    "fedchain": ("kl", _ring_round, _ring_latest_start),
+    "gfl_ring": ("fedavg", partial(_ring_round, masked=False), _ring_latest_start),
+    "fedavg_central": ("fedavg", _star_round, _star_latest_start),
+}
 
 
 def _append_block(chain: Chain, task: Task, txs: list[Transaction], timestamp: float,
@@ -1052,21 +1076,14 @@ def run_round(chain: Chain, setup: RoundSetup, mode: str = "fedchain") -> RoundR
     model = _initial_model(setup)
     if mode == "fedchain":
         assignment, start_times = _form_pools(setup)
-        runs = [
-            _PoolRun(setup, idx, pool.members[0], list(pool.members), "kl", model,
-                     max(start_times[m] for m in pool.members), _ring_round, _ring_latest_start,
-                     idx in setup.tamper_pools)
-            for idx, pool in enumerate(assignment.pools)
-        ]
+        starts = [(list(pool.members), max(start_times[m] for m in pool.members))
+                  for pool in assignment.pools]
     else:
         assignment, start_times = None, {}
-        if mode == "gfl_ring":
-            start, combine = float(_task_arrivals(setup).max()), partial(_ring_round, masked=False)
-            latest_start = _ring_latest_start
-        else:
-            start, combine, latest_start = 0.0, _star_round, _star_latest_start
-        runs = [_PoolRun(setup, 0, PUBLISHER, list(range(setup.n_nodes)), "fedavg", model, start,
-                         combine, latest_start, tamper=False)]
+        everyone = [(PUBLISHER + i) % setup.n_nodes for i in range(setup.n_nodes)]
+        starts = [(everyone, float(_task_arrivals(setup).max()) if mode == "gfl_ring" else 0.0)]
+    runs = [_PoolRun(setup, mode, idx, members, model, barrier)
+            for idx, (members, barrier) in enumerate(starts)]
     winner = _race(setup, runs)
     return _settle(chain, setup, publish_tx, winner, [run.outcome for run in runs],
                    assignment, start_times)

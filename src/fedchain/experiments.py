@@ -127,7 +127,8 @@ class ExperimentConfig:
         `TrainConfig` refuses, a `target` outside (0, 1], `sweep_miners`,
         `sweep_max_rounds`, `n_features`, `n_classes`, `samples_per_node` or
         `example_size` below 1, `sweep_samples` below `sweep_miners` (a sweep
-        miner's share would be no rows), a negative `held_out_size`, a mode
+        miner's share would be no rows), a negative `held_out_size`, an
+        `n_nodes` entry below 2 or an `n_pools` entry below 1, a mode
         not in `chain.MODES`, pow settings that `chain.pow_range_problem`
         refuses, an alpha or `grid_alpha` outside [0, 1], or a negative
         seed."""
@@ -145,6 +146,10 @@ class ExperimentConfig:
                 f"sweep_samples must be >= sweep_miners ({self.sweep_miners}), "
                 f"got {self.sweep_samples}"
             )
+        if min(self.n_nodes, default=2) < 2:
+            raise ValueError(f"need at least 2 nodes, got {min(self.n_nodes)}")
+        if min(self.n_pools, default=1) < 1:
+            raise ValueError(f"pool count must be >= 1, got {min(self.n_pools)}")
         unknown = [mode for mode in self.modes if mode not in chain.MODES]
         if unknown:
             raise ValueError(f"modes must be in {list(chain.MODES)}, got {unknown[0]!r}")
@@ -172,15 +177,35 @@ class ExperimentConfig:
         )
 
 
+# The last `dataset_path` fixture parsed, keyed by (path, st_mtime_ns, st_size).
+_FIXTURE: dict[tuple[str, int, int], Dataset] = {}
+
+
+def _parsed_fixture(path: str) -> Dataset:
+    """The CSV fixture at `path`, parsed once while the file keeps its
+    modification time and size. Its arrays are read-only, so no cell can
+    change the rows the others share."""
+    stat = os.stat(path)
+    key = (path, stat.st_mtime_ns, stat.st_size)
+    if key not in _FIXTURE:
+        full = load_csv(path)
+        full.x.setflags(write=False)
+        full.y.setflags(write=False)
+        _FIXTURE.clear()
+        _FIXTURE[key] = full
+    return _FIXTURE[key]
+
+
 def build_task_fixture(cfg: ExperimentConfig, alphas: Sequence[float],
                        seed: int) -> tuple[chain.Task, list[Dataset]]:
     """One blob population sliced into example/held-out/miner splits, so the
     training and verification data share a distribution: `samples_per_node`
     miner rows per entry of `alphas`, cut into one part per entry skewed by
-    it. Raises DatasetFixtureError when `dataset_path` has too few rows."""
+    it. A `dataset_path` fixture is parsed once (`_parsed_fixture`). Raises
+    DatasetFixtureError when it has too few rows."""
     total = cfg.example_size + cfg.held_out_size + cfg.samples_per_node * len(alphas)
     if cfg.dataset_path:
-        full = load_csv(cfg.dataset_path)
+        full = _parsed_fixture(cfg.dataset_path)
         if len(full) < total:
             raise DatasetFixtureError(
                 f"fixture {cfg.dataset_path} has {len(full)} samples, need {total}"

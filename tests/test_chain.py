@@ -6,6 +6,7 @@ import inspect
 import itertools
 import json
 import math
+import sys
 from dataclasses import replace
 from functools import partial
 from types import SimpleNamespace
@@ -343,9 +344,9 @@ def closed_form_exchange(setup, outcome, model, tamper):
     """Both halves of the chain's exchange, as `chain._race` runs them for a
     finisher: the sorted vote arrivals, then the crypto, on a run that
     carries the given outcome and model."""
-    run = chain._PoolRun(setup, outcome.pool_id, outcome.head, outcome.members,
-                         "kl", model, outcome.finish_time, None, None, tamper)
-    run.outcome = outcome
+    run = chain._PoolRun(setup, "fedchain", outcome.pool_id, outcome.members, model,
+                         outcome.finish_time)
+    run.outcome, run.tamper = outcome, tamper
     run.votes = sorted(chain._vote_arrivals(outcome.finish_time, run._links))
     chain._verification_exchange(run, chain._exchange_constants(setup))
 
@@ -1208,15 +1209,14 @@ CANONICAL_PAYLOADS = [
 
 
 class TestCanonicalJsonMatrix:
-    """The prebuilt encoders give `json.dumps`' text with the same options,
-    with the C encoder and without it."""
+    """The prebuilt encoders give `json.dumps`' text with the same options."""
 
-    @pytest.mark.parametrize("options", [{"separators": (",", ":")}, {}])
-    @pytest.mark.parametrize("c_encoder", [True, False])
-    def test_same_text_as_json_dumps(self, monkeypatch, options, c_encoder):
-        if not c_encoder:
-            monkeypatch.setattr(json.encoder, "c_make_encoder", None)
-        encode = chain._canonical_json(**options)
+    @pytest.mark.parametrize("encoder, options", [
+        ("_DIGEST_JSON", {"separators": (",", ":")}),
+        ("_RECORD_JSON", {}),
+    ])
+    def test_same_text_as_json_dumps(self, encoder, options):
+        encode = getattr(chain, encoder)
         for payload in CANONICAL_PAYLOADS:
             assert encode(payload) == json.dumps(payload, sort_keys=True, **options)
             record = {"type": "tx", "payload": payload, "timestamp": 0.1 + 0.2}
@@ -1385,6 +1385,44 @@ class TestBaselines:
             trials.append(result.latency_ms)
         # winner is min over 6 nodes of Geometric(2^-6) trials; crude sanity band
         assert 1.0 <= np.mean(trials) < 6 * 64
+
+
+LEARNING_MODES = ("fedchain", "gfl_ring", "fedavg_central")
+
+
+class TestEngines:
+    """A `_PoolRun` reads its scheme, combine and bound from its learning
+    mode's `chain._ENGINES` entry; its first member is its head."""
+
+    def test_one_engine_per_learning_mode(self):
+        assert set(chain._ENGINES) == set(LEARNING_MODES) == set(chain.MODES) - {"pow"}
+
+    @pytest.mark.parametrize("mode", LEARNING_MODES)
+    def test_run_carries_its_modes_engine(self, mode):
+        setup = build_setup(n_nodes=6, n_pools=2, seed=1)
+        run = chain._PoolRun(setup, mode, 0, [2, 0, 4], chain._initial_model(setup), 5.0)
+        assert (run.scheme, run.combine, run.latest_start) == chain._ENGINES[mode]
+        assert (run.outcome.head, run.outcome.members) == (2, [2, 0, 4])
+        ready = 5.0 + setup.compute_times[[2, 0, 4]]
+        bound = 5.0 if mode == "fedavg_central" else sharedring.stream_starts(5.0, ready).max()
+        assert run.latest_start(run) == bound
+
+    @pytest.mark.parametrize("mode", LEARNING_MODES)
+    def test_only_listed_fedchain_pools_are_tampered(self, mode):
+        setup = build_setup(n_nodes=6, n_pools=3, seed=1, tamper_pools=frozenset({1}))
+        model = chain._initial_model(setup)
+        tampered = [chain._PoolRun(setup, mode, pool_id, [pool_id, 5], model, 0.0).tamper
+                    for pool_id in range(3)]
+        assert tampered == [False, mode == "fedchain", False]
+
+    @pytest.mark.parametrize("mode", ["gfl_ring", "fedavg_central"])
+    def test_baseline_run_is_headed_by_the_publisher(self, mode):
+        setup = build_setup(n_nodes=5, n_pools=1, seed=4, tamper_pools=frozenset({0}))
+        result = chain.run_round(chain.Chain(), setup, mode)
+        (outcome,) = result.outcomes
+        assert outcome.head == result.block.proposer == chain.PUBLISHER
+        assert outcome.members == list(range(5))
+        assert outcome.accepted  # a listed pool id does not tamper a baseline
 
 
 class TestPowRange:
@@ -1762,6 +1800,20 @@ def test_export_load_export_same_bytes(tmp_path, mode, seed):
     ledger.export_jsonl(str(first))
     chain.load_chain_jsonl(str(first)).export_jsonl(str(second))
     assert second.read_bytes() == first.read_bytes()
+
+
+@pytest.mark.parametrize("mode", chain.MODES)
+def test_reload_keeps_balances(tmp_path, mode):
+    """A reloaded ledger of two blocks credits what the rounds credited."""
+    ledger = chain.Chain()
+    for task_id, seed in ((1, 1), (2, 0)):
+        setup = grid_setup(20, 4, seed)
+        chain.run_round(ledger, replace(setup, task=replace(setup.task, task_id=task_id)), mode)
+    path = tmp_path / "ledger.jsonl"
+    ledger.export_jsonl(str(path))
+    balances = chain.load_chain_jsonl(str(path)).balances
+    assert balances == ledger.balances
+    assert sum(balances.values()) == 2 * setup.task.reward
 
 
 def setup_digests(setup):
@@ -2160,6 +2212,20 @@ class TestLedgerClaims:
         violations = chain.validate_chain(self.reexported(tmp_path, mutate=mutate))
         assert len(violations) == 1
         assert violations[0].endswith("credits are not a map of node to integer amount")
+
+    @pytest.mark.parametrize("credits", [
+        [250, 750], "1000", {"3": 1000.0}, {"3": True}, {"a": 1000}, {"-3": 1000}, {"3.0": 1000},
+        {"\u0663": 1000},
+        pytest.param({"1" * 5000: 1000}, marks=pytest.mark.skipif(
+            not hasattr(sys, "get_int_max_str_digits"), reason="int() parses any length")),
+    ])
+    def test_malformed_settlement_loads_and_credits_nothing(self, tmp_path, credits):
+        def mutate(block):
+            self.txs(block, "RewardSettle")[0].payload["credits"] = credits
+
+        loaded = self.reexported(tmp_path, mutate=mutate)
+        assert loaded.balances == {}
+        assert chain.validate_chain(loaded) != []
 
     def test_reward_settled_off_the_block_time_flagged(self, tmp_path):
         def mutate(block):

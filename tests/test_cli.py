@@ -108,6 +108,26 @@ def test_output_that_cannot_be_written_exits_2(tmp_path, monkeypatch, capsys, ar
     assert ran == []  # the grid never ran
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--pools", "0", "--nodes", "6", "--modes", "pow"], "pool count must be >= 1, got 0"),
+    (["--pools", "0", "--nodes", "6", "--modes", "fedchain"], "pool count must be >= 1, got 0"),
+    (["--pools", "2", "--nodes", "6", "1", "--modes", "pow"], "need at least 2 nodes, got 1"),
+    (["--pools", "0", "--nodes", "6", "-2", "--modes", "fedchain"], "need at least 2 nodes, got -2"),
+])
+def test_grid_axis_out_of_range_exits_2_before_any_cell(tmp_path, monkeypatch, capsys, argv,
+                                                         message):
+    ran = []
+    monkeypatch.setitem(experiments.GRIDS, "latency-grid",
+                        replace(experiments.GRIDS["latency-grid"], run=ran.append))
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["latency-grid", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert ran == []  # the grid never ran
+    assert not (tmp_path / "results").exists()
+
+
 BAD_HEADER = "line 1: header must be three positive ints n_samples,n_features,n_classes, got "
 
 
@@ -224,6 +244,8 @@ def test_malformed_config_exits_2(tmp_path, capsys, body, message):
     ("pow_trial_ms: -1\n", "pow_trial_ms must be finite and >= 0, got -1"),
     ("pow_trial_ms: .nan\n", "pow_trial_ms must be finite and >= 0, got nan"),
     ("pow_trial_ms: .inf\n", "pow_trial_ms must be finite and >= 0, got inf"),
+    ("n_nodes: [6, 1]\n", "need at least 2 nodes, got 1"),
+    ("n_pools: [2, 0]\n", "pool count must be >= 1, got 0"),
 ])
 def test_out_of_range_config_exits_2(tmp_path, monkeypatch, capsys, command, body, message):
     monkeypatch.chdir(tmp_path)

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fedchain import chain, experiments
+from fedchain import chain, data, experiments
 from fedchain.errors import DatasetFixtureError, EmptyReportError, LedgerIntegrityError
 from fedchain.experiments import ExperimentConfig
 
@@ -159,6 +159,64 @@ class TestLatencyGrid:
         b = experiments.latency_rows_to_csv(experiments.run_latency_grid(cfg))
         assert a == b
         assert a.splitlines()[0] == experiments.LATENCY_COLUMNS
+
+
+class TestFixtureCache:
+    """A `dataset_path` fixture is parsed once while its file is unchanged."""
+
+    @staticmethod
+    def write_fixture(path, rows):
+        data.save_csv(data.make_blobs(rows, n_features=12, n_classes=10, seed=1, separation=4.0),
+                      str(path))
+
+    @staticmethod
+    def count_parses(monkeypatch):
+        calls = []
+
+        def counting(path):
+            calls.append(path)
+            return data.load_csv(path)
+
+        monkeypatch.setattr(experiments, "load_csv", counting)
+        monkeypatch.setattr(experiments, "_FIXTURE", {})
+        return calls
+
+    def test_grid_parses_once_and_matches_a_parse_per_cell(self, tmp_path, monkeypatch):
+        path = tmp_path / "fixture.csv"
+        self.write_fixture(path, 3000)
+        cfg = tiny_grid_config(modes=["pow", "fedchain"], n_nodes=[6, 8], n_pools=[2, 3],
+                               seeds=[0, 1, 2], dataset_path=str(path))
+        calls = self.count_parses(monkeypatch)
+        cached = experiments.latency_rows_to_csv(experiments.run_latency_grid(cfg))
+        assert calls == [str(path)]
+        cell = experiments.run_grid_cell
+
+        def uncached_cell(*args):
+            experiments._FIXTURE.clear()
+            return cell(*args)
+
+        monkeypatch.setattr(experiments, "run_grid_cell", uncached_cell)
+        assert experiments.latency_rows_to_csv(experiments.run_latency_grid(cfg)) == cached
+        assert len(calls) == 1 + 2 * 3 + 2 * 2 * 3  # pow per (n, seed), fedchain per cell
+
+    def test_shared_rows_are_read_only(self, tmp_path, monkeypatch):
+        path = tmp_path / "fixture.csv"
+        self.write_fixture(path, 1500)
+        self.count_parses(monkeypatch)
+        full = experiments._parsed_fixture(str(path))
+        assert not full.x.flags.writeable and not full.y.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            full.x[0, 0] = 1.0
+
+    def test_a_fixture_rewritten_with_another_size_is_read_again(self, tmp_path, monkeypatch):
+        path = tmp_path / "fixture.csv"
+        self.write_fixture(path, 3000)
+        calls = self.count_parses(monkeypatch)
+        assert len(experiments._parsed_fixture(str(path))) == 3000
+        assert len(experiments._parsed_fixture(str(path))) == 3000
+        self.write_fixture(path, 2999)
+        assert len(experiments._parsed_fixture(str(path))) == 2999
+        assert len(calls) == 2
 
 
 class TestSweep:
