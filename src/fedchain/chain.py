@@ -168,8 +168,8 @@ _LEDGER_FIELDS = {
 
 def _ledger_record(line: bytes, lineno: int) -> dict:
     """Parse one export line, checking its type, its fields and its height."""
-    try:
-        record = json.loads(line)
+    try:  # decoded as `json.loads` decodes UTF-8 bytes, without its per-call detection
+        record = json.loads(line.decode("utf-8-sig", "surrogatepass"))
     except ValueError as err:
         raise LedgerIntegrityError(f"line {lineno}: not JSON") from err
     if not isinstance(record, dict) or record.get("type") not in ("block", "tx"):
@@ -824,8 +824,7 @@ def _star_round(run: _PoolRun, trained: list[DenseClassifier]) -> tuple[np.ndarr
     return aggregate([t.weights for t in trained], run.outcome.weights), busy
 
 
-# Each learning mode's aggregation scheme, combine and latest stream start
-# (see `run_round`).
+# Each learning mode's aggregation scheme, combine and latest stream start, read by `_PoolRun`.
 _ENGINES = {
     "fedchain": ("kl", _ring_round, _ring_latest_start),
     "gfl_ring": ("fedavg", partial(_ring_round, masked=False), _ring_latest_start),
