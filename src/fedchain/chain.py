@@ -121,30 +121,32 @@ class Block:
 
 
 class Chain:
-    """Fork-free ledger plus reward balances."""
+    """Fork-free ledger; its balances are read off its blocks."""
 
     def __init__(self) -> None:
         genesis = Block(0, GENESIS_HASH, 0.0, [], -1, -1, None)
         self.blocks: list[Block] = [genesis]
-        self.balances: dict[int, int] = {}
 
     def head(self) -> Block:
         return self.blocks[-1]
 
-    def append_block(self, block: Block, credits: dict[int, int]) -> None:
-        """Append a block that extends the head and credit its reward split.
-        A task gets at most one block, so it is credited at most once."""
+    @property
+    def balances(self) -> dict[int, int]:
+        """Each node's credits summed over the blocks' `block_credits`."""
+        balances: dict[int, int] = {}
+        for block in self.blocks:
+            for node, amount in block_credits(block).items():
+                balances[node] = balances.get(node, 0) + amount
+        return balances
+
+    def append_block(self, block: Block) -> None:
+        """Append a block that extends the head; a task gets at most one."""
         expected = self.head().hash()
         if block.prev_hash != expected or block.height != self.head().height + 1:
             raise ValueError("block does not extend the chain head")
         if any(b.task_id == block.task_id for b in self.blocks[1:]):
             raise DuplicateTaskBlockError(f"task {block.task_id} already has a block")
         self.blocks.append(block)
-        self._credit(credits)
-
-    def _credit(self, credits: dict[int, int]) -> None:
-        for node, amount in credits.items():
-            self.balances[node] = self.balances.get(node, 0) + amount
 
     def export_jsonl(self, path: str) -> None:
         """Line-delimited ledger dump: one record per block and transaction,
@@ -182,32 +184,34 @@ def _ledger_record(line: bytes, lineno: int) -> dict:
     return record
 
 
-def _settled_credits(block: Block) -> list[dict[int, int]]:
-    """What a loaded block credits: each `RewardSettle`'s credits by int node
-    id or, in a block without one (`pow`), its `TaskPublish` reward to its
-    proposer. A settlement that is not a map of decimal node ids to int
-    amounts credits nothing; `validate_chain` reports it."""
-    settles = [tx.payload.get("credits") if isinstance(tx.payload, dict) else None
+def _node_credits(credits) -> dict[int, int] | None:
+    """`credits` by int node id if it is a map of decimal node ids (ASCII
+    digits, no leading zero) to int amounts, else None."""
+    if not isinstance(credits, dict):
+        return None
+    try:
+        paid = {int(node): amount for node, amount in credits.items() if type(node) is str
+                and node.isascii() and node.isdecimal() and type(amount) is int}
+    except ValueError:  # an id longer than `int` parses
+        return None
+    return paid if list(map(str, paid)) == list(credits) else None  # every key kept, as written
+
+
+def block_credits(block: Block) -> dict[int, int]:
+    """What a block pays, by int node id: its one `RewardSettle`'s credits
+    or, in a block without one (`pow`), its `TaskPublish` reward to its
+    proposer. A block with two settlements, or whose payment `_node_credits`
+    refuses, pays nothing; `validate_chain` reports it."""
+    settles = [tx.payload.get("credits", {}) if isinstance(tx.payload, dict) else None
                for tx in block.transactions if tx.kind == "RewardSettle"]
-    if not settles:
+    if not settles and type(block.proposer) is int:
         settles = [{str(block.proposer): tx.payload.get("reward")} for tx in block.transactions
-                   if tx.kind == "TaskPublish" and isinstance(tx.payload, dict)
-                   and type(block.proposer) is int][:1]
-    credits = []
-    for given in settles:
-        if isinstance(given, dict) and all(
-                type(node) is str and node.isascii() and node.isdecimal() and type(amount) is int
-                for node, amount in given.items()):
-            try:
-                credits.append({int(node): amount for node, amount in given.items()})
-            except ValueError:  # an id longer than `int` parses
-                pass
-    return credits
+                   if tx.kind == "TaskPublish" and isinstance(tx.payload, dict)][:1]
+    return (_node_credits(settles[0]) if len(settles) == 1 else None) or {}
 
 
 def load_chain_jsonl(path: str) -> Chain:
-    """Rebuild a Chain from an export, crediting each block's
-    `_settled_credits`; used by the validate-chain CLI.
+    """Rebuild a Chain from an export; used by the validate-chain CLI.
 
     Raises LedgerIntegrityError naming the line for a line that is not JSON,
     a record that is not a block or tx or lacks a field, a height that is
@@ -243,11 +247,8 @@ def load_chain_jsonl(path: str) -> Chain:
             raise LedgerIntegrityError(
                 f"height {height}: stored block hash does not match the block's contents"
             )
-        if height == 0:
-            continue
-        chain.blocks.append(blocks[height])
-        for credits in _settled_credits(blocks[height]):
-            chain._credit(credits)
+        if height != 0:
+            chain.blocks.append(blocks[height])
     return chain
 
 
@@ -269,12 +270,8 @@ def _malformed_claim(tx: Transaction) -> str | None:
             return f"{tx.kind} pool {tx.payload['pool']!r} is not an integer"
     if tx.kind == "PoolRegister" and not isinstance(tx.payload.get("members", []), list):
         return "PoolRegister members are not a list"
-    if tx.kind == "RewardSettle":
-        credits = tx.payload.get("credits", {})
-        if not isinstance(credits, dict) or any(
-            type(node) is not str or type(amount) is not int for node, amount in credits.items()
-        ):
-            return "RewardSettle credits are not a map of node to integer amount"
+    if tx.kind == "RewardSettle" and _node_credits(tx.payload.get("credits", {})) is None:
+        return "RewardSettle credits are not a map of node to integer amount"
     return None
 
 
@@ -282,11 +279,11 @@ def validate_chain(chain: Chain) -> list[str]:
     """Audit a ledger; return its violations, each naming the block height.
 
     Per block: the hash link to the block before, a height one above it,
-    an integer task id and a block timestamp that is a finite number. A
-    malformed claim (an unknown kind, a payload or credits of the wrong
-    shape, a timestamp that is not a finite number) is one violation, and
-    a block that has one has no other claim audited. `_claim_violations`
-    audits the claims of every other block:
+    an integer task id, a proposer that is a node id (an int not below 0)
+    and a block timestamp that is a finite number. A malformed claim (an
+    unknown kind, a payload or credits of the wrong shape, a timestamp that
+    is not a finite number) is one violation, and a block that has one has
+    no other claim audited. `_claim_violations` audits every other block:
     - transaction kinds in `TX_KINDS` order, and `PoolRegister`s in time order;
     - one time order for the winning pipeline: its `TaskPublish`,
       `ModelCommit`, `ProofSubmit`, `VerifyVote` and `RewardSettle`
@@ -302,8 +299,9 @@ def validate_chain(chain: Chain) -> list[str]:
     - the proposer is the model committer, every proof has a matching
       commitment, and every vote accepts;
     - every registered pool's members start with its head;
-    - the credits are not below 0, sum to the task reward and go only to
-      registered members of the committing pool.
+    - at most one `RewardSettle`, and none without a `ModelCommit`;
+    - the credits are not below 0, sum to the task reward (0 without a
+      publication) and go only to registered members of the committing pool.
     Across blocks: at most one block per task."""
     violations: list[str] = []
     for prev, block in zip(chain.blocks, chain.blocks[1:]):
@@ -314,6 +312,8 @@ def validate_chain(chain: Chain) -> list[str]:
             found.append("non-monotone height")
         if type(block.task_id) is not int:
             found.append(f"task id {block.task_id!r} is not an integer")
+        if type(block.proposer) is not int or block.proposer < 0:
+            found.append(f"proposer {block.proposer!r} is not a node id")
         if not _is_finite_number(block.timestamp):
             found.append(f"block timestamp {block.timestamp!r} is not a finite number")
         malformed = [
@@ -390,6 +390,10 @@ def _claim_violations(block: Block) -> list[str]:
         pool = commits[0].payload.get("pool") if commits else None
         committing = next(({str(m) for m in r.payload.get("members", [])}
                            for r in reversed(registers) if r.payload.get("pool") == pool), set())
+    if len(settles) > 1:
+        found.append(f"{len(settles)} RewardSettles in one block")
+    if settles and not commits:
+        found.append("reward settled without a model commitment")
     for settle in settles:
         if settle.timestamp != block.timestamp:
             found.append(f"reward settled at {settle.timestamp}, "
@@ -398,7 +402,7 @@ def _claim_violations(block: Block) -> list[str]:
         negative = sorted(node for node, amount in credits.items() if amount < 0)
         if negative:
             found.append(f"credits below 0 to nodes {negative}")
-        if publishes and sum(credits.values()) != publishes[0].payload.get("reward"):
+        if sum(credits.values()) != (publishes[0].payload.get("reward") if publishes else 0):
             found.append("credits do not sum to the task reward")
         if registers:
             outside = sorted(node for node in credits if node not in committing)
@@ -833,11 +837,11 @@ _ENGINES = {
 
 
 def _append_block(chain: Chain, task: Task, txs: list[Transaction], timestamp: float,
-                  proposer: int, commitment: str | None, credits: dict[int, int]) -> Block:
-    """Build the task's block on the chain head, append it and credit `credits`."""
+                  proposer: int, commitment: str | None) -> Block:
+    """Build the task's block on the chain head and append it."""
     head = chain.head()
     block = Block(head.height + 1, head.hash(), timestamp, txs, proposer, task.task_id, commitment)
-    chain.append_block(block, credits)
+    chain.append_block(block)
     return block
 
 
@@ -847,8 +851,8 @@ def _block_transactions(
     assignment: pools.PoolAssignment | None,
     start_times: dict[int, float],
     publish_tx: Transaction,
-) -> tuple[list[Transaction], dict[int, int]]:
-    """The winner's block transactions, in ledger order, and its pool's credits."""
+) -> list[Transaction]:
+    """The winner's block transactions, in ledger order."""
     task = setup.task
     txs = [publish_tx]
     if assignment is not None:
@@ -900,7 +904,7 @@ def _block_transactions(
             timestamp=winner.accept_time,
         )
     )
-    return txs, credits
+    return txs
 
 
 def _form_pools(setup: RoundSetup) -> tuple[pools.PoolAssignment, dict[int, float]]:
@@ -991,20 +995,13 @@ def _race(setup: RoundSetup, runs: list[_PoolRun]) -> PoolOutcome:
 def _settle(chain: Chain, setup: RoundSetup, publish_tx: Transaction, winner: PoolOutcome,
             outcomes: list[PoolOutcome], assignment: pools.PoolAssignment | None,
             start_times: dict[int, float]) -> RoundResult:
-    """Append the winner's block, credit its pool and report the round."""
-    txs, credits = _block_transactions(setup, winner, assignment, start_times, publish_tx)
+    """Append the winner's block, which pays its pool, and report the round."""
+    txs = _block_transactions(setup, winner, assignment, start_times, publish_tx)
     block = _append_block(chain, setup.task, txs, winner.accept_time, winner.head,
-                          winner.commitment, credits)
-    return RoundResult(
-        block=block,
-        latency_ms=winner.accept_time,
-        winner_pool=winner.pool_id,
-        accuracy=winner.measured_accuracy,
-        outcomes=outcomes,
-        assignment=assignment,
-        start_times=start_times,
-        credits=credits,
-    )
+                          winner.commitment)
+    return RoundResult(block=block, latency_ms=winner.accept_time, winner_pool=winner.pool_id,
+                       accuracy=winner.measured_accuracy, outcomes=outcomes, assignment=assignment,
+                       start_times=start_times, credits=block_credits(block))
 
 
 def _run_pow(chain: Chain, setup: RoundSetup) -> RoundResult:
@@ -1029,9 +1026,8 @@ def _run_pow(chain: Chain, setup: RoundSetup) -> RoundResult:
     accept_time = float(found[best_node]) + max(
         float(setup.latency[best_node, v]) + float(setup.latency[v, best_node]) for v in committee
     )
-    credits = {best_node: task.reward}
-    block = _append_block(chain, task, [publish_tx], accept_time, best_node, None, credits)
-    return RoundResult(block, accept_time, None, 0.0, [], None, {}, credits)
+    block = _append_block(chain, task, [publish_tx], accept_time, best_node, None)
+    return RoundResult(block, accept_time, None, 0.0, [], None, {}, block_credits(block))
 
 
 def run_round(chain: Chain, setup: RoundSetup, mode: str = "fedchain") -> RoundResult:

@@ -1183,7 +1183,7 @@ class TestCanonicalJson:
                            "tx": [tx.digest() for tx in transactions]},
                           sort_keys=True, separators=(",", ":"))
         assert block.hash() == hashlib.sha256(body.encode()).hexdigest()
-        ledger.append_block(block, {})
+        ledger.append_block(block)
         path = tmp_path_factory.mktemp("ledger") / "ledger.jsonl"
         ledger.export_jsonl(str(path))
         want = []
@@ -1698,7 +1698,7 @@ class TestRewards:
         again = chain.Block(head.height + 1, head.hash(), head.timestamp, [], head.proposer,
                             head.task_id, head.model_commitment)
         with pytest.raises(DuplicateTaskBlockError):
-            ledger.append_block(again, result.credits)
+            ledger.append_block(again)
         assert ledger.balances == before
         assert ledger.blocks == [ledger.blocks[0], result.block]
 
@@ -2366,6 +2366,50 @@ class TestLedgerClaims:
             "height 1: block task id 1 is not the published task id 99"
         ]
 
+    def test_duplicated_settlement_flagged_and_pays_nothing(self, mode_ledgers, tmp_path):
+        def mutate(block):
+            block.transactions.append(copy.deepcopy(block.transactions[-1]))
+
+        loaded = self.reexported_copy(mode_ledgers["fedchain"], tmp_path, mutate)
+        assert [tx.kind for tx in loaded.head().transactions[-2:]] == ["RewardSettle"] * 2
+        assert chain.validate_chain(loaded) == ["height 1: 2 RewardSettles in one block"]
+        assert loaded.balances == {}
+
+    def test_pow_settlement_without_commitment_flagged(self, mode_ledgers, tmp_path):
+        # the forged settlement pays node 0 what the proposer found
+        def mutate(block):
+            assert block.proposer != 0
+            block.transactions.append(chain.Transaction(
+                "RewardSettle", {"credits": {"0": 1000}}, chain.PUBLISHER, block.timestamp))
+
+        loaded = self.reexported_copy(mode_ledgers["pow"], tmp_path, mutate)
+        assert chain.validate_chain(loaded) == [
+            "height 1: reward settled without a model commitment"]
+        assert loaded.balances == {0: 1000}
+
+    @pytest.mark.parametrize("mode", ["fedchain", "fedavg_central", "gfl_ring"])
+    def test_settlement_without_publication_flagged(self, mode_ledgers, tmp_path, mode):
+        # without a task there is no reward, so the settled 1,000 is too much
+        def mutate(block):
+            block.transactions.pop(0)
+
+        loaded = self.reexported_copy(mode_ledgers[mode], tmp_path, mutate)
+        assert chain.validate_chain(loaded) == ["height 1: credits do not sum to the task reward"]
+
+    @pytest.mark.parametrize("value", ["3", 3.0, True, None, -1])
+    @pytest.mark.parametrize("mode", ["pow", "fedchain"])
+    def test_proposer_not_a_node_id_flagged(self, mode_ledgers, tmp_path, mode, value):
+        def mutate(block):
+            block.proposer = value
+
+        loaded = self.reexported_copy(mode_ledgers[mode], tmp_path, mutate)
+        expected = [f"height 1: proposer {value!r} is not a node id"]
+        if mode == "fedchain":
+            expected.append("height 1: proposer is not the model committer")
+        assert chain.validate_chain(loaded) == expected
+        if mode == "pow":
+            assert loaded.balances == {}
+
     def test_second_block_for_a_task_refused(self):
         ledger = chain.Chain()
         setup = build_setup(n_nodes=4, n_pools=1, seed=3)
@@ -2412,6 +2456,56 @@ class TestClaimRangeProperty:
         ledger.export_jsonl(str(path))
         violations = chain.validate_chain(chain.load_chain_jsonl(str(path)))
         assert any(v.startswith(f"height 1: {name} ") for v in violations), violations
+
+
+def payees(block, n_nodes=20):
+    """Who an unedited block may pay: the registered members of its
+    committing pool, every node when it registers no pool (a one-pool
+    round), or its proposer when it commits no model (`pow`)."""
+    commits = [tx for tx in block.transactions if tx.kind == "ModelCommit"]
+    if not commits:
+        return {block.proposer}
+    registers = [tx.payload["members"] for tx in block.transactions
+                 if tx.kind == "PoolRegister" and tx.payload["pool"] == commits[0].payload["pool"]]
+    return set(registers[-1]) if registers else set(range(n_nodes))
+
+
+class TestPaymentAuditProperty:
+    """A re-exported ledger of any mode with one transaction of its head
+    block duplicated or dropped, or a settlement appended that credits one
+    of its payees, either has a violation or pays exactly each block's task
+    reward, and only to that block's payees."""
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_clean_ledger_pays_the_task_reward(self, mode_ledgers, tmp_path_factory, data):
+        mode = data.draw(st.sampled_from(chain.MODES), label="mode")
+        ledger = copy.deepcopy(mode_ledgers[mode])
+        block = ledger.head()
+        allowed = payees(block)
+        txs = block.transactions
+        action = data.draw(st.sampled_from(["duplicate", "drop", "append"]), label="action")
+        if action == "append":
+            # a pow block's proposer is one of the network's miners
+            node = data.draw(st.sampled_from(range(20) if mode == "pow" else sorted(allowed)),
+                             label="node")
+            txs.append(chain.Transaction("RewardSettle", {"credits": {str(node): 1000}},
+                                         chain.PUBLISHER, block.timestamp))
+        else:
+            i = data.draw(st.integers(0, len(txs) - 1), label="index")
+            if action == "duplicate":
+                txs.insert(i, copy.deepcopy(txs[i]))
+            else:
+                del txs[i]
+        path = tmp_path_factory.mktemp("payment") / "ledger.jsonl"
+        ledger.export_jsonl(str(path))
+        loaded = chain.load_chain_jsonl(str(path))
+        if chain.validate_chain(loaded):
+            return
+        rewards = [next((tx.payload["reward"] for tx in b.transactions if tx.kind == "TaskPublish"), 0)
+                   for b in loaded.blocks]
+        assert sum(loaded.balances.values()) == sum(rewards)
+        assert set(loaded.balances) <= allowed
 
 
 class TestChainRingAudit:
